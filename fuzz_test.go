@@ -38,12 +38,11 @@ func fuzzConfigs() []Config {
 // the batch, streaming, and parallel analyzers — optionally routing the
 // capture through the probe drift+bump fault injector first, so the
 // position-adaptive resync path sees adversarial inputs too. None may
-// ever panic — including on NaN/Inf garbage — and on captures at least
-// one normalisation window long all three must agree exactly (the batch
-// analyzer clamps its window on shorter captures, where the pipelines
-// legitimately differ). The parallel analyzer runs with a deliberately
-// tiny chunk size so fuzz-sized inputs actually shard instead of falling
-// back to the sequential path.
+// ever panic — including on NaN/Inf garbage — and all three must agree
+// exactly at every capture length, shorter than a normalisation window
+// included. The parallel analyzer runs with a deliberately tiny chunk
+// size so fuzz-sized inputs actually shard instead of falling back to
+// the sequential path.
 func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{}, uint8(0), false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, uint8(1), false)
@@ -128,41 +127,37 @@ func FuzzAnalyze(f *testing.F) {
 		pp := core.MustNewAnalyzer(cfg).ProfileParallel(c, core.ParallelOptions{
 			Workers: 3, ChunkSamples: 1024,
 		})
-		// The parallel analyzer must be bit-identical to batch regardless
-		// of capture length (it falls back to the batch path when too
-		// short to shard, so no window-length carve-out applies).
-		if pp.Misses != pb.Misses || pp.RefreshStalls != pb.RefreshStalls ||
-			pp.Quality != pb.Quality || len(pp.Stalls) != len(pb.Stalls) {
-			t.Fatalf("batch/parallel diverged: %d/%d/%v vs %d/%d/%v (n=%d)",
-				pb.Misses, pb.RefreshStalls, pb.Quality, pp.Misses, pp.RefreshStalls, pp.Quality, n)
-		}
-		for i := range pb.Stalls {
-			if pb.Stalls[i] != pp.Stalls[i] {
-				t.Fatalf("stall %d diverged:\nbatch:    %+v\nparallel: %+v", i, pb.Stalls[i], pp.Stalls[i])
-			}
-		}
-
-		window := int(cfg.NormWindowS * sampleRate)
-		if window < 8 {
-			window = 8
-		}
-		if n < window {
-			return
-		}
-		if pb.Misses != ps.Misses || pb.RefreshStalls != ps.RefreshStalls {
-			t.Fatalf("batch/stream diverged: %d/%d vs %d/%d (n=%d cfg=%d)",
-				pb.Misses, pb.RefreshStalls, ps.Misses, ps.RefreshStalls, n, int(sel)%len(cfgs))
-		}
-		if pb.Quality != ps.Quality {
-			t.Fatalf("quality diverged:\nbatch:  %v\nstream: %v", pb.Quality, ps.Quality)
-		}
-		if len(pb.Stalls) != len(ps.Stalls) {
-			t.Fatalf("stall list lengths diverged: %d vs %d", len(pb.Stalls), len(ps.Stalls))
-		}
-		for i := range pb.Stalls {
-			if pb.Stalls[i] != ps.Stalls[i] {
-				t.Fatalf("stall %d diverged:\nbatch:  %+v\nstream: %+v", i, pb.Stalls[i], ps.Stalls[i])
+		for _, other := range []struct {
+			name string
+			p    *Profile
+		}{{"stream", ps}, {"parallel", pp}} {
+			if !sameProfile(pb, other.p) {
+				t.Fatalf("batch/%s diverged (n=%d cfg=%d):\nbatch: %d/%d %v %+v\n%s: %d/%d %v %+v",
+					other.name, n, int(sel)%len(cfgs),
+					pb.Misses, pb.RefreshStalls, pb.Quality, pb.Stalls,
+					other.name, other.p.Misses, other.p.RefreshStalls, other.p.Quality, other.p.Stalls)
 			}
 		}
 	})
 }
+
+// sameProfile compares two profiles field by field; a NaN confidence or
+// depth (possible on garbage input) compares equal to itself.
+func sameProfile(a, b *Profile) bool {
+	if a.Misses != b.Misses || a.RefreshStalls != b.RefreshStalls || a.Quality != b.Quality ||
+		!sameFloat(a.StallCycles, b.StallCycles) || !sameFloat(a.ExecCycles, b.ExecCycles) ||
+		len(a.Stalls) != len(b.Stalls) {
+		return false
+	}
+	for i, s := range a.Stalls {
+		o := b.Stalls[i]
+		if s.StartSample != o.StartSample || s.EndSample != o.EndSample || s.Refresh != o.Refresh ||
+			!sameFloat(s.StartS, o.StartS) || !sameFloat(s.DurationS, o.DurationS) || !sameFloat(s.Cycles, o.Cycles) ||
+			!sameFloat(s.Depth, o.Depth) || !sameFloat(s.Confidence, o.Confidence) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -1,40 +1,34 @@
 package core
 
-// This file implements the parallel batch analyzer: ProfileParallel shards
-// a long capture across a bounded worker pool and produces a Profile that
-// is bit-identical to Analyzer.Profile on the same capture — stalls,
-// confidences, quality counters and all. It exists because a single
-// sequential pass caps profiling throughput far below what multi-core
-// hardware allows, while production deployments (long boot traces,
-// multi-minute SPEC captures, sweep grids) routinely analyse hundreds of
-// millions of samples.
+// This file implements the parallel composition of the analysis engine
+// (engine.go): ProfileParallel shards a long capture across a bounded
+// worker pool and produces a Profile that is bit-identical to
+// Analyzer.Profile on the same capture — stalls, confidences, quality
+// counters and all. A single sequential pass caps profiling throughput
+// far below what multi-core hardware allows, while long boot traces,
+// multi-minute SPEC captures and sweep grids analyse hundreds of millions
+// of samples.
 //
-// Exact equivalence dictates the decomposition. The pipeline's stages
-// differ in how much history they carry:
+// Exact equivalence dictates which stages can fan out:
 //
-//   - The signal-quality monitor holds infinite-memory state (busy-level
-//     and distinctness EMAs, last-good sample), so it cannot be restarted
-//     mid-capture without changing its decisions. It stays sequential.
-//   - The smoothing moving average keeps a running sum whose floating-
-//     point rounding depends on the entire prefix, so a freshly seeded
-//     window would differ in final bits. It also stays sequential — and is
-//     by far the cheapest stage.
-//   - The moving min/max normalisation windows are finite (NormWindowS):
-//     the stats at position j depend only on the last window of smoothed
-//     values and the resync points inside it. Chunks overlapping by one
-//     window reproduce them exactly. This is the expensive stage, and it
-//     parallelises.
-//   - The dip detector is a cheap state machine over the normalised
-//     values; replaying it sequentially over the chunk results in order
-//     reproduces hysteresis, abort and confidence behaviour exactly.
+//   - The monitor holds infinite-memory state (busy-level and
+//     distinctness EMAs, last-good sample), and the smoother's running sum
+//     rounds differently depending on the whole prefix. Both run
+//     sequentially, in one producer pass over the capture.
+//   - The moving min/max windows are finite (NormWindowS): the stats at
+//     position j depend only on the last window of smoothed values and the
+//     resync points inside it. A worker that starts its windows one full
+//     window before the first stat it reads reproduces them exactly. This
+//     is the expensive stage, and it fans out.
+//   - The normalise+decide kernel is a cheap state machine; replaying it
+//     over the shards in order reproduces hysteresis, aborts and
+//     confidences exactly.
 //
-// The stages are therefore run as a pipeline rather than as barriers: a
-// producer goroutine scans the capture once (monitor + smoothing),
-// dispatching each chunk to the worker pool as soon as the scan passes the
-// chunk's read horizon; workers normalise chunks concurrently; the caller
-// replays the detector over results in chunk order, freeing each chunk as
-// it is consumed. Wall time approaches max(scan, normalise/workers)
-// instead of their sum.
+// The stages run as a pipeline rather than behind barriers: the producer
+// dispatches each shard as soon as its pass covers the shard's read
+// horizon, workers run the min/max kernel concurrently, and the caller
+// decides the shards in order, freeing each as it is consumed. Wall time
+// approaches max(scan, min/max ÷ workers) instead of their sum.
 
 import (
 	"runtime"
@@ -49,84 +43,59 @@ import (
 // everything; no setting changes the analysis result, only its speed and
 // memory footprint.
 type ParallelOptions struct {
-	// Workers bounds the normalisation worker pool; <= 0 uses
+	// Workers bounds the min/max worker pool; <= 0 uses
 	// runtime.GOMAXPROCS(0). Workers == 1 runs the plain sequential
 	// analyzer.
 	Workers int
 	// ChunkSamples is the shard length in samples; <= 0 picks a default
-	// large enough that the one-window warm-up overlap each worker redoes
-	// stays a small fraction of its chunk. Any positive value is valid and
+	// large enough that the one-window warm-up each worker redoes stays a
+	// small fraction of its shard. Any positive value is valid and
 	// produces the same profile.
 	ChunkSamples int
-	// MaxInFlight bounds how many chunks may be dispatched but not yet
-	// merged (memory control); <= 0 uses Workers+2.
-	MaxInFlight int
 }
 
-// chunkJob describes one shard handed to a normalisation worker. All
-// sample indices are absolute capture positions.
-type chunkJob struct {
+// shardJob is one shard handed to a min/max worker. All indices are
+// absolute capture positions.
+type shardJob struct {
 	idx    int
 	lo, hi int // owned positions [lo, hi)
-	// resyncs are the normalisation re-seed positions falling inside this
-	// chunk's deque feed range (a snapshot: the producer may append more
-	// for later chunks concurrently).
-	resyncs []int
-	// mask is the impairment-mask snapshot; entries for [lo, hi) are final
-	// by the time the job is dispatched. Nil when no impairment has been
-	// flagged yet.
-	mask []qflag
+	// feed and last bound the positions the worker folds in: last is the
+	// newest stat any owned position is decided against, feed is one
+	// full window before the oldest.
+	feed, last int
+	// resyncs are the re-seed positions in [feed, last].
+	resyncs []int64
 }
 
-// chunkResult is a normalised shard awaiting detector replay.
-type chunkResult struct {
-	chunkJob
-	// norm holds the normalised values of positions [lo, hi).
-	norm []float64
-	// statLo/statHi hold the (min, max) normalisation stats each decision
-	// was taken against — the detector records them on dip entry.
-	statLo, statHi []float64
+// shardResult carries a shard's stats to the in-order decide stage.
+type shardResult struct {
+	shardJob
+	// los/his[k] are the trailing stats after folding in position feed+k.
+	los, his []float64
 }
 
 // ProfileParallel runs the full EMPROF pipeline over the capture using a
 // bounded worker pool. The returned profile is deterministic and
 // bit-identical to Profile(c) for every option setting: worker count and
-// chunk size only affect speed. Captures too short to shard profitably
-// (or Workers == 1) fall through to the sequential path.
+// chunk size only affect speed. Captures too short to shard (or
+// Workers == 1) fall through to the sequential path.
 func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile {
 	n := len(c.Samples)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Window geometry, exactly as Analyzer.normalize derives it.
-	w := int(a.cfg.NormWindowS * c.SampleRate)
-	if w < 8 {
-		w = 8
-	}
-	if w > n {
-		w = n
-	}
+	w := normWindow(a.cfg, c.SampleRate)
 	half := w / 2
 	lead := 0
 	if a.cfg.SmoothSamples > 1 {
 		lead = (a.cfg.SmoothSamples - 1) / 2
 	}
-
 	chunk := opts.ChunkSamples
 	if chunk <= 0 {
-		// Default: large enough that the one-window overlap redone per
-		// chunk stays a small fraction of the chunk's own work.
-		chunk = 1 << 16
-		if min := 2 * w; chunk < min {
-			chunk = min
-		}
+		chunk = max(1<<16, 2*w)
 	}
-	numChunks := 0
-	if chunk > 0 {
-		numChunks = (n + chunk - 1) / chunk
-	}
+	numChunks := (n + chunk - 1) / chunk
 	if workers < 2 || numChunks < 2 {
 		return a.Profile(c)
 	}
@@ -137,40 +106,36 @@ func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile
 		ClockHz:    c.ClockHz,
 	}
 
-	// Tracing: the producer goroutine emits the monitor's resync/flag
-	// events and the scan timing, workers emit per-chunk normalize
-	// timings, and the merge loop emits detection events and ChunkMerged
-	// — concurrently, which is why Analyzer.Observer must be
-	// goroutine-safe when used with ProfileParallel.
+	// Tracing: the producer emits the monitor's resync/flag events and
+	// the scan timing, workers emit per-shard normalize timings, and the
+	// decide loop emits detection events and ChunkMerged — concurrently,
+	// which is why Analyzer.Observer must be goroutine-safe here.
 	obs := a.Observer
 	mon := newMonitor(a.cfg, c.SampleRate)
 	mon.obs = obs
 	san := make([]float64, n)
-	// x is the normalisation input: the smoothed series when smoothing is
-	// enabled, otherwise the sanitised samples themselves.
+	flags := make([]qflag, n)
+	// x holds the positions' values: the centred smoother output, or the
+	// sanitised samples themselves when smoothing is off.
 	x := san
-	var sm []float64
+	var ma *dsp.MovingAverage
 	if a.cfg.SmoothSamples > 1 {
-		sm = make([]float64, n)
-		x = sm
+		ma = dsp.NewMovingAverage(a.cfg.SmoothSamples)
+		x = make([]float64, n)
 	}
 
-	inFlight := opts.MaxInFlight
-	if inFlight <= 0 {
-		inFlight = workers + 2
-	}
-	sem := make(chan struct{}, inFlight)
-	jobs := make(chan chunkJob, numChunks)
-	results := make([]chan chunkResult, numChunks)
+	sem := make(chan struct{}, workers+2)
+	jobs := make(chan shardJob, numChunks)
+	results := make([]chan shardResult, numChunks)
 	for i := range results {
-		results[i] = make(chan chunkResult, 1)
+		results[i] = make(chan shardResult, 1)
 	}
 
-	// Producer: the sequential scan (quality monitor + smoothing). Chunk c
-	// may be dispatched once the scan has passed its read horizon: the
-	// last smoothed value its worker reads (hi-1+half, written `lead`
-	// positions later) and the last scan position that can retroactively
-	// flag one of its samples (hi-1 + the monitor's half-window).
+	// Producer: the monitor and smoother kernels over the whole capture,
+	// one engine chunk at a time. Shard c is dispatched once the pass
+	// covers its read horizon: its last stat position plus the smoother's
+	// lead (which also covers every retroactive flag patch, those being
+	// shallower than half a window).
 	scanDone := make(chan struct{})
 	go func() {
 		defer close(scanDone)
@@ -182,82 +147,46 @@ func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile
 				obs.StageTiming(trace.StageTiming{Stage: trace.StageScan, DurationNs: time.Since(t0).Nanoseconds(), Samples: int64(n)})
 			}()
 		}
-		var ma *dsp.MovingAverage
-		if a.cfg.SmoothSamples > 1 {
-			ma = dsp.NewMovingAverage(a.cfg.SmoothSamples)
-		}
-		var mask []qflag
-		var resyncs []int
+		var resyncs []int64
 		next := 0
 		dispatch := func() {
 			lo := next * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			feedStart := lo + half - w + 1
-			if feedStart < 0 {
-				feedStart = 0
-			}
-			statsEnd := hi - 1 + half
-			if statsEnd > n-1 {
-				statsEnd = n - 1
-			}
-			// Snapshot the resync positions inside the feed range; the
-			// shared slice keeps growing behind us.
-			var rs []int
+			hi := min(lo+chunk, n)
+			job := shardJob{idx: next, lo: lo, hi: hi, last: min(hi-1+half, n-1)}
+			job.feed = max(min(lo+half, n-1)-w+1, 0)
 			for _, r := range resyncs {
-				if r > statsEnd {
+				if r > int64(job.last) {
 					break
 				}
-				if r >= feedStart {
-					rs = append(rs, r)
+				if r >= int64(job.feed) {
+					job.resyncs = append(job.resyncs, r)
 				}
 			}
 			sem <- struct{}{}
-			jobs <- chunkJob{idx: next, lo: lo, hi: hi, resyncs: rs, mask: mask}
+			jobs <- job
 			next++
 		}
-		for pos := 0; pos < n; pos++ {
-			y, fl, retro, rs := mon.process(c.Samples[pos])
-			san[pos] = y
-			if fl != 0 {
-				if mask == nil {
-					mask = make([]qflag, n)
-				}
-				mask[pos] |= fl
-				for k := 1; k <= retro && pos-k >= 0; k++ {
-					mask[pos-k] |= fl
-				}
-			}
-			if rs {
-				resyncs = append(resyncs, pos)
-			}
+		for b0 := 0; b0 < n; b0 += pushBlockN {
+			b1 := min(b0+pushBlockN, n)
+			mon.processBlock(c.Samples[b0:b1], san[b0:b1], flags[b0:b1],
+				func(back int, f qflag) bool {
+					if b0-back < 0 {
+						return false
+					}
+					flags[b0-back] |= f
+					return true
+				},
+				func(i int) { resyncs = append(resyncs, int64(b0+i)) })
 			if ma != nil {
-				// The centred smoothing of Analyzer.normalize: position
-				// pos-lead takes the trailing average ending at pos, and
-				// the last `lead` positions keep their uncompensated
-				// trailing values.
-				tm := ma.Process(y)
-				if pos >= lead {
-					sm[pos-lead] = tm
-				}
-				if pos >= n-lead {
-					sm[pos] = tm
+				// Position p takes the trailing average ending at p+lead;
+				// the final lead positions keep their own, which the
+				// shift never overwrites.
+				ma.ProcessBlock(san[b0:b1], x[b0:b1])
+				if from := max(b0, lead); from < b1 {
+					copy(x[from-lead:], x[from:b1])
 				}
 			}
-			for next < numChunks {
-				hiC := next*chunk + chunk
-				if hiC > n {
-					hiC = n
-				}
-				horizon := hiC + half + lead
-				if horizon > n {
-					horizon = n
-				}
-				if pos+1 < horizon {
-					break
-				}
+			for next < numChunks && b1 >= min((next+1)*chunk+half+lead, n) {
 				dispatch()
 			}
 		}
@@ -266,17 +195,25 @@ func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile
 		}
 	}()
 
-	// Workers: normalise chunks independently. Each worker re-derives the
-	// moving min/max stats from one window before its chunk, which is
-	// exactly the history the finite windows remember.
+	// Workers: the min/max kernel over each shard, warmed up from one
+	// full window before its first stat, which is exactly the history
+	// the finite windows remember.
 	for wk := 0; wk < workers; wk++ {
 		go func() {
+			mmin, mmax := dsp.NewMovingMin(w), dsp.NewMovingMax(w)
 			for job := range jobs {
 				var t0 time.Time
 				if obs != nil {
 					t0 = time.Now()
 				}
-				res := a.normalizeChunk(x, n, w, half, job)
+				mmin.Reset()
+				mmax.Reset()
+				res := shardResult{
+					shardJob: job,
+					los:      make([]float64, job.last-job.feed+1),
+					his:      make([]float64, job.last-job.feed+1),
+				}
+				minMaxSpan(mmin, mmax, x[job.feed:job.last+1], res.los, res.his, int64(job.feed), job.resyncs)
 				if obs != nil {
 					obs.StageTiming(trace.StageTiming{Stage: trace.StageNormalize, DurationNs: time.Since(t0).Nanoseconds(), Samples: int64(job.hi - job.lo)})
 				}
@@ -285,17 +222,16 @@ func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile
 		}()
 	}
 
-	// Merge: replay the dip detector over the chunks in capture order.
-	// The detector's cross-chunk state (open dips, hysteresis, last
-	// impairment distance for confidence) carries over naturally because
-	// the replay is a single sequential pass over bit-identical inputs.
+	// Decide the shards in capture order. The detector's cross-shard
+	// state (open dips, hysteresis, last impairment distance) carries over
+	// because the replay is one sequential pass over bit-identical inputs.
 	var detQ Quality
-	var norm []float64
-	if a.KeepNormalized {
-		norm = make([]float64, 0, n)
-	}
 	d := newDetector(a.cfg, c.SampleRate, c.ClockHz, half, p, &detQ, nil)
 	d.obs = obs
+	if a.KeepNormalized {
+		d.keep = true
+		p.Normalized = make([]float64, 0, n)
+	}
 	var mergeT0 time.Time
 	if obs != nil {
 		mergeT0 = time.Now()
@@ -304,21 +240,14 @@ func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile
 		res := <-results[ci]
 		stallsBefore := len(p.Stalls)
 		for i := res.lo; i < res.hi; i++ {
-			var fl qflag
-			if res.mask != nil {
-				fl = res.mask[i]
-			}
-			k := i - res.lo
-			d.decide(int64(i), res.norm[k], fl, res.statLo[k], res.statHi[k])
+			k := min(i+half, n-1) - res.feed
+			d.step(int64(i), x[i], flags[i], res.los[k], res.his[k])
 		}
 		if obs != nil {
 			obs.ChunkMerged(trace.ChunkMerged{
 				Chunk: res.idx, Lo: int64(res.lo), Hi: int64(res.hi),
 				Stalls: len(p.Stalls) - stallsBefore,
 			})
-		}
-		if norm != nil {
-			norm = append(norm, res.norm...)
 		}
 		<-sem
 	}
@@ -327,68 +256,7 @@ func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile
 		obs.StageTiming(trace.StageTiming{Stage: trace.StageMerge, DurationNs: time.Since(mergeT0).Nanoseconds(), Samples: int64(n)})
 	}
 	<-scanDone
-	p.Normalized = norm
 	p.Quality = mon.q
 	p.Quality.AbortedDips += detQ.AbortedDips
 	return p
-}
-
-// normalizeChunk computes the normalised values and decision stats for the
-// chunk's owned positions [lo, hi), warming the moving min/max windows up
-// from one full window before the first read stat so every value matches
-// the sequential pass bit-for-bit.
-func (a *Analyzer) normalizeChunk(x []float64, n, w, half int, job chunkJob) chunkResult {
-	feedStart := job.lo + half - w + 1
-	if feedStart < 0 {
-		feedStart = 0
-	}
-	statsEnd := job.hi - 1 + half
-	if statsEnd > n-1 {
-		statsEnd = n - 1
-	}
-	mmin := dsp.NewMovingMin(w)
-	mmax := dsp.NewMovingMax(w)
-	lows := make([]float64, statsEnd-feedStart+1)
-	highs := make([]float64, statsEnd-feedStart+1)
-	ri := 0
-	for t := feedStart; t <= statsEnd; t++ {
-		if ri < len(job.resyncs) && job.resyncs[ri] == t {
-			mmin.Reset()
-			mmax.Reset()
-			ri++
-		}
-		lows[t-feedStart] = mmin.Process(x[t])
-		highs[t-feedStart] = mmax.Process(x[t])
-	}
-
-	cn := job.hi - job.lo
-	res := chunkResult{
-		chunkJob: job,
-		norm:     make([]float64, cn),
-		statLo:   make([]float64, cn),
-		statHi:   make([]float64, cn),
-	}
-	for i := job.lo; i < job.hi; i++ {
-		j := i + half
-		if j > n-1 {
-			j = n - 1
-		}
-		lo, hi := lows[j-feedStart], highs[j-feedStart]
-		k := i - job.lo
-		res.statLo[k], res.statHi[k] = lo, hi
-		r := hi - lo
-		if hi <= 0 || r < a.cfg.MinRangeFrac*hi {
-			res.norm[k] = 1
-			continue
-		}
-		v := (x[i] - lo) / r
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		res.norm[k] = v
-	}
-	return res
 }

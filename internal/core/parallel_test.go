@@ -188,9 +188,41 @@ func TestParallelAutoOptions(t *testing.T) {
 	assertProfilesIdentical(t, want, a.ProfileParallel(c, ParallelOptions{}), "zero options")
 	assertProfilesIdentical(t, want, a.ProfileParallel(c, ParallelOptions{Workers: 1}), "one worker")
 	assertProfilesIdentical(t, want,
-		a.ProfileParallel(c, ParallelOptions{Workers: 3, ChunkSamples: 1 << 14, MaxInFlight: 1}), "inflight=1")
+		a.ProfileParallel(c, ParallelOptions{Workers: 3, ChunkSamples: 1 << 14}), "three workers")
 }
 
 func sprintf(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
+}
+
+// TestParallelShortFinalShard pins the warm-up of a final shard shorter
+// than half a window: every position in it is decided against the last
+// stats of the capture, whose window starts before the shard's nominal
+// warm-up. A deep dip inside that window but outside the nominal warm-up
+// must still set the shard's normalisation floor.
+func TestParallelShortFinalShard(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NormWindowS = 40e-6 // 1600-sample window at 40 MHz
+	const w, half, chunk, r = 1600, 800, 4000, 500
+	n := 2*chunk + r
+	deep := n - w + 100 // in the last window, before lo+half-w+1
+	c := synthCapture(n, map[int]int{deep: 12, 2*chunk + 100: 12, 2*chunk + 300: 12}, 0.1, 1, 0.02, 4)
+	for i := deep; i < deep+12; i++ {
+		c.Samples[i] = 0.01
+	}
+	a := MustNewAnalyzer(cfg)
+	want := a.Profile(c)
+	var inLast int
+	for _, s := range want.Stalls {
+		if s.StartSample >= 2*chunk {
+			inLast++
+		}
+	}
+	if inLast != 2 {
+		t.Fatalf("%d stalls in the final shard, want 2", inLast)
+	}
+	for _, workers := range []int{2, 4} {
+		got := a.ProfileParallel(c, ParallelOptions{Workers: workers, ChunkSamples: chunk})
+		assertProfilesIdentical(t, want, got, sprintf("workers=%d", workers))
+	}
 }

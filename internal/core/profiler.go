@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"emprof/internal/dsp"
 	"emprof/internal/em"
@@ -293,139 +292,44 @@ func (a *Analyzer) Config() Config { return a.cfg }
 // signal-quality monitor, which sanitises corrupt and dropped samples and
 // re-seeds the min/max state after gaps and gain discontinuities; on a
 // clean capture the output is bit-identical to the unhardened pipeline.
+// The series is the one Profile keeps with KeepNormalized.
 func (a *Analyzer) Normalize(c *em.Capture) []float64 {
-	mon := newMonitor(a.cfg, c.SampleRate)
-	san, _, resyncs := mon.scan(c.Samples)
-	norm, _, _, _ := a.normalize(c, san, resyncs)
-	return norm
-}
-
-// normalize maps the sanitised samples into [0, 1] against the moving
-// min/max, resetting the window state at each resync position. It returns
-// the normalised signal, the raw trailing min/max series (for confidence
-// scoring), and the half-window in samples.
-func (a *Analyzer) normalize(c *em.Capture, x []float64, resyncs []int) (norm, mins, maxs []float64, half int) {
-	n := len(x)
-	if n == 0 {
-		return nil, nil, nil, 0
-	}
-	w := int(a.cfg.NormWindowS * c.SampleRate)
-	if w < 8 {
-		w = 8
-	}
-	if w > n {
-		w = n
-	}
-	if a.cfg.SmoothSamples > 1 {
-		ma := dsp.NewMovingAverage(a.cfg.SmoothSamples)
-		sm := make([]float64, n)
-		ma.ProcessBlock(x, sm)
-		// Compensate the moving average's (k-1)/2-sample group delay so
-		// dips stay aligned with the raw timeline.
-		lead := (a.cfg.SmoothSamples - 1) / 2
-		for i := 0; i < n-lead; i++ {
-			sm[i] = sm[i+lead]
-		}
-		x = sm
-	}
-
-	mins = make([]float64, n)
-	maxs = make([]float64, n)
-	mmin := dsp.NewMovingMin(w)
-	mmax := dsp.NewMovingMax(w)
-	ri := 0
-	for i := 0; i < n; i++ {
-		if ri < len(resyncs) && resyncs[ri] == i {
-			mmin.Reset()
-			mmax.Reset()
-			ri++
-		}
-		mins[i] = mmin.Process(x[i])
-		maxs[i] = mmax.Process(x[i])
-	}
-
-	norm = make([]float64, n)
-	half = w / 2
-	for i := 0; i < n; i++ {
-		// Centre the window: read the trailing stats half a window ahead.
-		j := i + half
-		if j >= n {
-			j = n - 1
-		}
-		lo, hi := mins[j], maxs[j]
-		r := hi - lo
-		if hi <= 0 || r < a.cfg.MinRangeFrac*hi {
-			// Nearly-constant signal: no dip information here.
-			norm[i] = 1
-			continue
-		}
-		v := (x[i] - lo) / r
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		norm[i] = v
-	}
-	return norm, mins, maxs, half
+	s := a.engine(c, true)
+	s.PushBlock(c.Samples)
+	return s.finish().Normalized
 }
 
 // Profile runs the full EMPROF pipeline on a capture: quality monitoring,
-// normalisation, and stall detection.
+// normalisation, and stall detection. It is the streaming engine run over
+// the whole capture (engine.go), so its scratch memory is bounded however
+// long the capture is.
 func (a *Analyzer) Profile(c *em.Capture) *Profile {
-	n := len(c.Samples)
-	p := &Profile{
-		ExecCycles: float64(n) * c.CyclesPerSample(),
-		SampleRate: c.SampleRate,
-		ClockHz:    c.ClockHz,
-	}
-	if n == 0 {
-		return p
-	}
+	s := a.engine(c, a.KeepNormalized)
 	obs := a.Observer
-	mon := newMonitor(a.cfg, c.SampleRate)
-	mon.obs = obs
-
+	if obs == nil {
+		s.PushBlock(c.Samples)
+		return s.finish()
+	}
 	// Stage timings are measured only when tracing: the nil-observer path
 	// never reads the clock.
-	var t0 time.Time
-	if obs != nil {
-		t0 = time.Now()
+	s.SetObserver(obs)
+	s.clock = &stageClock{}
+	s.PushBlock(c.Samples)
+	p := s.finish()
+	n := int64(len(c.Samples))
+	for i, st := range [...]trace.Stage{trace.StageScan, trace.StageNormalize, trace.StageDetect} {
+		obs.StageTiming(trace.StageTiming{Stage: st, DurationNs: s.clock.ns[i], Samples: n})
 	}
-	san, mask, resyncs := mon.scan(c.Samples)
-	if obs != nil {
-		now := time.Now()
-		obs.StageTiming(trace.StageTiming{Stage: trace.StageScan, DurationNs: now.Sub(t0).Nanoseconds(), Samples: int64(n)})
-		t0 = now
-	}
-	norm, mins, maxs, half := a.normalize(c, san, resyncs)
-	if obs != nil {
-		now := time.Now()
-		obs.StageTiming(trace.StageTiming{Stage: trace.StageNormalize, DurationNs: now.Sub(t0).Nanoseconds(), Samples: int64(n)})
-		t0 = now
-	}
-	if a.KeepNormalized {
-		p.Normalized = norm
-	}
-
-	d := newDetector(a.cfg, c.SampleRate, c.ClockHz, half, p, &mon.q, nil)
-	d.obs = obs
-	for i, v := range norm {
-		var fl qflag
-		if mask != nil {
-			fl = mask[i]
-		}
-		j := i + half
-		if j >= n {
-			j = n - 1
-		}
-		d.decide(int64(i), v, fl, mins[j], maxs[j])
-	}
-	d.finish(int64(n))
-	if obs != nil {
-		obs.StageTiming(trace.StageTiming{Stage: trace.StageDetect, DurationNs: time.Since(t0).Nanoseconds(), Samples: int64(n)})
-	}
-	p.Quality = mon.q
 	return p
+}
+
+// engine returns a fresh engine for the capture; keep retains the
+// normalised series on its profile.
+func (a *Analyzer) engine(c *em.Capture, keep bool) *StreamAnalyzer {
+	s := newStreamAnalyzer(a.cfg, c.SampleRate, c.ClockHz)
+	if n := len(c.Samples); keep && n > 0 {
+		s.det.keep = true
+		s.prof.Normalized = make([]float64, 0, n)
+	}
+	return s
 }

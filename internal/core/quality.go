@@ -9,20 +9,20 @@ import (
 )
 
 // This file implements the signal-quality side of the profiler: a causal
-// per-sample monitor that detects acquisition impairments (corrupt
-// samples, dropouts, ADC saturation, receiver gain steps, impulsive RF
-// bursts), sanitises the sample stream so the normalisation windows are
-// never poisoned, re-seeds the min/max state after discontinuities, and a
+// monitor that detects acquisition impairments (corrupt samples,
+// dropouts, ADC saturation, receiver gain steps, impulsive RF bursts),
+// sanitises the sample stream so the normalisation windows are never
+// poisoned, re-seeds the min/max state after discontinuities, and a
 // shared dip detector that suppresses phantom stalls across impaired
 // regions and annotates every reported stall with a confidence score.
 //
-// The monitor is used identically by Analyzer (batch) and StreamAnalyzer:
-// it is strictly causal, so feeding the same raw samples in the same order
-// produces the same flags, sanitised values and resync points in both —
-// which keeps batch and streaming output equivalent, faults or not. On a
-// clean capture every sample passes through bit-identically and no flag or
-// resync ever fires, so hardened profiles match the pre-hardening ones
-// exactly.
+// The monitor's production form is the block kernel processBlock
+// (qualityblock.go); every analysis path runs it (see engine.go). It is
+// strictly causal, so feeding the same raw samples in the same order
+// produces the same flags, sanitised values and resync points however the
+// stream is split into blocks. On a clean capture every sample passes
+// through bit-identically and no flag or resync ever fires, so hardened
+// profiles match the pre-hardening ones exactly.
 
 // Quality aggregates per-capture signal-health metrics. A fully clean
 // acquisition reports zero in every counter; each counter is a count of
@@ -111,8 +111,8 @@ const (
 const qStructural = qGap | qClip | qStep
 
 // monitor is the causal signal-quality stage. All thresholds are derived
-// from the profiler configuration and sample rate so that the batch and
-// streaming analyzers construct identical monitors.
+// from the profiler configuration and sample rate, so every analysis path
+// constructs an identical monitor.
 type monitor struct {
 	// persist is both the busy-tracker window and the number of samples a
 	// gain-step condition must persist before a resync is declared. It is
@@ -127,7 +127,7 @@ type monitor struct {
 	// clipRun is the flat-line run length that confirms saturation.
 	clipRun int
 	// half is the normalisation half-window; retroactive flagging is
-	// clamped below it so batch and stream apply identical retro flags.
+	// clamped below it so every patch lands on a still-undecided position.
 	half int
 
 	// stepRatio is the smax/ref band edge for gain-step suspicion. It is
@@ -205,10 +205,7 @@ type monitor struct {
 // newMonitor derives the quality-monitor parameters from the profiler
 // configuration and the acquisition sample rate.
 func newMonitor(cfg Config, sampleRate float64) *monitor {
-	win := int(cfg.NormWindowS * sampleRate)
-	if win < 8 {
-		win = 8
-	}
+	win := normWindow(cfg, sampleRate)
 	p := int(math.Ceil(2.5 * cfg.RefreshMinS * sampleRate))
 	if p < 4 {
 		p = 4
@@ -230,7 +227,7 @@ func newMonitor(cfg Config, sampleRate float64) *monitor {
 		// burstK matches stepRatio so the two detectors partition all
 		// upward excursions: everything above the band is held out of the
 		// sanitised stream as a burst, while the raw value still drives
-		// gain-step tracking (see process). A gap between the thresholds
+		// gain-step tracking (see processBlock). A gap between the thresholds
 		// would let a spike below burstK poison the moving max for a
 		// whole persist window and fake a step.
 		burstK:        2.5,
@@ -242,292 +239,11 @@ func newMonitor(cfg Config, sampleRate float64) *monitor {
 	}
 }
 
-// process consumes one raw sample and returns the sanitised value, the
-// impairment flags for this sample, how many immediately preceding samples
-// must retroactively receive the same flags (always < half, so pending
-// stream positions can still absorb them), and whether the normalisation
-// state must be re-seeded before this position is folded in.
-//
-// It wraps processInner with the trace emission points so that the
-// nil-observer path pays exactly one predictable branch per sample.
-func (m *monitor) process(x float64) (y float64, fl qflag, retro int, resync bool) {
-	y, fl, retro, resync = m.processInner(x)
-	if m.obs != nil {
-		pos := m.q.Samples - 1
-		if resync {
-			m.obs.Resync(trace.Resync{Pos: pos, Cause: m.resyncCause})
-		}
-		if fl != 0 {
-			m.obs.QualityFlag(trace.QualityFlag{Pos: pos, Flags: fl, Retro: retro})
-		}
-	}
-	return y, fl, retro, resync
-}
-
-func (m *monitor) processInner(x float64) (y float64, fl qflag, retro int, resync bool) {
-	m.q.Samples++
-	if m.stepResyncPending {
-		resync = true
-		m.stepResyncPending = false
-		m.resyncCause = m.pendingCause
-	}
-
-	// Non-finite corruption: hold the last good value so a single NaN can
-	// no longer poison a full min/max window.
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		m.q.NaNSamples++
-		m.runLen, m.zeroRun = 0, 0
-		m.clipActive = false
-		y = m.lastGood
-		m.track(y)
-		return y, qNaN, 0, resync
-	}
-
-	// Exact-zero samples: dropped by the digitizer (gaps are zero-filled).
-	if x == 0 {
-		m.zeroRun++
-		m.q.DroppedSamples++
-		m.runLen = 0
-		m.clipActive = false
-		y = m.lastGood
-		m.track(y)
-		return y, qGap, 0, resync
-	}
-	if m.zeroRun >= m.resyncGap {
-		// A long gap just ended: the coupling or gain may have moved while
-		// we were blind, so re-seed the normalisation windows here.
-		resync = true
-		m.resyncCause = trace.ResyncGap
-		m.q.Resyncs++
-	}
-	m.zeroRun = 0
-
-	// Distinctness arm for the flat-line detector.
-	if m.havePrev {
-		d := 0.0
-		if x != m.prevX {
-			d = 1
-		}
-		m.distinct += m.distinctAlpha * (d - m.distinct)
-	}
-	m.prevX, m.havePrev = x, true
-
-	// Flat-line run at the top of the range: ADC saturation. Runs near the
-	// signal floor are left alone — a noise-free stall legitimately sits
-	// at a constant level.
-	if x == m.runVal {
-		m.runLen++
-	} else {
-		m.runVal, m.runLen = x, 1
-		m.clipActive = false
-	}
-	if m.refReady && m.distinct > 0.9 && m.runLen >= m.clipRun && x >= m.clipMinFrac*m.ref {
-		fl |= qClip
-		if !m.clipActive {
-			retro = m.runLen - 1
-			if retro > m.half-1 {
-				retro = m.half - 1
-			}
-			m.q.ClippedSamples += int64(retro) + 1
-			m.clipActive = true
-		} else {
-			m.q.ClippedSamples++
-		}
-	}
-
-	// An excursion implausibly far above the busy level: an impulsive RF
-	// burst, or the onset of an upward gain step. The sample is held so
-	// neither the normalisation windows nor the sanitised stream are
-	// poisoned, but the RAW value still drives the busy tracker: a
-	// transient excursion can never confirm a step (track's raw-high
-	// recency gate), while a sustained one re-references within a persist
-	// window and then passes normally against the new reference.
-	if m.refReady && x > m.burstK*m.ref && fl == 0 {
-		m.q.BurstSamples++
-		y = m.lastGood
-		fl = qBurst
-		if stepped, stepRetro := m.track(x); stepped {
-			m.stepResyncPending = true
-			fl |= qStep
-			retro = stepRetro
-		}
-		return y, fl, retro, resync
-	}
-
-	y = x
-	m.lastGood = y
-	if stepped, stepRetro := m.track(y); stepped {
-		// The resync itself is deferred to the next position (see
-		// stepResyncPending); this position and the trailing half-window
-		// carry the step flag now.
-		m.stepResyncPending = true
-		fl |= qStep
-		retro = stepRetro
-	}
-	return y, fl, retro, resync
-}
-
-// track feeds the busy-level tracker with a sanitised sample and runs
-// gain-step detection: a sustained departure of the short moving max from
-// the busy reference in either direction is a receiver gain discontinuity
-// (dips never move the max; the reference EMA absorbs slow drift).
-func (m *monitor) track(y float64) (resync bool, retro int) {
-	sm := m.smax.Process(y)
-	if !m.refReady {
-		m.warm++
-		if m.warm >= m.persist {
-			m.ref = sm
-			m.refReady = true
-		}
-		return false, 0
-	}
-	if m.ref <= 0 {
-		m.ref = sm
-		return false, 0
-	}
-	if y > m.stepRatio*m.ref {
-		m.sinceHigh = 0
-	} else if m.sinceHigh < 1<<30 {
-		m.sinceHigh++
-	}
-	ratio := sm / m.ref
-	dir := 0
-	if ratio > m.stepRatio {
-		dir = 1
-	} else if ratio < 1/m.stepRatio {
-		dir = -1
-	}
-	sdir := 0
-	if m.shiftRatio > 0 {
-		if y > m.shiftRatio*m.ref {
-			m.sinceShiftHigh = 0
-		} else if m.sinceShiftHigh < 1<<30 {
-			m.sinceShiftHigh++
-		}
-		if ratio > m.shiftRatio {
-			sdir = 1
-		} else if ratio < 1/m.shiftRatio {
-			sdir = -1
-		}
-	}
-	// An up-candidacy whose raw highs stopped more than half a persist
-	// window ago is a dead excursion the moving max is still holding (a
-	// burst tail), not a gain step: drop it and leave the reference
-	// untouched. A genuine step re-asserts raw highs at least once per
-	// stall, and stalls are bounded by 0.4 persist (RefreshMinS).
-	if dir == 1 && m.sinceHigh > m.persist/2 {
-		m.stepDir, m.stepLen = 0, 0
-		if m.shiftRatio > 0 {
-			return m.trackShift(sdir, sm)
-		}
-		return false, 0
-	}
-	switch {
-	case dir == 0:
-		m.stepDir, m.stepLen = 0, 0
-		// A live shift candidacy freezes the reference: with refWin ≥
-		// 2×persist the EMA would otherwise absorb a moderate shift
-		// before it can persist long enough to confirm.
-		if sdir == 0 {
-			m.ref += m.refAlpha * (sm - m.ref)
-		}
-	case dir == m.stepDir:
-		m.stepLen++
-	default:
-		m.stepDir, m.stepLen = dir, 1
-	}
-	if m.stepLen >= m.persist {
-		m.q.Resyncs++
-		// Flag the whole trailing half-window, not just the transition:
-		// every position decided against stats that straddle the
-		// discontinuity is unreliable. An up-step in particular inflates
-		// the moving max seen by the preceding half-window, which would
-		// otherwise read as a deep phantom dip ending at the resync.
-		retro = m.half - 1
-		if retro < 0 {
-			retro = 0
-		}
-		m.q.StepSamples += int64(retro) + 1
-		m.ref = sm
-		m.stepDir, m.stepLen = 0, 0
-		m.shiftDir, m.shiftLen = 0, 0
-		m.pendingCause = trace.ResyncGainStep
-		return true, retro
-	}
-	if m.shiftRatio > 0 {
-		return m.trackShift(sdir, sm)
-	}
-	return false, 0
-}
-
-// trackShift advances the probe-shift candidacy (the shift-band twin of
-// the step detector, active only when shiftRatio > 0). A shift departs
-// the band less violently than a step, so the step detector keeps
-// priority: track calls this only when no step confirmed this sample.
-func (m *monitor) trackShift(sdir int, sm float64) (resync bool, retro int) {
-	// Same dead-excursion gate as the step detector, at the shift band
-	// edge: an up-shift whose raw highs stopped re-asserting is a held
-	// burst tail, not the probe moving back toward the sweet spot.
-	if sdir == 1 && m.sinceShiftHigh > m.persist/2 {
-		m.shiftDir, m.shiftLen = 0, 0
-		return false, 0
-	}
-	switch {
-	case sdir == 0:
-		m.shiftDir, m.shiftLen = 0, 0
-	case sdir == m.shiftDir:
-		m.shiftLen++
-	default:
-		m.shiftDir, m.shiftLen = sdir, 1
-	}
-	if m.shiftLen >= m.persist {
-		m.q.Resyncs++
-		// Same retroactive half-window discipline as a confirmed step:
-		// every decision straddling the shift is unreliable, and the
-		// flags bound the phantom stalls a bump can cause.
-		retro = m.half - 1
-		if retro < 0 {
-			retro = 0
-		}
-		m.q.StepSamples += int64(retro) + 1
-		m.ref = sm
-		m.shiftDir, m.shiftLen = 0, 0
-		m.stepDir, m.stepLen = 0, 0
-		m.pendingCause = trace.ResyncProbeShift
-		return true, retro
-	}
-	return false, 0
-}
-
-// scan runs the monitor over a whole capture (the batch path): it returns
-// the sanitised copy of the samples, the per-sample impairment mask (nil
-// when the capture is clean), and the positions at which the normalisation
-// state must be re-seeded.
-func (m *monitor) scan(samples []float64) (san []float64, mask []qflag, resyncs []int) {
-	san = make([]float64, len(samples))
-	for i, x := range samples {
-		y, fl, retro, rs := m.process(x)
-		san[i] = y
-		if fl != 0 {
-			if mask == nil {
-				mask = make([]qflag, len(samples))
-			}
-			mask[i] |= fl
-			for k := 1; k <= retro && i-k >= 0; k++ {
-				mask[i-k] |= fl
-			}
-		}
-		if rs {
-			resyncs = append(resyncs, i)
-		}
-	}
-	return san, mask, resyncs
-}
-
-// detector is the dip state machine shared by the batch and streaming
-// analyzers. It consumes one normalised value per position together with
-// that position's impairment flags and the normalisation stats in force,
-// and emits Stalls with confidence annotations into the profile.
+// detector is the dip state machine every analysis path shares. step
+// normalises one position against the normalisation stats in force and
+// decides it together with the position's impairment flags; decide takes
+// an already-normalised value. Stalls are emitted with confidence
+// annotations into the profile.
 type detector struct {
 	cfg        Config
 	sampleRate float64
@@ -541,9 +257,15 @@ type detector struct {
 	entryLo, entryHi float64
 	lastImpaired     int64
 
-	prof    *Profile
-	q       *Quality
-	onStall func(Stall)
+	// keep appends every normalised value to prof.Normalized.
+	keep bool
+
+	prof *Profile
+	q    *Quality
+	// onStall, when non-nil, points at the callback each accepted stall
+	// is handed to; it is read at emit time, so the owner may set the
+	// callback after construction.
+	onStall *func(Stall)
 	// obs, when non-nil, receives DipCandidate / StallAccepted /
 	// StallRejected events at the corresponding decision points. All
 	// emissions sit on branches the detector takes rarely, so the
@@ -553,7 +275,7 @@ type detector struct {
 
 // newDetector builds the shared dip detector; half is the normalisation
 // half-window in samples (used only for confidence distance scaling).
-func newDetector(cfg Config, sampleRate, clockHz float64, half int, prof *Profile, q *Quality, onStall func(Stall)) *detector {
+func newDetector(cfg Config, sampleRate, clockHz float64, half int, prof *Profile, q *Quality, onStall *func(Stall)) *detector {
 	return &detector{
 		cfg:          cfg,
 		sampleRate:   sampleRate,
@@ -566,6 +288,40 @@ func newDetector(cfg Config, sampleRate, clockHz float64, half int, prof *Profil
 		q:            q,
 		onStall:      onStall,
 	}
+}
+
+// normWindow is the moving min/max window in samples: NormWindowS at the
+// sample rate, at least 8. Every capture length uses the same window;
+// positions of a capture shorter than it are all decided against the
+// final stats, exactly as the stream drains them.
+func normWindow(cfg Config, sampleRate float64) int {
+	return max(8, int(cfg.NormWindowS*sampleRate))
+}
+
+// step is the normalise+decide kernel: it maps the smoothed value x of
+// position i into [0, 1] against the trailing (lo, hi) stats read half a
+// window ahead (Section IV: "EMPROF compensates for these effects by
+// tracking a moving minimum and maximum of the signal's magnitude"), then
+// runs the dip detector on it. A window whose range is below MinRangeFrac
+// of its maximum carries no dip information and normalises to 1.
+func (d *detector) step(i int64, x float64, fl qflag, lo, hi float64) {
+	r := hi - lo
+	var v float64
+	if hi <= 0 || r < d.cfg.MinRangeFrac*hi {
+		v = 1
+	} else {
+		v = (x - lo) / r
+		if v < 0 {
+			v = 0
+		}
+		if v > 1 {
+			v = 1
+		}
+	}
+	if d.keep {
+		d.prof.Normalized = append(d.prof.Normalized, v)
+	}
+	d.decide(i, v, fl, lo, hi)
 }
 
 // decide processes the normalised value v of position i with impairment
@@ -673,8 +429,8 @@ func (d *detector) flush(end int64) {
 			Confidence: st.Confidence, Refresh: st.Refresh,
 		})
 	}
-	if d.onStall != nil {
-		d.onStall(st)
+	if d.onStall != nil && *d.onStall != nil {
+		(*d.onStall)(st)
 	}
 }
 

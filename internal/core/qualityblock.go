@@ -6,29 +6,27 @@ import (
 	"emprof/internal/trace"
 )
 
-// processBlock is the block form of process: it consumes len(xs) raw
+// processBlock is the monitor stage kernel: it consumes len(xs) raw
 // samples and writes the sanitised value and impairment flags of each to
 // san and flags (both at least len(xs) long). Retroactive flag patches
-// that land inside the block are applied to flags directly; patches that
-// reach positions before the block are reported through patchOlder(back,
-// f), where back counts positions before the block start (1 = the
-// position immediately preceding it) — patchOlder returns false when the
-// position has already been decided, which stops the patch run exactly
-// where the per-sample path's queue-bounds check would. Resyncs are
+// (always shallower than the normalisation half-window) that land inside
+// the block are applied to flags directly; patches that reach positions
+// before the block are reported through patchOlder(back, f), where back
+// counts positions before the block start (1 = the position immediately
+// preceding it) — patchOlder returns false when the position does not
+// exist (the stream start), which ends the patch run. Resyncs are
 // reported through onResync with the block-relative sample index.
 //
-// The per-sample path (process/processInner/track/trackShift) is the
-// behavioural reference: this function is a transcription of it with the
-// monitor's hot state hoisted into locals for the duration of the block,
-// removing the per-sample field loads, store-backs and call overhead
-// that dominate the monitor on streaming ingest. The Push≡PushBlock
-// property tests compare the two implementations sample-for-sample,
-// including the full quality record and every piece of exported state.
+// The monitor's hot state is hoisted into locals for the duration of the
+// block, removing the per-sample field loads, store-backs and call
+// overhead that dominated the monitor when it ran one sample per call.
+// The readable per-sample form of the same monitor is the test oracle
+// (oracle_test.go), which compares the two sample for sample, including
+// the full quality record and every piece of exported state.
 //
-// An attached trace observer receives exactly the Resync and QualityFlag
-// events process would emit, in the same order and with the same
-// payloads; the nil-observer fast path pays one predictable branch per
-// sample, as process does.
+// An attached trace observer receives one Resync event per re-seed and
+// one QualityFlag event per flagged sample, in sample order; the
+// nil-observer fast path pays one predictable branch per sample.
 func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func(back int, f qflag) bool, onResync func(i int)) {
 	// Structural parameters (never written).
 	persist := m.persist
@@ -161,7 +159,10 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 			}
 		}
 
-		// ---- track(tx), inlined with hoisted state ----
+		// Busy-level tracker and gain-step detection: a sustained
+		// departure of the short moving max from the busy reference in
+		// either direction is a receiver gain discontinuity (dips never
+		// move the max; the reference EMA absorbs slow drift).
 		tx := y
 		if trackRaw {
 			tx = x
@@ -253,7 +254,8 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 				}
 			}
 			if !stepped && shiftRatio > 0 {
-				// ---- trackShift(sdir, sm), inlined ----
+				// Probe-shift candidacy: the shift-band twin of the step
+				// detector, which keeps priority.
 				if sdir == 1 && sinceShiftHigh > persist/2 {
 					shiftDir, shiftLen = 0, 0
 				} else {

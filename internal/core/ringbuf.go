@@ -76,7 +76,16 @@ func (r *fifo[T]) ptr(i int) *T {
 }
 
 func (r *fifo[T]) grow() {
-	nb := make([]T, maxInt(8, 2*len(r.buf)))
+	r.reserve(max(8, 2*len(r.buf)))
+}
+
+// reserve grows the ring to hold at least n elements, so sizing it up
+// front costs one allocation instead of a doubling sequence.
+func (r *fifo[T]) reserve(n int) {
+	if n <= len(r.buf) {
+		return
+	}
+	nb := make([]T, n)
 	r.copyTo(nb)
 	r.buf, r.head = nb, 0
 }
@@ -109,11 +118,4 @@ func (r *fifo[T]) load(xs []T) {
 	for _, x := range xs {
 		r.push(x)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

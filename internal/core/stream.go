@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"emprof/internal/dsp"
-	"emprof/internal/em"
 	"emprof/internal/trace"
 )
 
@@ -12,16 +11,13 @@ import (
 // samples arrive — the deployment mode the paper implies, where a
 // software-defined receiver streams for minutes (most SPEC runs exceed
 // the spectrum analyzer's record length, which is why the authors moved
-// to a streaming digitizer, Section VI). Push samples with Push, then
-// call Finalize for the profile. Its output matches Analyzer.Profile on
-// the same capture.
+// to a streaming digitizer, Section VI). Push samples with PushBlock (or
+// Push), then call Finalize for the profile.
 //
-// Every pushed sample first passes through the same causal signal-quality
-// monitor the batch analyzer uses: corrupt and dropped samples are
-// sanitised, gain discontinuities re-seed the normalisation windows, and
-// impairment flags ride alongside each position so the dip detector can
-// suppress phantom stalls. Because the monitor is causal and identically
-// constructed, batch and streaming remain equivalent under faults too.
+// StreamAnalyzer is the analysis engine itself (engine.go): the batch
+// analyzer runs it over a whole capture, so its output matches
+// Analyzer.Profile on the same capture by construction, however the
+// stream is split into pushes.
 type StreamAnalyzer struct {
 	cfg        Config
 	sampleRate float64
@@ -30,7 +26,7 @@ type StreamAnalyzer struct {
 	// Quality monitor stage (runs on raw samples, before smoothing).
 	mon *monitor
 	// flagBuf holds the impairment flags of positions not yet decided;
-	// its front belongs to the next position decide will consume.
+	// its front belongs to the next position to decide.
 	flagBuf fifo[qflag]
 	// resyncAt holds positions at which the min/max state must be reset
 	// before that position is folded in.
@@ -42,15 +38,14 @@ type StreamAnalyzer struct {
 	// input j describes position j-lead.
 	smoother *dsp.MovingAverage
 	lead     int
-	// recent raw smoother outputs, to reproduce the batch analyzer's
-	// uncompensated tail.
+	// smTail holds the last lead+1 raw smoother outputs: at Finalize the
+	// final lead positions take their own trailing averages.
 	smTail []float64
 
 	// Normalisation stage: trailing min/max over smoothed positions; the
 	// decision for position i is taken half a window later.
 	mmin, mmax *dsp.MovingExtremum
 	half       int
-	window     int
 	// pending holds smoothed values awaiting their (delayed) decision.
 	pending fifo[float64]
 
@@ -66,9 +61,13 @@ type StreamAnalyzer struct {
 	// obs receives decision-trace events when set via SetObserver.
 	obs trace.Observer
 
-	// scratch backs PushBlock's staged processing; nil until the first
-	// block push.
-	scratch *blockScratch
+	// scratch backs the staged block processing; empty until the first
+	// push.
+	scratch blockScratch
+	// one is Push's one-sample block.
+	one [1]float64
+	// clock times the stages of a traced batch run; nil otherwise.
+	clock *stageClock
 
 	lastMin, lastMax float64
 	haveStats        bool
@@ -80,6 +79,12 @@ func NewStreamAnalyzer(cfg Config, sampleRate, clockHz float64) (*StreamAnalyzer
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newStreamAnalyzer(cfg, sampleRate, clockHz), nil
+}
+
+// newStreamAnalyzer builds the engine for an already-validated
+// configuration.
+func newStreamAnalyzer(cfg Config, sampleRate, clockHz float64) *StreamAnalyzer {
 	s := &StreamAnalyzer{
 		cfg:        cfg,
 		sampleRate: sampleRate,
@@ -90,11 +95,7 @@ func NewStreamAnalyzer(cfg Config, sampleRate, clockHz float64) (*StreamAnalyzer
 			ClockHz:    clockHz,
 		},
 	}
-	w := int(cfg.NormWindowS * sampleRate)
-	if w < 8 {
-		w = 8
-	}
-	s.window = w
+	w := normWindow(cfg, sampleRate)
 	s.half = w / 2
 	s.mmin = dsp.NewMovingMin(w)
 	s.mmax = dsp.NewMovingMax(w)
@@ -102,12 +103,8 @@ func NewStreamAnalyzer(cfg Config, sampleRate, clockHz float64) (*StreamAnalyzer
 		s.smoother = dsp.NewMovingAverage(cfg.SmoothSamples)
 		s.lead = (cfg.SmoothSamples - 1) / 2
 	}
-	s.det = newDetector(cfg, sampleRate, clockHz, s.half, s.prof, &s.mon.q, func(st Stall) {
-		if s.OnStall != nil {
-			s.OnStall(st)
-		}
-	})
-	return s, nil
+	s.det = newDetector(cfg, sampleRate, clockHz, s.half, s.prof, &s.mon.q, &s.OnStall)
+	return s
 }
 
 // SetObserver attaches a decision-trace observer: it receives one event
@@ -122,128 +119,27 @@ func (s *StreamAnalyzer) SetObserver(o trace.Observer) {
 	s.det.obs = o
 }
 
-// Push feeds one magnitude sample.
+// Push feeds one magnitude sample, as a one-sample block.
 func (s *StreamAnalyzer) Push(x float64) {
-	p := s.n
-	s.n++
-	y, fl, retro, rs := s.mon.process(x)
-	s.flagBuf.push(fl)
-	if fl != 0 {
-		for k := 1; k <= retro; k++ {
-			idx := s.flagBuf.len() - 1 - k
-			if idx < 0 {
-				break
-			}
-			*s.flagBuf.ptr(idx) |= fl
-		}
-	}
-	if rs {
-		s.resyncAt = append(s.resyncAt, p)
-	}
-	if s.smoother == nil {
-		s.feedPosition(y)
-		return
-	}
-	sm := s.smoother.Process(y)
-	if len(s.smTail) == s.lead+1 {
-		copy(s.smTail, s.smTail[1:])
-		s.smTail = s.smTail[:s.lead]
-	}
-	s.smTail = append(s.smTail, sm)
-	// The smoothed value for position n-1-lead is available now.
-	if s.n > int64(s.lead) {
-		s.feedPosition(sm)
-	}
-}
-
-// feedPosition advances the normalisation stage with the smoothed value
-// of the next position, resetting the window state first if the quality
-// monitor requested a resync at this position.
-func (s *StreamAnalyzer) feedPosition(x float64) {
-	if len(s.resyncAt) > 0 && s.resyncAt[0] == s.fed {
-		s.mmin.Reset()
-		s.mmax.Reset()
-		s.resyncAt = s.resyncAt[1:]
-	}
-	s.fed++
-	s.lastMin = s.mmin.Process(x)
-	s.lastMax = s.mmax.Process(x)
-	s.haveStats = true
-	s.pending.push(x)
-	// Positions up to (#fed - 1) - half can now be decided.
-	for s.pending.len() > s.half {
-		s.decide(s.pending.pop())
-	}
-}
-
-// decide normalises one position against the current stats and runs the
-// dip detector.
-func (s *StreamAnalyzer) decide(x float64) {
-	s.decideAt(x, s.flagBuf.popOrZero(), s.lastMin, s.lastMax)
-}
-
-// decideAt is decide with the position's flags and normalisation stats
-// supplied by the caller — the block path computes stats per position
-// up front instead of reading them from the analyzer at decision time.
-func (s *StreamAnalyzer) decideAt(x float64, fl qflag, lo, hi float64) {
-	i := s.emitted
-	s.emitted++
-	r := hi - lo
-	var v float64
-	if hi <= 0 || r < s.cfg.MinRangeFrac*hi {
-		v = 1
-	} else {
-		v = (x - lo) / r
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-	}
-	s.det.decide(i, v, fl, lo, hi)
+	s.one[0] = x
+	s.pushChunk(s.one[:])
 }
 
 // Finalize drains the pipeline and returns the profile. The analyzer must
 // not be pushed to afterwards.
 func (s *StreamAnalyzer) Finalize() *Profile {
-	var t0 time.Time
-	if s.obs != nil {
-		t0 = time.Now()
+	if s.obs == nil {
+		return s.finish()
 	}
+	t0 := time.Now()
 	drainFrom := s.emitted
-	// Feed the smoother's uncompensated tail, as the batch analyzer keeps
-	// the last `lead` positions unshifted.
-	if s.smoother != nil {
-		emit := int(s.n) - int(s.lead)
-		if emit < 0 {
-			emit = 0
-		}
-		// Positions already fed: emit; remaining positions take the tail
-		// values (the trailing averages ending at those positions).
-		for p := emit; p < int(s.n); p++ {
-			idx := len(s.smTail) - (int(s.n) - p)
-			if idx < 0 {
-				idx = 0
-			}
-			s.feedPosition(s.smTail[idx])
-		}
-	}
-	// Decide the trailing half-window with the final stats.
-	for s.pending.len() > 0 && s.haveStats {
-		s.decide(s.pending.pop())
-	}
-	s.det.finish(s.emitted)
-	if s.obs != nil {
-		s.obs.StageTiming(trace.StageTiming{
-			Stage:      trace.StageDrain,
-			DurationNs: time.Since(t0).Nanoseconds(),
-			Samples:    s.emitted - drainFrom,
-		})
-	}
-	s.prof.ExecCycles = float64(s.n) * (s.clockHz / s.sampleRate)
-	s.prof.Quality = s.mon.q
-	return s.prof
+	p := s.finish()
+	s.obs.StageTiming(trace.StageTiming{
+		Stage:      trace.StageDrain,
+		DurationNs: time.Since(t0).Nanoseconds(),
+		Samples:    s.emitted - drainFrom,
+	})
+	return p
 }
 
 // Quality returns a snapshot of the signal-quality record accumulated so
@@ -296,18 +192,4 @@ func (s *StreamAnalyzer) SnapshotView() Profile {
 	}
 	p.Quality = s.mon.q
 	return p
-}
-
-// ProfileStream runs the streaming analyzer over a whole capture; it is
-// the streaming counterpart of Analyzer.Profile and produces the same
-// result.
-func ProfileStream(c *em.Capture, cfg Config) (*Profile, error) {
-	s, err := NewStreamAnalyzer(cfg, c.SampleRate, c.ClockHz)
-	if err != nil {
-		return nil, err
-	}
-	for _, x := range c.Samples {
-		s.Push(x)
-	}
-	return s.Finalize(), nil
 }

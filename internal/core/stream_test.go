@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"emprof/internal/em"
@@ -18,29 +19,15 @@ func profileBoth(t *testing.T, c *em.Capture) (*Profile, *Profile) {
 	return batch, stream
 }
 
-// assertSameStalls compares the two profiles' event lists, allowing ±1
-// sample of boundary skew per event (the batch analyzer's end-of-signal
-// clamping differs slightly from the stream's drain).
+// assertSameStalls requires the two profiles to be identical.
 func assertSameStalls(t *testing.T, batch, stream *Profile) {
 	t.Helper()
-	if len(batch.Stalls) != len(stream.Stalls) {
-		t.Fatalf("event counts differ: batch=%d stream=%d", len(batch.Stalls), len(stream.Stalls))
+	if len(batch.Stalls) == 0 {
+		t.Fatal("no stalls detected; the comparison is vacuous")
 	}
-	for i := range batch.Stalls {
-		b, s := batch.Stalls[i], stream.Stalls[i]
-		if d := b.StartSample - s.StartSample; d < -1 || d > 1 {
-			t.Fatalf("event %d start: batch=%d stream=%d", i, b.StartSample, s.StartSample)
-		}
-		if d := b.EndSample - s.EndSample; d < -1 || d > 1 {
-			t.Fatalf("event %d end: batch=%d stream=%d", i, b.EndSample, s.EndSample)
-		}
-		if b.Refresh != s.Refresh {
-			t.Fatalf("event %d refresh flag differs", i)
-		}
-	}
-	if batch.Misses != stream.Misses || batch.RefreshStalls != stream.RefreshStalls {
-		t.Fatalf("counts differ: batch %d/%d stream %d/%d",
-			batch.Misses, batch.RefreshStalls, stream.Misses, stream.RefreshStalls)
+	if !reflect.DeepEqual(batch, stream) {
+		assertProfilesIdentical(t, batch, stream, "stream")
+		t.Fatal("stream profile differs from batch")
 	}
 }
 

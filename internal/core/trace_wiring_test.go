@@ -193,9 +193,10 @@ func TestObserverStreamDrainTiming(t *testing.T) {
 }
 
 // TestNilObserverSteadyStateAllocs proves the zero-overhead-when-off
-// claim at the allocation level: the per-sample monitor + detector path
-// with a nil observer performs no allocations. (The CI benchmark guard
-// additionally bounds the time overhead; see internal/experiments.)
+// claim at the allocation level: once the engine's pipeline is full, a
+// nil-observer analyzer allocates nothing per block or per sample.
+// (The CI benchmark guard additionally bounds the time overhead; see
+// internal/experiments.)
 func TestNilObserverSteadyStateAllocs(t *testing.T) {
 	// A dip-free busy trace: noise never reaches the entry threshold, so
 	// the detector stays out of dips and Profile.Stalls never grows —
@@ -205,29 +206,30 @@ func TestNilObserverSteadyStateAllocs(t *testing.T) {
 	for i := range samples {
 		samples[i] = math.Abs(1.0 + 0.05*rng.NormFloat64())
 	}
-	cfg := DefaultConfig()
-	mon := newMonitor(cfg, 50e6)
-	prof := &Profile{}
-	det := newDetector(cfg, 50e6, 1e9, 5000, prof, &mon.q, nil)
-	// Warm the monitor's moving-extremum ring and EMAs first so one-time
-	// buffer growth is not attributed to the steady state.
+	s, err := NewStreamAnalyzer(DefaultConfig(), 50e6, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the pipeline first so one-time buffer sizing is not
+	// attributed to the steady state.
+	s.PushBlock(samples)
+	off := 0
+	block := func() {
+		s.PushBlock(samples[off : off+1000])
+		off = (off + 1000) % (len(samples) - 1000)
+	}
+	if allocs := testing.AllocsPerRun(200, block); allocs != 0 {
+		t.Fatalf("nil-observer PushBlock steady state allocates %.2f allocs/op, want 0", allocs)
+	}
 	i := 0
-	pos := int64(0)
-	step := func() {
-		x := samples[i]
+	push := func() {
+		s.Push(samples[i])
 		i = (i + 1) % len(samples)
-		y, fl, _, _ := mon.process(x)
-		det.decide(pos, y, fl, 0.02, 1.1)
-		pos++
 	}
-	for k := 0; k < 1<<14; k++ {
-		step()
+	if allocs := testing.AllocsPerRun(2000, push); allocs != 0 {
+		t.Fatalf("nil-observer Push steady state allocates %.2f allocs/op, want 0", allocs)
 	}
-	allocs := testing.AllocsPerRun(2000, step)
-	if allocs != 0 {
-		t.Fatalf("nil-observer steady state allocates %.2f allocs/op, want 0", allocs)
-	}
-	if len(prof.Stalls) != 0 {
-		t.Fatalf("busy-only trace produced %d stalls; alloc accounting invalid", len(prof.Stalls))
+	if p := s.Finalize(); len(p.Stalls) != 0 {
+		t.Fatalf("busy-only trace produced %d stalls; alloc accounting invalid", len(p.Stalls))
 	}
 }

@@ -436,6 +436,46 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if code, _ := postSamples(t, ts, id, rawBytes(testSignal(30000).Samples), ContentTypeRaw); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
+	// A scrape does not drain sessions: the stall counter is fed by the
+	// analysis worker and is eventually consistent, so poll until it
+	// lands.
+	var values map[string]float64
+	var types map[string]string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		values, types = scrapeMetrics(t, ts)
+		if values["emprofd_stalls_detected_total"] > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	checks := map[string]float64{
+		"emprofd_sessions_active":        1,
+		"emprofd_sessions_total":         1,
+		"emprofd_samples_ingested_total": 30000,
+		"emprofd_ingest_bytes_total":     240000,
+	}
+	for name, want := range checks {
+		if got, ok := values[name]; !ok || got != want {
+			t.Fatalf("%s = %v (present=%v), want %v", name, got, ok, want)
+		}
+	}
+	if values["emprofd_stalls_detected_total"] <= 0 {
+		t.Fatal("no stalls counted")
+	}
+	if _, ok := values["emprofd_http_requests_total"]; !ok {
+		t.Fatal("per-endpoint request counter missing")
+	}
+	for _, name := range []string{"emprofd_sessions_total", "emprofd_samples_ingested_total"} {
+		if types[name] != "counter" {
+			t.Fatalf("%s TYPE = %q", name, types[name])
+		}
+	}
+}
+
+// scrapeMetrics fetches /metrics and parses every line as Prometheus
+// text exposition format, returning each series' value (labels dropped)
+// and each declared TYPE.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) (map[string]float64, map[string]string) {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -487,28 +527,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	checks := map[string]float64{
-		"emprofd_sessions_active":        1,
-		"emprofd_sessions_total":         1,
-		"emprofd_samples_ingested_total": 30000,
-		"emprofd_ingest_bytes_total":     240000,
-	}
-	for name, want := range checks {
-		if got, ok := values[name]; !ok || got != want {
-			t.Fatalf("%s = %v (present=%v), want %v", name, got, ok, want)
-		}
-	}
-	if values["emprofd_stalls_detected_total"] <= 0 {
-		t.Fatal("no stalls counted")
-	}
-	if _, ok := values["emprofd_http_requests_total"]; !ok {
-		t.Fatal("per-endpoint request counter missing")
-	}
-	for _, name := range []string{"emprofd_sessions_total", "emprofd_samples_ingested_total"} {
-		if types[name] != "counter" {
-			t.Fatalf("%s TYPE = %q", name, types[name])
-		}
-	}
+	return values, types
 }
 
 // TestListSessions checks the list endpoint's shape and ordering.

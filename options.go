@@ -135,9 +135,7 @@ func (a *Analyzer) runStreaming(ctx context.Context, c *Capture) (*Profile, erro
 		if end > len(c.Samples) {
 			end = len(c.Samples)
 		}
-		for _, x := range c.Samples[off:end] {
-			s.Push(x)
-		}
+		s.PushBlock(c.Samples[off:end])
 	}
 	return s.Finalize(), nil
 }
