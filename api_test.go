@@ -25,18 +25,26 @@ func apiTestCapture(t *testing.T) *Capture {
 	return run.Capture
 }
 
-// TestNewAnalyzerMatchesDeprecatedAPI pins the unification contract: the
-// deprecated entry points and every NewAnalyzer execution path produce
-// bit-identical profiles.
-func TestNewAnalyzerMatchesDeprecatedAPI(t *testing.T) {
+// runAnalyzer profiles c with NewAnalyzer(cfg, opts...).Run.
+func runAnalyzer(c *Capture, cfg Config, opts ...Option) (*Profile, error) {
+	a, err := NewAnalyzer(cfg, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return a.Run(context.Background(), c)
+}
+
+// TestAnalyzerPathsBitIdentical pins the unification contract: every
+// NewAnalyzer execution path produces a profile bit-identical to the
+// default batch path's.
+func TestAnalyzerPathsBitIdentical(t *testing.T) {
 	c := apiTestCapture(t)
 	cfg := DefaultConfig()
-	want, err := Analyze(c, cfg)
+	want, err := runAnalyzer(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		opts []Option
 	}{
@@ -44,25 +52,14 @@ func TestNewAnalyzerMatchesDeprecatedAPI(t *testing.T) {
 		{"parallel", []Option{WithWorkers(4)}},
 		{"parallel-auto", []Option{WithWorkers(0)}},
 		{"streaming", []Option{WithStreaming()}},
-	}
-	for _, tc := range cases {
-		a, err := NewAnalyzer(cfg, tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.Run(ctx, c)
+	} {
+		got, err := runAnalyzer(c, cfg, tc.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: profile differs from Analyze", tc.name)
+			t.Errorf("%s: profile differs from NewAnalyzer(cfg).Run", tc.name)
 		}
-	}
-	if ps, err := AnalyzeParallel(c, cfg, 4); err != nil || !reflect.DeepEqual(ps, want) {
-		t.Errorf("AnalyzeParallel differs (err=%v)", err)
-	}
-	if ss, err := AnalyzeStream(c, cfg); err != nil || !reflect.DeepEqual(ss, want) {
-		t.Errorf("AnalyzeStream differs (err=%v)", err)
 	}
 }
 
@@ -73,7 +70,7 @@ func TestNewAnalyzerMatchesDeprecatedAPI(t *testing.T) {
 func TestObserverGoldenEquivalence(t *testing.T) {
 	c := apiTestCapture(t)
 	cfg := DefaultConfig()
-	want, err := Analyze(c, cfg)
+	want, err := runAnalyzer(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +171,6 @@ func TestNewAnalyzerBadConfig(t *testing.T) {
 	cfg.EnterThreshold = 2
 	if _, err := NewAnalyzer(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("got %v, want ErrBadConfig", err)
-	}
-	if _, err := Analyze(&Capture{}, cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("deprecated wrapper: got %v, want ErrBadConfig", err)
 	}
 }
 

@@ -153,9 +153,7 @@ func BenchmarkProfileCapture(b *testing.B) {
 	cap := benchCapture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := emprof.Analyze(cap, emprof.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
+		analyze(b, cap, emprof.DefaultConfig())
 	}
 	b.SetBytes(int64(8 * len(cap.Samples)))
 }
@@ -388,18 +386,14 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 		return func(b *testing.B) {
 			b.SetBytes(int64(8 * len(cap.Samples)))
 			for i := 0; i < b.N; i++ {
-				if _, err := emprof.AnalyzeParallel(cap, cfg, workers); err != nil {
-					b.Fatal(err)
-				}
+				analyze(b, cap, cfg, emprof.WithWorkers(workers))
 			}
 		}
 	}
 	b.Run("sequential", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(cap.Samples)))
 		for i := 0; i < b.N; i++ {
-			if _, err := emprof.Analyze(cap, cfg); err != nil {
-				b.Fatal(err)
-			}
+			analyze(b, cap, cfg)
 		}
 	})
 	b.Run("workers-2", bench(2))
@@ -439,17 +433,13 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 	cap := benchCapture(b)
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := emprof.Analyze(cap, emprof.DefaultConfig()); err != nil {
-				b.Fatal(err)
-			}
+			analyze(b, cap, emprof.DefaultConfig())
 		}
 		b.SetBytes(int64(8 * len(cap.Samples)))
 	})
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := emprof.AnalyzeStream(cap, emprof.DefaultConfig()); err != nil {
-				b.Fatal(err)
-			}
+			analyze(b, cap, emprof.DefaultConfig(), emprof.WithStreaming())
 		}
 		b.SetBytes(int64(8 * len(cap.Samples)))
 	})

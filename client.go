@@ -264,12 +264,13 @@ func (c *Client) do(ctx context.Context, mode retryMode, method, path, contentTy
 				derr = rerr
 			case out == nil:
 			default:
-				// Types with a hand-rolled codec (SessionSnapshot, Profile)
-				// decode directly: their fast paths parse the service's
-				// compact wire shape and fall back to the stdlib for
-				// anything else, so skipping encoding/json's validation
-				// pre-scan is safe. Both decoders copy everything they
-				// keep, so the read buffer can be recycled immediately.
+				// Types with a fast decoder (SessionSnapshot, Profile)
+				// decode directly: they parse the compact shape
+				// encoding/json writes and fall back to the stdlib for
+				// anything else, erring exactly when it would (fuzzed),
+				// so skipping encoding/json's validation pre-scan is
+				// safe. Both decoders copy everything they keep, so the
+				// read buffer can be recycled immediately.
 				if u, ok := out.(json.Unmarshaler); ok {
 					derr = u.UnmarshalJSON(data)
 				} else {
@@ -486,7 +487,7 @@ func (c *Client) Profile(ctx context.Context, id string) (*SessionSnapshot, erro
 }
 
 // Finalize drains the session's pipeline and returns the final profile —
-// identical to Analyze over the same samples. The session is gone
+// identical to NewAnalyzer(cfg).Run over the same samples. The session is gone
 // afterwards.
 func (c *Client) Finalize(ctx context.Context, id string) (*Profile, error) {
 	var prof Profile

@@ -41,14 +41,11 @@ func simCapture(t *testing.T) *emprof.Capture {
 
 // TestClientEndToEnd is the acceptance test for the profiling service: a
 // simulated capture streamed to the daemon in several chunks must yield,
-// on finalize, a profile bit-identical to emprof.Analyze over the same
+// on finalize, a profile bit-identical to the batch analysis of the same
 // capture; the mid-stream snapshot must be causal.
 func TestClientEndToEnd(t *testing.T) {
 	capture := simCapture(t)
-	want, err := emprof.Analyze(capture, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := analyze(t, capture, emprof.DefaultConfig())
 	if len(want.Stalls) < 10 {
 		t.Fatalf("capture yields only %d stalls; weak test", len(want.Stalls))
 	}
@@ -104,7 +101,7 @@ func TestClientEndToEnd(t *testing.T) {
 	// Bit-identical through the service, the streaming pipeline, and the
 	// JSON round trip (Go marshals float64 at full round-trip precision).
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed profile differs from batch Analyze:\n got: misses=%d stalls=%d cycles=%v\nwant: misses=%d stalls=%d cycles=%v",
+		t.Fatalf("streamed profile differs from batch analysis:\n got: misses=%d stalls=%d cycles=%v\nwant: misses=%d stalls=%d cycles=%v",
 			got.Misses, len(got.Stalls), got.StallCycles, want.Misses, len(want.Stalls), want.StallCycles)
 	}
 	// Mid-stream stalls were a prefix of the final list.
@@ -391,10 +388,7 @@ func TestClientTrace(t *testing.T) {
 // any other call on the same client.
 func TestClientOldDaemon(t *testing.T) {
 	capture := simCapture(t)
-	want, err := emprof.Analyze(capture, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := analyze(t, capture, emprof.DefaultConfig())
 	srv, _ := startDaemon(t, service.Config{})
 	inner := srv.Handler()
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -440,7 +434,7 @@ func TestClientOldDaemon(t *testing.T) {
 		t.Fatalf("finalize after unsupported trace: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("profile via old daemon differs from Analyze")
+		t.Fatal("profile via old daemon differs from batch analysis")
 	}
 
 	// A genuine 404 (the service's JSON error body on an existing route)

@@ -17,14 +17,11 @@ import (
 // TestContinuousProfilingEndToEnd is the acceptance test for the
 // continuous-profiling API: a capture streamed to a windowing daemon
 // must serve a rolling window sequence whose merge is bit-identical to
-// emprof.Analyze over the same capture — and the sequence must survive a
+// the batch analysis of the same capture — and the sequence must survive a
 // daemon restart when the window store is on disk.
 func TestContinuousProfilingEndToEnd(t *testing.T) {
 	capture := simCapture(t)
-	want, err := emprof.Analyze(capture, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := analyze(t, capture, emprof.DefaultConfig())
 	// ~10 windows over the capture.
 	windowS := float64(len(capture.Samples)) / capture.SampleRate / 10
 
@@ -71,7 +68,7 @@ func TestContinuousProfilingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("finalize profile differs from batch Analyze")
+		t.Fatal("finalize profile differs from batch analysis")
 	}
 
 	// The finalized session's full sequence (now ending in the Final
@@ -88,7 +85,7 @@ func TestContinuousProfilingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(merged, want) {
-		t.Fatal("merged windows differ from batch Analyze")
+		t.Fatal("merged windows differ from batch analysis")
 	}
 
 	// Restart: close the daemon and the store, reopen both over the same
@@ -123,7 +120,7 @@ func TestContinuousProfilingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(merged2, want) {
-		t.Fatal("post-restart merged windows differ from batch Analyze")
+		t.Fatal("post-restart merged windows differ from batch analysis")
 	}
 
 	// Range query: the second half of the stream, paged two windows at a

@@ -17,13 +17,12 @@
 //	dev := emprof.DeviceOlimex()
 //	w, _ := emprof.Microbenchmark(1024, 10)
 //	run, _ := emprof.Simulate(dev, w, emprof.CaptureOptions{})
-//	prof, _ := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+//	an, _ := emprof.NewAnalyzer(emprof.DefaultConfig())
+//	prof, _ := an.Run(ctx, run.Capture)
 //	fmt.Println(prof.Misses, prof.StallCycles)
 package emprof
 
 import (
-	"context"
-
 	"emprof/internal/core"
 	"emprof/internal/device"
 	"emprof/internal/em"
@@ -77,43 +76,6 @@ type Workload = sim.Stream
 // DefaultConfig returns the profiler configuration used for all the
 // paper's experiments.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// Analyze runs EMPROF over a capture.
-//
-// Deprecated: use NewAnalyzer and Run, which add functional options
-// (observability, worker pools, streaming) and context-aware execution.
-// Analyze remains supported and is exactly NewAnalyzer(cfg) + Run.
-func Analyze(c *Capture, cfg Config) (*Profile, error) {
-	a, err := NewAnalyzer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.Run(context.Background(), c)
-}
-
-// AnalyzeParallel runs EMPROF over a capture using a bounded worker pool:
-// the capture is sharded into chunks overlapping by one normalisation
-// window (the detector's warm-up), chunks are normalised concurrently,
-// and the stall detector is replayed over them in order.
-//
-// The result is deterministic and bit-identical to Analyze on the same
-// capture — stalls, confidences and quality counters included — for every
-// worker count; workers only changes speed. workers <= 0 uses
-// runtime.GOMAXPROCS(0), and workers == 1 (or a capture too short to
-// shard profitably) runs the plain sequential analyzer. Use this for long
-// captures on multi-core hosts; for bounded-memory live acquisition use
-// the streaming path instead.
-//
-// Deprecated: use NewAnalyzer with WithWorkers and Run. AnalyzeParallel
-// remains supported and is exactly NewAnalyzer(cfg, WithWorkers(workers))
-// + Run.
-func AnalyzeParallel(c *Capture, cfg Config, workers int) (*Profile, error) {
-	a, err := NewAnalyzer(cfg, WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	return a.Run(context.Background(), c)
-}
 
 // DeviceAlcatel returns the Alcatel Ideal phone model (Cortex-A7,
 // 1.1 GHz, 1 MB LLC).
@@ -191,22 +153,6 @@ func LoadWorkload(path string) (Workload, error) {
 		return nil, err
 	}
 	return p.Stream(), nil
-}
-
-// AnalyzeStream runs EMPROF incrementally over a capture in bounded
-// memory — the profiling mode for captures too long to hold at once.
-// Its result matches Analyze on the same data.
-//
-// Deprecated: use NewAnalyzer with WithStreaming and Run (which adds
-// cancellation between blocks), or Analyzer.Stream for push-based live
-// acquisition. AnalyzeStream remains supported and is exactly
-// NewAnalyzer(cfg, WithStreaming()) + Run.
-func AnalyzeStream(c *Capture, cfg Config) (*Profile, error) {
-	a, err := NewAnalyzer(cfg, WithStreaming())
-	if err != nil {
-		return nil, err
-	}
-	return a.Run(context.Background(), c)
 }
 
 // StreamAnalyzer is the push-based incremental profiler; see

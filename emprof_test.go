@@ -22,7 +22,7 @@ func TestEndToEndMicrobenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := Analyze(slice, DefaultConfig())
+	prof, err := runAnalyzer(slice, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWorkloadConstructors(t *testing.T) {
 func TestAnalyzeValidatesConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnterThreshold = 2
-	if _, err := Analyze(&Capture{}, cfg); err == nil {
+	if _, err := runAnalyzer(&Capture{}, cfg); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -213,8 +213,8 @@ func TestSliceRegionCoversGroundTruthStalls(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelMatchesAnalyze checks the public parallel entry
-// point end to end: identical profiles on a clean simulated capture and
+// TestAnalyzeParallelMatchesAnalyze checks the public parallel path
+// (NewAnalyzer with WithWorkers) against the batch path end to end: identical profiles on a clean simulated capture and
 // on a fault-impaired one, for several worker counts.
 func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
 	w, err := Microbenchmark(128, 8)
@@ -233,12 +233,12 @@ func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	for name, c := range map[string]*Capture{"clean": run.Capture, "faulted": impaired} {
-		want, err := Analyze(c, cfg)
+		want, err := runAnalyzer(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 4} {
-			got, err := AnalyzeParallel(c, cfg, workers)
+			got, err := runAnalyzer(c, cfg, WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
 func TestAnalyzeParallelValidatesConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ExitThreshold = -1
-	if _, err := AnalyzeParallel(&Capture{}, cfg, 4); err == nil {
+	if _, err := runAnalyzer(&Capture{}, cfg, WithWorkers(4)); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -9,8 +9,8 @@ import (
 // event-driven simulator: over the sweep grid (both devices, the standard
 // microbenchmark, two seeds), (1) Simulate and SimulateExact must return
 // bit-identical runs — captures, power proxy, memory probe and ground
-// truth — and (2) the analysis side must agree: Analyze and
-// AnalyzeParallel produce the same Profile from either capture.
+// truth — and (2) the analysis side must agree: the batch and
+// WithWorkers analyzers produce the same Profile from either capture.
 func TestSimulateExactThreeWay(t *testing.T) {
 	devices := []struct {
 		name string
@@ -55,23 +55,23 @@ func TestSimulateExactThreeWay(t *testing.T) {
 			}
 
 			cfg := DefaultConfig()
-			want, err := Analyze(exact.Capture, cfg)
+			want, err := runAnalyzer(exact.Capture, cfg)
 			if err != nil {
-				t.Fatalf("%s seed %d: Analyze(exact): %v", d.name, seed, err)
+				t.Fatalf("%s seed %d: batch(exact): %v", d.name, seed, err)
 			}
-			got, err := Analyze(fast.Capture, cfg)
+			got, err := runAnalyzer(fast.Capture, cfg)
 			if err != nil {
-				t.Fatalf("%s seed %d: Analyze(fast): %v", d.name, seed, err)
+				t.Fatalf("%s seed %d: batch(fast): %v", d.name, seed, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s seed %d: profiles diverge between paths", d.name, seed)
 			}
-			par, err := AnalyzeParallel(fast.Capture, cfg, 4)
+			par, err := runAnalyzer(fast.Capture, cfg, WithWorkers(4))
 			if err != nil {
-				t.Fatalf("%s seed %d: AnalyzeParallel: %v", d.name, seed, err)
+				t.Fatalf("%s seed %d: WithWorkers(4): %v", d.name, seed, err)
 			}
 			if !reflect.DeepEqual(par, want) {
-				t.Fatalf("%s seed %d: AnalyzeParallel diverges from Analyze(exact)", d.name, seed)
+				t.Fatalf("%s seed %d: WithWorkers(4) diverges from batch(exact)", d.name, seed)
 			}
 			if want.Misses == 0 || fast.Truth.Cycles == 0 {
 				t.Fatalf("%s seed %d: degenerate run (misses %d, cycles %d)",

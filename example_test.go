@@ -21,7 +21,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	prof, err := an.Run(context.Background(), run.Capture)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,9 +33,9 @@ func Example() {
 	// Output: count accuracy >= 98%: true
 }
 
-// ExampleAnalyzeStream shows that the bounded-memory streaming profiler
+// ExampleWithStreaming shows that the bounded-memory streaming profiler
 // produces the same result as the batch analyzer.
-func ExampleAnalyzeStream() {
+func ExampleWithStreaming() {
 	w, err := emprof.Microbenchmark(64, 8)
 	if err != nil {
 		log.Fatal(err)
@@ -40,11 +44,19 @@ func ExampleAnalyzeStream() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	batch, err := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+	batchAn, err := emprof.NewAnalyzer(emprof.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	stream, err := emprof.AnalyzeStream(run.Capture, emprof.DefaultConfig())
+	batch, err := batchAn.Run(context.Background(), run.Capture)
+	if err != nil {
+		log.Fatal(err)
+	}
+	streamAn, err := emprof.NewAnalyzer(emprof.DefaultConfig(), emprof.WithStreaming())
+	if err != nil {
+		log.Fatal(err)
+	}
+	stream, err := streamAn.Run(context.Background(), run.Capture)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,9 +122,9 @@ func ExampleCaptureOptions() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := emprof.DefaultConfig()
-	p20, _ := emprof.Analyze(run20.Capture, cfg)
-	p80, _ := emprof.Analyze(run80.Capture, cfg)
+	an, _ := emprof.NewAnalyzer(emprof.DefaultConfig())
+	p20, _ := an.Run(context.Background(), run20.Capture)
+	p80, _ := an.Run(context.Background(), run80.Capture)
 	fmt.Println("20 MHz misses stalls that 80 MHz sees:", len(p20.Stalls) < len(p80.Stalls))
 	// Output: 20 MHz misses stalls that 80 MHz sees: true
 }

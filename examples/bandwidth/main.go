@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,10 @@ import (
 func main() {
 	devices := []emprof.Device{emprof.DeviceAlcatel(), emprof.DeviceOlimex()}
 	bandwidths := []float64{20e6, 40e6, 60e6, 80e6, 160e6}
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-10s", "BW (MHz)")
 	for _, d := range devices {
@@ -34,7 +39,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			prof, err := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+			prof, err := an.Run(context.Background(), run.Capture)
 			if err != nil {
 				log.Fatal(err)
 			}

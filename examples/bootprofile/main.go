@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,6 +16,10 @@ import (
 
 func main() {
 	dev := emprof.DeviceOlimex()
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for boot := 0; boot < 2; boot++ {
 		wl := emprof.BootWorkload(2.0, uint64(boot)*31+1)
@@ -22,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prof, err := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+		prof, err := an.Run(context.Background(), run.Capture)
 		if err != nil {
 			log.Fatal(err)
 		}

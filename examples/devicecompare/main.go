@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,10 @@ import (
 func main() {
 	devices := emprof.Devices()
 	workloads := []string{"mcf", "bzip2", "equake", "crafty", "vpr"}
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-8s", "bench")
 	for _, d := range devices {
@@ -33,7 +38,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			prof, err := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+			prof, err := an.Run(context.Background(), run.Capture)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,11 @@ func main() {
 		len(run.Capture.Samples), run.Capture.SampleRate/1e6, run.Capture.Duration()*1e3)
 
 	// Profile the whole capture.
-	prof, err := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	prof, err := an.Run(context.Background(), run.Capture)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,11 @@ func main() {
 	prof := sa.Finalize()
 
 	// Cross-check against the one-shot batch analysis.
-	batch, err := emprof.Analyze(run.Capture, emprof.DefaultConfig())
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	batch, err := an.Run(context.Background(), run.Capture)
 	if err != nil {
 		log.Fatal(err)
 	}

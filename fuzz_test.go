@@ -116,13 +116,13 @@ func FuzzAnalyze(f *testing.F) {
 			c = out
 		}
 
-		pb, err := Analyze(c, cfg)
+		pb, err := runAnalyzer(c, cfg)
 		if err != nil {
-			t.Fatalf("Analyze: %v", err)
+			t.Fatalf("batch: %v", err)
 		}
-		ps, err := AnalyzeStream(c, cfg)
+		ps, err := runAnalyzer(c, cfg, WithStreaming())
 		if err != nil {
-			t.Fatalf("AnalyzeStream: %v", err)
+			t.Fatalf("streaming: %v", err)
 		}
 		pp := core.MustNewAnalyzer(cfg).ProfileParallel(c, core.ParallelOptions{
 			Workers: 3, ChunkSamples: 1024,

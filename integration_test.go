@@ -1,6 +1,7 @@
 package emprof_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,14 +48,8 @@ func TestCustomWorkloadEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch, err := emprof.Analyze(loaded, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := emprof.AnalyzeStream(loaded, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := analyze(t, loaded, emprof.DefaultConfig())
+	stream := analyze(t, loaded, emprof.DefaultConfig(), emprof.WithStreaming())
 	if len(batch.Stalls) == 0 {
 		t.Fatal("no stalls detected end to end")
 	}
@@ -128,4 +123,19 @@ func TestOoODeviceVariant(t *testing.T) {
 	if ooo >= inOrder {
 		t.Fatalf("OoO stall/miss %.1f not below in-order %.1f", ooo, inOrder)
 	}
+}
+
+// analyze profiles c with NewAnalyzer(cfg, opts...).Run, failing tb on
+// error.
+func analyze(tb testing.TB, c *emprof.Capture, cfg emprof.Config, opts ...emprof.Option) *emprof.Profile {
+	tb.Helper()
+	an, err := emprof.NewAnalyzer(cfg, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prof, err := an.Run(context.Background(), c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prof
 }

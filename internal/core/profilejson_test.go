@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -11,8 +10,8 @@ import (
 )
 
 // rawProfile mirrors Profile with the stall codec replaced by the plain
-// struct slice, so encoding/json's reflection path produces reference
-// bytes untouched by any custom marshaler.
+// struct slice, so encoding/json's reflection path is a reference
+// decoder untouched by any custom codec.
 type rawProfile struct {
 	Stalls              []rawStall
 	Misses              int
@@ -22,20 +21,6 @@ type rawProfile struct {
 	SampleRate, ClockHz float64
 	Normalized          []float64
 	Quality             Quality
-}
-
-func toRawProfile(p *Profile) rawProfile {
-	return rawProfile{
-		Stalls:        toRaw(p.Stalls),
-		Misses:        p.Misses,
-		RefreshStalls: p.RefreshStalls,
-		StallCycles:   p.StallCycles,
-		ExecCycles:    p.ExecCycles,
-		SampleRate:    p.SampleRate,
-		ClockHz:       p.ClockHz,
-		Normalized:    p.Normalized,
-		Quality:       p.Quality,
-	}
 }
 
 func randomProfile(rng *sim.RNG) *Profile {
@@ -82,38 +67,6 @@ func randomProfile(rng *sim.RNG) *Profile {
 	return p
 }
 
-// TestProfileAppendJSONMatchesStdlib pins the wire-compatibility of the
-// hand-rolled profile encoder: AppendJSON must be byte-identical to
-// encoding/json over the equivalent plain struct for any profile,
-// including nil/empty stall lists, nil/empty Normalized, and edge-case
-// floats.
-func TestProfileAppendJSONMatchesStdlib(t *testing.T) {
-	rng := sim.NewRNG(99)
-	for i := 0; i < 300; i++ {
-		p := randomProfile(rng)
-		got, err := p.AppendJSON(nil)
-		if err != nil {
-			t.Fatalf("profile %d: %v", i, err)
-		}
-		want, err := json.Marshal(toRawProfile(p))
-		if err != nil {
-			t.Fatalf("profile %d: stdlib: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("profile %d: wire bytes differ\n got: %s\nwant: %s", i, got, want)
-		}
-	}
-	var zero Profile
-	got, err := zero.AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(toRawProfile(&zero))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("zero profile: got %s want %s", got, want)
-	}
-}
-
 // TestProfileUnmarshalRoundTrip pins that decoding recovers every field
 // bit-exactly on the fast path and that the stdlib fallback engages for
 // whitespace, reordered fields, and unknown fields.
@@ -121,13 +74,13 @@ func TestProfileUnmarshalRoundTrip(t *testing.T) {
 	rng := sim.NewRNG(123)
 	for i := 0; i < 300; i++ {
 		p := randomProfile(rng)
-		blob, err := p.AppendJSON(nil)
+		blob, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The compact shape must take the fast path outright.
-		if _, end, ok := parseProfileSpan(blob, 0); !ok || end != len(blob) {
-			t.Fatalf("profile %d: fast path rejected its own encoder's output: %s", i, blob)
+		// The stdlib's compact shape must take the fast path outright.
+		if _, end, ok := ParseProfileJSON(blob, 0); !ok || end != len(blob) {
+			t.Fatalf("profile %d: fast path rejected encoding/json's output: %s", i, blob)
 		}
 		var back Profile
 		if err := json.Unmarshal(blob, &back); err != nil {

@@ -2,80 +2,22 @@ package core
 
 import (
 	"encoding/json"
-	"strconv"
 
 	"emprof/internal/jsonfast"
 )
 
-// StallList is the stall array of a Profile with hand-rolled JSON
-// codecs. Profile responses — live snapshots every few pushes, finalize,
-// hand-off state — are dominated by this array, and reflection-driven
-// encoding/json spends most of its time walking it; the custom codecs
-// keep the daemon's profile endpoints off the ingest path's critical
-// core budget. The wire bytes are bit-identical to what encoding/json
-// produces for a plain []Stall (property-tested in stalljson_test.go),
-// so old and new clients and daemons interoperate freely.
+// StallList is the stall array of a Profile with a fast JSON decoder.
+// encoding/json writes it as a plain []Stall; a profile's bytes are
+// dominated by this array, so decoding it without the stdlib's
+// reflection walk is most of what keeps Profile.UnmarshalJSON fast.
 type StallList []Stall
 
-// MarshalJSON encodes the list exactly as encoding/json would: same
-// field order, same float formatting (shortest round-trip, scientific
-// notation outside [1e-6, 1e21)), no whitespace, "null" for nil.
-func (sl StallList) MarshalJSON() ([]byte, error) {
-	return sl.appendJSON(make([]byte, 0, 2+len(sl)*176))
-}
-
-func (sl StallList) appendJSON(b []byte) ([]byte, error) {
-	if sl == nil {
-		return append(b, "null"...), nil
-	}
-	b = append(b, '[')
-	for i := range sl {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		s := &sl[i]
-		var err error
-		b = append(b, `{"StartSample":`...)
-		b = strconv.AppendInt(b, int64(s.StartSample), 10)
-		b = append(b, `,"EndSample":`...)
-		b = strconv.AppendInt(b, int64(s.EndSample), 10)
-		b = append(b, `,"StartS":`...)
-		if b, err = jsonfast.AppendFloat(b, s.StartS); err != nil {
-			return nil, err
-		}
-		b = append(b, `,"DurationS":`...)
-		if b, err = jsonfast.AppendFloat(b, s.DurationS); err != nil {
-			return nil, err
-		}
-		b = append(b, `,"Cycles":`...)
-		if b, err = jsonfast.AppendFloat(b, s.Cycles); err != nil {
-			return nil, err
-		}
-		b = append(b, `,"Depth":`...)
-		if b, err = jsonfast.AppendFloat(b, s.Depth); err != nil {
-			return nil, err
-		}
-		b = append(b, `,"Refresh":`...)
-		if s.Refresh {
-			b = append(b, "true"...)
-		} else {
-			b = append(b, "false"...)
-		}
-		b = append(b, `,"Confidence":`...)
-		if b, err = jsonfast.AppendFloat(b, s.Confidence); err != nil {
-			return nil, err
-		}
-		b = append(b, '}')
-	}
-	return append(b, ']'), nil
-}
-
 // UnmarshalJSON decodes a stall array. The fast path parses exactly the
-// compact shape both this codec and encoding/json emit (fields in
-// declaration order, no whitespace); any other input — reordered or
-// unknown fields, whitespace, hand-written JSON — falls back to the
-// stdlib decoder, so everything encoding/json accepted before is still
-// accepted.
+// compact shape encoding/json emits (fields in declaration order, no
+// whitespace); any other input — reordered or unknown fields,
+// whitespace, numbers outside the JSON grammar — falls back to the
+// stdlib decoder, so it accepts and rejects exactly what a plain
+// []Stall does (FuzzStallListDecode).
 func (sl *StallList) UnmarshalJSON(data []byte) error {
 	data = jsonfast.TrimSpace(data)
 	if out, i, ok := parseStallsSpan(data, 0); ok && i == len(data) {

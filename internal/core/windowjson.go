@@ -2,97 +2,24 @@ package core
 
 import (
 	"encoding/json"
-	"strconv"
+	"math"
 
 	"emprof/internal/jsonfast"
 )
 
-// AppendJSON appends the window encoded exactly as encoding/json renders
-// a ProfileWindow value — same tag-derived keys, field order, omitempty
-// elisions, and float formatting. Sealing a window JSON-encodes it into
-// the profile store on the session's analysis worker, so this codec is
-// what keeps continuous profiling off the ingest path's reflection
-// budget. Byte-identity is property-tested in windowjson_test.go.
-func (w *ProfileWindow) AppendJSON(b []byte) ([]byte, error) {
-	var err error
-	b = append(b, `{"index":`...)
-	b = strconv.AppendInt(b, w.Index, 10)
-	b = append(b, `,"start_sample":`...)
-	b = strconv.AppendInt(b, w.StartSample, 10)
-	b = append(b, `,"end_sample":`...)
-	b = strconv.AppendInt(b, w.EndSample, 10)
-	b = append(b, `,"start_s":`...)
-	if b, err = jsonfast.AppendFloat(b, w.StartS); err != nil {
-		return nil, err
-	}
-	b = append(b, `,"end_s":`...)
-	if b, err = jsonfast.AppendFloat(b, w.EndS); err != nil {
-		return nil, err
-	}
-	if w.Final {
-		b = append(b, `,"final":true`...)
-	}
-	b = append(b, `,"stalls":`...)
-	if b, err = StallList(w.Stalls).appendJSON(b); err != nil {
-		return nil, err
-	}
-	b = append(b, `,"misses":`...)
-	b = strconv.AppendInt(b, int64(w.Misses), 10)
-	b = append(b, `,"refresh_stalls":`...)
-	b = strconv.AppendInt(b, int64(w.RefreshStalls), 10)
-	b = append(b, `,"stall_cycles":`...)
-	if b, err = jsonfast.AppendFloat(b, w.StallCycles); err != nil {
-		return nil, err
-	}
-	b = append(b, `,"mean_confidence":`...)
-	if b, err = jsonfast.AppendFloat(b, w.MeanConfidence); err != nil {
-		return nil, err
-	}
-	b = append(b, `,"quality":`...)
-	if b, err = w.Quality.appendJSON(b); err != nil {
-		return nil, err
-	}
-	if len(w.Regions) > 0 {
-		b = append(b, `,"regions":[`...)
-		for i := range w.Regions {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			r := &w.Regions[i]
-			b = append(b, `{"region":`...)
-			b = strconv.AppendInt(b, int64(r.Region), 10)
-			if r.Name != "" {
-				b = append(b, `,"name":`...)
-				b = jsonfast.AppendString(b, r.Name)
-			}
-			b = append(b, `,"misses":`...)
-			b = strconv.AppendInt(b, int64(r.Misses), 10)
-			b = append(b, `,"stall_cycles":`...)
-			if b, err = jsonfast.AppendFloat(b, r.StallCycles); err != nil {
-				return nil, err
-			}
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}'), nil
-}
-
-// MarshalJSON encodes the window via AppendJSON, so every path that
-// serialises windows — the profiles endpoint, the router fan-in, the
-// store — gets the hand-rolled codec through plain json.Marshal too.
-func (w ProfileWindow) MarshalJSON() ([]byte, error) {
-	return w.AppendJSON(make([]byte, 0, 256+len(w.Stalls)*176))
-}
-
 // UnmarshalJSON decodes a window. The fast path parses exactly the
-// compact shape AppendJSON (and reflection-driven encoding/json) emits;
-// anything else — whitespace, reordered or unknown fields — falls back
-// to the stdlib decoder, so every input the plain struct accepted is
-// still accepted.
+// compact shape encoding/json emits; anything else — whitespace,
+// reordered or unknown fields, numbers outside the JSON grammar, region
+// numbers outside uint16 — falls back to the stdlib decoder, so the codec
+// accepts and rejects exactly what the plain struct does
+// (FuzzWindowDecode).
+//
+// It is kept for speed on the client's read path: BenchmarkWindowsDecode
+// decodes an 8-window, 55 KB profiles page in 0.87 ms, against 1.42 ms
+// through the stdlib alone (median of 6 runs, 2-vCPU VM, go1.24).
 func (w *ProfileWindow) UnmarshalJSON(data []byte) error {
 	data = jsonfast.TrimSpace(data)
-	if out, i, ok := ParseWindowJSON(data, 0); ok && i == len(data) {
+	if out, i, ok := parseWindowSpan(data, 0); ok && i == len(data) {
 		*w = out
 		return nil
 	}
@@ -108,12 +35,9 @@ func (w *ProfileWindow) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ParseWindowJSON parses a compact window object starting at data[i],
-// returning the index just past its closing brace. It accepts exactly
-// the shape AppendJSON emits; callers embedding windows in larger fast
-// codecs use it to decode the nested object in one pass, falling back to
-// the stdlib on !ok.
-func ParseWindowJSON(data []byte, i int) (ProfileWindow, int, bool) {
+// parseWindowSpan parses a compact window object starting at data[i],
+// returning the index just past its closing brace.
+func parseWindowSpan(data []byte, i int) (ProfileWindow, int, bool) {
 	var w ProfileWindow
 	var ok bool
 	var n int64
@@ -223,7 +147,11 @@ func parseRegionSpan(data []byte, i int) (WindowRegion, int, bool) {
 	if i, ok = jsonfast.Eat(data, i, `{"region":`); !ok {
 		return r, i, false
 	}
-	if n, i, ok = jsonfast.Int(data, i); !ok {
+	// encoding/json rejects any sign on an unsigned field, even "-0".
+	if i < len(data) && data[i] == '-' {
+		return r, i, false
+	}
+	if n, i, ok = jsonfast.Int(data, i); !ok || n > math.MaxUint16 {
 		return r, i, false
 	}
 	r.Region = uint16(n)

@@ -137,7 +137,11 @@ func RunIngestBench(opts IngestBenchOptions, w io.Writer) (*IngestBenchReport, e
 			ClockHz:    1e9,
 		}
 	}
-	want, err := emprof.Analyze(capture, emprof.DefaultConfig())
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	want, err := an.Run(context.Background(), capture)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +231,7 @@ func RunIngestBench(opts IngestBenchOptions, w io.Writer) (*IngestBenchReport, e
 				return
 			}
 			if !reflect.DeepEqual(got, want) {
-				tm.err = fmt.Errorf("profile diverged from batch Analyze (samples lost or double-ingested)")
+				tm.err = fmt.Errorf("profile diverged from batch analysis (samples lost or double-ingested)")
 				return
 			}
 			tm.id = id
@@ -270,7 +274,7 @@ func RunIngestBench(opts IngestBenchOptions, w io.Writer) (*IngestBenchReport, e
 					return
 				}
 				if !reflect.DeepEqual(merged, want) {
-					tm.err = fmt.Errorf("merged window sequence diverged from batch Analyze")
+					tm.err = fmt.Errorf("merged window sequence diverged from batch analysis")
 				}
 			}(i)
 		}

@@ -23,10 +23,7 @@ import (
 // limit=/after= cursor must walk the same sequence.
 func TestFleetProfilesFanIn(t *testing.T) {
 	capture := fleetCapture(t, 11)
-	want, err := emprof.Analyze(capture, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := analyze(t, capture, emprof.DefaultConfig())
 	// ~8 windows across the capture, so both halves seal several.
 	windowS := float64(len(capture.Samples)) / capture.SampleRate / 8
 
@@ -88,7 +85,7 @@ func TestFleetProfilesFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("fleet profile differs from batch Analyze")
+		t.Fatal("fleet profile differs from batch analysis")
 	}
 
 	var resp service.ProfilesResponse
@@ -104,7 +101,7 @@ func TestFleetProfilesFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(merged, want) {
-		t.Fatal("fan-in merged windows differ from batch Analyze")
+		t.Fatal("fan-in merged windows differ from batch analysis")
 	}
 
 	// The sequence really is scattered: every shard alone serves a proper

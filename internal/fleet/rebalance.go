@@ -66,6 +66,7 @@ type mover struct {
 // rebalance before anything moved; a timed-out move fails just that
 // session into the unpin + override path.
 func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
+	defer rt.rebalances.Add(1)
 	var movers []mover
 	for _, shard := range sources {
 		infos, err := func() ([]service.SessionInfo, error) {

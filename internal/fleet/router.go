@@ -78,6 +78,10 @@ type Router struct {
 	// from the post-rebalance ring — a create can never land on a source
 	// shard after the listing and be stranded by the ring swap.
 	rebalanceMu sync.RWMutex
+	// rebalances counts finished membership changes (bumped under
+	// rebalanceMu), so a proxied request can tell whether one ran while
+	// it was in flight.
+	rebalances atomic.Int64
 
 	sessionsMoved  atomic.Int64
 	movesFailed    atomic.Int64
@@ -438,7 +442,12 @@ var replayBufPool sync.Pool
 // reaches the old shard after Forget and draws a 404 even though the
 // session is alive on its new owner — so a 404 re-resolves ownership
 // and retries once if it moved. A genuine unknown session resolves to
-// the same owner twice and the 404 is relayed as-is. Oversized or
+// the same owner twice and the 404 is relayed as-is. Likewise a 503
+// while this router changes membership is a session pinned for its
+// move, refused before any byte was consumed: the request waits for the
+// change to finish and, if one ran since it was forwarded, is replayed
+// once to wherever the session landed, so a move never spends the
+// client's retry budget however long it takes. Oversized or
 // length-less bodies skip the replay: they stream to the first resolved
 // owner, and an ownership-race 404 is relayed for the client's own
 // retry to resolve (the emprof client offset-tags its pushes, so its
@@ -468,6 +477,7 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request, id string
 		}
 	}
 	rt.proxiedTotal.Add(1)
+	rebalances := rt.rebalances.Load()
 	shard := rt.owner(id)
 	if rt.isDown(shard) {
 		rt.proxyErrors.Add(1)
@@ -480,16 +490,23 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request, id string
 		writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", shard, err)
 		return http.StatusGatewayTimeout
 	}
-	if resp.StatusCode == http.StatusNotFound {
-		if again := rt.owner(id); again != shard && !rt.isDown(again) {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			resp, err = rt.forward(r, again, body)
-			if err != nil {
-				rt.proxyErrors.Add(1)
-				writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", again, err)
-				return http.StatusGatewayTimeout
-			}
+	replay := false
+	switch resp.StatusCode {
+	case http.StatusNotFound:
+		replay = rt.owner(id) != shard
+	case http.StatusServiceUnavailable:
+		rt.rebalanceMu.RLock() // wait out a membership change in flight
+		rt.rebalanceMu.RUnlock()
+		replay = rt.rebalances.Load() != rebalances
+	}
+	if again := rt.owner(id); replay && !rt.isDown(again) {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		resp.Body.Close()
+		resp, err = rt.forward(r, again, body)
+		if err != nil {
+			rt.proxyErrors.Add(1)
+			writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", again, err)
+			return http.StatusGatewayTimeout
 		}
 	}
 	relay(w, resp)

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -157,5 +159,54 @@ func TestRebalanceTimeoutOnWedgedShard(t *testing.T) {
 	// and the next attempt is free to try again.
 	if got := len(rt.Ring().Shards()); got != 2 {
 		t.Fatalf("ring has %d shards after failed rebalance, want 2", got)
+	}
+}
+
+// TestPinnedPushWaitsForRebalance stretches a hand-off: the owner
+// answers a push 503 (pinned) while the router's membership change is
+// in flight. The router must hold the push until the change finishes
+// and replay it once, so the client sees one success however long the
+// move takes. Outside a membership change a 503 is relayed as-is.
+func TestPinnedPushWaitsForRebalance(t *testing.T) {
+	var calls, released atomic.Int32
+	refused := make(chan struct{}, 1)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if released.Load() == 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, `{"error":"service: session pinned for hand-off"}`)
+			refused <- struct{}{}
+			return
+		}
+		io.WriteString(w, `{"samples_ingested":1,"bytes_ingested":8}`)
+	}))
+	defer shard.Close()
+	rt, err := NewRouter(Config{Shards: []string{shard.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func() int {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/s1/samples", strings.NewReader("xxxxxxxx")))
+		return rec.Code
+	}
+
+	if code := push(); code != http.StatusServiceUnavailable || calls.Load() != 1 {
+		t.Fatalf("503 outside a membership change: HTTP %d after %d deliveries, want 503 after 1", code, calls.Load())
+	}
+	<-refused
+
+	rt.rebalanceMu.Lock() // a membership change is moving the session
+	done := make(chan int, 1)
+	go func() { done <- push() }()
+	<-refused
+	released.Store(1)
+	rt.rebalances.Add(1) // the change finishes, as rebalance does
+	rt.rebalanceMu.Unlock()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("push during a move: HTTP %d, want 200", code)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("shard saw %d deliveries, want 3 (one relayed 503, one refused, one replayed)", n)
 	}
 }

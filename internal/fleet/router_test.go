@@ -31,6 +31,21 @@ func fleetCapture(t *testing.T, seed uint64) *emprof.Capture {
 	return run.Capture
 }
 
+// analyze profiles c with NewAnalyzer(cfg, opts...).Run, failing tb on
+// error.
+func analyze(tb testing.TB, c *emprof.Capture, cfg emprof.Config, opts ...emprof.Option) *emprof.Profile {
+	tb.Helper()
+	an, err := emprof.NewAnalyzer(cfg, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prof, err := an.Run(context.Background(), c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prof
+}
+
 func startFleet(t *testing.T, n int) *fleet.LocalFleet {
 	t.Helper()
 	f, err := fleet.StartLocal(n, service.Config{}, fleet.Config{Seed: 7})
@@ -44,13 +59,10 @@ func startFleet(t *testing.T, n int) *fleet.LocalFleet {
 // TestFleetEndToEndHandoff is the acceptance test for the fleet: a
 // capture streamed through the router, with the owning shard removed
 // from the ring mid-stream, must finalize on the new owner with a
-// profile bit-identical to emprof.Analyze over the same capture.
+// profile bit-identical to the batch analysis of the same capture.
 func TestFleetEndToEndHandoff(t *testing.T) {
 	capture := fleetCapture(t, 4)
-	want, err := emprof.Analyze(capture, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := analyze(t, capture, emprof.DefaultConfig())
 
 	f := startFleet(t, 2)
 	client := emprof.NewClient(f.RouterURL)
@@ -105,7 +117,7 @@ func TestFleetEndToEndHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fleet profile differs from batch Analyze:\n got: misses=%d stalls=%d\nwant: misses=%d stalls=%d",
+		t.Fatalf("fleet profile differs from batch analysis:\n got: misses=%d stalls=%d\nwant: misses=%d stalls=%d",
 			got.Misses, len(got.Stalls), want.Misses, len(want.Stalls))
 	}
 
@@ -126,10 +138,7 @@ func TestFleetEndToEndHandoff(t *testing.T) {
 // bit-identical to the batch analysis of its capture.
 func TestFleetRebalanceUnderLoad(t *testing.T) {
 	capture := fleetCapture(t, 9)
-	want, err := emprof.Analyze(capture, emprof.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := analyze(t, capture, emprof.DefaultConfig())
 
 	f := startFleet(t, 2)
 	const sessions = 8

@@ -1,61 +1,13 @@
-// Package jsonfast holds the tiny append/parse primitives shared by the
-// hand-rolled JSON codecs on the ingest hot path (core.StallList,
-// core.Profile, service.Snapshot). Every appender replicates
-// encoding/json's output byte for byte — same float formatting, same
-// HTML-escaped strings — so handwritten and reflection-encoded values
-// are indistinguishable on the wire; the parsers accept exactly the
-// compact shape those appenders emit and report !ok for anything else,
-// letting callers fall back to the stdlib decoder.
+// Package jsonfast holds the tiny parse primitives shared by the fast
+// JSON decoders on the client's read path (core.StallList, core.Profile,
+// core.ProfileWindow, service.Snapshot). Every value is written by
+// encoding/json; the parsers accept exactly the compact shape it emits
+// and report !ok for anything else — including numbers outside the JSON
+// grammar — so callers fall back to the stdlib decoder, which then
+// decides.
 package jsonfast
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"strconv"
-)
-
-// AppendFloat appends f formatted exactly as encoding/json formats a
-// float64: shortest round-trip decimal, switching to scientific notation
-// with a minimal exponent outside [1e-6, 1e21).
-func AppendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, fmt.Errorf("jsonfast: unsupported value %v", f)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Trim the leading zero of a two-digit exponent ("e-09" → "e-9"),
-		// as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
-}
-
-// AppendString appends s as a JSON string exactly as encoding/json does
-// with its default HTML escaping. Strings of plain printable ASCII take
-// the fast path; anything needing escapes (control characters, quotes,
-// backslashes, <, >, &, non-ASCII) routes through the stdlib encoder.
-func AppendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			// json.Marshal on a string cannot fail.
-			enc, _ := json.Marshal(s)
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
+import "strconv"
 
 // Eat matches the literal lit at data[i], returning the index past it.
 func Eat(data []byte, i int, lit string) (int, bool) {
@@ -65,67 +17,94 @@ func Eat(data []byte, i int, lit string) (int, bool) {
 	return i + len(lit), true
 }
 
-// NumEnd scans the span of JSON number characters starting at i.
-func NumEnd(data []byte, i int) int {
-	for i < len(data) {
-		switch c := data[i]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			i++
-		default:
-			return i
-		}
+// numEnd scans the JSON number at data[i] by RFC 8259's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, returning the index
+// past it and whether it is a plain integer. It reports !ok when no
+// well-formed number starts at i or one runs straight into another
+// number character ("01", "1.", "1e", "+1"), so every literal the stdlib
+// would reject is left to it.
+func numEnd(data []byte, i int) (end int, integer, ok bool) {
+	j := i
+	if j < len(data) && data[j] == '-' {
+		j++
 	}
-	return i
+	switch {
+	case j < len(data) && data[j] == '0':
+		j++
+	case j < len(data) && data[j] >= '1' && data[j] <= '9':
+		j = digits(data, j+1)
+	default:
+		return i, false, false
+	}
+	integer = true
+	if j < len(data) && data[j] == '.' {
+		k := digits(data, j+1)
+		if k == j+1 {
+			return i, false, false
+		}
+		j, integer = k, false
+	}
+	if j < len(data) && (data[j] == 'e' || data[j] == 'E') {
+		j++
+		if j < len(data) && (data[j] == '+' || data[j] == '-') {
+			j++
+		}
+		k := digits(data, j)
+		if k == j {
+			return i, false, false
+		}
+		j, integer = k, false
+	}
+	if j < len(data) && isNumChar(data[j]) {
+		return i, false, false
+	}
+	return j, integer, true
 }
 
-// Int parses a decimal integer at data[i]. Plain runs of up to 18
-// digits are decoded in place without the string conversion
-// strconv.ParseInt needs; longer or signed-edge inputs take the strconv
-// path.
-func Int(data []byte, i int) (int64, int, bool) {
-	j := i
-	neg := false
-	if j < len(data) && data[j] == '-' {
-		neg = true
+func digits(data []byte, j int) int {
+	for j < len(data) && data[j] >= '0' && data[j] <= '9' {
 		j++
 	}
-	start := j
-	var v int64
-	for j < len(data) && j-start < 18 {
-		c := data[j]
-		if c < '0' || c > '9' {
-			break
-		}
-		v = v*10 + int64(c-'0')
-		j++
-	}
-	if j > start && (j == len(data) || !isNumChar(data[j])) {
-		if neg {
-			v = -v
-		}
-		return v, j, true
-	}
-	// 19+ digits (possible overflow) or a non-integer tail: let strconv
-	// decide validity.
-	j = NumEnd(data, i)
-	if j == i {
-		return 0, i, false
-	}
-	v, err := strconv.ParseInt(string(data[i:j]), 10, 64)
-	if err != nil {
-		return 0, i, false
-	}
-	return v, j, true
+	return j
 }
 
 func isNumChar(c byte) bool {
 	return c >= '0' && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
+// Int parses a JSON integer at data[i]. Runs of up to 18 digits are
+// decoded in place without the string conversion strconv.ParseInt
+// needs; longer ones take the strconv path, which rejects overflow.
+func Int(data []byte, i int) (int64, int, bool) {
+	j, integer, ok := numEnd(data, i)
+	if !ok || !integer {
+		return 0, i, false
+	}
+	k := i
+	if data[k] == '-' {
+		k++
+	}
+	if j-k > 18 {
+		v, err := strconv.ParseInt(string(data[i:j]), 10, 64)
+		if err != nil {
+			return 0, i, false
+		}
+		return v, j, true
+	}
+	var v int64
+	for _, c := range data[k:j] {
+		v = v*10 + int64(c-'0')
+	}
+	if k > i {
+		v = -v
+	}
+	return v, j, true
+}
+
 // Float parses a JSON number at data[i].
 func Float(data []byte, i int) (float64, int, bool) {
-	j := NumEnd(data, i)
-	if j == i {
+	j, _, ok := numEnd(data, i)
+	if !ok {
 		return 0, i, false
 	}
 	v, err := strconv.ParseFloat(string(data[i:j]), 64)
@@ -165,8 +144,8 @@ func String(data []byte, i int) (string, int, bool) {
 	return "", i, false
 }
 
-// TrimSpace strips leading/trailing JSON whitespace, so codecs accept
-// the trailing newline http encoders append without losing the fast
+// TrimSpace strips leading/trailing JSON whitespace, so decoders accept
+// the trailing newline json.Encoder appends without losing the fast
 // path.
 func TrimSpace(data []byte) []byte {
 	i, j := 0, len(data)

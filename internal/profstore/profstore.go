@@ -22,12 +22,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"emprof/internal/core"
-	"emprof/internal/jsonfast"
 )
 
 // ErrNotRetained marks a query whose whole range lies in windows the
@@ -273,42 +271,32 @@ func (st *Store) saveEvictions() {
 }
 
 // Append persists one sealed window and applies retention. It is safe
-// for concurrent use with Query. It runs on the session's analysis
-// worker, so the record is framed into a scratch buffer the store reuses
-// across appends (hand-rolled window codec, no reflection walk) — the
-// seal path costs no per-window garbage beyond segment growth.
+// for concurrent use with Query. The record is framed into a scratch
+// buffer the store reuses across appends.
 func (st *Store) Append(session string, w *core.ProfileWindow) error {
 	if session == "" {
 		return fmt.Errorf("profstore: empty session ID")
 	}
-	sealedNs := st.opt.Now().UnixNano()
+	rec := record{Session: session, SealedNs: st.opt.Now().UnixNano(), Window: *w}
+	payload, err := json.Marshal(&rec)
+	if err != nil {
+		return fmt.Errorf("profstore: %w", err)
+	}
+	if int64(len(payload)) > maxRecordBytes {
+		return fmt.Errorf("profstore: window record of %d bytes exceeds the %d-byte frame bound", len(payload), maxRecordBytes)
+	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return ErrClosed
 	}
-	// Frame and payload share one buffer: magic + length + CRC header,
-	// then the record JSON appended in place.
+	// Frame header (magic, payload length, payload CRC), then the payload.
 	b := append(st.scratch[:0], frameMagic[:]...)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	b = append(b, `{"session":`...)
-	b = jsonfast.AppendString(b, session)
-	b = append(b, `,"sealed_ns":`...)
-	b = strconv.AppendInt(b, sealedNs, 10)
-	b = append(b, `,"window":`...)
-	b, err := w.AppendJSON(b)
-	if err != nil {
-		return fmt.Errorf("profstore: %w", err)
-	}
-	b = append(b, '}')
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b = append(b, payload...)
 	st.scratch = b
-	payload := b[frameHeader:]
-	if int64(len(payload)) > maxRecordBytes {
-		return fmt.Errorf("profstore: window record of %d bytes exceeds the %d-byte frame bound", len(payload), maxRecordBytes)
-	}
-	binary.LittleEndian.PutUint32(b[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(payload))
 
 	seg, err := st.activeSegmentLocked(int64(len(b)))
 	if err != nil {
@@ -321,7 +309,6 @@ func (st *Store) Append(session string, w *core.ProfileWindow) error {
 	} else {
 		seg.mem = append(seg.mem, b...)
 	}
-	rec := record{Session: session, SealedNs: sealedNs, Window: *w}
 	st.indexRecord(seg, seg.size+frameHeader, int64(len(payload)), &rec)
 	seg.size += int64(len(b))
 	st.total += int64(len(b))

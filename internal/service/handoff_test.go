@@ -15,7 +15,7 @@ import (
 // TestHandoffAcrossRegistries drives the full hand-off protocol over
 // HTTP between two independent shards: stream half a capture into shard
 // A, pin → export → import into shard B → forget, stream the rest into
-// B, and require B's final profile bit-identical to batch Analyze.
+// B, and require B's final profile bit-identical to batch analysis.
 func TestHandoffAcrossRegistries(t *testing.T) {
 	capture := testSignal(30000)
 	want := core.MustNewAnalyzer(core.DefaultConfig()).Profile(capture)
@@ -82,7 +82,7 @@ func TestHandoffAcrossRegistries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("handed-off profile differs from batch Analyze")
+		t.Fatal("handed-off profile differs from batch analysis")
 	}
 
 	// Counters moved on both sides.
@@ -207,7 +207,7 @@ func TestOffsetIdempotentPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("offset-deduplicated stream diverged from batch Analyze")
+		t.Fatal("offset-deduplicated stream diverged from batch analysis")
 	}
 }
 

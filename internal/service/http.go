@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,39 +165,29 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// jsonAppender is the fast-encode hook writeJSON looks for: types that
-// can serialize themselves without the stdlib's reflection walk
-// (Snapshot, core.Profile) implement it with byte-identical output.
-type jsonAppender interface {
-	AppendJSON(b []byte) ([]byte, error)
-}
-
 // respBufPool recycles response-encode buffers across requests; profile
 // snapshots can run to hundreds of kilobytes and are requested every few
 // pushes on the ingest hot path.
-var respBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
+var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if a, ok := v.(jsonAppender); ok {
-		bp := respBufPool.Get().(*[]byte)
-		if b, err := a.AppendJSON((*bp)[:0]); err == nil {
-			// Same framing as json.Encoder.Encode, plus an explicit
-			// Content-Length so the client can size its read buffer.
-			b = append(b, '\n')
-			w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-			w.WriteHeader(code)
-			w.Write(b)
-			*bp = b
-			respBufPool.Put(bp)
-			return
-		}
-		respBufPool.Put(bp)
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer respBufPool.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
 	}
+	writeBody(w, code, buf)
+}
+
+// writeBody sends an encoded JSON body with an explicit Content-Length,
+// so the client can size its read buffer.
+func writeBody(w http.ResponseWriter, code int, buf *bytes.Buffer) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // writeErr maps registry errors onto status codes.
@@ -385,23 +376,16 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	// Encoded under the session lock into a pooled buffer (see
-	// Registry.SnapshotJSON); the response bytes match what writeJSON
-	// produces for a Registry.Snapshot result exactly.
-	bp := respBufPool.Get().(*[]byte)
-	b, err := s.reg.SnapshotJSON(r.PathValue("id"), (*bp)[:0])
-	if err != nil {
-		respBufPool.Put(bp)
+	// Encoded under the session lock (see Registry.SnapshotJSON); the
+	// bytes are those writeJSON produces for a Registry.Snapshot result.
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer respBufPool.Put(buf)
+	buf.Reset()
+	if err := s.reg.SnapshotJSON(r.PathValue("id"), buf); err != nil {
 		writeErr(w, err)
 		return
 	}
-	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
-	*bp = b
-	respBufPool.Put(bp)
+	writeBody(w, http.StatusOK, buf)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

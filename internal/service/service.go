@@ -19,8 +19,10 @@
 package service
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -174,12 +176,12 @@ type session struct {
 	// emit is the decode→analysis boundary bound once at session
 	// creation, so the hot ingest loop passes a prebuilt func value to
 	// the decoder instead of allocating a closure per request.
-	emit func([]float64)
-	dec  *em.Decoder // nil until the first ingest chooses a wire format
-	bytes      int64
-	finalized  bool
-	final      *core.Profile
-	poison     error // first decode error; the session rejects further ingest
+	emit      func([]float64)
+	dec       *em.Decoder // nil until the first ingest chooses a wire format
+	bytes     int64
+	finalized bool
+	final     *core.Profile
+	poison    error // first decode error; the session rejects further ingest
 	// pinned marks the session frozen for hand-off: ingest, snapshot and
 	// finalize answer ErrPinned (503) until the move completes, so no
 	// sample can land on two shards.
@@ -657,20 +659,20 @@ func (r *Registry) Snapshot(id string) (*Snapshot, error) {
 	return s.snapshotLocked(), nil
 }
 
-// SnapshotJSON encodes the live profile of a session straight into buf,
-// producing exactly the bytes Snapshot would marshal to. The encode runs
-// under the session lock over a clone-free profile view, so a large
-// stall list is serialised without first being copied (and zeroed) —
-// the dominant cost of the profile endpoint on long sessions.
-func (r *Registry) SnapshotJSON(id string, buf []byte) ([]byte, error) {
+// SnapshotJSON encodes the live profile of a session into buf, producing
+// exactly the bytes json.Encoder writes for the Snapshot result. The
+// encode runs under the session lock over a clone-free profile view, so a
+// large stall list is serialised without first being copied (and
+// zeroed) — the dominant cost of the profile endpoint on long sessions.
+func (r *Registry) SnapshotJSON(id string, buf *bytes.Buffer) error {
 	s, err := r.get(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pinned {
-		return nil, ErrPinned
+		return ErrPinned
 	}
 	s.lastActive = r.cfg.Now()
 	s.drainLocked()
@@ -679,8 +681,7 @@ func (r *Registry) SnapshotJSON(id string, buf []byte) ([]byte, error) {
 		view := s.an.SnapshotView()
 		prof = &view
 	}
-	snap := s.buildSnapshotLocked(prof)
-	return snap.AppendJSON(buf)
+	return json.NewEncoder(buf).Encode(s.buildSnapshotLocked(prof))
 }
 
 func (s *session) snapshotLocked() *Snapshot {
@@ -768,7 +769,7 @@ func (r *Registry) Trace(id string) (*TraceResponse, error) {
 }
 
 // Finalize drains a session's pipeline, removes it from the registry, and
-// returns its final profile — the same profile a batch Analyze of the
+// returns its final profile — the same profile a batch analysis of the
 // full capture would produce.
 func (r *Registry) Finalize(id string) (*core.Profile, error) {
 	r.mu.Lock()

@@ -133,7 +133,7 @@ func TestStreamedProfileMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatal("streamed profile differs from batch Analyze")
+			t.Fatal("streamed profile differs from batch analysis")
 		}
 	})
 
@@ -162,7 +162,7 @@ func TestStreamedProfileMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatal("EMPROFCAP-streamed profile differs from batch Analyze")
+			t.Fatal("EMPROFCAP-streamed profile differs from batch analysis")
 		}
 	})
 }

@@ -2,55 +2,16 @@ package service
 
 import (
 	"encoding/json"
-	"strconv"
 
 	"emprof/internal/core"
 	"emprof/internal/jsonfast"
 )
 
-// AppendJSON appends the snapshot encoded exactly as encoding/json
-// renders it — same tag-derived keys, omitempty device, HTML-escaped
-// strings — so the profile endpoints can respond without the stdlib's
-// reflection walk. Byte-identity is property-tested in snapjson_test.go.
-func (s *Snapshot) AppendJSON(b []byte) ([]byte, error) {
-	var err error
-	b = append(b, `{"id":`...)
-	b = jsonfast.AppendString(b, s.ID)
-	if s.Device != "" {
-		b = append(b, `,"device":`...)
-		b = jsonfast.AppendString(b, s.Device)
-	}
-	b = append(b, `,"state":`...)
-	b = jsonfast.AppendString(b, s.State)
-	b = append(b, `,"samples_ingested":`...)
-	b = strconv.AppendInt(b, s.SamplesIngested, 10)
-	b = append(b, `,"samples_decided":`...)
-	b = strconv.AppendInt(b, s.SamplesDecided, 10)
-	b = append(b, `,"bytes_ingested":`...)
-	b = strconv.AppendInt(b, s.BytesIngested, 10)
-	b = append(b, `,"profile":`...)
-	if s.Profile == nil {
-		b = append(b, "null"...)
-	} else if b, err = s.Profile.AppendJSON(b); err != nil {
-		return nil, err
-	}
-	b = append(b, `,"mean_confidence":`...)
-	if b, err = jsonfast.AppendFloat(b, s.MeanConfidence); err != nil {
-		return nil, err
-	}
-	b = append(b, `,"confidence_hist":[`...)
-	for i, v := range s.ConfidenceHist {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return append(b, "]}"...), nil
-}
-
 // UnmarshalJSON decodes a snapshot: the fast path accepts exactly the
-// compact shape AppendJSON (and the stdlib) emits, everything else falls
-// back to the reflection decoder.
+// compact shape encoding/json emits, everything else falls back to the
+// reflection decoder, so it accepts and rejects exactly what the plain
+// struct does (FuzzSnapshotDecode). The client decodes every live
+// profile poll through it.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	data = jsonfast.TrimSpace(data)
 	if out, ok := parseSnapshotFast(data); ok {

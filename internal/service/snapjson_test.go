@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
@@ -59,42 +58,40 @@ func randomSnapshot(rng *sim.RNG) *Snapshot {
 	return s
 }
 
-// rawSnapshot mirrors Snapshot's tags with a reflection-only profile
-// payload, so the stdlib produces reference bytes with no custom codec
-// in reach (Stalls still routes through StallList, which is itself
-// pinned byte-identical in core's tests).
-type rawSnapshot struct {
-	ID              string        `json:"id"`
-	Device          string        `json:"device,omitempty"`
-	State           string        `json:"state"`
-	SamplesIngested int64         `json:"samples_ingested"`
-	SamplesDecided  int64         `json:"samples_decided"`
-	BytesIngested   int64         `json:"bytes_ingested"`
-	Profile         *core.Profile `json:"profile"`
-	MeanConfidence  float64       `json:"mean_confidence"`
-	ConfidenceHist  [10]int       `json:"confidence_hist"`
+// rawStall, rawProfile and rawSnapshot mirror core.Stall, core.Profile
+// and Snapshot without any custom codec in reach, so encoding/json's
+// reflection path is the reference decoder.
+type rawStall struct {
+	StartSample, EndSample int
+	StartS                 float64
+	DurationS              float64
+	Cycles                 float64
+	Depth                  float64
+	Refresh                bool
+	Confidence             float64
 }
 
-// TestSnapshotAppendJSONMatchesStdlib pins the fast encoder's
-// wire-compatibility: byte-identical to encoding/json for any snapshot,
-// including omitted devices, nil profiles, and strings that need the
-// stdlib's HTML escaping.
-func TestSnapshotAppendJSONMatchesStdlib(t *testing.T) {
-	rng := sim.NewRNG(4242)
-	for i := 0; i < 300; i++ {
-		s := randomSnapshot(rng)
-		got, err := s.AppendJSON(nil)
-		if err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
-		}
-		want, err := json.Marshal((*rawSnapshot)(s))
-		if err != nil {
-			t.Fatalf("snapshot %d: stdlib: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("snapshot %d: wire bytes differ\n got: %s\nwant: %s", i, got, want)
-		}
-	}
+type rawProfile struct {
+	Stalls              []rawStall
+	Misses              int
+	RefreshStalls       int
+	StallCycles         float64
+	ExecCycles          float64
+	SampleRate, ClockHz float64
+	Normalized          []float64
+	Quality             core.Quality
+}
+
+type rawSnapshot struct {
+	ID              string      `json:"id"`
+	Device          string      `json:"device,omitempty"`
+	State           string      `json:"state"`
+	SamplesIngested int64       `json:"samples_ingested"`
+	SamplesDecided  int64       `json:"samples_decided"`
+	BytesIngested   int64       `json:"bytes_ingested"`
+	Profile         *rawProfile `json:"profile"`
+	MeanConfidence  float64     `json:"mean_confidence"`
+	ConfidenceHist  [10]int     `json:"confidence_hist"`
 }
 
 // TestSnapshotUnmarshalRoundTrip pins decode correctness over both
@@ -105,7 +102,7 @@ func TestSnapshotUnmarshalRoundTrip(t *testing.T) {
 	rng := sim.NewRNG(77)
 	for i := 0; i < 300; i++ {
 		s := randomSnapshot(rng)
-		blob, err := s.AppendJSON(nil)
+		blob, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,20 +130,38 @@ func TestSnapshotUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func snapshotsEqual(a, b *Snapshot) bool {
-	if a.ID != b.ID || a.Device != b.Device || a.State != b.State ||
-		a.SamplesIngested != b.SamplesIngested || a.SamplesDecided != b.SamplesDecided ||
-		a.BytesIngested != b.BytesIngested || a.ConfidenceHist != b.ConfidenceHist ||
-		math.Float64bits(a.MeanConfidence) != math.Float64bits(b.MeanConfidence) {
-		return false
-	}
-	if (a.Profile == nil) != (b.Profile == nil) {
-		return false
-	}
-	if a.Profile == nil {
-		return true
-	}
-	ab, err1 := a.Profile.AppendJSON(nil)
-	bb, err2 := b.Profile.AppendJSON(nil)
+// snapshotsEqual compares two snapshot-shaped values by their
+// encoding/json bytes: floats print shortest-round-trip (so distinct bit
+// patterns, -0 included, print differently) and nil slices print null,
+// and no Snapshot field is omitempty except a string.
+func snapshotsEqual(a, b any) bool {
+	ab, err1 := json.Marshal(a)
+	bb, err2 := json.Marshal(b)
 	return err1 == nil && err2 == nil && bytes.Equal(ab, bb)
+}
+
+// FuzzSnapshotDecode pins Snapshot.UnmarshalJSON, called directly as the
+// client calls it, to encoding/json over the method-free mirror: both
+// fail, or both succeed with bit-identical values.
+func FuzzSnapshotDecode(f *testing.F) {
+	rng := sim.NewRNG(8)
+	for i := 0; i < 8; i++ {
+		blob, err := json.Marshal(randomSnapshot(rng))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fast Snapshot
+		var mirror rawSnapshot
+		fastErr := fast.UnmarshalJSON(data)
+		refErr := json.Unmarshal(data, &mirror)
+		if (fastErr == nil) != (refErr == nil) {
+			t.Fatalf("fast decoder err = %v, encoding/json err = %v on %q", fastErr, refErr, data)
+		}
+		if fastErr == nil && !snapshotsEqual(&fast, &mirror) {
+			t.Fatalf("decoded values differ on %q\nfast: %+v\n std: %+v", data, fast, mirror)
+		}
+	})
 }

@@ -94,7 +94,7 @@ func TestWindowsEndpointMergeMatchesFinalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("windowed session's finalize profile differs from batch Analyze")
+		t.Fatal("windowed session's finalize profile differs from batch analysis")
 	}
 	det, code := getProfiles(t, ts, id, "")
 	if code != http.StatusOK {
@@ -112,7 +112,7 @@ func TestWindowsEndpointMergeMatchesFinalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(merged, want) {
-		t.Fatal("merged windows differ from batch Analyze")
+		t.Fatal("merged windows differ from batch analysis")
 	}
 }
 
@@ -358,7 +358,7 @@ func TestHandoffWindowContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("handed-off profile differs from batch Analyze")
+		t.Fatal("handed-off profile differs from batch analysis")
 	}
 
 	// Each shard's store holds its half of the window sequence.
@@ -378,7 +378,7 @@ func TestHandoffWindowContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(merged, want) {
-		t.Fatal("cross-shard merged windows differ from batch Analyze")
+		t.Fatal("cross-shard merged windows differ from batch analysis")
 	}
 }
 

@@ -69,7 +69,7 @@ func WithNormalized() Option {
 }
 
 // NewAnalyzer validates the configuration and builds an analyzer.
-// Without options it reproduces Analyze exactly; options select the
+// Without options it runs the batch path; options select the
 // parallel or streaming execution paths (every path is bit-identical in
 // output) and attach observability:
 //

@@ -128,7 +128,8 @@ func SearchProbePlacement(ctx context.Context, opts ProbeSearchOptions) (*ProbeS
 	if opts.Config != nil {
 		cfg = *opts.Config
 	}
-	if err := cfg.Validate(); err != nil {
+	an, err := NewAnalyzer(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if err := opts.Start.Validate(); err != nil {
@@ -159,7 +160,7 @@ func SearchProbePlacement(ctx context.Context, opts ProbeSearchOptions) (*ProbeS
 		if err != nil {
 			return 0, err
 		}
-		prof, err := Analyze(run.Capture, cfg)
+		prof, err := an.Run(ctx, run.Capture)
 		if err != nil {
 			return 0, err
 		}

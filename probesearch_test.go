@@ -23,7 +23,7 @@ func searchScoreAt(t *testing.T, wl string, p ProbePosition) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := Analyze(run.Capture, DefaultConfig())
+	prof, err := runAnalyzer(run.Capture, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestPlacementScoreFarOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Analyze(run.Capture, DefaultConfig())
+	ref, err := runAnalyzer(run.Capture, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lost, err := Analyze(far.Capture, DefaultConfig())
+	lost, err := runAnalyzer(far.Capture, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,11 @@ func runSweepJob(ctx context.Context, job SweepJob, cfg Config) (SweepResult, er
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	prof, err := Analyze(capture, cfg)
+	an, err := NewAnalyzer(cfg)
+	if err != nil {
+		return res, err
+	}
+	prof, err := an.Run(ctx, capture)
 	if err != nil {
 		return res, err
 	}
