@@ -9,12 +9,12 @@
 //	emprofd -addr :7979 -max-sessions 256 -max-session-bytes 4e9 -idle-ttl 2m
 //	emsim -device olimex -workload micro:1024:10 -serve-url http://localhost:7979
 //	curl -s localhost:7979/v1/sessions
-//	curl -s localhost:7979/metrics
+//	curl -s localhost:7979/v1/metrics
 //
 // With -router it serves as the stateless front of a fleet of emprofd
 // shards instead: sessions are mapped onto shards by a consistent hash
 // ring, per-session routes proxy to the owner, the session list and
-// /metrics aggregate fleet-wide, and membership changes via the
+// /v1/metrics aggregate fleet-wide, and membership changes via the
 // /v1/fleet/shards admin routes hand live sessions off between shards
 // without replay or double ingest:
 //
@@ -22,8 +22,8 @@
 //	curl -s localhost:8080/v1/fleet
 //	curl -s -XPOST localhost:8080/v1/fleet/shards -d '{"url":"http://localhost:7981"}'
 //
-// API (JSON unless noted; every /v1 route is also served at its bare
-// unversioned path for pre-versioning clients):
+// API (JSON unless noted; every route is under /v1, the only HTTP
+// surface):
 //
 //	POST   /v1/sessions               open a session {sample_rate, clock_hz, device?, config?}
 //	POST   /v1/sessions/{id}/samples  stream sample bytes (raw float64 LE, or EMPROFCAP with Content-Type application/x-emprofcap)
@@ -34,9 +34,6 @@
 //	GET    /v1/sessions               list live sessions
 //	GET    /v1/metrics                Prometheus text format (includes the emprofd_trace_* decision aggregates)
 //	GET    /debug/pprof/              daemon self-profiling
-//
-// The /v1 prefix is the supported surface; the bare aliases answer with
-// Deprecation headers and will be removed.
 //
 // Continuous profiling: -window W slices every session's stall stream
 // into rolling profile windows of W seconds (stride -window-stride,

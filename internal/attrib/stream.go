@@ -97,9 +97,6 @@ func (a *StreamAttributor) decide(frame []float64) {
 	a.decisions = append(a.decisions, int16(best))
 }
 
-// FramesDecided returns how many STFT frames have been matched so far.
-func (a *StreamAttributor) FramesDecided() int64 { return a.nextFrame }
-
 // regionAt returns the signature of the frame whose centre is nearest
 // the given absolute sample, majority-smoothed over radius 2 as the
 // batch path does (clamped at the retained/decided edges).

@@ -191,8 +191,8 @@ func TestDecoderHandoff(t *testing.T) {
 	for _, cut := range []int{0, 1, 3, 8, 13, 800, len(raw) - 5, len(raw)} {
 		d := em.NewRawDecoder()
 		var got []float64
-		emit := func(v float64) { got = append(got, v) }
-		if err := d.Feed(raw[:cut], emit); err != nil {
+		emit := func(xs []float64) { got = append(got, xs...) }
+		if err := d.FeedBlock(raw[:cut], emit); err != nil {
 			t.Fatal(err)
 		}
 		st, err := d.State()
@@ -211,7 +211,7 @@ func TestDecoderHandoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d2.Feed(raw[cut:], emit); err != nil {
+		if err := d2.FeedBlock(raw[cut:], emit); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, c.Samples) {

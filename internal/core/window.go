@@ -127,12 +127,6 @@ func (w *Windower) WidthSamples() int64 { return w.width }
 // StrideSamples returns the window stride in samples.
 func (w *Windower) StrideSamples() int64 { return w.stride }
 
-// Tumbling reports whether stride equals width (windows concatenate).
-func (w *Windower) Tumbling() bool { return w.stride == w.width }
-
-// NextIndex returns the index the next sealed window will carry.
-func (w *Windower) NextIndex() int64 { return w.idx }
-
 // NextStart returns the stream position where the next unsealed window
 // begins — nothing below it can appear in a future window, which is what
 // lets downstream stages (the streaming attributor) release state.

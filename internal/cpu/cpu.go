@@ -160,18 +160,6 @@ func (r *Result) StallFraction() float64 {
 	return float64(r.FullStallCycles) / float64(r.Cycles)
 }
 
-// StalledMissCount returns how many ground-truth misses produced at least
-// one fully-stalled cycle (the events a stall-based detector can see).
-func (r *Result) StalledMissCount() int {
-	n := 0
-	for i := range r.Misses {
-		if r.Misses[i].Stalled {
-			n++
-		}
-	}
-	return n
-}
-
 // Core is the processor model bound to a memory system.
 type Core struct {
 	cfg Config
@@ -240,24 +228,6 @@ func (c *Core) Mem() *mem.System { return c.ms }
 
 // AddSink registers a per-cycle power consumer.
 func (c *Core) AddSink(s power.Sink) { c.sinks = append(c.sinks, s) }
-
-// opLatency returns the execution latency of op.
-func (c *Core) opLatency(op sim.Op) int {
-	switch op {
-	case sim.OpIntMul:
-		return c.cfg.IntMulLat
-	case sim.OpIntDiv:
-		return c.cfg.IntDivLat
-	case sim.OpFPALU:
-		return c.cfg.FPALULat
-	case sim.OpFPMul:
-		return c.cfg.FPMulLat
-	case sim.OpFPDiv:
-		return c.cfg.FPDivLat
-	default:
-		return c.cfg.IntALULat
-	}
-}
 
 // fetchRing is the decoded-instruction buffer as a fixed-capacity ring
 // (power-of-two sized, masked indexing). The previous slice
@@ -775,8 +745,8 @@ type runState struct {
 }
 
 // initOpTables fills the per-op issue tables. The entries mirror
-// tryIssue's default branch (and the old opLatency fallback: unknown
-// classes execute as single-cycle ALU ops with no unit activity).
+// tryIssue's default branch (unknown classes execute as single-cycle ALU
+// ops with no unit activity).
 func (r *runState) initOpTables(cfg *Config) {
 	for op := range r.simpleLat {
 		r.simpleLat[op] = uint64(cfg.IntALULat)

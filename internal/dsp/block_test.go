@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // blockRand is a tiny deterministic generator for test signals (kept local
 // so dsp tests do not depend on internal/sim).
@@ -156,48 +153,6 @@ func TestProcessBlockEdgeCases(t *testing.T) {
 			}
 		}
 	})
-	t.Run("decimator-empty", func(t *testing.T) {
-		d := NewDecimator(3)
-		d.Process(1)
-		if out := d.ProcessBlock(nil, nil); len(out) != 0 {
-			t.Fatalf("empty block produced %d outputs", len(out))
-		}
-		if _, ok := d.Process(1); !ok {
-			// phase was 1 after the first Process; second sample must not
-			// emit, third must.
-			if _, ok := d.Process(1); !ok {
-				t.Fatal("decimator phase lost by empty block")
-			}
-		} else {
-			t.Fatal("decimator emitted early after empty block")
-		}
-	})
-	t.Run("decimator-ragged", func(t *testing.T) {
-		// len(in) % factor != 0 split unevenly across calls must equal the
-		// scalar stream exactly.
-		const factor = 4
-		d, ref := NewDecimator(factor), NewDecimator(factor)
-		sig := randSignal(9, 103) // 103 % 4 == 3
-		var want []float64
-		for _, x := range sig {
-			if y, ok := ref.Process(x); ok {
-				want = append(want, y)
-			}
-		}
-		var got []float64
-		got = d.ProcessBlock(sig[:13], got)
-		got = d.ProcessBlock(sig[13:13], got)
-		got = d.ProcessBlock(sig[13:70], got)
-		got = d.ProcessBlock(sig[70:], got)
-		if len(got) != len(want) {
-			t.Fatalf("ragged blocks gave %d outputs, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("ragged output %d: got %v, want %v", i, got[i], want[i])
-			}
-		}
-	})
 }
 
 // TestMovingAverageBlockBitIdentical mirrors the FIR split test for the
@@ -231,101 +186,6 @@ func TestMovingAverageBlockBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestDecimatorBlockBitIdentical checks block decimation across factors and
-// arbitrary splits, including splits that leave the phase mid-window.
-func TestDecimatorBlockBitIdentical(t *testing.T) {
-	for _, factor := range []int{1, 2, 5, 8, 13} {
-		in := randSignal(uint64(factor)*17, 500)
-		ref := NewDecimator(factor)
-		var want []float64
-		for _, x := range in {
-			if y, ok := ref.Process(x); ok {
-				want = append(want, y)
-			}
-		}
-		for split := uint64(1); split <= 5; split++ {
-			d := NewDecimator(factor)
-			var got []float64
-			pos := 0
-			for _, sz := range splitSizes(split+200, len(in)) {
-				got = d.ProcessBlock(in[pos:pos+sz], got)
-				pos += sz
-			}
-			if len(got) != len(want) {
-				t.Fatalf("factor=%d split=%d: %d outputs, want %d", factor, split, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("factor=%d split=%d output %d: got %v, want %v", factor, split, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestOverlapSaveMatchesDirect compares the FFT overlap-save convolver to
-// the exact direct FIR over streaming splits, to floating-point tolerance.
-func TestOverlapSaveMatchesDirect(t *testing.T) {
-	for _, nt := range []int{64, 101, 257} {
-		taps := LowpassFIR(0.07, nt).Taps()
-		in := randSignal(uint64(nt), 3000)
-		ref := NewFIR(taps)
-		want := ref.ProcessBlock(in, nil)
-		os := NewOverlapSave(taps)
-		var got []float64
-		pos := 0
-		for _, sz := range splitSizes(uint64(nt)+5, len(in)) {
-			got = append(got, os.ProcessBlock(in[pos:pos+sz], nil)...)
-			pos += sz
-		}
-		if len(got) != len(want) {
-			t.Fatalf("taps=%d: %d outputs, want %d", nt, len(got), len(want))
-		}
-		for i := range want {
-			if d := math.Abs(got[i] - want[i]); d > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("taps=%d output %d: got %v, want %v (|Δ|=%v)", nt, i, got[i], want[i], d)
-			}
-		}
-	}
-}
-
-// TestOverlapSaveEdgeCases covers aliasing, empty blocks, and Reset.
-func TestOverlapSaveEdgeCases(t *testing.T) {
-	taps := LowpassFIR(0.1, 65).Taps()
-	in := randSignal(3, 512)
-	a, b := NewOverlapSave(taps), NewOverlapSave(taps)
-	want := a.ProcessBlock(in, nil)
-	buf := append([]float64(nil), in...)
-	got := b.ProcessBlock(buf, buf)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("aliased overlap-save output %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
-	if out := a.ProcessBlock(nil, nil); len(out) != 0 {
-		t.Fatalf("empty block produced %d outputs", len(out))
-	}
-	a.Reset()
-	fresh := NewOverlapSave(taps)
-	x := randSignal(4, 64)
-	ra, rf := a.ProcessBlock(x, nil), fresh.ProcessBlock(x, nil)
-	for i := range rf {
-		if ra[i] != rf[i] {
-			t.Fatalf("Reset left state behind at output %d: %v vs %v", i, ra[i], rf[i])
-		}
-	}
-}
-
-// TestNewBlockFIRSelectsByTapCount pins the threshold behaviour.
-func TestNewBlockFIRSelectsByTapCount(t *testing.T) {
-	if _, ok := NewBlockFIR(LowpassFIR(0.1, FFTTapThreshold-1).Taps()).(*FIR); !ok {
-		t.Fatalf("below threshold must pick the exact direct FIR")
-	}
-	if _, ok := NewBlockFIR(LowpassFIR(0.1, FFTTapThreshold+1).Taps()).(*OverlapSave); !ok {
-		t.Fatalf("above threshold must pick overlap-save")
 	}
 }
 
@@ -413,31 +273,6 @@ func BenchmarkFIRProcessBlock(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f.ProcessBlock(in, out)
-		}
-		b.SetBytes(int64(8 * len(in)))
-	})
-}
-
-// BenchmarkOverlapSave contrasts direct block convolution with FFT
-// overlap-save at a decimator-scale tap count.
-func BenchmarkOverlapSave(b *testing.B) {
-	taps := LowpassFIR(0.01, 257).Taps()
-	in := randSignal(2, 1<<15)
-	b.Run("direct", func(b *testing.B) {
-		f := NewFIR(taps)
-		out := make([]float64, len(in))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.ProcessBlock(in, out)
-		}
-		b.SetBytes(int64(8 * len(in)))
-	})
-	b.Run("fft", func(b *testing.B) {
-		o := NewOverlapSave(taps)
-		out := make([]float64, len(in))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o.ProcessBlock(in, out)
 		}
 		b.SetBytes(int64(8 * len(in)))
 	})

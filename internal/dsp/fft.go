@@ -1,8 +1,9 @@
 // Package dsp is the signal-processing substrate for the EMPROF
-// reproduction. The paper's receiver chain and profiler need band-limiting
-// filters, decimation, sliding-window statistics, envelopes, and short-time
-// spectra; Go's standard library provides none of these, so they are
-// implemented here from scratch on top of math and math/cmplx only.
+// reproduction. The paper's receiver chain and profiler need a
+// band-limiting FIR filter, sliding-window averages and extrema, summary
+// statistics, and short-time spectra; Go's standard library provides none
+// of these, so they are implemented here from scratch on top of the math
+// packages only.
 package dsp
 
 import (
@@ -14,20 +15,6 @@ import (
 // FFT computes the in-place radix-2 decimation-in-time fast Fourier
 // transform of x. len(x) must be a power of two.
 func FFT(x []complex128) {
-	fftDir(x, false)
-}
-
-// IFFT computes the in-place inverse FFT of x, including the 1/N
-// normalisation. len(x) must be a power of two.
-func IFFT(x []complex128) {
-	fftDir(x, true)
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-}
-
-func fftDir(x []complex128, inverse bool) {
 	n := len(x)
 	if n == 0 {
 		return
@@ -43,13 +30,9 @@ func fftDir(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		step := sign * 2 * math.Pi / float64(size)
+		step := -2 * math.Pi / float64(size)
 		wStep := complex(math.Cos(step), math.Sin(step))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -60,33 +59,6 @@ func TestFFTLinearity(t *testing.T) {
 		if cmplx.Abs(sum[i]-(fa[i]+fb[i])) > 1e-12 {
 			t.Fatalf("bin %d: FFT(a+b)=%v != FFT(a)+FFT(b)=%v", i, sum[i], fa[i]+fb[i])
 		}
-	}
-}
-
-func TestIFFTRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		n := 64
-		x := make([]complex128, n)
-		s := uint64(seed)
-		for i := range x {
-			s = s*6364136223846793005 + 1442695040888963407
-			re := float64(int32(s>>33)) / (1 << 30)
-			s = s*6364136223846793005 + 1442695040888963407
-			im := float64(int32(s>>33)) / (1 << 30)
-			x[i] = complex(re, im)
-		}
-		orig := append([]complex128(nil), x...)
-		FFT(x)
-		IFFT(x)
-		for i := range x {
-			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

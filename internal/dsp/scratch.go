@@ -3,8 +3,8 @@ package dsp
 import "sync"
 
 // scratchPool recycles float64 work buffers across block-kernel calls so the
-// hot synthesis path (FIR/decimator blocks arriving every few thousand
-// cycles) settles to zero steady-state allocations. Buffers are pooled via
+// hot synthesis path (FIR blocks arriving every few thousand cycles)
+// settles to zero steady-state allocations. Buffers are pooled via
 // pointer-to-slice to avoid the allocation sync.Pool would otherwise do for
 // the slice header itself.
 var scratchPool = sync.Pool{

@@ -59,10 +59,10 @@ func WriteCapture(w io.Writer, c *Capture) error {
 
 // Decoder incrementally decodes a stream of capture bytes, in bounded
 // memory, regardless of how the stream is chunked: bytes may arrive one
-// at a time or in megabyte blocks, across any number of Feed calls, with
-// words and the header split anywhere. It backs both ReadCapture and the
-// profiling service's streaming ingest, where captures arrive over the
-// network and must never be buffered whole.
+// at a time or in megabyte blocks, across any number of FeedBlock
+// calls, with words and the header split anywhere. It backs both
+// ReadCapture and the profiling service's streaming ingest, where
+// captures arrive over the network and must never be buffered whole.
 //
 // Two wire formats are supported:
 //
@@ -84,7 +84,7 @@ type Decoder struct {
 	clockHz    float64
 	declared   int64
 
-	// Word reassembly across Feed boundaries.
+	// Word reassembly across FeedBlock boundaries.
 	partial [8]byte
 	np      int
 
@@ -103,66 +103,6 @@ func NewStreamDecoder() *Decoder {
 // stream.
 func NewRawDecoder() *Decoder { return &Decoder{raw: true, hdrDone: true} }
 
-// Feed consumes the next chunk of the stream, calling emit once per
-// completed sample, in order. It returns a non-nil error on malformed
-// input (bad magic, implausible metadata); once an error is returned the
-// decoder is poisoned and every later Feed returns the same error.
-func (d *Decoder) Feed(p []byte, emit func(float64)) error {
-	if d.err != nil {
-		return d.err
-	}
-	if !d.hdrDone {
-		need := headerSize - len(d.hdr)
-		if need > len(p) {
-			need = len(p)
-		}
-		d.hdr = append(d.hdr, p[:need]...)
-		p = p[need:]
-		if len(d.hdr) < headerSize {
-			return nil
-		}
-		if err := d.parseHeader(); err != nil {
-			d.err = err
-			return err
-		}
-		d.hdrDone = true
-	}
-	for len(p) > 0 {
-		if !d.raw && d.emitted == d.declared {
-			// The declared sample count has been satisfied; anything
-			// further is trailing data the caller may treat as an error
-			// (Trailing) — ReadCapture ignores it, as it always has.
-			d.trailing += int64(len(p))
-			return nil
-		}
-		if d.np > 0 || len(p) < 8 {
-			n := copy(d.partial[d.np:], p)
-			d.np += n
-			p = p[n:]
-			if d.np < 8 {
-				return nil
-			}
-			d.np = 0
-			d.emitted++
-			emit(math.Float64frombits(binary.LittleEndian.Uint64(d.partial[:])))
-			continue
-		}
-		// Fast path: whole words directly from the input chunk.
-		words := len(p) / 8
-		if !d.raw {
-			if rem := d.declared - d.emitted; int64(words) > rem {
-				words = int(rem)
-			}
-		}
-		for i := 0; i < words; i++ {
-			emit(math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:])))
-		}
-		d.emitted += int64(words)
-		p = p[words*8:]
-	}
-	return nil
-}
-
 // decodeBlockSamples sizes FeedBlock's decode scratch: 8 KiSamples =
 // 64 KiB per emit, matching the service's ingest chunk so one network
 // read usually becomes one emit.
@@ -174,12 +114,15 @@ var decodeBlockPool = sync.Pool{
 	New: func() any { b := make([]float64, decodeBlockSamples); return &b },
 }
 
-// FeedBlock consumes the next chunk of the stream like Feed, but hands
-// completed samples to emit in batches decoded into a pooled scratch
+// FeedBlock consumes the next chunk of the stream, handing completed
+// samples to emit, in order, in batches decoded into a pooled scratch
 // block: aligned whole words are decoded in bulk; only the header and
 // word fragments spanning chunk boundaries take the byte-at-a-time
 // path (those emit a one-sample block). The sequence of samples emitted
-// is bit-identical to Feed's for any chunking of the stream.
+// is the same for any chunking of the stream. It returns a non-nil
+// error on malformed input (bad magic, implausible metadata); once an
+// error is returned the decoder is poisoned and every later FeedBlock
+// returns the same error.
 //
 // The slice passed to emit is only valid for the duration of the call
 // and is reused afterwards — emit must consume it (e.g. feed it to
@@ -208,6 +151,9 @@ func (d *Decoder) FeedBlock(p []byte, emit func([]float64)) error {
 	var block []float64
 	for len(p) > 0 {
 		if !d.raw && d.emitted == d.declared {
+			// The declared sample count has been satisfied; anything
+			// further is trailing data the caller may treat as an error
+			// (Trailing) — ReadCapture ignores it.
 			d.trailing += int64(len(p))
 			break
 		}
@@ -278,9 +224,9 @@ func (d *Decoder) parseHeader() error {
 }
 
 // DropFragment discards a half-assembled word left by an interrupted
-// Feed. The profiling service calls it before replay-skipping a retried
-// push body: the retry resends the fragmented sample whole, so the stale
-// prefix bytes must not be prepended to the resent ones.
+// FeedBlock. The profiling service calls it before replay-skipping a
+// retried push body: the retry resends the fragmented sample whole, so
+// the stale prefix bytes must not be prepended to the resent ones.
 func (d *Decoder) DropFragment() { d.np = 0 }
 
 // HeaderDone reports whether the metadata is available (always true for a
@@ -329,7 +275,7 @@ type DecoderState struct {
 }
 
 // State snapshots the decoder. It must not be called on a poisoned
-// decoder (one whose Feed has returned an error).
+// decoder (one whose FeedBlock has returned an error).
 func (d *Decoder) State() (DecoderState, error) {
 	if d.err != nil {
 		return DecoderState{}, fmt.Errorf("em: cannot snapshot poisoned decoder: %w", d.err)
@@ -400,7 +346,7 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	for !d.Complete() {
 		n, err := r.Read(buf)
 		if n > 0 {
-			if ferr := d.Feed(buf[:n], func(v float64) { c.Samples = append(c.Samples, v) }); ferr != nil {
+			if ferr := d.FeedBlock(buf[:n], func(xs []float64) { c.Samples = append(c.Samples, xs...) }); ferr != nil {
 				return nil, ferr
 			}
 		}

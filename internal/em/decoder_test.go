@@ -34,7 +34,7 @@ func TestDecoderChunkInvariance(t *testing.T) {
 			if end > len(enc) {
 				end = len(enc)
 			}
-			if err := d.Feed(enc[off:end], func(v float64) { got = append(got, v) }); err != nil {
+			if err := d.FeedBlock(enc[off:end], collect(&got)); err != nil {
 				t.Fatalf("chunk=%d: %v", chunk, err)
 			}
 		}
@@ -56,8 +56,14 @@ func TestDecoderChunkInvariance(t *testing.T) {
 	}
 }
 
+// collect returns a FeedBlock emit callback that appends every block to
+// *out.
+func collect(out *[]float64) func([]float64) {
+	return func(xs []float64) { *out = append(*out, xs...) }
+}
+
 // TestRawDecoder checks the headerless float64 path, including words split
-// across Feed calls.
+// across FeedBlock calls.
 func TestRawDecoder(t *testing.T) {
 	want := []float64{0, 1.5, -2.25, math.Pi, 1e-300}
 	var enc []byte
@@ -69,7 +75,7 @@ func TestRawDecoder(t *testing.T) {
 	d := NewRawDecoder()
 	var got []float64
 	for _, b := range enc { // worst case: one byte at a time
-		if err := d.Feed([]byte{b}, func(v float64) { got = append(got, v) }); err != nil {
+		if err := d.FeedBlock([]byte{b}, collect(&got)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +91,7 @@ func TestRawDecoder(t *testing.T) {
 		}
 	}
 	// A dangling half-word leaves the stream incomplete.
-	if err := d.Feed([]byte{1, 2, 3}, func(float64) {}); err != nil {
+	if err := d.FeedBlock([]byte{1, 2, 3}, func([]float64) {}); err != nil {
 		t.Fatal(err)
 	}
 	if d.Complete() {
@@ -111,7 +117,7 @@ func TestDecoderTrailing(t *testing.T) {
 	buf.Write(make([]byte, 24))
 	d := NewStreamDecoder()
 	n := 0
-	if err := d.Feed(buf.Bytes(), func(float64) { n++ }); err != nil {
+	if err := d.FeedBlock(buf.Bytes(), func(xs []float64) { n += len(xs) }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
@@ -126,14 +132,14 @@ func TestDecoderTrailing(t *testing.T) {
 }
 
 // TestDecoderPoisonedAfterError checks that a malformed header fails every
-// later Feed with the same error.
+// later FeedBlock with the same error.
 func TestDecoderPoisonedAfterError(t *testing.T) {
 	d := NewStreamDecoder()
-	err := d.Feed([]byte("XXXXXXXXXXxxxxxxxxxxxxxxxxxxxxxxxxxxxx"), func(float64) {})
+	err := d.FeedBlock([]byte("XXXXXXXXXXxxxxxxxxxxxxxxxxxxxxxxxxxxxx"), func([]float64) {})
 	if err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if err2 := d.Feed([]byte{0}, func(float64) {}); err2 != err {
+	if err2 := d.FeedBlock([]byte{0}, func([]float64) {}); err2 != err {
 		t.Fatalf("poisoned decoder returned %v, want %v", err2, err)
 	}
 }

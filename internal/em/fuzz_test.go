@@ -58,7 +58,7 @@ func FuzzReadCapture(f *testing.F) {
 			if end > len(data) {
 				end = len(data)
 			}
-			incErr = d.Feed(data[off:end], func(v float64) { inc = append(inc, v) })
+			incErr = d.FeedBlock(data[off:end], collect(&inc))
 		}
 		if err == nil {
 			if incErr != nil {
@@ -107,13 +107,12 @@ func FuzzReadCapture(f *testing.F) {
 	})
 }
 
-// FuzzDecoderFeedBlock pins the block decoder against the per-sample
-// one: for any input bytes and any pair of chunkings — including both
-// wire formats — FeedBlock must emit the exact sample sequence Feed
-// does, agree on every counter (Emitted, Trailing, Complete, Meta),
-// and return the same error at the same point. Chunk invariance of
-// FeedBlock itself follows from comparing two different block
-// chunkings against one Feed reference.
+// FuzzDecoderFeedBlock pins FeedBlock's chunk invariance: for any input
+// bytes, either wire format and any chunking, it must emit exactly the
+// sample sequence that 1-byte feeds emit, agree with them on every
+// counter (Emitted, Trailing, Complete, Meta), and fail exactly when
+// they fail. 1-byte feeds take the word-fragment path for every sample
+// and the bulk path never, so the two decode each sample independently.
 func FuzzDecoderFeedBlock(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(9), false)
 	f.Add([]byte(captureMagic), uint8(3), uint8(1), false)
@@ -131,42 +130,31 @@ func FuzzDecoderFeedBlock(f *testing.F) {
 	f.Add(short, uint8(5), uint8(13), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, chunkA, chunkB uint8, raw bool) {
-		newDec := func() *Decoder {
+		feed := func(chunk int) (*Decoder, []float64, error) {
+			d := NewStreamDecoder()
 			if raw {
-				return NewRawDecoder()
+				d = NewRawDecoder()
 			}
-			return NewStreamDecoder()
-		}
-		feed := func(d *Decoder, chunk int, block bool) ([]float64, error) {
 			var out []float64
 			var err error
 			for off := 0; off < len(data) && err == nil; off += chunk {
-				end := off + chunk
-				if end > len(data) {
-					end = len(data)
-				}
-				if block {
-					err = d.FeedBlock(data[off:end], func(vs []float64) {
-						out = append(out, vs...)
-					})
-				} else {
-					err = d.Feed(data[off:end], func(v float64) { out = append(out, v) })
-				}
+				end := min(off+chunk, len(data))
+				err = d.FeedBlock(data[off:end], collect(&out))
 			}
-			return out, err
+			return d, out, err
 		}
-		check := func(name string, ref *Decoder, refOut []float64, refErr error, chunk int) {
-			d := newDec()
-			out, err := feed(d, chunk, true)
+		ref, refOut, refErr := feed(1)
+		check := func(name string, chunk int) {
+			d, out, err := feed(chunk)
 			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s: FeedBlock err=%v, Feed err=%v", name, err, refErr)
+				t.Fatalf("%s: err=%v, 1-byte feeds err=%v", name, err, refErr)
 			}
 			if len(out) != len(refOut) {
-				t.Fatalf("%s: FeedBlock emitted %d samples, Feed %d", name, len(out), len(refOut))
+				t.Fatalf("%s: emitted %d samples, 1-byte feeds %d", name, len(out), len(refOut))
 			}
 			for i := range out {
 				if math.Float64bits(out[i]) != math.Float64bits(refOut[i]) {
-					t.Fatalf("%s: sample %d: block %x, per-sample %x", name, i,
+					t.Fatalf("%s: sample %d: %x, 1-byte feeds %x", name, i,
 						math.Float64bits(out[i]), math.Float64bits(refOut[i]))
 				}
 			}
@@ -184,12 +172,8 @@ func FuzzDecoderFeedBlock(f *testing.F) {
 			}
 		}
 
-		ca := int(chunkA%64) + 1
-		cb := int(chunkB)*64 + 1
-		ref := newDec()
-		refOut, refErr := feed(ref, ca, false)
-		check("same-chunking", ref, refOut, refErr, ca)
-		check("cross-chunking", ref, refOut, refErr, cb)
-		check("one-shot", ref, refOut, refErr, len(data)+1)
+		check("fuzzed-chunking", int(chunkA%64)+1)
+		check("wide-chunking", int(chunkB)*64+1)
+		check("one-shot", len(data)+1)
 	})
 }

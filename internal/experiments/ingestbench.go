@@ -473,11 +473,11 @@ func CompareIngestBench(cur, base *IngestBenchReport, opts GateOptions, w io.Wri
 	return nil
 }
 
-// PrintFleetMetrics fetches the router's aggregated /metrics and prints
+// PrintFleetMetrics fetches the router's aggregated /v1/metrics and prints
 // the fleet-relevant series (sessions, samples, hand-off counters) —
 // what the CI smoke job greps after a load run.
 func PrintFleetMetrics(routerURL string, w io.Writer) error {
-	resp, err := http.Get(routerURL + "/metrics")
+	resp, err := http.Get(routerURL + "/v1/metrics")
 	if err != nil {
 		return err
 	}

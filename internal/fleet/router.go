@@ -88,7 +88,6 @@ type Router struct {
 	proxiedTotal   atomic.Int64
 	proxyErrors    atomic.Int64
 	sessionsRouted atomic.Int64
-	deprecatedHits atomic.Int64
 }
 
 type shardHealth struct {
@@ -259,44 +258,18 @@ func newFleetID() string {
 // unchanged against a router.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"POST /sessions", rt.handleCreate},
-		{"GET /sessions", rt.handleList},
-		{"POST /sessions/{id}/samples", rt.handleSession},
-		{"GET /sessions/{id}/profile", rt.handleSession},
-		{"GET /sessions/{id}/profiles", rt.handleProfiles},
-		{"GET /sessions/{id}/trace", rt.handleSession},
-		{"DELETE /sessions/{id}", rt.handleFinalize},
-		{"GET /metrics", rt.handleMetrics},
-		{"GET /fleet", rt.handleFleetStatus},
-		{"POST /fleet/shards", rt.handleAddShard},
-		{"POST /fleet/shards/remove", rt.handleRemoveShard},
-	}
-	for _, r := range routes {
-		method, path, _ := strings.Cut(r.pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, r.h)
-		// Bare aliases mirror the shards' deprecation contract: they keep
-		// working, but answer with the successor-version headers and count
-		// their traffic so operators can see who still needs to migrate.
-		mux.HandleFunc(r.pattern, rt.deprecated(r.h))
-	}
+	mux.HandleFunc("POST /v1/sessions", rt.handleCreate)
+	mux.HandleFunc("GET /v1/sessions", rt.handleList)
+	mux.HandleFunc("POST /v1/sessions/{id}/samples", rt.handleSession)
+	mux.HandleFunc("GET /v1/sessions/{id}/profile", rt.handleSession)
+	mux.HandleFunc("GET /v1/sessions/{id}/profiles", rt.handleProfiles)
+	mux.HandleFunc("GET /v1/sessions/{id}/trace", rt.handleSession)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.handleFinalize)
+	mux.HandleFunc("GET /v1/metrics", rt.handleMetrics)
+	mux.HandleFunc("GET /v1/fleet", rt.handleFleetStatus)
+	mux.HandleFunc("POST /v1/fleet/shards", rt.handleAddShard)
+	mux.HandleFunc("POST /v1/fleet/shards/remove", rt.handleRemoveShard)
 	return mux
-}
-
-// deprecated wraps a bare (unversioned) route alias: same handler, plus
-// the Deprecation/Link headers pointing at the /v1 successor and a hit
-// counter. /v1 is the only supported surface; the aliases exist for
-// pre-/v1 clients and will be removed.
-func (rt *Router) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		rt.deprecatedHits.Add(1)
-		h(w, r)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -685,7 +658,7 @@ func (rt *Router) handleRemoveShard(w http.ResponseWriter, r *http.Request) {
 	rt.handleFleetStatus(w, r)
 }
 
-// handleMetrics aggregates /metrics across the fleet: counters and
+// handleMetrics aggregates /v1/metrics across the fleet: counters and
 // gauges with the same series identity are summed (sessions active,
 // samples ingested, stalls detected — all meaningful fleet-wide), then
 // the router appends its own emprofd_fleet_* series, including a
@@ -701,7 +674,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, s string) {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, s+"/metrics", nil)
+			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, s+"/v1/metrics", nil)
 			if err != nil {
 				return
 			}
@@ -740,7 +713,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("emprofd_fleet_moves_failed_total", "Session hand-offs that failed and were rolled back.", rt.movesFailed.Load())
 	counter("emprofd_fleet_proxied_requests_total", "Per-session requests proxied to shards.", rt.proxiedTotal.Load())
 	counter("emprofd_fleet_proxy_errors_total", "Proxied requests that failed to reach their shard.", rt.proxyErrors.Load())
-	counter("emprofd_fleet_deprecated_route_hits_total", "Router requests served on deprecated unversioned route aliases.", rt.deprecatedHits.Load())
 	fmt.Fprintf(w, "# HELP emprofd_fleet_shard_up Shard liveness, by shard.\n# TYPE emprofd_fleet_shard_up gauge\n")
 	for _, s := range shards {
 		up := 1

@@ -317,7 +317,7 @@ func TestFleetListAndMetricsAggregation(t *testing.T) {
 		t.Fatalf("shards hold %d sessions, want %d", perShard, n)
 	}
 
-	resp, err := http.Get(f.RouterURL + "/metrics")
+	resp, err := http.Get(f.RouterURL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,6 +355,18 @@ func TestFleetListAndMetricsAggregation(t *testing.T) {
 func TestFleetAdminRoutes(t *testing.T) {
 	f := startFleet(t, 2)
 	victim := f.ShardURLs[0]
+
+	// The router serves /v1 only, like its shards.
+	for _, path := range []string{"/sessions", "/metrics", "/fleet"} {
+		resp, err := http.Get(f.RouterURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
 
 	code, body := postJSON(t, f.RouterURL+"/v1/fleet/shards/remove", fleet.ShardRequest{URL: victim})
 	if code != http.StatusOK {

@@ -309,9 +309,6 @@ func (c *Cache) InvalidateAll() {
 	}
 }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.lines) / c.ways }
-
 // ValidLines returns the number of valid lines currently cached.
 func (c *Cache) ValidLines() int {
 	n := 0

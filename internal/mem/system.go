@@ -251,12 +251,8 @@ func MustNewSystem(cfg Config, rng *sim.RNG, recordBursts bool) *System {
 }
 
 // Misses returns the ground-truth miss records. The slice is owned by the
-// system; the processor model writes stall attribution into it via
-// MissRecordAt.
+// system; the processor model writes stall attribution into it.
 func (s *System) Misses() []MissRecord { return s.misses }
-
-// MissRecordAt returns a pointer to miss record id for stall attribution.
-func (s *System) MissRecordAt(id int) *MissRecord { return &s.misses[id] }
 
 // Stats returns hierarchy-level counters.
 func (s *System) Stats() SystemStats { return s.stats }

@@ -17,7 +17,7 @@ import (
 func TestIngestSteadyStateZeroAllocs(t *testing.T) {
 	srv := New(Config{})
 	reg := srv.Registry()
-	id, err := reg.Create("alloc-test", 40e6, 1e9, core.DefaultConfig())
+	id, err := reg.CreateSession(CreateOpts{Device: "alloc-test", SampleRate: 40e6, ClockHz: 1e9, Config: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestHandoffGuards(t *testing.T) {
 	capture := testSignal(4000)
 	srv, _ := newTestServer(t, Config{})
 	reg := srv.Registry()
-	id, err := reg.Create("", capture.SampleRate, capture.ClockHz, core.DefaultConfig())
+	id, err := reg.CreateSession(CreateOpts{SampleRate: capture.SampleRate, ClockHz: capture.ClockHz, Config: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestClientAssignedID(t *testing.T) {
 		t.Fatalf("duplicate ID: HTTP %d, want 409", resp.StatusCode)
 	}
 	// Hostile IDs are rejected before touching the registry.
-	if _, err := srv.Registry().CreateWithID("a/b", "", 40e6, 1e9, core.DefaultConfig()); err == nil {
+	if _, err := srv.Registry().CreateSession(CreateOpts{ID: "a/b", SampleRate: 40e6, ClockHz: 1e9, Config: core.DefaultConfig()}); err == nil {
 		t.Fatal("ID with slash accepted")
 	}
 }

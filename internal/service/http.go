@@ -80,37 +80,33 @@ func (s *Server) StartGC(interval time.Duration) (stop func()) {
 	return func() { close(done) }
 }
 
-// Handler returns the service's HTTP routes. Every route is served under
-// the /v1 prefix (the stable, versioned surface) and, for compatibility
-// with pre-versioning clients, at its bare unversioned path as an alias.
+// Handler returns the service's HTTP routes, each served under the /v1
+// prefix.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	routes := []struct {
-		pattern  string // method + path, without the version prefix
+		pattern  string
 		endpoint string // metrics label
 		h        http.HandlerFunc
 	}{
-		{"POST /sessions", "create", s.handleCreate},
-		{"GET /sessions", "list", s.handleList},
-		{"POST /sessions/{id}/samples", "ingest", s.handleIngest},
-		{"GET /sessions/{id}/profile", "profile", s.handleProfile},
-		{"GET /sessions/{id}/profiles", "profiles", s.handleProfiles},
-		{"GET /sessions/{id}/trace", "trace", s.handleTrace},
-		{"DELETE /sessions/{id}", "finalize", s.handleFinalize},
-		{"GET /metrics", "metrics", s.handleMetrics},
+		{"POST /v1/sessions", "create", s.handleCreate},
+		{"GET /v1/sessions", "list", s.handleList},
+		{"POST /v1/sessions/{id}/samples", "ingest", s.handleIngest},
+		{"GET /v1/sessions/{id}/profile", "profile", s.handleProfile},
+		{"GET /v1/sessions/{id}/profiles", "profiles", s.handleProfiles},
+		{"GET /v1/sessions/{id}/trace", "trace", s.handleTrace},
+		{"DELETE /v1/sessions/{id}", "finalize", s.handleFinalize},
+		{"GET /v1/metrics", "metrics", s.handleMetrics},
 		// Hand-off protocol (fleet-internal; see handoff.go for the state
 		// machine the router drives).
-		{"POST /sessions/{id}/pin", "pin", s.handlePin},
-		{"POST /sessions/{id}/unpin", "unpin", s.handleUnpin},
-		{"POST /sessions/{id}/export", "export", s.handleExport},
-		{"POST /sessions/{id}/forget", "forget", s.handleForget},
-		{"POST /sessions/import", "import", s.handleImport},
+		{"POST /v1/sessions/{id}/pin", "pin", s.handlePin},
+		{"POST /v1/sessions/{id}/unpin", "unpin", s.handleUnpin},
+		{"POST /v1/sessions/{id}/export", "export", s.handleExport},
+		{"POST /v1/sessions/{id}/forget", "forget", s.handleForget},
+		{"POST /v1/sessions/import", "import", s.handleImport},
 	}
 	for _, rt := range routes {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		h := s.instrument(rt.endpoint, rt.h)
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(rt.pattern, s.deprecated(h))
+		mux.HandleFunc(rt.pattern, s.instrument(rt.endpoint, rt.h))
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -118,21 +114,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// deprecated wraps a bare unversioned alias route: it keeps serving
-// (pre-versioning clients must not break), but every response carries a
-// Deprecation header plus a Link to the /v1 successor, and the
-// emprofd_deprecated_route_hits_total counter records the traffic so
-// operators can see who still needs migrating. /v1 is the only supported
-// surface; the aliases are scheduled for removal.
-func (s *Server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+">; rel=\"successor-version\"")
-		s.reg.metrics.DeprecatedRouteHits.Add(1)
-		h(w, r)
-	}
 }
 
 // statusWriter captures the response code for metrics.

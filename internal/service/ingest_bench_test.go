@@ -23,7 +23,7 @@ func BenchmarkIngestWindowed(b *testing.B) {
 			srv := New(Config{WindowS: windowS, MaxSessionBytes: 1 << 62})
 			defer srv.Close()
 			reg := srv.Registry()
-			id, err := reg.Create("bench", 40e6, 1e9, core.DefaultConfig())
+			id, err := reg.CreateSession(CreateOpts{Device: "bench", SampleRate: 40e6, ClockHz: 1e9, Config: core.DefaultConfig()})
 			if err != nil {
 				b.Fatal(err)
 			}

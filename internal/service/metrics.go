@@ -28,13 +28,9 @@ type Metrics struct {
 	// WindowsSealed counts rolling profile windows persisted to the
 	// window store; WindowsDropped counts sealed windows the store
 	// failed to persist (Append errors — profile history lost to a sick
-	// disk, invisible except here and in the log); DeprecatedRouteHits
-	// counts requests served on bare unversioned route aliases (the
-	// pre-/v1 surface, kept for compatibility but scheduled for
-	// removal).
-	WindowsSealed       atomic.Int64
-	WindowsDropped      atomic.Int64
-	DeprecatedRouteHits atomic.Int64
+	// disk, invisible except here and in the log).
+	WindowsSealed  atomic.Int64
+	WindowsDropped atomic.Int64
 
 	// Trace aggregates the decision-trace events of every session's
 	// analyzer (stalls by reject reason, dip-depth distribution, resync
@@ -101,7 +97,6 @@ func (m *Metrics) WriteTo(w io.Writer, activeSessions int) {
 	counter("emprofd_stalls_detected_total", "LLC-miss stalls detected across all sessions.", m.StallsDetected.Load())
 	counter("emprofd_windows_sealed_total", "Rolling profile windows sealed and persisted.", m.WindowsSealed.Load())
 	counter("emprofd_windows_dropped_total", "Sealed windows lost to window-store append failures.", m.WindowsDropped.Load())
-	counter("emprofd_deprecated_route_hits_total", "Requests served on deprecated unversioned route aliases.", m.DeprecatedRouteHits.Load())
 
 	m.mu.Lock()
 	keys := make([]endpointKey, 0, len(m.endpoints))

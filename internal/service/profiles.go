@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -118,8 +119,9 @@ func parseProfilesQuery(r *http.Request) (profstore.Query, error) {
 			return 0, false, nil
 		}
 		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v < 0 {
-			return 0, false, fmt.Errorf("service: bad %s=%q (want seconds >= 0)", key, raw)
+		// NaN and Inf parse cleanly but name no point in the stream.
+		if err != nil || !(v >= 0) || math.IsInf(v, 1) {
+			return 0, false, fmt.Errorf("service: bad %s=%q (want finite seconds >= 0)", key, raw)
 		}
 		return v, true, nil
 	}

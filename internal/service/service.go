@@ -296,26 +296,12 @@ func newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Create opens a new session wrapping a streaming analyzer for a signal
-// with the given acquisition metadata.
-func (r *Registry) Create(device string, sampleRate, clockHz float64, cfg core.Config) (string, error) {
-	return r.CreateWithID("", device, sampleRate, clockHz, cfg)
-}
-
-// CreateWithID opens a session under a client-assigned ID — the fleet
-// router assigns IDs itself so that any node can recompute a session's
-// owning shard from the ID alone. An empty id means server-assigned
-// (Create). A duplicate ID is ErrConflict.
-func (r *Registry) CreateWithID(id, device string, sampleRate, clockHz float64, cfg core.Config) (string, error) {
-	return r.CreateSession(CreateOpts{ID: id, Device: device, SampleRate: sampleRate, ClockHz: clockHz, Config: cfg})
-}
-
-// CreateOpts parameterises CreateSession — the options-struct face of
-// session creation, for callers that need more than the positional
-// Create/CreateWithID surface.
+// CreateOpts parameterises CreateSession.
 type CreateOpts struct {
-	// ID optionally assigns the session ID client-side; empty means
-	// server-assigned.
+	// ID optionally assigns the session ID client-side — the fleet
+	// router assigns IDs itself so that any node can recompute a
+	// session's owning shard from the ID alone; empty means
+	// server-assigned. A duplicate ID is ErrConflict.
 	ID     string
 	Device string
 	// SampleRate and ClockHz are the signal's acquisition metadata
@@ -330,7 +316,8 @@ type CreateOpts struct {
 	Attribution *attrib.Model
 }
 
-// CreateSession opens a session from an options struct.
+// CreateSession opens a new session wrapping a streaming analyzer for a
+// signal with the given acquisition metadata.
 func (r *Registry) CreateSession(o CreateOpts) (string, error) {
 	if err := validateSessionID(o.ID); err != nil {
 		return "", err

@@ -346,12 +346,12 @@ func TestIdleGC(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1e9, 0)}
 	srv := New(Config{IdleTTL: time.Minute, Now: clk.now})
 	reg := srv.Registry()
-	idOld, err := reg.Create("dev", 40e6, 1e9, core.DefaultConfig())
+	idOld, err := reg.CreateSession(CreateOpts{Device: "dev", SampleRate: 40e6, ClockHz: 1e9, Config: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(45 * time.Second)
-	idNew, err := reg.Create("dev", 40e6, 1e9, core.DefaultConfig())
+	idNew, err := reg.CreateSession(CreateOpts{Device: "dev", SampleRate: 40e6, ClockHz: 1e9, Config: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,12 +471,12 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 }
 
-// scrapeMetrics fetches /metrics and parses every line as Prometheus
+// scrapeMetrics fetches /v1/metrics and parses every line as Prometheus
 // text exposition format, returning each series' value (labels dropped)
 // and each declared TYPE.
 func scrapeMetrics(t *testing.T, ts *httptest.Server) (map[string]float64, map[string]string) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestConcurrentSessions(t *testing.T) {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
-			if resp, err := http.Get(ts.URL + "/metrics"); err == nil {
+			if resp, err := http.Get(ts.URL + "/v1/metrics"); err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}

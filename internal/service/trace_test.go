@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"emprof/internal/core"
 	"emprof/internal/trace"
 )
 
@@ -123,65 +122,6 @@ func TestTraceRingDrops(t *testing.T) {
 	}
 }
 
-// TestLegacyRouteAliases drives a whole session through the unversioned
-// paths, which must behave identically to /v1.
-func TestLegacyRouteAliases(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	capture := testSignal(20000)
-
-	body, _ := json.Marshal(CreateRequest{SampleRate: capture.SampleRate, ClockHz: capture.ClockHz})
-	resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cr CreateResponse
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy create: HTTP %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	presp, err := http.Post(ts.URL+"/sessions/"+cr.ID+"/samples", ContentTypeRaw,
-		strings.NewReader(string(rawBytes(capture.Samples))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy ingest: HTTP %d", presp.StatusCode)
-	}
-
-	for _, path := range []string{
-		"/sessions", "/sessions/" + cr.ID + "/profile", "/sessions/" + cr.ID + "/trace",
-		"/metrics", "/v1/metrics",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
-		}
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+cr.ID, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prof core.Profile
-	if err := json.NewDecoder(dresp.Body).Decode(&prof); err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK || len(prof.Stalls) == 0 {
-		t.Errorf("legacy finalize: HTTP %d, %d stalls", dresp.StatusCode, len(prof.Stalls))
-	}
-}
-
 // TestMetricsIncludeTrace checks that the shared registry aggregates
 // analyzer decision events into the /metrics exposition.
 func TestMetricsIncludeTrace(t *testing.T) {
@@ -196,7 +136,7 @@ func TestMetricsIncludeTrace(t *testing.T) {
 	// accepted stalls land.
 	var text string
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		resp, err := http.Get(ts.URL + "/metrics")
+		resp, err := http.Get(ts.URL + "/v1/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}

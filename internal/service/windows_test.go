@@ -269,36 +269,20 @@ func floatQuery(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// TestDeprecatedAliasHeaders checks the unversioned alias surface: it
-// still serves, but flags the move to /v1 and counts the traffic.
-func TestDeprecatedAliasHeaders(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("bare alias served without Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/sessions>; rel="successor-version"` {
-		t.Fatalf("Link header %q", link)
-	}
-	if n := srv.Registry().Metrics().DeprecatedRouteHits.Load(); n != 1 {
-		t.Fatalf("deprecated hits %d, want 1", n)
-	}
-	resp, err = http.Get(ts.URL + "/v1/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a Deprecation header")
-	}
-	if n := srv.Registry().Metrics().DeprecatedRouteHits.Load(); n != 1 {
-		t.Fatalf("/v1 traffic counted as deprecated (%d hits)", n)
+// TestBareRoutesNotFound checks that /v1 is the whole HTTP surface: the
+// same paths without the prefix are not routes.
+func TestBareRoutesNotFound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/sessions", "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -313,7 +297,7 @@ func TestHandoffWindowContinuity(t *testing.T) {
 	regA := NewRegistry(cfg, nil)
 	regB := NewRegistry(cfg, nil)
 
-	id, err := regA.Create("dev", capture.SampleRate, capture.ClockHz, core.DefaultConfig())
+	id, err := regA.CreateSession(CreateOpts{Device: "dev", SampleRate: capture.SampleRate, ClockHz: capture.ClockHz, Config: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +401,7 @@ func TestWindowsCarryRegions(t *testing.T) {
 	}
 
 	reg := NewRegistry(Config{WindowS: 1e-4, Attrib: model}, nil)
-	id, err := reg.Create("dev", fs, clock, core.DefaultConfig())
+	id, err := reg.CreateSession(CreateOpts{Device: "dev", SampleRate: fs, ClockHz: clock, Config: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ type stageStat struct {
 
 // Metrics aggregates decision events into counters and histograms
 // suitable for Prometheus exposition — the shared aggregator behind
-// emprofd's /metrics and embench's observer guard. Safe for concurrent
+// emprofd's /v1/metrics and embench's observer guard. Safe for concurrent
 // use.
 type Metrics struct {
 	mu         sync.Mutex

@@ -1,6 +1,6 @@
 // Package version holds the single build-version constant shared by every
 // emprof command (emprof, emsim, embench, emprofd) and reported by the
-// profiling service's /metrics endpoint.
+// profiling service's /v1/metrics endpoint.
 package version
 
 // Version is the repository build version. Bump it when the capture

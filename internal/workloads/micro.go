@@ -23,7 +23,6 @@ const (
 
 // Register conventions for generated code.
 const (
-	regZero    = 0
 	regChain   = 1 // serial PRNG/address chain
 	regAddr    = 2
 	regLoadDst = 8  // 8..15 rotate as load destinations

@@ -61,13 +61,6 @@ func WithStreaming() Option {
 	return func(a *Analyzer) { a.streaming = true }
 }
 
-// WithNormalized retains the normalised signal on the produced Profile
-// (Profile.Normalized) for debugging and display experiments. Ignored by
-// the streaming path, which never materialises the normalised series.
-func WithNormalized() Option {
-	return func(a *Analyzer) { a.core.KeepNormalized = true }
-}
-
 // NewAnalyzer validates the configuration and builds an analyzer.
 // Without options it runs the batch path; options select the
 // parallel or streaming execution paths (every path is bit-identical in
