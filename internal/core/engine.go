@@ -148,7 +148,11 @@ func (s *StreamAnalyzer) feedBlock(vals []float64) {
 	sc := s.lanes()
 	los := sc.lo[:len(vals)]
 	his := sc.hi[:len(vals)]
-	s.resyncAt = minMaxSpan(s.mmin, s.mmax, vals, los, his, s.fed, s.resyncAt)
+	// Keep the unconsumed resyncs at the front of their backing array,
+	// so the monitor's appends reuse it instead of reallocating once the
+	// consumed prefix has eaten its capacity.
+	rest := minMaxSpan(s.mmin, s.mmax, vals, los, his, s.fed, s.resyncAt)
+	s.resyncAt = s.resyncAt[:copy(s.resyncAt, rest)]
 	s.fed += int64(len(vals))
 	s.lastMin = los[len(vals)-1]
 	s.lastMax = his[len(vals)-1]

@@ -200,6 +200,15 @@ func ResumeStreamAnalyzer(st *StreamState) (*StreamAnalyzer, error) {
 			return nil, err
 		}
 	}
+	if st.MMin.Count != st.MMax.Count || st.MMin.Count > st.Fed {
+		return nil, fmt.Errorf("core: normalisation windows hold %d and %d positions, fed %d",
+			st.MMin.Count, st.MMax.Count, st.Fed)
+	}
+	for i, r := range st.ResyncAt {
+		if r < st.Fed || r >= st.Pushed || (i > 0 && r <= st.ResyncAt[i-1]) {
+			return nil, fmt.Errorf("core: resync at %d outside the unfed positions [%d, %d) or out of order", r, st.Fed, st.Pushed)
+		}
+	}
 	if err := s.mmin.Restore(st.MMin); err != nil {
 		return nil, err
 	}

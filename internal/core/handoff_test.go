@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"emprof/internal/dsp"
 	"emprof/internal/em"
 )
 
@@ -162,6 +163,28 @@ func TestHandoffRejectsMismatchedState(t *testing.T) {
 	st.Profile = nil
 	if _, err := ResumeStreamAnalyzer(st); err == nil {
 		t.Fatal("state without profile accepted")
+	}
+
+	// Normalisation windows out of lock-step: each state is valid on
+	// its own (a maximum after one sample), but not with the other.
+	st = a.ExportState()
+	st.MMax = dsp.MovingExtremumState{W: st.MMax.W, Idx: []int64{0, 0}, Val: []float64{1, 0}, Tail: 1, Count: 1}
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with min/max windows out of lock-step accepted")
+	}
+
+	// A pending resync behind the positions already fed.
+	st = a.ExportState()
+	st.ResyncAt = []int64{st.Fed - 1}
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with a consumed resync accepted")
+	}
+
+	// A window whose buffers would exhaust memory.
+	st = a.ExportState()
+	st.SampleRate = 1e15
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with a 2e11-sample window accepted")
 	}
 
 	// Invalid config must be rejected by NewStreamAnalyzer's validation.

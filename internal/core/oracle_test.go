@@ -23,7 +23,66 @@ import (
 // ---- The per-sample monitor ----
 //
 // The production monitor is the block kernel processBlock; these methods
-// are its readable per-sample reference.
+// are its readable per-sample reference. Its busy tracker is the
+// reference deque below, not the production extremum kernel, so the
+// oracle stays independent of the code it checks.
+
+// oracleMonitor is the monitor's state driven by the per-sample methods;
+// smax shadows the embedded monitor's extremum kernel, which stays nil.
+type oracleMonitor struct {
+	*monitor
+	smax *refDeque
+}
+
+func newOracleMonitor(cfg Config, sampleRate float64) *oracleMonitor {
+	m := newMonitor(cfg, sampleRate)
+	m.smax = nil
+	return &oracleMonitor{monitor: m, smax: &refDeque{w: m.persist}}
+}
+
+// refDeque is the textbook monotonic deque: the sliding extremum the
+// oracle's min/max windows and busy tracker run on. It holds the live
+// candidates, oldest first, each strictly beyond every later sample of
+// the window; its State is the hand-off wire shape. (internal/dsp's
+// kernel tests keep their own copy.)
+type refDeque struct {
+	w     int
+	isMin bool
+	idx   []int64
+	val   []float64
+	count int64
+}
+
+func (d *refDeque) beyond(a, b float64) bool {
+	if d.isMin {
+		return a < b
+	}
+	return a > b
+}
+
+func (d *refDeque) Process(x float64) float64 {
+	for n := len(d.val); n > 0 && !d.beyond(d.val[n-1], x); n-- {
+		d.idx, d.val = d.idx[:n-1], d.val[:n-1]
+	}
+	d.idx, d.val = append(d.idx, d.count), append(d.val, x)
+	if d.idx[0] <= d.count-int64(d.w) {
+		d.idx, d.val = d.idx[1:], d.val[1:]
+	}
+	d.count++
+	return d.val[0]
+}
+
+func (d *refDeque) Reset() { d.idx, d.val, d.count = nil, nil, 0 }
+
+func (d *refDeque) State() dsp.MovingExtremumState {
+	return dsp.MovingExtremumState{
+		W:     d.w,
+		Idx:   append(append([]int64(nil), d.idx...), 0),
+		Val:   append(append([]float64(nil), d.val...), 0),
+		Tail:  len(d.idx),
+		Count: d.count,
+	}
+}
 
 // process consumes one raw sample and returns the sanitised value, the
 // impairment flags for this sample, how many immediately preceding samples
@@ -33,7 +92,7 @@ import (
 //
 // It wraps processInner with the trace emission points so that the
 // nil-observer path pays exactly one predictable branch per sample.
-func (m *monitor) process(x float64) (y float64, fl qflag, retro int, resync bool) {
+func (m *oracleMonitor) process(x float64) (y float64, fl qflag, retro int, resync bool) {
 	y, fl, retro, resync = m.processInner(x)
 	if m.obs != nil {
 		pos := m.q.Samples - 1
@@ -47,7 +106,7 @@ func (m *monitor) process(x float64) (y float64, fl qflag, retro int, resync boo
 	return y, fl, retro, resync
 }
 
-func (m *monitor) processInner(x float64) (y float64, fl qflag, retro int, resync bool) {
+func (m *oracleMonitor) processInner(x float64) (y float64, fl qflag, retro int, resync bool) {
 	m.q.Samples++
 	if m.stepResyncPending {
 		resync = true
@@ -154,7 +213,7 @@ func (m *monitor) processInner(x float64) (y float64, fl qflag, retro int, resyn
 // gain-step detection: a sustained departure of the short moving max from
 // the busy reference in either direction is a receiver gain discontinuity
 // (dips never move the max; the reference EMA absorbs slow drift).
-func (m *monitor) track(y float64) (resync bool, retro int) {
+func (m *oracleMonitor) track(y float64) (resync bool, retro int) {
 	sm := m.smax.Process(y)
 	if !m.refReady {
 		m.warm++
@@ -247,7 +306,7 @@ func (m *monitor) track(y float64) (resync bool, retro int) {
 // the step detector, active only when shiftRatio > 0). A shift departs
 // the band less violently than a step, so the step detector keeps
 // priority: track calls this only when no step confirmed this sample.
-func (m *monitor) trackShift(sdir int, sm float64) (resync bool, retro int) {
+func (m *oracleMonitor) trackShift(sdir int, sm float64) (resync bool, retro int) {
 	// Same dead-excursion gate as the step detector, at the shift band
 	// edge: an up-shift whose raw highs stopped re-asserting is a held
 	// burst tail, not the probe moving back toward the sweet spot.
@@ -286,7 +345,7 @@ func (m *monitor) trackShift(sdir int, sm float64) (resync bool, retro int) {
 // the sanitised copy of the samples, the per-sample impairment mask (nil
 // when the capture is clean), and the positions at which the normalisation
 // state must be re-seeded.
-func (m *monitor) scan(samples []float64) (san []float64, mask []qflag, resyncs []int) {
+func (m *oracleMonitor) scan(samples []float64) (san []float64, mask []qflag, resyncs []int) {
 	san = make([]float64, len(samples))
 	for i, x := range samples {
 		y, fl, retro, rs := m.process(x)
@@ -343,8 +402,8 @@ func oracleNormalize(cfg Config, sampleRate float64, x []float64, resyncs []int)
 
 	mins = make([]float64, n)
 	maxs = make([]float64, n)
-	mmin := dsp.NewMovingMin(w)
-	mmax := dsp.NewMovingMax(w)
+	mmin := &refDeque{w: w, isMin: true}
+	mmax := &refDeque{w: w}
 	ri := 0
 	for i := 0; i < n; i++ {
 		if ri < len(resyncs) && resyncs[ri] == i {
@@ -392,7 +451,7 @@ func oracleProfile(cfg Config, c *em.Capture, keep bool) *Profile {
 	if n == 0 {
 		return p
 	}
-	mon := newMonitor(cfg, c.SampleRate)
+	mon := newOracleMonitor(cfg, c.SampleRate)
 	san, mask, resyncs := mon.scan(c.Samples)
 	_, norm, mins, maxs, half := oracleNormalize(cfg, c.SampleRate, san, resyncs)
 	if keep {
@@ -489,7 +548,7 @@ func TestMonitorBlockKernelMatchesOracle(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		for _, oc := range oracleCaptures(cfg) {
 			xs := oc.c.Samples
-			ref := newMonitor(cfg, oc.c.SampleRate)
+			ref := newOracleMonitor(cfg, oc.c.SampleRate)
 			wantSan, wantMask, wantResyncs := ref.scan(xs)
 			if wantMask == nil {
 				wantMask = make([]qflag, len(xs))
@@ -523,8 +582,13 @@ func TestMonitorBlockKernelMatchesOracle(t *testing.T) {
 				if !reflect.DeepEqual(resyncs, wantResyncs) {
 					t.Fatalf("%s blocks<=%d: resyncs %v, want %v", ctx, maxBlock, resyncs, wantResyncs)
 				}
-				if !reflect.DeepEqual(m, ref) {
-					t.Fatalf("%s blocks<=%d: monitor state differs\n got %+v\nwant %+v", ctx, maxBlock, *m, *ref)
+				got, want := *m, *ref.monitor
+				got.smax = nil
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s blocks<=%d: monitor state differs\n got %+v\nwant %+v", ctx, maxBlock, got, want)
+				}
+				if gs, ws := m.smax.State(), ref.smax.State(); !reflect.DeepEqual(gs, ws) {
+					t.Fatalf("%s blocks<=%d: busy tracker state differs\n got %+v\nwant %+v", ctx, maxBlock, gs, ws)
 				}
 			}
 		}
@@ -655,7 +719,7 @@ func TestShortCaptureWindowRule(t *testing.T) {
 	}
 	// One set of stats for every position: the min/max over the whole
 	// capture, so the decision stats of both stalls coincide.
-	mon := newMonitor(cfg, c.SampleRate)
+	mon := newOracleMonitor(cfg, c.SampleRate)
 	san, _, _ := mon.scan(c.Samples)
 	sm, _, mins, maxs, _ := oracleNormalize(cfg, c.SampleRate, san, nil)
 	lo, hi := mins[len(mins)-1], maxs[len(maxs)-1]

@@ -41,23 +41,13 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 	distinctAlpha := m.distinctAlpha
 	obs := m.obs
 
-	// The busy tracker's moving max, inlined: the deque step is a
-	// faithful copy of dsp.MovingExtremum.Process (max polarity) with
-	// the front candidate cached in registers — it reloads only on the
-	// at-most-one expiry per sample, or when back-pops empty the deque
-	// and the pushed sample becomes the front.
-	sq := m.smax.Deque()
-	sIdx, sVal := sq.Idx, sq.Val
-	sHead, sTail := sq.Head, sq.Tail
-	sCount := sq.Count
-	sMask := len(sVal) - 1
-	sW := sq.W
-	var sFrontIdx int64
-	var sFrontVal float64
-	if sHead != sTail {
-		sFrontIdx = sIdx[sHead&(len(sIdx)-1)]
-		sFrontVal = sVal[sHead&(len(sVal)-1)]
-	}
+	// The busy tracker's moving max, inlined: the per-sample step of the
+	// dsp.MovingExtremum block kernel (max polarity), with the suffix
+	// refill once every persist samples.
+	sb := m.smax.Block()
+	sCur, sSuf := sb.Cur, sb.Suf
+	sPos, sPre := sb.Pos, sb.Pre
+	sW := len(sCur)
 
 	// Hot mutable state, written back after the block.
 	samples := m.q.Samples
@@ -167,27 +157,18 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 		if trackRaw {
 			tx = x
 		}
-		si := sCount
-		sCount++
-		for sHead != sTail {
-			t := (sTail - 1) & sMask
-			if sVal[t&(len(sVal)-1)] > tx {
-				break
-			}
-			sTail = t
+		sCur[sPos] = tx
+		if tx >= sPre {
+			sPre = tx
 		}
-		if sHead == sTail {
-			sFrontIdx, sFrontVal = si, tx
+		sm := sPre
+		if v := sSuf[sPos+1]; v > sm {
+			sm = v
 		}
-		sIdx[sTail&(len(sIdx)-1)] = si
-		sVal[sTail&(len(sVal)-1)] = tx
-		sTail = (sTail + 1) & sMask
-		if sFrontIdx <= si-sW {
-			sHead = (sHead + 1) & sMask
-			sFrontIdx = sIdx[sHead&(len(sIdx)-1)]
-			sFrontVal = sVal[sHead&(len(sVal)-1)]
+		if sPos++; sPos == sW {
+			m.smax.EndBlock()
+			sPos, sPre = 0, math.Inf(-1)
 		}
-		sm := sFrontVal
 		stepped := false
 		stepRetro := 0
 		if !refReady {
@@ -315,7 +296,7 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 		}
 	}
 
-	m.smax.SetDeque(sHead, sTail, sCount)
+	m.smax.SetBlock(sPos, sPre, len(xs))
 	m.q.Samples = samples
 	m.stepResyncPending = stepPending
 	m.pendingCause = pendingCause

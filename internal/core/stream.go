@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"emprof/internal/dsp"
@@ -79,8 +80,17 @@ func NewStreamAnalyzer(cfg Config, sampleRate, clockHz float64) (*StreamAnalyzer
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if w := cfg.NormWindowS * sampleRate; !(w <= maxWindowSamples) || cfg.SmoothSamples > maxWindowSamples {
+		return nil, fmt.Errorf("core: window of %v samples or smoother of %d exceeds %d", w, cfg.SmoothSamples, maxWindowSamples)
+	}
 	return newStreamAnalyzer(cfg, sampleRate, clockHz), nil
 }
+
+// maxWindowSamples bounds the normalisation window and the smoother
+// width, whose buffers a stream allocates up front: a session (or a
+// hand-off state) asking for more is refused rather than allowed to
+// exhaust memory. It is 2,000× the default window at 40 MS/s.
+const maxWindowSamples = 1 << 24
 
 // newStreamAnalyzer builds the engine for an already-validated
 // configuration.

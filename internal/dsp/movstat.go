@@ -1,23 +1,58 @@
 package dsp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
-// MovingExtremum tracks the minimum or maximum over a sliding window of the
-// last w samples in amortised O(1) per sample using a monotonic deque.
-// EMPROF's normalisation stage (Section IV of the paper) runs one moving
-// minimum and one moving maximum over the signal magnitude; with receiver
-// sample rates in the tens of MHz, a naive O(w) rescan per sample would
-// dominate profiling cost, so the deque is the load-bearing data structure
-// here (see BenchmarkMovingMinMax for the ablation).
+// MovingExtremum tracks the minimum or maximum over a sliding window of
+// the last w samples. EMPROF's normalisation stage (Section IV of the
+// paper) runs one moving minimum and one moving maximum over the signal
+// magnitude, and the quality monitor's busy tracker runs a moving
+// maximum; at receiver rates of tens of MHz a naive O(w) rescan per
+// sample would dominate profiling cost (see BenchmarkMovingMinMaxNaive).
+//
+// The kernel is the van Herk/Gil-Werman block decomposition. Positions
+// since the last Reset are cut into blocks of w; the window ending at
+// offset p of a block is the previous block's offsets (p, w) followed by
+// the current block's [0, p]. So each output is the extreme of two
+// numbers: suf[p+1], the previous block's suffix extreme, and pre, the
+// current block's running prefix extreme. One backward pass at each
+// block end refills suf from the block's raw values. Every loop runs a
+// fixed number of times, where a monotonic deque pops a data-dependent
+// number of candidates per sample and mispredicts that pop loop.
+//
+// Every comparison keeps the newer sample unless the older one is
+// strictly beyond it, which is a monotonic deque's rule, so outputs
+// equal a deque's bit for bit on any input without NaN (±0 and ±Inf
+// included), warm-up (count < w) and Reset included; the tests hold a
+// reference deque for that reason. The output at a position therefore
+// depends only on the samples in its window, never on where the blocks
+// fall, which lets the parallel analyzer restart a shard one window
+// early and still match the batch analyzer. A NaN never wins a
+// comparison, so it is skipped; the monitor feeds none.
+//
+// The comparisons are plain compare-and-select branches rather than the
+// builtin min and max. Their outcome changes only when a new prefix or
+// suffix extreme appears, a few times per block on a noisy signal, so
+// they predict well; the builtins lower to a NaN- and ±0-safe sequence
+// of two MINSD on amd64, which sits on the prefix's loop-carried chain
+// and measured more than twice as slow in the engine.
 type MovingExtremum struct {
 	w     int
 	isMin bool
-	// ring buffer of (index, value) candidates, front = current extremum.
-	idx   []int64
-	val   []float64
-	head  int
-	tail  int // one past last
-	count int64
+	// cur[:pos] holds the current block's raw values; cur[pos:] still
+	// holds the previous block's tail, the rest of the window.
+	cur []float64
+	// suf[k] is the extreme of the previous block's offsets [k, w).
+	// suf[w] — and all of suf in the first block after a Reset, when
+	// there is no previous block — is the identity, so the first block
+	// needs no special case.
+	suf   []float64
+	pre   float64 // extreme of cur[:pos]; the identity at pos 0
+	pos   int
+	count int64 // samples since Reset
 }
 
 // NewMovingMin returns a sliding-window minimum over w samples.
@@ -30,108 +65,178 @@ func newMovingExtremum(w int, isMin bool) *MovingExtremum {
 	if w <= 0 {
 		panic("dsp: moving extremum window must be positive")
 	}
-	// The ring is sized to the next power of two above the maximum
-	// occupancy (w candidates plus one spare slot) so position wrapping
-	// is a mask — the i&(len-1) form also lets the compiler drop the
-	// bounds checks inside the per-sample loops.
-	ring := 1
-	for ring < w+1 {
-		ring <<= 1
-	}
-	return &MovingExtremum{
+	m := &MovingExtremum{
 		w:     w,
 		isMin: isMin,
-		idx:   make([]int64, ring),
-		val:   make([]float64, ring),
+		cur:   make([]float64, w),
+		suf:   make([]float64, w+1),
 	}
+	m.Reset()
+	return m
+}
+
+// identity is the extreme of no samples: +Inf for a minimum, -Inf for a
+// maximum.
+func (m *MovingExtremum) identity() float64 {
+	if m.isMin {
+		return math.Inf(1)
+	}
+	return math.Inf(-1)
+}
+
+// beyond reports whether a is strictly more extreme than b.
+func (m *MovingExtremum) beyond(a, b float64) bool {
+	if m.isMin {
+		return a < b
+	}
+	return a > b
 }
 
 // Process pushes x and returns the extremum of the last min(count, w)
-// samples. The deque state is hoisted into locals — this runs once per
-// raw sample inside the quality monitor's busy tracker, where the
-// pointer loads and store-backs of the field-access version were
-// measurable on streaming ingest. Positions wrap with a mask (the ring
-// is a power of two), which also lets the compiler drop the bounds
-// checks.
+// samples. It is the reference form of the per-sample step that
+// ProcessBlockMinMax and the quality monitor's busy tracker run inline:
+// x becomes the prefix unless the prefix is strictly beyond it (a NaN
+// never does), and the output is the prefix unless the older suffix is
+// strictly beyond it.
 func (m *MovingExtremum) Process(x float64) float64 {
-	idx, val := m.idx, m.val
-	head, tail := m.head, m.tail
-	mask := len(val) - 1
-	i := m.count
-	m.count = i + 1
-	// Drop dominated candidates from the back.
+	p := m.pos
+	m.cur[p] = x
+	if !math.IsNaN(x) && !m.beyond(m.pre, x) {
+		m.pre = x
+	}
+	y := m.pre
+	if v := m.suf[p+1]; m.beyond(v, y) {
+		y = v
+	}
+	m.count++
+	if m.pos = p + 1; m.pos == m.w {
+		m.EndBlock()
+	}
+	return y
+}
+
+// EndBlock closes a full block: the suffix extremes of its raw values
+// become the previous-block lane, and the next block starts at position
+// 0 with the identity as its prefix.
+func (m *MovingExtremum) EndBlock() {
+	cur, suf := m.cur, m.suf[:len(m.cur)]
+	acc := m.identity()
 	if m.isMin {
-		for head != tail {
-			t := (tail - 1) & mask
-			if val[t&(len(val)-1)] < x {
-				break
+		for k := len(cur) - 1; k >= 0; k-- {
+			if v := cur[k]; v < acc {
+				acc = v
 			}
-			tail = t
+			suf[k] = acc
 		}
 	} else {
-		for head != tail {
-			t := (tail - 1) & mask
-			if val[t&(len(val)-1)] > x {
-				break
+		for k := len(cur) - 1; k >= 0; k-- {
+			if v := cur[k]; v > acc {
+				acc = v
 			}
-			tail = t
+			suf[k] = acc
 		}
 	}
-	idx[tail&(len(idx)-1)] = i
-	val[tail&(len(val)-1)] = x
-	tail = (tail + 1) & mask
-	// Expire the front if it fell out of the window.
-	if idx[head&(len(idx)-1)] <= i-int64(m.w) {
-		head = (head + 1) & mask
-	}
-	m.head, m.tail = head, tail
-	return val[head&(len(val)-1)]
+	m.pos, m.pre = 0, m.identity()
 }
 
-// Reset clears the window.
+// Reset clears the window. It costs one pass over the suffix lane, which
+// the analyzer pays only at resyncs and shard starts.
 func (m *MovingExtremum) Reset() {
-	m.head, m.tail, m.count = 0, 0, 0
+	id := m.identity()
+	for k := range m.suf {
+		m.suf[k] = id
+	}
+	m.pos, m.pre, m.count = 0, id, 0
 }
 
-// DequeView is a mutable view of a MovingExtremum's internals for
-// callers that inline the per-sample extremum step into their own block
-// loops — the quality monitor's busy tracker interleaves a moving max
-// with branchy per-sample state and cannot use ProcessBlock, and the
-// call boundary of Process costs more than the deque step itself there.
-// The rings are power-of-two sized, so positions wrap with len-1 masks
-// exactly as in Process, which remains the behavioural reference for
-// any inlined copy of the step.
-type DequeView struct {
-	Idx        []int64
-	Val        []float64
-	Head, Tail int
-	Count      int64
-	W          int64
+// Block is a view of the kernel's state for callers that inline the
+// per-sample step into their own loops — the quality monitor's busy
+// tracker interleaves a moving max with branchy per-sample state, where a
+// call per sample costs more than the step. The step at position Pos
+// writes x to Cur[Pos], folds x into Pre and outputs the extreme of Pre
+// and Suf[Pos+1], with Process's tie rule; when Pos reaches len(Cur) the
+// caller calls EndBlock and continues at Pos 0 with Pre the identity
+// (+Inf for a minimum, -Inf for a maximum).
+type Block struct {
+	Cur, Suf []float64
+	Pos      int
+	Pre      float64
 }
 
-// Deque returns the current deque view. The caller owns the extremum
-// until it calls SetDeque with the advanced positions; Process,
-// ProcessBlock, State and Restore must not run in between.
-func (m *MovingExtremum) Deque() DequeView {
-	return DequeView{Idx: m.idx, Val: m.val, Head: m.head, Tail: m.tail, Count: m.count, W: int64(m.w)}
+// Block returns the kernel's current block view. The caller owns the
+// kernel until it calls SetBlock; only EndBlock may run in between.
+func (m *MovingExtremum) Block() Block {
+	return Block{Cur: m.cur, Suf: m.suf, Pos: m.pos, Pre: m.pre}
 }
 
-// SetDeque commits positions advanced by an inlined block loop.
-func (m *MovingExtremum) SetDeque(head, tail int, count int64) {
-	m.head, m.tail, m.count = head, tail, count
+// SetBlock commits n samples stepped by an inlined loop that left the
+// kernel at position pos with running prefix pre.
+func (m *MovingExtremum) SetBlock(pos int, pre float64, n int) {
+	m.pos, m.pre = pos, pre
+	m.count += int64(n)
 }
 
-// MovingExtremumState is a serializable snapshot of a MovingExtremum's
-// deque, for streaming hand-off (core.StreamAnalyzer state export). The
-// min/max polarity is not part of the state: it is a structural
-// parameter the restoring side re-derives from its own configuration.
+// ProcessBlockMinMax advances a moving minimum and a moving maximum of
+// the same width, in lock-step, over one block: lo[j] and hi[j] receive
+// what Process would return for in[j]. The normalisation stage always
+// runs the two over identical input; fusing them reads the block once.
+func ProcessBlockMinMax(mn, mx *MovingExtremum, in, lo, hi []float64) {
+	if !mn.isMin || mx.isMin || mn.w != mx.w || mn.count != mx.count {
+		panic("dsp: ProcessBlockMinMax wants a minimum and a maximum of one width in lock-step")
+	}
+	lo = lo[:len(in)]
+	hi = hi[:len(in)]
+	w := mn.w
+	for len(in) > 0 {
+		p := mn.pos
+		n := min(len(in), w-p)
+		xs := in[:n]
+		nCur, xCur := mn.cur[p:p+n], mx.cur[p:p+n]
+		nSuf, xSuf := mn.suf[p+1:p+1+n], mx.suf[p+1:p+1+n]
+		l, h := lo[:n], hi[:n]
+		nPre, xPre := mn.pre, mx.pre
+		for j, x := range xs {
+			nCur[j] = x
+			xCur[j] = x
+			if x <= nPre {
+				nPre = x
+			}
+			if x >= xPre {
+				xPre = x
+			}
+			a, b := nPre, xPre
+			if v := nSuf[j]; v < a {
+				a = v
+			}
+			if v := xSuf[j]; v > b {
+				b = v
+			}
+			l[j], h[j] = a, b
+		}
+		mn.pre, mx.pre = nPre, xPre
+		mn.pos, mx.pos = p+n, p+n
+		mn.count += int64(n)
+		mx.count += int64(n)
+		if p+n == w {
+			mn.EndBlock()
+			mx.EndBlock()
+		}
+		in, lo, hi = in[n:], lo[n:], hi[n:]
+	}
+}
+
+// MovingExtremumState is a serializable snapshot of a MovingExtremum, for
+// streaming hand-off (core.StreamAnalyzer state export). The min/max
+// polarity is not part of the state: it is a structural parameter the
+// restoring side re-derives from its own configuration.
 //
-// State exports only the deque's live candidates — a monotonic deque
-// over a noisy signal typically holds a few dozen entries regardless of
-// window width, and serializing the full w+1 ring used to dominate
-// hand-off wire size and encode/decode time. W carries the window width
-// for validation; states from builds that predate it (W == 0) ship the
-// full ring, whose capacity implies the window instead.
+// The state keeps the shape of the monotonic deque the kernel replaced,
+// so hand-off stays small and works across versions: the live
+// candidates, i.e. the positions in the window whose value is strictly
+// beyond every later one, front (oldest) first. Over a noisy signal they
+// number a few dozen whatever the window width. W carries the window
+// width for validation; states from builds that predate it (W == 0) ship
+// the deque's full ring of w+1 slots, whose capacity implies the window.
 type MovingExtremumState struct {
 	W     int       `json:"w,omitempty"`
 	Idx   []int64   `json:"idx"`
@@ -141,40 +246,46 @@ type MovingExtremumState struct {
 	Count int64     `json:"count"`
 }
 
-// State returns the deque's live candidates in logical order (front
-// first), as a ring of exactly their number plus one spare slot.
+// State derives the live candidates of the window ending at the newest
+// sample.
 func (m *MovingExtremum) State() MovingExtremumState {
-	n := len(m.idx)
-	cnt := m.tail - m.head
-	if cnt < 0 {
-		cnt += n
+	// The window, oldest first: the previous block's tail (once a full
+	// block has passed since Reset), then the current block.
+	win := m.cur[:m.pos]
+	if m.count >= int64(m.w) {
+		win = append(slices.Clone(m.cur[m.pos:]), win...)
 	}
-	idx := make([]int64, cnt+1)
-	val := make([]float64, cnt+1)
-	p := m.head
-	for k := 0; k < cnt; k++ {
-		idx[k] = m.idx[p]
-		val[k] = m.val[p]
-		p++
-		if p == n {
-			p = 0
+	first := m.count - int64(len(win))
+	// Newest to oldest, keeping each sample strictly beyond all later
+	// ones; the newest sample is always a candidate.
+	var idx []int64
+	var val []float64
+	for k := len(win) - 1; k >= 0; k-- {
+		if len(val) == 0 || m.beyond(win[k], val[len(val)-1]) {
+			idx = append(idx, first+int64(k))
+			val = append(val, win[k])
 		}
 	}
-	return MovingExtremumState{
-		W:     m.w,
-		Idx:   idx,
-		Val:   val,
-		Head:  0,
-		Tail:  cnt,
-		Count: m.count,
-	}
+	slices.Reverse(idx)
+	slices.Reverse(val)
+	// A ring of the candidates plus one spare slot, head at 0.
+	return MovingExtremumState{W: m.w, Idx: append(idx, 0), Val: append(val, 0), Tail: len(idx), Count: m.count}
 }
 
-// Restore overwrites the deque with a state captured by State on an
-// extremum of the same window width. The live candidates are rebased to
-// the front of the ring; processing after Restore continues
-// bit-identically to the exporting instance, whose outputs depend only
-// on the deque's logical content.
+// Restore overwrites the kernel with a state captured by State on an
+// extremum of the same window width — by this kernel or by the deque of
+// earlier builds. The candidates must be what such a state holds:
+// strictly ascending positions inside the last W samples [Count−W,
+// Count), ending at the newest one (Count−1), with finite values strictly
+// monotone in the polarity (each beyond every later one). A state that
+// breaks any of these is rejected and the kernel is left untouched.
+//
+// The block state is rebuilt by giving every window position the value
+// of the first candidate at or after it. A non-candidate value is
+// dominated by a later sample in every window that holds it, so it never
+// reaches an output, and the rebuilt window has exactly the same
+// candidates: processing after Restore continues bit-identically to the
+// exporting instance, and State stays equal to its.
 func (m *MovingExtremum) Restore(st MovingExtremumState) error {
 	n := len(st.Idx)
 	if len(st.Val) != n || n == 0 {
@@ -183,7 +294,7 @@ func (m *MovingExtremum) Restore(st MovingExtremumState) error {
 	if st.W != 0 && st.W != m.w {
 		return fmt.Errorf("dsp: extremum state for window %d, have %d", st.W, m.w)
 	}
-	if st.W == 0 && n != len(m.idx) {
+	if st.W == 0 && n != m.w+1 {
 		// Legacy full-ring states carry no window tag; their ring
 		// capacity is the window check.
 		return fmt.Errorf("dsp: extremum state for window %d, have %d", n-1, m.w)
@@ -198,161 +309,58 @@ func (m *MovingExtremum) Restore(st MovingExtremumState) error {
 	if cnt > m.w {
 		return fmt.Errorf("dsp: extremum state holds %d candidates for window %d", cnt, m.w)
 	}
-	p := st.Head
-	for k := 0; k < cnt; k++ {
-		m.idx[k] = st.Idx[p]
-		m.val[k] = st.Val[p]
-		p++
-		if p == n {
+	if (cnt == 0) != (st.Count == 0) {
+		return fmt.Errorf("dsp: extremum state holds %d candidates after %d samples", cnt, st.Count)
+	}
+	lo := max(st.Count-int64(m.w), 0)
+	idx := make([]int64, cnt)
+	val := make([]float64, cnt)
+	for k, p := 0, st.Head; k < cnt; k++ {
+		idx[k], val[k] = st.Idx[p], st.Val[p]
+		if p++; p == n {
 			p = 0
 		}
+		switch i, x := idx[k], val[k]; {
+		case i < lo || i >= st.Count:
+			return fmt.Errorf("dsp: extremum candidate at %d outside the window [%d, %d)", i, lo, st.Count)
+		case k > 0 && i <= idx[k-1]:
+			return fmt.Errorf("dsp: extremum candidate positions not ascending (%d after %d)", i, idx[k-1])
+		case math.IsNaN(x) || math.IsInf(x, 0):
+			return fmt.Errorf("dsp: extremum candidate value %v not finite", x)
+		case k > 0 && !m.beyond(val[k-1], x):
+			return fmt.Errorf("dsp: extremum candidate values not strictly monotone (%v before %v)", val[k-1], x)
+		}
 	}
-	m.head, m.tail, m.count = 0, cnt, st.Count
-	return nil
-}
+	if cnt > 0 && idx[cnt-1] != st.Count-1 {
+		return fmt.Errorf("dsp: extremum state lacks its newest sample %d", st.Count-1)
+	}
 
-// ProcessBlock applies the sliding extremum to a block, bit-identically
-// to calling Process per sample. The deque state is hoisted into locals
-// for the duration of the block, which removes the per-call pointer
-// loads and store-backs that dominate Process on streaming ingest (see
-// BenchmarkMovingMinMax).
-func (m *MovingExtremum) ProcessBlock(in, out []float64) []float64 {
-	if out == nil || len(out) < len(in) {
-		out = make([]float64, len(in))
-	}
-	out = out[:len(in)]
-	idx, val := m.idx, m.val
-	head, tail := m.head, m.tail
-	count := m.count
-	mask := len(val) - 1
+	m.Reset()
 	w := int64(m.w)
-	if m.isMin {
-		for j, x := range in {
-			i := count
-			count++
-			for head != tail {
-				t := (tail - 1) & mask
-				if val[t&(len(val)-1)] < x {
-					break
-				}
-				tail = t
-			}
-			idx[tail&(len(idx)-1)] = i
-			val[tail&(len(val)-1)] = x
-			tail = (tail + 1) & mask
-			if idx[head&(len(idx)-1)] <= i-w {
-				head = (head + 1) & mask
-			}
-			out[j] = val[head&(len(val)-1)]
+	m.count = st.Count
+	m.pos = int(st.Count % w)
+	c := 0
+	for q := lo; q < st.Count; q++ {
+		for idx[c] < q {
+			c++
 		}
-	} else {
-		for j, x := range in {
-			i := count
-			count++
-			for head != tail {
-				t := (tail - 1) & mask
-				if val[t&(len(val)-1)] > x {
-					break
-				}
-				tail = t
-			}
-			idx[tail&(len(idx)-1)] = i
-			val[tail&(len(val)-1)] = x
-			tail = (tail + 1) & mask
-			if idx[head&(len(idx)-1)] <= i-w {
-				head = (head + 1) & mask
-			}
-			out[j] = val[head&(len(val)-1)]
+		m.cur[q%w] = val[c]
+	}
+	for _, x := range m.cur[:m.pos] {
+		if !m.beyond(m.pre, x) {
+			m.pre = x
 		}
 	}
-	m.head, m.tail, m.count = head, tail, count
-	return out
-}
-
-// ProcessBlockMinMax advances a moving minimum and a moving maximum over
-// the same block in one fused pass, bit-identically to calling each
-// extremum's ProcessBlock separately. The normalisation stage always
-// runs the two in lock-step over identical input; fusing them reads the
-// block once instead of twice and shares the per-sample index
-// bookkeeping, which is worth ~20% of the block path's deque cost.
-func ProcessBlockMinMax(mn, mx *MovingExtremum, in, lo, hi []float64) {
-	if !mn.isMin || mx.isMin {
-		panic("dsp: ProcessBlockMinMax wants (min, max)")
-	}
-	if mn.w != mx.w || mn.count != mx.count {
-		// Not in lock-step: run the un-fused block paths.
-		mn.ProcessBlock(in, lo)
-		mx.ProcessBlock(in, hi)
-		return
-	}
-	lo = lo[:len(in)]
-	hi = hi[:len(in)]
-	nIdx, nVal := mn.idx, mn.val
-	nHead, nTail := mn.head, mn.tail
-	xIdx, xVal := mx.idx, mx.val
-	xHead, xTail := mx.head, mx.tail
-	count := mn.count
-	mask := len(nVal) - 1
-	w := int64(mn.w)
-	// The front candidate is cached in registers: back-pops never touch
-	// it (they stop before head or empty the deque, in which case the
-	// pushed sample becomes the front), so it only reloads on the
-	// at-most-one expiry per sample. The cache is dead whenever the deque
-	// is empty, and the deque is never empty after a push.
-	var nFrontIdx, xFrontIdx int64
-	var nFrontVal, xFrontVal float64
-	if nHead != nTail {
-		nFrontIdx = nIdx[nHead&(len(nIdx)-1)]
-		nFrontVal = nVal[nHead&(len(nVal)-1)]
-	}
-	if xHead != xTail {
-		xFrontIdx = xIdx[xHead&(len(xIdx)-1)]
-		xFrontVal = xVal[xHead&(len(xVal)-1)]
-	}
-	for j, x := range in {
-		i := count
-		count++
-		for nHead != nTail {
-			t := (nTail - 1) & mask
-			if nVal[t&(len(nVal)-1)] < x {
-				break
+	if st.Count >= w {
+		acc := m.identity()
+		for k := m.w - 1; k >= m.pos; k-- {
+			if m.beyond(m.cur[k], acc) {
+				acc = m.cur[k]
 			}
-			nTail = t
+			m.suf[k] = acc
 		}
-		if nHead == nTail {
-			nFrontIdx, nFrontVal = i, x
-		}
-		nIdx[nTail&(len(nIdx)-1)] = i
-		nVal[nTail&(len(nVal)-1)] = x
-		nTail = (nTail + 1) & mask
-		if nFrontIdx <= i-w {
-			nHead = (nHead + 1) & mask
-			nFrontIdx = nIdx[nHead&(len(nIdx)-1)]
-			nFrontVal = nVal[nHead&(len(nVal)-1)]
-		}
-		lo[j] = nFrontVal
-		for xHead != xTail {
-			t := (xTail - 1) & mask
-			if xVal[t&(len(xVal)-1)] > x {
-				break
-			}
-			xTail = t
-		}
-		if xHead == xTail {
-			xFrontIdx, xFrontVal = i, x
-		}
-		xIdx[xTail&(len(xIdx)-1)] = i
-		xVal[xTail&(len(xVal)-1)] = x
-		xTail = (xTail + 1) & mask
-		if xFrontIdx <= i-w {
-			xHead = (xHead + 1) & mask
-			xFrontIdx = xIdx[xHead&(len(xIdx)-1)]
-			xFrontVal = xVal[xHead&(len(xVal)-1)]
-		}
-		hi[j] = xFrontVal
 	}
-	mn.head, mn.tail, mn.count = nHead, nTail, count
-	mx.head, mx.tail, mx.count = xHead, xTail, count
+	return nil
 }
 
 // NaiveMovingExtremum recomputes the window extremum by rescanning the full
