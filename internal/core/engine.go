@@ -14,6 +14,16 @@ import (
 //	min/max  minMaxSpan                      trailing moving min/max, reset at resyncs
 //	decide   detector.step                   normalise against (lo, hi), detect dips
 //
+// The monitor kernel alternates a settled fast run with a general step.
+// The fast run takes each sample while the monitor is settled (no step
+// resync pending, a live positive busy reference, no open dropout run, a
+// previous sample) and the sample is uneventful (positive, under the
+// burst and step thresholds, no clip, busy max inside the step and shift
+// bands); it stops one sample short of the busy tracker's block end. The
+// first sample it declines goes to the general step, which handles every
+// flag, resync and observer event. On the golden captures the fast run
+// takes 98–99 % of the samples.
+//
 // The pipeline has no feedback between its stages, so each kernel runs
 // over a whole span before the next starts. They are composed three ways:
 //
@@ -111,6 +121,7 @@ func (s *StreamAnalyzer) pushChunk(chunk []float64) {
 		})
 	s.flagBuf.pushSlice(flags)
 	s.n = n0 + int64(len(chunk))
+	s.clock.lap(stageMonitor)
 
 	// Smoothing with centre compensation. Without a smoother every
 	// sanitised sample is a position; with one, the smoother output for
@@ -133,7 +144,7 @@ func (s *StreamAnalyzer) pushChunk(chunk []float64) {
 		skip := min(max(s.lead-int(n0), 0), len(sm))
 		vals = sm[skip:]
 	}
-	s.clock.lap(stageScan)
+	s.clock.lap(stageSmooth)
 	s.feedBlock(vals)
 }
 
@@ -224,18 +235,21 @@ func minMaxSpan(mmin, mmax *dsp.MovingExtremum, vals, los, his []float64, base i
 	return resyncs
 }
 
-// Stage indexes of a stageClock.
+// Stage indexes of a stageClock. A traced run reports monitor and smooth
+// together as its scan stage.
 const (
-	stageScan = iota
+	stageMonitor = iota
+	stageSmooth
 	stageNormalize
 	stageDetect
+	numStages
 )
 
 // stageClock accumulates wall time per stage across chunks, for the
 // stage timings a traced batch run reports. A nil clock is never read, so
 // untraced runs pay one branch per lap.
 type stageClock struct {
-	ns [3]int64
+	ns [numStages]int64
 	t  time.Time
 }
 

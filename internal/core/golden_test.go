@@ -137,6 +137,22 @@ func TestGoldenProfiles(t *testing.T) {
 	}
 }
 
+// TestSettledRunCoverage fails if the monitor's settled fast run stops
+// firing. The golden captures spend almost all their samples settled and
+// uneventful, so at least 95 % of each must go through the fast run; the
+// rest are impaired samples and one sample per busy-tracker block, which
+// the general step takes.
+func TestSettledRunCoverage(t *testing.T) {
+	for _, g := range goldenCases {
+		c := g.capture(t)
+		share := core.SettledShare(g.config(), c.SampleRate, c.Samples)
+		t.Logf("%s: %.1f %% of %d samples in the fast run", g.name, 100*share, len(c.Samples))
+		if share < 0.95 {
+			t.Errorf("%s: fast run took %.1f %% of the samples, want at least 95 %%", g.name, 100*share)
+		}
+	}
+}
+
 // TestGoldenHandoffResume resumes the committed mid-stream state, pushes
 // the rest of its capture and requires the finalized profile to match the
 // pinned batch digest: the hand-off wire format stays readable, and a

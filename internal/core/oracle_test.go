@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -550,49 +551,80 @@ func TestMonitorBlockKernelMatchesOracle(t *testing.T) {
 			xs := oc.c.Samples
 			ref := newOracleMonitor(cfg, oc.c.SampleRate)
 			wantSan, wantMask, wantResyncs := ref.scan(xs)
-			if wantMask == nil {
-				wantMask = make([]qflag, len(xs))
-			}
 			rng := sim.NewRNG(7)
 			for _, maxBlock := range []int{1, 3, 257, pushBlockN, len(xs)} {
 				m := newMonitor(cfg, oc.c.SampleRate)
-				san := make([]float64, len(xs))
-				flags := make([]qflag, len(xs))
-				var resyncs []int
-				for b0 := 0; b0 < len(xs); {
-					b1 := min(b0+1+int(rng.Uint64()%uint64(maxBlock)), len(xs))
-					m.processBlock(xs[b0:b1], san[b0:b1], flags[b0:b1],
-						func(back int, f qflag) bool {
-							if b0-back < 0 {
-								return false
-							}
-							flags[b0-back] |= f
-							return true
-						},
-						func(i int) { resyncs = append(resyncs, b0+i) })
-					b0 = b1
+				san, flags, resyncs := monitorBlocks(m, xs, func() int { return 1 + int(rng.Uint64()%uint64(maxBlock)) })
+				ctx := fmt.Sprintf("%s/%s blocks<=%d", name, oc.name, maxBlock)
+				if d := monitorDiff(san, flags, resyncs, wantSan, wantMask, wantResyncs); d != "" {
+					t.Fatalf("%s: %s", ctx, d)
 				}
-				ctx := name + "/" + oc.name
-				if !reflect.DeepEqual(san, wantSan) {
-					t.Fatalf("%s blocks<=%d: sanitised samples differ", ctx, maxBlock)
-				}
-				if !reflect.DeepEqual(flags, wantMask) {
-					t.Fatalf("%s blocks<=%d: flags differ", ctx, maxBlock)
-				}
-				if !reflect.DeepEqual(resyncs, wantResyncs) {
-					t.Fatalf("%s blocks<=%d: resyncs %v, want %v", ctx, maxBlock, resyncs, wantResyncs)
-				}
-				got, want := *m, *ref.monitor
-				got.smax = nil
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s blocks<=%d: monitor state differs\n got %+v\nwant %+v", ctx, maxBlock, got, want)
-				}
-				if gs, ws := m.smax.State(), ref.smax.State(); !reflect.DeepEqual(gs, ws) {
-					t.Fatalf("%s blocks<=%d: busy tracker state differs\n got %+v\nwant %+v", ctx, maxBlock, gs, ws)
+				if d := monitorStateDiff(m, ref); d != "" {
+					t.Fatalf("%s: %s", ctx, d)
 				}
 			}
 		}
 	}
+}
+
+// monitorBlocks runs the block kernel over xs, split into blocks whose
+// lengths next draws, and returns the sanitised samples, the flags with
+// every retroactive patch applied and the resync positions.
+func monitorBlocks(m *monitor, xs []float64, next func() int) (san []float64, flags []qflag, resyncs []int) {
+	san = make([]float64, len(xs))
+	flags = make([]qflag, len(xs))
+	for b0 := 0; b0 < len(xs); {
+		b1 := min(b0+next(), len(xs))
+		m.processBlock(xs[b0:b1], san[b0:b1], flags[b0:b1],
+			func(back int, f qflag) bool {
+				if b0-back < 0 {
+					return false
+				}
+				flags[b0-back] |= f
+				return true
+			},
+			func(i int) { resyncs = append(resyncs, b0+i) })
+		b0 = b1
+	}
+	return san, flags, resyncs
+}
+
+// monitorDiff describes the first difference between the block kernel's
+// outputs and the oracle's (a nil oracle mask is all clear), or returns
+// "" when they agree bit for bit.
+func monitorDiff(san []float64, flags []qflag, resyncs []int, wantSan []float64, wantMask []qflag, wantResyncs []int) string {
+	for i := range san {
+		if math.Float64bits(san[i]) != math.Float64bits(wantSan[i]) {
+			return fmt.Sprintf("sanitised sample %d is %v, want %v", i, san[i], wantSan[i])
+		}
+		var want qflag
+		if wantMask != nil {
+			want = wantMask[i]
+		}
+		if flags[i] != want {
+			return fmt.Sprintf("sample %d flags %v, want %v", i, flags[i], want)
+		}
+	}
+	if !reflect.DeepEqual(resyncs, wantResyncs) {
+		return fmt.Sprintf("resyncs %v, want %v", resyncs, wantResyncs)
+	}
+	return ""
+}
+
+// monitorStateDiff describes how the block kernel's monitor state — the
+// quality record, every state field and the busy tracker's State —
+// differs from the oracle's, or returns "" when it does not. Observers
+// are not state and are left out.
+func monitorStateDiff(m *monitor, ref *oracleMonitor) string {
+	got, want := *m, *ref.monitor
+	got.smax, got.obs, want.obs = nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("monitor state differs\n got %+v\nwant %+v", got, want)
+	}
+	if gs, ws := m.smax.State(), ref.smax.State(); !reflect.DeepEqual(gs, ws) {
+		return fmt.Sprintf("busy tracker state differs\n got %+v\nwant %+v", gs, ws)
+	}
+	return ""
 }
 
 // TestCompositionsMatchOracle is the single equivalence gate: batch,

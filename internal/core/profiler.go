@@ -317,9 +317,10 @@ func (a *Analyzer) Profile(c *em.Capture) *Profile {
 	s.PushBlock(c.Samples)
 	p := s.finish()
 	n := int64(len(c.Samples))
-	for i, st := range [...]trace.Stage{trace.StageScan, trace.StageNormalize, trace.StageDetect} {
-		obs.StageTiming(trace.StageTiming{Stage: st, DurationNs: s.clock.ns[i], Samples: n})
-	}
+	ns := s.clock.ns
+	obs.StageTiming(trace.StageTiming{Stage: trace.StageScan, DurationNs: ns[stageMonitor] + ns[stageSmooth], Samples: n})
+	obs.StageTiming(trace.StageTiming{Stage: trace.StageNormalize, DurationNs: ns[stageNormalize], Samples: n})
+	obs.StageTiming(trace.StageTiming{Stage: trace.StageDetect, DurationNs: ns[stageDetect], Samples: n})
 	return p
 }
 

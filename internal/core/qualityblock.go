@@ -17,17 +17,162 @@ import (
 // exist (the stream start), which ends the patch run. Resyncs are
 // reported through onResync with the block-relative sample index.
 //
-// The monitor's hot state is hoisted into locals for the duration of the
-// block, removing the per-sample field loads, store-backs and call
-// overhead that dominated the monitor when it ran one sample per call.
-// The readable per-sample form of the same monitor is the test oracle
-// (oracle_test.go), which compares the two sample for sample, including
-// the full quality record and every piece of exported state.
+// The kernel alternates two loops over one monitor state. The settled
+// fast run (settledRun) takes the uneventful samples, which are almost
+// all of a capture; the general step (generalRun) takes the first sample
+// the fast run declines and every sample after it until the monitor is
+// settled again. The general step is the whole monitor and the only code
+// that flags, resyncs or emits. The readable per-sample form of the same
+// monitor is the test oracle (oracle_test.go), which compares the kernel
+// with it sample for sample, including the full quality record and every
+// piece of exported state.
 //
 // An attached trace observer receives one Resync event per re-seed and
-// one QualityFlag event per flagged sample, in sample order; the
-// nil-observer fast path pays one predictable branch per sample.
+// one QualityFlag event per flagged sample, in sample order. The fast run
+// emits nothing, because its samples carry no flag and no resync, so it
+// runs with or without an observer.
 func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func(back int, f qflag) bool, onResync func(i int)) {
+	for i := 0; i < len(xs); {
+		i += m.settledRun(xs[i:], san[i:], flags[i:])
+		if i < len(xs) {
+			i = m.generalRun(xs, san, flags, i, patchOlder, onResync)
+		}
+	}
+}
+
+// settled reports whether the monitor may enter the fast run: no step
+// resync is pending, the busy reference is live and positive, no
+// dropout run is open (so the next sample cannot end a long gap), and a
+// previous sample anchors the distinctness arm.
+func settled(stepPending, refReady bool, ref float64, zeroRun int, havePrev bool) bool {
+	return !stepPending && refReady && ref > 0 && zeroRun == 0 && havePrev
+}
+
+// settledRun is the monitor's fast run. It commits samples from the front
+// of xs while the monitor is settled and each sample is uneventful,
+// writing san and flags, and returns how many it committed. A sample is
+// uneventful when
+//
+//   - it is positive (no NaN, dropout or negative sample);
+//   - it is at most burstK·ref and stepRatio·ref (no burst, no raw step
+//     high);
+//   - with the updated distinctness EMA and run length it does not
+//     confirm a clip;
+//   - the busy tracker's moving max, divided by ref, stays inside the
+//     step band, and inside the shift band when that band is armed.
+//
+// +Inf fails the second test, or the band test when burstK·ref overflows,
+// since the moving max is then +Inf.
+//
+// Such a sample passes through unflagged, fires no resync and no observer
+// event, zeroes the step and shift candidacies and moves the busy
+// reference by its EMA step, exactly as the general step would. Every
+// test runs before anything is committed, so the run stops at the first
+// sample that fails one and the general step replays that sample from
+// unchanged state. The run also stops one sample short of the busy
+// tracker's block end, so the suffix refill (EndBlock) stays in the
+// general step. A monitor that is not settled commits nothing.
+//
+// The loop carries about a dozen values, few enough to stay in
+// registers, where the general step carries three times as many and
+// spills most of them to the stack.
+func (m *monitor) settledRun(xs, san []float64, flags []qflag) int {
+	if !settled(m.stepResyncPending, m.refReady, m.ref, m.zeroRun, m.havePrev) {
+		return 0
+	}
+	sb := m.smax.Block()
+	n := min(len(xs), len(sb.Cur)-1-sb.Pos)
+	if n <= 0 {
+		return 0
+	}
+	xs, san, flags = xs[:n], san[:n], flags[:n]
+	cur, suf, pre := sb.Cur[sb.Pos:][:n], sb.Suf[sb.Pos+1:][:n], sb.Pre
+
+	// x > burstK·ref || x > stepRatio·ref is x > min(burstK, stepRatio)·ref,
+	// and the step and shift band tests fold the same way, because
+	// rounding a product by ref > 0 is monotone in the other factor. The
+	// other parameters are read through m inside the loop: they sit on
+	// rare paths or off the loop-carried chains, and leaving them in
+	// memory keeps the loop's state in registers.
+	highK := min(m.burstK, m.stepRatio)
+	bandHi, bandLo := m.stepRatio, 1/m.stepRatio
+	if sr := m.shiftRatio; sr > 0 {
+		bandHi, bandLo = min(bandHi, sr), max(bandLo, 1/sr)
+	}
+
+	ref := m.ref
+	distinct, prevX := m.distinct, m.prevX
+	runVal, runLen, clipActive := m.runVal, m.runLen, m.clipActive
+	sinceHigh, sinceShiftHigh := m.sinceHigh, m.sinceShiftHigh
+	i := 0
+	for ; i < len(xs); i++ {
+		x := xs[i]
+		if !(x > 0) || x > highK*ref {
+			break
+		}
+		d := 0.0
+		if x != prevX {
+			d = 1
+		}
+		dist := distinct + m.distinctAlpha*(d-distinct)
+		rl, active := runLen+1, clipActive
+		if x != runVal {
+			rl, active = 1, false
+		}
+		if dist > 0.9 && rl >= m.clipRun && x >= m.clipMinFrac*ref {
+			break
+		}
+		p := pre
+		if x >= p {
+			p = x
+		}
+		sm := p
+		if v := suf[i]; v > sm {
+			sm = v
+		}
+		ratio := sm / ref
+		if ratio > bandHi || ratio < bandLo {
+			break
+		}
+
+		cur[i], pre = x, p
+		distinct, prevX, runVal, runLen, clipActive = dist, x, x, rl, active
+		if sinceHigh < 1<<30 {
+			sinceHigh++
+		}
+		if m.shiftRatio > 0 {
+			if x > m.shiftRatio*ref {
+				sinceShiftHigh = 0
+			} else if sinceShiftHigh < 1<<30 {
+				sinceShiftHigh++
+			}
+		}
+		ref += m.refAlpha * (sm - ref)
+		san[i], flags[i] = x, 0
+	}
+	if i == 0 {
+		return 0
+	}
+
+	m.smax.SetBlock(sb.Pos+i, pre, i)
+	m.q.Samples += int64(i)
+	m.ref = ref
+	m.distinct, m.prevX, m.lastGood = distinct, prevX, prevX
+	m.runVal, m.runLen, m.clipActive = runVal, runLen, clipActive
+	m.sinceHigh, m.sinceShiftHigh = sinceHigh, sinceShiftHigh
+	m.stepDir, m.stepLen = 0, 0
+	if m.shiftRatio > 0 {
+		m.shiftDir, m.shiftLen = 0, 0
+	}
+	return i
+}
+
+// generalRun is the general step: the whole per-sample monitor, with its
+// hot state hoisted into locals for the run. It processes xs[i0] and the
+// samples after it until the monitor is settled again (or the block
+// ends), and returns the index of the next unprocessed sample. The
+// nil-observer path pays one predictable branch per sample.
+func (m *monitor) generalRun(xs, san []float64, flags []qflag, i0 int, patchOlder func(back int, f qflag) bool, onResync func(i int)) int {
 	// Structural parameters (never written).
 	persist := m.persist
 	resyncGap := m.resyncGap
@@ -35,6 +180,8 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 	half := m.half
 	stepRatio := m.stepRatio
 	shiftRatio := m.shiftRatio
+	invStep := 1 / stepRatio   // loop-invariant band edges
+	invShift := 1 / shiftRatio // +Inf while the shift band is disarmed; unread then
 	burstK := m.burstK
 	clipMinFrac := m.clipMinFrac
 	refAlpha := m.refAlpha
@@ -49,7 +196,7 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 	sPos, sPre := sb.Pos, sb.Pre
 	sW := len(sCur)
 
-	// Hot mutable state, written back after the block.
+	// Hot mutable state, written back after the run.
 	samples := m.q.Samples
 	stepPending := m.stepResyncPending
 	pendingCause := m.pendingCause
@@ -72,7 +219,9 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 	shiftDir := m.shiftDir
 	shiftLen := m.shiftLen
 
-	for ii, x := range xs {
+	ii := i0
+	for ii < len(xs) {
+		x := xs[ii]
 		samples++
 		var fl qflag
 		var retro int
@@ -189,7 +338,7 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 			dir := 0
 			if ratio > stepRatio {
 				dir = 1
-			} else if ratio < 1/stepRatio {
+			} else if ratio < invStep {
 				dir = -1
 			}
 			sdir := 0
@@ -201,7 +350,7 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 				}
 				if ratio > shiftRatio {
 					sdir = 1
-				} else if ratio < 1/shiftRatio {
+				} else if ratio < invShift {
 					sdir = -1
 				}
 			}
@@ -294,9 +443,13 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 		if resync {
 			onResync(ii)
 		}
+		ii++
+		if settled(stepPending, refReady, ref, zeroRun, havePrev) {
+			break
+		}
 	}
 
-	m.smax.SetBlock(sPos, sPre, len(xs))
+	m.smax.SetBlock(sPos, sPre, ii-i0)
 	m.q.Samples = samples
 	m.stepResyncPending = stepPending
 	m.pendingCause = pendingCause
@@ -318,4 +471,5 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 	m.sinceShiftHigh = sinceShiftHigh
 	m.shiftDir = shiftDir
 	m.shiftLen = shiftLen
+	return ii
 }

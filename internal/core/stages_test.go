@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkEngineStages splits the engine's cost into its stages with the
-// engine's own stage clock: scan (quality monitor and smoother), min/max
+// engine's own stage clock: the quality monitor, the smoother, min/max
 // (the moving extremum kernel) and detect, each in ns per raw sample. The
 // input is an analyze-batch-shaped capture: 131,072 samples of an
 // impaired samsung SPEC run (dropouts, gain steps, coupling drift), pushed
@@ -41,8 +41,9 @@ func BenchmarkEngineStages(b *testing.B) {
 	b.StopTimer()
 	ns := stages()
 	per := float64(b.N) * n
-	b.ReportMetric(float64(ns[0])/per, "scan-ns/sample")
-	b.ReportMetric(float64(ns[1])/per, "minmax-ns/sample")
-	b.ReportMetric(float64(ns[2])/per, "detect-ns/sample")
+	b.ReportMetric(float64(ns[0])/per, "monitor-ns/sample")
+	b.ReportMetric(float64(ns[1])/per, "smooth-ns/sample")
+	b.ReportMetric(float64(ns[2])/per, "minmax-ns/sample")
+	b.ReportMetric(float64(ns[3])/per, "detect-ns/sample")
 	b.ReportMetric(0, "ns/op")
 }

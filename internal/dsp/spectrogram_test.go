@@ -13,7 +13,6 @@ func TestWindowShapes(t *testing.T) {
 	}{
 		{"hann", Hann(33), 0},
 		{"hamming", Hamming(33), 0.08},
-		{"blackman", Blackman(33), 0},
 	} {
 		n := len(c.w)
 		if n != 33 {
@@ -32,17 +31,8 @@ func TestWindowShapes(t *testing.T) {
 			t.Errorf("%s centre %v, want 1", c.name, c.w[n/2])
 		}
 	}
-	if w := Rectangular(5); w[0] != 1 || w[4] != 1 {
-		t.Error("rectangular window must be all ones")
-	}
 	if w := Hann(1); w[0] != 1 {
 		t.Error("single-point window must be 1")
-	}
-}
-
-func TestWindowPower(t *testing.T) {
-	if got := WindowPower(Rectangular(8)); !almostEqual(got, 8, 1e-12) {
-		t.Fatalf("rectangular power %v, want 8", got)
 	}
 }
 

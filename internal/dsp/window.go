@@ -31,20 +31,6 @@ func Hamming(n int) []float64 {
 	return cosineWindow(n, []float64{0.54, -0.46})
 }
 
-// Blackman returns an n-point Blackman window.
-func Blackman(n int) []float64 {
-	return cosineWindow(n, []float64{0.42, -0.5, 0.08})
-}
-
-// Rectangular returns an n-point all-ones window.
-func Rectangular(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 func cosineWindow(n int, coeffs []float64) []float64 {
 	w := make([]float64, n)
 	if n == 1 {
@@ -60,14 +46,4 @@ func cosineWindow(n int, coeffs []float64) []float64 {
 		w[i] = v
 	}
 	return w
-}
-
-// WindowPower returns the sum of squared window coefficients, used to
-// normalise power spectra computed with that window.
-func WindowPower(w []float64) float64 {
-	s := 0.0
-	for _, v := range w {
-		s += v * v
-	}
-	return s
 }

@@ -91,14 +91,6 @@ type Stats struct {
 	Fills      uint64
 }
 
-// MissRate returns misses/accesses, or 0 for an untouched cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one set-associative cache level. Lines are stored in one flat
 // set-major array (set s occupies lines[s*ways : (s+1)*ways]); set and tag
 // extraction are pure shift/mask with all shift amounts precomputed, so a
@@ -151,9 +143,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the event counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
@@ -284,38 +273,4 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Invalidate drops the line containing addr, returning whether it was
-// present and dirty. Used by the perf-baseline model's interrupt-handler
-// pollution.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.decompose(addr)
-	ways := c.setSlice(set)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			present, dirty = true, ways[i].dirty
-			ways[i] = line{}
-			return
-		}
-	}
-	return false, false
-}
-
-// InvalidateAll empties the cache (cold boot).
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
-
-// ValidLines returns the number of valid lines currently cached.
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
 }

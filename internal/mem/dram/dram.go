@@ -182,12 +182,6 @@ func (d *DRAM) refreshWindow(cycle uint64) (start, end uint64, ok bool) {
 	return start, end, true
 }
 
-// InRefresh reports whether the device is refreshing at cycle.
-func (d *DRAM) InRefresh(cycle uint64) bool {
-	s, e, ok := d.refreshWindow(cycle)
-	return ok && cycle >= s && cycle < e
-}
-
 // Access services a line read/write request issued at cycle `when` and
 // returns the completion cycle and whether the request was delayed by a
 // refresh window. Bank conflicts and row-buffer state are modelled; the

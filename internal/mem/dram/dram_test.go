@@ -99,11 +99,17 @@ func TestRefreshOutsideWindowUnaffected(t *testing.T) {
 }
 
 func TestInRefresh(t *testing.T) {
+	// inRefresh reports whether the device is refreshing at cycle, through
+	// the refresh window Access checks requests against.
+	inRefresh := func(d *DRAM, cycle uint64) bool {
+		s, e, ok := d.refreshWindow(cycle)
+		return ok && cycle >= s && cycle < e
+	}
 	d := MustNew(testConfig(), false)
-	if d.InRefresh(75000) {
+	if inRefresh(d, 75000) {
 		t.Fatal("75000 is outside the refresh window")
 	}
-	if !d.InRefresh(70000) || !d.InRefresh(72199) {
+	if !inRefresh(d, 70000) || !inRefresh(d, 72199) {
 		t.Fatal("refresh window not recognised")
 	}
 	// Refresh disabled.
@@ -111,8 +117,8 @@ func TestInRefresh(t *testing.T) {
 	cfg.RefreshInterval = 0
 	cfg.RefreshDuration = 0
 	d2 := MustNew(cfg, false)
-	if d2.InRefresh(0) {
-		t.Fatal("refresh disabled but InRefresh true")
+	if inRefresh(d2, 0) {
+		t.Fatal("refresh disabled but the device reports a refresh")
 	}
 }
 

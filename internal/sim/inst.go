@@ -142,57 +142,11 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 // Len returns the total number of instructions in the underlying slice.
 func (s *SliceStream) Len() int { return len(s.insts) }
 
-// ConcatStream chains several streams end to end.
-type ConcatStream struct {
-	streams []Stream
-	idx     int
-}
-
-// NewConcatStream returns a Stream that yields each sub-stream in order.
-func NewConcatStream(streams ...Stream) *ConcatStream {
-	return &ConcatStream{streams: streams}
-}
-
-// Next implements Stream.
-func (c *ConcatStream) Next(inst *Inst) bool {
-	for c.idx < len(c.streams) {
-		if c.streams[c.idx].Next(inst) {
-			return true
-		}
-		c.idx++
-	}
-	return false
-}
-
 // FuncStream adapts a generator function to the Stream interface.
 type FuncStream func(inst *Inst) bool
 
 // Next implements Stream.
 func (f FuncStream) Next(inst *Inst) bool { return f(inst) }
-
-// LimitStream truncates an underlying stream after n instructions.
-type LimitStream struct {
-	inner Stream
-	left  int64
-}
-
-// NewLimitStream returns a stream yielding at most n instructions of inner.
-func NewLimitStream(inner Stream, n int64) *LimitStream {
-	return &LimitStream{inner: inner, left: n}
-}
-
-// Next implements Stream.
-func (l *LimitStream) Next(inst *Inst) bool {
-	if l.left <= 0 {
-		return false
-	}
-	if !l.inner.Next(inst) {
-		l.left = 0
-		return false
-	}
-	l.left--
-	return true
-}
 
 // RegionSpan records, in the ground-truth trace, the cycle range during
 // which a given workload region was executing. Spans are produced by the

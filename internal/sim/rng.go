@@ -181,16 +181,6 @@ func (r *RNG) NormFloat64s(dst []float64) {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Geometric returns a geometric variate: the number of failures before the
 // first success for success probability p in (0, 1].
 func (r *RNG) Geometric(p float64) int {

@@ -142,22 +142,6 @@ func TestRNGNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestRNGExpFloat64Mean(t *testing.T) {
-	r := NewRNG(9)
-	const n = 50000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate %v < 0", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.05 {
-		t.Fatalf("exponential mean %v, want ~1", mean)
-	}
-}
-
 func TestRNGGeometricMean(t *testing.T) {
 	r := NewRNG(11)
 	const p = 0.25
@@ -231,33 +215,6 @@ func TestSliceStream(t *testing.T) {
 	s.Reset()
 	if !s.Next(&in) || in.PC != 4 {
 		t.Fatal("reset must rewind")
-	}
-}
-
-func TestConcatStream(t *testing.T) {
-	a := NewSliceStream([]Inst{{PC: 1}})
-	b := NewSliceStream([]Inst{{PC: 2}, {PC: 3}})
-	c := NewConcatStream(a, NewSliceStream(nil), b)
-	var in Inst
-	var pcs []uint64
-	for c.Next(&in) {
-		pcs = append(pcs, in.PC)
-	}
-	if len(pcs) != 3 || pcs[0] != 1 || pcs[1] != 2 || pcs[2] != 3 {
-		t.Fatalf("concat order %v", pcs)
-	}
-}
-
-func TestLimitStream(t *testing.T) {
-	inner := NewSliceStream([]Inst{{}, {}, {}, {}})
-	l := NewLimitStream(inner, 2)
-	var in Inst
-	n := 0
-	for l.Next(&in) {
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("limit yielded %d, want 2", n)
 	}
 }
 
