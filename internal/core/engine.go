@@ -12,7 +12,7 @@ import (
 //	monitor  monitor.processBlock            raw → sanitised samples, flags, resyncs
 //	smooth   dsp.MovingAverage.ProcessBlock  read lead samples ahead (centred)
 //	min/max  minMaxSpan                      trailing moving min/max, reset at resyncs
-//	decide   detector.step                   normalise against (lo, hi), detect dips
+//	decide   detector.run                    normalise against (lo, hi), detect dips
 //
 // The monitor kernel alternates a settled fast run with a general step.
 // The fast run takes each sample while the monitor is settled (no step
@@ -24,17 +24,30 @@ import (
 // flag, resync and observer event. On the golden captures the fast run
 // takes 98–99 % of the samples.
 //
+// The decide kernel alternates a fast run with the general step the same
+// way. Outside a dip the fast run takes each unflagged position with
+// !(v < EnterThreshold); inside one, each unflagged position with
+// !(v > ExitThreshold), lowering depth in a register. The negated
+// comparisons keep a NaN v in the loop, since it neither enters nor
+// leaves a dip. The position it declines, and the flagged run after it,
+// go to step, the only code that enters, aborts or flushes a dip or
+// emits an event. On the golden captures the fast run takes 75–96 % of
+// the positions; the rest are mostly flagged.
+//
 // The pipeline has no feedback between its stages, so each kernel runs
 // over a whole span before the next starts. They are composed three ways:
 //
 //   - Streaming: StreamAnalyzer.pushChunk runs all four over bounded
 //     chunks. PushBlock splits its input into chunks and Push is a
-//     one-sample chunk.
+//     one-sample chunk. The due positions are decided in place, straight
+//     out of the fronts of the pending value and flag rings and then the
+//     chunk's own values; only the last half window's values are queued.
 //   - Batch: Analyzer.Profile is the streaming composition over a whole
 //     capture, so its scratch memory is bounded by the chunk size.
 //   - Parallel: ProfileParallel runs monitor and smooth sequentially over
 //     the capture, min/max on a worker pool (its windows are finite, so a
-//     shard only needs one window of history), and decide in order.
+//     shard only needs one window of history), and decide in order, over
+//     each shard's span split where the stats clamp to the final ones.
 //
 // Position i is decided against the stats after position i+half was folded
 // in, or against the final stats when the capture ends first. The
@@ -170,31 +183,69 @@ func (s *StreamAnalyzer) feedBlock(vals []float64) {
 	s.haveStats = true
 	s.clock.lap(stageNormalize)
 
-	det := s.det
-	emitted := s.emitted
-	for k, x := range vals {
-		s.pending.push(x)
-		if s.pending.len() > s.half {
-			det.step(emitted, s.pending.pop(), s.flagBuf.popOrZero(), los[k], his[k])
-			emitted++
-		}
+	// Position fed0+k−half is due once position fed0+k is folded in. The
+	// pending queue holds the fed0 − emitted ≤ half positions before vals,
+	// so m positions are due, and the last of them takes the last stats.
+	m := s.pending.len() + len(vals) - s.half
+	if m > 0 {
+		vals = vals[s.decideFront(m, vals, los[len(los)-m:], his[len(his)-m:]):]
 	}
-	s.emitted = emitted
+	s.pending.pushSlice(vals)
 	s.clock.lap(stageDetect)
+}
+
+// decideFront decides the next m positions in place: their values are the
+// pending queue's front followed by the front of vals, and position
+// emitted+j is decided against los[j] and his[j]. It drops the decided
+// values from the queue and returns how many it took from vals.
+func (s *StreamAnalyzer) decideFront(m int, vals, los, his []float64) int {
+	p := min(m, s.pending.len())
+	v0, v1 := s.pending.front(p)
+	s.decideSpan(v0, los, his)
+	s.decideSpan(v1, los[len(v0):], his[len(v0):])
+	s.decideSpan(vals[:m-p], los[p:], his[p:])
+	s.pending.discard(p)
+	return m - p
+}
+
+// decideSpan decides the next len(xs) positions, whose values are xs,
+// against los and his, with their flags straight off the flag queue's
+// front (two spans where the ring wraps), and drops those flags.
+func (s *StreamAnalyzer) decideSpan(xs, los, his []float64) {
+	if len(xs) == 0 {
+		return
+	}
+	f0, f1 := s.flagBuf.front(len(xs))
+	k := len(f0)
+	s.det.run(s.emitted, xs[:k], f0, los, his)
+	if k < len(xs) {
+		s.det.run(s.emitted+int64(k), xs[k:], f1, los[k:], his[k:])
+	}
+	s.flagBuf.discard(len(xs))
+	s.emitted += int64(len(xs))
 }
 
 // finish drains the pipeline: the final lead positions take their own
 // trailing smoother outputs, and the positions still inside the last
-// half-window are decided against the final stats.
+// half-window are decided against the final stats, broadcast into the
+// scratch stat lanes one chunk at a time.
 func (s *StreamAnalyzer) finish() *Profile {
 	s.clock.start()
 	if s.smoother != nil {
 		k := min(s.lead, int(s.n))
 		s.feedBlock(s.smTail[max(len(s.smTail)-k, 0):])
 	}
-	for s.haveStats && s.pending.len() > 0 {
-		s.det.step(s.emitted, s.pending.pop(), s.flagBuf.popOrZero(), s.lastMin, s.lastMax)
-		s.emitted++
+	if s.haveStats && s.pending.len() > 0 {
+		sc := s.lanes()
+		lo := sc.lo[:min(s.pending.len(), pushBlockN)]
+		hi := sc.hi[:len(lo)]
+		for j := range lo {
+			lo[j], hi[j] = s.lastMin, s.lastMax
+		}
+		for s.pending.len() > 0 {
+			m := min(s.pending.len(), len(lo))
+			s.decideFront(m, nil, lo[:m], hi[:m])
+		}
 	}
 	s.det.finish(s.emitted)
 	s.clock.lap(stageDetect)

@@ -153,6 +153,23 @@ func TestSettledRunCoverage(t *testing.T) {
 	}
 }
 
+// TestDecideFastRunCoverage fails if the detector's fast run stops
+// firing. Most positions of the golden captures carry no flag and neither
+// enter nor leave a dip, so the fast run must decide at least 70 % of
+// each; step takes the flagged positions (a quarter of the impaired
+// samsung capture, mostly gain-step regions) and the dip entries and
+// exits.
+func TestDecideFastRunCoverage(t *testing.T) {
+	for _, g := range goldenCases {
+		c := g.capture(t)
+		share := core.DecideShare(g.config(), c)
+		t.Logf("%s: %.1f %% of %d positions in the fast run", g.name, 100*share, len(c.Samples))
+		if share < 0.70 {
+			t.Errorf("%s: fast run took %.1f %% of the positions, want at least 70 %%", g.name, 100*share)
+		}
+	}
+}
+
 // TestGoldenHandoffResume resumes the committed mid-stream state, pushes
 // the rest of its capture and requires the finalized profile to match the
 // pinned batch digest: the hand-off wire format stays readable, and a

@@ -192,6 +192,15 @@ func ResumeStreamAnalyzer(st *StreamState) (*StreamAnalyzer, error) {
 	if len(st.Pending) > s.half {
 		return nil, fmt.Errorf("core: %d pending positions exceed half-window %d", len(st.Pending), s.half)
 	}
+	// The queues hold exactly the undecided positions: a flag for each
+	// pushed one, a value for each fed one, and fed trails pushed by the
+	// smoother's lead. The decide stage takes each due position's value
+	// and flag from the queue fronts and relies on them being there.
+	if int64(len(st.FlagBuf)) != st.Pushed-st.Decided || int64(len(st.Pending)) != st.Fed-st.Decided ||
+		st.Fed != max(st.Pushed-int64(s.lead), 0) {
+		return nil, fmt.Errorf("core: queues hold %d flags and %d values for pushed=%d fed=%d decided=%d",
+			len(st.FlagBuf), len(st.Pending), st.Pushed, st.Fed, st.Decided)
+	}
 	if (st.Smoother == nil) != (s.smoother == nil) {
 		return nil, fmt.Errorf("core: smoother state does not match config (SmoothSamples=%d)", st.Config.SmoothSamples)
 	}

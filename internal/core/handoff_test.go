@@ -180,6 +180,32 @@ func TestHandoffRejectsMismatchedState(t *testing.T) {
 		t.Fatal("state with a consumed resync accepted")
 	}
 
+	// Queues out of step with the counters. A truncated flag queue would
+	// decide its last positions unflagged, a short value queue would
+	// decide every later position against the wrong stats, and fed must
+	// trail pushed by exactly the smoother's lead.
+	st = a.ExportState()
+	st.FlagBuf = st.FlagBuf[:len(st.FlagBuf)-1]
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with a truncated flag queue accepted")
+	}
+	st = a.ExportState()
+	st.FlagBuf = append(st.FlagBuf, 0)
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with an extra flag accepted")
+	}
+	st = a.ExportState()
+	st.Pending = st.Pending[1:]
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with a short value queue accepted")
+	}
+	st = a.ExportState()
+	st.Fed++
+	st.Pending = append(st.Pending, st.Pending[len(st.Pending)-1])
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state fed past the smoother's lead accepted")
+	}
+
 	// A window whose buffers would exhaust memory.
 	st = a.ExportState()
 	st.SampleRate = 1e15

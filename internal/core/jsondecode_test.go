@@ -33,6 +33,11 @@ func bitEqual(a, b reflect.Value) bool {
 			return a.IsNil() == b.IsNil()
 		}
 		return bitEqual(a.Elem(), b.Elem())
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return a.Elem().Type() == b.Elem().Type() && bitEqual(a.Elem(), b.Elem())
 	case reflect.Slice:
 		if a.IsNil() != b.IsNil() {
 			return false

@@ -20,9 +20,9 @@ package core
 //     resync points inside it. A worker that starts its windows one full
 //     window before the first stat it reads reproduces them exactly. This
 //     is the expensive stage, and it fans out.
-//   - The normalise+decide kernel is a cheap state machine; replaying it
-//     over the shards in order reproduces hysteresis, aborts and
-//     confidences exactly.
+//   - The decide kernel is a cheap state machine; replaying it over the
+//     shards in order reproduces hysteresis, aborts and confidences
+//     exactly.
 //
 // The stages run as a pipeline rather than behind barriers: the producer
 // dispatches each shard as soon as its pass covers the shard's read
@@ -236,12 +236,26 @@ func (a *Analyzer) ProfileParallel(c *em.Capture, opts ParallelOptions) *Profile
 	if obs != nil {
 		mergeT0 = time.Now()
 	}
+	// Positions from n−half on are decided against the final stats, the
+	// last in their shard's stats; the replay broadcasts them into lo/hi.
+	clamp := max(n-half, 0)
+	var lo, hi []float64
 	for ci := 0; ci < numChunks; ci++ {
 		res := <-results[ci]
 		stallsBefore := len(p.Stalls)
-		for i := res.lo; i < res.hi; i++ {
-			k := min(i+half, n-1) - res.feed
-			d.step(int64(i), x[i], flags[i], res.los[k], res.his[k])
+		if e := min(res.hi, clamp); res.lo < e {
+			k := res.lo + half - res.feed
+			d.run(int64(res.lo), x[res.lo:e], flags[res.lo:e], res.los[k:], res.his[k:])
+		}
+		if b := max(res.lo, clamp); b < res.hi {
+			if lo == nil {
+				lo, hi = make([]float64, n-clamp), make([]float64, n-clamp)
+			}
+			lo, hi = lo[:res.hi-b], hi[:res.hi-b]
+			for j := range lo {
+				lo[j], hi[j] = res.los[len(res.los)-1], res.his[len(res.his)-1]
+			}
+			d.run(int64(b), x[b:res.hi], flags[b:res.hi], lo, hi)
 		}
 		if obs != nil {
 			obs.ChunkMerged(trace.ChunkMerged{

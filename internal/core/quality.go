@@ -298,30 +298,111 @@ func normWindow(cfg Config, sampleRate float64) int {
 	return max(8, int(cfg.NormWindowS*sampleRate))
 }
 
-// step is the normalise+decide kernel: it maps the smoothed value x of
-// position i into [0, 1] against the trailing (lo, hi) stats read half a
-// window ahead (Section IV: "EMPROF compensates for these effects by
-// tracking a moving minimum and maximum of the signal's magnitude"), then
-// runs the dip detector on it. A window whose range is below MinRangeFrac
-// of its maximum carries no dip information and normalises to 1.
-func (d *detector) step(i int64, x float64, fl qflag, lo, hi float64) {
+// normValue maps the smoothed value x of a position into [0, 1] against
+// the trailing (lo, hi) stats read half a window ahead (Section IV:
+// "EMPROF compensates for these effects by tracking a moving minimum and
+// maximum of the signal's magnitude"). A window whose range is below
+// minFrac of its maximum carries no dip information and normalises to 1.
+// NaN in x, lo or hi yields 1 or NaN, never a value in [0, 1).
+func normValue(x, lo, hi, minFrac float64) float64 {
 	r := hi - lo
-	var v float64
-	if hi <= 0 || r < d.cfg.MinRangeFrac*hi {
-		v = 1
-	} else {
-		v = (x - lo) / r
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
+	if hi <= 0 || r < minFrac*hi {
+		return 1
 	}
+	v := (x - lo) / r
+	if v < 0 {
+		v = 0
+	}
+	if v > 1 {
+		v = 1
+	}
+	return v
+}
+
+// step is the general normalise+decide step: it normalises the smoothed
+// value x of position i against (lo, hi) and runs the dip detector on it.
+// It is the only code that enters, aborts or flushes a dip, or emits an
+// observer event.
+func (d *detector) step(i int64, x float64, fl qflag, lo, hi float64) {
+	v := normValue(x, lo, hi, d.cfg.MinRangeFrac)
 	if d.keep {
 		d.prof.Normalized = append(d.prof.Normalized, v)
 	}
 	d.decide(i, v, fl, lo, hi)
+}
+
+// run is the decide stage kernel: it decides positions i0, i0+1, … whose
+// smoothed values, impairment flags and normalisation stats are xs, fl,
+// lo and hi (fl, lo and hi at least len(xs) long). It alternates the fast
+// run with step, which takes each position the fast run declines, so it
+// decides exactly as a step per position does, however a stream of
+// positions is split into spans.
+func (d *detector) run(i0 int64, xs []float64, fl []qflag, lo, hi []float64) {
+	fl, lo, hi = fl[:len(xs)], lo[:len(xs)], hi[:len(xs)]
+	for j := 0; j < len(xs); {
+		j += d.fastRun(xs[j:], fl[j:], lo[j:], hi[j:])
+		// step takes the declined position and the flagged run after it,
+		// which the fast run would decline one by one.
+		for j < len(xs) {
+			d.step(i0+int64(j), xs[j], fl[j], lo[j], hi[j])
+			if j++; j == len(xs) || fl[j] == 0 {
+				break
+			}
+		}
+	}
+}
+
+// fastRun decides positions from the front of xs while each is uneventful
+// and returns how many it decided. Outside a dip a position is uneventful
+// when it is unflagged and !(v < EnterThreshold); inside one, when it is
+// unflagged and !(v > ExitThreshold), and it only lowers depth. The
+// negated comparisons keep a NaN v in the loop, as decide does: NaN
+// neither enters nor exits a dip, nor moves depth. Such a position
+// changes nothing but depth and emits nothing, so the loops carry depth
+// in a register and leave every other decision to step.
+func (d *detector) fastRun(xs []float64, fl []qflag, lo, hi []float64) int {
+	fl, lo, hi = fl[:len(xs)], lo[:len(xs)], hi[:len(xs)]
+	minFrac := d.cfg.MinRangeFrac
+	keep := d.keep
+	norm := d.prof.Normalized
+	j := 0
+	if !d.inDip {
+		enter := d.cfg.EnterThreshold
+		for ; j < len(xs); j++ {
+			if fl[j] != 0 {
+				break
+			}
+			v := normValue(xs[j], lo[j], hi[j], minFrac)
+			if v < enter {
+				break
+			}
+			if keep {
+				norm = append(norm, v)
+			}
+		}
+	} else {
+		exit, depth := d.cfg.ExitThreshold, d.depth
+		for ; j < len(xs); j++ {
+			if fl[j] != 0 {
+				break
+			}
+			v := normValue(xs[j], lo[j], hi[j], minFrac)
+			if v > exit {
+				break
+			}
+			if v < depth {
+				depth = v
+			}
+			if keep {
+				norm = append(norm, v)
+			}
+		}
+		d.depth = depth
+	}
+	if keep {
+		d.prof.Normalized = norm
+	}
+	return j
 }
 
 // decide processes the normalised value v of position i with impairment

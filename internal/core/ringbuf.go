@@ -14,18 +14,6 @@ type fifo[T any] struct {
 
 func (r *fifo[T]) len() int { return r.n }
 
-func (r *fifo[T]) push(x T) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = x
-	r.n++
-}
-
 // pushSlice appends all of xs in order, equivalent to pushing each
 // element; the copies happen in at most two bulk moves.
 func (r *fifo[T]) pushSlice(xs []T) {
@@ -45,24 +33,21 @@ func (r *fifo[T]) pushSlice(xs []T) {
 	r.n += len(xs)
 }
 
-func (r *fifo[T]) pop() T {
-	x := r.buf[r.head]
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
-	return x
+// front returns the first n elements (n <= len) in queue order, as at
+// most two contiguous segments of the ring: a then b. They alias the ring
+// until the next push or discard.
+func (r *fifo[T]) front(n int) (a, b []T) {
+	first := min(n, len(r.buf)-r.head)
+	return r.buf[r.head : r.head+first], r.buf[:n-first]
 }
 
-// popOrZero pops the front element, or returns the zero value on an
-// empty queue (the flag queue's historical slice semantics).
-func (r *fifo[T]) popOrZero() T {
-	var zero T
-	if r.n == 0 {
-		return zero
+// discard drops the first n elements (n <= len).
+func (r *fifo[T]) discard(n int) {
+	r.head += n
+	if r.head >= len(r.buf) {
+		r.head -= len(r.buf)
 	}
-	return r.pop()
+	r.n -= n
 }
 
 // ptr returns the address of the i-th element from the front, for
@@ -115,7 +100,5 @@ func (r *fifo[T]) items() []T {
 // load replaces the queue contents.
 func (r *fifo[T]) load(xs []T) {
 	r.head, r.n = 0, 0
-	for _, x := range xs {
-		r.push(x)
-	}
+	r.pushSlice(xs)
 }
