@@ -40,9 +40,7 @@ func fuzzConfigs() []Config {
 // position-adaptive resync path sees adversarial inputs too. None may
 // ever panic — including on NaN/Inf garbage — and all three must agree
 // exactly at every capture length, shorter than a normalisation window
-// included. The parallel analyzer runs with a deliberately tiny chunk
-// size so fuzz-sized inputs actually shard instead of falling back to
-// the sequential path.
+// included.
 func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{}, uint8(0), false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, uint8(1), false)
@@ -124,9 +122,7 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			t.Fatalf("streaming: %v", err)
 		}
-		pp := core.MustNewAnalyzer(cfg).ProfileParallel(c, core.ParallelOptions{
-			Workers: 3, ChunkSamples: 1024,
-		})
+		pp := core.MustNewAnalyzer(cfg).ProfileParallel(c)
 		for _, other := range []struct {
 			name string
 			p    *Profile

@@ -44,10 +44,10 @@ import (
 //     chunk's own values; only the last half window's values are queued.
 //   - Batch: Analyzer.Profile is the streaming composition over a whole
 //     capture, so its scratch memory is bounded by the chunk size.
-//   - Parallel: ProfileParallel runs monitor and smooth sequentially over
-//     the capture, min/max on a worker pool (its windows are finite, so a
-//     shard only needs one window of history), and decide in order, over
-//     each shard's span split where the stats clamp to the final ones.
+//   - Parallel: ProfileParallel is the streaming composition cut at
+//     feedBlock: a producer goroutine runs scan (monitor and smooth) and
+//     hands each chunk's values, settled flags and resyncs to the caller,
+//     which runs feedBlock and drain on a second engine (parallel.go).
 //
 // Position i is decided against the stats after position i+half was folded
 // in, or against the final stats when the capture ends first. The
@@ -104,9 +104,14 @@ func (s *StreamAnalyzer) PushBlock(xs []float64) {
 	}
 }
 
-// pushChunk runs the monitor and smoother kernels over one chunk, then
-// feeds the positions it completed to the min/max and decide stages.
-func (s *StreamAnalyzer) pushChunk(chunk []float64) {
+// pushChunk runs all four stages over one chunk.
+func (s *StreamAnalyzer) pushChunk(chunk []float64) { s.feedBlock(s.scan(chunk)) }
+
+// scan runs the monitor and smoother kernels over one chunk. It queues
+// the chunk's flags and resync positions and returns the values of the
+// positions the chunk completed, which alias the scratch lanes until the
+// next scan.
+func (s *StreamAnalyzer) scan(chunk []float64) []float64 {
 	sc := s.lanes()
 	s.clock.start()
 
@@ -158,7 +163,7 @@ func (s *StreamAnalyzer) pushChunk(chunk []float64) {
 		vals = sm[skip:]
 	}
 	s.clock.lap(stageSmooth)
-	s.feedBlock(vals)
+	return vals
 }
 
 // feedBlock runs the min/max kernel over the next run of positions, then
@@ -225,16 +230,27 @@ func (s *StreamAnalyzer) decideSpan(xs, los, his []float64) {
 	s.emitted += int64(len(xs))
 }
 
-// finish drains the pipeline: the final lead positions take their own
-// trailing smoother outputs, and the positions still inside the last
-// half-window are decided against the final stats, broadcast into the
-// scratch stat lanes one chunk at a time.
+// finish drains the pipeline once the stream has ended.
 func (s *StreamAnalyzer) finish() *Profile {
 	s.clock.start()
-	if s.smoother != nil {
-		k := min(s.lead, int(s.n))
-		s.feedBlock(s.smTail[max(len(s.smTail)-k, 0):])
+	s.feedBlock(s.tail())
+	return s.drain()
+}
+
+// tail returns the values of the final lead positions, which take their
+// own trailing smoother outputs, once the stream has ended.
+func (s *StreamAnalyzer) tail() []float64 {
+	if s.smoother == nil {
+		return nil
 	}
+	k := min(s.lead, int(s.n))
+	return s.smTail[max(len(s.smTail)-k, 0):]
+}
+
+// drain decides the positions still inside the last half-window against
+// the final stats, broadcast into the scratch stat lanes one chunk at a
+// time, closes any open dip and completes the profile.
+func (s *StreamAnalyzer) drain() *Profile {
 	if s.haveStats && s.pending.len() > 0 {
 		sc := s.lanes()
 		lo := sc.lo[:min(s.pending.len(), pushBlockN)]

@@ -17,9 +17,9 @@ import (
 // quality monitor scans the capture, one pass smooths and normalises the
 // whole array against moving min/max windows read half a window ahead,
 // and one loop runs the dip detector over the result. Every production
-// composition of the engine — batch, streaming at any split, parallel at
-// any worker count and shard size, and rolling windows merged back — must
-// reproduce it bit for bit.
+// composition of the engine — batch, streaming at any split, the
+// two-stage pipeline, and rolling windows merged back — must reproduce it
+// bit for bit.
 
 // ---- The per-sample monitor ----
 //
@@ -505,13 +505,10 @@ func oracleConfigs() map[string]Config {
 type oracleCapture struct {
 	name string
 	c    *em.Capture
-	// chunk, when positive, is a parallel shard size the capture is built
-	// around.
-	chunk int
 }
 
 // oracleCaptures returns clean, impaired, probe-shift, shorter-than-a-
-// window and short-final-shard captures for a configuration.
+// window and final-half-window captures for a configuration.
 func oracleCaptures(cfg Config) []oracleCapture {
 	const rate = 40e6
 	w := normWindow(cfg, rate)
@@ -520,17 +517,17 @@ func oracleCaptures(cfg Config) []oracleCapture {
 	impaired := &em.Capture{Samples: blockSeries(30000, 21), SampleRate: rate, ClockHz: 1e9}
 	short := synthCapture(max(w/2, 40), map[int]int{max(w/4, 20): 12}, 0.1, 1, 0.02, 5)
 	caps := []oracleCapture{
-		{"clean", clean, 0},
-		{"impaired", impaired, 0},
-		{"probe-shift", shiftCapture(23), 0},
-		{"short", short, 0},
+		{"clean", clean},
+		{"impaired", impaired},
+		{"probe-shift", shiftCapture(23)},
+		{"short", short},
 	}
 	if half < 64 {
-		return caps // no room for dips in a final shard under half a window
+		return caps // no room for dips in the final half window
 	}
-	// A final shard of half/2 samples with a dip inside it, and a deeper
-	// dip inside the last window the shard's stats need but not in the
-	// window that starts one window before the shard's first stat.
+	// A dip in the final half window, decided against the final stats,
+	// and a deeper dip that sets those stats' floor: inside the last
+	// window, before the final half window.
 	chunk := max(3*w, 4096)
 	n := 2*chunk + half/2
 	deep := 2*chunk - w + 3*half/4
@@ -538,7 +535,7 @@ func oracleCaptures(cfg Config) []oracleCapture {
 	for i := deep; i < deep+12; i++ {
 		last.Samples[i] = 0.01
 	}
-	return append(caps, oracleCapture{"short-final-shard", last, chunk})
+	return append(caps, oracleCapture{"final-half-window", last})
 }
 
 // TestMonitorBlockKernelMatchesOracle pins the monitor kernel to the
@@ -629,7 +626,7 @@ func monitorStateDiff(m *monitor, ref *oracleMonitor) string {
 
 // TestCompositionsMatchOracle is the single equivalence gate: batch,
 // streaming at several split patterns (one Push per sample included),
-// parallel at several worker counts and shard sizes, and rolling windows
+// the two-stage pipeline, and rolling windows
 // merged back must each reproduce the oracle's profile exactly —
 // stalls, confidences and the quality record — on every capture kind.
 func TestCompositionsMatchOracle(t *testing.T) {
@@ -664,18 +661,9 @@ func TestCompositionsMatchOracle(t *testing.T) {
 				t.Fatalf("%s Push: profile differs from the oracle", ctx)
 			}
 
-			chunks := []int{1000, 4099}
-			if oc.chunk > 0 {
-				chunks = append(chunks, oc.chunk)
-			}
-			for _, workers := range []int{2, 3} {
-				for _, chunk := range chunks {
-					got := a.ProfileParallel(c, ParallelOptions{Workers: workers, ChunkSamples: chunk})
-					if !reflect.DeepEqual(got, want) {
-						assertProfilesIdentical(t, want, got, ctx+" parallel")
-						t.Fatalf("%s parallel workers=%d chunk=%d: profile differs from the oracle", ctx, workers, chunk)
-					}
-				}
+			if got := a.ProfileParallel(c); !reflect.DeepEqual(got, want) {
+				assertProfilesIdentical(t, want, got, ctx+" parallel")
+				t.Fatalf("%s parallel: profile differs from the oracle", ctx)
 			}
 
 			merged := windowsMerged(t, cfg, c, 1.3e-4)
@@ -765,7 +753,7 @@ func TestShortCaptureWindowRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := a.ProfileParallel(c, ParallelOptions{Workers: 2, ChunkSamples: 1000})
+	parallel := a.ProfileParallel(c)
 	for _, got := range []*Profile{stream, parallel} {
 		assertProfilesIdentical(t, p, got, "short capture")
 	}

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"emprof/internal/em"
 	"emprof/internal/faults"
 	"emprof/internal/sim"
+	"emprof/internal/trace"
 )
 
 // syntheticCapture builds a busy-level trace with periodic stall dips and
@@ -75,30 +77,41 @@ func assertProfilesIdentical(t *testing.T, want, got *Profile, ctx string) {
 	}
 }
 
-// TestParallelMatchesSequential sweeps worker counts and chunk sizes —
-// including a prime chunk length that never aligns with dip or fault
-// periods — over clean and impaired captures, requiring bit-identical
-// profiles throughout.
+// TestParallelMatchesSequential requires bit-identical profiles from the
+// pipeline over clean and impaired captures, under a 2,000-sample window
+// (half below pushBlockN) and the default 10,000-sample one (half above
+// it), and over prefixes whose lengths sit on the hand-off boundaries:
+// one sample, lead+1, half, and one chunk ± 1, and two chunks plus half.
 func TestParallelMatchesSequential(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NormWindowS = 40e-6 // 2000-sample window: real sharding on modest captures
-	a := MustNewAnalyzer(cfg)
-	a.KeepNormalized = true
-	for _, nasty := range []bool{false, true} {
-		c := syntheticCapture(1<<18, 11, nasty)
+	narrow := DefaultConfig()
+	narrow.NormWindowS = 40e-6
+	for _, tc := range []struct {
+		cfg   Config
+		seed  uint64
+		nasty bool
+	}{
+		{narrow, 11, false},
+		{narrow, 11, true},
+		{DefaultConfig(), 21, false},
+	} {
+		a := MustNewAnalyzer(tc.cfg)
+		a.KeepNormalized = true
+		c := syntheticCapture(1<<18, tc.seed, tc.nasty)
 		want := a.Profile(c)
-		if nasty && want.Quality.Clean() {
+		if tc.nasty && want.Quality.Clean() {
 			t.Fatal("nasty capture reported clean quality; test is not exercising impairments")
 		}
 		if len(want.Stalls) == 0 {
 			t.Fatal("sequential profile found no stalls; test is vacuous")
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			for _, chunk := range []int{0, 4099, 30011, 1 << 16} {
-				got := a.ProfileParallel(c, ParallelOptions{Workers: workers, ChunkSamples: chunk})
-				assertProfilesIdentical(t, want, got,
-					sprintf("nasty=%v workers=%d chunk=%d", nasty, workers, chunk))
-			}
+		ctx := sprintf("seed=%d nasty=%v", tc.seed, tc.nasty)
+		assertProfilesIdentical(t, want, a.ProfileParallel(c), ctx)
+
+		half := normWindow(tc.cfg, c.SampleRate) / 2
+		lead := (tc.cfg.SmoothSamples - 1) / 2
+		for _, n := range []int{1, lead + 1, half, pushBlockN - 1, pushBlockN, pushBlockN + 1, 2*pushBlockN + half} {
+			pc := &em.Capture{Samples: c.Samples[:n], SampleRate: c.SampleRate, ClockHz: c.ClockHz}
+			assertProfilesIdentical(t, a.Profile(pc), a.ProfileParallel(pc), sprintf("%s n=%d", ctx, n))
 		}
 	}
 }
@@ -127,12 +140,7 @@ func TestParallelMatchesOnInjectedFaults(t *testing.T) {
 	if want.Quality.Resyncs == 0 {
 		t.Fatal("fault spec produced no resyncs; gain-step path untested")
 	}
-	for _, workers := range []int{2, 5} {
-		for _, chunk := range []int{8191, 1 << 15} {
-			got := a.ProfileParallel(c, ParallelOptions{Workers: workers, ChunkSamples: chunk})
-			assertProfilesIdentical(t, want, got, sprintf("workers=%d chunk=%d", workers, chunk))
-		}
-	}
+	assertProfilesIdentical(t, want, a.ProfileParallel(c), "faults")
 }
 
 // TestParallelConfigSweep exercises the window/smoothing corners the
@@ -150,8 +158,7 @@ func TestParallelConfigSweep(t *testing.T) {
 		mutate(&cfg)
 		a := MustNewAnalyzer(cfg)
 		want := a.Profile(c)
-		got := a.ProfileParallel(c, ParallelOptions{Workers: 4, ChunkSamples: 10007})
-		assertProfilesIdentical(t, want, got, name)
+		assertProfilesIdentical(t, want, a.ProfileParallel(c), name)
 	}
 }
 
@@ -174,39 +181,26 @@ func TestParallelDegenerateInputs(t *testing.T) {
 	}
 	for name, c := range cases {
 		want := a.Profile(c)
-		got := a.ProfileParallel(c, ParallelOptions{Workers: 4, ChunkSamples: 512})
-		assertProfilesIdentical(t, want, got, name)
+		assertProfilesIdentical(t, want, a.ProfileParallel(c), name)
 	}
-}
-
-// TestParallelAutoOptions: the zero options value must auto-size workers
-// and chunks and still match, and Workers=1 must take the sequential path.
-func TestParallelAutoOptions(t *testing.T) {
-	a := MustNewAnalyzer(DefaultConfig())
-	c := syntheticCapture(1<<17, 21, false)
-	want := a.Profile(c)
-	assertProfilesIdentical(t, want, a.ProfileParallel(c, ParallelOptions{}), "zero options")
-	assertProfilesIdentical(t, want, a.ProfileParallel(c, ParallelOptions{Workers: 1}), "one worker")
-	assertProfilesIdentical(t, want,
-		a.ProfileParallel(c, ParallelOptions{Workers: 3, ChunkSamples: 1 << 14}), "three workers")
 }
 
 func sprintf(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-// TestParallelShortFinalShard pins the warm-up of a final shard shorter
-// than half a window: every position in it is decided against the last
-// stats of the capture, whose window starts before the shard's nominal
-// warm-up. A deep dip inside that window but outside the nominal warm-up
-// must still set the shard's normalisation floor.
+// TestParallelShortFinalShard pins the final half window: its positions
+// are decided against the last stats of the capture, whose window reaches
+// one full window back from the end. A deep dip inside that window must
+// set the normalisation floor of the two stalls in the final 500
+// samples, on every path.
 func TestParallelShortFinalShard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NormWindowS = 40e-6 // 1600-sample window at 40 MHz
-	const w, half, chunk, r = 1600, 800, 4000, 500
-	n := 2*chunk + r
-	deep := n - w + 100 // in the last window, before lo+half-w+1
-	c := synthCapture(n, map[int]int{deep: 12, 2*chunk + 100: 12, 2*chunk + 300: 12}, 0.1, 1, 0.02, 4)
+	const w, tail, r = 1600, 4000, 500
+	n := 2*tail + r
+	deep := n - w + 100 // in the last window
+	c := synthCapture(n, map[int]int{deep: 12, 2*tail + 100: 12, 2*tail + 300: 12}, 0.1, 1, 0.02, 4)
 	for i := deep; i < deep+12; i++ {
 		c.Samples[i] = 0.01
 	}
@@ -214,15 +208,78 @@ func TestParallelShortFinalShard(t *testing.T) {
 	want := a.Profile(c)
 	var inLast int
 	for _, s := range want.Stalls {
-		if s.StartSample >= 2*chunk {
+		if s.StartSample >= 2*tail {
 			inLast++
 		}
 	}
 	if inLast != 2 {
-		t.Fatalf("%d stalls in the final shard, want 2", inLast)
+		t.Fatalf("%d stalls in the final %d samples, want 2", inLast, r)
 	}
-	for _, workers := range []int{2, 4} {
-		got := a.ProfileParallel(c, ParallelOptions{Workers: workers, ChunkSamples: chunk})
-		assertProfilesIdentical(t, want, got, sprintf("workers=%d", workers))
+	assertProfilesIdentical(t, want, a.ProfileParallel(c), "parallel")
+}
+
+// TestPipelineFlagHoldBack pins the producer's hold-back. A receiver gain
+// step flags the half−1 positions before the sample that confirms it, so
+// when that sample is the first of a hand-off chunk its patch reaches
+// exactly the deepest position the hold-back keeps. A stall dip exits on
+// that position: flagged, the dip is aborted; handed over too early, the
+// flag is lost and the dip is reported. The step is confirmed once at the
+// first sample of a chunk and once at its last; the pipeline must match
+// Profile and the oracle both times.
+func TestPipelineFlagHoldBack(t *testing.T) {
+	cfg := DefaultConfig()
+	half := normWindow(cfg, 40e6) / 2
+	// build returns a capture whose gain falls to a quarter at step, with
+	// a 12-sample dip ending just before dipEnd.
+	build := func(step, dipEnd int) *em.Capture {
+		c := synthCapture(5*pushBlockN, map[int]int{dipEnd - 12: 12}, 0.1, 1, 0.02, 7)
+		for i := step; i < len(c.Samples); i++ {
+			c.Samples[i] *= 0.25
+		}
+		return c
+	}
+	// confirmAt returns the position of the sample that confirmed the
+	// step: the one whose flag reaches half−1 positions back.
+	confirmAt := func(c *em.Capture) int {
+		a := MustNewAnalyzer(cfg)
+		ring := trace.NewRing(1 << 16)
+		a.Observer = ring
+		a.Profile(c)
+		for _, r := range ring.Records() {
+			if r.Type == trace.TypeQualityFlag && r.Retro == half-1 {
+				return int(r.Pos)
+			}
+		}
+		t.Fatal("no gain step confirmed")
+		return 0
+	}
+	const trial = 7000
+	delay := confirmAt(build(trial, 1000)) - trial
+
+	a := MustNewAnalyzer(cfg)
+	a.KeepNormalized = true
+	for _, confirm := range []int{2 * pushBlockN, 3*pushBlockN - 1} {
+		deepest := confirm - (half - 1)
+		c := build(confirm-delay, deepest)
+		if got := confirmAt(c); got != confirm {
+			t.Fatalf("step confirmed at %d, want %d", got, confirm)
+		}
+		want := oracleProfile(cfg, c, true)
+		if want.Quality.AbortedDips == 0 {
+			t.Fatalf("confirm=%d: the dip was not aborted; the check is vacuous", confirm)
+		}
+		for _, s := range want.Stalls {
+			if s.EndSample == deepest {
+				t.Fatalf("confirm=%d: the dip was reported; the check is vacuous", confirm)
+			}
+		}
+		if got := a.Profile(c); !reflect.DeepEqual(got, want) {
+			assertProfilesIdentical(t, want, got, "batch")
+			t.Fatalf("confirm=%d batch: profile differs from the oracle", confirm)
+		}
+		if got := a.ProfileParallel(c); !reflect.DeepEqual(got, want) {
+			assertProfilesIdentical(t, want, got, "parallel")
+			t.Fatalf("confirm=%d parallel: profile differs from the oracle", confirm)
+		}
 	}
 }

@@ -121,7 +121,7 @@ func TestProbeShiftBatchStreamParallelEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := MustNewAnalyzer(cfg).ProfileParallel(c, ParallelOptions{Workers: 4})
+	pp := MustNewAnalyzer(cfg).ProfileParallel(c)
 	for _, tc := range []struct {
 		name string
 		p    *Profile

@@ -255,8 +255,8 @@ type Analyzer struct {
 	// its original path: output is bit-identical and the per-sample hot
 	// path allocation-free, and no clock is ever read. Observers never
 	// influence the produced Profile. With ProfileParallel the observer
-	// is invoked from multiple goroutines and must be safe for concurrent
-	// use (all sinks in internal/trace are).
+	// is invoked from two goroutines and must be safe for concurrent use
+	// (all sinks in internal/trace are).
 	Observer trace.Observer
 }
 
@@ -316,12 +316,23 @@ func (a *Analyzer) Profile(c *em.Capture) *Profile {
 	s.clock = &stageClock{}
 	s.PushBlock(c.Samples)
 	p := s.finish()
-	n := int64(len(c.Samples))
-	ns := s.clock.ns
+	reportStages(obs, s.n, s.clock)
+	return p
+}
+
+// reportStages emits the scan (monitor plus smoother), normalize and
+// detect stage timings of a traced run over n samples, summed over the
+// stage clocks of the engines that ran it.
+func reportStages(obs trace.Observer, n int64, clocks ...*stageClock) {
+	var ns [numStages]int64
+	for _, c := range clocks {
+		for i, d := range c.ns {
+			ns[i] += d
+		}
+	}
 	obs.StageTiming(trace.StageTiming{Stage: trace.StageScan, DurationNs: ns[stageMonitor] + ns[stageSmooth], Samples: n})
 	obs.StageTiming(trace.StageTiming{Stage: trace.StageNormalize, DurationNs: ns[stageNormalize], Samples: n})
 	obs.StageTiming(trace.StageTiming{Stage: trace.StageDetect, DurationNs: ns[stageDetect], Samples: n})
-	return p
 }
 
 // engine returns a fresh engine for the capture; keep retains the

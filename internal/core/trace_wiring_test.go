@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"emprof/internal/em"
@@ -122,7 +123,7 @@ func TestObserverEquivalenceAllPaths(t *testing.T) {
 		traced.Observer = trace.Multi(trace.NewMetrics(), trace.NewRing(4096))
 		assertProfilesIdentical(t, want, traced.Profile(c), "batch+observer")
 		assertProfilesIdentical(t, want,
-			traced.ProfileParallel(c, ParallelOptions{Workers: 4, ChunkSamples: 20011}),
+			traced.ProfileParallel(c),
 			"parallel+observer")
 
 		s, err := NewStreamAnalyzer(DefaultConfig(), c.SampleRate, c.ClockHz)
@@ -137,37 +138,57 @@ func TestObserverEquivalenceAllPaths(t *testing.T) {
 	}
 }
 
-// TestObserverParallelChunks checks the parallel-only events: one
-// ChunkMerged per chunk, chunk stall counts summing to the profile, and
-// the scan/normalize/merge stage timings.
+// TestObserverParallelChunks checks the pipeline's events against the
+// batch run's: exactly the scan, normalize and detect stage timings, the
+// monitor's events (resync, quality flag) in the batch order, and the
+// detector's events (dip candidate, accept, reject) in the batch order.
+// Only the interleaving of the two groups, emitted from two goroutines,
+// may differ.
 func TestObserverParallelChunks(t *testing.T) {
 	c := syntheticCapture(1<<18, 5, true)
-	a := MustNewAnalyzer(DefaultConfig())
-	ring := trace.NewRing(1 << 17)
-	m := trace.NewMetrics()
-	a.Observer = trace.Multi(ring, m)
-	chunk := 30011
-	p := a.ProfileParallel(c, ParallelOptions{Workers: 4, ChunkSamples: chunk})
-
-	wantChunks := (len(c.Samples) + chunk - 1) / chunk
-	var got, stalls int
-	for _, r := range ring.Records() {
-		if r.Type == trace.TypeChunkMerged {
-			got++
-			stalls += r.Stalls
+	events := func(profile func(*Analyzer, *em.Capture) *Profile) (mon, det, stages []trace.Record) {
+		t.Helper()
+		a := MustNewAnalyzer(DefaultConfig())
+		ring := trace.NewRing(1 << 17)
+		a.Observer = ring
+		profile(a, c)
+		if ring.Dropped() != 0 {
+			t.Fatalf("ring dropped %d events", ring.Dropped())
+		}
+		for _, r := range ring.Records() {
+			switch r.Type {
+			case trace.TypeResync, trace.TypeQualityFlag:
+				mon = append(mon, r)
+			case trace.TypeDipCandidate, trace.TypeStallAccepted, trace.TypeStallRejected:
+				det = append(det, r)
+			case trace.TypeStageTiming:
+				stages = append(stages, r)
+			default:
+				t.Fatalf("unexpected event %+v", r)
+			}
+		}
+		return mon, det, stages
+	}
+	wantMon, wantDet, _ := events((*Analyzer).Profile)
+	mon, det, stages := events((*Analyzer).ProfileParallel)
+	if len(wantMon) == 0 || len(wantDet) == 0 {
+		t.Fatal("batch run emitted no monitor or detector events; the check is vacuous")
+	}
+	if !reflect.DeepEqual(mon, wantMon) {
+		t.Errorf("monitor events differ from the batch run's: %d events, want %d", len(mon), len(wantMon))
+	}
+	if !reflect.DeepEqual(det, wantDet) {
+		t.Errorf("detector events differ from the batch run's: %d events, want %d", len(det), len(wantDet))
+	}
+	var got []trace.Stage
+	for _, r := range stages {
+		got = append(got, trace.Stage(r.Stage))
+		if r.Samples != int64(len(c.Samples)) {
+			t.Errorf("stage %s covers %d samples, want %d", r.Stage, r.Samples, len(c.Samples))
 		}
 	}
-	if got != wantChunks {
-		t.Errorf("ChunkMerged events = %d, want %d", got, wantChunks)
-	}
-	if stalls != len(p.Stalls) {
-		t.Errorf("chunk stall counts sum to %d, profile has %d", stalls, len(p.Stalls))
-	}
-	s := m.Snapshot()
-	for _, st := range []trace.Stage{trace.StageScan, trace.StageNormalize, trace.StageMerge} {
-		if _, ok := s.StageNs[st]; !ok {
-			t.Errorf("missing stage timing %q: %v", st, s.StageNs)
-		}
+	if want := []trace.Stage{trace.StageScan, trace.StageNormalize, trace.StageDetect}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stage timings %v, want %v", got, want)
 	}
 }
 

@@ -57,7 +57,6 @@ func (j *JSONL) StallAccepted(e StallAccepted) { j.emit(e.Record()) }
 func (j *JSONL) StallRejected(e StallRejected) { j.emit(e.Record()) }
 func (j *JSONL) Resync(e Resync)               { j.emit(e.Record()) }
 func (j *JSONL) QualityFlag(e QualityFlag)     { j.emit(e.Record()) }
-func (j *JSONL) ChunkMerged(e ChunkMerged)     { j.emit(e.Record()) }
 func (j *JSONL) StageTiming(e StageTiming)     { j.emit(e.Record()) }
 
 // Ring keeps the most recent events in a fixed-capacity circular buffer
@@ -122,7 +121,6 @@ func (r *Ring) StallAccepted(e StallAccepted) { r.emit(e.Record()) }
 func (r *Ring) StallRejected(e StallRejected) { r.emit(e.Record()) }
 func (r *Ring) Resync(e Resync)               { r.emit(e.Record()) }
 func (r *Ring) QualityFlag(e QualityFlag)     { r.emit(e.Record()) }
-func (r *Ring) ChunkMerged(e ChunkMerged)     { r.emit(e.Record()) }
 func (r *Ring) StageTiming(e StageTiming)     { r.emit(e.Record()) }
 
 // DepthBuckets is the number of dip-depth histogram buckets in Metrics,
@@ -148,7 +146,6 @@ type Metrics struct {
 	rejected   map[RejectReason]uint64
 	resyncs    map[ResyncCause]uint64
 	flagged    [5]uint64 // indexed by flag bit position: nan, gap, clip, burst, step
-	chunks     uint64
 	depthHist  [DepthBuckets]uint64
 	depthSum   float64
 	stages     map[Stage]*stageStat
@@ -212,12 +209,6 @@ func (m *Metrics) QualityFlag(e QualityFlag) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) ChunkMerged(ChunkMerged) {
-	m.mu.Lock()
-	m.chunks++
-	m.mu.Unlock()
-}
-
 func (m *Metrics) StageTiming(e StageTiming) {
 	m.mu.Lock()
 	s := m.stages[e.Stage]
@@ -239,7 +230,6 @@ type Snapshot struct {
 	Rejected       map[RejectReason]uint64
 	Resyncs        map[ResyncCause]uint64
 	FlaggedSamples map[string]uint64
-	ChunksMerged   uint64
 	DepthHist      [DepthBuckets]uint64
 	DepthSum       float64
 	StageNs        map[Stage]int64
@@ -253,7 +243,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		DipCandidates:  m.candidates,
 		StallsAccepted: m.accepted,
 		RefreshStalls:  m.refresh,
-		ChunksMerged:   m.chunks,
 		DepthHist:      m.depthHist,
 		DepthSum:       m.depthSum,
 		Rejected:       make(map[RejectReason]uint64, len(m.rejected)),
@@ -315,10 +304,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
 			fmt.Fprintf(w, "%s_flagged_samples_total{class=%q} %d\n", prefix, Flag(1<<bit).String(), n)
 		}
 	}
-
-	fmt.Fprintf(w, "# HELP %s_chunks_merged_total Parallel-analyzer chunks replayed into the profile.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_chunks_merged_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_chunks_merged_total %d\n", prefix, m.chunks)
 
 	fmt.Fprintf(w, "# HELP %s_stall_depth Dip depth of accepted stalls (normalized magnitude).\n", prefix)
 	fmt.Fprintf(w, "# TYPE %s_stall_depth histogram\n", prefix)

@@ -27,7 +27,7 @@
 // Sinks may be combined with Multi. All sinks in this package are safe
 // for concurrent use; that matters because core.ProfileParallel emits
 // monitor events from its scan goroutine concurrently with detection
-// events from the merging goroutine. A custom Observer used with the
+// events from the caller's goroutine. A custom Observer used with the
 // parallel analyzer must be equally safe (plain batch and streaming
 // analyzers emit from a single goroutine).
 package trace
@@ -120,9 +120,6 @@ const (
 	StageNormalize Stage = "normalize"
 	// StageDetect is the dip-detection pass over normalised values.
 	StageDetect Stage = "detect"
-	// StageMerge is the parallel analyzer's in-order detector replay over
-	// normalised chunks.
-	StageMerge Stage = "merge"
 	// StageDrain is the streaming analyzer's Finalize: flushing the
 	// smoother tail and the trailing half-window of pending decisions.
 	StageDrain Stage = "drain"
@@ -195,17 +192,6 @@ type QualityFlag struct {
 	Retro int
 }
 
-// ChunkMerged is emitted by the parallel analyzer after replaying the
-// detector over one normalised chunk.
-type ChunkMerged struct {
-	// Chunk is the chunk index in capture order.
-	Chunk int
-	// Lo and Hi delimit the chunk's owned positions (half-open).
-	Lo, Hi int64
-	// Stalls is how many stalls the replay of this chunk reported.
-	Stalls int
-}
-
 // StageTiming reports the wall time of one pipeline stage. Timings are
 // only measured when an observer is attached, so the nil-observer path
 // never reads the clock.
@@ -229,7 +215,6 @@ type Observer interface {
 	StallRejected(StallRejected)
 	Resync(Resync)
 	QualityFlag(QualityFlag)
-	ChunkMerged(ChunkMerged)
 	StageTiming(StageTiming)
 }
 
@@ -242,7 +227,6 @@ func (Nop) StallAccepted(StallAccepted) {}
 func (Nop) StallRejected(StallRejected) {}
 func (Nop) Resync(Resync)               {}
 func (Nop) QualityFlag(QualityFlag)     {}
-func (Nop) ChunkMerged(ChunkMerged)     {}
 func (Nop) StageTiming(StageTiming)     {}
 
 // multi fans events out to several observers in order.
@@ -297,12 +281,6 @@ func (m multi) QualityFlag(e QualityFlag) {
 	}
 }
 
-func (m multi) ChunkMerged(e ChunkMerged) {
-	for _, o := range m {
-		o.ChunkMerged(e)
-	}
-}
-
 func (m multi) StageTiming(e StageTiming) {
 	for _, o := range m {
 		o.StageTiming(e)
@@ -316,7 +294,6 @@ const (
 	TypeStallRejected = "stall_rejected"
 	TypeResync        = "resync"
 	TypeQualityFlag   = "quality_flag"
-	TypeChunkMerged   = "chunk_merged"
 	TypeStageTiming   = "stage_timing"
 )
 
@@ -345,8 +322,6 @@ type Record struct {
 	Cause      string  `json:"cause,omitempty"`
 	Flags      string  `json:"flags,omitempty"`
 	Retro      int     `json:"retro,omitempty"`
-	Chunk      int     `json:"chunk,omitempty"`
-	Stalls     int     `json:"stalls,omitempty"`
 	Stage      string  `json:"stage,omitempty"`
 	DurationNs int64   `json:"duration_ns,omitempty"`
 	Samples    int64   `json:"samples,omitempty"`
@@ -403,14 +378,6 @@ func (r Record) MarshalJSON() ([]byte, error) {
 			Flags string `json:"flags"`
 			Retro int    `json:"retro"`
 		}{r.Type, r.Pos, r.Flags, r.Retro})
-	case TypeChunkMerged:
-		return json.Marshal(struct {
-			Type   string `json:"type"`
-			Chunk  int    `json:"chunk"`
-			Start  int64  `json:"start"`
-			End    int64  `json:"end"`
-			Stalls int    `json:"stalls"`
-		}{r.Type, r.Chunk, r.Start, r.End, r.Stalls})
 	case TypeStageTiming:
 		return json.Marshal(struct {
 			Type       string `json:"type"`
@@ -453,11 +420,6 @@ func (e Resync) Record() Record {
 // Record converts the event to its serialisable form.
 func (e QualityFlag) Record() Record {
 	return Record{Type: TypeQualityFlag, Pos: e.Pos, Flags: e.Flags.String(), Retro: e.Retro}
-}
-
-// Record converts the event to its serialisable form.
-func (e ChunkMerged) Record() Record {
-	return Record{Type: TypeChunkMerged, Chunk: e.Chunk, Start: e.Lo, End: e.Hi, Stalls: e.Stalls}
 }
 
 // Record converts the event to its serialisable form.

@@ -16,7 +16,6 @@ func emitOneOfEach(o Observer) {
 	o.StallRejected(StallRejected{Start: 40, End: 42, DurationS: 5e-8, Depth: 0.3, Reason: RejectTooShort})
 	o.Resync(Resync{Pos: 100, Cause: ResyncGap})
 	o.QualityFlag(QualityFlag{Pos: 99, Flags: FlagGap | FlagStep, Retro: 3})
-	o.ChunkMerged(ChunkMerged{Chunk: 0, Lo: 0, Hi: 4096, Stalls: 2})
 	o.StageTiming(StageTiming{Stage: StageScan, DurationNs: 1234, Samples: 4096})
 }
 
@@ -45,12 +44,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("got %d lines, want 7", len(lines))
+	if len(lines) != 6 {
+		t.Fatalf("got %d lines, want 6", len(lines))
 	}
 	wantTypes := []string{
 		TypeDipCandidate, TypeStallAccepted, TypeStallRejected,
-		TypeResync, TypeQualityFlag, TypeChunkMerged, TypeStageTiming,
+		TypeResync, TypeQualityFlag, TypeStageTiming,
 	}
 	for i, line := range lines {
 		var r Record
@@ -128,8 +127,8 @@ func TestRingWrapAround(t *testing.T) {
 func TestRingPartial(t *testing.T) {
 	r := NewRing(8)
 	emitOneOfEach(r)
-	if got := len(r.Records()); got != 7 {
-		t.Fatalf("retained %d, want 7", got)
+	if got := len(r.Records()); got != 6 {
+		t.Fatalf("retained %d, want 6", got)
 	}
 	if r.Dropped() != 0 {
 		t.Errorf("Dropped = %d, want 0", r.Dropped())
@@ -175,9 +174,6 @@ func TestMetricsAggregation(t *testing.T) {
 	if s.StageNs[StageScan] != 1234 {
 		t.Errorf("stage ns = %v", s.StageNs)
 	}
-	if s.ChunksMerged != 1 {
-		t.Errorf("chunks = %d", s.ChunksMerged)
-	}
 }
 
 func TestMetricsPrometheus(t *testing.T) {
@@ -192,7 +188,6 @@ func TestMetricsPrometheus(t *testing.T) {
 		`emprofd_trace_stalls_rejected_total{reason="too-short"} 1`,
 		`emprofd_trace_resyncs_total{cause="gap"} 1`,
 		`emprofd_trace_flagged_samples_total{class="gap"} 4`,
-		"emprofd_trace_chunks_merged_total 1",
 		`emprofd_trace_stall_depth_bucket{le="+Inf"} 1`,
 		"emprofd_trace_stall_depth_sum 0.15",
 		"emprofd_trace_stall_depth_count 1",

@@ -21,7 +21,7 @@ const runBlockSamples = 1 << 16
 // or whenever WithWorkers enables the parallel path.
 type Analyzer struct {
 	core      *core.Analyzer
-	workers   int
+	parallel  bool
 	streaming bool
 	obs       Observer
 }
@@ -29,18 +29,13 @@ type Analyzer struct {
 // Option configures an Analyzer at construction time.
 type Option func(*Analyzer)
 
-// WithWorkers selects the parallel analysis path with the given worker
-// count: the capture is sharded across a bounded pool, bit-identically to
-// the sequential result. n <= 0 uses runtime.GOMAXPROCS(0); n == 1 is
-// the sequential default. Ignored by the streaming path (WithStreaming),
-// which is single-pass by construction.
+// WithWorkers selects the analysis path: n == 1 is the sequential
+// default, and any other value selects the two-stage pipeline, which runs
+// the quality monitor and smoother on one goroutine and normalisation and
+// detection on the caller's, bit-identically to the sequential result.
+// Ignored by the streaming path (WithStreaming).
 func WithWorkers(n int) Option {
-	return func(a *Analyzer) {
-		if n <= 0 {
-			n = 0 // auto-size
-		}
-		a.workers = n
-	}
+	return func(a *Analyzer) { a.parallel = n != 1 }
 }
 
 // WithObserver attaches a decision-trace observer (see the trace types:
@@ -67,7 +62,7 @@ func WithStreaming() Option {
 // output) and attach observability:
 //
 //	a, err := emprof.NewAnalyzer(cfg,
-//	        emprof.WithWorkers(8),
+//	        emprof.WithWorkers(2),
 //	        emprof.WithObserver(emprof.NewTraceMetrics()))
 //	prof, err := a.Run(ctx, capture)
 //
@@ -77,7 +72,7 @@ func NewAnalyzer(cfg Config, opts ...Option) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrBadConfig, err)
 	}
-	a := &Analyzer{core: ca, workers: 1}
+	a := &Analyzer{core: ca}
 	for _, opt := range opts {
 		opt(a)
 	}
@@ -107,8 +102,8 @@ func (a *Analyzer) Run(ctx context.Context, c *Capture) (*Profile, error) {
 	if a.streaming {
 		return a.runStreaming(ctx, c)
 	}
-	if a.workers != 1 {
-		return a.core.ProfileParallel(c, core.ParallelOptions{Workers: a.workers}), nil
+	if a.parallel {
+		return a.core.ProfileParallel(c), nil
 	}
 	return a.core.Profile(c), nil
 }

@@ -10,9 +10,9 @@ import (
 // (internal/trace): attach an Observer with WithObserver (or
 // StreamAnalyzer.SetObserver) to receive one typed event per analyzer
 // decision — dip candidates, accepted and rejected stalls with reasons,
-// normalisation resyncs, quality flags, parallel chunk merges, and stage
-// timings. Observers never change the produced Profile, and analysis
-// without one runs on the original allocation-free path.
+// normalisation resyncs, quality flags, and stage timings. Observers
+// never change the produced Profile, and analysis without one runs on the
+// original allocation-free path.
 
 // Observer receives analyzer decision events; see the trace package for
 // the event taxonomy. Implementations used with WithWorkers (the
@@ -45,9 +45,6 @@ type (
 	ResyncEvent = trace.Resync
 	// QualityFlagEvent: the signal-quality monitor flagged a sample.
 	QualityFlagEvent = trace.QualityFlag
-	// ChunkMergedEvent: the parallel analyzer replayed one normalised
-	// chunk into the profile.
-	ChunkMergedEvent = trace.ChunkMerged
 	// StageTimingEvent: wall time of one pipeline stage (measured only
 	// while tracing).
 	StageTimingEvent = trace.StageTiming
