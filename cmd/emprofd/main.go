@@ -80,7 +80,6 @@ func main() {
 
 		windowS       = flag.Float64("window", 0, "continuous profiling: rolling profile window width in stream seconds (0 disables windowing)")
 		windowStrideS = flag.Float64("window-stride", 0, "window stride in stream seconds (0 = tumbling, stride = width)")
-		queueBlocks   = flag.Int("queue-blocks", 0, "per-session decode→analysis queue depth in ingest blocks; full queues backpressure uploads (0 = default)")
 		storeDir      = flag.String("store-dir", "", "window store directory; empty keeps windows in memory only (lost on restart)")
 		storeMaxBytes = flag.Float64("store-max-bytes", 0, "window store retention cap in bytes; oldest segments evict past it (0 = default 256 MiB, negative = unbounded)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "window store age cap; segments older than this evict (0 = no age eviction)")
@@ -123,7 +122,6 @@ func main() {
 		TraceRing:       *traceRing,
 		WindowS:         *windowS,
 		WindowStrideS:   *windowStrideS,
-		QueueBlocks:     *queueBlocks,
 		Store:           store,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "emprofd: "+format+"\n", args...)

@@ -333,7 +333,8 @@ func (st *Store) activeSegmentLocked(frameLen int64) (*segment, error) {
 	} else {
 		// Memory mode: size the backing to the roll threshold up front —
 		// the segment fills to it before rolling, and appends land on the
-		// analysis worker, where doubling-growth copies would tax ingest.
+		// sessions' store workers, where doubling-growth copies would tax
+		// ingest.
 		if cap := st.opt.SegmentBytes; frameLen <= cap {
 			seg.mem = make([]byte, 0, cap)
 		}

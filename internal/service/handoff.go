@@ -99,12 +99,10 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 	if s.poison != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPoisoned, s.poison)
 	}
-	// Pinning froze ingest; draining parks the analysis stage — the
-	// exported analyzer and windower are then a consistent pair. The
-	// store drain matters too: once the importer owns the session, a
-	// fleet fan-in query expects every window sealed here to be readable
-	// from this shard's store.
-	s.drainLocked()
+	// Pinning froze ingest, and the session lock keeps the exported
+	// analyzer and windower a consistent pair. The store drain matters:
+	// once the importer owns the session, a fleet fan-in query expects
+	// every window sealed here to be readable from this shard's store.
 	s.drainWindowsLocked()
 	st := &SessionState{
 		ID:         s.id,
@@ -225,10 +223,10 @@ func (r *Registry) Forget(id string) error {
 	}
 	delete(r.sessions, id)
 	r.mu.Unlock()
-	// The session is gone from the registry but its workers still run;
-	// stop them without finalizing (the profile lives on at the importer).
+	// The session is gone from the registry but its store worker still
+	// runs; stop it without finalizing (the profile lives on at the
+	// importer).
 	s.mu.Lock()
-	s.stopPipelineLocked()
 	s.stopStoreStageLocked()
 	s.mu.Unlock()
 	return nil

@@ -7,54 +7,37 @@ import (
 	"emprof/internal/core"
 )
 
-// This file is the staged half of the session: ingest decodes wire bytes
-// synchronously (service.go), but the samples it produces are analysed
-// asynchronously by a per-session worker goroutine, joined to the decode
-// stage by a bounded block queue. Sealed windows leave the analysis
-// stage through a second bounded queue to a store worker.
+// This file is the staged half of the session. Ingest decodes wire
+// bytes and analyses them on the request goroutine, under s.mu
+// (service.go): the decoder's callback is analyzeBlock, which pushes each
+// block through the analyzer, the attributor and the windower. Sealed
+// windows leave that stage through a bounded queue to a per-session
+// store worker.
 //
-//	HTTP body ──decode (s.mu)──▶ queue ──worker (s.anMu)──▶ analyzer
-//	                                │                         │ windower
-//	             backpressure ◀─────┘                         │ attributor
-//	                                                          ▼
-//	                                winq ──worker (s.winMu)──▶ window store
+//	HTTP body ──decode+analyze (s.mu)──▶ analyzer/attributor/windower
+//	                                                │ seal
+//	                 winq ──worker (s.winMu)──▶ window store
 //
-// The queues are the backpressure contract: when analysis falls behind,
-// enqueueBlock blocks, which stops the ingest body read, which fills the
-// client's TCP window — load sheds at the transport instead of growing
-// unbounded memory. Likewise when the store falls behind (a slow disk),
-// winq fills, the analysis worker blocks on the seal, the block queue
-// fills, and ingest stalls — bounded memory end to end. Block buffers
-// circulate through the free channel (a fixed population of
-// QueueBlocks+1), so the steady-state ingest path stays allocation-free.
+// Backpressure is the handler's own work: while a push is analysed its
+// body is not read, which fills the client's TCP window. When the store
+// falls behind (a slow disk), winq fills and the seal blocks the ingest
+// request in turn, so memory stays bounded end to end.
 //
-// Result-serving paths call drainLocked first: it waits until the worker
-// has analysed everything ingest enqueued, which is what keeps the
-// pipelined service observably identical to the old synchronous one —
-// a client that pushed samples and then asks for the profile sees them.
-// Paths that then read the window store cross the second barrier,
+// A push returns only after its samples are analysed and its sealed
+// windows handed to winq, so every result-serving path sees them without
+// waiting. Paths that read the window store cross the one barrier,
 // drainWindowsLocked, for the same read-your-writes guarantee.
 
 // storeQueueWindows bounds the seal→store queue. Windows are sealed at
 // the window stride — orders of magnitude slower than sample blocks —
 // so a short queue absorbs disk latency jitter without meaningfully
-// delaying the drain barriers.
+// delaying the drain barrier.
 const storeQueueWindows = 16
 
-// startPipeline wires and launches a session's analysis stage. Called
-// before the session is published in the registry.
+// startPipeline wires a session's analysis chain and launches its store
+// stage. Called before the session is published in the registry.
 func (r *Registry) startPipeline(s *session) {
-	depth := r.cfg.QueueBlocks
-	s.queue = make(chan []float64, depth)
-	// One more block than queue slots: ingest can hold a block while the
-	// queue is full, and the worker's return never blocks.
-	s.free = make(chan []float64, depth+1)
-	for i := 0; i < depth+1; i++ {
-		s.free <- nil
-	}
-	s.cond = sync.NewCond(&s.anMu)
-	s.workerDone = make(chan struct{})
-	s.emit = s.enqueueBlock
+	s.emit = s.analyzeBlock
 	if s.win != nil {
 		s.win.OnWindow = r.windowSink(s)
 		if r.store != nil {
@@ -64,51 +47,20 @@ func (r *Registry) startPipeline(s *session) {
 			go s.storeWorker(r)
 		}
 	}
-	go s.analysisWorker()
 }
 
-// enqueueBlock is the decode→analysis hand-off: it copies the decoder's
-// scratch (the decoder reuses that buffer for the next chunk) into a
-// recycled block and enqueues it. Runs under s.mu; blocks when the
-// analysis stage is behind — that is the backpressure.
-func (s *session) enqueueBlock(xs []float64) {
-	if len(xs) == 0 {
-		return
-	}
-	blk := <-s.free
-	blk = append(blk[:0], xs...)
-	s.queue <- blk
-	s.enqueued += int64(len(blk))
-}
-
-// analysisWorker is the session's analysis stage: it owns the analyzer
-// (and windower and attributor) between drains, under anMu. It never
-// takes s.mu — ingest holds s.mu while blocking on a full queue, so the
-// worker taking it would deadlock the session.
-func (s *session) analysisWorker() {
-	defer close(s.workerDone)
-	for blk := range s.queue {
-		s.anMu.Lock()
-		s.analyzeBlock(blk)
-		s.analyzed += int64(len(blk))
-		s.anMu.Unlock()
-		s.cond.Broadcast()
-		s.free <- blk[:0]
-	}
-}
-
-// analyzeBlock pushes one block through the analysis chain, converting a
-// panic into a sticky pipeline error instead of killing the daemon: the
-// worker keeps draining (so ingest never wedges on a full queue) but
-// analyses nothing further, and the next ingest reports the session
-// poisoned. Runs with anMu held.
+// analyzeBlock pushes one decoded block through the analysis chain,
+// straight from the decoder's scratch. A panic becomes the session's
+// poison instead of killing the daemon: the rest of the body is analysed
+// no further, and ingest rejects this push and every later one. Runs
+// under s.mu.
 func (s *session) analyzeBlock(blk []float64) {
 	defer func() {
-		if p := recover(); p != nil && s.workerErr == nil {
-			s.workerErr = fmt.Errorf("service: analysis stage failed: %v", p)
+		if p := recover(); p != nil && s.poison == nil {
+			s.poison = fmt.Errorf("service: analysis stage failed: %v", p)
 		}
 	}()
-	if s.workerErr != nil {
+	if s.poison != nil {
 		return
 	}
 	s.an.PushBlock(blk)
@@ -120,52 +72,12 @@ func (s *session) analyzeBlock(blk []float64) {
 	}
 }
 
-// drainLocked blocks until the analysis stage has consumed everything
-// the decode stage enqueued — the read-your-writes barrier every
-// result-serving path crosses. Requires s.mu (so enqueued cannot move);
-// the worker only needs anMu, which Wait releases, so it progresses.
-func (s *session) drainLocked() {
-	if s.queue == nil {
-		return
-	}
-	target := s.enqueued
-	s.anMu.Lock()
-	for s.analyzed < target {
-		s.cond.Wait()
-	}
-	s.anMu.Unlock()
-}
-
-// pipelineErr reports the sticky analysis-stage error, if any.
-func (s *session) pipelineErr() error {
-	if s.queue == nil {
-		return nil
-	}
-	s.anMu.Lock()
-	defer s.anMu.Unlock()
-	return s.workerErr
-}
-
-// stopPipelineLocked drains the queue, stops the worker, and waits for
-// it to exit; afterwards the caller owns the analyzer. Requires s.mu;
-// idempotent.
-func (s *session) stopPipelineLocked() {
-	if s.queue == nil || s.queueClosed {
-		return
-	}
-	s.drainLocked()
-	s.queueClosed = true
-	close(s.queue)
-	<-s.workerDone
-}
-
 // windowSink decorates each sealed window and hands it to the store
-// stage. It runs where the windower seals: on the analysis worker
-// (Advance) or on the finalize path after the worker has stopped (Flush)
-// — in both cases the analyzer is quiescent at the seal point, so the
-// cumulative quality read is consistent. The seal point counts the
-// window before enqueueing it, so a drain that starts after a seal
-// always waits for that window.
+// stage. It runs where the windower seals, under s.mu: on ingest
+// (Advance) or on the finalize path (Flush). In both cases the analyzer
+// is quiescent at the seal point, so the cumulative quality read is
+// consistent. The seal point counts the window before enqueueing it, so
+// a drain that starts after a seal always waits for that window.
 func (r *Registry) windowSink(s *session) func(*core.ProfileWindow) {
 	return func(pw *core.ProfileWindow) {
 		pw.Quality = s.an.Quality()
@@ -186,8 +98,8 @@ func (r *Registry) windowSink(s *session) func(*core.ProfileWindow) {
 }
 
 // storeWorker is the session's store stage: it persists sealed windows
-// so encoding and disk writes never run on the analysis worker. It takes
-// only winMu — never mu or anMu, which both sides hold while blocking on
+// so encoding and disk writes never run on the ingest request. It takes
+// only winMu — never mu, which ingest and finalize hold while blocking on
 // a full winq.
 func (s *session) storeWorker(r *Registry) {
 	defer close(s.winqDone)
@@ -214,10 +126,9 @@ func (s *session) storeWorker(r *Registry) {
 }
 
 // drainWindowsLocked blocks until the store stage has persisted every
-// window sealed so far — the second read-your-writes barrier, crossed by
-// paths that query the window store after drainLocked. Requires s.mu and
-// a prior drainLocked (together they guarantee no seal is still in
-// flight); the store worker only needs winMu, so it progresses.
+// window sealed so far — the read-your-writes barrier crossed by paths
+// that query the window store. Requires s.mu, which guarantees no seal is
+// in flight; the store worker only needs winMu, so it progresses.
 func (s *session) drainWindowsLocked() {
 	if s.winq == nil {
 		return
@@ -230,8 +141,9 @@ func (s *session) drainWindowsLocked() {
 }
 
 // stopStoreStageLocked closes the store queue and waits for the worker
-// to persist everything still on it. Requires s.mu and a stopped
-// analysis stage (nothing may seal after the close); idempotent.
+// to persist everything still on it. Requires s.mu, and nothing may seal
+// after it: callers are finalize (after the trailing Flush) and Forget;
+// idempotent.
 func (s *session) stopStoreStageLocked() {
 	if s.winq == nil || s.winqClosed {
 		return

@@ -63,10 +63,8 @@ func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, er
 	if s != nil {
 		s.mu.Lock()
 		s.lastActive = r.cfg.Now()
-		// Read-your-writes: windows sealed by already-ingested samples are
-		// in the store before we query it — first wait for analysis to
-		// catch up (which seals), then for the store stage to persist.
-		s.drainLocked()
+		// Read-your-writes: ingest sealed every window its samples close
+		// before it returned; wait for the store stage to persist them.
 		s.drainWindowsLocked()
 		resp.State = "active"
 		if s.finalized {

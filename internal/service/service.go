@@ -69,10 +69,6 @@ type Config struct {
 	// tumbling (stride = width). Overlapping windows do not merge — see
 	// core.MergeWindows.
 	WindowStrideS float64
-	// QueueBlocks bounds the per-session decode→analysis queue, in ingest
-	// blocks. A full queue blocks further body reads — backpressure rides
-	// the transport instead of growing memory. 0 means the default (8).
-	QueueBlocks int
 	// Store is the window sink; nil with WindowS > 0 means an internal
 	// memory-only store (windows then do not survive a restart).
 	Store *profstore.Store
@@ -96,7 +92,6 @@ const (
 	DefaultIdleTTL         = 5 * time.Minute
 	DefaultReadTimeout     = 30 * time.Second
 	DefaultTraceRing       = 4096
-	DefaultQueueBlocks     = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -114,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceRing == 0 {
 		c.TraceRing = DefaultTraceRing
-	}
-	if c.QueueBlocks <= 0 {
-		c.QueueBlocks = DefaultQueueBlocks
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -157,12 +149,10 @@ var (
 )
 
 // session is one live profiling stream, structured as two stages joined
-// by a bounded queue (see pipeline.go): the decode stage (ingest, under
-// mu) validates and decodes wire bytes and enqueues sample blocks; the
-// analysis stage (one worker goroutine, under anMu) drains them through
-// the analyzer, the windower, and the attributor. Result-serving paths
-// first drain (analyzed catches up to enqueued) so every read observes
-// its own session's completed writes.
+// by a bounded window queue (see pipeline.go): ingest (under mu) decodes
+// wire bytes and runs each block through the analyzer, the windower and
+// the attributor before the push returns, so every read observes its own
+// session's completed writes; a store worker persists sealed windows.
 type session struct {
 	id         string
 	device     string
@@ -173,15 +163,15 @@ type session struct {
 	mu         sync.Mutex
 	lastActive time.Time
 	an         *core.StreamAnalyzer
-	// emit is the decode→analysis boundary bound once at session
-	// creation, so the hot ingest loop passes a prebuilt func value to
-	// the decoder instead of allocating a closure per request.
+	// emit is analyzeBlock bound once at session creation, so the hot
+	// ingest loop passes a prebuilt func value to the decoder instead of
+	// allocating a closure per request.
 	emit      func([]float64)
 	dec       *em.Decoder // nil until the first ingest chooses a wire format
 	bytes     int64
 	finalized bool
 	final     *core.Profile
-	poison    error // first decode error; the session rejects further ingest
+	poison    error // first decode or analysis error; the session rejects further ingest
 	// pinned marks the session frozen for hand-off: ingest, snapshot and
 	// finalize answer ErrPinned (503) until the move completes, so no
 	// sample can land on two shards.
@@ -191,29 +181,12 @@ type session struct {
 	// disabled. The ring is internally synchronised.
 	ring *trace.Ring
 
-	// Analysis stage (pipeline.go). queue carries sample blocks decode →
-	// worker; free recycles their backing arrays (a channel, not a
-	// sync.Pool — Put/Get of a slice would box it and break the zero-
-	// alloc ingest path). enqueued/queueClosed are guarded by mu;
-	// analyzed/workerErr by anMu; the worker never takes mu (lock order
-	// is mu → anMu).
-	queue       chan []float64
-	free        chan []float64
-	workerDone  chan struct{}
-	enqueued    int64
-	queueClosed bool
-
-	anMu      sync.Mutex
-	cond      *sync.Cond // signals analyzed advancing
-	analyzed  int64
-	workerErr error
-
 	// Store stage (pipeline.go). winq carries sealed windows from the
-	// seal point (analysis worker, or the finalize path) to a per-session
-	// store worker, so persisting a window — encoding plus, in disk mode,
-	// the write — never runs on the analysis stage. winqClosed is guarded
-	// by mu (like queueClosed); winSealed/winStored by winMu; the store
-	// worker takes only winMu (lock order is mu → anMu → winMu).
+	// seal point (ingest, or the finalize path) to a per-session store
+	// worker, so persisting a window — encoding plus, in disk mode, the
+	// write — never runs on the ingest request. winqClosed is guarded by
+	// mu; winSealed/winStored by winMu; the store worker takes only winMu
+	// (lock order is mu → winMu).
 	winq       chan *core.ProfileWindow
 	winqDone   chan struct{}
 	winqClosed bool
@@ -224,8 +197,8 @@ type session struct {
 	winStored int64
 
 	// win slices the analyzed stream into rolling windows; attr attributes
-	// them to code regions. Both live on the analysis stage (anMu); nil
-	// when the feature is off.
+	// them to code regions. Both are guarded by mu; nil when the feature
+	// is off.
 	win  *core.Windower
 	attr *attrib.StreamAttributor
 }
@@ -407,7 +380,7 @@ func validateSessionID(id string) error {
 
 // attachObservers wires a session analyzer into the shared metrics (the
 // stall counter) and, when windowing is on, into the session's windower.
-// The OnStall hook runs inside PushBlock on the analysis worker, so the
+// The OnStall hook runs inside PushBlock under the session lock, so the
 // windower needs no locking of its own.
 func (r *Registry) attachObservers(an *core.StreamAnalyzer, win *core.Windower) {
 	stalls := &r.metrics.StallsDetected
@@ -473,8 +446,10 @@ const (
 )
 
 // ingest feeds one body chunk-by-chunk into the session's decoder and
-// analyzer. next returns successive byte chunks ((nil, io.EOF) at end);
-// the caller owns transport concerns (deadlines, chunk sizing).
+// analyzer; when it returns, every decoded sample has been analysed and
+// every window it sealed handed to the store stage. next returns
+// successive byte chunks ((nil, io.EOF) at end); the caller owns
+// transport concerns (deadlines, chunk sizing).
 // declaredLen, when >= 0 (a Content-Length), is checked against the byte
 // budget before anything is consumed, so a rejected request ingests
 // nothing and is safe to retry. Bodies without a declared length are
@@ -499,10 +474,6 @@ func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int
 	}
 	if s.poison != nil {
 		return IngestResult{}, fmt.Errorf("%w: %v", ErrPoisoned, s.poison)
-	}
-	if err := s.pipelineErr(); err != nil {
-		s.poison = err
-		return IngestResult{}, fmt.Errorf("%w: %v", ErrPoisoned, err)
 	}
 	if offset >= 0 && format != formatRaw {
 		return IngestResult{}, fmt.Errorf("service: push offsets apply to raw-format ingest only")
@@ -568,6 +539,10 @@ func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int
 			s.bytes += int64(len(chunk))
 			r.metrics.IngestBytes.Add(int64(len(chunk)))
 			r.metrics.SamplesIngested.Add(s.dec.Emitted() - before)
+			if s.poison != nil {
+				// analyzeBlock recovered a panic: this push fails too.
+				return r.ingestTotals(s), fmt.Errorf("%w: %v", ErrPoisoned, s.poison)
+			}
 			if !s.headerOK() {
 				s.poison = fmt.Errorf("capture header metadata does not match session (header %v/%v)",
 					headerRate(s.dec), headerClock(s.dec))
@@ -642,7 +617,6 @@ func (r *Registry) Snapshot(id string) (*Snapshot, error) {
 		return nil, ErrPinned
 	}
 	s.lastActive = r.cfg.Now()
-	s.drainLocked()
 	return s.snapshotLocked(), nil
 }
 
@@ -662,7 +636,6 @@ func (r *Registry) SnapshotJSON(id string, buf *bytes.Buffer) error {
 		return ErrPinned
 	}
 	s.lastActive = r.cfg.Now()
-	s.drainLocked()
 	var prof *core.Profile
 	if s.final == nil {
 		view := s.an.SnapshotView()
@@ -737,9 +710,6 @@ func (r *Registry) Trace(id string) (*TraceResponse, error) {
 	}
 	s.mu.Lock()
 	s.lastActive = r.cfg.Now()
-	// Drain so the trace reflects every decision the ingested samples
-	// produced — same read-your-writes contract as Snapshot.
-	s.drainLocked()
 	ring := s.ring
 	s.mu.Unlock()
 	resp := &TraceResponse{ID: s.id, Records: []trace.Record{}}
@@ -789,9 +759,6 @@ func (s *session) finalizeLocked() {
 	if s.finalized {
 		return
 	}
-	// Stop the analysis stage first: drain the queue, close it, wait for
-	// the worker — after this the analyzer is exclusively ours.
-	s.stopPipelineLocked()
 	s.final = s.an.Finalize()
 	if s.win != nil {
 		// Seal the trailing window; its OnWindow hook hands it to the
@@ -817,17 +784,15 @@ func (r *Registry) List() []SessionInfo {
 	out := make([]SessionInfo, 0, len(sessions))
 	for _, s := range sessions {
 		s.mu.Lock()
-		s.drainLocked()
-		snap := s.an.Snapshot()
 		info := SessionInfo{
 			ID:              s.id,
 			Device:          s.device,
 			State:           "active",
-			SampleRate:      snap.SampleRate,
-			ClockHz:         snap.ClockHz,
+			SampleRate:      s.sampleRate,
+			ClockHz:         s.clockHz,
 			BytesIngested:   s.bytes,
 			SamplesIngested: s.an.Pushed(),
-			Stalls:          len(snap.Stalls),
+			Stalls:          len(s.an.SnapshotView().Stalls),
 			CreatedAt:       s.created,
 			LastActiveAt:    s.lastActive,
 		}

@@ -427,6 +427,45 @@ func TestPoisonedSession(t *testing.T) {
 	}
 }
 
+// TestAnalysisPanicPoisonsSession checks that a panic in the analysis
+// chain fails the push that caused it, poisons only its own session, and
+// leaves the daemon serving.
+func TestAnalysisPanicPoisonsSession(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	id := createSession(t, ts, 40e6, 1e9)
+	sess, err := srv.Registry().get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.Lock()
+	sess.an.OnStall = func(core.Stall) { panic("injected analysis fault") }
+	sess.mu.Unlock()
+
+	body := rawBytes(testSignal(30000).Samples)
+	code, msg := postSamples(t, ts, id, body, ContentTypeRaw)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "injected analysis fault") {
+		t.Fatalf("push that panicked: HTTP %d %s, want 400 naming the fault", code, msg)
+	}
+	if code, msg := postSamples(t, ts, id, body, ContentTypeRaw); code != http.StatusBadRequest || !strings.Contains(msg, "previously failed") {
+		t.Fatalf("push after the panic: HTTP %d %s, want 400 poisoned", code, msg)
+	}
+
+	id2 := createSession(t, ts, 40e6, 1e9)
+	if code, msg := postSamples(t, ts, id2, body, ContentTypeRaw); code != http.StatusOK {
+		t.Fatalf("healthy session push: HTTP %d %s", code, msg)
+	}
+	snap, err := srv.Registry().Snapshot(id2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Profile.Stalls) == 0 {
+		t.Fatal("healthy session found no stalls")
+	}
+	if values, _ := scrapeMetrics(t, ts); values["emprofd_sessions_active"] != 2 {
+		t.Fatalf("emprofd_sessions_active = %v, want 2", values["emprofd_sessions_active"])
+	}
+}
+
 // TestMetricsPrometheusFormat scrapes /metrics and parses every line as
 // Prometheus text exposition format, checking the core series exist with
 // sane values.
@@ -436,17 +475,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if code, _ := postSamples(t, ts, id, rawBytes(testSignal(30000).Samples), ContentTypeRaw); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
-	// A scrape does not drain sessions: the stall counter is fed by the
-	// analysis worker and is eventually consistent, so poll until it
-	// lands.
-	var values map[string]float64
-	var types map[string]string
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		values, types = scrapeMetrics(t, ts)
-		if values["emprofd_stalls_detected_total"] > 0 || time.Now().After(deadline) {
-			break
-		}
-	}
+	// The push analysed its samples before it returned, so the first
+	// scrape already counts its stalls.
+	values, types := scrapeMetrics(t, ts)
 	checks := map[string]float64{
 		"emprofd_sessions_active":        1,
 		"emprofd_sessions_total":         1,

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"emprof/internal/trace"
 )
@@ -131,27 +130,18 @@ func TestMetricsIncludeTrace(t *testing.T) {
 	if code, msg := postSamples(t, ts, id, rawBytes(capture.Samples), ContentTypeRaw); code != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d: %s", code, msg)
 	}
-	// A scrape does not drain sessions: the trace aggregator is fed by
-	// the analysis worker and is eventually consistent, so poll until the
-	// accepted stalls land.
-	var text string
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		resp, err := http.Get(ts.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		text = string(data)
-		accepted := strings.Contains(text, "emprofd_trace_stalls_accepted_total ") &&
-			!strings.Contains(text, "emprofd_trace_stalls_accepted_total 0\n")
-		if accepted || time.Now().After(deadline) {
-			break
-		}
+	// The push analysed its samples before it returned, so the first
+	// scrape already aggregates its decisions.
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
 	for _, want := range []string{
 		"emprofd_trace_dip_candidates_total",
 		"emprofd_trace_stalls_accepted_total",
