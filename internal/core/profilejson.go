@@ -47,7 +47,7 @@ func ParseProfileJSON(data []byte, i int) (Profile, int, bool) {
 	if i, ok = jsonfast.Eat(data, i, `{"Stalls":`); !ok {
 		return p, i, false
 	}
-	if p.Stalls, i, ok = parseStallsSpan(data, i); !ok {
+	if p.Stalls, i, ok = parseStallsSpan(data, i, true); !ok {
 		return p, i, false
 	}
 	if i, ok = jsonfast.Eat(data, i, `,"Misses":`); !ok {

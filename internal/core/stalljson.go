@@ -20,7 +20,7 @@ type StallList []Stall
 // []Stall does (FuzzStallListDecode).
 func (sl *StallList) UnmarshalJSON(data []byte) error {
 	data = jsonfast.TrimSpace(data)
-	if out, i, ok := parseStallsSpan(data, 0); ok && i == len(data) {
+	if out, i, ok := parseStallsSpan(data, 0, true); ok && i == len(data) {
 		*sl = out
 		return nil
 	}
@@ -33,8 +33,9 @@ func (sl *StallList) UnmarshalJSON(data []byte) error {
 }
 
 // parseStallsSpan parses a compact stall array (or null) starting at
-// data[i], returning the index just past it.
-func parseStallsSpan(data []byte, i int) (StallList, int, bool) {
+// data[i], returning the index just past it. With keep false it only
+// checks the array and returns no stalls.
+func parseStallsSpan(data []byte, i int, keep bool) (StallList, int, bool) {
 	if j, ok := jsonfast.Eat(data, i, "null"); ok {
 		return nil, j, true
 	}
@@ -48,14 +49,19 @@ func parseStallsSpan(data []byte, i int) (StallList, int, bool) {
 	// Size the output from the remaining span: compact stalls run ~170
 	// bytes each, and a snapshot's blob is dominated by this array, so
 	// the estimate spares the doubling-growth garbage of large decodes.
-	out := make(StallList, 0, (len(data)-i)/170+4)
+	var out StallList
+	if keep {
+		out = make(StallList, 0, (len(data)-i)/170+4)
+	}
 	for {
 		var s Stall
 		var ok bool
 		if i, ok = parseStallFast(data, i, &s); !ok {
 			return nil, i, false
 		}
-		out = append(out, s)
+		if keep {
+			out = append(out, s)
+		}
 		if i < len(data) && data[i] == ']' {
 			return out, i + 1, true
 		}

@@ -19,7 +19,7 @@ import (
 // through the stdlib alone (median of 6 runs, 2-vCPU VM, go1.24).
 func (w *ProfileWindow) UnmarshalJSON(data []byte) error {
 	data = jsonfast.TrimSpace(data)
-	if out, i, ok := parseWindowSpan(data, 0); ok && i == len(data) {
+	if out, i, ok := parseWindowSpan(data, 0, true); ok && i == len(data) {
 		*w = out
 		return nil
 	}
@@ -35,9 +35,20 @@ func (w *ProfileWindow) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// SkipWindowJSON checks the window object at data[i] exactly as
+// UnmarshalJSON's fast path parses it, but keeps only its index: it
+// returns the index and the position just past the closing brace. Where
+// it reports !ok the bytes need the stdlib decoder. The fleet router uses
+// it to check and key the window bytes it relays without decoding them.
+func SkipWindowJSON(data []byte, i int) (index int64, end int, ok bool) {
+	w, end, ok := parseWindowSpan(data, i, false)
+	return w.Index, end, ok
+}
+
 // parseWindowSpan parses a compact window object starting at data[i],
-// returning the index just past its closing brace.
-func parseWindowSpan(data []byte, i int) (ProfileWindow, int, bool) {
+// returning the index just past its closing brace. With keep false it
+// checks the stall and region lists without building them.
+func parseWindowSpan(data []byte, i int, keep bool) (ProfileWindow, int, bool) {
 	var w ProfileWindow
 	var ok bool
 	var n int64
@@ -80,7 +91,7 @@ func parseWindowSpan(data []byte, i int) (ProfileWindow, int, bool) {
 		return w, i, false
 	}
 	var stalls StallList
-	if stalls, i, ok = parseStallsSpan(data, i); !ok {
+	if stalls, i, ok = parseStallsSpan(data, i, keep); !ok {
 		return w, i, false
 	}
 	w.Stalls = stalls
@@ -123,7 +134,9 @@ func parseWindowSpan(data []byte, i int) (ProfileWindow, int, bool) {
 			if r, i, ok = parseRegionSpan(data, i); !ok {
 				return w, i, false
 			}
-			w.Regions = append(w.Regions, r)
+			if keep {
+				w.Regions = append(w.Regions, r)
+			}
 			if i < len(data) && data[i] == ']' {
 				i++
 				break

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"sync"
 
 	"emprof/internal/core"
+	"emprof/internal/jsonfast"
 	"emprof/internal/service"
 )
 
@@ -60,7 +62,7 @@ func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	merged := service.ProfilesResponse{ID: id, Windows: []core.ProfileWindow{}, LatestIndex: -1}
-	seen := make(map[int64]bool)
+	var wins []rawWindow
 	var reachable, notFound int
 	var goneSeen, anyMore bool
 	for i := range out {
@@ -90,24 +92,18 @@ func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadGateway, "fleet: profiles from %s: HTTP %d", shards[i], sp.status)
 			return
 		}
-		for _, win := range sp.resp.Windows {
-			if seen[win.Index] {
-				continue
-			}
-			seen[win.Index] = true
-			merged.Windows = append(merged.Windows, win)
-		}
-		merged.Truncated = merged.Truncated || sp.resp.Truncated
-		anyMore = anyMore || sp.resp.More
-		if sp.resp.LatestIndex > merged.LatestIndex {
-			merged.LatestIndex = sp.resp.LatestIndex
+		wins = append(wins, sp.windows...)
+		merged.Truncated = merged.Truncated || sp.env.Truncated
+		anyMore = anyMore || sp.env.More
+		if sp.env.LatestIndex > merged.LatestIndex {
+			merged.LatestIndex = sp.env.LatestIndex
 		}
 		// The shard still holding the live session is authoritative for
 		// state and acquisition metadata; store-only shards say "detached".
-		if stateRank(sp.resp.State) > stateRank(merged.State) {
-			merged.State = sp.resp.State
-			merged.WindowS, merged.StrideS = sp.resp.WindowS, sp.resp.StrideS
-			merged.SampleRate, merged.ClockHz = sp.resp.SampleRate, sp.resp.ClockHz
+		if stateRank(sp.env.State) > stateRank(merged.State) {
+			merged.State = sp.env.State
+			merged.WindowS, merged.StrideS = sp.env.WindowS, sp.env.StrideS
+			merged.SampleRate, merged.ClockHz = sp.env.SampleRate, sp.env.ClockHz
 		}
 	}
 	if reachable == 0 {
@@ -118,10 +114,16 @@ func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "fleet: unknown session %s", id)
 		return
 	}
-	sort.Slice(merged.Windows, func(i, j int) bool {
-		return merged.Windows[i].Index < merged.Windows[j].Index
-	})
-	if goneSeen && len(merged.Windows) == 0 {
+	// Sort by index and keep the first shard's copy of a duplicate index.
+	sort.SliceStable(wins, func(i, j int) bool { return wins[i].index < wins[j].index })
+	uniq := wins[:0]
+	for _, win := range wins {
+		if n := len(uniq); n == 0 || uniq[n-1].index != win.index {
+			uniq = append(uniq, win)
+		}
+	}
+	wins = uniq
+	if goneSeen && len(wins) == 0 {
 		writeError(w, http.StatusGone, "fleet: requested windows for session %s no longer retained", id)
 		return
 	}
@@ -141,36 +143,64 @@ func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	// Tail (last=) queries keep the newest windows by design and are not
 	// cursor-walked, so they are served uncut.
 	if anyMore && last == 0 {
-		for i := 1; i < len(merged.Windows); i++ {
-			if merged.Windows[i].Index != merged.Windows[i-1].Index+1 {
-				merged.Windows = merged.Windows[:i]
+		for i := 1; i < len(wins); i++ {
+			if wins[i].index != wins[i-1].index+1 {
+				wins = wins[:i]
 				break
 			}
 		}
 	}
-	if last > 0 && len(merged.Windows) > last {
-		merged.Windows = merged.Windows[len(merged.Windows)-last:]
+	if last > 0 && len(wins) > last {
+		wins = wins[len(wins)-last:]
 	}
-	if limit > 0 && len(merged.Windows) > limit {
-		merged.Windows = merged.Windows[:limit]
+	if limit > 0 && len(wins) > limit {
+		wins = wins[:limit]
 		anyMore = true
 	}
 	merged.More = anyMore
 	merged.NextAfter = 0
-	if anyMore && len(merged.Windows) > 0 {
-		merged.NextAfter = merged.Windows[len(merged.Windows)-1].Index
+	if anyMore && len(wins) > 0 {
+		merged.NextAfter = wins[len(wins)-1].index
 	}
-	writeJSON(w, http.StatusOK, &merged)
+	raws := make([][]byte, len(wins))
+	for i := range wins {
+		raws[i] = wins[i].raw
+	}
+	buf := profilesBufPool.Get().(*bytes.Buffer)
+	defer profilesBufPool.Put(buf)
+	buf.Reset()
+	if err := service.EncodeProfiles(buf, &merged, raws); err != nil {
+		writeError(w, http.StatusInternalServerError, "fleet: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.Bytes())
 }
 
-// shardProfiles is one shard's answer to the profiles fan-out.
+// profilesBufPool recycles the fan-in's response buffers.
+var profilesBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// shardProfiles is one shard's answer to the profiles fan-out: on 200,
+// its envelope (Windows empty) and its windows as the bytes it sent.
 type shardProfiles struct {
 	skipped bool
 	status  int
-	resp    service.ProfilesResponse
+	env     service.ProfilesResponse
+	windows []rawWindow
 	body    []byte
 	err     error
 }
+
+// rawWindow is one window of a shard's answer, keyed by its index.
+type rawWindow struct {
+	index int64
+	raw   []byte
+}
+
+// maxShardBody bounds a shard's profiles body in router memory.
+const maxShardBody = 256 << 20
 
 func (rt *Router) profilesShard(ctx context.Context, shard, path, rawQuery string) shardProfiles {
 	url := shard + path
@@ -187,17 +217,134 @@ func (rt *Router) profilesShard(ctx context.Context, shard, path, rawQuery strin
 	}
 	defer resp.Body.Close()
 	sp := shardProfiles{status: resp.StatusCode}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	// Shards send Content-Length: read the body into a buffer of that
+	// size instead of growing one, which would leave about as much
+	// garbage again per read.
+	var body []byte
+	if n := resp.ContentLength; n > 0 && n <= maxShardBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(resp.Body, maxShardBody))
+	}
 	if err != nil {
 		return shardProfiles{err: err}
 	}
 	sp.body = body
 	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, &sp.resp); err != nil {
+		if sp.env, sp.windows, err = splitProfiles(body); err != nil {
 			return shardProfiles{err: fmt.Errorf("decoding profiles: %w", err)}
 		}
 	}
 	return sp
+}
+
+// splitProfiles splits a shard's profiles body into its envelope, with
+// Windows empty, and its windows as byte slices of body. The fast path
+// takes the compact shape the shard writes (service.EncodeProfiles),
+// checking each window with core.SkipWindowJSON; any other body goes
+// through encoding/json and its decoded windows are re-encoded. Either
+// way the split errs exactly when json.Unmarshal into
+// service.ProfilesResponse errs, and the windows decode to what it
+// decodes (FuzzProfilesSplit).
+func splitProfiles(body []byte) (service.ProfilesResponse, []rawWindow, error) {
+	if env, wins, ok := splitProfilesFast(jsonfast.TrimSpace(body)); ok {
+		return env, wins, nil
+	}
+	var resp service.ProfilesResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return service.ProfilesResponse{}, nil, err
+	}
+	wins := make([]rawWindow, len(resp.Windows))
+	for i := range resp.Windows {
+		raw, err := json.Marshal(&resp.Windows[i])
+		if err != nil {
+			return service.ProfilesResponse{}, nil, err
+		}
+		wins[i] = rawWindow{index: resp.Windows[i].Index, raw: raw}
+	}
+	resp.Windows = []core.ProfileWindow{}
+	return resp, wins, nil
+}
+
+// splitProfilesFast parses the compact profiles body encoding/json
+// writes for service.ProfilesResponse, reporting !ok for anything else.
+func splitProfilesFast(data []byte) (env service.ProfilesResponse, wins []rawWindow, ok bool) {
+	env.Windows = []core.ProfileWindow{}
+	i := 0
+	if i, ok = jsonfast.Eat(data, i, `{"id":`); !ok {
+		return env, nil, false
+	}
+	if env.ID, i, ok = jsonfast.String(data, i); !ok {
+		return env, nil, false
+	}
+	if i, ok = jsonfast.Eat(data, i, `,"state":`); !ok {
+		return env, nil, false
+	}
+	if env.State, i, ok = jsonfast.String(data, i); !ok {
+		return env, nil, false
+	}
+	for _, f := range []struct {
+		key string
+		dst *float64
+	}{
+		{`,"window_s":`, &env.WindowS}, {`,"stride_s":`, &env.StrideS},
+		{`,"sample_rate":`, &env.SampleRate}, {`,"clock_hz":`, &env.ClockHz},
+	} {
+		if j, present := jsonfast.Eat(data, i, f.key); present {
+			if *f.dst, i, ok = jsonfast.Float(data, j); !ok {
+				return env, nil, false
+			}
+		}
+	}
+	if i, ok = jsonfast.Eat(data, i, `,"windows":[`); !ok {
+		return env, nil, false
+	}
+	if i < len(data) && data[i] == ']' {
+		i++
+	} else {
+		for {
+			idx, end, ok := core.SkipWindowJSON(data, i)
+			if !ok {
+				return env, nil, false
+			}
+			wins = append(wins, rawWindow{index: idx, raw: data[i:end:end]})
+			i = end
+			if i < len(data) && data[i] == ']' {
+				i++
+				break
+			}
+			if i >= len(data) || data[i] != ',' {
+				return env, nil, false
+			}
+			i++
+		}
+	}
+	if j, present := jsonfast.Eat(data, i, `,"truncated":`); present {
+		if env.Truncated, i, ok = jsonfast.Bool(data, j); !ok {
+			return env, nil, false
+		}
+	}
+	if j, present := jsonfast.Eat(data, i, `,"more":`); present {
+		if env.More, i, ok = jsonfast.Bool(data, j); !ok {
+			return env, nil, false
+		}
+	}
+	if j, present := jsonfast.Eat(data, i, `,"next_after":`); present {
+		if env.NextAfter, i, ok = jsonfast.Int(data, j); !ok {
+			return env, nil, false
+		}
+	}
+	if i, ok = jsonfast.Eat(data, i, `,"latest_index":`); !ok {
+		return env, nil, false
+	}
+	if env.LatestIndex, i, ok = jsonfast.Int(data, i); !ok {
+		return env, nil, false
+	}
+	if i != len(data)-1 || data[i] != '}' {
+		return env, nil, false
+	}
+	return env, wins, true
 }
 
 // stateRank orders session states by authority for the fan-in merge:

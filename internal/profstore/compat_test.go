@@ -93,6 +93,11 @@ func TestCompatSegmentByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The raw query serves each window as a decode and re-encode of the
+	// fixture's records would, from the store that wrote them and from
+	// the committed segment reopened.
+	oracle := oracleWindows(t, filepath.Dir(compatSegment))
+	requireRawMatchesOracle(t, st, oracle)
 	st.Close()
 	got, err := os.ReadFile(filepath.Join(dir, "00000000.seg"))
 	if err != nil {
@@ -101,4 +106,9 @@ func TestCompatSegmentByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("segment bytes differ from the fixture\n got: %q\nwant: %q", got, want)
 	}
+	reopenDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(reopenDir, "00000000.seg"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireRawMatchesOracle(t, openTest(t, reopenDir, Options{Now: compatNow}), oracle)
 }

@@ -13,6 +13,7 @@
 package profstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -22,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -99,15 +101,19 @@ type segment struct {
 	mem         []byte   // memory-mode backing
 	size        int64    // framed bytes written
 	maxSealedNs int64
+	odd         [][]byte // window encodings a record's bytes do not hold
 }
 
+// entry indexes one record. A query serves the record's window as the
+// bytes encoding/json writes for it: the n bytes at off in the segment,
+// inside the record's payload, or, for a record holding other bytes
+// there, seg.odd[-off-1] (see windowEntry).
 type entry struct {
-	seg      *segment
-	off, n   int64 // payload position within the segment
-	idx      int64
-	startS   float64
-	endS     float64
-	sealedNs int64
+	seg    *segment
+	off, n int64
+	idx    int64
+	startS float64
+	endS   float64
 }
 
 // Store is an append-only window store with an in-memory index.
@@ -210,7 +216,11 @@ func (st *Store) openSegment(name string, newest bool) (*segment, error) {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			break
 		}
-		st.indexRecord(seg, off+frameHeader, n, &rec)
+		e, err := windowEntry(seg, off+frameHeader, payload, &rec.Window)
+		if err != nil {
+			break
+		}
+		st.indexRecord(rec.Session, rec.SealedNs, &rec.Window, e)
 		off += frameHeader + n
 		seg.size = off
 	}
@@ -227,14 +237,33 @@ func (st *Store) openSegment(name string, newest bool) (*segment, error) {
 	return seg, nil
 }
 
-func (st *Store) indexRecord(seg *segment, payloadOff, payloadLen int64, rec *record) {
-	st.index[rec.Session] = append(st.index[rec.Session], entry{
-		seg: seg, off: payloadOff, n: payloadLen,
-		idx: rec.Window.Index, startS: rec.Window.StartS, endS: rec.Window.EndS,
-		sealedNs: rec.SealedNs,
-	})
-	if rec.SealedNs > seg.maxSealedNs {
-		seg.maxSealedNs = rec.SealedNs
+// windowEntry places the bytes a query serves for a decoded record: the
+// encoding/json encoding of its window, which is what a decode and
+// re-encode of the record would yield. A record the store wrote ends
+// with exactly those bytes before its closing brace, so the entry points
+// at them on disk; any other record that decodes (whitespace, another
+// field order, numbers spelled differently) keeps the encoding in memory.
+func windowEntry(seg *segment, payloadOff int64, payload []byte, w *core.ProfileWindow) (entry, error) {
+	enc, err := json.Marshal(w)
+	if err != nil {
+		return entry{}, err
+	}
+	e := entry{seg: seg, n: int64(len(enc))}
+	end := len(payload) - 1
+	if start := end - len(enc); start >= 0 && payload[end] == '}' && bytes.Equal(payload[start:end], enc) {
+		e.off = payloadOff + int64(start)
+	} else {
+		seg.odd = append(seg.odd, enc)
+		e.off = -int64(len(seg.odd))
+	}
+	return e, nil
+}
+
+func (st *Store) indexRecord(session string, sealedNs int64, w *core.ProfileWindow, e entry) {
+	e.idx, e.startS, e.endS = w.Index, w.StartS, w.EndS
+	st.index[session] = append(st.index[session], e)
+	if sealedNs > e.seg.maxSealedNs {
+		e.seg.maxSealedNs = sealedNs
 	}
 }
 
@@ -271,19 +300,22 @@ func (st *Store) saveEvictions() {
 }
 
 // Append persists one sealed window and applies retention. It is safe
-// for concurrent use with Query. The record is framed into a scratch
+// for concurrent use with Query. The record is the encoding/json
+// encoding of the record struct, assembled around the window's encoding
+// so the index knows where those bytes sit; it is framed into a scratch
 // buffer the store reuses across appends.
 func (st *Store) Append(session string, w *core.ProfileWindow) error {
 	if session == "" {
 		return fmt.Errorf("profstore: empty session ID")
 	}
-	rec := record{Session: session, SealedNs: st.opt.Now().UnixNano(), Window: *w}
-	payload, err := json.Marshal(&rec)
+	sealedNs := st.opt.Now().UnixNano()
+	win, err := json.Marshal(w)
 	if err != nil {
 		return fmt.Errorf("profstore: %w", err)
 	}
-	if int64(len(payload)) > maxRecordBytes {
-		return fmt.Errorf("profstore: window record of %d bytes exceeds the %d-byte frame bound", len(payload), maxRecordBytes)
+	sess, err := json.Marshal(session)
+	if err != nil {
+		return fmt.Errorf("profstore: %w", err)
 	}
 
 	st.mu.Lock()
@@ -291,12 +323,25 @@ func (st *Store) Append(session string, w *core.ProfileWindow) error {
 	if st.closed {
 		return ErrClosed
 	}
-	// Frame header (magic, payload length, payload CRC), then the payload.
+	// Frame header (magic, payload length, payload CRC), then the payload
+	// {"session":…,"sealed_ns":…,"window":{…}}.
 	b := append(st.scratch[:0], frameMagic[:]...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	b = append(b, payload...)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
+	b = append(b, `{"session":`...)
+	b = append(b, sess...)
+	b = append(b, `,"sealed_ns":`...)
+	b = strconv.AppendInt(b, sealedNs, 10)
+	b = append(b, `,"window":`...)
+	winOff := int64(len(b))
+	b = append(b, win...)
+	b = append(b, '}')
+	payload := b[frameHeader:]
+	if len(payload) > maxRecordBytes {
+		return fmt.Errorf("profstore: window record of %d bytes exceeds the %d-byte frame bound", len(payload), maxRecordBytes)
+	}
 	st.scratch = b
+	binary.LittleEndian.PutUint32(b[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(payload))
 
 	seg, err := st.activeSegmentLocked(int64(len(b)))
 	if err != nil {
@@ -309,7 +354,7 @@ func (st *Store) Append(session string, w *core.ProfileWindow) error {
 	} else {
 		seg.mem = append(seg.mem, b...)
 	}
-	st.indexRecord(seg, seg.size+frameHeader, int64(len(payload)), &rec)
+	st.indexRecord(session, sealedNs, w, entry{seg: seg, off: seg.size + winOff, n: int64(len(win))})
 	seg.size += int64(len(b))
 	st.total += int64(len(b))
 	st.applyRetentionLocked()
@@ -430,6 +475,17 @@ type Result struct {
 	LatestIndex int64 `json:"latest_index"`
 }
 
+// RawResult is one query page with every window as the bytes
+// encoding/json wrote for it when it was sealed. The other fields are
+// Result's.
+type RawResult struct {
+	Windows     [][]byte
+	Truncated   bool
+	More        bool
+	NextAfter   int64
+	LatestIndex int64
+}
+
 // HasSession reports whether the store retains (or remembers evicting)
 // any window of the session.
 func (st *Store) HasSession(session string) bool {
@@ -439,18 +495,39 @@ func (st *Store) HasSession(session string) bool {
 }
 
 // Query returns the session's retained windows overlapping the range,
-// oldest first. A range that lies entirely in evicted windows is
-// ErrNotRetained; a session the store has never seen returns an empty
-// result (the caller decides whether that is a 404 — the store cannot
-// know about live sessions that have not sealed a window yet).
+// oldest first: QueryRaw's page, decoded.
 func (st *Store) Query(session string, q Query) (Result, error) {
+	raw, err := st.QueryRaw(session, q)
+	res := Result{
+		Windows:   make([]core.ProfileWindow, len(raw.Windows)),
+		Truncated: raw.Truncated, More: raw.More, NextAfter: raw.NextAfter, LatestIndex: raw.LatestIndex,
+	}
+	if err != nil {
+		res.Windows = res.Windows[:0]
+		return res, err
+	}
+	for i, b := range raw.Windows {
+		if err := res.Windows[i].UnmarshalJSON(b); err != nil {
+			return res, fmt.Errorf("profstore: %w", err)
+		}
+	}
+	return res, nil
+}
+
+// QueryRaw returns the session's retained windows overlapping the range,
+// oldest first, as their stored JSON bytes. A range that lies entirely in
+// evicted windows is ErrNotRetained; a session the store has never seen
+// returns an empty result (the caller decides whether that is a 404 —
+// the store cannot know about live sessions that have not sealed a
+// window yet).
+func (st *Store) QueryRaw(session string, q Query) (RawResult, error) {
 	limit := q.Limit
 	if limit <= 0 {
 		limit = DefaultQueryLimit
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	res := Result{Windows: []core.ProfileWindow{}, LatestIndex: -1}
+	res := RawResult{LatestIndex: -1}
 	if st.closed {
 		return res, ErrClosed
 	}
@@ -497,32 +574,30 @@ func (st *Store) Query(session string, q Query) (Result, error) {
 		picked = picked[:limit]
 		res.More = true
 	}
+	// One buffer holds the page; each window is a full slice of it.
+	var size int64
 	for _, e := range picked {
-		w, err := st.readWindowLocked(e)
-		if err != nil {
-			return res, err
+		size += e.n
+	}
+	buf := make([]byte, 0, size)
+	res.Windows = make([][]byte, 0, len(picked))
+	for _, e := range picked {
+		start := len(buf)
+		switch {
+		case e.off < 0:
+			buf = append(buf, e.seg.odd[-e.off-1]...)
+		case e.seg.f != nil:
+			buf = buf[:start+int(e.n)]
+			if _, err := e.seg.f.ReadAt(buf[start:], e.off); err != nil {
+				return res, fmt.Errorf("profstore: %w", err)
+			}
+		default:
+			buf = append(buf, e.seg.mem[e.off:e.off+e.n]...)
 		}
-		res.Windows = append(res.Windows, w)
+		res.Windows = append(res.Windows, buf[start:len(buf):len(buf)])
 		res.NextAfter = e.idx
 	}
 	return res, nil
-}
-
-func (st *Store) readWindowLocked(e entry) (core.ProfileWindow, error) {
-	var payload []byte
-	if e.seg.f != nil {
-		payload = make([]byte, e.n)
-		if _, err := e.seg.f.ReadAt(payload, e.off); err != nil {
-			return core.ProfileWindow{}, fmt.Errorf("profstore: %w", err)
-		}
-	} else {
-		payload = e.seg.mem[e.off : e.off+e.n]
-	}
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return core.ProfileWindow{}, fmt.Errorf("profstore: %w", err)
-	}
-	return rec.Window, nil
 }
 
 // Stats is the store's observable footprint.

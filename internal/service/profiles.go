@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -39,8 +41,10 @@ type ProfilesResponse struct {
 	LatestIndex int64 `json:"latest_index"`
 }
 
-// Profiles answers a window range query for a session. The error
-// contract, from the API redesign:
+// Profiles answers a window range query for a session: the response
+// envelope, with Windows empty, and the page's windows as the JSON bytes
+// the store holds for them, oldest first (EncodeProfiles joins the two).
+// The error contract, from the API redesign:
 //
 //   - a live session that has not sealed a window yet (or a daemon with
 //     windowing disabled) answers an empty 200 list, never 404 — the
@@ -51,13 +55,13 @@ type ProfilesResponse struct {
 //
 // Unlike Snapshot, a pinned session still serves its persisted windows —
 // reading the store cannot race the state hand-off.
-func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, error) {
+func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, [][]byte, error) {
 	r.mu.Lock()
 	closed := r.closed
 	s := r.sessions[id]
 	r.mu.Unlock()
 	if closed {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	resp := &ProfilesResponse{ID: id, Windows: []core.ProfileWindow{}, LatestIndex: -1}
 	if s != nil {
@@ -81,29 +85,70 @@ func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, er
 	}
 	if r.store == nil {
 		if s == nil {
-			return nil, ErrNotFound
+			return nil, nil, ErrNotFound
 		}
-		return resp, nil
+		return resp, nil, nil
 	}
 	if s == nil {
 		if !r.store.HasSession(id) {
-			return nil, ErrNotFound
+			return nil, nil, ErrNotFound
 		}
 		resp.State = "detached"
 	}
-	res, err := r.store.Query(id, q)
+	res, err := r.store.QueryRaw(id, q)
 	if err != nil {
 		if errors.Is(err, profstore.ErrNotRetained) {
-			return nil, fmt.Errorf("%w: %v", ErrWindowNotRetained, err)
+			return nil, nil, fmt.Errorf("%w: %v", ErrWindowNotRetained, err)
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	resp.Windows = res.Windows
 	resp.Truncated = res.Truncated
 	resp.More = res.More
 	resp.NextAfter = res.NextAfter
 	resp.LatestIndex = res.LatestIndex
-	return resp, nil
+	return resp, res.Windows, nil
+}
+
+// windowsSlot is the empty windows array in an encoded envelope.
+var windowsSlot = []byte(`"windows":[]`)
+
+// EncodeProfiles appends the profiles body to buf: env encoded by
+// encoding/json with its Windows empty, and windows — each a window's
+// JSON as encoding/json wrote it — spliced into the "windows" array. The
+// bytes are those of encoding env with the windows decoded into it, so a
+// page is served without decoding or re-encoding a window. The first
+// `"windows":[]` in the envelope is the field: the quotes of one inside a
+// string value would be escaped.
+func EncodeProfiles(buf *bytes.Buffer, env *ProfilesResponse, windows [][]byte) error {
+	e := *env
+	e.Windows = []core.ProfileWindow{}
+	size := 256 + len(e.ID) + len(e.State)
+	for _, w := range windows {
+		size += len(w) + 1
+	}
+	buf.Grow(size)
+	start := buf.Len()
+	if err := json.NewEncoder(buf).Encode(&e); err != nil {
+		return err
+	}
+	slot := bytes.Index(buf.Bytes()[start:], windowsSlot)
+	if slot < 0 {
+		return errors.New("service: encoded profiles envelope has no empty windows array")
+	}
+	at := start + slot + len(windowsSlot) - 1
+	// The tail after "[" is the closing bracket, the fields after
+	// windows and the encoder's newline: at most a few dozen bytes.
+	var tailBuf [128]byte
+	tail := append(tailBuf[:0], buf.Bytes()[at:]...)
+	buf.Truncate(at)
+	for i, w := range windows {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		buf.Write(w)
+	}
+	buf.Write(tail)
+	return nil
 }
 
 // parseProfilesQuery maps the profiles route's query string onto a store
@@ -176,10 +221,17 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	resp, err := s.reg.Profiles(r.PathValue("id"), q)
+	resp, windows, err := s.reg.Profiles(r.PathValue("id"), q)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer respBufPool.Put(buf)
+	buf.Reset()
+	if err := EncodeProfiles(buf, resp, windows); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
+	}
+	writeBody(w, http.StatusOK, buf)
 }

@@ -259,7 +259,7 @@ func TestProfilesErrorContract(t *testing.T) {
 	if _, code := getProfiles(t, ts2, id2, "?from=0&to="+floatQuery(oldest/2)); code != http.StatusGone {
 		t.Fatalf("evicted range: HTTP %d, want 410", code)
 	}
-	_, err = srv2.Registry().Profiles(id2, profstore.Query{ToS: oldest / 2})
+	_, _, err = srv2.Registry().Profiles(id2, profstore.Query{ToS: oldest / 2})
 	if !errors.Is(err, ErrWindowNotRetained) {
 		t.Fatalf("registry error %v does not wrap ErrWindowNotRetained", err)
 	}
