@@ -283,8 +283,8 @@ func writeError(w http.ResponseWriter, code int, format string, a ...any) {
 }
 
 // proxy forwards one request to a shard verbatim (path, query, headers —
-// including the idempotency offset tag — and body) and relays the
-// response.
+// including the idempotency offset tag — and body), relays the response
+// and returns the status written to the client.
 //
 // Shard trouble splits into two statuses by what the shard may have
 // seen. 502 is reserved for failures *before* any byte is sent (shard
@@ -294,12 +294,12 @@ func writeError(w http.ResponseWriter, code int, format string, a ...any) {
 // it surfaces as 504, which only idempotent (offset-tagged or GET)
 // requests retry. Collapsing both to 502 would let an untagged push
 // resend a body whose prefix already landed: a double ingest.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string) {
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string) int {
 	rt.proxiedTotal.Add(1)
 	if rt.isDown(shard) {
 		rt.proxyErrors.Add(1)
 		writeError(w, http.StatusBadGateway, "fleet: shard %s marked down", shard)
-		return
+		return http.StatusBadGateway
 	}
 	url := shard + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -308,7 +308,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "fleet: %v", err)
-		return
+		return http.StatusBadRequest
 	}
 	req.Header = r.Header.Clone()
 	req.ContentLength = r.ContentLength
@@ -316,9 +316,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string) {
 	if err != nil {
 		rt.proxyErrors.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", shard, err)
-		return
+		return http.StatusGatewayTimeout
 	}
 	relay(w, resp)
+	return resp.StatusCode
 }
 
 // forward reissues a request against a shard with a replayable buffered
@@ -431,7 +432,7 @@ var replayBufPool sync.Pool
 // safe for even untagged pushes to retry.
 func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request, id string) int {
 	if r.ContentLength < 0 || r.ContentLength > replaySessionBody {
-		return rt.proxySessionStream(w, r, id)
+		return rt.proxy(w, r, rt.owner(id))
 	}
 	var body []byte
 	var bp *[]byte
@@ -486,38 +487,6 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request, id string
 	if bp != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		replayBufPool.Put(bp)
 	}
-	return resp.StatusCode
-}
-
-// proxySessionStream forwards a session request without buffering its
-// body: no replay is possible, so an ownership-race 404 is relayed
-// as-is for the client to retry against the router (which re-resolves).
-func (rt *Router) proxySessionStream(w http.ResponseWriter, r *http.Request, id string) int {
-	rt.proxiedTotal.Add(1)
-	shard := rt.owner(id)
-	if rt.isDown(shard) {
-		rt.proxyErrors.Add(1)
-		writeError(w, http.StatusBadGateway, "fleet: shard %s marked down", shard)
-		return http.StatusBadGateway
-	}
-	url := shard + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "fleet: %v", err)
-		return http.StatusBadRequest
-	}
-	req.Header = r.Header.Clone()
-	req.ContentLength = r.ContentLength
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.proxyErrors.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", shard, err)
-		return http.StatusGatewayTimeout
-	}
-	relay(w, resp)
 	return resp.StatusCode
 }
 

@@ -3,8 +3,11 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"regexp"
@@ -390,6 +393,72 @@ func TestFleetAdminRoutes(t *testing.T) {
 	getJSON(t, f.RouterURL+"/v1/fleet", &st)
 	if len(st.Shards) != 2 {
 		t.Fatalf("ring after re-add has %d shards", len(st.Shards))
+	}
+}
+
+// TestRouterStreamsUnbufferedBodies pushes the bodies the router does
+// not buffer for replay: one of unknown length (sent chunked) and one
+// over the replay bound. Each must ingest exactly its samples, and the
+// shard's status must reach the client, a 404 included.
+func TestRouterStreamsUnbufferedBodies(t *testing.T) {
+	f := startFleet(t, 2)
+	ctx := context.Background()
+	id, err := emprof.NewClient(f.RouterURL).CreateSession(ctx, emprof.SessionSpec{SampleRate: 40e6, ClockHz: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := func(n int) []byte {
+		out := make([]byte, 8*n)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(1+0.02*math.Sin(float64(i)*0.003)))
+		}
+		return out
+	}
+	push := func(id string, body io.Reader) (int, service.IngestResult) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, f.RouterURL+"/v1/sessions/"+id+"/samples", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", service.ContentTypeRaw)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var res service.IngestResult
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, res
+	}
+	ingested := func() int64 {
+		total := int64(0)
+		for _, s := range f.Shards() {
+			total += s.Registry().Metrics().SamplesIngested.Load()
+		}
+		return total
+	}
+
+	// Hiding the bytes.Reader hides the length: the body goes chunked.
+	const small = 1000
+	if code, res := push(id, struct{ io.Reader }{bytes.NewReader(raw(small))}); code != http.StatusOK || res.SamplesIngested != small {
+		t.Fatalf("chunked push: HTTP %d, %d samples ingested, want 200 and %d", code, res.SamplesIngested, small)
+	}
+	const big = 600_000 // 4.8 MB, over the router's 4 MiB replay bound
+	if code, res := push(id, bytes.NewReader(raw(big))); code != http.StatusOK || res.SamplesIngested != small+big {
+		t.Fatalf("oversized push: HTTP %d, %d samples ingested, want 200 and %d", code, res.SamplesIngested, small+big)
+	}
+	if got := ingested(); got != small+big {
+		t.Fatalf("fleet ingested %d samples, want exactly %d", got, small+big)
+	}
+	if code, _ := push("no-such-session", struct{ io.Reader }{bytes.NewReader(raw(small))}); code != http.StatusNotFound {
+		t.Fatalf("chunked push to an unknown session: HTTP %d, want the shard's 404", code)
+	}
+	if got := ingested(); got != small+big {
+		t.Fatalf("a refused push ingested samples: fleet total %d, want %d", got, small+big)
 	}
 }
 

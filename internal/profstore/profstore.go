@@ -377,9 +377,9 @@ func (st *Store) activeSegmentLocked(frameLen int64) (*segment, error) {
 		seg.f = f
 	} else {
 		// Memory mode: size the backing to the roll threshold up front —
-		// the segment fills to it before rolling, and appends land on the
-		// sessions' store workers, where doubling-growth copies would tax
-		// ingest.
+		// the segment fills to it before rolling, and appends run on the
+		// ingest requests that seal windows, where doubling-growth copies
+		// would tax ingest.
 		if cap := st.opt.SegmentBytes; frameLen <= cap {
 			seg.mem = make([]byte, 0, cap)
 		}

@@ -100,10 +100,9 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 		return nil, fmt.Errorf("%w: %v", ErrPoisoned, s.poison)
 	}
 	// Pinning froze ingest, and the session lock keeps the exported
-	// analyzer and windower a consistent pair. The store drain matters:
-	// once the importer owns the session, a fleet fan-in query expects
-	// every window sealed here to be readable from this shard's store.
-	s.drainWindowsLocked()
+	// analyzer and windower a consistent pair. Every window sealed here is
+	// already in this shard's store, where fleet fan-in queries expect it
+	// once the importer owns the session.
 	st := &SessionState{
 		ID:         s.id,
 		Device:     s.device,
@@ -212,22 +211,13 @@ func (r *Registry) Import(st *SessionState) error {
 // lives on at the importing shard.
 func (r *Registry) Forget(id string) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return ErrClosed
 	}
-	s, ok := r.sessions[id]
-	if !ok {
-		r.mu.Unlock()
+	if _, ok := r.sessions[id]; !ok {
 		return ErrNotFound
 	}
 	delete(r.sessions, id)
-	r.mu.Unlock()
-	// The session is gone from the registry but its store worker still
-	// runs; stop it without finalizing (the profile lives on at the
-	// importer).
-	s.mu.Lock()
-	s.stopStoreStageLocked()
-	s.mu.Unlock()
 	return nil
 }

@@ -130,7 +130,7 @@ func TestHandoffGuards(t *testing.T) {
 	if err := reg.Unpin(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Snapshot(id); err != nil {
+	if _, err := snapshotOf(reg, id); err != nil {
 		t.Fatalf("snapshot after unpin: %v", err)
 	}
 

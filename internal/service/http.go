@@ -358,7 +358,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	// Encoded under the session lock (see Registry.SnapshotJSON); the
-	// bytes are those writeJSON produces for a Registry.Snapshot result.
+	// bytes are those writeJSON produces for the session's Snapshot.
 	buf := respBufPool.Get().(*bytes.Buffer)
 	defer respBufPool.Put(buf)
 	buf.Reset()

@@ -12,9 +12,9 @@ import (
 // BenchmarkIngestWindowed pins the continuous-profiling overhead at the
 // registry layer: the same stall-bearing stream pushed through ingest
 // with windowing off and on. Each timed push decodes and analyses its
-// samples and seals its windows; only the store append runs off the
-// timed goroutine. The windowed path's budget is <10% over windowless
-// (gated end to end by CI's windowed fleet ingest run).
+// samples, seals its windows and appends them to the memory store. The
+// windowed path's budget is <10% over windowless (gated end to end by
+// CI's windowed fleet ingest run).
 func BenchmarkIngestWindowed(b *testing.B) {
 	for _, windowS := range []float64{0, 0.0005} {
 		name := "off"

@@ -53,8 +53,8 @@ type ProfilesResponse struct {
 //   - a range lying entirely in evicted windows is ErrWindowNotRetained
 //     (410): the data existed and is gone for good.
 //
-// Unlike Snapshot, a pinned session still serves its persisted windows —
-// reading the store cannot race the state hand-off.
+// Unlike SnapshotJSON, a pinned session still serves its persisted
+// windows — reading the store cannot race the state hand-off.
 func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, [][]byte, error) {
 	r.mu.Lock()
 	closed := r.closed
@@ -67,9 +67,6 @@ func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, []
 	if s != nil {
 		s.mu.Lock()
 		s.lastActive = r.cfg.Now()
-		// Read-your-writes: ingest sealed every window its samples close
-		// before it returned; wait for the store stage to persist them.
-		s.drainWindowsLocked()
 		resp.State = "active"
 		if s.finalized {
 			resp.State = "finalized"

@@ -79,7 +79,8 @@ type Config struct {
 	Attrib *attrib.Model
 	// Logf, when set, receives operational log lines the metrics alone
 	// would bury (window-store append failures and the like); nil
-	// discards them.
+	// discards them. It may run with a session's lock held, so it must
+	// not call back into the registry.
 	Logf func(format string, args ...any)
 	// Now overrides the clock, for tests; nil means time.Now.
 	Now func() time.Time
@@ -148,11 +149,11 @@ var (
 	ErrWindowNotRetained = errors.New("service: requested windows no longer retained")
 )
 
-// session is one live profiling stream, structured as two stages joined
-// by a bounded window queue (see pipeline.go): ingest (under mu) decodes
-// wire bytes and runs each block through the analyzer, the windower and
-// the attributor before the push returns, so every read observes its own
-// session's completed writes; a store worker persists sealed windows.
+// session is one live profiling stream, run as one stage (see
+// pipeline.go): ingest (under mu) decodes wire bytes, runs each block
+// through the analyzer, the windower and the attributor, and stores every
+// window it seals before the push returns, so every read observes its own
+// session's completed writes.
 type session struct {
 	id         string
 	device     string
@@ -181,26 +182,15 @@ type session struct {
 	// disabled. The ring is internally synchronised.
 	ring *trace.Ring
 
-	// Store stage (pipeline.go). winq carries sealed windows from the
-	// seal point (ingest, or the finalize path) to a per-session store
-	// worker, so persisting a window — encoding plus, in disk mode, the
-	// write — never runs on the ingest request. winqClosed is guarded by
-	// mu; winSealed/winStored by winMu; the store worker takes only winMu
-	// (lock order is mu → winMu).
-	winq       chan *core.ProfileWindow
-	winqDone   chan struct{}
-	winqClosed bool
-
-	winMu     sync.Mutex
-	winCond   *sync.Cond // signals winStored advancing
-	winSealed int64
-	winStored int64
-
 	// win slices the analyzed stream into rolling windows; attr attributes
 	// them to code regions. Both are guarded by mu; nil when the feature
 	// is off.
 	win  *core.Windower
 	attr *attrib.StreamAttributor
+	// dropLogged records that a failed window append was logged, so a
+	// sick store logs one line per session, not one per window. Guarded
+	// by mu.
+	dropLogged bool
 }
 
 // SessionInfo is the list-endpoint view of one session.
@@ -447,7 +437,7 @@ const (
 
 // ingest feeds one body chunk-by-chunk into the session's decoder and
 // analyzer; when it returns, every decoded sample has been analysed and
-// every window it sealed handed to the store stage. next returns
+// every window it sealed appended to the window store. next returns
 // successive byte chunks ((nil, io.EOF) at end); the caller owns
 // transport concerns (deadlines, chunk sizing).
 // declaredLen, when >= 0 (a Content-Length), is checked against the byte
@@ -605,21 +595,6 @@ type Snapshot struct {
 	ConfidenceHist [10]int `json:"confidence_hist"`
 }
 
-// Snapshot returns the live profile of a session.
-func (r *Registry) Snapshot(id string) (*Snapshot, error) {
-	s, err := r.get(id)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pinned {
-		return nil, ErrPinned
-	}
-	s.lastActive = r.cfg.Now()
-	return s.snapshotLocked(), nil
-}
-
 // SnapshotJSON encodes the live profile of a session into buf, producing
 // exactly the bytes json.Encoder writes for the Snapshot result. The
 // encode runs under the session lock over a clone-free profile view, so a
@@ -644,17 +619,9 @@ func (r *Registry) SnapshotJSON(id string, buf *bytes.Buffer) error {
 	return json.NewEncoder(buf).Encode(s.buildSnapshotLocked(prof))
 }
 
-func (s *session) snapshotLocked() *Snapshot {
-	var prof *core.Profile
-	if s.final == nil {
-		prof = s.an.Snapshot()
-	}
-	return s.buildSnapshotLocked(prof)
-}
-
-// buildSnapshotLocked assembles the snapshot around a profile view of
-// the analyzer (cloned or clone-free); finalized sessions pass nil and
-// use the stored final profile instead.
+// buildSnapshotLocked assembles the snapshot around a clone-free profile
+// view of the analyzer; finalized sessions pass nil and use the stored
+// final profile instead.
 func (s *session) buildSnapshotLocked(prof *core.Profile) *Snapshot {
 	state := "active"
 	if s.finalized {
@@ -761,15 +728,10 @@ func (s *session) finalizeLocked() {
 	}
 	s.final = s.an.Finalize()
 	if s.win != nil {
-		// Seal the trailing window; its OnWindow hook hands it to the
-		// store stage with the stream's final quality, completing the
-		// mergeable sequence.
+		// Seal the trailing window; its OnWindow hook stores it with the
+		// stream's final quality, completing the mergeable sequence.
 		s.win.Flush(s.an.Pushed())
 	}
-	// Stop the store stage last: a finalized session leaves the registry,
-	// after which the store is the only copy queries can reach — every
-	// queued window must have landed before we let go.
-	s.stopStoreStageLocked()
 	s.finalized = true
 }
 

@@ -97,6 +97,20 @@ func tryCreateSession(t *testing.T, ts *httptest.Server, rate, clock float64) (s
 	return cr.ID, resp.StatusCode
 }
 
+// snapshotOf decodes the live profile the profile endpoint serves for id:
+// SnapshotJSON's bytes, read back through Snapshot's decoder.
+func snapshotOf(reg *Registry, id string) (*Snapshot, error) {
+	var buf bytes.Buffer
+	if err := reg.SnapshotJSON(id, &buf); err != nil {
+		return nil, err
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		return nil, err
+	}
+	return &snap, nil
+}
+
 func postSamples(t *testing.T, ts *httptest.Server, id string, body []byte, contentType string) (int, string) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sessions/"+id+"/samples", contentType, bytes.NewReader(body))
@@ -253,7 +267,7 @@ func TestByteBudget429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-budget ingest: HTTP %d, want 429", code)
 	}
-	snap, err := srv.Registry().Snapshot(id)
+	snap, err := snapshotOf(srv.Registry(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +320,7 @@ func TestByteBudgetOffsetRetry(t *testing.T) {
 	if code, msg := postSamplesAt(t, ts, id, 0, block); code != http.StatusOK {
 		t.Fatalf("full retry at the budget edge: HTTP %d (%s), want 200", code, msg)
 	}
-	snap, err := srv.Registry().Snapshot(id)
+	snap, err := snapshotOf(srv.Registry(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +345,7 @@ func TestByteBudgetOffsetRetry(t *testing.T) {
 	if code, msg := postSamplesAt(t, ts, id2, 800, rawBytes(samples[800:])); code != http.StatusOK {
 		t.Fatalf("overlapping retry near the budget edge: HTTP %d (%s), want 200", code, msg)
 	}
-	snap, err = srv.Registry().Snapshot(id2)
+	snap, err = snapshotOf(srv.Registry(), id2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +373,10 @@ func TestIdleGC(t *testing.T) {
 	if n := reg.Sweep(clk.now()); n != 1 {
 		t.Fatalf("swept %d sessions, want 1", n)
 	}
-	if _, err := reg.Snapshot(idOld); err != ErrNotFound {
+	if _, err := snapshotOf(reg, idOld); err != ErrNotFound {
 		t.Fatalf("stale session still reachable: %v", err)
 	}
-	if _, err := reg.Snapshot(idNew); err != nil {
+	if _, err := snapshotOf(reg, idNew); err != nil {
 		t.Fatalf("fresh session swept: %v", err)
 	}
 	if got := reg.Metrics().SessionsGC.Load(); got != 1 {
@@ -370,7 +384,7 @@ func TestIdleGC(t *testing.T) {
 	}
 	// Snapshot traffic refreshes the TTL.
 	clk.advance(50 * time.Second)
-	if _, err := reg.Snapshot(idNew); err != nil {
+	if _, err := snapshotOf(reg, idNew); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(30 * time.Second)
@@ -454,7 +468,7 @@ func TestAnalysisPanicPoisonsSession(t *testing.T) {
 	if code, msg := postSamples(t, ts, id2, body, ContentTypeRaw); code != http.StatusOK {
 		t.Fatalf("healthy session push: HTTP %d %s", code, msg)
 	}
-	snap, err := srv.Registry().Snapshot(id2)
+	snap, err := snapshotOf(srv.Registry(), id2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,6 +513,30 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		if types[name] != "counter" {
 			t.Fatalf("%s TYPE = %q", name, types[name])
 		}
+	}
+}
+
+// TestMetricsWindowsFirstScrape is the windowed case of the first-scrape
+// contract: a push stores the windows it seals before it returns, so the
+// first scrape after it counts every one, even on a slow store.
+func TestMetricsWindowsFirstScrape(t *testing.T) {
+	const widthS = 2e-5
+	_, ts := newTestServer(t, Config{WindowS: widthS, Store: slowStore(t, time.Millisecond)})
+	capture := testSignal(30000)
+	want := sealedWindows(t, capture.Samples, capture.SampleRate, capture.ClockHz, widthS)
+	if want == 0 {
+		t.Fatal("test signal seals no window")
+	}
+	id := createSession(t, ts, capture.SampleRate, capture.ClockHz)
+	if code, msg := postSamples(t, ts, id, rawBytes(capture.Samples), ContentTypeRaw); code != http.StatusOK {
+		t.Fatalf("ingest: HTTP %d: %s", code, msg)
+	}
+	values, _ := scrapeMetrics(t, ts)
+	if got := values["emprofd_windows_sealed_total"]; got != float64(want) {
+		t.Fatalf("emprofd_windows_sealed_total = %v on the first scrape, want the %d windows the push sealed", got, want)
+	}
+	if got := values["emprofd_windows_dropped_total"]; got != 0 {
+		t.Fatalf("emprofd_windows_dropped_total = %v, want 0", got)
 	}
 }
 
@@ -620,7 +658,7 @@ func TestConcurrentSessions(t *testing.T) {
 					return
 				}
 				off = end
-				if _, err := srv.Registry().Snapshot(id); err != nil {
+				if _, err := snapshotOf(srv.Registry(), id); err != nil {
 					errs[i] = err
 					return
 				}

@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"emprof/internal/attrib"
 	"emprof/internal/core"
@@ -37,6 +39,23 @@ func getProfiles(t *testing.T, ts *httptest.Server, id, query string) (*Profiles
 		t.Fatal(err)
 	}
 	return &pr, resp.StatusCode
+}
+
+// ingestBody pushes body into s through the registry's ingest path, as
+// one chunk, with no HTTP in between.
+func ingestBody(t *testing.T, reg *Registry, s *session, body []byte) {
+	t.Helper()
+	served := false
+	next := func() ([]byte, error) {
+		if served {
+			return nil, io.EOF
+		}
+		served = true
+		return body, io.EOF
+	}
+	if _, err := reg.ingest(s, formatRaw, int64(len(body)), -1, next); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWindowsEndpointMergeMatchesFinalize is the continuous-profiling
@@ -164,55 +183,118 @@ func TestProfilesPagination(t *testing.T) {
 	}
 }
 
-// TestStoreAppendFailureObservable pins the store stage's failure
-// accounting: when Append starts failing, dropped windows are counted
-// (emprofd_windows_dropped_total) and the first loss is logged — not
-// silently folded into a successful drain.
-func TestStoreAppendFailureObservable(t *testing.T) {
-	store, err := profstore.Open(profstore.Options{})
+// slowStore opens a memory store whose every Append takes at least d,
+// like a store on a slow disk: a window still being persisted when its
+// push returns would show in the counters.
+func slowStore(t *testing.T, d time.Duration) *profstore.Store {
+	t.Helper()
+	store, err := profstore.Open(profstore.Options{Now: func() time.Time {
+		time.Sleep(d)
+		return time.Now()
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+// sealedWindows counts the windows a session with windows of widthS
+// seals while ingesting samples, short of finalize: the service's
+// analyzer and windower, driven directly.
+func sealedWindows(t *testing.T, samples []float64, rate, clock, widthS float64) int64 {
+	t.Helper()
+	an, err := core.NewStreamAnalyzer(core.DefaultConfig(), rate, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := core.NewWindower(widthS, 0, rate, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	win.OnWindow = func(*core.ProfileWindow) { n++ }
+	an.OnStall = win.Observe
+	an.PushBlock(samples)
+	win.Advance(an.Frontier())
+	return n
+}
+
+// TestStoreAppendFailureObservable pins the store's failure accounting:
+// when Append starts failing, every dropped window is counted
+// (emprofd_windows_dropped_total) and the first loss is logged, all by
+// the time the push that sealed them returns.
+func TestStoreAppendFailureObservable(t *testing.T) {
+	store := slowStore(t, time.Millisecond)
 	var mu sync.Mutex
 	var lines []string
-	srv, ts := newTestServer(t, Config{WindowS: 2e-5, Store: store, Logf: func(format string, args ...any) {
+	const widthS = 2e-5
+	srv, ts := newTestServer(t, Config{WindowS: widthS, Store: store, Logf: func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}})
 	capture := testSignal(30000)
 	id := createSession(t, ts, capture.SampleRate, capture.ClockHz)
-	enc := rawBytes(capture.Samples)
-	if code, msg := postSamples(t, ts, id, enc[:len(enc)/2], ContentTypeRaw); code != http.StatusOK {
+	half := len(capture.Samples) / 2
+	firstHalf := sealedWindows(t, capture.Samples[:half], capture.SampleRate, capture.ClockHz, widthS)
+	all := sealedWindows(t, capture.Samples, capture.SampleRate, capture.ClockHz, widthS)
+	if firstHalf == 0 || all == firstHalf {
+		t.Fatalf("test signal seals %d then %d windows; both halves must seal some", firstHalf, all-firstHalf)
+	}
+	if code, msg := postSamples(t, ts, id, rawBytes(capture.Samples[:half]), ContentTypeRaw); code != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d: %s", code, msg)
 	}
-	before, _ := getProfiles(t, ts, id, "")
-	if len(before.Windows) == 0 {
-		t.Fatal("no windows sealed before the store failure")
+	m := srv.Registry().Metrics()
+	if got := m.WindowsSealed.Load(); got != firstHalf {
+		t.Fatalf("WindowsSealed = %d when the push returned, want the %d windows it sealed", got, firstHalf)
 	}
-	sealed := srv.Registry().Metrics().WindowsSealed.Load()
 
 	// Every Append now fails; the second half's windows are lost.
 	store.Close()
-	if code, msg := postSamples(t, ts, id, enc[len(enc)/2:], ContentTypeRaw); code != http.StatusOK {
+	if code, msg := postSamples(t, ts, id, rawBytes(capture.Samples[half:]), ContentTypeRaw); code != http.StatusOK {
 		t.Fatalf("ingest after store close: HTTP %d: %s", code, msg)
 	}
-	// The profiles route drains both pipeline barriers before touching
-	// the store, so after it returns (however unhappily) every sealed
-	// window has been through the store worker.
-	getProfiles(t, ts, id, "")
-
-	m := srv.Registry().Metrics()
-	if m.WindowsDropped.Load() == 0 {
-		t.Fatal("store append failures left WindowsDropped at 0")
+	if got := m.WindowsDropped.Load(); got != all-firstHalf {
+		t.Fatalf("WindowsDropped = %d when the push returned, want the %d windows it sealed", got, all-firstHalf)
 	}
-	if m.WindowsSealed.Load() != sealed {
-		t.Fatalf("WindowsSealed advanced from %d to %d across a dead store", sealed, m.WindowsSealed.Load())
+	if got := m.WindowsSealed.Load(); got != firstHalf {
+		t.Fatalf("WindowsSealed advanced from %d to %d across a dead store", firstHalf, got)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(lines) != 1 || !strings.Contains(lines[0], id) {
 		t.Fatalf("store failure logged %q, want one line naming session %s", lines, id)
+	}
+}
+
+// TestWindowedSessionsStartNoGoroutines checks that a windowed session
+// runs on the requests that drive it: opening and pushing to many of
+// them leaves the goroutine count where it was.
+func TestWindowedSessionsStartNoGoroutines(t *testing.T) {
+	const n = 16
+	reg := NewRegistry(Config{WindowS: 1e-4}, nil)
+	defer reg.Close()
+	capture := testSignal(10000)
+	chunk := rawBytes(capture.Samples)
+	before := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		id, err := reg.CreateSession(CreateOpts{SampleRate: capture.SampleRate, ClockHz: capture.ClockHz, Config: core.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := reg.get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestBody(t, reg, s, chunk)
+	}
+	if reg.Metrics().WindowsSealed.Load() == 0 {
+		t.Fatal("no session sealed a window")
+	}
+	// One goroutine per session would add n; allow a little slack for
+	// goroutines other tests left exiting or starting.
+	if after := runtime.NumGoroutine(); after-before >= n/2 {
+		t.Fatalf("%d windowed sessions grew the goroutine count from %d to %d", n, before, after)
 	}
 }
 
@@ -304,20 +386,7 @@ func TestHandoffWindowContinuity(t *testing.T) {
 	sessA, _ := regA.get(id)
 	enc := rawBytes(capture.Samples)
 	split := (len(enc) / 2 / 8) * 8
-	feed := func(reg *Registry, s *session, part []byte) {
-		served := false
-		next := func() ([]byte, error) {
-			if served {
-				return nil, io.EOF
-			}
-			served = true
-			return part, io.EOF
-		}
-		if _, err := reg.ingest(s, formatRaw, int64(len(part)), -1, next); err != nil {
-			t.Fatal(err)
-		}
-	}
-	feed(regA, sessA, enc[:split])
+	ingestBody(t, regA, sessA, enc[:split])
 
 	if err := regA.Pin(id); err != nil {
 		t.Fatal(err)
@@ -336,7 +405,7 @@ func TestHandoffWindowContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sessB, _ := regB.get(id)
-	feed(regB, sessB, enc[split:])
+	ingestBody(t, regB, sessB, enc[split:])
 	got, err := regB.Finalize(id)
 	if err != nil {
 		t.Fatal(err)
@@ -406,18 +475,7 @@ func TestWindowsCarryRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := reg.get(id)
-	chunk := rawBytes(samples)
-	served := false
-	next := func() ([]byte, error) {
-		if served {
-			return nil, io.EOF
-		}
-		served = true
-		return chunk, io.EOF
-	}
-	if _, err := reg.ingest(s, formatRaw, int64(len(chunk)), -1, next); err != nil {
-		t.Fatal(err)
-	}
+	ingestBody(t, reg, s, rawBytes(samples))
 	if _, err := reg.Finalize(id); err != nil {
 		t.Fatal(err)
 	}
