@@ -73,7 +73,8 @@ type SessionSpec struct {
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:7979".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
+	// HTTPClient, when nil, is a package-wide client whose transport
+	// moves a full push per write (defaultHTTPClient).
 	HTTPClient *http.Client
 	// MaxRetries bounds retry attempts per request (default 4).
 	MaxRetries int
@@ -380,7 +381,7 @@ func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, e
 func (c *Client) PushSamples(ctx context.Context, id string, samples []float64) error {
 	bp, body := encodeSamples(samples)
 	err := c.do(ctx, retryBackpressure, http.MethodPost,
-		"/v1/sessions/"+id+"/samples", service.ContentTypeRaw, nil, body, nil)
+		service.SessionPath(id, "/samples"), service.ContentTypeRaw, nil, body, nil)
 	if err == nil {
 		recycleEncBuf(bp)
 	}
@@ -400,7 +401,7 @@ func (c *Client) PushSamplesAt(ctx context.Context, id string, offset int64, sam
 	var res service.IngestResult
 	bp, body := encodeSamples(samples)
 	err := c.do(ctx, retryAll, http.MethodPost,
-		"/v1/sessions/"+id+"/samples", service.ContentTypeRaw, hdr, body, &res)
+		service.SessionPath(id, "/samples"), service.ContentTypeRaw, hdr, body, &res)
 	if err == nil {
 		recycleEncBuf(bp)
 	}
@@ -442,7 +443,7 @@ func recycleEncBuf(bp *[]byte) { encBufPool.Put(bp) }
 func (c *Client) sessionOffset(ctx context.Context, id string) (int64, error) {
 	var res service.IngestResult
 	if err := c.do(ctx, retryAll, http.MethodPost,
-		"/v1/sessions/"+id+"/samples", service.ContentTypeRaw, nil, []byte{}, &res); err != nil {
+		service.SessionPath(id, "/samples"), service.ContentTypeRaw, nil, []byte{}, &res); err != nil {
 		return 0, err
 	}
 	return res.SamplesIngested, nil
@@ -480,7 +481,7 @@ func (c *Client) StreamCapture(ctx context.Context, id string, capture *Capture)
 // everything decided so far, without disturbing the stream.
 func (c *Client) Profile(ctx context.Context, id string) (*SessionSnapshot, error) {
 	var snap SessionSnapshot
-	if err := c.do(ctx, retryAll, http.MethodGet, "/v1/sessions/"+id+"/profile", "", nil, nil, &snap); err != nil {
+	if err := c.do(ctx, retryAll, http.MethodGet, service.SessionPath(id, "/profile"), "", nil, nil, &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil
@@ -491,7 +492,7 @@ func (c *Client) Profile(ctx context.Context, id string) (*SessionSnapshot, erro
 // afterwards.
 func (c *Client) Finalize(ctx context.Context, id string) (*Profile, error) {
 	var prof Profile
-	if err := c.do(ctx, retryAll, http.MethodDelete, "/v1/sessions/"+id, "", nil, nil, &prof); err != nil {
+	if err := c.do(ctx, retryAll, http.MethodDelete, service.SessionPath(id, ""), "", nil, nil, &prof); err != nil {
 		return nil, err
 	}
 	return &prof, nil
@@ -509,7 +510,7 @@ type SessionTrace = service.TraceResponse
 // session calls on the same client are unaffected.
 func (c *Client) Trace(ctx context.Context, id string) (*SessionTrace, error) {
 	var tr SessionTrace
-	if err := c.do(ctx, retryAll, http.MethodGet, "/v1/sessions/"+id+"/trace", "", nil, nil, &tr); err != nil {
+	if err := c.do(ctx, retryAll, http.MethodGet, service.SessionPath(id, "/trace"), "", nil, nil, &tr); err != nil {
 		return nil, err
 	}
 	return &tr, nil
@@ -575,7 +576,7 @@ func (c *Client) Profiles(ctx context.Context, id string, req ProfilesRequest) (
 	if req.Last > 0 {
 		q.Set("last", strconv.Itoa(req.Last))
 	}
-	path := "/v1/sessions/" + id + "/profiles"
+	path := service.SessionPath(id, "/profiles")
 	if enc := q.Encode(); enc != "" {
 		path += "?" + enc
 	}

@@ -2,10 +2,7 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -46,36 +43,20 @@ import (
 func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	shards := rt.Ring().Shards()
-	out := make([]shardProfiles, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		if rt.isDown(s) {
-			out[i].skipped = true
-			continue
-		}
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			out[i] = rt.profilesShard(r.Context(), s, r.URL.Path, r.URL.RawQuery)
-		}(i, s)
-	}
-	wg.Wait()
-
 	merged := service.ProfilesResponse{ID: id, Windows: []core.ProfileWindow{}, LatestIndex: -1}
 	var wins []rawWindow
 	var reachable, notFound int
 	var goneSeen, anyMore bool
-	for i := range out {
-		sp := &out[i]
-		if sp.skipped {
+	for i, rep := range rt.fanOut(r.Context(), shards, r.URL.RequestURI()) {
+		if rep.down {
 			continue
 		}
-		if sp.err != nil {
-			writeError(w, http.StatusBadGateway, "fleet: profiles from %s: %v", shards[i], sp.err)
+		if rep.err != nil {
+			writeError(w, http.StatusBadGateway, "fleet: profiles from %s: %v", shards[i], rep.err)
 			return
 		}
 		reachable++
-		switch sp.status {
+		switch rep.status {
 		case http.StatusOK:
 		case http.StatusNotFound:
 			notFound++
@@ -86,24 +67,29 @@ func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		case http.StatusBadRequest:
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusBadRequest)
-			w.Write(sp.body)
+			w.Write(rep.body)
 			return
 		default:
-			writeError(w, http.StatusBadGateway, "fleet: profiles from %s: HTTP %d", shards[i], sp.status)
+			writeError(w, http.StatusBadGateway, "fleet: profiles from %s: HTTP %d", shards[i], rep.status)
 			return
 		}
-		wins = append(wins, sp.windows...)
-		merged.Truncated = merged.Truncated || sp.env.Truncated
-		anyMore = anyMore || sp.env.More
-		if sp.env.LatestIndex > merged.LatestIndex {
-			merged.LatestIndex = sp.env.LatestIndex
+		env, ws, err := splitProfiles(rep.body)
+		if err != nil {
+			writeError(w, http.StatusBadGateway, "fleet: profiles from %s: decoding profiles: %v", shards[i], err)
+			return
+		}
+		wins = append(wins, ws...)
+		merged.Truncated = merged.Truncated || env.Truncated
+		anyMore = anyMore || env.More
+		if env.LatestIndex > merged.LatestIndex {
+			merged.LatestIndex = env.LatestIndex
 		}
 		// The shard still holding the live session is authoritative for
 		// state and acquisition metadata; store-only shards say "detached".
-		if stateRank(sp.env.State) > stateRank(merged.State) {
-			merged.State = sp.env.State
-			merged.WindowS, merged.StrideS = sp.env.WindowS, sp.env.StrideS
-			merged.SampleRate, merged.ClockHz = sp.env.SampleRate, sp.env.ClockHz
+		if stateRank(env.State) > stateRank(merged.State) {
+			merged.State = env.State
+			merged.WindowS, merged.StrideS = env.WindowS, env.StrideS
+			merged.SampleRate, merged.ClockHz = env.SampleRate, env.ClockHz
 		}
 	}
 	if reachable == 0 {
@@ -182,61 +168,10 @@ func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 // profilesBufPool recycles the fan-in's response buffers.
 var profilesBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// shardProfiles is one shard's answer to the profiles fan-out: on 200,
-// its envelope (Windows empty) and its windows as the bytes it sent.
-type shardProfiles struct {
-	skipped bool
-	status  int
-	env     service.ProfilesResponse
-	windows []rawWindow
-	body    []byte
-	err     error
-}
-
 // rawWindow is one window of a shard's answer, keyed by its index.
 type rawWindow struct {
 	index int64
 	raw   []byte
-}
-
-// maxShardBody bounds a shard's profiles body in router memory.
-const maxShardBody = 256 << 20
-
-func (rt *Router) profilesShard(ctx context.Context, shard, path, rawQuery string) shardProfiles {
-	url := shard + path
-	if rawQuery != "" {
-		url += "?" + rawQuery
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return shardProfiles{err: err}
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return shardProfiles{err: err}
-	}
-	defer resp.Body.Close()
-	sp := shardProfiles{status: resp.StatusCode}
-	// Shards send Content-Length: read the body into a buffer of that
-	// size instead of growing one, which would leave about as much
-	// garbage again per read.
-	var body []byte
-	if n := resp.ContentLength; n > 0 && n <= maxShardBody {
-		body = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, body)
-	} else {
-		body, err = io.ReadAll(io.LimitReader(resp.Body, maxShardBody))
-	}
-	if err != nil {
-		return shardProfiles{err: err}
-	}
-	sp.body = body
-	if resp.StatusCode == http.StatusOK {
-		if sp.env, sp.windows, err = splitProfiles(body); err != nil {
-			return shardProfiles{err: fmt.Errorf("decoding profiles: %w", err)}
-		}
-	}
-	return sp
 }
 
 // splitProfiles splits a shard's profiles body into its envelope, with

@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -25,6 +23,9 @@ import (
 // AddShard grows the fleet by one shard and hands it the sessions the
 // new ring assigns to it.
 func (rt *Router) AddShard(url string) error {
+	if err := checkShardURL(url); err != nil {
+		return err
+	}
 	rt.rebalanceMu.Lock()
 	defer rt.rebalanceMu.Unlock()
 	cur := rt.Ring()
@@ -69,11 +70,9 @@ func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
 	defer rt.rebalances.Add(1)
 	var movers []mover
 	for _, shard := range sources {
-		infos, err := func() ([]service.SessionInfo, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
-			defer cancel()
-			return rt.listShard(ctx, shard)
-		}()
+		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
+		infos, err := sessionList(rt.call(ctx, http.MethodGet, shard, "/v1/sessions", nil))
+		cancel()
 		if err != nil {
 			return fmt.Errorf("fleet: listing %s for rebalance: %w", shard, err)
 		}
@@ -150,7 +149,7 @@ func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
 	// shard's idle-TTL sweeper collects it.
 	for _, m := range moved {
 		fctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
-		rt.post(fctx, m.from, "/v1/sessions/"+m.id+"/forget", nil)
+		rt.call(fctx, http.MethodPost, m.from, service.SessionPath(m.id, "/forget"), nil)
 		cancel()
 		rt.sessionsMoved.Add(1)
 	}
@@ -170,7 +169,7 @@ func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
 func (rt *Router) moveSession(m mover) (moved bool, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
 	defer cancel()
-	code, _, err := rt.post(ctx, m.from, "/v1/sessions/"+m.id+"/pin", nil)
+	code, _, err := rt.call(ctx, http.MethodPost, m.from, service.SessionPath(m.id, "/pin"), nil)
 	if err != nil {
 		return false, fmt.Errorf("pinning %s on %s: %w", m.id, m.from, err)
 	}
@@ -183,10 +182,10 @@ func (rt *Router) moveSession(m mover) (moved bool, err error) {
 	unpin := func() {
 		uctx, ucancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
 		defer ucancel()
-		rt.post(uctx, m.from, "/v1/sessions/"+m.id+"/unpin", nil)
+		rt.call(uctx, http.MethodPost, m.from, service.SessionPath(m.id, "/unpin"), nil)
 	}
 
-	code, blob, err := rt.post(ctx, m.from, "/v1/sessions/"+m.id+"/export", nil)
+	code, blob, err := rt.call(ctx, http.MethodPost, m.from, service.SessionPath(m.id, "/export"), nil)
 	if err != nil || code != http.StatusOK {
 		unpin()
 		if err == nil {
@@ -194,7 +193,7 @@ func (rt *Router) moveSession(m mover) (moved bool, err error) {
 		}
 		return false, fmt.Errorf("exporting %s from %s: %w", m.id, m.from, err)
 	}
-	code, _, err = rt.post(ctx, m.to, "/v1/sessions/import", blob)
+	code, _, err = rt.call(ctx, http.MethodPost, m.to, "/v1/sessions/import", blob)
 	if err != nil || code != http.StatusCreated {
 		unpin()
 		if err == nil {
@@ -203,29 +202,4 @@ func (rt *Router) moveSession(m mover) (moved bool, err error) {
 		return false, fmt.Errorf("importing %s into %s: %w", m.id, m.to, err)
 	}
 	return true, nil
-}
-
-// post issues one JSON POST to a shard and returns the status and body.
-func (rt *Router) post(ctx context.Context, shard, path string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, shard+path, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, data, nil
 }

@@ -33,7 +33,8 @@ type Config struct {
 	// Seed remixes the ring's hash space. Every router replica in front
 	// of the same fleet must use the same seed.
 	Seed uint64
-	// HTTPClient issues shard requests; nil means http.DefaultClient.
+	// HTTPClient issues shard requests; nil means a shared client whose
+	// transport moves a full relayed chunk per write (defaultRelayClient).
 	HTTPClient *http.Client
 	// HealthInterval spaces the shard health probes started by Start;
 	// <= 0 means 2 seconds.
@@ -117,8 +118,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("fleet: router needs at least one shard")
 	}
 	for _, s := range cfg.Shards {
-		if !strings.HasPrefix(s, "http://") && !strings.HasPrefix(s, "https://") {
-			return nil, fmt.Errorf("fleet: shard %q is not an http(s) URL", s)
+		if err := checkShardURL(s); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.HealthInterval <= 0 {
@@ -147,6 +148,15 @@ func NewRouter(cfg Config) (*Router, error) {
 		rt.health[s] = &shardHealth{}
 	}
 	return rt, nil
+}
+
+// checkShardURL is the rule every shard URL passes before it joins the
+// ring: the router appends request paths to it verbatim.
+func checkShardURL(s string) error {
+	if !strings.HasPrefix(s, "http://") && !strings.HasPrefix(s, "https://") {
+		return fmt.Errorf("fleet: shard %q is not an http(s) URL", s)
+	}
+	return nil
 }
 
 // Ring returns the current ring (immutable; swapped atomically on
@@ -181,18 +191,9 @@ func (rt *Router) Start() (stop func()) {
 func (rt *Router) ProbeShards() {
 	for _, s := range rt.Ring().Shards() {
 		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, s+"/v1/sessions", nil)
-		ok := false
-		if err == nil {
-			resp, derr := rt.client.Do(req)
-			if derr == nil {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-				resp.Body.Close()
-				ok = resp.StatusCode < 500
-			}
-		}
+		code, _, _ := rt.call(ctx, http.MethodGet, s, "/v1/sessions", nil)
 		cancel()
-		rt.noteProbe(s, ok)
+		rt.noteProbe(s, code > 0 && code < 500)
 	}
 }
 
@@ -267,8 +268,8 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.handleFinalize)
 	mux.HandleFunc("GET /v1/metrics", rt.handleMetrics)
 	mux.HandleFunc("GET /v1/fleet", rt.handleFleetStatus)
-	mux.HandleFunc("POST /v1/fleet/shards", rt.handleAddShard)
-	mux.HandleFunc("POST /v1/fleet/shards/remove", rt.handleRemoveShard)
+	mux.HandleFunc("POST /v1/fleet/shards", rt.membership(rt.AddShard))
+	mux.HandleFunc("POST /v1/fleet/shards/remove", rt.membership(rt.RemoveShard))
 	return mux
 }
 
@@ -282,9 +283,51 @@ func writeError(w http.ResponseWriter, code int, format string, a ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, a...)})
 }
 
-// proxy forwards one request to a shard verbatim (path, query, headers —
-// including the idempotency offset tag — and body), relays the response
-// and returns the status written to the client.
+// maxShardBody bounds every shard answer the router buffers: listings,
+// metrics, profiles fragments and hand-off blobs.
+const maxShardBody = 256 << 20
+
+// call sends one request to a shard and reads its whole answer. The
+// status is the shard's whenever it answered, even if reading the body
+// then failed; 0 means no answer. A non-nil body is sent as JSON.
+func (rt *Router) call(ctx context.Context, method, shard, path string, body []byte) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, shard+path, rd)
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	// Shards send Content-Length: read the body into a buffer of that
+	// size instead of growing one, which would leave about as much
+	// garbage again per read.
+	var data []byte
+	if n := resp.ContentLength; n > 0 && n <= maxShardBody {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxShardBody))
+	}
+	if err != nil {
+		return resp.StatusCode, nil, err
+	}
+	return resp.StatusCode, data, nil
+}
+
+// forward relays the client's request to a shard — method, escaped path
+// and query, headers (the idempotency offset tag included) and body, n
+// bytes of it or -1 if unknown — and returns the shard's response with
+// its status. When there is no response it has answered the client
+// itself and returns nil with the status it wrote.
 //
 // Shard trouble splits into two statuses by what the shard may have
 // seen. 502 is reserved for failures *before* any byte is sent (shard
@@ -294,48 +337,36 @@ func writeError(w http.ResponseWriter, code int, format string, a ...any) {
 // it surfaces as 504, which only idempotent (offset-tagged or GET)
 // requests retry. Collapsing both to 502 would let an untagged push
 // resend a body whose prefix already landed: a double ingest.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string) int {
-	rt.proxiedTotal.Add(1)
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, body io.Reader, n int64) (*http.Response, int) {
 	if rt.isDown(shard) {
 		rt.proxyErrors.Add(1)
 		writeError(w, http.StatusBadGateway, "fleet: shard %s marked down", shard)
-		return http.StatusBadGateway
+		return nil, http.StatusBadGateway
 	}
-	url := shard + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, shard+r.URL.RequestURI(), body)
+	var resp *http.Response
+	if err == nil {
+		req.Header = r.Header.Clone()
+		req.ContentLength = n
+		resp, err = rt.client.Do(req)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "fleet: %v", err)
-		return http.StatusBadRequest
-	}
-	req.Header = r.Header.Clone()
-	req.ContentLength = r.ContentLength
-	resp, err := rt.client.Do(req)
 	if err != nil {
 		rt.proxyErrors.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", shard, err)
-		return http.StatusGatewayTimeout
+		return nil, http.StatusGatewayTimeout
 	}
-	relay(w, resp)
-	return resp.StatusCode
+	return resp, resp.StatusCode
 }
 
-// forward reissues a request against a shard with a replayable buffered
-// body and returns the shard's response.
-func (rt *Router) forward(r *http.Request, shard string, body []byte) (*http.Response, error) {
-	url := shard + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+// proxy streams one request to a shard, relays the response and returns
+// the status written to the client.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string) int {
+	rt.proxiedTotal.Add(1)
+	resp, code := rt.forward(w, r, shard, r.Body, r.ContentLength)
+	if resp != nil {
+		relay(w, resp)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header = r.Header.Clone()
-	req.ContentLength = int64(len(body))
-	return rt.client.Do(req)
+	return code
 }
 
 // relayBufPool recycles the response-copy buffers relay uses; the copy
@@ -427,9 +458,7 @@ var replayBufPool sync.Pool
 // retry to resolve (the emprof client offset-tags its pushes, so its
 // retry is loss- and duplicate-free either way).
 //
-// Like proxy, a Do failure answers 504 — the shard may have consumed
-// part of the body — while the pre-send marked-down check answers 502,
-// safe for even untagged pushes to retry.
+// Both sends go through forward, so the 502/504 split holds for each.
 func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request, id string) int {
 	if r.ContentLength < 0 || r.ContentLength > replaySessionBody {
 		return rt.proxy(w, r, rt.owner(id))
@@ -453,16 +482,9 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request, id string
 	rt.proxiedTotal.Add(1)
 	rebalances := rt.rebalances.Load()
 	shard := rt.owner(id)
-	if rt.isDown(shard) {
-		rt.proxyErrors.Add(1)
-		writeError(w, http.StatusBadGateway, "fleet: shard %s marked down", shard)
-		return http.StatusBadGateway
-	}
-	resp, err := rt.forward(r, shard, body)
-	if err != nil {
-		rt.proxyErrors.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", shard, err)
-		return http.StatusGatewayTimeout
+	resp, code := rt.forward(w, r, shard, bytes.NewReader(body), int64(len(body)))
+	if resp == nil {
+		return code
 	}
 	replay := false
 	switch resp.StatusCode {
@@ -476,18 +498,15 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request, id string
 	if again := rt.owner(id); replay && !rt.isDown(again) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
-		resp, err = rt.forward(r, again, body)
-		if err != nil {
-			rt.proxyErrors.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "fleet: shard %s unreachable: %v", again, err)
-			return http.StatusGatewayTimeout
+		if resp, code = rt.forward(w, r, again, bytes.NewReader(body), int64(len(body))); resp == nil {
+			return code
 		}
 	}
 	relay(w, resp)
-	if bp != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 {
+	if bp != nil && code >= 200 && code < 300 {
 		replayBufPool.Put(bp)
 	}
-	return resp.StatusCode
+	return code
 }
 
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
@@ -510,35 +529,65 @@ func (rt *Router) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// shardReply is one shard's answer to a fan-out.
+type shardReply struct {
+	down   bool // marked down, so not asked
+	status int
+	body   []byte
+	err    error
+}
+
+// fanOut GETs path on every shard not marked down, all at once, and
+// returns the replies in shard order.
+func (rt *Router) fanOut(ctx context.Context, shards []string, path string) []shardReply {
+	out := make([]shardReply, len(shards))
+	var wg sync.WaitGroup
+	for i, s := range shards {
+		if rt.isDown(s) {
+			out[i].down = true
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].status, out[i].body, out[i].err = rt.call(ctx, http.MethodGet, s, path, nil)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// sessionList decodes a shard's answer to GET /v1/sessions.
+func sessionList(status int, body []byte, err error) ([]service.SessionInfo, error) {
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("HTTP %d", status)
+	}
+	var infos []service.SessionInfo
+	if err := json.Unmarshal(body, &infos); err != nil {
+		return nil, err
+	}
+	return infos, nil
+}
+
 // handleList fans GET /v1/sessions out to every shard and merges the
 // results into one fleet-wide view, sorted by creation time. Down
 // shards are skipped (their sessions are unreachable anyway).
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	type res struct {
-		infos []service.SessionInfo
-		err   error
-	}
 	shards := rt.Ring().Shards()
-	out := make([]res, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		if rt.isDown(s) {
+	all := []service.SessionInfo{}
+	for i, rep := range rt.fanOut(r.Context(), shards, r.URL.RequestURI()) {
+		if rep.down {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			out[i].infos, out[i].err = rt.listShard(r.Context(), s)
-		}(i, s)
-	}
-	wg.Wait()
-	var all []service.SessionInfo
-	for i := range out {
-		if out[i].err != nil {
-			writeError(w, http.StatusBadGateway, "fleet: listing %s: %v", shards[i], out[i].err)
+		infos, err := sessionList(rep.status, rep.body, rep.err)
+		if err != nil {
+			writeError(w, http.StatusBadGateway, "fleet: listing %s: %v", shards[i], err)
 			return
 		}
-		all = append(all, out[i].infos...)
+		all = append(all, infos...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if !all[i].CreatedAt.Equal(all[j].CreatedAt) {
@@ -546,30 +595,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		return all[i].ID < all[j].ID
 	})
-	if all == nil {
-		all = []service.SessionInfo{}
-	}
 	writeJSON(w, http.StatusOK, all)
-}
-
-func (rt *Router) listShard(ctx context.Context, shard string) ([]service.SessionInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/v1/sessions", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	var infos []service.SessionInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
 }
 
 // ShardStatus is one row of the fleet status document.
@@ -601,30 +627,21 @@ type ShardRequest struct {
 	URL string `json:"url"`
 }
 
-func (rt *Router) handleAddShard(w http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "fleet: bad shard body: %v", err)
-		return
+// membership serves an admin route that changes the ring: it applies
+// change to the requested shard URL and answers the new fleet status.
+func (rt *Router) membership(change func(url string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "fleet: bad shard body: %v", err)
+			return
+		}
+		if err := change(req.URL); err != nil {
+			writeError(w, http.StatusBadGateway, "%v", err)
+			return
+		}
+		rt.handleFleetStatus(w, r)
 	}
-	if err := rt.AddShard(req.URL); err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	rt.handleFleetStatus(w, r)
-}
-
-func (rt *Router) handleRemoveShard(w http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "fleet: bad shard body: %v", err)
-		return
-	}
-	if err := rt.RemoveShard(req.URL); err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	rt.handleFleetStatus(w, r)
 }
 
 // handleMetrics aggregates /v1/metrics across the fleet: counters and
@@ -634,33 +651,13 @@ func (rt *Router) handleRemoveShard(w http.ResponseWriter, r *http.Request) {
 // per-shard liveness gauge and each shard's active-session count.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	shards := rt.Ring().Shards()
+	replies := rt.fanOut(r.Context(), shards, r.URL.RequestURI())
 	bodies := make([]string, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		if rt.isDown(s) {
-			continue
+	for i, rep := range replies {
+		if rep.err == nil && rep.status == http.StatusOK {
+			bodies[i] = string(rep.body)
 		}
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, s+"/v1/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			bodies[i] = string(b)
-		}(i, s)
 	}
-	wg.Wait()
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	perShardActive := writeAggregated(w, bodies)
 
@@ -672,8 +669,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	gauge("emprofd_fleet_shards", "Shards in the ring.", int64(len(shards)))
 	var down int64
-	for _, s := range shards {
-		if rt.isDown(s) {
+	for _, rep := range replies {
+		if rep.down {
 			down++
 		}
 	}
@@ -683,9 +680,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("emprofd_fleet_proxied_requests_total", "Per-session requests proxied to shards.", rt.proxiedTotal.Load())
 	counter("emprofd_fleet_proxy_errors_total", "Proxied requests that failed to reach their shard.", rt.proxyErrors.Load())
 	fmt.Fprintf(w, "# HELP emprofd_fleet_shard_up Shard liveness, by shard.\n# TYPE emprofd_fleet_shard_up gauge\n")
-	for _, s := range shards {
+	for i, s := range shards {
 		up := 1
-		if rt.isDown(s) {
+		if replies[i].down {
 			up = 0
 		}
 		fmt.Fprintf(w, "emprofd_fleet_shard_up{shard=%q} %d\n", s, up)

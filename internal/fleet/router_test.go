@@ -9,10 +9,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,6 +396,174 @@ func TestFleetAdminRoutes(t *testing.T) {
 	if len(st.Shards) != 2 {
 		t.Fatalf("ring after re-add has %d shards", len(st.Shards))
 	}
+	// A shard URL without a scheme is refused as NewRouter refuses it,
+	// and the ring stays as it was.
+	if code, body := postJSON(t, f.RouterURL+"/v1/fleet/shards", fleet.ShardRequest{URL: "10.0.0.9:7979"}); code/100 == 2 {
+		t.Fatalf("schemeless shard URL accepted: HTTP %d: %s", code, body)
+	}
+	getJSON(t, f.RouterURL+"/v1/fleet", &st)
+	if len(st.Shards) != 2 || st.Shards[0].URL == "10.0.0.9:7979" || st.Shards[1].URL == "10.0.0.9:7979" {
+		t.Fatalf("ring after a refused add: %+v", st.Shards)
+	}
+}
+
+// TestFleetEscapedSessionID drives a session whose client-assigned ID
+// must be escaped in a URL ("a%b": the daemon accepts '%') through
+// every router path: create, push, snapshot, a hand-off, the profiles
+// fan-in and finalize. The router must forward the path as the client
+// escaped it, and the hand-off must escape the ID in its shard calls.
+func TestFleetEscapedSessionID(t *testing.T) {
+	capture := fleetCapture(t, 5)
+	want := analyze(t, capture, emprof.DefaultConfig())
+	windowS := float64(len(capture.Samples)) / capture.SampleRate / 8
+	f, err := fleet.StartLocal(2, service.Config{WindowS: windowS}, fleet.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	const id = "a%b"
+	code, body := postJSON(t, f.RouterURL+"/v1/sessions", service.CreateRequest{
+		ID: id, SampleRate: capture.SampleRate, ClockHz: capture.ClockHz,
+	})
+	if code != http.StatusCreated {
+		t.Fatalf("create %q: HTTP %d: %s", id, code, body)
+	}
+
+	client := emprof.NewClient(f.RouterURL)
+	client.ChunkSamples = len(capture.Samples)/6 + 1
+	client.RetryBaseDelay = 1
+	ctx := context.Background()
+	cut := len(capture.Samples) / 2
+	head := &emprof.Capture{Samples: capture.Samples[:cut], SampleRate: capture.SampleRate, ClockHz: capture.ClockHz}
+	tail := &emprof.Capture{Samples: capture.Samples[cut:], SampleRate: capture.SampleRate, ClockHz: capture.ClockHz}
+	if err := client.StreamCapture(ctx, id, head); err != nil {
+		t.Fatalf("push: %v", err)
+	}
+	if _, err := client.Profile(ctx, id); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if err := f.Router.RemoveShard(f.Router.Ring().Owner(id)); err != nil {
+		t.Fatalf("hand-off: %v", err)
+	}
+	if err := client.StreamCapture(ctx, id, tail); err != nil {
+		t.Fatalf("push after hand-off: %v", err)
+	}
+	page, err := client.Profiles(ctx, id, emprof.ProfilesRequest{})
+	if err != nil {
+		t.Fatalf("profiles: %v", err)
+	}
+	if page.ID != id || len(page.Windows) == 0 {
+		t.Fatalf("profiles answered ID %q with %d windows, want %q with some", page.ID, len(page.Windows), id)
+	}
+	got, err := client.Finalize(ctx, id)
+	if err != nil {
+		t.Fatalf("finalize: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile of %q differs from batch analysis: misses %d, want %d", id, got.Misses, want.Misses)
+	}
+}
+
+// TestShardHealthProbes drives ProbeShards against a shard that can be
+// switched to answer 503. One failed probe leaves it up and
+// FailThreshold consecutive ones mark it down; while it is down the
+// session list, the metrics and a profiles query answer from the other
+// shard; one good probe marks it up again.
+func TestShardHealthProbes(t *testing.T) {
+	capture := fleetCapture(t, 6)
+	cfg := service.Config{WindowS: float64(len(capture.Samples)) / capture.SampleRate / 8}
+	good, flaky := service.New(cfg), service.New(cfg)
+	t.Cleanup(good.Close)
+	t.Cleanup(flaky.Close)
+	var failing atomic.Bool
+	flakyHandler := flaky.Handler()
+	goodSrv := httptest.NewServer(good.Handler())
+	t.Cleanup(goodSrv.Close)
+	flakySrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failing.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		flakyHandler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flakySrv.Close)
+	rt, err := fleet.NewRouter(fleet.Config{Shards: []string{goodSrv.URL, flakySrv.URL}, Seed: 7, FailThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	t.Cleanup(router.Close)
+
+	// A session the ring places on the good shard.
+	id := ""
+	for i := 0; id == ""; i++ {
+		if c := fmt.Sprintf("s%d", i); rt.Ring().Owner(c) == goodSrv.URL {
+			id = c
+		}
+	}
+	if code, body := postJSON(t, router.URL+"/v1/sessions", service.CreateRequest{
+		ID: id, SampleRate: capture.SampleRate, ClockHz: capture.ClockHz,
+	}); code != http.StatusCreated {
+		t.Fatalf("create: HTTP %d: %s", code, body)
+	}
+	client := emprof.NewClient(router.URL)
+	client.RetryBaseDelay = 1
+	ctx := context.Background()
+	if err := client.StreamCapture(ctx, id, capture); err != nil {
+		t.Fatal(err)
+	}
+
+	flakyDown := func() bool {
+		t.Helper()
+		var st fleet.FleetStatus
+		getJSON(t, router.URL+"/v1/fleet", &st)
+		for _, s := range st.Shards {
+			if s.URL == flakySrv.URL {
+				return s.Down
+			}
+		}
+		t.Fatalf("shard %s left the ring", flakySrv.URL)
+		return false
+	}
+	upGauge := func(want int) {
+		t.Helper()
+		resp, err := http.Get(router.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		line := fmt.Sprintf("emprofd_fleet_shard_up{shard=%q} %d\n", flakySrv.URL, want)
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(line)) {
+			t.Fatalf("metrics: HTTP %d without %q:\n%s", resp.StatusCode, line, body)
+		}
+	}
+
+	failing.Store(true)
+	rt.ProbeShards()
+	if flakyDown() {
+		t.Fatal("one failed probe marked the shard down, want FailThreshold 2")
+	}
+	rt.ProbeShards()
+	if !flakyDown() {
+		t.Fatal("two failed probes left the shard up")
+	}
+	list, err := client.ListSessions(ctx)
+	if err != nil || len(list) != 1 || list[0].ID != id {
+		t.Fatalf("list with a shard down: %v, %+v; want the good shard's session", err, list)
+	}
+	upGauge(0)
+	page, err := client.Profiles(ctx, id, emprof.ProfilesRequest{})
+	if err != nil || len(page.Windows) == 0 {
+		t.Fatalf("profiles with a shard down: %v, want the good shard's windows", err)
+	}
+
+	failing.Store(false)
+	rt.ProbeShards()
+	if flakyDown() {
+		t.Fatal("a good probe left the shard down")
+	}
+	upGauge(1)
 }
 
 // TestRouterStreamsUnbufferedBodies pushes the bodies the router does

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,7 +32,7 @@ const ContentTypeRaw = "application/octet-stream"
 // cost (the buffers are pooled).
 const ingestChunk = 256 * 1024
 
-// ingestBufPool recycles the 64 KiB ingest transfer buffers across
+// ingestBufPool recycles the ingestChunk-sized transfer buffers across
 // requests; handleIngest is the hot path of the whole daemon and used to
 // allocate one per call.
 var ingestBufPool = sync.Pool{
@@ -78,6 +79,13 @@ func (s *Server) StartGC(interval time.Duration) (stop func()) {
 		}
 	}()
 	return func() { close(done) }
+}
+
+// SessionPath is the route of one session's sub-resource, e.g.
+// SessionPath(id, "/samples"), with the ID path-escaped: session IDs may
+// hold '%', '?' and '#'.
+func SessionPath(id, suffix string) string {
+	return "/v1/sessions/" + url.PathEscape(id) + suffix
 }
 
 // Handler returns the service's HTTP routes, each served under the /v1
