@@ -109,6 +109,12 @@ func (f *LocalFleet) Close() {
 	if f.stopHealth != nil {
 		f.stopHealth()
 	}
+	if f.Router != nil {
+		// The router's pool can hold a shard connection it dialed but
+		// never used; the shard's Shutdown would wait 5 s for it to turn
+		// idle.
+		f.Router.client.CloseIdleConnections()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, hs := range f.servers {

@@ -8,7 +8,7 @@ import (
 func ringIDs(n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
-		// Hex-ish IDs shaped like newSessionID output.
+		// Hex-ish IDs shaped like service.NewSessionID output.
 		ids[i] = fmt.Sprintf("%032x", i*0x9e3779b9+7)
 	}
 	return ids

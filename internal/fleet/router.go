@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -242,17 +240,6 @@ func (rt *Router) dropOverride(id string) {
 	rt.mu.Unlock()
 }
 
-// newFleetID mirrors the service's session IDs: 128-bit random hex. The
-// router must assign IDs itself — ownership is computed from the ID, so
-// it has to exist before any shard is picked.
-func newFleetID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("fleet: rand: %v", err))
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // Handler returns the router's HTTP surface: the emprofd session API
 // (proxied per-session, aggregated fleet-wide) plus the /v1/fleet admin
 // routes. Paths mirror the shard surface so emprof.Client works
@@ -396,7 +383,9 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == "" {
-		req.ID = newFleetID()
+		// The router assigns IDs itself: ownership is computed from the
+		// ID, so it has to exist before any shard is picked.
+		req.ID = service.NewSessionID()
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

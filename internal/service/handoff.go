@@ -97,7 +97,7 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 		return nil, ErrNotFound
 	}
 	if s.poison != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPoisoned, s.poison)
+		return nil, s.poisoned()
 	}
 	// Pinning froze ingest, and the session lock keeps the exported
 	// analyzer and windower a consistent pair. Every window sealed here is
@@ -128,82 +128,63 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 
 // Import installs a session exported by another shard. The imported
 // session is live (not pinned) immediately; its analyzer resumes exactly
-// where the exporting shard stopped. ErrConflict if the ID already
-// exists here, ErrFull under the session cap.
+// where the exporting shard stopped. The state must pass the rule
+// CreateSession applies, fit this shard's byte budget, and be consistent
+// with itself: the envelope's acquisition metadata is the stream's, the
+// decoder (none counts as zero samples) has emitted exactly what the
+// analyzer was pushed, so an offset-tagged push continues the stream, and
+// the windower has sealed every window the analyzer's frontier has
+// passed. ErrConflict if the ID already exists here, ErrFull under the
+// session cap.
 func (r *Registry) Import(st *SessionState) error {
 	if st == nil || st.Stream == nil {
 		return fmt.Errorf("service: import without stream state")
 	}
-	if err := validateSessionID(st.ID); err != nil {
-		return err
-	}
 	if st.ID == "" {
 		return fmt.Errorf("service: import without session ID")
 	}
-	if st.Bytes < 0 {
-		return fmt.Errorf("service: import with negative byte count")
+	if err := checkSession(st.ID, st.SampleRate, st.ClockHz); err != nil {
+		return err
+	}
+	if st.SampleRate != st.Stream.SampleRate || st.ClockHz != st.Stream.ClockHz {
+		return fmt.Errorf("service: import metadata rate=%v clock=%v disagrees with its stream state rate=%v clock=%v",
+			st.SampleRate, st.ClockHz, st.Stream.SampleRate, st.Stream.ClockHz)
+	}
+	if st.Bytes < 0 || st.Bytes > r.cfg.MaxSessionBytes {
+		return fmt.Errorf("service: import byte count %d outside this shard's budget [0, %d]", st.Bytes, r.cfg.MaxSessionBytes)
 	}
 	an, err := core.ResumeStreamAnalyzer(st.Stream)
 	if err != nil {
 		return err
 	}
+	s := &session{
+		id: st.ID, device: st.Device, sampleRate: st.SampleRate, clockHz: st.ClockHz,
+		created: st.Created, an: an, bytes: st.Bytes,
+	}
 	// Resume the window sequence where the exporter stopped; an exporter
 	// that ran without windowing leaves this shard's windowing off for
 	// the session too (a fresh windower would re-emit indexes from 0 and
 	// corrupt the fleet-merged sequence).
-	var win *core.Windower
 	if st.Windows != nil {
-		win, err = core.ResumeWindower(st.Windows, st.SampleRate, st.ClockHz)
-		if err != nil {
+		if s.win, err = core.ResumeWindower(st.Windows, st.SampleRate, st.ClockHz); err != nil {
 			return err
 		}
+		// A sum that overflows lands here too.
+		if end := st.Windows.Next + st.Windows.WidthSamples; an.Frontier() >= end {
+			return fmt.Errorf("service: import windower ends at sample %d behind the analyzer frontier %d", end, an.Frontier())
+		}
 	}
-	r.attachObservers(an, win)
-	var dec *em.Decoder
+	var emitted int64
 	if st.Decoder != nil {
-		dec, err = em.RestoreDecoder(*st.Decoder)
-		if err != nil {
+		if s.dec, err = em.RestoreDecoder(*st.Decoder); err != nil {
 			return err
 		}
-		if dec.Emitted() != an.Pushed() {
-			return fmt.Errorf("service: import decoder at sample %d but analyzer at %d", dec.Emitted(), an.Pushed())
-		}
+		emitted = s.dec.Emitted()
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
+	if emitted != an.Pushed() {
+		return fmt.Errorf("service: import decoder at sample %d but analyzer at %d", emitted, an.Pushed())
 	}
-	if len(r.sessions) >= r.cfg.MaxSessions {
-		r.metrics.SessionsRejected.Add(1)
-		return ErrFull
-	}
-	if _, ok := r.sessions[st.ID]; ok {
-		return fmt.Errorf("%w: session %q already exists", ErrConflict, st.ID)
-	}
-	now := r.cfg.Now()
-	created := st.Created
-	if created.IsZero() {
-		created = now
-	}
-	s := &session{
-		id:         st.ID,
-		device:     st.Device,
-		sampleRate: st.SampleRate,
-		clockHz:    st.ClockHz,
-		created:    created,
-		lastActive: now,
-		an:         an,
-		dec:        dec,
-		bytes:      st.Bytes,
-		ring:       r.newRing(an),
-		win:        win,
-	}
-	r.startPipeline(s)
-	r.sessions[s.id] = s
-	r.metrics.SessionsImported.Add(1)
-	return nil
+	return r.admit(s, &r.metrics.SessionsImported)
 }
 
 // Forget drops a session without finalizing it — the completion of a

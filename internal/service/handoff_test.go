@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"reflect"
 	"testing"
 
 	"emprof/internal/core"
+	"emprof/internal/em"
+	"emprof/internal/profstore"
 )
 
 // TestHandoffAcrossRegistries drives the full hand-off protocol over
@@ -238,4 +241,170 @@ func TestClientAssignedID(t *testing.T) {
 	if _, err := srv.Registry().CreateSession(CreateOpts{ID: "a/b", SampleRate: 40e6, ClockHz: 1e9, Config: core.DefaultConfig()}); err == nil {
 		t.Fatal("ID with slash accepted")
 	}
+}
+
+// oneChunk serves body to ingest as a single chunk.
+func oneChunk(body []byte) func() ([]byte, error) {
+	served := false
+	return func() ([]byte, error) {
+		if served {
+			return nil, io.EOF
+		}
+		served = true
+		return body, io.EOF
+	}
+}
+
+// exportedState streams the first half of a capture into a fresh
+// registry, raw or as an EMPROFCAP file, then pins and exports it: a
+// genuine hand-off state. windowS > 0 exports the windower too.
+func exportedState(tb testing.TB, windowS float64, format wireFormat) *SessionState {
+	tb.Helper()
+	capture := testSignal(6000)
+	reg := NewRegistry(Config{WindowS: windowS}, nil)
+	defer reg.Close()
+	id, err := reg.CreateSession(CreateOpts{SampleRate: capture.SampleRate, ClockHz: capture.ClockHz, Config: core.DefaultConfig()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := rawBytes(capture.Samples)
+	if format == formatCapture {
+		var buf bytes.Buffer
+		if err := em.WriteCapture(&buf, capture); err != nil {
+			tb.Fatal(err)
+		}
+		body = buf.Bytes()
+	}
+	s, err := reg.get(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := reg.ingest(s, format, -1, -1, oneChunk(body[:len(body)/2])); err != nil {
+		tb.Fatal(err)
+	}
+	if err := reg.Pin(id); err != nil {
+		tb.Fatal(err)
+	}
+	st, err := reg.Export(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// forgedImports derives from a genuine export the inconsistent states
+// Import must refuse.
+func forgedImports(st *SessionState) map[string]*SessionState {
+	zeroRate, rateMismatch, noDecoder, overBudget := *st, *st, *st, *st
+	zeroRate.SampleRate = 0
+	rateMismatch.SampleRate = 2 * st.Stream.SampleRate
+	noDecoder.Decoder = nil
+	overBudget.Bytes = DefaultMaxSessionBytes + 1
+	return map[string]*SessionState{
+		"zero sample rate":                    &zeroRate,
+		"envelope rate disagrees with stream": &rateMismatch,
+		"no decoder after pushed samples":     &noDecoder,
+		"byte count beyond the budget":        &overBudget,
+	}
+}
+
+// TestImportRejectsInconsistentState checks that Import applies
+// CreateSession's admission rule and refuses a state that contradicts
+// itself: each forged state would otherwise install a session that
+// advertises the wrong rate, or answers 409 to every push that continues
+// its stream.
+func TestImportRejectsInconsistentState(t *testing.T) {
+	st := exportedState(t, 0, formatRaw)
+	if st.Stream.Pushed == 0 || st.Decoder == nil {
+		t.Fatal("export holds no ingested samples")
+	}
+	for name, forged := range forgedImports(st) {
+		reg := NewRegistry(Config{}, nil)
+		if err := reg.Import(forged); err == nil {
+			t.Errorf("%s: import accepted", name)
+		}
+		if n := reg.ActiveSessions(); n != 0 || reg.Metrics().SessionsImported.Load() != 0 {
+			t.Errorf("%s: %d sessions registered after a refused import", name, n)
+		}
+		reg.Close()
+	}
+
+	// The genuine state imports and continues at its own offset.
+	reg := NewRegistry(Config{}, nil)
+	defer reg.Close()
+	if err := reg.Import(st); err != nil {
+		t.Fatal(err)
+	}
+	s, err := reg.get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.ingest(s, formatRaw, -1, st.Stream.Pushed, oneChunk(rawBytes([]float64{1, 1, 1}))); err != nil {
+		t.Fatalf("push at the imported offset %d: %v", st.Stream.Pushed, err)
+	}
+}
+
+// FuzzSessionImport feeds hand-off import bodies, decoded as handleImport
+// decodes them, to Import. A state Import accepts must make a working
+// session: an offset-tagged push at its ingested count lands, its
+// snapshot and profiles encode, and it finalizes to a profile or to
+// ErrPoisoned without panicking.
+func FuzzSessionImport(f *testing.F) {
+	add := func(st *SessionState) {
+		blob, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	for _, windowS := range []float64{0, 2e-5} {
+		for _, format := range []wireFormat{formatRaw, formatCapture} {
+			add(exportedState(f, windowS, format))
+		}
+	}
+	for _, forged := range forgedImports(exportedState(f, 0, formatRaw)) {
+		add(forged)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var st SessionState
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&st); err != nil {
+			return
+		}
+		reg := NewRegistry(Config{WindowS: 2e-5}, nil)
+		defer reg.Close()
+		if err := reg.Import(&st); err != nil {
+			return
+		}
+		snap, err := snapshotOf(reg, st.ID)
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		// Raw samples continue a raw stream; a capture stream may be at
+		// its declared end, so it gets an empty push.
+		var push []byte
+		if st.Decoder == nil || st.Decoder.Raw {
+			push = rawBytes(testSignal(64).Samples)
+		}
+		s, err := reg.get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = reg.ingest(s, formatRaw, int64(len(push)), snap.SamplesIngested, oneChunk(push))
+		overBudget := st.Bytes+int64(len(push)) > reg.cfg.MaxSessionBytes
+		if err != nil && !(overBudget && errors.Is(err, ErrBudget)) {
+			t.Fatalf("push at offset %d: %v", snap.SamplesIngested, err)
+		}
+		resp, windows, err := reg.Profiles(st.ID, profstore.Query{})
+		if err != nil {
+			t.Fatalf("profiles: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeProfiles(&buf, resp, windows); err != nil {
+			t.Fatalf("encode profiles: %v", err)
+		}
+		prof, err := reg.Finalize(st.ID)
+		if (err == nil) == (prof == nil) || err != nil && !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("finalize: profile %v, error %v", prof != nil, err)
+		}
+	})
 }

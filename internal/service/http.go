@@ -102,15 +102,15 @@ func (s *Server) Handler() http.Handler {
 		{"POST /v1/sessions/{id}/samples", "ingest", s.handleIngest},
 		{"GET /v1/sessions/{id}/profile", "profile", s.handleProfile},
 		{"GET /v1/sessions/{id}/profiles", "profiles", s.handleProfiles},
-		{"GET /v1/sessions/{id}/trace", "trace", s.handleTrace},
-		{"DELETE /v1/sessions/{id}", "finalize", s.handleFinalize},
+		{"GET /v1/sessions/{id}/trace", "trace", reply(s.reg.Trace)},
+		{"DELETE /v1/sessions/{id}", "finalize", reply(s.reg.Finalize)},
 		{"GET /v1/metrics", "metrics", s.handleMetrics},
 		// Hand-off protocol (fleet-internal; see handoff.go for the state
 		// machine the router drives).
-		{"POST /v1/sessions/{id}/pin", "pin", s.handlePin},
-		{"POST /v1/sessions/{id}/unpin", "unpin", s.handleUnpin},
-		{"POST /v1/sessions/{id}/export", "export", s.handleExport},
-		{"POST /v1/sessions/{id}/forget", "forget", s.handleForget},
+		{"POST /v1/sessions/{id}/pin", "pin", ack(s.reg.Pin)},
+		{"POST /v1/sessions/{id}/unpin", "unpin", ack(s.reg.Unpin)},
+		{"POST /v1/sessions/{id}/export", "export", reply(s.reg.Export)},
+		{"POST /v1/sessions/{id}/forget", "forget", ack(s.reg.Forget)},
 		{"POST /v1/sessions/import", "import", s.handleImport},
 	}
 	for _, rt := range routes {
@@ -314,37 +314,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // prefix instead of double-counting it.
 const HeaderOffset = "X-Emprof-Offset"
 
-func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
-	if err := s.reg.Pin(r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
+// ack serves a session route whose step answers nothing but success:
+// 200 with an empty object, or the step's error.
+func ack(step func(id string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := step(r.PathValue("id")); err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, struct{}{})
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
 }
 
-func (s *Server) handleUnpin(w http.ResponseWriter, r *http.Request) {
-	if err := s.reg.Unpin(r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
+// reply serves a session route whose step returns a value: 200 with it
+// encoded, or the step's error.
+func reply[T any](step func(id string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := step(r.PathValue("id"))
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, v)
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	st, err := s.reg.Export(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
-	if err := s.reg.Forget(r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
 }
 
 // maxImportBody bounds a hand-off import body (64 MiB: analyzer state is
@@ -375,24 +367,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeBody(w, http.StatusOK, buf)
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr, err := s.reg.Trace(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
-}
-
-func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
-	prof, err := s.reg.Finalize(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, prof)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

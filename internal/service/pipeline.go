@@ -24,36 +24,35 @@ import (
 // every metrics counter included, sees them without waiting. Lock order
 // is s.mu → Store.mu; the store never calls back into the service.
 
-// startPipeline wires a session's analysis chain. Called before the
-// session is published in the registry.
-func (r *Registry) startPipeline(s *session) {
-	s.emit = s.analyzeBlock
-	if s.win != nil {
-		s.win.OnWindow = r.windowSink(s)
+// analyzeBlock pushes one decoded block through the analysis chain,
+// straight from the decoder's scratch, under the session's panic guard:
+// after a panic the rest of the body is analysed no further, and ingest
+// rejects this push and every later one. Runs under s.mu.
+func (s *session) analyzeBlock(blk []float64) {
+	if s.poison != nil {
+		return
 	}
+	s.guard(func() {
+		s.an.PushBlock(blk)
+		if s.attr != nil {
+			s.attr.Push(blk)
+		}
+		if s.win != nil {
+			s.win.Advance(s.an.Frontier())
+		}
+	})
 }
 
-// analyzeBlock pushes one decoded block through the analysis chain,
-// straight from the decoder's scratch. A panic becomes the session's
-// poison instead of killing the daemon: the rest of the body is analysed
-// no further, and ingest rejects this push and every later one. Runs
-// under s.mu.
-func (s *session) analyzeBlock(blk []float64) {
+// guard runs one analysis step — a block on ingest, or a finalize — so
+// that a panic becomes the session's poison instead of killing the
+// daemon. It holds the package's only recover. Runs under s.mu.
+func (s *session) guard(step func()) {
 	defer func() {
 		if p := recover(); p != nil && s.poison == nil {
 			s.poison = fmt.Errorf("service: analysis stage failed: %v", p)
 		}
 	}()
-	if s.poison != nil {
-		return
-	}
-	s.an.PushBlock(blk)
-	if s.attr != nil {
-		s.attr.Push(blk)
-	}
-	if s.win != nil {
-		s.win.Advance(s.an.Frontier())
-	}
+	step()
 }
 
 // windowSink decorates each sealed window and appends it to the store.

@@ -67,12 +67,7 @@ func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, []
 	if s != nil {
 		s.mu.Lock()
 		s.lastActive = r.cfg.Now()
-		resp.State = "active"
-		if s.finalized {
-			resp.State = "finalized"
-		} else if s.pinned {
-			resp.State = "pinned"
-		}
+		resp.State = s.stateLocked()
 		resp.SampleRate, resp.ClockHz = s.sampleRate, s.clockHz
 		if s.win != nil {
 			resp.WindowS = float64(s.win.WidthSamples()) / s.sampleRate

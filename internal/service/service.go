@@ -28,6 +28,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"emprof/internal/attrib"
@@ -250,8 +251,10 @@ func (r *Registry) Config() Config { return r.cfg }
 // Store returns the window store (nil when windowing is disabled).
 func (r *Registry) Store() *profstore.Store { return r.store }
 
-// newSessionID returns a 128-bit random hex ID.
-func newSessionID() string {
+// NewSessionID returns a 128-bit random hex ID: the form of every
+// server-assigned session ID, and of the IDs the fleet router assigns
+// before it picks a shard.
+func NewSessionID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(fmt.Sprintf("service: rand: %v", err)) // crypto/rand never fails on supported platforms
@@ -282,80 +285,38 @@ type CreateOpts struct {
 // CreateSession opens a new session wrapping a streaming analyzer for a
 // signal with the given acquisition metadata.
 func (r *Registry) CreateSession(o CreateOpts) (string, error) {
-	if err := validateSessionID(o.ID); err != nil {
+	if err := checkSession(o.ID, o.SampleRate, o.ClockHz); err != nil {
 		return "", err
-	}
-	if !(o.SampleRate > 0) || !(o.ClockHz > 0) {
-		return "", fmt.Errorf("service: invalid acquisition metadata rate=%v clock=%v", o.SampleRate, o.ClockHz)
 	}
 	an, err := core.NewStreamAnalyzer(o.Config, o.SampleRate, o.ClockHz)
 	if err != nil {
 		return "", err
 	}
-	var win *core.Windower
+	s := &session{id: o.ID, device: o.Device, sampleRate: o.SampleRate, clockHz: o.ClockHz, an: an}
 	if r.cfg.WindowS > 0 {
-		win, err = core.NewWindower(r.cfg.WindowS, r.cfg.WindowStrideS, o.SampleRate, o.ClockHz)
-		if err != nil {
+		if s.win, err = core.NewWindower(r.cfg.WindowS, r.cfg.WindowStrideS, o.SampleRate, o.ClockHz); err != nil {
 			return "", err
 		}
 	}
-	var attr *attrib.StreamAttributor
-	if model := firstModel(o.Attribution, r.cfg.Attrib); model != nil && win != nil {
-		attr, err = attrib.NewStreamAttributor(model)
-		if err != nil {
+	model := o.Attribution
+	if model == nil {
+		model = r.cfg.Attrib
+	}
+	if model != nil && s.win != nil {
+		if s.attr, err = attrib.NewStreamAttributor(model); err != nil {
 			return "", err
 		}
 	}
-	r.attachObservers(an, win)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return "", ErrClosed
+	if err := r.admit(s, &r.metrics.SessionsTotal); err != nil {
+		return "", err
 	}
-	if len(r.sessions) >= r.cfg.MaxSessions {
-		r.metrics.SessionsRejected.Add(1)
-		return "", ErrFull
-	}
-	id := o.ID
-	if id == "" {
-		id = newSessionID()
-	} else if _, ok := r.sessions[id]; ok {
-		return "", fmt.Errorf("%w: session %q already exists", ErrConflict, id)
-	}
-	now := r.cfg.Now()
-	s := &session{
-		id:         id,
-		device:     o.Device,
-		sampleRate: o.SampleRate,
-		clockHz:    o.ClockHz,
-		created:    now,
-		lastActive: now,
-		an:         an,
-		ring:       r.newRing(an),
-		win:        win,
-		attr:       attr,
-	}
-	r.startPipeline(s)
-	r.sessions[s.id] = s
-	r.metrics.SessionsTotal.Add(1)
 	return s.id, nil
 }
 
-// firstModel picks the per-session attribution model over the daemon
-// default.
-func firstModel(models ...*attrib.Model) *attrib.Model {
-	for _, m := range models {
-		if m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
-// validateSessionID bounds client-assigned IDs; empty means
-// server-assigned and is always fine.
-func validateSessionID(id string) error {
+// checkSession is the admission rule creates and imports share: a
+// client-assigned ID is bounded and printable (empty means
+// server-assigned), and the acquisition metadata is positive.
+func checkSession(id string, rate, clock float64) error {
 	if len(id) > 128 {
 		return fmt.Errorf("service: session ID longer than 128 bytes")
 	}
@@ -365,42 +326,64 @@ func validateSessionID(id string) error {
 			return fmt.Errorf("service: session ID contains byte %q", c)
 		}
 	}
+	if !(rate > 0) || !(clock > 0) {
+		return fmt.Errorf("service: invalid acquisition metadata rate=%v clock=%v", rate, clock)
+	}
 	return nil
 }
 
-// attachObservers wires a session analyzer into the shared metrics (the
-// stall counter) and, when windowing is on, into the session's windower.
-// The OnStall hook runs inside PushBlock under the session lock, so the
-// windower needs no locking of its own.
-func (r *Registry) attachObservers(an *core.StreamAnalyzer, win *core.Windower) {
-	stalls := &r.metrics.StallsDetected
+// admit is the one way into the registry. It wires a built session's
+// analysis chain — the stall counter and windower (the OnStall hook runs
+// inside PushBlock under the session lock, so the windower needs no lock
+// of its own), the trace sinks, emit and the window sink — then registers
+// it under the closed, MaxSessions and conflict checks, drawing an ID
+// when none was given, and counts it in admitted. A zero created time
+// means now.
+func (r *Registry) admit(s *session, admitted *atomic.Int64) error {
+	stalls, win := &r.metrics.StallsDetected, s.win
 	if win == nil {
-		an.OnStall = func(core.Stall) { stalls.Add(1) }
-		return
+		s.an.OnStall = func(core.Stall) { stalls.Add(1) }
+	} else {
+		s.an.OnStall = func(st core.Stall) {
+			stalls.Add(1)
+			win.Observe(st)
+		}
+		win.OnWindow = r.windowSink(s)
 	}
-	an.OnStall = func(st core.Stall) {
-		stalls.Add(1)
-		win.Observe(st)
-	}
-}
-
-// newRing assembles a session's decision-trace observers: the shared
-// trace aggregator plus, unless disabled, a per-session ring retaining
-// recent events for the trace endpoint. Observers are assembled as
-// interfaces (never typed-nil pointers) so Multi can drop absent ones.
-// It returns the ring (nil when disabled) after attaching the observer.
-func (r *Registry) newRing(an *core.StreamAnalyzer) *trace.Ring {
+	// Observers are assembled as interfaces (never typed-nil pointers) so
+	// Multi can drop absent ones.
 	var sinks []trace.Observer
-	var ring *trace.Ring
 	if r.cfg.TraceRing > 0 {
-		ring = trace.NewRing(r.cfg.TraceRing)
-		sinks = append(sinks, ring)
+		s.ring = trace.NewRing(r.cfg.TraceRing)
+		sinks = append(sinks, s.ring)
 	}
 	if r.metrics.Trace != nil {
 		sinks = append(sinks, r.metrics.Trace)
 	}
-	an.SetObserver(trace.Multi(sinks...))
-	return ring
+	s.an.SetObserver(trace.Multi(sinks...))
+	s.emit = s.analyzeBlock
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return ErrClosed
+	}
+	if len(r.sessions) >= r.cfg.MaxSessions {
+		r.metrics.SessionsRejected.Add(1)
+		return ErrFull
+	}
+	if s.id == "" {
+		s.id = NewSessionID()
+	} else if _, ok := r.sessions[s.id]; ok {
+		return fmt.Errorf("%w: session %q already exists", ErrConflict, s.id)
+	}
+	s.lastActive = r.cfg.Now()
+	if s.created.IsZero() {
+		s.created = s.lastActive
+	}
+	r.sessions[s.id] = s
+	admitted.Add(1)
+	return nil
 }
 
 // get looks a session up.
@@ -463,7 +446,7 @@ func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int
 		return IngestResult{}, ErrPinned
 	}
 	if s.poison != nil {
-		return IngestResult{}, fmt.Errorf("%w: %v", ErrPoisoned, s.poison)
+		return IngestResult{}, s.poisoned()
 	}
 	if offset >= 0 && format != formatRaw {
 		return IngestResult{}, fmt.Errorf("service: push offsets apply to raw-format ingest only")
@@ -531,7 +514,7 @@ func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int
 			r.metrics.SamplesIngested.Add(s.dec.Emitted() - before)
 			if s.poison != nil {
 				// analyzeBlock recovered a panic: this push fails too.
-				return r.ingestTotals(s), fmt.Errorf("%w: %v", ErrPoisoned, s.poison)
+				return r.ingestTotals(s), s.poisoned()
 			}
 			if !s.headerOK() {
 				s.poison = fmt.Errorf("capture header metadata does not match session (header %v/%v)",
@@ -560,6 +543,21 @@ func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int
 
 func (r *Registry) ingestTotals(s *session) IngestResult {
 	return IngestResult{SamplesIngested: s.dec.Emitted(), BytesIngested: s.bytes}
+}
+
+// poisoned is the error every request on a poisoned session answers.
+func (s *session) poisoned() error { return fmt.Errorf("%w: %v", ErrPoisoned, s.poison) }
+
+// stateLocked labels the session's lifecycle state for snapshots,
+// listings and profiles queries.
+func (s *session) stateLocked() string {
+	switch {
+	case s.finalized:
+		return "finalized"
+	case s.pinned:
+		return "pinned"
+	}
+	return "active"
 }
 
 // headerOK checks EMPROFCAP header metadata against the session's once
@@ -612,9 +610,12 @@ func (r *Registry) SnapshotJSON(id string, buf *bytes.Buffer) error {
 	}
 	s.lastActive = r.cfg.Now()
 	var prof *core.Profile
-	if s.final == nil {
+	switch {
+	case !s.finalized:
 		view := s.an.SnapshotView()
 		prof = &view
+	case s.final == nil:
+		return s.poisoned() // its finalize panicked
 	}
 	return json.NewEncoder(buf).Encode(s.buildSnapshotLocked(prof))
 }
@@ -623,17 +624,13 @@ func (r *Registry) SnapshotJSON(id string, buf *bytes.Buffer) error {
 // view of the analyzer; finalized sessions pass nil and use the stored
 // final profile instead.
 func (s *session) buildSnapshotLocked(prof *core.Profile) *Snapshot {
-	state := "active"
-	if s.finalized {
-		state = "finalized"
-	}
 	if prof == nil {
 		prof = s.final
 	}
 	snap := &Snapshot{
 		ID:              s.id,
 		Device:          s.device,
-		State:           state,
+		State:           s.stateLocked(),
 		SamplesIngested: s.an.Pushed(),
 		SamplesDecided:  s.an.Decided(),
 		BytesIngested:   s.bytes,
@@ -692,9 +689,10 @@ func (r *Registry) Trace(id string) (*TraceResponse, error) {
 	return resp, nil
 }
 
-// Finalize drains a session's pipeline, removes it from the registry, and
-// returns its final profile — the same profile a batch analysis of the
-// full capture would produce.
+// Finalize removes a session from the registry and returns its final
+// profile — the same profile a batch analysis of the full capture would
+// produce. A session poisoned by a decode error finalizes to its decoded
+// prefix; one whose finalize panicked answers ErrPoisoned.
 func (r *Registry) Finalize(id string) (*core.Profile, error) {
 	r.mu.Lock()
 	if r.closed {
@@ -719,20 +717,39 @@ func (r *Registry) Finalize(id string) (*core.Profile, error) {
 	defer s.mu.Unlock()
 	s.finalizeLocked()
 	r.metrics.SessionsFinalized.Add(1)
+	if s.final == nil {
+		return nil, s.poisoned()
+	}
 	return s.final, nil
 }
 
+// finalizeLocked runs the analyzer's finalize and seals the trailing
+// window (its OnWindow hook stores it with the stream's final quality,
+// completing the mergeable sequence), under the session's panic guard: a
+// panic leaves final nil and poisons the session.
 func (s *session) finalizeLocked() {
 	if s.finalized {
 		return
 	}
-	s.final = s.an.Finalize()
-	if s.win != nil {
-		// Seal the trailing window; its OnWindow hook stores it with the
-		// stream's final quality, completing the mergeable sequence.
-		s.win.Flush(s.an.Pushed())
-	}
 	s.finalized = true
+	s.guard(func() {
+		final := s.an.Finalize()
+		if s.win != nil {
+			s.win.Flush(s.an.Pushed())
+		}
+		s.final = final
+	})
+}
+
+// retire is the one way out of the registry for sessions already removed
+// from it: each is finalized under its lock and counted in retired.
+func (r *Registry) retire(ss []*session, retired *atomic.Int64) {
+	for _, s := range ss {
+		s.mu.Lock()
+		s.finalizeLocked()
+		s.mu.Unlock()
+		retired.Add(1)
+	}
 }
 
 // List returns every live session, oldest first.
@@ -749,7 +766,7 @@ func (r *Registry) List() []SessionInfo {
 		info := SessionInfo{
 			ID:              s.id,
 			Device:          s.device,
-			State:           "active",
+			State:           s.stateLocked(),
 			SampleRate:      s.sampleRate,
 			ClockHz:         s.clockHz,
 			BytesIngested:   s.bytes,
@@ -757,11 +774,6 @@ func (r *Registry) List() []SessionInfo {
 			Stalls:          len(s.an.SnapshotView().Stalls),
 			CreatedAt:       s.created,
 			LastActiveAt:    s.lastActive,
-		}
-		if s.finalized {
-			info.State = "finalized"
-		} else if s.pinned {
-			info.State = "pinned"
 		}
 		s.mu.Unlock()
 		out = append(out, info)
@@ -797,12 +809,7 @@ func (r *Registry) Sweep(now time.Time) int {
 		}
 	}
 	r.mu.Unlock()
-	for _, s := range idle {
-		s.mu.Lock()
-		s.finalizeLocked()
-		s.mu.Unlock()
-		r.metrics.SessionsGC.Add(1)
-	}
+	r.retire(idle, &r.metrics.SessionsGC)
 	return len(idle)
 }
 
@@ -821,13 +828,8 @@ func (r *Registry) Close() {
 		delete(r.sessions, id)
 	}
 	r.mu.Unlock()
-	for _, s := range open {
-		s.mu.Lock()
-		s.finalizeLocked()
-		s.mu.Unlock()
-		r.metrics.SessionsFinalized.Add(1)
-	}
-	// Finalize above flushed every session's trailing window into the
+	r.retire(open, &r.metrics.SessionsFinalized)
+	// retire above flushed every session's trailing window into the
 	// store; only the internal memory store is ours to close.
 	if r.ownStore {
 		r.store.Close()

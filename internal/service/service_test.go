@@ -480,6 +480,88 @@ func TestAnalysisPanicPoisonsSession(t *testing.T) {
 	}
 }
 
+// TestPoisonedSessionRetires checks that every way out of the registry
+// survives a session whose analysis panicked — finalizing it re-runs the
+// faulty chain — and that a session poisoned while decoding still
+// finalizes to its decoded prefix. DELETE answers 400 naming the fault;
+// the idle sweep (the daemon's GC goroutine) and Close must not panic.
+func TestPoisonedSessionRetires(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1e9, 0)}
+	srv, ts := newTestServer(t, Config{IdleTTL: time.Minute, Now: clk.now})
+	reg := srv.Registry()
+	capture := testSignal(30000)
+	body := rawBytes(capture.Samples)
+	panicked := func() string {
+		t.Helper()
+		id := createSession(t, ts, capture.SampleRate, capture.ClockHz)
+		sess, err := reg.get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.mu.Lock()
+		sess.an.OnStall = func(core.Stall) { panic("injected analysis fault") }
+		sess.mu.Unlock()
+		if code, msg := postSamples(t, ts, id, body, ContentTypeRaw); code != http.StatusBadRequest {
+			t.Fatalf("push that panicked: HTTP %d %s, want 400", code, msg)
+		}
+		return id
+	}
+	finalize := func(id string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+
+	if code, msg := finalize(panicked()); code != http.StatusBadRequest || !strings.Contains(msg, "injected analysis fault") {
+		t.Fatalf("DELETE of a panicked session: HTTP %d %s, want 400 naming the fault", code, msg)
+	}
+	if got := reg.Metrics().SessionsFinalized.Load(); got != 1 {
+		t.Fatalf("sessions finalized = %d after DELETE, want 1", got)
+	}
+
+	// A capture stream that runs past its declared sample count is
+	// poisoned after decoding all of them: DELETE returns their profile.
+	var capBuf bytes.Buffer
+	if err := em.WriteCapture(&capBuf, capture); err != nil {
+		t.Fatal(err)
+	}
+	id := createSession(t, ts, capture.SampleRate, capture.ClockHz)
+	if code, msg := postSamples(t, ts, id, append(capBuf.Bytes(), rawBytes([]float64{1})...), ContentTypeCapture); code != http.StatusBadRequest {
+		t.Fatalf("push past the declared count: HTTP %d %s, want 400", code, msg)
+	}
+	want, err := json.Marshal(core.MustNewAnalyzer(core.DefaultConfig()).Profile(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := finalize(id); code != http.StatusOK || msg != string(want)+"\n" {
+		t.Fatalf("DELETE of a decode-poisoned session: HTTP %d, body differs from its prefix's batch profile", code)
+	}
+
+	panicked()
+	clk.advance(2 * time.Minute)
+	if n := reg.Sweep(clk.now()); n != 1 {
+		t.Fatalf("swept %d sessions, want 1", n)
+	}
+	if got := reg.Metrics().SessionsGC.Load(); got != 1 {
+		t.Fatalf("sessions GC = %d, want 1", got)
+	}
+
+	panicked()
+	srv.Close()
+	if got := reg.Metrics().SessionsFinalized.Load(); got != 3 {
+		t.Fatalf("sessions finalized = %d after Close, want 3", got)
+	}
+}
+
 // TestMetricsPrometheusFormat scrapes /metrics and parses every line as
 // Prometheus text exposition format, checking the core series exist with
 // sane values.

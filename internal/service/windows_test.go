@@ -45,15 +45,7 @@ func getProfiles(t *testing.T, ts *httptest.Server, id, query string) (*Profiles
 // one chunk, with no HTTP in between.
 func ingestBody(t *testing.T, reg *Registry, s *session, body []byte) {
 	t.Helper()
-	served := false
-	next := func() ([]byte, error) {
-		if served {
-			return nil, io.EOF
-		}
-		served = true
-		return body, io.EOF
-	}
-	if _, err := reg.ingest(s, formatRaw, int64(len(body)), -1, next); err != nil {
+	if _, err := reg.ingest(s, formatRaw, int64(len(body)), -1, oneChunk(body)); err != nil {
 		t.Fatal(err)
 	}
 }
