@@ -224,8 +224,8 @@ func TestAnalyzerStreamWithObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range c.Samples {
-		s.Push(x)
+	for i := range c.Samples {
+		s.PushBlock(c.Samples[i : i+1])
 	}
 	p := s.Finalize()
 	if got := int(m.Snapshot().StallsAccepted); got != len(p.Stalls) {

@@ -45,30 +45,15 @@ type SessionSpec struct {
 // router (emprofd -router). The zero value is not usable; construct with
 // NewClient.
 //
-// Transient failures are retried with full-jitter exponential backoff
-// (each sleep is uniform in [0, base<<attempt], so a fleet of clients
-// released by one shard mark-down does not retry in lockstep). What is
-// retried depends on the request:
-//
-//	retryAll          network errors and 429/502/503/504 — GETs, session
-//	                  creation (a lost response at worst leaks a session
-//	                  for the idle TTL to collect), finalize, and
-//	                  offset-tagged pushes (idempotent by construction).
-//	retryBackpressure 429/502/503 response codes only — plain pushes.
-//	                  The service and router guarantee each of these is
-//	                  sent before ingesting anything (registry full,
-//	                  byte budget, shutting down, session pinned for
-//	                  hand-off, router shard marked down), so the retry
-//	                  can never double-count samples. Network errors and
-//	                  504 — the router's answer when a shard connection
-//	                  failed mid-request — are NOT retried here: the
-//	                  body may have partly landed and an untagged retry
-//	                  cannot know how much.
-//
-// StreamCapture tags every push with its stream offset
-// (service.HeaderOffset), making pushes idempotent server-side — the
-// daemon skips whatever prefix of a retried body it already decoded —
-// so mid-capture uploads survive router hand-offs and dropped responses
+// Transient failures — network errors and 429/502/503/504 — are retried
+// with full-jitter exponential backoff (each sleep is uniform in
+// [0, base<<attempt], so a fleet of clients released by one shard
+// mark-down does not retry in lockstep). Every request is safe to retry:
+// GETs and finalize are idempotent, a lost create response at worst
+// leaks a session for the idle TTL to collect, and every push of samples
+// is tagged with its stream offset (service.HeaderOffset), so the daemon
+// skips whatever prefix of a retried body it already decoded. Uploads thus
+// survive router hand-offs, dropped connections and lost responses
 // without loss or double counting.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:7979".
@@ -176,22 +161,6 @@ func (c *Client) retryDelay(attempt int) time.Duration {
 	return time.Duration(r() * float64(d<<attempt))
 }
 
-// retryMode selects which failures a request may be retried on; see the
-// Client doc comment for the full table.
-type retryMode int
-
-const (
-	// retryAll retries network errors and every transient status; for
-	// requests that are idempotent (GETs, create, offset-tagged pushes).
-	retryAll retryMode = iota
-	// retryBackpressure retries only statuses the service guarantees to
-	// send before ingesting anything: 429 (full/budget) and 502/503 (a
-	// router shard marked down — answered before any byte is forwarded
-	// — or a session pinned mid-hand-off). 504 (shard connection failed
-	// mid-request: partial ingest possible) is excluded.
-	retryBackpressure
-)
-
 // transientStatus reports whether an HTTP status indicates a failure
 // worth retrying.
 func transientStatus(code int) bool {
@@ -203,20 +172,10 @@ func transientStatus(code int) bool {
 	return false
 }
 
-// backpressureStatus reports the statuses sent strictly before ingest.
-func backpressureStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable:
-		return true
-	}
-	return false
-}
-
 // do issues one request with retry/backoff, decoding a JSON response into
 // out when it is non-nil. body, when non-nil, is replayed on each retry;
 // hdr, when non-nil, is added to every attempt.
-func (c *Client) do(ctx context.Context, mode retryMode, method, path, contentType string, hdr http.Header, body []byte, out any) error {
+func (c *Client) do(ctx context.Context, method, path, contentType string, hdr http.Header, body []byte, out any) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.maxRetries(); attempt++ {
 		if attempt > 0 {
@@ -248,12 +207,7 @@ func (c *Client) do(ctx context.Context, mode retryMode, method, path, contentTy
 		resp, err := c.httpClient().Do(req)
 		if err != nil {
 			lastErr = err
-			if mode == retryAll {
-				continue
-			}
-			// Backpressure mode cannot retry a network error: without an
-			// offset tag there is no telling how much of the body landed.
-			return err
+			continue
 		}
 		bp := respBufPool.Get().(*[]byte)
 		data, rerr := readBodyInto(bp, resp.Body, resp.ContentLength)
@@ -289,11 +243,7 @@ func (c *Client) do(ctx context.Context, mode retryMode, method, path, contentTy
 		_ = json.Unmarshal(data, &ae)
 		respBufPool.Put(bp)
 		lastErr = &APIError{StatusCode: resp.StatusCode, Message: ae.Error}
-		retryable := transientStatus(resp.StatusCode)
-		if mode == retryBackpressure {
-			retryable = backpressureStatus(resp.StatusCode)
-		}
-		if !retryable {
+		if !transientStatus(resp.StatusCode) {
 			return lastErr
 		}
 	}
@@ -365,27 +315,10 @@ func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, e
 		return "", err
 	}
 	var resp service.CreateResponse
-	if err := c.do(ctx, retryAll, http.MethodPost, "/v1/sessions", "application/json", nil, body, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions", "application/json", nil, body, &resp); err != nil {
 		return "", err
 	}
 	return resp.ID, nil
-}
-
-// PushSamples uploads one block of magnitude samples to a session, in the
-// raw little-endian float64 wire format. Blocks arrive in call order;
-// concurrent pushes to one session are serialised by the daemon but land
-// in unspecified order, so keep one uploader per session. Retries follow
-// retryBackpressure (see the Client doc comment); callers that track
-// their stream position should prefer PushSamplesAt, whose retries also
-// survive network errors.
-func (c *Client) PushSamples(ctx context.Context, id string, samples []float64) error {
-	bp, body := encodeSamples(samples)
-	err := c.do(ctx, retryBackpressure, http.MethodPost,
-		service.SessionPath(id, "/samples"), service.ContentTypeRaw, nil, body, nil)
-	if err == nil {
-		recycleEncBuf(bp)
-	}
-	return err
 }
 
 // PushSamplesAt uploads one block whose first sample is at session
@@ -400,7 +333,7 @@ func (c *Client) PushSamplesAt(ctx context.Context, id string, offset int64, sam
 	hdr := http.Header{service.HeaderOffset: []string{strconv.FormatInt(offset, 10)}}
 	var res service.IngestResult
 	bp, body := encodeSamples(samples)
-	err := c.do(ctx, retryAll, http.MethodPost,
+	err := c.do(ctx, http.MethodPost,
 		service.SessionPath(id, "/samples"), service.ContentTypeRaw, hdr, body, &res)
 	if err == nil {
 		recycleEncBuf(bp)
@@ -442,7 +375,7 @@ func recycleEncBuf(bp *[]byte) { encBufPool.Put(bp) }
 // via an empty push — idempotent by construction, so it retries freely.
 func (c *Client) sessionOffset(ctx context.Context, id string) (int64, error) {
 	var res service.IngestResult
-	if err := c.do(ctx, retryAll, http.MethodPost,
+	if err := c.do(ctx, http.MethodPost,
 		service.SessionPath(id, "/samples"), service.ContentTypeRaw, nil, []byte{}, &res); err != nil {
 		return 0, err
 	}
@@ -481,7 +414,7 @@ func (c *Client) StreamCapture(ctx context.Context, id string, capture *Capture)
 // everything decided so far, without disturbing the stream.
 func (c *Client) Profile(ctx context.Context, id string) (*SessionSnapshot, error) {
 	var snap SessionSnapshot
-	if err := c.do(ctx, retryAll, http.MethodGet, service.SessionPath(id, "/profile"), "", nil, nil, &snap); err != nil {
+	if err := c.do(ctx, http.MethodGet, service.SessionPath(id, "/profile"), "", nil, nil, &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil
@@ -492,7 +425,7 @@ func (c *Client) Profile(ctx context.Context, id string) (*SessionSnapshot, erro
 // afterwards.
 func (c *Client) Finalize(ctx context.Context, id string) (*Profile, error) {
 	var prof Profile
-	if err := c.do(ctx, retryAll, http.MethodDelete, service.SessionPath(id, ""), "", nil, nil, &prof); err != nil {
+	if err := c.do(ctx, http.MethodDelete, service.SessionPath(id, ""), "", nil, nil, &prof); err != nil {
 		return nil, err
 	}
 	return &prof, nil
@@ -510,7 +443,7 @@ type SessionTrace = service.TraceResponse
 // session calls on the same client are unaffected.
 func (c *Client) Trace(ctx context.Context, id string) (*SessionTrace, error) {
 	var tr SessionTrace
-	if err := c.do(ctx, retryAll, http.MethodGet, service.SessionPath(id, "/trace"), "", nil, nil, &tr); err != nil {
+	if err := c.do(ctx, http.MethodGet, service.SessionPath(id, "/trace"), "", nil, nil, &tr); err != nil {
 		return nil, err
 	}
 	return &tr, nil
@@ -519,7 +452,7 @@ func (c *Client) Trace(ctx context.Context, id string) (*SessionTrace, error) {
 // ListSessions returns the daemon's live sessions.
 func (c *Client) ListSessions(ctx context.Context) ([]SessionInfo, error) {
 	var out []SessionInfo
-	if err := c.do(ctx, retryAll, http.MethodGet, "/v1/sessions", "", nil, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/sessions", "", nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -581,7 +514,7 @@ func (c *Client) Profiles(ctx context.Context, id string, req ProfilesRequest) (
 		path += "?" + enc
 	}
 	var resp ProfilesResponse
-	if err := c.do(ctx, retryAll, http.MethodGet, path, "", nil, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, "", nil, nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

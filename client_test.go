@@ -124,7 +124,8 @@ func TestClientEndToEnd(t *testing.T) {
 
 // TestClientRetriesBackpressure checks the retry/backoff path: a daemon
 // that answers 429 a few times before accepting must not surface an
-// error, and non-transient failures must not be retried.
+// error, the push must land exactly once, and non-transient failures
+// must not be retried.
 func TestClientRetriesBackpressure(t *testing.T) {
 	var rejects atomic.Int32
 	rejects.Store(2)
@@ -132,7 +133,7 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	// Front the daemon with a shim that rejects the first two ingests.
 	inner := ts.Client()
 	shim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && rejects.Add(-1) >= 0 {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/samples") && rejects.Add(-1) >= 0 {
 			w.WriteHeader(http.StatusTooManyRequests)
 			w.Write([]byte(`{"error":"full"}`))
 			return
@@ -170,7 +171,7 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PushSamples(ctx, id, make([]float64, 100)); err != nil {
+	if _, err := client.PushSamplesAt(ctx, id, 0, make([]float64, 100)); err != nil {
 		t.Fatalf("push through transient 429s: %v", err)
 	}
 	snap, err := client.Profile(ctx, id)
@@ -199,19 +200,21 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	}
 }
 
-// TestClientRetriesRouterStatuses checks that plain pushes ride out the
+// TestClientRetriesRouterStatuses checks that a push rides out the
 // statuses a fleet router emits for transient shard trouble — 502 (shard
-// unreachable) and 503 (session pinned mid-hand-off) — exactly like 429,
-// while a network error on an untagged push fails immediately: without
-// an offset tag the client cannot know how much of the body landed.
+// unreachable), 503 (session pinned mid-hand-off) and 504 (shard
+// connection failed mid-request) — and a connection severed after the
+// body landed, and that it lands exactly once: the retries carry the
+// push's offset, so the daemon skips what it already ingested.
 func TestClientRetriesRouterStatuses(t *testing.T) {
 	_, ts := startDaemon(t, service.Config{})
 	inner := ts.Client()
-	codes := []int{http.StatusBadGateway, http.StatusServiceUnavailable}
+	codes := []int{http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout}
 	var hits atomic.Int32
 	shim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := -1
 		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/samples") {
-			if n := int(hits.Add(1)) - 1; n < len(codes) {
+			if n = int(hits.Add(1)) - 1; n < len(codes) {
 				w.WriteHeader(codes[n])
 				w.Write([]byte(`{"error":"shard unavailable"}`))
 				return
@@ -229,6 +232,16 @@ func TestClientRetriesRouterStatuses(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
+		if n == len(codes) {
+			// The body landed; sever the connection before the answer.
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+			return
+		}
 		w.WriteHeader(resp.StatusCode)
 		buf := make([]byte, 32*1024)
 		for {
@@ -245,16 +258,17 @@ func TestClientRetriesRouterStatuses(t *testing.T) {
 
 	client := emprof.NewClient(shim.URL)
 	client.RetryBaseDelay = 1
+	client.MaxRetries = 6
 	ctx := context.Background()
 	id, err := client.CreateSession(ctx, emprof.SessionSpec{SampleRate: 40e6, ClockHz: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PushSamples(ctx, id, make([]float64, 64)); err != nil {
-		t.Fatalf("push through 502/503: %v", err)
+	if _, err := client.PushSamplesAt(ctx, id, 0, make([]float64, 64)); err != nil {
+		t.Fatalf("push through 502/503/504 and a severed connection: %v", err)
 	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("push took %d attempts, want 3 (502, 503, success)", got)
+	if got := hits.Load(); got != 5 {
+		t.Fatalf("push took %d attempts, want 5 (502, 503, 504, severed, success)", got)
 	}
 	snap, err := client.Profile(ctx, id)
 	if err != nil {
@@ -263,44 +277,23 @@ func TestClientRetriesRouterStatuses(t *testing.T) {
 	if snap.SamplesIngested != 64 {
 		t.Fatalf("ingested %d after retries, want exactly 64", snap.SamplesIngested)
 	}
-
-	// Network error on an untagged push: exactly one attempt, surfaced.
-	var drops atomic.Int32
-	killer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		drops.Add(1)
-		hj, ok := w.(http.Hijacker)
-		if !ok {
-			t.Fatal("test server not hijackable")
-		}
-		conn, _, err := hj.Hijack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn.Close()
-	}))
-	defer killer.Close()
-	dead := emprof.NewClient(killer.URL)
-	dead.RetryBaseDelay = 1
-	if err := dead.PushSamples(ctx, "x", make([]float64, 8)); err == nil {
-		t.Fatal("push over severed connection succeeded")
-	}
-	if got := drops.Load(); got != 1 {
-		t.Fatalf("untagged push retried a network error: %d attempts, want 1", got)
-	}
 }
 
-// TestClient504Semantics pins the split the router's status contract
-// creates: 504 means a shard connection failed mid-request and the
-// shard may have ingested a prefix of the body, so a plain push must
-// fail immediately (resending the whole body could double-count the
-// prefix), while an offset-tagged push — idempotent by construction —
-// retries it like any transient status.
+// TestClient504Semantics pins the client's side of the router's 504: a
+// shard connection failed mid-request and the shard may have ingested a
+// prefix of the body. A push is offset-tagged, so it retries a 504 like
+// any transient status — a one-off 504 is ridden out, and a persistent
+// one exhausts the retry budget.
 func TestClient504Semantics(t *testing.T) {
-	var hits atomic.Int32
+	var hits, fail atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		w.WriteHeader(http.StatusGatewayTimeout)
-		w.Write([]byte(`{"error":"fleet: shard unreachable mid-request"}`))
+		if fail.Add(-1) >= 0 {
+			w.WriteHeader(http.StatusGatewayTimeout)
+			w.Write([]byte(`{"error":"fleet: shard unreachable mid-request"}`))
+			return
+		}
+		w.Write([]byte(`{"samples_ingested":8,"bytes_ingested":64}`))
 	}))
 	defer ts.Close()
 	client := emprof.NewClient(ts.URL)
@@ -308,16 +301,17 @@ func TestClient504Semantics(t *testing.T) {
 	client.MaxRetries = 3
 	ctx := context.Background()
 
-	err := client.PushSamples(ctx, "abc", make([]float64, 8))
-	var ae *emprof.APIError
-	if err == nil || !errors.As(err, &ae) || ae.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("plain push on 504: %v, want APIError 504", err)
+	fail.Store(1)
+	res, err := client.PushSamplesAt(ctx, "abc", 0, make([]float64, 8))
+	if err != nil || res.SamplesIngested != 8 {
+		t.Fatalf("tagged push after one 504: %+v, %v", res, err)
 	}
-	if got := hits.Load(); got != 1 {
-		t.Fatalf("plain push attempted %d times on 504, want exactly 1 (partial ingest possible)", got)
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("tagged push attempted %d times after one 504, want 2", got)
 	}
 
 	hits.Store(0)
+	fail.Store(1 << 20)
 	if _, err := client.PushSamplesAt(ctx, "abc", 0, make([]float64, 8)); !errors.Is(err, emprof.ErrRetriesExhausted) {
 		t.Fatalf("tagged push on persistent 504: %v, want ErrRetriesExhausted", err)
 	}

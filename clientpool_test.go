@@ -65,7 +65,7 @@ func TestClientPooledBodySurvivesRetries(t *testing.T) {
 		for i := range samples {
 			samples[i] = float64(k*1000 + i)
 		}
-		if err := client.PushSamples(context.Background(), "s", samples); err != nil {
+		if _, err := client.PushSamplesAt(context.Background(), "s", int64(k*len(samples)), samples); err != nil {
 			t.Fatalf("push %d: %v", k, err)
 		}
 		want := wireBytes(samples)
@@ -131,7 +131,7 @@ func TestClientPooledBodyConcurrentPushes(t *testing.T) {
 				samples[i] = float64(g*100000 + i)
 			}
 			for k := 0; k < pushesEach; k++ {
-				if err := client.PushSamples(context.Background(), fmt.Sprintf("g%d", g), samples); err != nil {
+				if _, err := client.PushSamplesAt(context.Background(), fmt.Sprintf("g%d", g), int64(k*len(samples)), samples); err != nil {
 					t.Errorf("goroutine %d push %d: %v", g, k, err)
 					return
 				}

@@ -26,7 +26,7 @@
 // surface):
 //
 //	POST   /v1/sessions               open a session {sample_rate, clock_hz, device?, config?}
-//	POST   /v1/sessions/{id}/samples  stream sample bytes (raw float64 LE, or EMPROFCAP with Content-Type application/x-emprofcap)
+//	POST   /v1/sessions/{id}/samples  stream raw float64 LE sample bytes (X-Emprof-Offset: first sample's index makes retries idempotent; EMPROFCAP files answer 415)
 //	GET    /v1/sessions/{id}/profile  live causal snapshot (stalls so far, quality, confidence histogram)
 //	GET    /v1/sessions/{id}/profiles rolling profile windows (with -window): ?from=&to= stream seconds, ?limit=&after=&last= paging
 //	GET    /v1/sessions/{id}/trace    recent analyzer decision events (ring of -trace-ring records)

@@ -160,8 +160,8 @@ func LoadWorkload(path string) (Workload, error) {
 type StreamAnalyzer = core.StreamAnalyzer
 
 // NewStreamAnalyzer returns a streaming profiler for a signal acquired at
-// sampleRate from a processor clocked at clockHz. Push samples as they
-// arrive; set OnStall for live event delivery; Finalize returns the
+// sampleRate from a processor clocked at clockHz. PushBlock samples as
+// they arrive; set OnStall for live event delivery; Finalize returns the
 // profile.
 func NewStreamAnalyzer(cfg Config, sampleRate, clockHz float64) (*StreamAnalyzer, error) {
 	return core.NewStreamAnalyzer(cfg, sampleRate, clockHz)

@@ -41,9 +41,12 @@ func main() {
 		}
 	}
 
-	// Feed the capture sample by sample, as a receiver would.
-	for _, x := range run.Capture.Samples {
-		sa.Push(x)
+	// Feed the capture in 4096-sample blocks, as a receiver's buffers
+	// deliver it.
+	for xs := run.Capture.Samples; len(xs) > 0; {
+		n := min(len(xs), 4096)
+		sa.PushBlock(xs[:n])
+		xs = xs[n:]
 	}
 	prof := sa.Finalize()
 

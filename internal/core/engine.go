@@ -38,8 +38,7 @@ import (
 // over a whole span before the next starts. They are composed three ways:
 //
 //   - Streaming: StreamAnalyzer.pushChunk runs all four over bounded
-//     chunks. PushBlock splits its input into chunks and Push is a
-//     one-sample chunk. The due positions are decided in place, straight
+//     chunks. PushBlock splits its input into chunks. The due positions are decided in place, straight
 //     out of the fronts of the pending value and flag rings and then the
 //     chunk's own values; only the last half window's values are queued.
 //   - Batch: Analyzer.Profile is the streaming composition over a whole

@@ -85,7 +85,7 @@ func blockProfile(t *testing.T, cfg Config, xs []float64, splits []int) (*Profil
 // TestPushBlockEquivalentToPushLoop: PushBlock over ANY split of the
 // stream — including single-sample, empty, and larger-than-chunk blocks —
 // produces the oracle's profile and leaves the same internal state as a
-// loop of one-sample Push calls, across smoothing, probe-shift, and
+// loop of one-sample PushBlock calls, across smoothing, probe-shift, and
 // window configurations, on an impaired stream exercising flags and
 // resyncs.
 func TestPushBlockEquivalentToPushLoop(t *testing.T) {
@@ -97,13 +97,13 @@ func TestPushBlockEquivalentToPushLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, x := range xs {
-				ref.Push(x)
+			for i := range xs {
+				ref.PushBlock(xs[i : i+1])
 			}
 			refState := ref.ExportState()
 			want := oracleProfile(cfg, &em.Capture{Samples: xs, SampleRate: 40e6, ClockHz: 1e9}, false)
 			if got := ref.Finalize(); !reflect.DeepEqual(got, want) {
-				t.Fatal("Push loop profile differs from the oracle")
+				t.Fatal("per-sample loop profile differs from the oracle")
 			}
 
 			rng := sim.NewRNG(77)
@@ -140,9 +140,9 @@ func TestPushBlockEquivalentToPushLoop(t *testing.T) {
 	}
 }
 
-// TestPushBlockInterleavedWithPush pins that per-sample and block pushes
-// can be mixed freely on one analyzer — the service falls back to Push
-// for partial-word tails mid-stream.
+// TestPushBlockInterleavedWithPush pins that one-sample and larger blocks
+// can be mixed freely on one analyzer — the service's decoder emits a
+// one-sample block for each word split across reads.
 func TestPushBlockInterleavedWithPush(t *testing.T) {
 	const n = 20000
 	xs := blockSeries(n, 5)
@@ -163,13 +163,13 @@ func TestPushBlockInterleavedWithPush(t *testing.T) {
 			s.PushBlock(xs[i : i+k])
 			i += k
 		} else {
-			s.Push(xs[i])
+			s.PushBlock(xs[i : i+1])
 			i++
 		}
 	}
 	got := s.Finalize()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("interleaved Push/PushBlock profile differs from the oracle")
+		t.Fatal("interleaved one-sample/block profile differs from the oracle")
 	}
 }
 

@@ -173,7 +173,7 @@ func (s *StreamAnalyzer) ExportState() *StreamState {
 // Pushing the remaining samples of the original stream (and finalizing)
 // produces output bit-identical to the exporting analyzer having seen
 // the whole stream. OnStall and the trace observer start out unset; the
-// caller re-attaches them before the next Push.
+// caller re-attaches them before the next PushBlock.
 func ResumeStreamAnalyzer(st *StreamState) (*StreamAnalyzer, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil stream state")

@@ -39,8 +39,8 @@ func splitProfile(t *testing.T, c *em.Capture, cfg Config, k int) *Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range c.Samples[:k] {
-		a.Push(x)
+	for i := range c.Samples[:k] {
+		a.PushBlock(c.Samples[i : i+1])
 	}
 	st := a.ExportState()
 	blob, err := json.Marshal(st)
@@ -55,8 +55,8 @@ func splitProfile(t *testing.T, c *em.Capture, cfg Config, k int) *Profile {
 	if err != nil {
 		t.Fatalf("resume at k=%d: %v", k, err)
 	}
-	for _, x := range c.Samples[k:] {
-		b.Push(x)
+	for i := k; i < len(c.Samples); i++ {
+		b.PushBlock(c.Samples[i : i+1])
 	}
 	return b.Finalize()
 }
@@ -110,11 +110,11 @@ func TestHandoffExportDoesNotDisturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, x := range c.Samples {
+	for i := range c.Samples {
 		if i%5000 == 0 {
 			_ = a.ExportState()
 		}
-		a.Push(x)
+		a.PushBlock(c.Samples[i : i+1])
 	}
 	if got := a.Finalize(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("exports disturbed the exporting analyzer:\nwant %+v\ngot  %+v", want, got)
@@ -129,8 +129,8 @@ func TestHandoffRejectsMismatchedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range c.Samples[:1000] {
-		a.Push(x)
+	for i := range c.Samples[:1000] {
+		a.PushBlock(c.Samples[i : i+1])
 	}
 
 	if _, err := ResumeStreamAnalyzer(nil); err == nil {
@@ -221,7 +221,7 @@ func TestHandoffRejectsMismatchedState(t *testing.T) {
 	}
 }
 
-// TestDecoderHandoff: the wire decoder resumes mid-word and mid-header.
+// TestDecoderHandoff: the wire decoder resumes mid-word.
 func TestDecoderHandoff(t *testing.T) {
 	c := &em.Capture{Samples: make([]float64, 257), SampleRate: 40e6, ClockHz: 1e9}
 	for i := range c.Samples {
@@ -244,11 +244,7 @@ func TestDecoderHandoff(t *testing.T) {
 		if err := d.FeedBlock(raw[:cut], emit); err != nil {
 			t.Fatal(err)
 		}
-		st, err := d.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(st)
+		blob, err := json.Marshal(d.State())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +262,7 @@ func TestDecoderHandoff(t *testing.T) {
 		if !reflect.DeepEqual(got, c.Samples) {
 			t.Fatalf("raw decoder hand-off at byte %d corrupted the stream", cut)
 		}
-		if !d2.Complete() {
+		if d2.Emitted() != int64(len(c.Samples)) || len(d2.State().Partial) != 0 {
 			t.Fatalf("raw decoder incomplete after hand-off at byte %d", cut)
 		}
 	}

@@ -472,15 +472,15 @@ func oracleProfile(cfg Config, c *em.Capture, keep bool) *Profile {
 	return p
 }
 
-// ProfileStream runs a capture through a StreamAnalyzer one Push at a
-// time.
+// ProfileStream runs a capture through a StreamAnalyzer one sample per
+// PushBlock.
 func ProfileStream(c *em.Capture, cfg Config) (*Profile, error) {
 	s, err := NewStreamAnalyzer(cfg, c.SampleRate, c.ClockHz)
 	if err != nil {
 		return nil, err
 	}
-	for _, x := range c.Samples {
-		s.Push(x)
+	for i := range c.Samples {
+		s.PushBlock(c.Samples[i : i+1])
 	}
 	return s.Finalize(), nil
 }
@@ -625,7 +625,7 @@ func monitorStateDiff(m *monitor, ref *oracleMonitor) string {
 }
 
 // TestCompositionsMatchOracle is the single equivalence gate: batch,
-// streaming at several split patterns (one Push per sample included),
+// streaming at several split patterns (one sample per push included),
 // the two-stage pipeline, and rolling windows
 // merged back must each reproduce the oracle's profile exactly —
 // stalls, confidences and the quality record — on every capture kind.
@@ -658,7 +658,7 @@ func TestCompositionsMatchOracle(t *testing.T) {
 				}
 			}
 			if got, err := ProfileStream(c, cfg); err != nil || !reflect.DeepEqual(got, &plain) {
-				t.Fatalf("%s Push: profile differs from the oracle", ctx)
+				t.Fatalf("%s per-sample: profile differs from the oracle", ctx)
 			}
 
 			if got := a.ProfileParallel(c); !reflect.DeepEqual(got, want) {

@@ -288,9 +288,9 @@ func TestStreamQualitySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Push(1.0)
-	s.Push(math.NaN())
-	s.Push(1.0)
+	s.PushBlock([]float64{1.0})
+	s.PushBlock([]float64{math.NaN()})
+	s.PushBlock([]float64{1.0})
 	q := s.Quality()
 	if q.Samples != 3 || q.NaNSamples != 1 {
 		t.Fatalf("snapshot = %v, want 3 samples / 1 NaN", q)

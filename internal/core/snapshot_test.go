@@ -29,8 +29,8 @@ func TestSnapshotCausalAndNonPerturbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prev *Profile
-	for i, x := range c.Samples {
-		s.Push(x)
+	for i := range c.Samples {
+		s.PushBlock(c.Samples[i : i+1])
 		if (i+1)%3000 != 0 {
 			continue
 		}

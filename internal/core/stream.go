@@ -12,8 +12,8 @@ import (
 // samples arrive — the deployment mode the paper implies, where a
 // software-defined receiver streams for minutes (most SPEC runs exceed
 // the spectrum analyzer's record length, which is why the authors moved
-// to a streaming digitizer, Section VI). Push samples with PushBlock (or
-// Push), then call Finalize for the profile.
+// to a streaming digitizer, Section VI). Push samples with PushBlock,
+// then call Finalize for the profile.
 //
 // StreamAnalyzer is the analysis engine itself (engine.go): the batch
 // analyzer runs it over a whole capture, so its output matches
@@ -65,8 +65,6 @@ type StreamAnalyzer struct {
 	// scratch backs the staged block processing; empty until the first
 	// push.
 	scratch blockScratch
-	// one is Push's one-sample block.
-	one [1]float64
 	// clock times the stages of a traced batch run; nil otherwise.
 	clock *stageClock
 
@@ -120,19 +118,13 @@ func newStreamAnalyzer(cfg Config, sampleRate, clockHz float64) *StreamAnalyzer 
 // SetObserver attaches a decision-trace observer: it receives one event
 // per analyzer decision (dip candidates, accepted/rejected stalls,
 // resyncs, quality flags, and a drain timing at Finalize) as each
-// decision is taken. Call it before the first Push; attaching an
+// decision is taken. Call it before the first PushBlock; attaching an
 // observer never changes the produced profile. A nil observer restores
 // the original, emission-free path.
 func (s *StreamAnalyzer) SetObserver(o trace.Observer) {
 	s.obs = o
 	s.mon.obs = o
 	s.det.obs = o
-}
-
-// Push feeds one magnitude sample, as a one-sample block.
-func (s *StreamAnalyzer) Push(x float64) {
-	s.one[0] = x
-	s.pushChunk(s.one[:])
 }
 
 // Finalize drains the pipeline and returns the profile. The analyzer must
@@ -176,8 +168,9 @@ func (s *StreamAnalyzer) Decided() int64 { return s.emitted }
 //
 // The returned profile shares nothing with the analyzer's internal state;
 // StreamAnalyzer itself is still not safe for concurrent use, so callers
-// interleaving Push and Snapshot from different goroutines must serialise
-// them (the profiling service's session lock does exactly this).
+// interleaving PushBlock and Snapshot from different goroutines must
+// serialise them (the profiling service's session lock does exactly
+// this).
 func (s *StreamAnalyzer) Snapshot() *Profile {
 	p := *s.prof
 	p.Stalls = append([]Stall(nil), s.prof.Stalls...)

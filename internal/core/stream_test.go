@@ -70,8 +70,8 @@ func TestStreamCallback(t *testing.T) {
 	}
 	var live []Stall
 	s.OnStall = func(st Stall) { live = append(live, st) }
-	for i, x := range c.Samples {
-		s.Push(x)
+	for i := range c.Samples {
+		s.PushBlock(c.Samples[i : i+1])
 		// Decisions lag by half the normalisation window (~4000 samples
 		// at 40 MHz with the 200 µs default): the stall ending at ~6012
 		// must be delivered by ~11000.
@@ -97,7 +97,7 @@ func TestStreamEmptyAndTiny(t *testing.T) {
 
 	s2, _ := NewStreamAnalyzer(DefaultConfig(), 40e6, 1e9)
 	for i := 0; i < 5; i++ {
-		s2.Push(1)
+		s2.PushBlock([]float64{1})
 	}
 	p2 := s2.Finalize()
 	if len(p2.Stalls) != 0 {

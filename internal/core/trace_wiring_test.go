@@ -131,8 +131,8 @@ func TestObserverEquivalenceAllPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetObserver(trace.NewMetrics())
-		for _, x := range c.Samples {
-			s.Push(x)
+		for i := range c.Samples {
+			s.PushBlock(c.Samples[i : i+1])
 		}
 		assertProfilesIdentical(t, want, s.Finalize(), "stream+observer")
 	}
@@ -200,8 +200,8 @@ func TestObserverStreamDrainTiming(t *testing.T) {
 	}
 	m := trace.NewMetrics()
 	s.SetObserver(m)
-	for _, x := range c.Samples {
-		s.Push(x)
+	for i := range c.Samples {
+		s.PushBlock(c.Samples[i : i+1])
 	}
 	p := s.Finalize()
 	snap := m.Snapshot()
@@ -244,11 +244,11 @@ func TestNilObserverSteadyStateAllocs(t *testing.T) {
 	}
 	i := 0
 	push := func() {
-		s.Push(samples[i])
+		s.PushBlock(samples[i : i+1])
 		i = (i + 1) % len(samples)
 	}
 	if allocs := testing.AllocsPerRun(2000, push); allocs != 0 {
-		t.Fatalf("nil-observer Push steady state allocates %.2f allocs/op, want 0", allocs)
+		t.Fatalf("nil-observer one-sample PushBlock steady state allocates %.2f allocs/op, want 0", allocs)
 	}
 	if p := s.Finalize(); len(p.Stalls) != 0 {
 		t.Fatalf("busy-only trace produced %d stalls; alloc accounting invalid", len(p.Stalls))

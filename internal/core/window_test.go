@@ -108,8 +108,8 @@ func TestFrontierMonotonicCausal(t *testing.T) {
 			t.Fatalf("stall onset %d emitted behind the frontier %d", st.StartSample, lastFrontier)
 		}
 	}
-	for i, x := range c.Samples {
-		an.Push(x)
+	for i := range c.Samples {
+		an.PushBlock(c.Samples[i : i+1])
 		f := an.Frontier()
 		if f < lastFrontier {
 			t.Fatalf("frontier went backwards at sample %d: %d -> %d", i, lastFrontier, f)

@@ -57,51 +57,26 @@ func WriteCapture(w io.Writer, c *Capture) error {
 	return nil
 }
 
-// Decoder incrementally decodes a stream of capture bytes, in bounded
-// memory, regardless of how the stream is chunked: bytes may arrive one
-// at a time or in megabyte blocks, across any number of FeedBlock
-// calls, with words and the header split anywhere. It backs both
-// ReadCapture and the profiling service's streaming ingest, where
-// captures arrive over the network and must never be buffered whole.
-//
-// Two wire formats are supported:
-//
-//   - EMPROFCAP (NewStreamDecoder): the WriteCapture format — magic,
-//     sample-rate and clock metadata, a declared sample count, then the
-//     samples. The declared count is validated against
-//     MaxDeclaredSamples but never pre-allocated.
-//   - raw (NewRawDecoder): a headerless stream of little-endian float64
-//     words, for callers that established the acquisition metadata out of
-//     band (the service's session-create call).
+// Decoder reassembles a stream of little-endian float64 words in
+// bounded memory, regardless of how the stream is chunked: bytes may
+// arrive one at a time or in megabyte blocks, across any number of
+// FeedBlock calls, with words split anywhere. It backs both ReadCapture
+// (after the header) and the profiling service's ingest, where samples
+// arrive over the network as raw words — the acquisition metadata came
+// with the session-create call — and must never be buffered whole. The
+// zero Decoder is at the start of a stream.
 type Decoder struct {
-	raw bool
-
-	// Header accumulation (EMPROFCAP only).
-	hdr     []byte
-	hdrDone bool
-
-	sampleRate float64
-	clockHz    float64
-	declared   int64
-
 	// Word reassembly across FeedBlock boundaries.
 	partial [8]byte
 	np      int
 
-	emitted  int64
-	trailing int64
-	err      error
+	emitted int64
 }
 
-// NewStreamDecoder returns a decoder for the EMPROFCAP format (header +
-// samples).
-func NewStreamDecoder() *Decoder {
-	return &Decoder{hdr: make([]byte, 0, headerSize)}
-}
-
-// NewRawDecoder returns a decoder for a headerless little-endian float64
-// stream.
-func NewRawDecoder() *Decoder { return &Decoder{raw: true, hdrDone: true} }
+// NewRawDecoder returns a decoder at the start of a stream, the same as
+// new(Decoder). It stays because the benchmark harness (bench/layers.go)
+// builds its decoder with it.
+func NewRawDecoder() *Decoder { return new(Decoder) }
 
 // decodeBlockSamples sizes FeedBlock's decode scratch: 8 KiSamples =
 // 64 KiB per emit, matching the service's ingest chunk so one network
@@ -116,46 +91,23 @@ var decodeBlockPool = sync.Pool{
 
 // FeedBlock consumes the next chunk of the stream, handing completed
 // samples to emit, in order, in batches decoded into a pooled scratch
-// block: aligned whole words are decoded in bulk; only the header and
-// word fragments spanning chunk boundaries take the byte-at-a-time
-// path (those emit a one-sample block). The sequence of samples emitted
-// is the same for any chunking of the stream. It returns a non-nil
-// error on malformed input (bad magic, implausible metadata); once an
-// error is returned the decoder is poisoned and every later FeedBlock
-// returns the same error.
+// block: aligned whole words are decoded in bulk; only word fragments
+// spanning chunk boundaries take the byte-at-a-time path (those emit a
+// one-sample block). The sequence of samples emitted is the same for
+// any chunking of the stream. Every byte sequence is a valid stream, so
+// the error is always nil; the result stays because the benchmark
+// harness (bench/layers.go) checks it.
 //
 // The slice passed to emit is only valid for the duration of the call
 // and is reused afterwards — emit must consume it (e.g. feed it to
 // StreamAnalyzer.PushBlock, which retains nothing) rather than keep it.
 func (d *Decoder) FeedBlock(p []byte, emit func([]float64)) error {
-	if d.err != nil {
-		return d.err
-	}
-	if !d.hdrDone {
-		need := headerSize - len(d.hdr)
-		if need > len(p) {
-			need = len(p)
-		}
-		d.hdr = append(d.hdr, p[:need]...)
-		p = p[need:]
-		if len(d.hdr) < headerSize {
-			return nil
-		}
-		if err := d.parseHeader(); err != nil {
-			d.err = err
-			return err
-		}
-		d.hdrDone = true
-	}
 	var bp *[]float64
 	var block []float64
 	for len(p) > 0 {
-		if !d.raw && d.emitted == d.declared {
-			// The declared sample count has been satisfied; anything
-			// further is trailing data the caller may treat as an error
-			// (Trailing) — ReadCapture ignores it.
-			d.trailing += int64(len(p))
-			break
+		if bp == nil {
+			bp = decodeBlockPool.Get().(*[]float64)
+			block = *bp
 		}
 		if d.np > 0 || len(p) < 8 {
 			n := copy(d.partial[d.np:], p)
@@ -166,29 +118,12 @@ func (d *Decoder) FeedBlock(p []byte, emit func([]float64)) error {
 			}
 			d.np = 0
 			d.emitted++
-			if bp == nil {
-				bp = decodeBlockPool.Get().(*[]float64)
-				block = *bp
-			}
 			block[0] = math.Float64frombits(binary.LittleEndian.Uint64(d.partial[:]))
 			emit(block[:1])
 			continue
 		}
-		words := len(p) / 8
-		if !d.raw {
-			if rem := d.declared - d.emitted; int64(words) > rem {
-				words = int(rem)
-			}
-		}
-		if bp == nil {
-			bp = decodeBlockPool.Get().(*[]float64)
-			block = *bp
-		}
-		for words > 0 {
-			run := words
-			if run > decodeBlockSamples {
-				run = decodeBlockSamples
-			}
+		for words := len(p) / 8; words > 0; {
+			run := min(words, decodeBlockSamples)
 			for i := 0; i < run; i++ {
 				block[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
 			}
@@ -204,93 +139,28 @@ func (d *Decoder) FeedBlock(p []byte, emit func([]float64)) error {
 	return nil
 }
 
-// parseHeader validates the accumulated EMPROFCAP header.
-func (d *Decoder) parseHeader() error {
-	if string(d.hdr[:len(captureMagic)]) != captureMagic {
-		return fmt.Errorf("em: not a capture file (magic %q)", d.hdr[:len(captureMagic)])
-	}
-	off := len(captureMagic)
-	d.sampleRate = math.Float64frombits(binary.LittleEndian.Uint64(d.hdr[off:]))
-	d.clockHz = math.Float64frombits(binary.LittleEndian.Uint64(d.hdr[off+8:]))
-	d.declared = int64(binary.LittleEndian.Uint64(d.hdr[off+16:]))
-	if d.declared < 0 || d.declared > MaxDeclaredSamples {
-		return fmt.Errorf("em: implausible sample count %d", d.declared)
-	}
-	if !(d.sampleRate > 0) || !(d.clockHz > 0) ||
-		math.IsInf(d.sampleRate, 0) || math.IsInf(d.clockHz, 0) {
-		return fmt.Errorf("em: invalid capture metadata rate=%v clock=%v", d.sampleRate, d.clockHz)
-	}
-	return nil
-}
-
 // DropFragment discards a half-assembled word left by an interrupted
 // FeedBlock. The profiling service calls it before replay-skipping a
 // retried push body: the retry resends the fragmented sample whole, so
 // the stale prefix bytes must not be prepended to the resent ones.
 func (d *Decoder) DropFragment() { d.np = 0 }
 
-// HeaderDone reports whether the metadata is available (always true for a
-// raw decoder).
-func (d *Decoder) HeaderDone() bool { return d.hdrDone }
-
-// Meta returns the decoded acquisition metadata and declared sample count;
-// valid once HeaderDone. Raw decoders report zeros.
-func (d *Decoder) Meta() (sampleRate, clockHz float64, declared int64) {
-	return d.sampleRate, d.clockHz, d.declared
-}
-
 // Emitted returns the number of samples decoded so far.
 func (d *Decoder) Emitted() int64 { return d.emitted }
-
-// Complete reports whether the stream forms a whole capture: header
-// parsed, declared count reached, no word fragment pending. Raw streams
-// are complete at any word boundary.
-func (d *Decoder) Complete() bool {
-	if d.err != nil || !d.hdrDone || d.np != 0 {
-		return false
-	}
-	return d.raw || d.emitted == d.declared
-}
-
-// Trailing returns the number of bytes received beyond the declared
-// sample count.
-func (d *Decoder) Trailing() int64 { return d.trailing }
 
 // DecoderState is a serializable snapshot of a Decoder mid-stream, part
 // of the profiling service's session hand-off wire format: the receiving
 // shard must resume word reassembly at the exact byte the old owner
 // stopped at, or a float64 split across the hand-off boundary would be
-// decoded wrong (or twice). A poisoned decoder has no state — sessions
-// that failed to decode are not handed off.
+// decoded wrong (or twice).
 type DecoderState struct {
-	Raw        bool    `json:"raw"`
-	Hdr        []byte  `json:"hdr,omitempty"`
-	HdrDone    bool    `json:"hdr_done"`
-	SampleRate float64 `json:"sample_rate,omitempty"`
-	ClockHz    float64 `json:"clock_hz,omitempty"`
-	Declared   int64   `json:"declared,omitempty"`
-	Partial    []byte  `json:"partial,omitempty"`
-	Emitted    int64   `json:"emitted"`
-	Trailing   int64   `json:"trailing,omitempty"`
+	Partial []byte `json:"partial,omitempty"`
+	Emitted int64  `json:"emitted"`
 }
 
-// State snapshots the decoder. It must not be called on a poisoned
-// decoder (one whose FeedBlock has returned an error).
-func (d *Decoder) State() (DecoderState, error) {
-	if d.err != nil {
-		return DecoderState{}, fmt.Errorf("em: cannot snapshot poisoned decoder: %w", d.err)
-	}
-	return DecoderState{
-		Raw:        d.raw,
-		Hdr:        append([]byte(nil), d.hdr...),
-		HdrDone:    d.hdrDone,
-		SampleRate: d.sampleRate,
-		ClockHz:    d.clockHz,
-		Declared:   d.declared,
-		Partial:    append([]byte(nil), d.partial[:d.np]...),
-		Emitted:    d.emitted,
-		Trailing:   d.trailing,
-	}, nil
+// State snapshots the decoder.
+func (d *Decoder) State() DecoderState {
+	return DecoderState{Partial: append([]byte(nil), d.partial[:d.np]...), Emitted: d.emitted}
 }
 
 // RestoreDecoder rebuilds a decoder from a snapshot; feeding the
@@ -300,34 +170,10 @@ func RestoreDecoder(st DecoderState) (*Decoder, error) {
 	if len(st.Partial) >= 8 {
 		return nil, fmt.Errorf("em: decoder state with %d-byte word fragment", len(st.Partial))
 	}
-	if st.Emitted < 0 || st.Trailing < 0 {
-		return nil, fmt.Errorf("em: decoder state with negative counters")
+	if st.Emitted < 0 {
+		return nil, fmt.Errorf("em: decoder state with negative sample count %d", st.Emitted)
 	}
-	if !st.Raw {
-		if len(st.Hdr) > headerSize {
-			return nil, fmt.Errorf("em: decoder state header overflows (%d bytes)", len(st.Hdr))
-		}
-		if st.HdrDone && len(st.Hdr) != headerSize {
-			return nil, fmt.Errorf("em: decoder state header incomplete (%d bytes)", len(st.Hdr))
-		}
-		if st.Declared < 0 || st.Declared > MaxDeclaredSamples {
-			return nil, fmt.Errorf("em: implausible sample count %d", st.Declared)
-		}
-		if st.HdrDone && st.Emitted > st.Declared {
-			return nil, fmt.Errorf("em: decoder state emitted %d beyond declared %d", st.Emitted, st.Declared)
-		}
-	}
-	d := &Decoder{
-		raw:        st.Raw,
-		hdr:        make([]byte, 0, headerSize),
-		hdrDone:    st.HdrDone,
-		sampleRate: st.SampleRate,
-		clockHz:    st.ClockHz,
-		declared:   st.Declared,
-		emitted:    st.Emitted,
-		trailing:   st.Trailing,
-	}
-	d.hdr = append(d.hdr, st.Hdr...)
+	d := &Decoder{emitted: st.Emitted}
 	d.np = copy(d.partial[:], st.Partial)
 	return d, nil
 }
@@ -335,42 +181,52 @@ func RestoreDecoder(st DecoderState) (*Decoder, error) {
 // readChunk sizes ReadCapture's transfer buffer (64 KiB).
 const readChunk = 64 * 1024
 
-// ReadCapture deserialises a capture written by WriteCapture. It reads in
-// bounded chunks and grows the sample slice as data actually arrives, so
-// a truncated or hostile header that declares billions of samples fails
-// after a 64 KiB read, not a 128 GiB allocation.
+// ReadCapture deserialises a capture written by WriteCapture: it checks
+// the header, then decodes exactly the declared sample count, ignoring
+// any bytes after it. It reads in bounded chunks and grows the sample
+// slice as data actually arrives, so a truncated or hostile header that
+// declares billions of samples fails after a 64 KiB read, not a 128 GiB
+// allocation.
 func ReadCapture(r io.Reader) (*Capture, error) {
-	d := NewStreamDecoder()
-	var c Capture
+	var hdr [headerSize]byte
+	n, err := io.ReadFull(r, hdr[:])
+	if magic := hdr[:len(captureMagic)]; n >= len(magic) && string(magic) != captureMagic {
+		return nil, fmt.Errorf("em: not a capture file (magic %q)", magic)
+	}
+	switch err {
+	case nil:
+	case io.EOF, io.ErrUnexpectedEOF:
+		return nil, fmt.Errorf("em: reading capture header: %w", io.ErrUnexpectedEOF)
+	default:
+		return nil, err
+	}
+	meta := hdr[len(captureMagic):]
+	c := &Capture{
+		SampleRate: math.Float64frombits(binary.LittleEndian.Uint64(meta)),
+		ClockHz:    math.Float64frombits(binary.LittleEndian.Uint64(meta[8:])),
+	}
+	declared := int64(binary.LittleEndian.Uint64(meta[16:]))
+	if declared < 0 || declared > MaxDeclaredSamples {
+		return nil, fmt.Errorf("em: implausible sample count %d", declared)
+	}
+	if !(c.SampleRate > 0) || !(c.ClockHz > 0) || math.IsInf(c.SampleRate, 0) || math.IsInf(c.ClockHz, 0) {
+		return nil, fmt.Errorf("em: invalid capture metadata rate=%v clock=%v", c.SampleRate, c.ClockHz)
+	}
+	var d Decoder
+	appendTo := func(xs []float64) { c.Samples = append(c.Samples, xs...) }
 	buf := make([]byte, readChunk)
-	for !d.Complete() {
-		n, err := r.Read(buf)
-		if n > 0 {
-			if ferr := d.FeedBlock(buf[:n], func(xs []float64) { c.Samples = append(c.Samples, xs...) }); ferr != nil {
-				return nil, ferr
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	for left := declared * 8; left > 0; {
+		n, err := r.Read(buf[:min(int64(len(buf)), left)])
+		_ = d.FeedBlock(buf[:n], appendTo) // always nil
+		left -= int64(n)
+		switch {
+		case err == io.EOF && left > 0:
+			return nil, fmt.Errorf("em: truncated capture at sample %d: %w", d.Emitted(), io.ErrUnexpectedEOF)
+		case err != nil && err != io.EOF:
 			return nil, err
 		}
 	}
-	if !d.HeaderDone() {
-		if len(d.hdr) >= len(captureMagic) && string(d.hdr[:len(captureMagic)]) != captureMagic {
-			return nil, fmt.Errorf("em: not a capture file (magic %q)", d.hdr[:len(captureMagic)])
-		}
-		return nil, fmt.Errorf("em: reading capture header: %w", io.ErrUnexpectedEOF)
-	}
-	if !d.Complete() {
-		return nil, fmt.Errorf("em: truncated capture at sample %d: %w", d.Emitted(), io.ErrUnexpectedEOF)
-	}
-	c.SampleRate, c.ClockHz, _ = d.Meta()
-	// A complete capture with zero samples decodes to a nil slice; keep
-	// the round-trip exact for captures written from an empty non-nil
-	// slice by leaving Samples as produced.
-	return &c, nil
+	return c, nil
 }
 
 // SaveCapture writes a capture to a file.

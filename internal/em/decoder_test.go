@@ -16,34 +16,26 @@ func testCapture(n int) *Capture {
 	return c
 }
 
-// TestDecoderChunkInvariance feeds the same encoded capture through the
-// stream decoder at every awkward chunking (1-byte, 7-byte, header-split,
+// TestDecoderChunkInvariance feeds the same raw sample stream through
+// the decoder at every awkward chunking (1-byte, 7-byte, word-aligned,
 // whole) and requires identical output each time.
 func TestDecoderChunkInvariance(t *testing.T) {
 	orig := testCapture(513)
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, orig); err != nil {
-		t.Fatal(err)
+	enc := make([]byte, 8*len(orig.Samples))
+	for i, v := range orig.Samples {
+		putFloat64(enc[i*8:], v)
 	}
-	enc := buf.Bytes()
 	for _, chunk := range []int{1, 3, 7, 8, 13, headerSize - 1, headerSize + 5, 1000, len(enc)} {
-		d := NewStreamDecoder()
+		d := NewRawDecoder()
 		var got []float64
 		for off := 0; off < len(enc); off += chunk {
-			end := off + chunk
-			if end > len(enc) {
-				end = len(enc)
-			}
+			end := min(off+chunk, len(enc))
 			if err := d.FeedBlock(enc[off:end], collect(&got)); err != nil {
 				t.Fatalf("chunk=%d: %v", chunk, err)
 			}
 		}
-		if !d.Complete() {
-			t.Fatalf("chunk=%d: decoder not complete", chunk)
-		}
-		rate, clock, declared := d.Meta()
-		if rate != orig.SampleRate || clock != orig.ClockHz || declared != int64(len(orig.Samples)) {
-			t.Fatalf("chunk=%d: meta %v/%v/%d", chunk, rate, clock, declared)
+		if d.Emitted() != int64(len(orig.Samples)) || len(d.State().Partial) != 0 {
+			t.Fatalf("chunk=%d: emitted %d, %d-byte fragment pending", chunk, d.Emitted(), len(d.State().Partial))
 		}
 		if len(got) != len(orig.Samples) {
 			t.Fatalf("chunk=%d: %d samples", chunk, len(got))
@@ -79,8 +71,8 @@ func TestRawDecoder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !d.Complete() {
-		t.Fatal("raw decoder not complete at word boundary")
+	if st := d.State(); len(st.Partial) != 0 || st.Emitted != int64(len(want)) {
+		t.Fatalf("at a word boundary: state %+v", st)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d samples", len(got))
@@ -90,12 +82,12 @@ func TestRawDecoder(t *testing.T) {
 			t.Fatalf("sample %d: %v != %v", i, got[i], want[i])
 		}
 	}
-	// A dangling half-word leaves the stream incomplete.
+	// A dangling half-word stays pending, not emitted.
 	if err := d.FeedBlock([]byte{1, 2, 3}, func([]float64) {}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Complete() {
-		t.Fatal("complete with a partial word pending")
+	if st := d.State(); len(st.Partial) != 3 || st.Emitted != int64(len(want)) {
+		t.Fatalf("with a partial word pending: state %+v", st)
 	}
 }
 
@@ -106,8 +98,8 @@ func putFloat64(b []byte, v float64) {
 	}
 }
 
-// TestDecoderTrailing checks that bytes beyond the declared count are
-// reported, not silently decoded.
+// TestDecoderTrailing checks that ReadCapture decodes exactly the
+// declared sample count and ignores bytes beyond it.
 func TestDecoderTrailing(t *testing.T) {
 	orig := testCapture(4)
 	var buf bytes.Buffer
@@ -115,32 +107,12 @@ func TestDecoderTrailing(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Write(make([]byte, 24))
-	d := NewStreamDecoder()
-	n := 0
-	if err := d.FeedBlock(buf.Bytes(), func(xs []float64) { n += len(xs) }); err != nil {
+	got, err := ReadCapture(iotest{r: &buf})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("decoded %d samples past declared count", n)
-	}
-	if d.Trailing() != 24 {
-		t.Fatalf("trailing = %d, want 24", d.Trailing())
-	}
-	if !d.Complete() {
-		t.Fatal("declared count reached but not complete")
-	}
-}
-
-// TestDecoderPoisonedAfterError checks that a malformed header fails every
-// later FeedBlock with the same error.
-func TestDecoderPoisonedAfterError(t *testing.T) {
-	d := NewStreamDecoder()
-	err := d.FeedBlock([]byte("XXXXXXXXXXxxxxxxxxxxxxxxxxxxxxxxxxxxxx"), func([]float64) {})
-	if err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if err2 := d.FeedBlock([]byte{0}, func([]float64) {}); err2 != err {
-		t.Fatalf("poisoned decoder returned %v, want %v", err2, err)
+	if len(got.Samples) != 4 || got.Samples[3] != orig.Samples[3] {
+		t.Fatalf("decoded %d samples from a 4-sample capture with trailing bytes", len(got.Samples))
 	}
 }
 

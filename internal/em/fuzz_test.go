@@ -2,6 +2,7 @@ package em
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 )
@@ -13,8 +14,7 @@ import (
 //   - it must never allocate samples beyond what the input bytes can
 //     actually encode (the pre-rewrite reader trusted the header's count
 //     up to 2^34 — a 128 GiB allocation from a 34-byte input);
-//   - the incremental Decoder fed the same bytes in arbitrary chunkings
-//     must agree with ReadCapture exactly;
+//   - reads of any size must decode exactly as one whole read does;
 //   - a capture synthesised from the fuzz input must round-trip through
 //     WriteCapture → ReadCapture bit-identically.
 func FuzzReadCapture(f *testing.F) {
@@ -48,28 +48,19 @@ func FuzzReadCapture(f *testing.F) {
 			}
 		}
 
-		// 2. Chunked Decoder agrees with ReadCapture.
-		chunk := int(chunkSel%32) + 1
-		d := NewStreamDecoder()
-		var inc []float64
-		var incErr error
-		for off := 0; off < len(data) && incErr == nil; off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			incErr = d.FeedBlock(data[off:end], collect(&inc))
+		// 2. Short reads of any size decode the same as one whole read.
+		chunked, cerr := ReadCapture(&chunkReader{data: data, n: int(chunkSel%32) + 1})
+		if (cerr == nil) != (err == nil) {
+			t.Fatalf("chunked reads err=%v, whole input err=%v", cerr, err)
 		}
 		if err == nil {
-			if incErr != nil {
-				t.Fatalf("ReadCapture ok but Decoder failed: %v", incErr)
+			if chunked.SampleRate != c.SampleRate || chunked.ClockHz != c.ClockHz || len(chunked.Samples) != len(c.Samples) {
+				t.Fatalf("chunked reads: %d samples %v/%v, whole input %d samples %v/%v",
+					len(chunked.Samples), chunked.SampleRate, chunked.ClockHz, len(c.Samples), c.SampleRate, c.ClockHz)
 			}
-			if len(inc) != len(c.Samples) {
-				t.Fatalf("decoder emitted %d samples, ReadCapture %d", len(inc), len(c.Samples))
-			}
-			for i := range inc {
-				if math.Float64bits(inc[i]) != math.Float64bits(c.Samples[i]) {
-					t.Fatalf("sample %d: decoder %v, ReadCapture %v", i, inc[i], c.Samples[i])
+			for i := range c.Samples {
+				if math.Float64bits(chunked.Samples[i]) != math.Float64bits(c.Samples[i]) {
+					t.Fatalf("sample %d: chunked reads %v, whole input %v", i, chunked.Samples[i], c.Samples[i])
 				}
 			}
 		}
@@ -107,50 +98,49 @@ func FuzzReadCapture(f *testing.F) {
 	})
 }
 
-// FuzzDecoderFeedBlock pins FeedBlock's chunk invariance: for any input
-// bytes, either wire format and any chunking, it must emit exactly the
-// sample sequence that 1-byte feeds emit, agree with them on every
-// counter (Emitted, Trailing, Complete, Meta), and fail exactly when
-// they fail. 1-byte feeds take the word-fragment path for every sample
-// and the bulk path never, so the two decode each sample independently.
-func FuzzDecoderFeedBlock(f *testing.F) {
-	f.Add([]byte{}, uint8(1), uint8(9), false)
-	f.Add([]byte(captureMagic), uint8(3), uint8(1), false)
-	var seed bytes.Buffer
-	if err := WriteCapture(&seed, &Capture{
-		Samples: []float64{1, 0.25, -3.5}, SampleRate: 40e6, ClockHz: 1e9,
-	}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes(), uint8(7), uint8(31), false)
-	f.Add(seed.Bytes(), uint8(16), uint8(2), true)
-	// Declared count smaller than the payload → trailing bytes.
-	short := append([]byte(nil), seed.Bytes()...)
-	short[headerSize-8] = 1
-	f.Add(short, uint8(5), uint8(13), false)
+// chunkReader returns its data n bytes per Read.
+type chunkReader struct {
+	data []byte
+	n    int
+}
 
-	f.Fuzz(func(t *testing.T, data []byte, chunkA, chunkB uint8, raw bool) {
-		feed := func(chunk int) (*Decoder, []float64, error) {
-			d := NewStreamDecoder()
-			if raw {
-				d = NewRawDecoder()
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), r.n)], r.data)
+	r.data = r.data[k:]
+	return k, nil
+}
+
+// FuzzDecoderFeedBlock pins FeedBlock's chunk invariance: for any input
+// bytes and any chunking, it must emit exactly the sample sequence that
+// 1-byte feeds emit and agree with them on Emitted. 1-byte feeds take
+// the word-fragment path for every sample and the bulk path never, so
+// the two decode each sample independently. A decoder rebuilt from its
+// State at a fuzzed byte — a session hand-off mid-word — must continue
+// the stream identically.
+func FuzzDecoderFeedBlock(f *testing.F) {
+	f.Add([]byte{}, uint8(1), uint8(9), uint16(0))
+	f.Add([]byte{1, 2, 3}, uint8(3), uint8(1), uint16(2))
+	f.Add(rawWords(1, 0.25, -3.5), uint8(7), uint8(31), uint16(13))
+	f.Add(rawWords(1, 0.25, -3.5), uint8(16), uint8(2), uint16(24))
+	f.Add(append(rawWords(math.Pi, 1e-300), 9, 9, 9), uint8(5), uint8(13), uint16(11))
+
+	f.Fuzz(func(t *testing.T, data []byte, chunkA, chunkB uint8, cut uint16) {
+		feed := func(d *Decoder, data []byte, chunk int, out *[]float64) {
+			for off := 0; off < len(data); off += chunk {
+				if err := d.FeedBlock(data[off:min(off+chunk, len(data))], collect(out)); err != nil {
+					t.Fatalf("FeedBlock: %v", err)
+				}
 			}
-			var out []float64
-			var err error
-			for off := 0; off < len(data) && err == nil; off += chunk {
-				end := min(off+chunk, len(data))
-				err = d.FeedBlock(data[off:end], collect(&out))
-			}
-			return d, out, err
 		}
-		ref, refOut, refErr := feed(1)
-		check := func(name string, chunk int) {
-			d, out, err := feed(chunk)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s: err=%v, 1-byte feeds err=%v", name, err, refErr)
-			}
-			if len(out) != len(refOut) {
-				t.Fatalf("%s: emitted %d samples, 1-byte feeds %d", name, len(out), len(refOut))
+		ref, refOut := NewRawDecoder(), []float64(nil)
+		feed(ref, data, 1, &refOut)
+		check := func(name string, d *Decoder, out []float64) {
+			if len(out) != len(refOut) || d.Emitted() != ref.Emitted() {
+				t.Fatalf("%s: emitted %d samples (counter %d), 1-byte feeds %d (counter %d)",
+					name, len(out), d.Emitted(), len(refOut), ref.Emitted())
 			}
 			for i := range out {
 				if math.Float64bits(out[i]) != math.Float64bits(refOut[i]) {
@@ -158,22 +148,34 @@ func FuzzDecoderFeedBlock(f *testing.F) {
 						math.Float64bits(out[i]), math.Float64bits(refOut[i]))
 				}
 			}
-			if d.Emitted() != ref.Emitted() || d.Trailing() != ref.Trailing() ||
-				d.Complete() != ref.Complete() || d.HeaderDone() != ref.HeaderDone() {
-				t.Fatalf("%s: counters differ: emitted %d/%d trailing %d/%d complete %v/%v",
-					name, d.Emitted(), ref.Emitted(), d.Trailing(), ref.Trailing(),
-					d.Complete(), ref.Complete())
-			}
-			sr, ck, decl := d.Meta()
-			rsr, rck, rdecl := ref.Meta()
-			if math.Float64bits(sr) != math.Float64bits(rsr) ||
-				math.Float64bits(ck) != math.Float64bits(rck) || decl != rdecl {
-				t.Fatalf("%s: metadata differs", name)
-			}
+		}
+		for _, c := range []struct {
+			name  string
+			chunk int
+		}{{"fuzzed-chunking", int(chunkA%64) + 1}, {"wide-chunking", int(chunkB)*64 + 1}, {"one-shot", len(data) + 1}} {
+			d, out := NewRawDecoder(), []float64(nil)
+			feed(d, data, c.chunk, &out)
+			check(c.name, d, out)
 		}
 
-		check("fuzzed-chunking", int(chunkA%64)+1)
-		check("wide-chunking", int(chunkB)*64+1)
-		check("one-shot", len(data)+1)
+		// Hand-off: snapshot at byte k, restore, feed the rest.
+		k := int(cut) % (len(data) + 1)
+		a, out := NewRawDecoder(), []float64(nil)
+		feed(a, data[:k], int(chunkA%64)+1, &out)
+		b, err := RestoreDecoder(a.State())
+		if err != nil {
+			t.Fatalf("restore at byte %d: %v", k, err)
+		}
+		feed(b, data[k:], int(chunkA%64)+1, &out)
+		check("restored", b, out)
 	})
+}
+
+// rawWords encodes xs as a raw little-endian float64 stream.
+func rawWords(xs ...float64) []byte {
+	b := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		putFloat64(b[i*8:], x)
+	}
+	return b
 }

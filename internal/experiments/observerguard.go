@@ -102,7 +102,8 @@ func RunObserverGuard(count int, quick bool, w io.Writer) error {
 	}
 	pos := 0
 	step := func() {
-		s.Push(busy[pos&(len(busy)-1)])
+		i := pos & (len(busy) - 1)
+		s.PushBlock(busy[i : i+1])
 		pos++
 	}
 	for i := 0; i < 1<<14; i++ {

@@ -318,12 +318,14 @@ func (rt *Router) call(ctx context.Context, method, shard, path string, body []b
 //
 // Shard trouble splits into two statuses by what the shard may have
 // seen. 502 is reserved for failures *before* any byte is sent (shard
-// marked down): it can never leave partial state behind, so even a
-// plain untagged push retries it safely. A Do error is different — the
+// marked down): it can never leave partial state behind, so even an
+// untagged push retries it safely. A Do error is different — the
 // connection can break mid-body after the shard decoded a prefix — so
 // it surfaces as 504, which only idempotent (offset-tagged or GET)
-// requests retry. Collapsing both to 502 would let an untagged push
-// resend a body whose prefix already landed: a double ingest.
+// requests may retry. The package's Client tags every push; untagged
+// pushes come only from third-party callers (curl and the like), and
+// collapsing both statuses to 502 would let one of them resend a body
+// whose prefix already landed: a double ingest.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, body io.Reader, n int64) (*http.Response, int) {
 	if rt.isDown(shard) {
 		rt.proxyErrors.Add(1)

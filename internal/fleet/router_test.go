@@ -302,7 +302,7 @@ func TestFleetListAndMetricsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids[i] = id
-		if err := client.PushSamples(ctx, id, make([]float64, 50)); err != nil {
+		if _, err := client.PushSamplesAt(ctx, id, 0, make([]float64, 50)); err != nil {
 			t.Fatal(err)
 		}
 	}

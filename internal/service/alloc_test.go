@@ -45,7 +45,7 @@ func TestIngestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	run := func() {
 		served = false
-		if _, err := reg.ingest(sess, formatRaw, int64(len(chunk)), -1, next); err != nil {
+		if _, err := reg.ingest(sess, int64(len(chunk)), -1, next); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,8 +37,8 @@ type SessionState struct {
 	Bytes      int64     `json:"bytes_ingested"`
 
 	Stream *core.StreamState `json:"stream"`
-	// Decoder is nil when the session never ingested (no wire format
-	// chosen yet).
+	// Decoder is the word reassembly position. Import reads a missing
+	// one as zero samples emitted.
 	Decoder *em.DecoderState `json:"decoder,omitempty"`
 	// Windows is the rolling-window emitter's position, so the new owner
 	// continues the window sequence seamlessly (same indexes, no gap, no
@@ -103,6 +103,7 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 	// analyzer and windower a consistent pair. Every window sealed here is
 	// already in this shard's store, where fleet fan-in queries expect it
 	// once the importer owns the session.
+	ds := s.dec.State()
 	st := &SessionState{
 		ID:         s.id,
 		Device:     s.device,
@@ -111,16 +112,10 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 		Created:    s.created,
 		Bytes:      s.bytes,
 		Stream:     s.an.ExportState(),
+		Decoder:    &ds,
 	}
 	if s.win != nil {
 		st.Windows = s.win.ExportState()
-	}
-	if s.dec != nil {
-		ds, err := s.dec.State()
-		if err != nil {
-			return nil, err
-		}
-		st.Decoder = &ds
 	}
 	r.metrics.SessionsExported.Add(1)
 	return st, nil
@@ -174,15 +169,15 @@ func (r *Registry) Import(st *SessionState) error {
 			return fmt.Errorf("service: import windower ends at sample %d behind the analyzer frontier %d", end, an.Frontier())
 		}
 	}
-	var emitted int64
 	if st.Decoder != nil {
-		if s.dec, err = em.RestoreDecoder(*st.Decoder); err != nil {
+		dec, err := em.RestoreDecoder(*st.Decoder)
+		if err != nil {
 			return err
 		}
-		emitted = s.dec.Emitted()
+		s.dec = *dec
 	}
-	if emitted != an.Pushed() {
-		return fmt.Errorf("service: import decoder at sample %d but analyzer at %d", emitted, an.Pushed())
+	if s.dec.Emitted() != an.Pushed() {
+		return fmt.Errorf("service: import decoder at sample %d but analyzer at %d", s.dec.Emitted(), an.Pushed())
 	}
 	return r.admit(s, &r.metrics.SessionsImported)
 }

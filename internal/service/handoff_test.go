@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"emprof/internal/core"
-	"emprof/internal/em"
 	"emprof/internal/profstore"
 )
 
@@ -256,9 +255,10 @@ func oneChunk(body []byte) func() ([]byte, error) {
 }
 
 // exportedState streams the first half of a capture into a fresh
-// registry, raw or as an EMPROFCAP file, then pins and exports it: a
-// genuine hand-off state. windowS > 0 exports the windower too.
-func exportedState(tb testing.TB, windowS float64, format wireFormat) *SessionState {
+// registry, cut midWord three bytes into the next sample or at a sample
+// boundary, then pins and exports it: a genuine hand-off state.
+// windowS > 0 exports the windower too.
+func exportedState(tb testing.TB, windowS float64, midWord bool) *SessionState {
 	tb.Helper()
 	capture := testSignal(6000)
 	reg := NewRegistry(Config{WindowS: windowS}, nil)
@@ -268,18 +268,15 @@ func exportedState(tb testing.TB, windowS float64, format wireFormat) *SessionSt
 		tb.Fatal(err)
 	}
 	body := rawBytes(capture.Samples)
-	if format == formatCapture {
-		var buf bytes.Buffer
-		if err := em.WriteCapture(&buf, capture); err != nil {
-			tb.Fatal(err)
-		}
-		body = buf.Bytes()
+	cut := len(body) / 2
+	if midWord {
+		cut += 3
 	}
 	s, err := reg.get(id)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := reg.ingest(s, format, -1, -1, oneChunk(body[:len(body)/2])); err != nil {
+	if _, err := reg.ingest(s, -1, -1, oneChunk(body[:cut])); err != nil {
 		tb.Fatal(err)
 	}
 	if err := reg.Pin(id); err != nil {
@@ -314,7 +311,7 @@ func forgedImports(st *SessionState) map[string]*SessionState {
 // advertises the wrong rate, or answers 409 to every push that continues
 // its stream.
 func TestImportRejectsInconsistentState(t *testing.T) {
-	st := exportedState(t, 0, formatRaw)
+	st := exportedState(t, 0, false)
 	if st.Stream.Pushed == 0 || st.Decoder == nil {
 		t.Fatal("export holds no ingested samples")
 	}
@@ -339,7 +336,7 @@ func TestImportRejectsInconsistentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.ingest(s, formatRaw, -1, st.Stream.Pushed, oneChunk(rawBytes([]float64{1, 1, 1}))); err != nil {
+	if _, err := reg.ingest(s, -1, st.Stream.Pushed, oneChunk(rawBytes([]float64{1, 1, 1}))); err != nil {
 		t.Fatalf("push at the imported offset %d: %v", st.Stream.Pushed, err)
 	}
 }
@@ -358,11 +355,11 @@ func FuzzSessionImport(f *testing.F) {
 		f.Add(blob)
 	}
 	for _, windowS := range []float64{0, 2e-5} {
-		for _, format := range []wireFormat{formatRaw, formatCapture} {
-			add(exportedState(f, windowS, format))
+		for _, midWord := range []bool{false, true} {
+			add(exportedState(f, windowS, midWord))
 		}
 	}
-	for _, forged := range forgedImports(exportedState(f, 0, formatRaw)) {
+	for _, forged := range forgedImports(exportedState(f, 0, false)) {
 		add(forged)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -379,17 +376,12 @@ func FuzzSessionImport(f *testing.F) {
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
-		// Raw samples continue a raw stream; a capture stream may be at
-		// its declared end, so it gets an empty push.
-		var push []byte
-		if st.Decoder == nil || st.Decoder.Raw {
-			push = rawBytes(testSignal(64).Samples)
-		}
+		push := rawBytes(testSignal(64).Samples)
 		s, err := reg.get(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = reg.ingest(s, formatRaw, int64(len(push)), snap.SamplesIngested, oneChunk(push))
+		_, err = reg.ingest(s, int64(len(push)), snap.SamplesIngested, oneChunk(push))
 		overBudget := st.Bytes+int64(len(push)) > reg.cfg.MaxSessionBytes
 		if err != nil && !(overBudget && errors.Is(err, ErrBudget)) {
 			t.Fatalf("push at offset %d: %v", snap.SamplesIngested, err)

@@ -18,12 +18,11 @@ import (
 	"emprof/internal/core"
 )
 
-// ContentTypeCapture marks an ingest body in the EMPROFCAP file format
-// (header + samples); anything else is treated as ContentTypeRaw.
-const ContentTypeCapture = "application/x-emprofcap"
-
 // ContentTypeRaw marks an ingest body as headerless little-endian float64
-// samples.
+// samples, the only ingest format. Any Content-Type is read as raw except
+// an EMPROFCAP capture file's, which is refused (415) rather than have
+// its header profiled as samples: stream a file's samples, and give its
+// metadata to the session-create call.
 const ContentTypeRaw = "application/octet-stream"
 
 // ingestChunk sizes the per-read transfer buffer for sample ingest.
@@ -276,9 +275,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	rc.SetReadDeadline(time.Now().Add(s.reg.cfg.ReadTimeout))
 
-	format := formatRaw
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeCapture) {
-		format = formatCapture
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-emprofcap") {
+		writeJSON(w, http.StatusUnsupportedMediaType, apiError{Error: "service: capture files are not ingested; push their samples raw"})
+		return
 	}
 	offset := int64(-1)
 	if h := r.Header.Get(HeaderOffset); h != "" {
@@ -299,7 +298,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return buf[:n], rerr
 	}
-	res, err := s.reg.ingest(sess, format, r.ContentLength, offset, next)
+	res, err := s.reg.ingest(sess, r.ContentLength, offset, next)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -308,10 +307,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // HeaderOffset is the ingest request header carrying the session-stream
-// sample index of the body's first sample (raw format only). Offset-
-// tagged pushes are idempotent: a retry whose predecessor partially (or
-// fully, with the response lost) landed skips the already-ingested
-// prefix instead of double-counting it.
+// sample index of the body's first sample. Offset-tagged pushes are
+// idempotent: a retry whose predecessor partially (or fully, with the
+// response lost) landed skips the already-ingested prefix instead of
+// double-counting it.
 const HeaderOffset = "X-Emprof-Offset"
 
 // ack serves a session route whose step answers nothing but success:

@@ -47,7 +47,7 @@ func BenchmarkIngestWindowed(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				served = false
-				if _, err := reg.ingest(sess, formatRaw, int64(len(chunk)), -1, next); err != nil {
+				if _, err := reg.ingest(sess, int64(len(chunk)), -1, next); err != nil {
 					b.Fatal(err)
 				}
 			}

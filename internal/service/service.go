@@ -133,8 +133,8 @@ var (
 	ErrClosed = errors.New("service: shutting down")
 	// ErrNotFound is returned for unknown session IDs (HTTP 404).
 	ErrNotFound = errors.New("service: no such session")
-	// ErrPoisoned is returned when ingesting into a session whose stream
-	// previously failed to decode (HTTP 400).
+	// ErrPoisoned is returned when ingesting into a session whose
+	// analysis previously panicked (HTTP 400).
 	ErrPoisoned = errors.New("service: session stream previously failed")
 	// ErrPinned is returned while a session is pinned for hand-off to
 	// another shard (HTTP 503: transient, retry — the router will direct
@@ -169,11 +169,11 @@ type session struct {
 	// ingest loop passes a prebuilt func value to the decoder instead of
 	// allocating a closure per request.
 	emit      func([]float64)
-	dec       *em.Decoder // nil until the first ingest chooses a wire format
+	dec       em.Decoder
 	bytes     int64
 	finalized bool
 	final     *core.Profile
-	poison    error // first decode or analysis error; the session rejects further ingest
+	poison    error // first analysis panic; the session rejects further ingest
 	// pinned marks the session frozen for hand-off: ingest, snapshot and
 	// finalize answer ErrPinned (503) until the move completes, so no
 	// sample can land on two shards.
@@ -406,37 +406,26 @@ type IngestResult struct {
 	BytesIngested   int64 `json:"bytes_ingested"`
 }
 
-// wireFormat selects how an ingest body is decoded.
-type wireFormat int
-
-const (
-	// formatRaw is a headerless stream of little-endian float64 samples;
-	// the acquisition metadata came from session creation.
-	formatRaw wireFormat = iota
-	// formatCapture is the EMPROFCAP file format; its header metadata
-	// must match the session's.
-	formatCapture
-)
-
 // ingest feeds one body chunk-by-chunk into the session's decoder and
 // analyzer; when it returns, every decoded sample has been analysed and
-// every window it sealed appended to the window store. next returns
-// successive byte chunks ((nil, io.EOF) at end); the caller owns
-// transport concerns (deadlines, chunk sizing).
+// every window it sealed appended to the window store. The body is raw
+// little-endian float64 samples; the acquisition metadata came from
+// session creation. next returns successive byte chunks ((nil, io.EOF)
+// at end); the caller owns transport concerns (deadlines, chunk sizing).
 // declaredLen, when >= 0 (a Content-Length), is checked against the byte
 // budget before anything is consumed, so a rejected request ingests
 // nothing and is safe to retry. Bodies without a declared length are
 // cut off mid-stream when the budget runs out.
 //
 // offset, when >= 0, is the session-stream index of the body's first
-// sample (the X-Emprof-Offset header, raw format only): the portion of
-// the body the session has already decoded — a retry of a push whose
-// response was lost, or that died mid-body — is skipped instead of
-// re-ingested, which is what makes client retries on 429/502/503 safe
-// from double counting. An offset beyond the ingested stream is a
+// sample (the X-Emprof-Offset header): the portion of the body the
+// session has already decoded — a retry of a push whose response was
+// lost, or that died mid-body — is skipped instead of re-ingested, which
+// is what makes client retries on 429/502/503/504 and network errors
+// safe from double counting. An offset beyond the ingested stream is a
 // conflict: samples in between were lost for good and the profile can
 // no longer be trusted to match the capture.
-func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int64, next func() ([]byte, error)) (IngestResult, error) {
+func (r *Registry) ingest(s *session, declaredLen, offset int64, next func() ([]byte, error)) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finalized {
@@ -448,55 +437,30 @@ func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int
 	if s.poison != nil {
 		return IngestResult{}, s.poisoned()
 	}
-	if offset >= 0 && format != formatRaw {
-		return IngestResult{}, fmt.Errorf("service: push offsets apply to raw-format ingest only")
-	}
-	if declaredLen >= 0 {
-		// Charge only the bytes this request can actually ingest: an
-		// offset-tagged retry skips the already-decoded prefix, so that
-		// prefix must not count against the budget again — otherwise a
-		// retry of a push that mostly landed near MaxSessionBytes draws
-		// 429 forever even though its effective new bytes fit.
-		effective := declaredLen
-		if offset >= 0 && s.dec != nil {
-			if skip := (s.dec.Emitted() - offset) * 8; skip > 0 {
-				if skip > effective {
-					skip = effective
-				}
-				effective -= skip
-			}
-		}
-		if s.bytes+effective > r.cfg.MaxSessionBytes {
-			return IngestResult{}, ErrBudget
-		}
-	}
-	if s.dec == nil {
-		if format == formatCapture {
-			s.dec = em.NewStreamDecoder()
-		} else {
-			s.dec = em.NewRawDecoder()
-		}
-	}
-	var skip int64
-	if offset >= 0 {
-		cur := s.dec.Emitted()
-		if offset > cur {
-			return r.ingestTotals(s), fmt.Errorf("%w: push offset %d beyond ingested stream (%d samples)", ErrConflict, offset, cur)
-		}
-		// The already-decoded prefix of this body is skipped below. Any
-		// half-assembled word left by an interrupted request is a prefix
-		// of sample cur, which this body resends whole: drop it so the
-		// resent bytes aren't appended to stale ones.
+	cur := s.dec.Emitted()
+	var skip int64 // bytes of this body the session already decoded
+	if offset >= 0 && offset <= cur {
 		skip = (cur - offset) * 8
+	}
+	// Charge only the bytes this request can actually ingest: the skipped
+	// prefix of an offset-tagged retry must not count against the budget
+	// again, or a retry of a push that mostly landed near MaxSessionBytes
+	// would draw 429 forever even though its new bytes fit.
+	if declaredLen >= 0 && s.bytes+declaredLen-min(skip, declaredLen) > r.cfg.MaxSessionBytes {
+		return IngestResult{}, ErrBudget
+	}
+	if offset > cur {
+		return r.ingestTotals(s), fmt.Errorf("%w: push offset %d beyond ingested stream (%d samples)", ErrConflict, offset, cur)
+	}
+	if offset >= 0 {
+		// Any half-assembled word left by an interrupted request is a
+		// prefix of sample cur, which this body resends whole: drop it so
+		// the resent bytes aren't appended to stale ones.
 		s.dec.DropFragment()
 	}
 	for {
 		chunk, err := next()
-		if skip > 0 && len(chunk) > 0 {
-			n := int64(len(chunk))
-			if n > skip {
-				n = skip
-			}
+		if n := min(skip, int64(len(chunk))); n > 0 {
 			chunk = chunk[n:]
 			skip -= n
 		}
@@ -505,25 +469,13 @@ func (r *Registry) ingest(s *session, format wireFormat, declaredLen, offset int
 				return r.ingestTotals(s), ErrBudget
 			}
 			before := s.dec.Emitted()
-			if derr := s.dec.FeedBlock(chunk, s.emit); derr != nil {
-				s.poison = derr
-				return r.ingestTotals(s), derr
-			}
+			_ = s.dec.FeedBlock(chunk, s.emit) // always nil: any bytes are words
 			s.bytes += int64(len(chunk))
 			r.metrics.IngestBytes.Add(int64(len(chunk)))
 			r.metrics.SamplesIngested.Add(s.dec.Emitted() - before)
 			if s.poison != nil {
 				// analyzeBlock recovered a panic: this push fails too.
 				return r.ingestTotals(s), s.poisoned()
-			}
-			if !s.headerOK() {
-				s.poison = fmt.Errorf("capture header metadata does not match session (header %v/%v)",
-					headerRate(s.dec), headerClock(s.dec))
-				return r.ingestTotals(s), s.poison
-			}
-			if s.dec.Trailing() > 0 {
-				s.poison = fmt.Errorf("stream continues past the capture's declared sample count")
-				return r.ingestTotals(s), s.poison
 			}
 		}
 		if err == io.EOF {
@@ -559,22 +511,6 @@ func (s *session) stateLocked() string {
 	}
 	return "active"
 }
-
-// headerOK checks EMPROFCAP header metadata against the session's once
-// the header is available.
-func (s *session) headerOK() bool {
-	if !s.dec.HeaderDone() {
-		return true
-	}
-	rate, clock, _ := s.dec.Meta()
-	if rate == 0 && clock == 0 {
-		return true // raw decoder: no header to check
-	}
-	return rate == s.sampleRate && clock == s.clockHz
-}
-
-func headerRate(d *em.Decoder) float64  { r, _, _ := d.Meta(); return r }
-func headerClock(d *em.Decoder) float64 { _, c, _ := d.Meta(); return c }
 
 // Snapshot is the live-profile view of a session: only causal,
 // already-decided stalls appear (core.StreamAnalyzer.Snapshot), alongside
@@ -691,8 +627,7 @@ func (r *Registry) Trace(id string) (*TraceResponse, error) {
 
 // Finalize removes a session from the registry and returns its final
 // profile — the same profile a batch analysis of the full capture would
-// produce. A session poisoned by a decode error finalizes to its decoded
-// prefix; one whose finalize panicked answers ErrPoisoned.
+// produce. A session whose finalize panicked answers ErrPoisoned.
 func (r *Registry) Finalize(id string) (*core.Profile, error) {
 	r.mu.Lock()
 	if r.closed {

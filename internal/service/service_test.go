@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,9 +124,9 @@ func postSamples(t *testing.T, ts *httptest.Server, id string, body []byte, cont
 	return resp.StatusCode, string(msg)
 }
 
-// TestStreamedProfileMatchesBatch streams a capture in chunks (raw and
-// EMPROFCAP wire formats) and requires the finalized profile to be
-// bit-identical to the batch analyzer's.
+// TestStreamedProfileMatchesBatch streams a capture in chunks and
+// requires the finalized profile to be bit-identical to the batch
+// analyzer's.
 func TestStreamedProfileMatchesBatch(t *testing.T) {
 	capture := testSignal(30000)
 	want := core.MustNewAnalyzer(core.DefaultConfig()).Profile(capture)
@@ -148,35 +150,6 @@ func TestStreamedProfileMatchesBatch(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatal("streamed profile differs from batch analysis")
-		}
-	})
-
-	t.Run("emprofcap", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{})
-		id := createSession(t, ts, capture.SampleRate, capture.ClockHz)
-		var buf bytes.Buffer
-		if err := em.WriteCapture(&buf, capture); err != nil {
-			t.Fatal(err)
-		}
-		enc := buf.Bytes()
-		// Deliberately misaligned chunks: the header and words split
-		// across requests.
-		for off := 0; off < len(enc); {
-			end := off + 10001
-			if end > len(enc) {
-				end = len(enc)
-			}
-			if code, msg := postSamples(t, ts, id, enc[off:end], ContentTypeCapture); code != http.StatusOK {
-				t.Fatalf("ingest at %d: HTTP %d: %s", off, code, msg)
-			}
-			off = end
-		}
-		got, err := srv.Registry().Finalize(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("EMPROFCAP-streamed profile differs from batch analysis")
 		}
 	})
 }
@@ -419,26 +392,141 @@ func TestGracefulClose(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestPoisonedSession checks a decode failure rejects further ingest but
-// leaves other sessions untouched.
-func TestPoisonedSession(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	id := createSession(t, ts, 40e6, 1e9)
-	if code, _ := postSamples(t, ts, id, []byte("garbage!!! definitely not an EMPROFCAP header"), ContentTypeCapture); code != http.StatusBadRequest {
-		t.Fatalf("bad magic: HTTP %d, want 400", code)
-	}
-	if code, _ := postSamples(t, ts, id, rawBytes([]float64{1}), ContentTypeRaw); code != http.StatusBadRequest {
-		t.Fatal("poisoned session accepted more data")
-	}
-	// Metadata mismatch also poisons.
-	id2 := createSession(t, ts, 40e6, 1e9)
+// TestIngestRefusesCaptureFiles checks that an EMPROFCAP file body is
+// refused whole (415), whether its header is well-formed or not, rather
+// than having its header profiled as samples, and that the refusal
+// leaves the session usable: the capture's samples, pushed raw at offset
+// 0, finalize bit-identical to batch analysis.
+func TestIngestRefusesCaptureFiles(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	capture := testSignal(30000)
+	id := createSession(t, ts, capture.SampleRate, capture.ClockHz)
 	var buf bytes.Buffer
-	if err := em.WriteCapture(&buf, &em.Capture{Samples: []float64{1}, SampleRate: 20e6, ClockHz: 1e9}); err != nil {
+	if err := em.WriteCapture(&buf, capture); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := postSamples(t, ts, id2, buf.Bytes(), ContentTypeCapture); code != http.StatusBadRequest {
-		t.Fatal("mismatched capture header accepted")
+	for _, body := range [][]byte{buf.Bytes(), []byte("garbage!!! definitely not an EMPROFCAP header")} {
+		if code, msg := postSamples(t, ts, id, body, "application/x-emprofcap"); code != http.StatusUnsupportedMediaType {
+			t.Fatalf("capture file body: HTTP %d %s, want 415", code, msg)
+		}
 	}
+	snap, err := snapshotOf(srv.Registry(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.SamplesIngested != 0 || snap.BytesIngested != 0 {
+		t.Fatalf("refused bodies ingested %d samples (%d bytes)", snap.SamplesIngested, snap.BytesIngested)
+	}
+	if code, msg := postSamplesAt(t, ts, id, 0, rawBytes(capture.Samples)); code != http.StatusOK {
+		t.Fatalf("raw push at 0: HTTP %d %s", code, msg)
+	}
+	got, err := srv.Registry().Finalize(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := core.MustNewAnalyzer(core.DefaultConfig()).Profile(capture); !reflect.DeepEqual(got, want) {
+		t.Fatal("profile after a refused capture file differs from batch analysis")
+	}
+}
+
+// FuzzIngest drives one session with a sequence of offset-tagged pushes
+// of one capture's raw bytes, five fuzz bytes per push: the offset (16
+// bits, behind, at or past the stream's end), the body length in bytes
+// (16 bits, so bodies may end mid-word), and a byte choosing the read
+// size, whether the body declares its length, and whether next fails
+// after the first read. After every push, nothing has panicked, the
+// reported sample count is the analyzer's, every decoded sample is the
+// capture's at its index, and an offset past the decoded stream answered
+// ErrConflict. A final push of the rest then finalizes bit-identical to
+// batch analysis.
+func FuzzIngest(f *testing.F) {
+	capture := testSignal(6000)
+	enc := rawBytes(capture.Samples)
+	want := core.MustNewAnalyzer(core.DefaultConfig()).Profile(capture)
+	push := func(offset, n uint16, flags byte) []byte {
+		return []byte{byte(offset), byte(offset >> 8), byte(n), byte(n >> 8), flags}
+	}
+	f.Add([]byte{})
+	f.Add(slices.Concat(push(0, 16000, 0x3f), push(2000, 20000, 0x80), push(1000, 30000, 0)))
+	f.Add(slices.Concat(push(0, 8003, 0x41), push(0, 8003, 0), push(1002, 13, 0x87), push(7000, 8, 0)))
+	f.Add(slices.Concat(push(500, 8, 0), push(0, 65535, 0xc5), push(3000, 24001, 0x02), push(2999, 5, 0x80)))
+	f.Add(slices.Concat(push(0, 800, 0), push(101, 8, 0), push(100, 8, 0)))
+	errInjected := errors.New("injected read failure")
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reg := NewRegistry(Config{}, nil)
+		defer reg.Close()
+		id, err := reg.CreateSession(CreateOpts{SampleRate: capture.SampleRate, ClockHz: capture.ClockHz, Config: core.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := reg.get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded int64
+		analyze := s.emit
+		s.emit = func(xs []float64) {
+			for _, x := range xs {
+				if decoded >= int64(len(capture.Samples)) || math.Float64bits(x) != math.Float64bits(capture.Samples[decoded]) {
+					t.Fatalf("decoded sample %d is not the capture's", decoded)
+				}
+				decoded++
+			}
+			analyze(xs)
+		}
+		ingest := func(offset int64, body []byte, flags byte) (IngestResult, error) {
+			declared := int64(-1)
+			if flags&0x80 != 0 {
+				declared = int64(len(body))
+			}
+			read, reads := int(flags&0x3f)*97+1, 0
+			return reg.ingest(s, declared, offset, func() ([]byte, error) {
+				if reads++; reads > 1 && flags&0x40 != 0 {
+					return nil, errInjected
+				}
+				n := min(read, len(body))
+				chunk := body[:n]
+				body = body[n:]
+				if len(body) == 0 {
+					return chunk, io.EOF
+				}
+				return chunk, nil
+			})
+		}
+		for i := 0; i+5 <= len(data) && i < 64*5; i += 5 {
+			offset := int64(binary.LittleEndian.Uint16(data[i:]))
+			start := min(offset*8, int64(len(enc)))
+			body := enc[start:min(start+int64(binary.LittleEndian.Uint16(data[i+2:])), int64(len(enc)))]
+			before := decoded
+			res, err := ingest(offset, body, data[i+4])
+			switch {
+			case offset > before:
+				if !errors.Is(err, ErrConflict) || decoded != before {
+					t.Fatalf("push at %d past the decoded %d: err %v, %d samples decoded", offset, before, err, decoded)
+				}
+			case err != nil && !errors.Is(err, errInjected):
+				t.Fatalf("push at %d: %v", offset, err)
+			}
+			s.mu.Lock()
+			pushed := s.an.Pushed()
+			s.mu.Unlock()
+			if res.SamplesIngested != decoded || pushed != decoded || reg.metrics.SamplesIngested.Load() != decoded {
+				t.Fatalf("push at %d: reported %d samples, analyzer %d, metric %d, decoded %d",
+					offset, res.SamplesIngested, pushed, reg.metrics.SamplesIngested.Load(), decoded)
+			}
+		}
+		if _, err := ingest(decoded, enc[decoded*8:], 0xbf); err != nil {
+			t.Fatalf("push of the rest at %d: %v", decoded, err)
+		}
+		got, err := reg.Finalize(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("fuzzed push sequence finalized to a profile that differs from batch analysis")
+		}
+	})
 }
 
 // TestAnalysisPanicPoisonsSession checks that a panic in the analysis
@@ -482,9 +570,8 @@ func TestAnalysisPanicPoisonsSession(t *testing.T) {
 
 // TestPoisonedSessionRetires checks that every way out of the registry
 // survives a session whose analysis panicked — finalizing it re-runs the
-// faulty chain — and that a session poisoned while decoding still
-// finalizes to its decoded prefix. DELETE answers 400 naming the fault;
-// the idle sweep (the daemon's GC goroutine) and Close must not panic.
+// faulty chain. DELETE answers 400 naming the fault; the idle sweep (the
+// daemon's GC goroutine) and Close must not panic.
 func TestPoisonedSessionRetires(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1e9, 0)}
 	srv, ts := newTestServer(t, Config{IdleTTL: time.Minute, Now: clk.now})
@@ -528,24 +615,6 @@ func TestPoisonedSessionRetires(t *testing.T) {
 		t.Fatalf("sessions finalized = %d after DELETE, want 1", got)
 	}
 
-	// A capture stream that runs past its declared sample count is
-	// poisoned after decoding all of them: DELETE returns their profile.
-	var capBuf bytes.Buffer
-	if err := em.WriteCapture(&capBuf, capture); err != nil {
-		t.Fatal(err)
-	}
-	id := createSession(t, ts, capture.SampleRate, capture.ClockHz)
-	if code, msg := postSamples(t, ts, id, append(capBuf.Bytes(), rawBytes([]float64{1})...), ContentTypeCapture); code != http.StatusBadRequest {
-		t.Fatalf("push past the declared count: HTTP %d %s, want 400", code, msg)
-	}
-	want, err := json.Marshal(core.MustNewAnalyzer(core.DefaultConfig()).Profile(capture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, msg := finalize(id); code != http.StatusOK || msg != string(want)+"\n" {
-		t.Fatalf("DELETE of a decode-poisoned session: HTTP %d, body differs from its prefix's batch profile", code)
-	}
-
 	panicked()
 	clk.advance(2 * time.Minute)
 	if n := reg.Sweep(clk.now()); n != 1 {
@@ -557,8 +626,8 @@ func TestPoisonedSessionRetires(t *testing.T) {
 
 	panicked()
 	srv.Close()
-	if got := reg.Metrics().SessionsFinalized.Load(); got != 3 {
-		t.Fatalf("sessions finalized = %d after Close, want 3", got)
+	if got := reg.Metrics().SessionsFinalized.Load(); got != 2 {
+		t.Fatalf("sessions finalized = %d after Close, want 2", got)
 	}
 }
 

@@ -45,7 +45,7 @@ func getProfiles(t *testing.T, ts *httptest.Server, id, query string) (*Profiles
 // one chunk, with no HTTP in between.
 func ingestBody(t *testing.T, reg *Registry, s *session, body []byte) {
 	t.Helper()
-	if _, err := reg.ingest(s, formatRaw, int64(len(body)), -1, oneChunk(body)); err != nil {
+	if _, err := reg.ingest(s, int64(len(body)), -1, oneChunk(body)); err != nil {
 		t.Fatal(err)
 	}
 }

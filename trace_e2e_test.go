@@ -126,7 +126,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	for i := range pad {
 		pad[i] = level
 	}
-	if err := client.PushSamples(ctx, id, pad); err != nil {
+	if _, err := client.PushSamplesAt(ctx, id, int64(len(capture.Samples)), pad); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := client.Trace(ctx, id)
