@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	emprof "emprof"
+	"emprof/internal/acquire"
 )
 
 // TestSimulateBatchCyclesInvariant is the end-to-end contract for the
 // block-vectorized synthesis pipeline: the batch size at the
-// simulator→receiver boundary is a pure performance knob. Captures, the
+// simulator→receiver boundary (acquire.Hooks.BatchCycles) is a pure
+// performance knob. Captures, the
 // memory-probe capture and the SESC-style power trace must be bit-identical
-// whether power is delivered strictly per cycle, in the default blocks, or
+// whether power is delivered in blocks of one cycle, in the default blocks, or
 // in a deliberately odd batch size that never divides the capture evenly.
 func TestSimulateBatchCyclesInvariant(t *testing.T) {
 	run := func(batch int) *emprof.Run {
@@ -20,12 +22,11 @@ func TestSimulateBatchCyclesInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := emprof.Simulate(emprof.DeviceOlimex(), w, emprof.CaptureOptions{
+		r, err := acquire.Simulate(emprof.DeviceOlimex(), w, emprof.CaptureOptions{
 			Seed:        42,
 			PowerProxy:  true,
 			MemoryProbe: true,
-			BatchCycles: batch,
-		})
+		}, acquire.Hooks{BatchCycles: batch})
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}

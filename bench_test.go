@@ -573,24 +573,14 @@ func BenchmarkSynthesisSeries(b *testing.B) {
 }
 
 // BenchmarkSynthesisEndToEnd measures the full simulate→synthesize→capture
-// chain with the default simulator→receiver batching.
+// chain.
 func BenchmarkSynthesisEndToEnd(b *testing.B) {
-	benchSynthesisEndToEnd(b, 0)
-}
-
-// BenchmarkSynthesisEndToEndPerCycle is the same chain forced to strictly
-// per-cycle delivery — the contrast documents what batching buys.
-func BenchmarkSynthesisEndToEndPerCycle(b *testing.B) {
-	benchSynthesisEndToEnd(b, 1)
-}
-
-func benchSynthesisEndToEnd(b *testing.B, batch int) {
 	run1 := func() *emprof.Run {
 		w, err := emprof.Microbenchmark(128, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := emprof.Simulate(emprof.DeviceOlimex(), w, emprof.CaptureOptions{Seed: 1, BatchCycles: batch})
+		r, err := emprof.Simulate(emprof.DeviceOlimex(), w, emprof.CaptureOptions{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,11 +3,14 @@ package emprof
 import (
 	"reflect"
 	"testing"
+
+	"emprof/internal/acquire"
 )
 
 // TestSimulateExactThreeWay is the top-level equivalence contract for the
 // event-driven simulator: over the sweep grid (both devices, the standard
-// microbenchmark, two seeds), (1) Simulate and SimulateExact must return
+// microbenchmark, two seeds), (1) Simulate and the per-cycle reference
+// loop (acquire.Hooks.Exact) must return
 // bit-identical runs — captures, power proxy, memory probe and ground
 // truth — and (2) the analysis side must agree: the batch and
 // WithWorkers analyzers produce the same Profile from either capture.
@@ -34,12 +37,11 @@ func TestSimulateExactThreeWay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: Simulate: %v", d.name, seed, err)
 			}
-			exact, err := SimulateExact(d.dev, w, opts)
+			exact, err := acquire.Simulate(d.dev, w, opts, acquire.Hooks{Exact: true})
 			if err != nil {
-				t.Fatalf("%s seed %d: SimulateExact: %v", d.name, seed, err)
+				t.Fatalf("%s seed %d: exact: %v", d.name, seed, err)
 			}
-			// The Exact flag itself is the only permitted difference; the
-			// whole observable Run must match bitwise.
+			// The whole observable Run must match bitwise.
 			if !reflect.DeepEqual(fast.Capture, exact.Capture) {
 				t.Fatalf("%s seed %d: processor captures diverge", d.name, seed)
 			}
@@ -101,18 +103,19 @@ func FuzzSimulateSkipAhead(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		opts := CaptureOptions{Seed: seed, BatchCycles: int(batchRaw % 5000)}
-		fast, err := Simulate(dev, w, opts)
+		opts := CaptureOptions{Seed: seed}
+		batch := int(batchRaw % 5000)
+		fast, err := acquire.Simulate(dev, w, opts, acquire.Hooks{BatchCycles: batch})
 		if err != nil {
 			t.Fatalf("Simulate: %v", err)
 		}
-		exact, err := SimulateExact(dev, w, opts)
+		exact, err := acquire.Simulate(dev, w, opts, acquire.Hooks{Exact: true, BatchCycles: batch})
 		if err != nil {
-			t.Fatalf("SimulateExact: %v", err)
+			t.Fatalf("exact: %v", err)
 		}
 		if !reflect.DeepEqual(fast.Truth, exact.Truth) {
 			t.Fatalf("ground truth diverges (width=%d window=%d mshrs=%d batch=%d)",
-				dev.CPU.Width, dev.CPU.OoOWindow, dev.Mem.MSHRs, opts.BatchCycles)
+				dev.CPU.Width, dev.CPU.OoOWindow, dev.Mem.MSHRs, batch)
 		}
 		a, b := fast.Capture.Samples, exact.Capture.Samples
 		if len(a) != len(b) {
@@ -121,7 +124,7 @@ func FuzzSimulateSkipAhead(f *testing.F) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("sample %d: skip-ahead %v, per-cycle %v (width=%d window=%d mshrs=%d batch=%d)",
-					i, a[i], b[i], dev.CPU.Width, dev.CPU.OoOWindow, dev.Mem.MSHRs, opts.BatchCycles)
+					i, a[i], b[i], dev.CPU.Width, dev.CPU.OoOWindow, dev.Mem.MSHRs, batch)
 			}
 		}
 	})

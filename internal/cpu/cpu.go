@@ -165,13 +165,13 @@ type Core struct {
 	cfg Config
 	ms  *mem.System
 
-	sinks power.MultiSink
+	sinks []power.Sink
 
-	// BatchCycles sets the granularity of the power fan-out: per-cycle
-	// values are buffered and handed to the sinks in blocks of this many
-	// cycles (block-capable sinks get one PushBlock call, plain sinks an
-	// equivalent per-cycle stream — the observable result is identical
-	// either way). 0 selects the default; 1 forces the per-cycle path.
+	// BatchCycles and Exact are test hooks; neither changes what the
+	// sinks or the Result see. BatchCycles is the block size of the
+	// power fan-out: per-cycle values are buffered and handed to every
+	// sink in one PushBlock call per this many cycles (0 selects the
+	// default, 1 hands over one cycle at a time).
 	BatchCycles int
 	batch       []float64
 
@@ -226,7 +226,8 @@ func (c *Core) Config() Config { return c.cfg }
 // Mem returns the attached memory system.
 func (c *Core) Mem() *mem.System { return c.ms }
 
-// AddSink registers a per-cycle power consumer.
+// AddSink registers a power consumer. It receives the per-cycle power
+// stream in blocks of BatchCycles cycles, the last block short.
 func (c *Core) AddSink(s power.Sink) { c.sinks = append(c.sinks, s) }
 
 // fetchRing is the decoded-instruction buffer as a fixed-capacity ring
@@ -1032,7 +1033,7 @@ func (c *Core) push(p float64) {
 }
 
 // pushN buffers n consecutive cycles of the same power value, flushing at
-// exactly the batch boundaries the per-cycle push would hit, so sinks see
+// exactly the batch boundaries n calls to push would hit, so sinks see
 // identical PushBlock call sequences either way.
 func (c *Core) pushN(p float64, n uint64) {
 	for n > 0 {
@@ -1056,7 +1057,9 @@ func (c *Core) pushN(p float64, n uint64) {
 // flushBatch delivers any buffered cycles to the sinks.
 func (c *Core) flushBatch() {
 	if len(c.batch) > 0 {
-		c.sinks.PushBlock(c.batch)
+		for _, s := range c.sinks {
+			s.PushBlock(c.batch)
+		}
 		c.batch = c.batch[:0]
 	}
 }

@@ -9,13 +9,12 @@ import (
 	"emprof/internal/sim"
 )
 
-// collectSink records every per-cycle power value. It deliberately does
-// NOT implement power.BlockSink: batched flushes reach it through the
-// MultiSink fallback as individual PushCycle calls, so it observes the
-// exact per-cycle stream no matter how the core batches internally.
+// collectSink records the per-cycle power stream by concatenating the
+// blocks it is handed, so it observes the same series whatever block size
+// the core flushes at.
 type collectSink struct{ ps []float64 }
 
-func (s *collectSink) PushCycle(p float64) { s.ps = append(s.ps, p) }
+func (s *collectSink) PushBlock(ps []float64) { s.ps = append(s.ps, ps...) }
 
 // runMode runs one random program on a fresh core and returns the result
 // plus the full per-cycle power series.

@@ -37,10 +37,10 @@ func splitSizes(seed uint64, total int) []int {
 	return sizes
 }
 
-// TestFIRProcessBlockBitIdentical drives the same signal through a scalar
-// Process loop and through ProcessBlock with many different block splits;
-// every output must match bit for bit, for every tap count, including when
-// Process and ProcessBlock calls interleave on one filter.
+// TestFIRProcessBlockBitIdentical drives the same signal through the
+// sample-at-a-time oracle and through ProcessBlock with many different
+// block splits (empty blocks and blocks of one included); every output
+// must match bit for bit, for every tap count.
 func TestFIRProcessBlockBitIdentical(t *testing.T) {
 	for _, taps := range [][]float64{
 		{1.5},
@@ -51,7 +51,7 @@ func TestFIRProcessBlockBitIdentical(t *testing.T) {
 		LowpassFIR(0.05, 64).Taps(),
 	} {
 		in := randSignal(uint64(len(taps)), 700)
-		ref := NewFIR(taps)
+		ref := newRefFIR(taps)
 		want := make([]float64, len(in))
 		for i, x := range in {
 			want[i] = ref.Process(x)
@@ -61,16 +61,7 @@ func TestFIRProcessBlockBitIdentical(t *testing.T) {
 			var got []float64
 			pos := 0
 			for _, sz := range splitSizes(split, len(in)) {
-				blk := in[pos : pos+sz]
-				if sz%2 == 1 {
-					// Odd blocks go through the scalar path to prove
-					// state interchanges exactly.
-					for _, x := range blk {
-						got = append(got, f.Process(x))
-					}
-				} else {
-					got = append(got, f.ProcessBlock(blk, nil)...)
-				}
+				got = append(got, f.ProcessBlock(in[pos:pos+sz], nil)...)
 				pos += sz
 			}
 			if len(got) != len(want) {
@@ -94,14 +85,14 @@ func TestProcessBlockEdgeCases(t *testing.T) {
 
 	t.Run("fir-empty", func(t *testing.T) {
 		f := NewFIR(taps)
-		f.Process(1)
+		f.ProcessBlock([]float64{1}, nil)
 		if out := f.ProcessBlock(nil, nil); len(out) != 0 {
 			t.Fatalf("empty block produced %d outputs", len(out))
 		}
 		// State must be untouched by the empty call.
 		g := NewFIR(taps)
-		g.Process(1)
-		if a, b := f.Process(2), g.Process(2); a != b {
+		g.ProcessBlock([]float64{1}, nil)
+		if a, b := f.ProcessBlock([]float64{2}, nil)[0], g.ProcessBlock([]float64{2}, nil)[0]; a != b {
 			t.Fatalf("empty block disturbed state: %v vs %v", a, b)
 		}
 	})
@@ -208,8 +199,8 @@ func TestLowpassFIRCached(t *testing.T) {
 		t.Fatal("Taps() exposed the cached tap vector")
 	}
 	// Independent state: feeding a leaves b at rest.
-	a.Process(123)
-	if y := b.Process(0); y != 0 {
+	a.ProcessBlock([]float64{123}, nil)
+	if y := b.ProcessBlock([]float64{0}, nil)[0]; y != 0 {
 		t.Fatalf("cached filters share streaming state: got %v, want 0", y)
 	}
 }
@@ -250,30 +241,15 @@ func TestHannCachedSharedAndEqual(t *testing.T) {
 	}
 }
 
-// BenchmarkFIRProcessBlock contrasts the scalar loop with the flat block
-// kernel for the receiver-sized 9-tap RBW filter.
+// BenchmarkFIRProcessBlock times the block kernel on the receiver-sized
+// 9-tap RBW filter.
 func BenchmarkFIRProcessBlock(b *testing.B) {
-	taps := LowpassFIR(0.4, 9).Taps()
+	f := NewFIR(LowpassFIR(0.4, 9).Taps())
 	in := randSignal(1, 4096)
-	b.Run("scalar", func(b *testing.B) {
-		f := NewFIR(taps)
-		out := make([]float64, len(in))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, x := range in {
-				out[j] = f.Process(x)
-			}
-		}
-		b.SetBytes(int64(8 * len(in)))
-	})
-	b.Run("block", func(b *testing.B) {
-		f := NewFIR(taps)
-		out := make([]float64, len(in))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.ProcessBlock(in, out)
-		}
-		b.SetBytes(int64(8 * len(in)))
-	})
+	out := make([]float64, len(in))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f.ProcessBlock(in, out)
+	}
+	b.SetBytes(int64(8 * len(in)))
 }

@@ -11,9 +11,8 @@ import (
 // configured measurement bandwidth before decimation.
 type FIR struct {
 	taps []float64
-	// hist is a circular delay line of the last len(taps)-1 inputs.
+	// hist is the delay line: the last len(taps)-1 inputs, oldest first.
 	hist []float64
-	pos  int
 }
 
 // NewFIR returns a streaming filter with the given tap weights.
@@ -23,7 +22,7 @@ func NewFIR(taps []float64) *FIR {
 	}
 	t := make([]float64, len(taps))
 	copy(t, taps)
-	return &FIR{taps: t, hist: make([]float64, len(taps))}
+	return newFIRShared(t)
 }
 
 // Taps returns a copy of the filter coefficients.
@@ -33,44 +32,15 @@ func (f *FIR) Taps() []float64 {
 	return t
 }
 
-// Reset clears the delay line.
-func (f *FIR) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
-	f.pos = 0
-}
-
-// Process filters one input sample and returns the output sample.
-func (f *FIR) Process(x float64) float64 {
-	f.hist[f.pos] = x
-	// Convolve: taps[0] multiplies the newest sample.
-	acc := 0.0
-	idx := f.pos
-	for _, t := range f.taps {
-		acc += t * f.hist[idx]
-		idx--
-		if idx < 0 {
-			idx = len(f.hist) - 1
-		}
-	}
-	f.pos++
-	if f.pos == len(f.hist) {
-		f.pos = 0
-	}
-	return acc
-}
-
 // ProcessBlock filters the block in, writing outputs to out (allocated if
 // nil or too small) and returning it. out may alias in (in-place filtering
 // of the same slice is supported); partially-overlapping slices are not.
 //
 // The block kernel convolves against a flat [history | block] scratch
-// buffer instead of per-sample ring indexing, with the inner loop unrolled
-// over a single accumulator so the floating-point addition order — and
-// therefore every output bit — matches a sample-by-sample Process loop
-// exactly. Streaming state carries across blocks: mixing Process and
-// ProcessBlock calls on one filter yields the same stream either way.
+// buffer, so no index ever wraps. Every output sums its products in tap
+// order (taps[0] times the newest input first), one serial chain per
+// output, and the delay line carries across calls: the outputs are the
+// same bits however a stream is split into blocks.
 func (f *FIR) ProcessBlock(in, out []float64) []float64 {
 	n := len(in)
 	if out == nil || cap(out) < n {
@@ -84,31 +54,22 @@ func (f *FIR) ProcessBlock(in, out []float64) []float64 {
 	nt := len(t)
 	if nt == 1 {
 		c := t[0]
-		last := in[n-1]
 		for i, x := range in {
 			out[i] = c * x
 		}
-		f.hist[0], f.pos = last, 0
 		return out
 	}
 	h := nt - 1
 	sp := getScratch(h + n)
 	ext := *sp
-	// Lay the last h inputs down chronologically (oldest first), then the
-	// block, so x[i-k] is ext[h+i-k] with no wrapping anywhere.
-	idx := f.pos
-	for k := h - 1; k >= 0; k-- {
-		idx--
-		if idx < 0 {
-			idx = len(f.hist) - 1
-		}
-		ext[k] = f.hist[idx]
-	}
+	// Lay the last h inputs down (oldest first), then the block, so x[i-k]
+	// is ext[h+i-k].
+	copy(ext, f.hist)
 	copy(ext[h:], in)
 	// Four outputs per iteration, one accumulator each. Every output keeps
-	// its own serial addition chain in tap order — bit-identical to the
-	// scalar path — but the four independent chains overlap in the FP
-	// pipeline instead of serialising on a single accumulator's latency.
+	// its own serial addition chain in tap order, but the four independent
+	// chains overlap in the FP pipeline instead of serialising on a single
+	// accumulator's latency.
 	i := 0
 	h4 := h + 4
 	for ; i+4 <= n; i += 4 {
@@ -116,9 +77,8 @@ func (f *FIR) ProcessBlock(in, out []float64) []float64 {
 		// reslices let the compiler drop every inner-loop bounds check.
 		win := ext[i:][:h4]
 		var a0, a1, a2, a3 float64
-		// m runs h..0 so tap index h-m runs 0..h: same per-output addition
-		// order as the scalar path, but with loop bounds the compiler can
-		// prove for win[m..m+3].
+		// m runs h..0 so tap index h-m runs 0..h: tap order, with loop
+		// bounds the compiler can prove for win[m..m+3].
 		for m := h; m >= 0; m-- {
 			tk := t[h-m]
 			a0 += tk * win[m]
@@ -137,19 +97,9 @@ func (f *FIR) ProcessBlock(in, out []float64) []float64 {
 		}
 		out[i] = acc
 	}
-	// Rebuild the delay line for subsequent Process/ProcessBlock calls:
-	// the last len(hist) inputs in chronological order with pos = 0, so
-	// the next write lands on the oldest slot.
-	copy(f.hist, ext[h+n-len(f.hist):h+n])
-	f.pos = 0
+	copy(f.hist, ext[n:])
 	putScratch(sp)
 	return out
-}
-
-// GroupDelay returns the filter's group delay in samples for linear-phase
-// (symmetric) designs: (N-1)/2.
-func (f *FIR) GroupDelay() float64 {
-	return float64(len(f.taps)-1) / 2
 }
 
 // lowpassKey identifies one windowed-sinc design in the tap cache.
@@ -207,7 +157,7 @@ func LowpassFIR(cutoff float64, taps int) *FIR {
 // newFIRShared wraps taps the caller guarantees are never mutated (FIR
 // itself only reads them; Taps() hands out copies).
 func newFIRShared(taps []float64) *FIR {
-	return &FIR{taps: taps, hist: make([]float64, len(taps))}
+	return &FIR{taps: taps, hist: make([]float64, len(taps)-1)}
 }
 
 // MovingAverage is an O(1)-per-sample boxcar filter. The paper's Fig. 1

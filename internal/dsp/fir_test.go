@@ -6,11 +6,43 @@ import (
 	"testing/quick"
 )
 
+// refFIR is the sample-at-a-time filter FIR.ProcessBlock is checked
+// against: a circular delay line convolved newest sample first, with no
+// block kernel, scratch buffer or unrolling.
+type refFIR struct {
+	taps []float64
+	hist []float64
+	pos  int
+}
+
+func newRefFIR(taps []float64) *refFIR {
+	return &refFIR{taps: taps, hist: make([]float64, len(taps))}
+}
+
+// Process filters one input sample and returns the output sample.
+func (f *refFIR) Process(x float64) float64 {
+	f.hist[f.pos] = x
+	acc := 0.0
+	idx := f.pos
+	for _, t := range f.taps {
+		acc += t * f.hist[idx]
+		idx--
+		if idx < 0 {
+			idx = len(f.hist) - 1
+		}
+	}
+	f.pos++
+	if f.pos == len(f.hist) {
+		f.pos = 0
+	}
+	return acc
+}
+
 func TestFIRIdentity(t *testing.T) {
-	f := NewFIR([]float64{1})
-	for i, x := range []float64{1, -2, 3.5, 0} {
-		if y := f.Process(x); y != x {
-			t.Fatalf("sample %d: got %v, want %v", i, y, x)
+	in := []float64{1, -2, 3.5, 0}
+	for i, y := range NewFIR([]float64{1}).ProcessBlock(in, nil) {
+		if y != in[i] {
+			t.Fatalf("sample %d: got %v, want %v", i, y, in[i])
 		}
 	}
 }
@@ -20,8 +52,8 @@ func TestFIRDelay(t *testing.T) {
 	f := NewFIR([]float64{0, 1})
 	in := []float64{1, 2, 3, 4}
 	want := []float64{0, 1, 2, 3}
-	for i, x := range in {
-		if y := f.Process(x); y != want[i] {
+	for i, y := range f.ProcessBlock(in, nil) {
+		if y != want[i] {
 			t.Fatalf("sample %d: got %v, want %v", i, y, want[i])
 		}
 	}
@@ -29,10 +61,8 @@ func TestFIRDelay(t *testing.T) {
 
 func TestFIRConvolutionMatchesReference(t *testing.T) {
 	taps := []float64{0.25, 0.5, -0.125, 0.0625}
-	f := NewFIR(taps)
 	in := []float64{1, 0, -1, 2, 3, -2, 0.5, 0}
-	for i, x := range in {
-		got := f.Process(x)
+	for i, got := range NewFIR(taps).ProcessBlock(in, nil) {
 		want := 0.0
 		for k, tap := range taps {
 			if i-k >= 0 {
@@ -45,59 +75,42 @@ func TestFIRConvolutionMatchesReference(t *testing.T) {
 	}
 }
 
-func TestFIRReset(t *testing.T) {
-	f := NewFIR([]float64{0.5, 0.5})
-	f.Process(10)
-	f.Reset()
-	if y := f.Process(2); !almostEqual(y, 1, 1e-12) {
-		t.Fatalf("after reset got %v, want 1", y)
-	}
-}
-
 func TestLowpassFIRDCGain(t *testing.T) {
-	f := LowpassFIR(0.1, 63)
-	// Feed a long DC signal; the steady-state output must be ~1.
-	var y float64
-	for i := 0; i < 200; i++ {
-		y = f.Process(1)
+	dc := make([]float64, 200)
+	for i := range dc {
+		dc[i] = 1
 	}
-	if !almostEqual(y, 1, 1e-9) {
+	// Feed a long DC signal; the steady-state output must be ~1.
+	out := LowpassFIR(0.1, 63).ProcessBlock(dc, nil)
+	if y := out[len(out)-1]; !almostEqual(y, 1, 1e-9) {
 		t.Fatalf("DC gain %v, want 1", y)
 	}
 }
 
-func TestLowpassFIRAttenuatesStopband(t *testing.T) {
-	const cutoff = 0.05
-	f := LowpassFIR(cutoff, 101)
-	// Pass a tone well into the stopband (0.25 cycles/sample) and measure
-	// output RMS over the steady state.
-	var sumSq float64
-	n := 0
-	for i := 0; i < 1200; i++ {
-		y := f.Process(math.Sin(2 * math.Pi * 0.25 * float64(i)))
-		if i >= 200 {
-			sumSq += y * y
-			n++
-		}
+// toneRMS filters a 1,200-sample tone of the given frequency (cycles per
+// sample) and returns the output RMS past the first 200 samples.
+func toneRMS(f *FIR, freq float64) float64 {
+	in := make([]float64, 1200)
+	for i := range in {
+		in[i] = math.Sin(2 * math.Pi * freq * float64(i))
 	}
-	rms := math.Sqrt(sumSq / float64(n))
-	if rms > 0.01 {
+	var sumSq float64
+	out := f.ProcessBlock(in, nil)[200:]
+	for _, y := range out {
+		sumSq += y * y
+	}
+	return math.Sqrt(sumSq / float64(len(out)))
+}
+
+func TestLowpassFIRAttenuatesStopband(t *testing.T) {
+	// A tone well into the stopband (0.25 cycles/sample).
+	if rms := toneRMS(LowpassFIR(0.05, 101), 0.25); rms > 0.01 {
 		t.Fatalf("stopband RMS %v, want < 0.01", rms)
 	}
 }
 
 func TestLowpassFIRPassesPassband(t *testing.T) {
-	f := LowpassFIR(0.2, 101)
-	var sumSq float64
-	n := 0
-	for i := 0; i < 1200; i++ {
-		y := f.Process(math.Sin(2 * math.Pi * 0.02 * float64(i)))
-		if i >= 200 {
-			sumSq += y * y
-			n++
-		}
-	}
-	rms := math.Sqrt(sumSq / float64(n))
+	rms := toneRMS(LowpassFIR(0.2, 101), 0.02)
 	want := 1 / math.Sqrt2
 	if math.Abs(rms-want) > 0.05 {
 		t.Fatalf("passband RMS %v, want ~%v", rms, want)
@@ -117,13 +130,6 @@ func TestLowpassFIRValidation(t *testing.T) {
 			}()
 			LowpassFIR(c.cutoff, c.taps)
 		}()
-	}
-}
-
-func TestFIRGroupDelay(t *testing.T) {
-	f := LowpassFIR(0.1, 41)
-	if got := f.GroupDelay(); got != 20 {
-		t.Fatalf("group delay %v, want 20", got)
 	}
 }
 

@@ -57,41 +57,41 @@ func stallySeries(n int, seed uint64) []float64 {
 	return s
 }
 
-// pushSplits feeds cycles through the receiver with a deterministic mix of
-// PushCycle and PushBlock calls of varying sizes (including empty blocks).
+// pushSplits feeds cycles through the receiver in PushBlock calls of
+// deterministic pseudo-random sizes: mostly up to 2,000 cycles, one call
+// in four of 0–2 cycles, so empty blocks and blocks of one are included.
 func pushSplits(r *Receiver, cycles []float64, seed uint64) {
 	rng := sim.NewRNG(seed)
 	pos := 0
 	for pos < len(cycles) {
-		n := rng.Intn(2000) // 0..1999, empty blocks included
-		if n > len(cycles)-pos {
-			n = len(cycles) - pos
-		}
+		n := rng.Intn(2000)
 		if rng.Intn(4) == 0 {
-			for _, p := range cycles[pos : pos+n] {
-				r.PushCycle(p)
-			}
-		} else {
-			r.PushBlock(cycles[pos : pos+n])
+			n = rng.Intn(3)
 		}
+		n = min(n, len(cycles)-pos)
+		r.PushBlock(cycles[pos : pos+n])
 		pos += n
 	}
 }
 
-// TestPushBlockBitIdenticalToPushCycle is the core tentpole property: for
-// every receiver configuration and every block split — including splits
-// that interleave scalar pushes, leave partial integration windows open,
-// and cross RBW filter state — the capture must equal the pure per-cycle
-// capture bit for bit.
+// refCapture runs cycles through the per-cycle oracle.
+func refCapture(cfg ReceiverConfig, cycles []float64) []float64 {
+	ref := newRefReceiver(cfg)
+	for _, p := range cycles {
+		ref.PushCycle(p)
+	}
+	ref.Flush()
+	return ref.Samples()
+}
+
+// TestPushBlockBitIdenticalToPushCycle is the receiver's core property:
+// for every receiver configuration and every block split — including
+// splits that leave partial integration windows open and cross RBW filter
+// state — the capture must equal the per-cycle oracle's bit for bit.
 func TestPushBlockBitIdenticalToPushCycle(t *testing.T) {
 	cycles := stallySeries(60000, 3)
 	for ci, cfg := range blockConfigs() {
-		ref := MustNewReceiver(cfg)
-		for _, p := range cycles {
-			ref.PushCycle(p)
-		}
-		ref.Flush()
-		want := ref.Capture().Samples
+		want := refCapture(cfg, cycles)
 
 		for split := uint64(1); split <= 6; split++ {
 			r := MustNewReceiver(cfg)
@@ -133,12 +133,7 @@ func TestPushBlockImpairedSeries(t *testing.T) {
 		}
 	}
 	for ci, cfg := range blockConfigs() {
-		ref := MustNewReceiver(cfg)
-		for _, p := range cycles {
-			ref.PushCycle(p)
-		}
-		ref.Flush()
-		want := ref.Capture().Samples
+		want := refCapture(cfg, cycles)
 
 		r := MustNewReceiver(cfg)
 		pushSplits(r, cycles, 5)
@@ -157,19 +152,19 @@ func TestPushBlockImpairedSeries(t *testing.T) {
 }
 
 // TestSynthesizeFromSeriesMatchesPerCycle pins the block-batched series
-// synthesis against a hand-rolled per-cycle receiver loop.
+// synthesis against the per-cycle oracle.
 func TestSynthesizeFromSeriesMatchesPerCycle(t *testing.T) {
 	series := stallySeries(3000, 17)
 	for _, cpv := range []int{1, 7, 25, 5000} {
 		for ci, cfg := range blockConfigs() {
-			ref := MustNewReceiver(cfg)
+			ref := newRefReceiver(cfg)
 			for _, v := range series {
 				for c := 0; c < cpv; c++ {
 					ref.PushCycle(v)
 				}
 			}
 			ref.Flush()
-			want := ref.Capture()
+			want := &Capture{Samples: ref.Samples()}
 
 			got, err := SynthesizeFromSeries(series, cpv, cfg)
 			if err != nil {
@@ -188,9 +183,9 @@ func TestSynthesizeFromSeriesMatchesPerCycle(t *testing.T) {
 	}
 }
 
-// BenchmarkSynthesisReceiver contrasts the per-cycle and block synthesis
-// paths on the same noisy receiver configuration (the embench harness and
-// CI regression gate measure the same pipeline end to end).
+// BenchmarkSynthesisReceiver times the receiver on a noisy configuration
+// in the 4,096-cycle blocks the processor model hands over (the embench
+// harness and CI regression gate measure the same pipeline end to end).
 func BenchmarkSynthesisReceiver(b *testing.B) {
 	cfg := ReceiverConfig{
 		ClockHz:      1e9,
@@ -202,29 +197,65 @@ func BenchmarkSynthesisReceiver(b *testing.B) {
 		Seed:         1,
 	}
 	cycles := stallySeries(1<<20, 9)
-	b.Run("push-cycle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := MustNewReceiver(cfg)
-			for _, p := range cycles {
-				r.PushCycle(p)
-			}
-			r.Flush()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := MustNewReceiver(cfg)
+		for pos := 0; pos < len(cycles); pos += 4096 {
+			r.PushBlock(cycles[pos:min(pos+4096, len(cycles))])
 		}
-		b.SetBytes(int64(8 * len(cycles)))
-	})
-	b.Run("push-block", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := MustNewReceiver(cfg)
-			for pos := 0; pos < len(cycles); pos += 4096 {
-				end := pos + 4096
-				if end > len(cycles) {
-					end = len(cycles)
+		r.Flush()
+	}
+	b.SetBytes(int64(8 * len(cycles)))
+}
+
+// TestPushBlockEdges pushes every block size from 0 to 2·decim+1 in turn
+// and flushes in the middle of windows, so empty blocks, blocks that only
+// extend an open window, blocks that close one, blocks of one and
+// mid-window Flush calls are all compared with the per-cycle oracle bit
+// for bit. It covers decimation 1 and 25, the noisy and noise-free
+// (SNRdB = +Inf) chains and a displaced probe.
+func TestPushBlockEdges(t *testing.T) {
+	noisy := ReceiverConfig{ClockHz: 1e9, BandwidthHz: 40e6, ProbeGain: 2, SNRdB: 15,
+		DriftPeriodS: 1e-5, DriftDepth: 0.1, Seed: 5}
+	clean := noisy
+	clean.SNRdB = math.Inf(1)
+	displaced := noisy
+	displaced.Position = ProbePosition{XMM: 1.5, YMM: -0.5, OrientationDeg: 20}
+	cycles := stallySeries(4096, 21)
+	for _, bw := range []float64{1e9, 40e6} { // decimation 1 and 25
+		for ci, base := range []ReceiverConfig{noisy, clean, displaced} {
+			cfg := base
+			cfg.BandwidthHz = bw
+			r, ref := MustNewReceiver(cfg), newRefReceiver(cfg)
+			d := r.DecimationFactor()
+			pos, midFlush := 0, false
+			for size := 0; size <= 2*d+1; size++ {
+				blk := cycles[pos : pos+size]
+				pos += size
+				r.PushBlock(blk)
+				for _, p := range blk {
+					ref.PushCycle(p)
 				}
-				r.PushBlock(cycles[pos:end])
+				if size%3 == 2 {
+					midFlush = midFlush || r.n > 0
+					r.Flush()
+					ref.Flush()
+				}
 			}
 			r.Flush()
+			ref.Flush()
+			if d > 1 && !midFlush {
+				t.Fatalf("decim %d cfg %d: no flush landed inside a window", d, ci)
+			}
+			got, want := r.Capture().Samples, ref.Samples()
+			if len(got) != len(want) {
+				t.Fatalf("decim %d cfg %d: %d samples, want %d", d, ci, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("decim %d cfg %d sample %d: got %v, want %v", d, ci, i, got[i], want[i])
+				}
+			}
 		}
-		b.SetBytes(int64(8 * len(cycles)))
-	})
+	}
 }

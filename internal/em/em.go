@@ -16,6 +16,9 @@
 //	band-limited front end) → resolution-bandwidth smoothing FIR →
 //	probe gain × supply drift × (envelope + complex AWGN) → magnitude.
 //
+// The chain consumes the activity in blocks of cycles, as the processor
+// model hands it over; the capture does not depend on the block sizes.
+//
 // Everything EMPROF's normalisation stage must cope with on real hardware
 // is reproduced: unknown multiplicative probe coupling, slow power-supply
 // drift, a noise floor, and finite bandwidth that smears short stalls.
@@ -155,8 +158,8 @@ func (c ReceiverConfig) Validate() error {
 }
 
 // Receiver is a streaming acquisition chain; it implements power.Sink so
-// the processor model can feed it directly, cycle by cycle, without ever
-// materialising a per-cycle trace.
+// the processor model can feed it directly, block by block, without ever
+// materialising the whole per-cycle trace.
 type Receiver struct {
 	cfg        ReceiverConfig
 	decim      int
@@ -232,45 +235,44 @@ func (r *Receiver) SampleRate() float64 { return r.sampleRate }
 // DecimationFactor returns cycles per output sample.
 func (r *Receiver) DecimationFactor() int { return r.decim }
 
-// PushCycle implements power.Sink: p is the switching activity (power) of
-// one clock cycle.
-func (r *Receiver) PushCycle(p float64) {
-	r.acc += p
-	r.n++
-	if r.n == r.decim {
-		r.emit(r.acc / float64(r.n))
-		r.acc, r.n = 0, 0
-	}
-}
+// PushCycle pushes the power of one clock cycle as a block of one. The
+// processor model only calls PushBlock; PushCycle stays for callers that
+// wrap a Receiver in a sink of their own (the benchmark module's timed
+// sink forwards it).
+func (r *Receiver) PushCycle(p float64) { r.PushBlock([]float64{p}) }
 
-// PushBlock implements power.BlockSink: it consumes a whole block of
-// per-cycle power values at once. The integrate-and-dump window state
-// (acc, n) carries across block boundaries, the RBW filter runs as one FIR
-// block kernel, and the noise draws are batched — but every floating-point
-// operation happens in the same order as the scalar path, so the recorded
-// capture is bit-identical to feeding the same cycles through PushCycle.
-// This is the synthesis fast path: the per-cycle route costs an interface
-// call plus filter ring indexing per clock cycle, the block route amortises
-// all of that over thousands of cycles.
+// PushBlock implements power.Sink: it consumes a whole block of per-cycle
+// power values. The integrate-and-dump window state (acc, n) carries
+// across block boundaries, and every window is summed serially in cycle
+// order, so the capture is bit-identical however the cycles are split
+// into blocks. Complete windows inside the block are dumped together and
+// go through the chain as one envelope block: one RBW FIR block kernel,
+// one batched noise draw.
 func (r *Receiver) PushBlock(ps []float64) {
-	// Finish any partial integration window sample by sample (at most
-	// decim-1 iterations, and at most one emitted sample).
-	for len(ps) > 0 && r.n > 0 {
-		r.PushCycle(ps[0])
-		ps = ps[1:]
-	}
 	d := r.decim
+	if r.n > 0 {
+		// Close the window the previous block left open: at most d-1
+		// cycles, emitted as a block of one.
+		k := min(d-r.n, len(ps))
+		for _, v := range ps[:k] {
+			r.acc += v
+		}
+		r.n += k
+		ps = ps[k:]
+		if r.n < d {
+			return
+		}
+		r.dump()
+	}
 	nw := len(ps) / d
 	if nw > 0 {
-		if cap(r.envBuf) < nw {
-			r.envBuf = make([]float64, nw)
-		}
-		env := r.envBuf[:nw]
+		env := r.envScratch(nw)
 		den := float64(d)
 		// Dump eight windows at a time: each window keeps its own serial
-		// accumulator (so its addition order — and result bits — match the
-		// scalar acc += p chain exactly), but the eight independent chains
-		// interleave, hiding FP-add latency the scalar path cannot.
+		// accumulator (so its addition order, and its result bits, do not
+		// depend on the batching), but the eight independent chains
+		// interleave, hiding the FP-add latency one chain alone would
+		// expose.
 		w := 0
 		for ; w+8 <= nw; w += 8 {
 			// Reslicing each window to exactly d lets the compiler prove
@@ -325,15 +327,29 @@ func (r *Receiver) PushBlock(ps []float64) {
 // Flush emits any partial final integration window.
 func (r *Receiver) Flush() {
 	if r.n > 0 {
-		r.emit(r.acc / float64(r.n))
-		r.acc, r.n = 0, 0
+		r.dump()
 	}
+}
+
+// dump emits the open integration window, averaged over the cycles it
+// holds, as an envelope block of one.
+func (r *Receiver) dump() {
+	env := r.envScratch(1)
+	env[0] = r.acc / float64(r.n)
+	r.acc, r.n = 0, 0
+	r.emitBlock(env)
+}
+
+// envScratch returns the receiver's envelope scratch resliced to n.
+func (r *Receiver) envScratch(n int) []float64 {
+	if cap(r.envBuf) < n {
+		r.envBuf = make([]float64, n)
+	}
+	return r.envBuf[:n]
 }
 
 // impair applies probe gain, supply drift and complex AWGN to one envelope
 // sample; n1/n2 are the I/Q noise draws (ignored when noise is disabled).
-// It is the single impairment implementation shared by the scalar and
-// block paths so the two cannot drift apart.
 func (r *Receiver) impair(env, n1, n2 float64) float64 {
 	gain := r.cfg.ProbeGain
 	if r.driftW > 0 {
@@ -358,40 +374,18 @@ func (r *Receiver) impair(env, n1, n2 float64) float64 {
 	return mag
 }
 
-// emit applies RBW smoothing and the acquisition impairments to one
-// envelope sample, then records the received magnitude.
-func (r *Receiver) emit(env float64) {
-	if r.rbw != nil {
-		env = r.rbw.Process(env)
-	}
-	if r.sp != nil {
-		env = r.sp.apply(env)
-	}
-	var n1, n2 float64
-	if r.noiseSig > 0 {
-		n1 = r.rng.NormFloat64()
-		n2 = r.rng.NormFloat64()
-	}
-	r.samples = append(r.samples, r.impair(env, n1, n2))
-}
-
-// emitBlock is emit over a whole envelope block: one RBW FIR block kernel
-// (in place over the scratch), one batched noise draw, then the per-sample
-// impairment chain. env is scratch owned by the receiver and is clobbered.
+// emitBlock applies RBW smoothing and the acquisition impairments to a
+// block of envelope samples, then records the received magnitudes: one
+// RBW FIR block kernel (in place over the scratch), the position stage,
+// one batched noise draw, then the per-sample impairment chain. env is
+// scratch owned by the receiver and is clobbered.
 func (r *Receiver) emitBlock(env []float64) {
-	if free := cap(r.samples) - len(r.samples); free < len(env) {
-		// Grow geometrically but in one step, rather than letting append
-		// re-copy the capture several times per large block.
-		grown := make([]float64, len(r.samples), 2*cap(r.samples)+len(env))
-		copy(grown, r.samples)
-		r.samples = grown
-	}
 	if r.rbw != nil {
 		r.rbw.ProcessBlock(env, env)
 	}
 	if r.sp != nil {
-		// The position stage is stateful and sequential; running it here
-		// keeps the block path's per-sample order identical to emit's.
+		// The position stage is stateful and sequential: one sample at a
+		// time, in order.
 		for i, e := range env {
 			env[i] = r.sp.apply(e)
 		}
@@ -425,9 +419,8 @@ func (r *Receiver) Capture() *Capture {
 // SynthesizeFromSeries runs a pre-computed activity series (one value per
 // cyclesPerValue cycles) through an identical impairment chain. It is used
 // for the memory-probe signal, which is rasterised from the DRAM burst
-// trace rather than streamed per cycle. The per-cycle expansion is batched
-// into blocks and fed through PushBlock, which is bit-identical to — and
-// much faster than — pushing every cycle individually.
+// trace rather than streamed by the processor model. The per-cycle
+// expansion is fed through PushBlock in blocks of 4,096 cycles.
 func SynthesizeFromSeries(series []float64, cyclesPerValue int, cfg ReceiverConfig) (*Capture, error) {
 	if cyclesPerValue <= 0 {
 		return nil, fmt.Errorf("em: cyclesPerValue %d <= 0", cyclesPerValue)

@@ -36,6 +36,15 @@ func TestReceiverConfigValidation(t *testing.T) {
 	}
 }
 
+// fill returns n cycles of constant power v.
+func fill(n int, v float64) []float64 {
+	ps := make([]float64, n)
+	for i := range ps {
+		ps[i] = v
+	}
+	return ps
+}
+
 func TestReceiverDecimation(t *testing.T) {
 	r := MustNewReceiver(cleanConfig())
 	if r.DecimationFactor() != 20 {
@@ -44,9 +53,7 @@ func TestReceiverDecimation(t *testing.T) {
 	if r.SampleRate() != 50e6 {
 		t.Fatalf("sample rate %v, want 50 MHz", r.SampleRate())
 	}
-	for i := 0; i < 1000; i++ {
-		r.PushCycle(1)
-	}
+	r.PushBlock(fill(1000, 1))
 	if got := len(r.Capture().Samples); got != 50 {
 		t.Fatalf("%d samples from 1000 cycles at factor 20, want 50", got)
 	}
@@ -54,9 +61,7 @@ func TestReceiverDecimation(t *testing.T) {
 
 func TestReceiverDCLevelPreserved(t *testing.T) {
 	r := MustNewReceiver(cleanConfig())
-	for i := 0; i < 4000; i++ {
-		r.PushCycle(1.5)
-	}
+	r.PushBlock(fill(4000, 1.5))
 	s := r.Capture().Samples
 	// Steady state after filter warm-up.
 	for _, v := range s[20:] {
@@ -69,14 +74,9 @@ func TestReceiverDCLevelPreserved(t *testing.T) {
 func TestReceiverSeesStallDip(t *testing.T) {
 	r := MustNewReceiver(cleanConfig())
 	// 2000 busy cycles, 300 stalled, 2000 busy.
-	push := func(n int, p float64) {
-		for i := 0; i < n; i++ {
-			r.PushCycle(p)
-		}
-	}
-	push(2000, 1.4)
-	push(300, 0.25)
-	push(2000, 1.4)
+	r.PushBlock(fill(2000, 1.4))
+	r.PushBlock(fill(300, 0.25))
+	r.PushBlock(fill(2000, 1.4))
 	r.Flush()
 	s := r.Capture().Samples
 	min := s[20]
@@ -94,9 +94,7 @@ func TestProbeGainScalesSignal(t *testing.T) {
 	cfg := cleanConfig()
 	cfg.ProbeGain = 3
 	r := MustNewReceiver(cfg)
-	for i := 0; i < 2000; i++ {
-		r.PushCycle(1)
-	}
+	r.PushBlock(fill(2000, 1))
 	s := r.Capture().Samples
 	if got := s[len(s)-1]; math.Abs(got-3) > 1e-6 {
 		t.Fatalf("gained level %v, want 3", got)
@@ -108,9 +106,7 @@ func TestDriftModulatesSignal(t *testing.T) {
 	cfg.DriftDepth = 0.1
 	cfg.DriftPeriodS = 1e-5 // short period so one test sees full swings
 	r := MustNewReceiver(cfg)
-	for i := 0; i < 60000; i++ {
-		r.PushCycle(1)
-	}
+	r.PushBlock(fill(60000, 1))
 	s := r.Capture().Samples[50:]
 	min, max := s[0], s[0]
 	for _, v := range s {
@@ -131,9 +127,7 @@ func TestNoiseProducesFloorAndSpread(t *testing.T) {
 	cfg.SNRdB = 20
 	cfg.Seed = 7
 	r := MustNewReceiver(cfg)
-	for i := 0; i < 40000; i++ {
-		r.PushCycle(0) // pure stall: output is the noise floor
-	}
+	r.PushBlock(fill(40000, 0)) // pure stall: output is the noise floor
 	s := r.Capture().Samples[50:]
 	var sum float64
 	for _, v := range s {
@@ -154,9 +148,7 @@ func TestNoiseDeterministicPerSeed(t *testing.T) {
 		cfg.SNRdB = 25
 		cfg.Seed = seed
 		r := MustNewReceiver(cfg)
-		for i := 0; i < 2000; i++ {
-			r.PushCycle(1)
-		}
+		r.PushBlock(fill(2000, 1))
 		return r.Capture().Samples
 	}
 	a, b := run(1), run(1)
@@ -288,14 +280,12 @@ func TestGainInvarianceOfShape(t *testing.T) {
 		cfg := cleanConfig()
 		cfg.ProbeGain = gain
 		scaled := MustNewReceiver(cfg)
-		for i := 0; i < 3000; i++ {
-			p := 1.0
-			if i > 1000 && i < 1400 {
-				p = 0.25
-			}
-			base.PushCycle(p)
-			scaled.PushCycle(p)
+		ps := fill(3000, 1)
+		for i := 1001; i < 1400; i++ {
+			ps[i] = 0.25
 		}
+		base.PushBlock(ps)
+		scaled.PushBlock(ps)
 		a, b := base.Capture().Samples, scaled.Capture().Samples
 		for i := range a {
 			if math.Abs(b[i]-gain*a[i]) > 1e-9*(1+math.Abs(b[i])) {

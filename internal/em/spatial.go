@@ -142,8 +142,8 @@ func PositionGain(offsetMM float64) float64 {
 
 // spatial is the streaming state of the position stage inside a Receiver.
 // It runs on the envelope after RBW smoothing and before the impairment
-// chain, in both the scalar and block paths (same per-sample order, so
-// the two stay bit-identical). Constructed only for non-zero positions.
+// chain, one sample at a time in order. Constructed only for non-zero
+// positions.
 type spatial struct {
 	gain      float64
 	blurAlpha float64

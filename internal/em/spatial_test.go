@@ -33,8 +33,8 @@ func captureAt(t *testing.T, cfg ReceiverConfig, series []float64) []float64 {
 // important contract (the same discipline as the block-kernel equivalence
 // tests of the synthesis pipeline): a receiver configured with the
 // explicit zero position produces byte-for-byte the same capture as one
-// whose config predates the Position field, through both the scalar and
-// block paths. The spatial stage must not exist at the reference
+// whose config predates the Position field, and the same as the per-cycle
+// oracle's. The spatial stage must not exist at the reference
 // placement — not even as multiplications by 1.0.
 func TestSpatialZeroPositionBitIdentical(t *testing.T) {
 	series := testSeries(200_000)
@@ -61,27 +61,21 @@ func TestSpatialZeroPositionBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Scalar path too: zero position + PushCycle must match the block
-	// path exactly (the existing scalar/block equivalence, preserved).
-	r := MustNewReceiver(withPos)
-	for _, p := range series {
-		r.PushCycle(p)
-	}
-	r.Flush()
-	cyc := r.Capture().Samples
+	// The per-cycle oracle agrees with both.
+	cyc := refCapture(withPos, series)
 	if len(cyc) != len(ref) {
-		t.Fatalf("scalar path length %d vs %d", len(cyc), len(ref))
+		t.Fatalf("oracle length %d vs %d", len(cyc), len(ref))
 	}
 	for i := range ref {
 		if math.Float64bits(ref[i]) != math.Float64bits(cyc[i]) {
-			t.Fatalf("scalar sample %d differs: %v vs %v", i, ref[i], cyc[i])
+			t.Fatalf("oracle sample %d differs: %v vs %v", i, ref[i], cyc[i])
 		}
 	}
 }
 
 // TestSpatialScalarBlockEquivalent checks the displaced-probe pipeline
-// keeps the scalar/block bit-identity promise: the spatial stage is
-// stateful, so ordering bugs between emit and emitBlock would show here.
+// against the per-cycle oracle bit for bit: the spatial stage is stateful,
+// so an ordering bug in the block path would show here.
 func TestSpatialScalarBlockEquivalent(t *testing.T) {
 	series := testSeries(100_000)
 	cfg := ReceiverConfig{
@@ -93,12 +87,7 @@ func TestSpatialScalarBlockEquivalent(t *testing.T) {
 		Seed:        3,
 	}
 	blk := captureAt(t, cfg, series)
-	r := MustNewReceiver(cfg)
-	for _, p := range series {
-		r.PushCycle(p)
-	}
-	r.Flush()
-	cyc := r.Capture().Samples
+	cyc := refCapture(cfg, series)
 	if len(blk) != len(cyc) {
 		t.Fatalf("lengths differ: %d vs %d", len(blk), len(cyc))
 	}

@@ -1,4 +1,4 @@
-package emprof
+package em_test
 
 import (
 	"encoding/binary"
@@ -31,7 +31,7 @@ func fuzzReceiverConfigs() []em.ReceiverConfig {
 		Seed:         31,
 	}
 	// The full chain with the probe displaced and tilted, so the spatial
-	// coupling stage (blur + leak + gain) is in the block/scalar
+	// coupling stage (blur + leak + gain) is in the block/oracle
 	// equivalence loop too.
 	displaced := full
 	displaced.Position = em.ProbePosition{XMM: 1.5, YMM: -0.5, OrientationDeg: 20}
@@ -40,11 +40,11 @@ func fuzzReceiverConfigs() []em.ReceiverConfig {
 
 // FuzzSynthesisBlock feeds arbitrary per-cycle power series — optionally
 // routed through the acquisition fault injector first, so NaN/Inf/dropout
-// patterns are exercised — through the per-cycle receiver path and through
-// an arbitrary interleaving of PushCycle and PushBlock calls whose block
-// boundaries are derived from the fuzzed split seed. The two captures must
-// be bit-identical (NaN compares equal to NaN) for every input, every
-// split, and every receiver configuration.
+// patterns are exercised — through the per-cycle oracle receiver and
+// through the Receiver in PushBlock calls whose sizes are derived from the
+// fuzzed split seed (empty blocks and blocks of one included). The two
+// captures must be bit-identical (NaN compares equal to NaN) for every
+// input, every split, and every receiver configuration.
 func FuzzSynthesisBlock(f *testing.F) {
 	f.Add([]byte{}, uint64(1), uint8(0), false)
 	var b [8]byte
@@ -105,41 +105,36 @@ func FuzzSynthesisBlock(f *testing.F) {
 		}
 		cfg := cfgs[int(sel)%len(cfgs)]
 
-		ref := em.MustNewReceiver(cfg)
+		ref := em.NewRefReceiver(cfg)
 		for _, p := range series {
 			ref.PushCycle(p)
 		}
 		ref.Flush()
-		want := ref.Capture().Samples
+		want := ref.Samples()
 
 		r := em.MustNewReceiver(cfg)
 		rng := sim.NewRNG(split)
 		pos := 0
 		for pos < len(series) {
-			k := rng.Intn(1500) // 0..1499, empty blocks included
-			if k > len(series)-pos {
-				k = len(series) - pos
-			}
+			k := rng.Intn(1500)
 			if rng.Intn(4) == 0 {
-				for _, p := range series[pos : pos+k] {
-					r.PushCycle(p)
-				}
-			} else {
-				r.PushBlock(series[pos : pos+k])
+				k = rng.Intn(3)
 			}
+			k = min(k, len(series)-pos)
+			r.PushBlock(series[pos : pos+k])
 			pos += k
 		}
 		r.Flush()
 		got := r.Capture().Samples
 
 		if len(got) != len(want) {
-			t.Fatalf("block path emitted %d samples, per-cycle %d (n=%d cfg=%d)",
+			t.Fatalf("block path emitted %d samples, oracle %d (n=%d cfg=%d)",
 				len(got), len(want), n, int(sel)%len(cfgs))
 		}
 		for i := range want {
 			same := got[i] == want[i] || (math.IsNaN(got[i]) && math.IsNaN(want[i]))
 			if !same {
-				t.Fatalf("sample %d: block %v, per-cycle %v (n=%d cfg=%d split=%d)",
+				t.Fatalf("sample %d: block %v, oracle %v (n=%d cfg=%d split=%d)",
 					i, got[i], want[i], n, int(sel)%len(cfgs), split)
 			}
 		}

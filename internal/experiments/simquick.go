@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"emprof"
+	"emprof/internal/acquire"
 	"emprof/internal/device"
 )
 
@@ -26,7 +27,8 @@ type SimQuickCase struct {
 	Stalls  int
 }
 
-// RunSimQuick runs Simulate vs SimulateExact across both modelled devices
+// RunSimQuick runs Simulate vs the per-cycle reference loop
+// (acquire.Hooks.Exact) across both modelled devices
 // plus an out-of-order variant and fails on any bitwise difference in
 // capture, power proxy or ground truth.
 func RunSimQuick(o Options) (*SimQuick, error) {
@@ -51,7 +53,7 @@ func RunSimQuick(o Options) (*SimQuick, error) {
 		if err != nil {
 			return nil, fmt.Errorf("simquick %s: %w", dev.Name, err)
 		}
-		exact, err := emprof.SimulateExact(dev, w, opts)
+		exact, err := acquire.Simulate(dev, w, opts, acquire.Hooks{Exact: true})
 		if err != nil {
 			return nil, fmt.Errorf("simquick %s (exact): %w", dev.Name, err)
 		}

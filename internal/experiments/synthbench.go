@@ -105,14 +105,14 @@ func synthCases(quick bool) ([]synthCase, error) {
 
 	// The end-to-end case runs the full simulator into the receiver chain;
 	// one dry run pins the deterministic cycle count.
-	e2e := func(batch int) (*emprof.Run, error) {
+	e2e := func() (*emprof.Run, error) {
 		w, err := emprof.Microbenchmark(128, 8)
 		if err != nil {
 			return nil, err
 		}
-		return emprof.Simulate(emprof.DeviceOlimex(), w, emprof.CaptureOptions{Seed: 1, BatchCycles: batch})
+		return emprof.Simulate(emprof.DeviceOlimex(), w, emprof.CaptureOptions{Seed: 1})
 	}
-	dry, err := e2e(0)
+	dry, err := e2e()
 	if err != nil {
 		return nil, err
 	}
@@ -131,20 +131,6 @@ func synthCases(quick bool) ([]synthCase, error) {
 							end = len(series)
 						}
 						r.PushBlock(series[pos:end])
-					}
-					r.Flush()
-				}
-			},
-		},
-		{
-			name:    "receiver-cycle",
-			cycles:  uint64(cyc),
-			samples: countSamples(cfg),
-			body: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r := em.MustNewReceiver(cfg)
-					for _, p := range series {
-						r.PushCycle(p)
 					}
 					r.Flush()
 				}
@@ -209,19 +195,7 @@ func synthCases(quick bool) ([]synthCase, error) {
 			samples: uint64(len(dry.Capture.Samples)),
 			body: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := e2e(0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		},
-		{
-			name:    "simulate-e2e-percycle",
-			cycles:  dry.Truth.Cycles,
-			samples: uint64(len(dry.Capture.Samples)),
-			body: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := e2e(1); err != nil {
+					if _, err := e2e(); err != nil {
 						b.Fatal(err)
 					}
 				}

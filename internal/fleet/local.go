@@ -115,10 +115,14 @@ func (f *LocalFleet) Close() {
 		// idle.
 		f.Router.client.CloseIdleConnections()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	for _, hs := range f.servers {
+		// Any other client (a test's emprof.Client) can leave such a
+		// connection too, and Shutdown counts it as active for 5 s; past
+		// a short drain, Close drops whatever is left.
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 		hs.Shutdown(ctx)
+		cancel()
+		hs.Close()
 	}
 	for _, s := range f.shards {
 		s.Close()

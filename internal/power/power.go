@@ -90,47 +90,14 @@ func (w *Weights) CycleRef(a *Activity) float64 {
 	return p
 }
 
-// Sink consumes the per-cycle power stream produced by the processor
-// model. Implementations include the SESC-style interval sampler below and
-// the EM receiver chain in internal/em.
+// Sink consumes the power stream produced by the processor model, one
+// block of consecutive cycles at a time. Implementations include the
+// SESC-style interval sampler below and the EM receiver chain in
+// internal/em; neither output depends on how the stream is cut into
+// blocks.
 type Sink interface {
-	// PushCycle receives the power drawn in one clock cycle.
-	PushCycle(p float64)
-}
-
-// BlockSink is implemented by sinks that can consume a whole block of
-// consecutive per-cycle power values at once. A block push must be
-// observationally identical to pushing every value through PushCycle in
-// order — implementations batch purely for speed (amortising interface
-// calls, filter state updates and noise draws over thousands of cycles).
-type BlockSink interface {
-	Sink
 	// PushBlock receives the power drawn in len(ps) consecutive cycles.
 	PushBlock(ps []float64)
-}
-
-// MultiSink fans one power stream out to several sinks.
-type MultiSink []Sink
-
-// PushCycle implements Sink.
-func (m MultiSink) PushCycle(p float64) {
-	for _, s := range m {
-		s.PushCycle(p)
-	}
-}
-
-// PushBlock implements BlockSink: block-capable sinks receive the whole
-// slice, anything else gets the equivalent per-cycle stream.
-func (m MultiSink) PushBlock(ps []float64) {
-	for _, s := range m {
-		if bs, ok := s.(BlockSink); ok {
-			bs.PushBlock(ps)
-			continue
-		}
-		for _, p := range ps {
-			s.PushCycle(p)
-		}
-	}
 }
 
 // IntervalSampler averages power over fixed windows of CyclesPerSample
@@ -152,26 +119,25 @@ func NewIntervalSampler(cyclesPerSample int) *IntervalSampler {
 	return &IntervalSampler{cyclesPerSample: cyclesPerSample}
 }
 
-// PushCycle implements Sink.
-func (s *IntervalSampler) PushCycle(p float64) {
-	s.acc += p
-	s.n++
-	if s.n == s.cyclesPerSample {
-		s.samples = append(s.samples, s.acc/float64(s.n))
+// PushBlock implements Sink. Each window's average is the serial sum of
+// its cycles in order, whatever the block boundaries; only the per-cycle
+// call overhead is amortised.
+func (s *IntervalSampler) PushBlock(ps []float64) {
+	d := s.cyclesPerSample
+	if s.n > 0 {
+		// Finish the window the previous block left open.
+		k := min(d-s.n, len(ps))
+		for _, v := range ps[:k] {
+			s.acc += v
+		}
+		s.n += k
+		ps = ps[k:]
+		if s.n < d {
+			return
+		}
+		s.samples = append(s.samples, s.acc/float64(d))
 		s.acc, s.n = 0, 0
 	}
-}
-
-// PushBlock implements BlockSink. The windowed averages are bit-identical
-// to the per-cycle path: each window keeps its own serial accumulation
-// order, only the per-cycle call overhead is amortised.
-func (s *IntervalSampler) PushBlock(ps []float64) {
-	// Finish any open window cycle by cycle (at most one emitted sample).
-	for len(ps) > 0 && s.n > 0 {
-		s.PushCycle(ps[0])
-		ps = ps[1:]
-	}
-	d := s.cyclesPerSample
 	nw := len(ps) / d
 	if nw > 0 {
 		if free := cap(s.samples) - len(s.samples); free < nw {

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -39,9 +40,9 @@ func TestCyclePowerAdditive(t *testing.T) {
 
 func TestIntervalSampler(t *testing.T) {
 	s := NewIntervalSampler(4)
-	for i := 0; i < 10; i++ {
-		s.PushCycle(float64(i))
-	}
+	in := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	s.PushBlock(in[:3])
+	s.PushBlock(in[3:])
 	s.Flush()
 	got := s.Samples()
 	want := []float64{1.5, 5.5, 8.5} // (0+1+2+3)/4, (4..7)/4, (8+9)/2
@@ -74,20 +75,6 @@ func TestIntervalSamplerPanics(t *testing.T) {
 	NewIntervalSampler(0)
 }
 
-func TestMultiSinkFansOut(t *testing.T) {
-	a := NewIntervalSampler(1)
-	b := NewIntervalSampler(1)
-	m := MultiSink{a, b}
-	m.PushCycle(3)
-	m.PushCycle(5)
-	if len(a.Samples()) != 2 || len(b.Samples()) != 2 {
-		t.Fatal("multisink did not fan out")
-	}
-	if a.Samples()[1] != 5 || b.Samples()[0] != 3 {
-		t.Fatal("multisink values wrong")
-	}
-}
-
 func TestFlushEmptyIsNoop(t *testing.T) {
 	s := NewIntervalSampler(4)
 	s.Flush()
@@ -96,80 +83,105 @@ func TestFlushEmptyIsNoop(t *testing.T) {
 	}
 }
 
-// recordSink is a plain per-cycle Sink (deliberately not a BlockSink) used
-// to check the MultiSink fallback path.
-type recordSink struct{ got []float64 }
+// refSampler is the per-cycle interval sampler IntervalSampler.PushBlock
+// is checked against: one add per cycle, a sample when a window fills.
+type refSampler struct {
+	d       int
+	acc     float64
+	n       int
+	samples []float64
+}
 
-func (r *recordSink) PushCycle(p float64) { r.got = append(r.got, p) }
-
-// TestMultiSinkBlockFanout checks that PushBlock hands block-capable sinks
-// the whole slice and replays a per-cycle stream into plain sinks, with
-// both observing the identical sequence.
-func TestMultiSinkBlockFanout(t *testing.T) {
-	plain := &recordSink{}
-	block := NewIntervalSampler(1) // cyclesPerSample 1: samples echo inputs
-	m := MultiSink{plain, block}
-	in := []float64{1, 2, 3, 4, 5, 6, 7}
-	m.PushBlock(in[:3])
-	m.PushBlock(nil)
-	m.PushBlock(in[3:])
-	if len(plain.got) != len(in) {
-		t.Fatalf("plain sink saw %d cycles, want %d", len(plain.got), len(in))
+func (r *refSampler) pushCycle(p float64) {
+	r.acc += p
+	r.n++
+	if r.n == r.d {
+		r.samples = append(r.samples, r.acc/float64(r.n))
+		r.acc, r.n = 0, 0
 	}
-	for i, v := range in {
-		if plain.got[i] != v {
-			t.Fatalf("plain sink cycle %d = %v, want %v", i, plain.got[i], v)
-		}
-		if block.Samples()[i] != v {
-			t.Fatalf("block sink sample %d = %v, want %v", i, block.Samples()[i], v)
+}
+
+func (r *refSampler) flush() {
+	if r.n > 0 {
+		r.samples = append(r.samples, r.acc/float64(r.n))
+		r.acc, r.n = 0, 0
+	}
+}
+
+// chaotic returns n deterministic values from the logistic map (x0 = 0.3;
+// 0.5 would fall onto the fixed point 0 after two steps).
+func chaotic(n int) []float64 {
+	in := make([]float64, n)
+	x := 0.3
+	for i := range in {
+		x = 4 * x * (1 - x)
+		in[i] = x
+	}
+	return in
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s sample %d: %v != %v", what, i, got[i], want[i])
 		}
 	}
 }
 
-// TestIntervalSamplerPushBlockBitIdentical drives the sampler through every
-// mix of block and scalar pushes and requires bitwise equality with the
-// pure per-cycle path, including partial windows left open across calls.
+// TestIntervalSamplerPushBlockBitIdentical drives the sampler through
+// ragged block sizes and requires bitwise equality with the per-cycle
+// oracle, including partial windows left open across calls.
 func TestIntervalSamplerPushBlockBitIdentical(t *testing.T) {
-	in := make([]float64, 10007)
-	x := 0.5
-	for i := range in {
-		x = 4 * x * (1 - x) // deterministic chaotic values
-		in[i] = x
-	}
+	in := chaotic(10007)
 	for _, cps := range []int{1, 3, 20, 64, 997} {
-		ref := NewIntervalSampler(cps)
+		ref := &refSampler{d: cps}
 		for _, p := range in {
-			ref.PushCycle(p)
+			ref.pushCycle(p)
 		}
-		ref.Flush()
-		want := ref.Samples()
-
+		ref.flush()
 		s := NewIntervalSampler(cps)
-		// Alternate scalar pushes and ragged block sizes.
-		pos := 0
-		for i := 0; pos < len(in); i++ {
-			n := (i*i*31 + 7) % 400
-			if n > len(in)-pos {
-				n = len(in) - pos
-			}
-			if i%3 == 0 {
-				for _, p := range in[pos : pos+n] {
-					s.PushCycle(p)
-				}
-			} else {
-				s.PushBlock(in[pos : pos+n])
-			}
+		for pos, i := 0, 0; pos < len(in); i++ {
+			n := min((i*i*31+7)%400, len(in)-pos)
+			s.PushBlock(in[pos : pos+n])
 			pos += n
 		}
 		s.Flush()
-		got := s.Samples()
-		if len(got) != len(want) {
-			t.Fatalf("cps %d: %d samples, want %d", cps, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("cps %d sample %d: %v != %v", cps, i, got[i], want[i])
+		sameBits(t, fmt.Sprintf("cps %d", cps), s.Samples(), ref.samples)
+	}
+}
+
+// TestIntervalSamplerBlockEdges pushes every block size from 0 to
+// 2·window+1 in turn, flushing in the middle of windows, so blocks that
+// only extend an open window, blocks that close one and blocks of one are
+// all compared with the per-cycle oracle bit for bit.
+func TestIntervalSamplerBlockEdges(t *testing.T) {
+	for _, d := range []int{1, 20} {
+		in := chaotic(2 * (2*d + 2) * (2*d + 2))
+		ref := &refSampler{d: d}
+		s := NewIntervalSampler(d)
+		pos, midFlush := 0, false
+		for size := 0; size <= 2*d+1; size++ {
+			blk := in[pos : pos+size]
+			pos += size
+			for _, p := range blk {
+				ref.pushCycle(p)
+			}
+			s.PushBlock(blk)
+			if size%3 == 2 {
+				midFlush = midFlush || s.n > 0
+				ref.flush()
+				s.Flush()
 			}
 		}
+		ref.flush()
+		s.Flush()
+		if d > 1 && !midFlush {
+			t.Fatalf("window %d: no flush landed inside a window", d)
+		}
+		sameBits(t, fmt.Sprintf("window %d", d), s.Samples(), ref.samples)
 	}
 }

@@ -1,229 +1,20 @@
 package emprof
 
-import (
-	"fmt"
-	"math"
+import "emprof/internal/acquire"
 
-	"emprof/internal/cpu"
-	"emprof/internal/em"
-	"emprof/internal/mem"
-	"emprof/internal/mem/dram"
-	"emprof/internal/power"
-	"emprof/internal/sim"
-)
+// CaptureOptions controls a simulated acquisition: measurement bandwidth,
+// seed, noise-free proxy mode, the SESC-style power proxy, the memory
+// probe and the processor probe's placement (see acquire.Options for the
+// fields).
+type CaptureOptions = acquire.Options
 
-// CaptureOptions controls a simulated acquisition.
-type CaptureOptions struct {
-	// BandwidthHz overrides the device's default measurement bandwidth
-	// when non-zero (the paper sweeps 20–160 MHz in Fig. 12).
-	BandwidthHz float64
-	// Seed drives the run's randomness (replacement, noise). Runs with
-	// equal seeds are bit-identical.
-	Seed uint64
-	// NoiseFree disables probe noise and supply drift, producing the
-	// clean power-proxy signal of the SESC validation experiments.
-	NoiseFree bool
-	// PowerProxy additionally records the SESC-style power trace (one
-	// averaged sample per PowerProxyCycles cycles; default 20, the
-	// paper's 50 MHz at 1 GHz).
-	PowerProxy       bool
-	PowerProxyCycles int
-	// MemoryProbe additionally synthesizes the main-memory EM signal from
-	// the DRAM activity trace (the dual-probe experiment of Fig. 10).
-	MemoryProbe bool
-	// BatchCycles sets how many simulated cycles of power are buffered
-	// before fanning out to the receiver chain (0 = default, 1 = strictly
-	// per-cycle). The recorded signals are bit-identical for every batch
-	// size; larger batches only amortise the simulator→receiver boundary.
-	BatchCycles int
-	// Exact forces the reference per-cycle simulation loop instead of the
-	// event-driven skip-ahead path. The two are bit-identical by
-	// construction (see internal/cpu and the equivalence tests); Exact
-	// exists as an escape hatch and as the oracle those tests compare
-	// against. SimulateExact is shorthand for setting it.
-	Exact bool
-	// Probe places the processor probe relative to the best-coupling
-	// reference point (see ProbePosition). The zero value is the reference
-	// placement and leaves the capture bit-identical to a run that
-	// predates the spatial model; displaced probes lose amplitude, SNR
-	// and envelope bandwidth per em.CouplingAt. The memory probe (with
-	// MemoryProbe) is mounted independently and always stays at its own
-	// reference point.
-	Probe ProbePosition
-}
-
-// Run is the outcome of one simulated acquisition.
-type Run struct {
-	// Capture is the processor-probe signal.
-	Capture *Capture
-	// MemCapture is the memory-probe signal (with MemoryProbe).
-	MemCapture *Capture
-	// PowerTrace is the SESC-style proxy signal (with PowerProxy) and
-	// PowerRate its sample rate in Hz.
-	PowerTrace []float64
-	PowerRate  float64
-	// Truth is the simulator ground truth: cycles, misses, stalls,
-	// region spans.
-	Truth *cpu.Result
-	// Device echoes the simulated target.
-	Device Device
-}
+// Run is the outcome of one simulated acquisition: the processor-probe
+// capture, the optional memory-probe capture and power proxy, and the
+// simulator's ground truth (see acquire.Run).
+type Run = acquire.Run
 
 // Simulate executes the workload on the device and records the EM capture
-// plus ground truth.
+// plus ground truth. Runs with equal inputs are bit-identical.
 func Simulate(dev Device, w Workload, opts CaptureOptions) (*Run, error) {
-	if err := dev.Validate(); err != nil {
-		return nil, err
-	}
-	// Streams are consumed as they run; rewind resettable ones so the same
-	// Workload value can be simulated repeatedly (e.g. Simulate vs
-	// SimulateExact over one workload). On a fresh stream this is a no-op.
-	if rs, ok := w.(interface{ Reset() }); ok {
-		rs.Reset()
-	}
-	rng := sim.NewRNG(opts.Seed ^ 0x9e3779b97f4a7c15)
-	ms, err := mem.NewSystem(dev.Mem, rng, opts.MemoryProbe)
-	if err != nil {
-		return nil, err
-	}
-	c, err := cpu.New(dev.CPU, ms)
-	if err != nil {
-		return nil, err
-	}
-	c.BatchCycles = opts.BatchCycles
-	c.Exact = opts.Exact
-
-	bw := opts.BandwidthHz
-	if bw == 0 {
-		bw = dev.EM.DefaultBandwidthHz
-	}
-	rxCfg := em.ReceiverConfig{
-		ClockHz:      dev.CPU.ClockHz,
-		BandwidthHz:  bw,
-		ProbeGain:    dev.EM.ProbeGain,
-		SNRdB:        dev.EM.SNRdB,
-		DriftPeriodS: dev.EM.DriftPeriodS,
-		DriftDepth:   dev.EM.DriftDepth,
-		Position:     opts.Probe,
-		Seed:         opts.Seed,
-	}
-	if opts.NoiseFree {
-		rxCfg.SNRdB = inf()
-		rxCfg.DriftDepth = 0
-		rxCfg.ProbeGain = 1
-	}
-	rx, err := em.NewReceiver(rxCfg)
-	if err != nil {
-		return nil, err
-	}
-	c.AddSink(rx)
-
-	var proxy *power.IntervalSampler
-	if opts.PowerProxy {
-		n := opts.PowerProxyCycles
-		if n <= 0 {
-			n = 20
-		}
-		proxy = power.NewIntervalSampler(n)
-		c.AddSink(proxy)
-	}
-
-	truth, err := c.Run(w)
-	if err != nil {
-		return nil, err
-	}
-	rx.Flush()
-
-	run := &Run{
-		Capture: rx.Capture(),
-		Truth:   truth,
-		Device:  dev,
-	}
-	if proxy != nil {
-		proxy.Flush()
-		run.PowerTrace = proxy.Samples()
-		run.PowerRate = proxy.SampleRate(dev.CPU.ClockHz)
-	}
-	if opts.MemoryProbe {
-		memCap, err := synthesizeMemoryProbe(dev, ms, truth.Cycles, rxCfg)
-		if err != nil {
-			return nil, err
-		}
-		run.MemCapture = memCap
-	}
-	return run, nil
+	return acquire.Simulate(dev, w, opts, acquire.Hooks{})
 }
-
-// SimulateExact is Simulate forced onto the reference per-cycle simulation
-// loop (opts.Exact = true). It exists for regression hunting and as the
-// oracle in equivalence tests; for any device, workload and options the
-// returned Run is bit-identical to Simulate's.
-func SimulateExact(dev Device, w Workload, opts CaptureOptions) (*Run, error) {
-	opts.Exact = true
-	return Simulate(dev, w, opts)
-}
-
-// synthesizeMemoryProbe builds the memory-side EM capture from the DRAM
-// burst trace, using the same receiver parameters as the processor probe
-// (the paper places a second probe over the SDRAM and records both
-// simultaneously, Fig. 9/10).
-func synthesizeMemoryProbe(dev Device, ms *mem.System, cycles uint64, rxCfg em.ReceiverConfig) (*Capture, error) {
-	// Rasterise the DRAM trace at the receiver's decimation factor, which
-	// em.NewReceiver derives as round(clock/bandwidth). Truncating here
-	// instead (the old behaviour) made the memory probe's effective sample
-	// rate disagree with the processor probe's whenever clock/bandwidth is
-	// not an integer, skewing the Fig. 10 time alignment.
-	d := int(math.Round(dev.CPU.ClockHz / rxCfg.BandwidthHz))
-	if d < 1 {
-		d = 1
-	}
-	series := dram.ActivitySeries(ms.DRAM().Bursts(), cycles, d)
-	memCfg := rxCfg
-	memCfg.Seed = rxCfg.Seed ^ 0xface
-	// The memory probe couples to I/O pin toggling; model a comparable
-	// but distinct gain. It is mounted on its own fixture over the SDRAM,
-	// so a displaced processor probe must not displace it.
-	memCfg.ProbeGain = rxCfg.ProbeGain * 0.9
-	memCfg.Position = em.ProbePosition{}
-	return em.SynthesizeFromSeries(series, d, memCfg)
-}
-
-// RegionWindow returns the [start, end) cycle range spanned by a workload
-// region in the run's ground truth, with found=false if the region never
-// executed.
-func (r *Run) RegionWindow(region uint16) (start, end uint64, found bool) {
-	for _, sp := range r.Truth.RegionSpans {
-		if sp.Region != region {
-			continue
-		}
-		if !found {
-			start = sp.StartCycle
-			found = true
-		}
-		end = sp.EndCycle
-	}
-	return start, end, found
-}
-
-// SliceCycles returns the sub-capture covering the cycle range [lo, hi):
-// the sample window is widened to whole samples (floor for lo, ceiling
-// for hi) so the final partial sample of a range is included rather than
-// silently dropped.
-func (r *Run) SliceCycles(lo, hi uint64) *Capture {
-	cps := r.Capture.CyclesPerSample()
-	if cps <= 0 {
-		return r.Capture.Slice(0, 0)
-	}
-	return r.Capture.Slice(int(math.Floor(float64(lo)/cps)), int(math.Ceil(float64(hi)/cps)))
-}
-
-// SliceRegion returns the sub-capture covering one workload region.
-func (r *Run) SliceRegion(region uint16) (*Capture, error) {
-	lo, hi, ok := r.RegionWindow(region)
-	if !ok {
-		return nil, fmt.Errorf("emprof: region %d not present in run", region)
-	}
-	return r.SliceCycles(lo, hi), nil
-}
-
-func inf() float64 { return math.Inf(1) }
