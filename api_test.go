@@ -34,9 +34,33 @@ func runAnalyzer(c *Capture, cfg Config, opts ...Option) (*Profile, error) {
 	return a.Run(context.Background(), c)
 }
 
+// streamAnalyzer profiles c through NewAnalyzer(cfg, opts...).Stream,
+// pushing it in blocks whose sizes cycle through sizes.
+func streamAnalyzer(c *Capture, cfg Config, sizes []int, opts ...Option) (*Profile, error) {
+	a, err := NewAnalyzer(cfg, opts...)
+	if err != nil {
+		return nil, err
+	}
+	s, err := a.Stream(c.SampleRate, c.ClockHz)
+	if err != nil {
+		return nil, err
+	}
+	for i, xs := 0, c.Samples; len(xs) > 0; i++ {
+		n := min(len(xs), sizes[i%len(sizes)])
+		s.PushBlock(xs[:n])
+		xs = xs[n:]
+	}
+	return s.Finalize(), nil
+}
+
+// streamSplits are the push splits the streaming legs cycle through: odd
+// small blocks, a block straddling the engine's chunk size, and single
+// samples.
+var streamSplits = []int{7, 4099, 1, 513}
+
 // TestAnalyzerPathsBitIdentical pins the unification contract: every
-// NewAnalyzer execution path produces a profile bit-identical to the
-// default batch path's.
+// NewAnalyzer execution path, and a stream of the capture pushed in split
+// blocks, produces a profile bit-identical to the default path's.
 func TestAnalyzerPathsBitIdentical(t *testing.T) {
 	c := apiTestCapture(t)
 	cfg := DefaultConfig()
@@ -51,7 +75,6 @@ func TestAnalyzerPathsBitIdentical(t *testing.T) {
 		{"default", nil},
 		{"parallel", []Option{WithWorkers(4)}},
 		{"parallel-auto", []Option{WithWorkers(0)}},
-		{"streaming", []Option{WithStreaming()}},
 	} {
 		got, err := runAnalyzer(c, cfg, tc.opts...)
 		if err != nil {
@@ -60,6 +83,13 @@ func TestAnalyzerPathsBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: profile differs from NewAnalyzer(cfg).Run", tc.name)
 		}
+	}
+	got, err := streamAnalyzer(c, cfg, streamSplits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("streaming: profile differs from NewAnalyzer(cfg).Run")
 	}
 }
 
@@ -76,11 +106,11 @@ func TestObserverGoldenEquivalence(t *testing.T) {
 	}
 	paths := []struct {
 		name string
-		opts []Option
+		run  func(Observer) (*Profile, error)
 	}{
-		{"batch", nil},
-		{"parallel", []Option{WithWorkers(4)}},
-		{"stream", []Option{WithStreaming()}},
+		{"batch", func(o Observer) (*Profile, error) { return runAnalyzer(c, cfg, WithObserver(o)) }},
+		{"parallel", func(o Observer) (*Profile, error) { return runAnalyzer(c, cfg, WithObserver(o), WithWorkers(4)) }},
+		{"stream", func(o Observer) (*Profile, error) { return streamAnalyzer(c, cfg, streamSplits, WithObserver(o)) }},
 	}
 	sinks := []struct {
 		name string
@@ -95,11 +125,7 @@ func TestObserverGoldenEquivalence(t *testing.T) {
 	}
 	for _, p := range paths {
 		for _, s := range sinks {
-			a, err := NewAnalyzer(cfg, append([]Option{WithObserver(s.mk())}, p.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := a.Run(context.Background(), c)
+			got, err := p.run(s.mk())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.name, s.name, err)
 			}
@@ -176,7 +202,7 @@ func TestNewAnalyzerBadConfig(t *testing.T) {
 
 func TestRunHonoursContext(t *testing.T) {
 	c := apiTestCapture(t)
-	for _, opts := range [][]Option{nil, {WithStreaming()}, {WithWorkers(4)}} {
+	for _, opts := range [][]Option{nil, {WithWorkers(4)}} {
 		a, err := NewAnalyzer(DefaultConfig(), opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -190,6 +216,42 @@ func TestRunHonoursContext(t *testing.T) {
 		if _, err := a.Run(nil, c); err != nil {
 			t.Errorf("nil ctx: %v", err)
 		}
+	}
+}
+
+// cancelOnDip cancels a context at the first dip candidate it observes.
+type cancelOnDip struct {
+	NopObserver
+	cancel context.CancelFunc
+}
+
+func (o cancelOnDip) DipCandidate(DipCandidateEvent) { o.cancel() }
+
+// TestRunStopsMidCapture checks that the default path honours a
+// cancellation that arrives while the capture is being analysed: an
+// observer cancels ctx at the first dip, inside Run's first block, and
+// Run returns context.Canceled instead of finishing the capture.
+func TestRunStopsMidCapture(t *testing.T) {
+	const sampleRate, clockHz = 40e6, 1e9
+	samples := make([]float64, 4*runBlockSamples)
+	for i := range samples {
+		samples[i] = 1
+		if i%5000 >= 2000 && i%5000 < 2020 {
+			samples[i] = 0.02
+		}
+	}
+	c := &Capture{Samples: samples, SampleRate: sampleRate, ClockHz: clockHz}
+	if p, err := runAnalyzer(c, DefaultConfig()); err != nil || len(p.Stalls) == 0 {
+		t.Fatalf("uncancelled run: %d stalls, err %v; the check is vacuous", len(p.Stalls), err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a, err := NewAnalyzer(DefaultConfig(), WithObserver(cancelOnDip{cancel: cancel}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := a.Run(ctx, c); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-capture: profile %v, err %v; want context.Canceled", p != nil, err)
 	}
 }
 

@@ -426,8 +426,8 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamVsBatch compares the streaming and batch profilers on
-// the same capture.
+// BenchmarkStreamVsBatch compares Run over a whole capture with a stream
+// of the same capture pushed in receiver-sized 4096-sample blocks.
 func BenchmarkStreamVsBatch(b *testing.B) {
 	cap := benchCapture(b)
 	b.Run("batch", func(b *testing.B) {
@@ -438,7 +438,7 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 	})
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			analyze(b, cap, emprof.DefaultConfig(), emprof.WithStreaming())
+			streamed(b, cap, emprof.DefaultConfig(), 4096)
 		}
 		b.SetBytes(int64(8 * len(cap.Samples)))
 	})

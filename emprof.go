@@ -156,16 +156,8 @@ func LoadWorkload(path string) (Workload, error) {
 }
 
 // StreamAnalyzer is the push-based incremental profiler; see
-// NewStreamAnalyzer.
+// Analyzer.Stream.
 type StreamAnalyzer = core.StreamAnalyzer
-
-// NewStreamAnalyzer returns a streaming profiler for a signal acquired at
-// sampleRate from a processor clocked at clockHz. PushBlock samples as
-// they arrive; set OnStall for live event delivery; Finalize returns the
-// profile.
-func NewStreamAnalyzer(cfg Config, sampleRate, clockHz float64) (*StreamAnalyzer, error) {
-	return core.NewStreamAnalyzer(cfg, sampleRate, clockHz)
-}
 
 // ProfileWindow is one rolling window of a continuously-profiled
 // stream: the stalls whose onset falls in the window, with the same

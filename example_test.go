@@ -33,9 +33,10 @@ func Example() {
 	// Output: count accuracy >= 98%: true
 }
 
-// ExampleWithStreaming shows that the bounded-memory streaming profiler
-// produces the same result as the batch analyzer.
-func ExampleWithStreaming() {
+// ExampleAnalyzer_Stream shows that the bounded-memory streaming profiler,
+// fed the capture in receiver-sized blocks, produces the same result as
+// analysing the whole capture at once.
+func ExampleAnalyzer_Stream() {
 	w, err := emprof.Microbenchmark(64, 8)
 	if err != nil {
 		log.Fatal(err)
@@ -44,29 +45,31 @@ func ExampleWithStreaming() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	batchAn, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	batch, err := batchAn.Run(context.Background(), run.Capture)
+	batch, err := an.Run(context.Background(), run.Capture)
 	if err != nil {
 		log.Fatal(err)
 	}
-	streamAn, err := emprof.NewAnalyzer(emprof.DefaultConfig(), emprof.WithStreaming())
+	s, err := an.Stream(run.Capture.SampleRate, run.Capture.ClockHz)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stream, err := streamAn.Run(context.Background(), run.Capture)
-	if err != nil {
-		log.Fatal(err)
+	for xs := run.Capture.Samples; len(xs) > 0; {
+		n := min(len(xs), 4096)
+		s.PushBlock(xs[:n])
+		xs = xs[n:]
 	}
+	stream := s.Finalize()
 	fmt.Println("stream matches batch:", len(stream.Stalls) == len(batch.Stalls))
 	// Output: stream matches batch: true
 }
 
 // ExampleNewAnalyzer shows the options-based analyzer API: one
-// constructor covers the batch, parallel and streaming execution paths
-// (all bit-identical), and an observer can be attached to trace every
+// constructor covers the sequential and parallel execution paths (both
+// bit-identical), and an observer can be attached to trace every
 // detection decision the profiler makes.
 func ExampleNewAnalyzer() {
 	w, err := emprof.Microbenchmark(64, 8)

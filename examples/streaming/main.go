@@ -23,8 +23,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sa, err := emprof.NewStreamAnalyzer(emprof.DefaultConfig(),
-		run.Capture.SampleRate, run.Capture.ClockHz)
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	sa, err := an.Stream(run.Capture.SampleRate, run.Capture.ClockHz)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,10 +54,6 @@ func main() {
 	prof := sa.Finalize()
 
 	// Cross-check against the one-shot batch analysis.
-	an, err := emprof.NewAnalyzer(emprof.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 	batch, err := an.Run(context.Background(), run.Capture)
 	if err != nil {
 		log.Fatal(err)

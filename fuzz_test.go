@@ -35,9 +35,10 @@ func fuzzConfigs() []Config {
 }
 
 // FuzzAnalyze feeds arbitrary sample data and config permutations through
-// the batch, streaming, and parallel analyzers — optionally routing the
-// capture through the probe drift+bump fault injector first, so the
-// position-adaptive resync path sees adversarial inputs too. None may
+// the default analyzer, a stream pushed in split blocks and the parallel
+// analyzer — optionally routing the capture through the probe drift+bump
+// fault injector first, so the position-adaptive resync path sees
+// adversarial inputs too. None may
 // ever panic — including on NaN/Inf garbage — and all three must agree
 // exactly at every capture length, shorter than a normalisation window
 // included.
@@ -118,7 +119,7 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			t.Fatalf("batch: %v", err)
 		}
-		ps, err := runAnalyzer(c, cfg, WithStreaming())
+		ps, err := streamAnalyzer(c, cfg, []int{1 + int(sel)%97, 4099, 1})
 		if err != nil {
 			t.Fatalf("streaming: %v", err)
 		}

@@ -49,7 +49,7 @@ func TestCustomWorkloadEndToEnd(t *testing.T) {
 	}
 
 	batch := analyze(t, loaded, emprof.DefaultConfig())
-	stream := analyze(t, loaded, emprof.DefaultConfig(), emprof.WithStreaming())
+	stream := streamed(t, loaded, emprof.DefaultConfig(), 4096)
 	if len(batch.Stalls) == 0 {
 		t.Fatal("no stalls detected end to end")
 	}
@@ -138,4 +138,24 @@ func analyze(tb testing.TB, c *emprof.Capture, cfg emprof.Config, opts ...emprof
 		tb.Fatal(err)
 	}
 	return prof
+}
+
+// streamed profiles c through NewAnalyzer(cfg).Stream, pushing it in
+// blocks of the given size.
+func streamed(tb testing.TB, c *emprof.Capture, cfg emprof.Config, block int) *emprof.Profile {
+	tb.Helper()
+	an, err := emprof.NewAnalyzer(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := an.Stream(c.SampleRate, c.ClockHz)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for xs := c.Samples; len(xs) > 0; {
+		n := min(len(xs), block)
+		s.PushBlock(xs[:n])
+		xs = xs[n:]
+	}
+	return s.Finalize()
 }

@@ -13,7 +13,6 @@ package attrib
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"emprof/internal/core"
@@ -32,8 +31,8 @@ type Signature struct {
 	Frames int
 }
 
-// Model is a trained set of region signatures plus the STFT geometry they
-// were trained with.
+// Model is a trained set of region signatures plus the frame geometry
+// they were trained with.
 type Model struct {
 	Signatures []Signature
 	FrameLen   int
@@ -42,7 +41,8 @@ type Model struct {
 
 // TrainConfig controls signature training.
 type TrainConfig struct {
-	// FrameLen and Hop are the STFT geometry in samples; defaults 256/128.
+	// FrameLen and Hop are the frame geometry in samples; defaults
+	// 1024/512.
 	FrameLen, Hop int
 	// Names optionally maps region IDs to human-readable names.
 	Names map[uint16]string
@@ -57,45 +57,82 @@ func (c *TrainConfig) setDefaults() {
 	}
 }
 
+// spectrum computes frame spectra: the Hann-windowed power spectrum of
+// one frame, scaled to unit total power so that matching compares shape
+// rather than level (level varies with probe gain and supply voltage,
+// which is exactly what must be factored out). Training and matching
+// both compute their frames through it.
+type spectrum struct {
+	win   []float64
+	cbuf  []complex128
+	frame []float64
+}
+
+func newSpectrum(frameLen int) spectrum { return spectrum{win: dsp.Hann(frameLen)} }
+
+// of returns the normalised spectrum of the frame x. The result aliases
+// the spectrum's buffer until the next call. A frame without power stays
+// all zero.
+func (s *spectrum) of(x []float64) []float64 {
+	s.frame, s.cbuf = dsp.PowerSpectrumInto(x, s.win, s.cbuf, s.frame[:0])
+	sum := 0.0
+	for _, v := range s.frame {
+		sum += v
+	}
+	if sum <= 0 {
+		return s.frame
+	}
+	inv := 1 / sum
+	for i := range s.frame {
+		s.frame[i] *= inv
+	}
+	return s.frame
+}
+
 // Train learns per-region signatures from a capture with ground-truth
 // region spans (a labelled training run, the analogue of Spectral
-// Profiling's training phase).
+// Profiling's training phase). A region's signature is the mean of the
+// normalised spectra of the frames whose centre falls in its spans.
 func Train(c *em.Capture, spans []sim.RegionSpan, cfg TrainConfig) (*Model, error) {
 	cfg.setDefaults()
 	if len(spans) == 0 {
 		return nil, fmt.Errorf("attrib: no region spans to train on")
 	}
-	sg := dsp.STFT(c.Samples, c.SampleRate, cfg.FrameLen, cfg.Hop)
-	sg.NormalizeFrames()
-
+	if err := checkGeometry(cfg.FrameLen, cfg.Hop); err != nil {
+		return nil, err
+	}
+	sp := newSpectrum(cfg.FrameLen)
 	cps := c.CyclesPerSample()
-	byRegion := make(map[uint16][][]float64)
-	for t := 0; t < sg.NumFrames(); t++ {
-		centreCycle := uint64((float64(t*cfg.Hop) + float64(cfg.FrameLen)/2) * cps)
+	byRegion := make(map[uint16]*Signature)
+	for start := 0; start+cfg.FrameLen <= len(c.Samples); start += cfg.Hop {
+		centreCycle := uint64((float64(start) + float64(cfg.FrameLen)/2) * cps)
 		r, ok := regionAt(spans, centreCycle)
 		if !ok {
 			continue
 		}
-		byRegion[r] = append(byRegion[r], sg.Frames[t])
+		f := sp.of(c.Samples[start : start+cfg.FrameLen])
+		sig := byRegion[r]
+		if sig == nil {
+			sig = &Signature{Region: r, Name: cfg.Names[r], Spectrum: make([]float64, len(f))}
+			byRegion[r] = sig
+		}
+		for i, v := range f {
+			sig.Spectrum[i] += v
+		}
+		sig.Frames++
 	}
 	if len(byRegion) == 0 {
 		return nil, fmt.Errorf("attrib: no frames fell inside labelled spans")
 	}
 	m := &Model{FrameLen: cfg.FrameLen, Hop: cfg.Hop}
-	regions := make([]uint16, 0, len(byRegion))
-	for r := range byRegion {
-		regions = append(regions, r)
+	for _, sig := range byRegion {
+		inv := 1 / float64(sig.Frames)
+		for i := range sig.Spectrum {
+			sig.Spectrum[i] *= inv
+		}
+		m.Signatures = append(m.Signatures, *sig)
 	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	for _, r := range regions {
-		frames := byRegion[r]
-		m.Signatures = append(m.Signatures, Signature{
-			Region:   r,
-			Name:     cfg.Names[r],
-			Spectrum: dsp.MeanSpectrum(frames),
-			Frames:   len(frames),
-		})
-	}
+	sort.Slice(m.Signatures, func(i, j int) bool { return m.Signatures[i].Region < m.Signatures[j].Region })
 	return m, nil
 }
 
@@ -130,32 +167,29 @@ type Segmentation struct {
 	FrameAccuracy float64
 }
 
-// Attribute segments a capture by nearest-signature matching, applying a
-// short median smoothing over frame decisions to suppress isolated
-// mismatches. truthSpans may be nil; when provided it is used only to
-// score FrameAccuracy, never to decide.
+// Attribute segments a capture by nearest-signature matching: it pushes
+// the capture through a StreamAttributor and takes each frame's
+// majority-smoothed decision, which suppresses isolated mismatches.
+// truthSpans may be nil; when provided it is used only to score
+// FrameAccuracy, never to decide.
 func (m *Model) Attribute(c *em.Capture, truthSpans []sim.RegionSpan) (*Segmentation, error) {
-	if len(m.Signatures) == 0 {
-		return nil, fmt.Errorf("attrib: empty model")
+	a, err := NewStreamAttributor(m)
+	if err != nil {
+		return nil, err
 	}
-	sg := dsp.STFT(c.Samples, c.SampleRate, m.FrameLen, m.Hop)
-	sg.NormalizeFrames()
-	n := sg.NumFrames()
+	for xs := c.Samples; len(xs) > 0; {
+		k := min(len(xs), attributeBlock)
+		a.Push(xs[:k])
+		xs = xs[k:]
+	}
+	n := len(a.decisions)
 	if n == 0 {
 		return nil, fmt.Errorf("attrib: capture too short for frame length %d", m.FrameLen)
 	}
-	decisions := make([]int, n)
-	for t := 0; t < n; t++ {
-		best, bestD := 0, math.Inf(1)
-		for i := range m.Signatures {
-			d := dsp.SpectralDistance(sg.Frames[t], m.Signatures[i].Spectrum)
-			if d < bestD {
-				best, bestD = i, d
-			}
-		}
-		decisions[t] = best
+	decisions := make([]int16, n)
+	for t := range decisions {
+		decisions[t] = a.vote(int64(t))
 	}
-	smoothDecisions(decisions, 2)
 
 	cps := c.CyclesPerSample()
 	var seg Segmentation
@@ -212,35 +246,9 @@ func (m *Model) Attribute(c *em.Capture, truthSpans []sim.RegionSpan) (*Segmenta
 	return &seg, nil
 }
 
-// smoothDecisions applies a (2r+1)-point majority vote in place.
-func smoothDecisions(d []int, r int) {
-	if len(d) == 0 || r <= 0 {
-		return
-	}
-	orig := make([]int, len(d))
-	copy(orig, d)
-	counts := make(map[int]int, 4)
-	for i := range d {
-		for k := range counts {
-			delete(counts, k)
-		}
-		lo, hi := i-r, i+r
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(orig) {
-			hi = len(orig) - 1
-		}
-		best, bestN := orig[i], 0
-		for j := lo; j <= hi; j++ {
-			counts[orig[j]]++
-			if counts[orig[j]] > bestN {
-				best, bestN = orig[j], counts[orig[j]]
-			}
-		}
-		d[i] = best
-	}
-}
+// attributeBlock is the push size Attribute feeds its StreamAttributor,
+// bounding the sample buffer it holds.
+const attributeBlock = 1 << 16
 
 // ManualSegmentation builds a segmentation directly from ground-truth
 // region spans — the paper's Table V procedure: "we (manually) mark the

@@ -118,7 +118,7 @@ func TestAttributeErrors(t *testing.T) {
 	if _, err := m.Attribute(&em.Capture{}, nil); err == nil {
 		t.Fatal("empty model accepted")
 	}
-	m2 := &Model{Signatures: []Signature{{Region: 1, Spectrum: []float64{1}}}, FrameLen: 256, Hop: 128}
+	m2 := &Model{Signatures: []Signature{{Region: 1, Spectrum: make([]float64, 129)}}, FrameLen: 256, Hop: 128}
 	short := &em.Capture{Samples: make([]float64, 10), SampleRate: 40e6, ClockHz: 1e9}
 	if _, err := m2.Attribute(short, nil); err == nil {
 		t.Fatal("too-short capture accepted")
@@ -157,14 +157,58 @@ func TestJoinProfile(t *testing.T) {
 	}
 }
 
+// TestSpectrumNormalizes checks the frame spectrum training and matching
+// share: a frame with power is scaled to unit total power, whatever its
+// level, and a frame without power stays all zero rather than dividing
+// by zero.
+func TestSpectrumNormalizes(t *testing.T) {
+	sp := newSpectrum(64)
+	x := make([]float64, 64)
+	for i := range x {
+		x[i] = 3 + math.Sin(float64(i))
+	}
+	f := append([]float64(nil), sp.of(x)...)
+	sum := 0.0
+	for _, v := range f {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-12 {
+		t.Fatalf("frame power sums to %v, want 1", sum)
+	}
+	for i := range x {
+		x[i] *= 7
+	}
+	for i, v := range sp.of(x) {
+		if math.Abs(v-f[i]) > 1e-12 {
+			t.Fatalf("bin %d reads %v at 7× the level, %v at 1×", i, v, f[i])
+		}
+	}
+	for i, v := range sp.of(make([]float64, 64)) {
+		if v != 0 {
+			t.Fatalf("silent frame's bin %d reads %v", i, v)
+		}
+	}
+}
+
 func TestSmoothDecisions(t *testing.T) {
-	d := []int{0, 0, 1, 0, 0, 2, 2, 2, 0, 2, 2}
-	smoothDecisions(d, 2)
+	a := &StreamAttributor{decisions: []int16{0, 0, 1, 0, 0, 2, 2, 2, 0, 2, 2}}
+	d := make([]int16, len(a.decisions))
+	for i := range d {
+		d[i] = a.vote(int64(i))
+	}
 	// Isolated outliers must be voted away.
 	if d[2] != 0 {
 		t.Fatalf("outlier survived: %v", d)
 	}
 	if d[6] != 2 {
 		t.Fatalf("majority run flipped: %v", d)
+	}
+	// Ties go to the value that reaches the count first, and the vote
+	// clamps at both ends.
+	if got := majority([]int16{3, 1, 1, 3}); got != 1 {
+		t.Fatalf("tie vote %d, want 1", got)
+	}
+	if d[0] != 0 || d[len(d)-1] != 2 {
+		t.Fatalf("edge votes %d, %d, want 0, 2", d[0], d[len(d)-1])
 	}
 }

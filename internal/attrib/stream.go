@@ -9,23 +9,21 @@ import (
 	"emprof/internal/dsp"
 )
 
-// StreamAttributor runs a trained attribution model continuously against
-// a sample stream — the online face of Model.Attribute. Each completed
-// STFT frame is matched to its nearest region signature as soon as its
-// last sample arrives; the profiling service asks it to summarise the
-// attributed regions of every rolling window it seals, so a live
-// session's windows carry stall→code-region attribution without ever
-// rerunning the batch segmentation.
+// StreamAttributor runs a trained attribution model against a sample
+// stream; it is the one frame matcher, which Model.Attribute drives over
+// a whole capture. Each completed frame is matched to its nearest region
+// signature as soon as its last sample arrives; the profiling service
+// asks it to summarise the attributed regions of every rolling window it
+// seals, so a live session's windows carry stall→code-region attribution.
 //
-// Frame spectra are computed with the same windowed-FFT primitive the
-// batch path uses, so a frame decided online matches its batch decision
-// exactly; only the majority-vote smoothing differs at the stream's
-// moving edge, where future frames are not yet available (it catches up
-// as they arrive — windows seal well behind the frame frontier, so
-// sealed-window summaries see settled decisions in practice).
+// Decisions are majority-smoothed over the voteRadius frames on each
+// side, clamped to the frames held; at the stream's moving edge the
+// future frames are not yet available, so the vote there catches up as
+// they arrive (windows seal well behind the frame frontier, so sealed-
+// window summaries see settled decisions in practice).
 type StreamAttributor struct {
-	m   *Model
-	win []float64
+	m  *Model
+	sp spectrum
 
 	// Sliding raw-sample buffer: buf[0] is absolute sample index base.
 	buf  []float64
@@ -37,23 +35,51 @@ type StreamAttributor struct {
 	decisions []int16
 	decBase   int64
 	nextFrame int64
-
-	cbuf  []complex128
-	frame []float64
 }
 
-// NewStreamAttributor wraps a trained model for continuous matching.
+// maxFrameLen bounds a model's frame length and hop, in samples. Models
+// arrive from the network with a session's create body, and the frame
+// length sizes the window and FFT workspace each session allocates; 64Ki
+// samples is 64× the default frame.
+const maxFrameLen = 1 << 16
+
+// voteRadius is the majority vote's half-width, in frames.
+const voteRadius = 2
+
+// checkGeometry bounds a frame length and hop.
+func checkGeometry(frameLen, hop int) error {
+	if frameLen <= 0 || hop <= 0 || frameLen > maxFrameLen || hop > maxFrameLen {
+		return fmt.Errorf("attrib: frame geometry %d/%d outside (0, %d]", frameLen, hop, maxFrameLen)
+	}
+	return nil
+}
+
+// NewStreamAttributor wraps a trained model for continuous matching. It
+// checks the model as it would arrive from an untrusted peer: bounded
+// frame geometry, and every signature a spectrum of the frame's bin count
+// holding finite, non-negative powers.
 func NewStreamAttributor(m *Model) (*StreamAttributor, error) {
 	if m == nil || len(m.Signatures) == 0 {
 		return nil, fmt.Errorf("attrib: empty model")
 	}
-	if m.FrameLen <= 0 || m.Hop <= 0 {
-		return nil, fmt.Errorf("attrib: model frame geometry %d/%d invalid", m.FrameLen, m.Hop)
+	if err := checkGeometry(m.FrameLen, m.Hop); err != nil {
+		return nil, err
 	}
 	if len(m.Signatures) > math.MaxInt16 {
 		return nil, fmt.Errorf("attrib: %d signatures exceed the stream matcher's bound", len(m.Signatures))
 	}
-	return &StreamAttributor{m: m, win: dsp.HannCached(m.FrameLen)}, nil
+	bins := dsp.NextPow2(m.FrameLen)/2 + 1
+	for _, sig := range m.Signatures {
+		if len(sig.Spectrum) != bins {
+			return nil, fmt.Errorf("attrib: region %d signature has %d bins, want %d", sig.Region, len(sig.Spectrum), bins)
+		}
+		for _, v := range sig.Spectrum {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("attrib: region %d signature holds power %v", sig.Region, v)
+			}
+		}
+	}
+	return &StreamAttributor{m: m, sp: newSpectrum(m.FrameLen)}, nil
 }
 
 // Push feeds raw magnitude samples, deciding every frame they complete.
@@ -66,8 +92,9 @@ func (a *StreamAttributor) Push(xs []float64) {
 		a.decide(a.buf[start : start+frameLen])
 		a.nextFrame++
 	}
-	// Keep only the samples the next (incomplete) frame needs.
-	if keepFrom := a.nextFrame*hop - a.base; keepFrom > 0 {
+	// Keep only the samples the next (incomplete) frame needs. With a hop
+	// longer than the frame, that frame may start past everything pushed.
+	if keepFrom := min(a.nextFrame*hop-a.base, int64(len(a.buf))); keepFrom > 0 {
 		a.buf = append(a.buf[:0], a.buf[keepFrom:]...)
 		a.base += keepFrom
 	}
@@ -75,21 +102,10 @@ func (a *StreamAttributor) Push(xs []float64) {
 
 // decide matches one complete frame against the signatures.
 func (a *StreamAttributor) decide(frame []float64) {
-	a.frame, a.cbuf = dsp.PowerSpectrumInto(frame, a.win, a.cbuf, a.frame[:0])
-	// Frame-normalise, as Spectrogram.NormalizeFrames does.
-	sum := 0.0
-	for _, v := range a.frame {
-		sum += v
-	}
-	if sum > 0 {
-		inv := 1 / sum
-		for i := range a.frame {
-			a.frame[i] *= inv
-		}
-	}
+	f := a.sp.of(frame)
 	best, bestD := 0, math.Inf(1)
 	for i := range a.m.Signatures {
-		d := dsp.SpectralDistance(a.frame, a.m.Signatures[i].Spectrum)
+		d := dsp.SpectralDistance(f, a.m.Signatures[i].Spectrum)
 		if d < bestD {
 			best, bestD = i, d
 		}
@@ -97,58 +113,45 @@ func (a *StreamAttributor) decide(frame []float64) {
 	a.decisions = append(a.decisions, int16(best))
 }
 
+// vote returns the majority-smoothed decision of frame t: the majority
+// over frames t-voteRadius..t+voteRadius, clamped to the frames held. t
+// must be a frame held.
+func (a *StreamAttributor) vote(t int64) int16 {
+	lo := max(t-voteRadius, a.decBase) - a.decBase
+	hi := min(t+voteRadius-a.decBase, int64(len(a.decisions))-1)
+	return majority(a.decisions[lo : hi+1])
+}
+
+// majority returns the most frequent value in the non-empty d; of values
+// tied for most frequent, the one that first reaches that count scanning
+// left to right.
+func majority(d []int16) int16 {
+	best, bestN := d[0], 0
+	for i, v := range d {
+		n := 0
+		for _, w := range d[:i+1] {
+			if w == v {
+				n++
+			}
+		}
+		if n > bestN {
+			best, bestN = v, n
+		}
+	}
+	return best
+}
+
 // regionAt returns the signature of the frame whose centre is nearest
-// the given absolute sample, majority-smoothed over radius 2 as the
-// batch path does (clamped at the retained/decided edges).
+// the given absolute sample (clamped to the frames held), after the
+// majority vote.
 func (a *StreamAttributor) regionAt(sample int64) (Signature, bool) {
 	if len(a.decisions) == 0 {
 		return Signature{}, false
 	}
 	hop, frameLen := int64(a.m.Hop), int64(a.m.FrameLen)
 	t := (sample - frameLen/2 + hop/2) / hop
-	if t < a.decBase {
-		t = a.decBase
-	}
-	if max := a.decBase + int64(len(a.decisions)) - 1; t > max {
-		t = max
-	}
-	// Majority vote over frames t-2..t+2, as smoothDecisions(d, 2).
-	counts := [5]struct {
-		sig int16
-		n   int
-	}{}
-	nc := 0
-	lo, hi := t-2, t+2
-	if lo < a.decBase {
-		lo = a.decBase
-	}
-	if max := a.decBase + int64(len(a.decisions)) - 1; hi > max {
-		hi = max
-	}
-	best, bestN := a.decisions[t-a.decBase], 0
-	for j := lo; j <= hi; j++ {
-		sig := a.decisions[j-a.decBase]
-		found := false
-		for i := 0; i < nc; i++ {
-			if counts[i].sig == sig {
-				counts[i].n++
-				if counts[i].n > bestN {
-					best, bestN = sig, counts[i].n
-				}
-				found = true
-				break
-			}
-		}
-		if !found && nc < len(counts) {
-			counts[nc].sig = sig
-			counts[nc].n = 1
-			if 1 > bestN {
-				best, bestN = sig, 1
-			}
-			nc++
-		}
-	}
-	return a.m.Signatures[best], true
+	t = min(max(t, a.decBase), a.decBase+int64(len(a.decisions))-1)
+	return a.m.Signatures[a.vote(t)], true
 }
 
 // Summarize attributes a sealed window's stalls to regions: each stall

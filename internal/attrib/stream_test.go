@@ -1,7 +1,9 @@
 package attrib
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emprof/internal/core"
@@ -28,20 +30,32 @@ func streamFrames(t *testing.T, m *Model, xs []float64, chunks []int) []int16 {
 	return append([]int16(nil), a.decisions...)
 }
 
-// batchFrames computes the batch path's raw frame decisions (Attribute
-// before smoothing) directly.
+// batchFrames is the whole-capture oracle of the frame decisions
+// (Attribute before smoothing): a short-time Fourier transform of xs,
+// each frame's Hann-windowed power spectrum scaled to unit total power,
+// matched to the nearest signature.
 func batchFrames(m *Model, xs []float64) []int16 {
-	sg := dsp.STFT(xs, 40e6, m.FrameLen, m.Hop)
-	sg.NormalizeFrames()
-	out := make([]int16, sg.NumFrames())
-	for t := 0; t < sg.NumFrames(); t++ {
+	w := dsp.Hann(m.FrameLen)
+	var out []int16
+	for start := 0; start+m.FrameLen <= len(xs); start += m.Hop {
+		f := dsp.PowerSpectrum(xs[start:start+m.FrameLen], w)
+		sum := 0.0
+		for _, v := range f {
+			sum += v
+		}
+		if sum > 0 {
+			inv := 1 / sum
+			for i := range f {
+				f[i] *= inv
+			}
+		}
 		best, bestD := 0, 1e308
 		for i := range m.Signatures {
-			if d := dsp.SpectralDistance(sg.Frames[t], m.Signatures[i].Spectrum); d < bestD {
+			if d := dsp.SpectralDistance(f, m.Signatures[i].Spectrum); d < bestD {
 				best, bestD = i, d
 			}
 		}
-		out[t] = int16(best)
+		out = append(out, int16(best))
 	}
 	return out
 }
@@ -139,11 +153,69 @@ func TestStreamDrop(t *testing.T) {
 	}
 }
 
+// TestStreamFrameGeometries checks the stream's frame decisions against
+// the oracle under random push splits, for hops shorter than, equal to
+// and longer than the frame — the last leaves gaps between frames, so a
+// push can end before the next frame starts.
+func TestStreamFrameGeometries(t *testing.T) {
+	trainCap, trainSpans := synthRegions(4000, testFreqs, []uint16{1, 2, 3})
+	testCap, testSpans := synthRegions(3000, testFreqs, []uint16{3, 1, 2, 1})
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range []struct{ frameLen, hop int }{{256, 96}, {256, 256}, {256, 700}, {4, 8}} {
+		m, err := Train(trainCap, trainSpans, TrainConfig{FrameLen: g.frameLen, Hop: g.hop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := batchFrames(m, testCap.Samples)
+		if len(want) == 0 {
+			t.Fatalf("%d/%d: no oracle frames", g.frameLen, g.hop)
+		}
+		for trial := 0; trial < 8; trial++ {
+			chunks := make([]int, 1+rng.Intn(5))
+			for i := range chunks {
+				chunks[i] = 1 + rng.Intn(2*g.hop+g.frameLen)
+			}
+			got := streamFrames(t, m, testCap.Samples, chunks)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d/%d, pushes of %v: stream decided %d frames, oracle %d, or a frame differs",
+					g.frameLen, g.hop, chunks, len(got), len(want))
+			}
+		}
+		if _, err := m.Attribute(testCap, testSpans); err != nil {
+			t.Fatalf("%d/%d: Attribute: %v", g.frameLen, g.hop, err)
+		}
+	}
+}
+
 func TestStreamAttributorValidation(t *testing.T) {
 	if _, err := NewStreamAttributor(nil); err == nil {
 		t.Fatal("nil model accepted")
 	}
 	if _, err := NewStreamAttributor(&Model{Signatures: []Signature{{Region: 1}}}); err == nil {
 		t.Fatal("zero frame geometry accepted")
+	}
+	sig := func(spec ...float64) []Signature {
+		s := make([]float64, 3) // NextPow2(4)/2+1 bins
+		copy(s, spec)
+		return []Signature{{Region: 1, Spectrum: s}}
+	}
+	if _, err := NewStreamAttributor(&Model{Signatures: sig(0.5, 0.5), FrameLen: 4, Hop: 2}); err != nil {
+		t.Fatalf("valid model refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{
+		{"frame too long", &Model{Signatures: sig(), FrameLen: maxFrameLen + 1, Hop: 1}},
+		{"hop too long", &Model{Signatures: sig(), FrameLen: 4, Hop: maxFrameLen + 1}},
+		{"short spectrum", &Model{Signatures: []Signature{{Region: 1, Spectrum: []float64{1, 0}}}, FrameLen: 4, Hop: 2}},
+		{"long spectrum", &Model{Signatures: []Signature{{Region: 1, Spectrum: []float64{1, 0, 0, 0}}}, FrameLen: 4, Hop: 2}},
+		{"negative power", &Model{Signatures: sig(1, -0.1), FrameLen: 4, Hop: 2}},
+		{"NaN power", &Model{Signatures: sig(math.NaN()), FrameLen: 4, Hop: 2}},
+		{"infinite power", &Model{Signatures: sig(math.Inf(1)), FrameLen: 4, Hop: 2}},
+	} {
+		if _, err := NewStreamAttributor(tc.m); err == nil {
+			t.Errorf("%s: model accepted", tc.name)
+		}
 	}
 }

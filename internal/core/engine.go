@@ -312,11 +312,14 @@ const (
 )
 
 // stageClock accumulates wall time per stage across chunks, for the
-// stage timings a traced batch run reports. A nil clock is never read, so
-// untraced runs pay one branch per lap.
+// stage timings a traced run reports at Finalize. SetObserver attaches
+// one with the observer; a nil clock is never read, so untraced runs pay
+// one branch per lap.
 type stageClock struct {
 	ns [numStages]int64
 	t  time.Time
+	// from is the stream's sample count when the clock was attached.
+	from int64
 }
 
 func (c *stageClock) start() {

@@ -2,7 +2,7 @@ package core
 
 import "emprof/internal/em"
 
-// TimeStages attaches a stage clock to s, as a traced batch run does, and
+// TimeStages attaches a stage clock to s, as SetObserver does, and
 // returns a reader of the nanoseconds spent so far in the monitor,
 // smooth, min/max and detect stages.
 func TimeStages(s *StreamAnalyzer) func() [numStages]int64 {

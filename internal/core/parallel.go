@@ -56,11 +56,8 @@ func (a *Analyzer) ProfileParallel(c *em.Capture) *Profile {
 	prod := a.engine(c, false)
 	cons := a.engine(c, a.KeepNormalized)
 	obs := a.Observer
-	if obs != nil {
-		prod.SetObserver(obs)
-		cons.SetObserver(obs)
-		prod.clock, cons.clock = &stageClock{}, &stageClock{}
-	}
+	prod.SetObserver(obs)
+	cons.SetObserver(obs)
 	cons.lanes() // size the caller's flag ring before the first hand-off
 
 	free := make(chan *handoff, handoffBufs)

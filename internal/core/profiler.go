@@ -305,24 +305,15 @@ func (a *Analyzer) Normalize(c *em.Capture) []float64 {
 // long the capture is.
 func (a *Analyzer) Profile(c *em.Capture) *Profile {
 	s := a.engine(c, a.KeepNormalized)
-	obs := a.Observer
-	if obs == nil {
-		s.PushBlock(c.Samples)
-		return s.finish()
-	}
-	// Stage timings are measured only when tracing: the nil-observer path
-	// never reads the clock.
-	s.SetObserver(obs)
-	s.clock = &stageClock{}
+	s.SetObserver(a.Observer)
 	s.PushBlock(c.Samples)
-	p := s.finish()
-	reportStages(obs, s.n, s.clock)
-	return p
+	return s.Finalize()
 }
 
 // reportStages emits the scan (monitor plus smoother), normalize and
 // detect stage timings of a traced run over n samples, summed over the
-// stage clocks of the engines that ran it.
+// stage clocks of the engines that ran it. Every traced run reports
+// through it: Finalize for one engine, ProfileParallel for its two.
 func reportStages(obs trace.Observer, n int64, clocks ...*stageClock) {
 	var ns [numStages]int64
 	for _, c := range clocks {

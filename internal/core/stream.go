@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"emprof/internal/dsp"
 	"emprof/internal/trace"
@@ -65,7 +64,8 @@ type StreamAnalyzer struct {
 	// scratch backs the staged block processing; empty until the first
 	// push.
 	scratch blockScratch
-	// clock times the stages of a traced batch run; nil otherwise.
+	// clock times the stages while an observer is attached; nil
+	// otherwise.
 	clock *stageClock
 
 	lastMin, lastMax float64
@@ -117,30 +117,29 @@ func newStreamAnalyzer(cfg Config, sampleRate, clockHz float64) *StreamAnalyzer 
 
 // SetObserver attaches a decision-trace observer: it receives one event
 // per analyzer decision (dip candidates, accepted/rejected stalls,
-// resyncs, quality flags, and a drain timing at Finalize) as each
-// decision is taken. Call it before the first PushBlock; attaching an
-// observer never changes the produced profile. A nil observer restores
-// the original, emission-free path.
+// resyncs, quality flags) as each decision is taken, and the scan,
+// normalize and detect stage timings at Finalize. Call it before the
+// first PushBlock; attaching an observer never changes the produced
+// profile. A nil observer restores the original, emission-free path,
+// which never reads the clock. Attached mid-stream (a resumed hand-off),
+// the timings cover the samples pushed from then on.
 func (s *StreamAnalyzer) SetObserver(o trace.Observer) {
 	s.obs = o
 	s.mon.obs = o
 	s.det.obs = o
+	s.clock = nil
+	if o != nil {
+		s.clock = &stageClock{from: s.n}
+	}
 }
 
 // Finalize drains the pipeline and returns the profile. The analyzer must
 // not be pushed to afterwards.
 func (s *StreamAnalyzer) Finalize() *Profile {
-	if s.obs == nil {
-		return s.finish()
-	}
-	t0 := time.Now()
-	drainFrom := s.emitted
 	p := s.finish()
-	s.obs.StageTiming(trace.StageTiming{
-		Stage:      trace.StageDrain,
-		DurationNs: time.Since(t0).Nanoseconds(),
-		Samples:    s.emitted - drainFrom,
-	})
+	if s.obs != nil {
+		reportStages(s.obs, s.n-s.clock.from, s.clock)
+	}
 	return p
 }
 

@@ -192,24 +192,47 @@ func TestObserverParallelChunks(t *testing.T) {
 	}
 }
 
-func TestObserverStreamDrainTiming(t *testing.T) {
+// TestObserverStreamStageTiming checks that a traced stream's Finalize
+// reports the same stage timings as a traced batch run: exactly scan,
+// normalize and detect, in that order, each covering every sample pushed
+// since the observer was attached — all of them on a fresh stream, the
+// pushes after the hand-off on a resumed one.
+func TestObserverStreamStageTiming(t *testing.T) {
 	c := syntheticCapture(1<<15, 9, false)
-	s, err := NewStreamAnalyzer(DefaultConfig(), c.SampleRate, c.ClockHz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := trace.NewMetrics()
-	s.SetObserver(m)
-	for i := range c.Samples {
-		s.PushBlock(c.Samples[i : i+1])
-	}
-	p := s.Finalize()
-	snap := m.Snapshot()
-	if _, ok := snap.StageNs[trace.StageDrain]; !ok {
-		t.Fatalf("no drain timing: %v", snap.StageNs)
-	}
-	if int(snap.StallsAccepted) != len(p.Stalls) {
-		t.Errorf("accepted events = %d, profile has %d stalls", snap.StallsAccepted, len(p.Stalls))
+	for _, resumeAt := range []int{0, 10_000} {
+		s, err := NewStreamAnalyzer(DefaultConfig(), c.SampleRate, c.ClockHz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumeAt > 0 {
+			s.PushBlock(c.Samples[:resumeAt])
+			if s, err = ResumeStreamAnalyzer(s.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ring := trace.NewRing(1 << 12)
+		m := trace.NewMetrics()
+		s.SetObserver(trace.Multi(ring, m))
+		for i := resumeAt; i < len(c.Samples); i += 1000 {
+			s.PushBlock(c.Samples[i:min(i+1000, len(c.Samples))])
+		}
+		p := s.Finalize()
+		var got []trace.Stage
+		for _, r := range ring.Records() {
+			if r.Type != trace.TypeStageTiming {
+				continue
+			}
+			got = append(got, trace.Stage(r.Stage))
+			if want := int64(len(c.Samples) - resumeAt); r.Samples != want {
+				t.Errorf("resumed at %d: stage %s covers %d samples, want %d", resumeAt, r.Stage, r.Samples, want)
+			}
+		}
+		if want := []trace.Stage{trace.StageScan, trace.StageNormalize, trace.StageDetect}; !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed at %d: stage timings %v, want %v", resumeAt, got, want)
+		}
+		if resumeAt == 0 && int(m.Snapshot().StallsAccepted) != len(p.Stalls) {
+			t.Errorf("accepted events = %d, profile has %d stalls", m.Snapshot().StallsAccepted, len(p.Stalls))
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ func Hann(n int) []float64 {
 	return cosineWindow(n, []float64{0.5, -0.5})
 }
 
-// hannCache memoises Hann windows by length for the spectrogram and sweep
-// hot paths, which rebuild the identical window per STFT / per job.
+// hannCache memoises Hann windows by length for callers that rebuild the
+// identical window per call (the experiments' figure spectra).
 var hannCache sync.Map // int -> []float64
 
 // HannCached returns an n-point Hann window shared across callers. The

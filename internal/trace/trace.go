@@ -120,9 +120,6 @@ const (
 	StageNormalize Stage = "normalize"
 	// StageDetect is the dip-detection pass over normalised values.
 	StageDetect Stage = "detect"
-	// StageDrain is the streaming analyzer's Finalize: flushing the
-	// smoother tail and the trailing half-window of pending decisions.
-	StageDrain Stage = "drain"
 )
 
 // DipCandidate is emitted when the normalised signal falls below the

@@ -7,7 +7,7 @@ import (
 	"emprof/internal/core"
 )
 
-// runBlockSamples is the push granularity of Analyzer.Run's streaming
+// runBlockSamples is the push granularity of Analyzer.Run's sequential
 // path; cancellation is checked between blocks.
 const runBlockSamples = 1 << 16
 
@@ -20,10 +20,9 @@ const runBlockSamples = 1 << 16
 // attached Observer must be safe for concurrent use in the latter case,
 // or whenever WithWorkers enables the parallel path.
 type Analyzer struct {
-	core      *core.Analyzer
-	parallel  bool
-	streaming bool
-	obs       Observer
+	core     *core.Analyzer
+	parallel bool
+	obs      Observer
 }
 
 // Option configures an Analyzer at construction time.
@@ -33,7 +32,6 @@ type Option func(*Analyzer)
 // default, and any other value selects the two-stage pipeline, which runs
 // the quality monitor and smoother on one goroutine and normalisation and
 // detection on the caller's, bit-identically to the sequential result.
-// Ignored by the streaming path (WithStreaming).
 func WithWorkers(n int) Option {
 	return func(a *Analyzer) { a.parallel = n != 1 }
 }
@@ -47,19 +45,19 @@ func WithObserver(o Observer) Option {
 	return func(a *Analyzer) { a.obs = o }
 }
 
-// WithStreaming selects the bounded-memory incremental path: Run pushes
-// the capture through a StreamAnalyzer block by block instead of holding
-// intermediate buffers proportional to the capture. The result still
-// matches the batch path bit-for-bit; Run additionally honours context
-// cancellation between blocks.
+// WithStreaming does nothing: the default sequential path already pushes
+// the capture through a StreamAnalyzer block by block, in bounded memory,
+// checking ctx between blocks.
+//
+// Deprecated: Run's default path is the streaming path; drop the option.
 func WithStreaming() Option {
-	return func(a *Analyzer) { a.streaming = true }
+	return func(*Analyzer) {}
 }
 
 // NewAnalyzer validates the configuration and builds an analyzer.
-// Without options it runs the batch path; options select the
-// parallel or streaming execution paths (every path is bit-identical in
-// output) and attach observability:
+// Without options it runs the sequential path; WithWorkers selects the
+// parallel path (both are bit-identical in output) and WithObserver
+// attaches observability:
 //
 //	a, err := emprof.NewAnalyzer(cfg,
 //	        emprof.WithWorkers(2),
@@ -84,11 +82,13 @@ func NewAnalyzer(cfg Config, opts ...Option) (*Analyzer, error) {
 func (a *Analyzer) Config() Config { return a.core.Config() }
 
 // Run profiles one capture on the path the options selected. It reports
-// ErrBadCapture for captures that cannot be analysed, and honours ctx:
-// a nil ctx means context.Background(), cancellation is checked up front
-// on every path and between blocks on the streaming path. On the batch
-// and parallel paths a capture already in flight runs to completion —
-// they have no internal yield points.
+// ErrBadCapture for captures that cannot be analysed, and ErrBadConfig
+// when the configuration's windows are too large for the capture's
+// sample rate. It honours ctx: a nil ctx means context.Background(), and
+// cancellation is checked up front on both paths. The sequential path
+// pushes the capture through the engine (Stream) in blocks and checks
+// ctx between them; the parallel path runs a capture already in flight
+// to completion.
 func (a *Analyzer) Run(ctx context.Context, c *Capture) (*Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -99,46 +99,35 @@ func (a *Analyzer) Run(ctx context.Context, c *Capture) (*Profile, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if a.streaming {
-		return a.runStreaming(ctx, c)
-	}
 	if a.parallel {
 		return a.core.ProfileParallel(c), nil
 	}
-	return a.core.Profile(c), nil
-}
-
-// runStreaming pushes the capture through a fresh StreamAnalyzer in
-// runBlockSamples blocks, checking for cancellation between blocks.
-func (a *Analyzer) runStreaming(ctx context.Context, c *Capture) (*Profile, error) {
 	s, err := a.Stream(c.SampleRate, c.ClockHz)
 	if err != nil {
 		return nil, err
 	}
-	for off := 0; off < len(c.Samples); off += runBlockSamples {
+	for xs := c.Samples; len(xs) > 0; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		end := off + runBlockSamples
-		if end > len(c.Samples) {
-			end = len(c.Samples)
-		}
-		s.PushBlock(c.Samples[off:end])
+		n := min(len(xs), runBlockSamples)
+		s.PushBlock(xs[:n])
+		xs = xs[n:]
 	}
 	return s.Finalize(), nil
 }
 
 // Stream returns a push-based incremental profiler carrying the
 // analyzer's configuration and observer, for signals acquired at
-// sampleRate from a processor clocked at clockHz — the live-acquisition
-// form of Run(ctx, capture) with WithStreaming.
+// sampleRate from a processor clocked at clockHz: PushBlock samples as
+// they arrive, set OnStall for live event delivery, and Finalize returns
+// the profile. It is the engine Run drives over a whole capture, so any
+// split of the capture into pushes profiles bit-identically to Run.
 func (a *Analyzer) Stream(sampleRate, clockHz float64) (*StreamAnalyzer, error) {
 	s, err := core.NewStreamAnalyzer(a.core.Config(), sampleRate, clockHz)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrBadConfig, err)
 	}
-	if a.obs != nil {
-		s.SetObserver(a.obs)
-	}
+	s.SetObserver(a.obs)
 	return s, nil
 }
