@@ -7,7 +7,10 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"emprof/internal/trace"
 )
 
 // apiTestCapture simulates a small microbenchmark capture for the
@@ -58,9 +61,9 @@ func streamAnalyzer(c *Capture, cfg Config, sizes []int, opts ...Option) (*Profi
 // samples.
 var streamSplits = []int{7, 4099, 1, 513}
 
-// TestAnalyzerPathsBitIdentical pins the unification contract: every
-// NewAnalyzer execution path, and a stream of the capture pushed in split
-// blocks, produces a profile bit-identical to the default path's.
+// TestAnalyzerPathsBitIdentical pins the unification contract: a second
+// Run of the same capture, and a stream of it pushed in split blocks,
+// each produce a profile bit-identical to NewAnalyzer(cfg).Run's.
 func TestAnalyzerPathsBitIdentical(t *testing.T) {
 	c := apiTestCapture(t)
 	cfg := DefaultConfig()
@@ -68,21 +71,12 @@ func TestAnalyzerPathsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"default", nil},
-		{"parallel", []Option{WithWorkers(4)}},
-		{"parallel-auto", []Option{WithWorkers(0)}},
-	} {
-		got, err := runAnalyzer(c, cfg, tc.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: profile differs from NewAnalyzer(cfg).Run", tc.name)
-		}
+	again, err := runAnalyzer(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Errorf("rerun: profile differs from NewAnalyzer(cfg).Run")
 	}
 	got, err := streamAnalyzer(c, cfg, streamSplits)
 	if err != nil {
@@ -93,10 +87,104 @@ func TestAnalyzerPathsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAnalyzerConcurrentRuns pins the concurrency contract of Run: one
+// Analyzer with one shared metrics observer, Run from four goroutines over
+// different captures (two of them impaired), gives each capture the
+// profile of its solo Run, and the observer ends with the sums of the solo
+// runs' event counts.
+func TestAnalyzerConcurrentRuns(t *testing.T) {
+	w, err := Microbenchmark(96, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make([]*Capture, 4)
+	for i := range caps {
+		run, err := Simulate(DeviceOlimex(), w, CaptureOptions{Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps[i] = run.Capture
+		if i%2 == 1 {
+			spec := FaultSpec{DropoutRate: 0.001, GainStepsPerS: 2000, NaNRate: 1e-4, Seed: uint64(i)}
+			if caps[i], _, err = InjectFaults(run.Capture, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	want := make([]*Profile, len(caps))
+	var sum trace.Snapshot
+	for i, c := range caps {
+		m := NewTraceMetrics()
+		if want[i], err = runAnalyzer(c, cfg, WithObserver(m)); err != nil {
+			t.Fatal(err)
+		}
+		addCounts(&sum, m.Snapshot())
+	}
+	if sum.StallsAccepted == 0 || len(sum.Resyncs) == 0 {
+		t.Fatalf("solo runs traced %d stalls and %d resync causes; the check is vacuous", sum.StallsAccepted, len(sum.Resyncs))
+	}
+
+	m := NewTraceMetrics()
+	a, err := NewAnalyzer(cfg, WithObserver(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Profile, len(caps))
+	errs := make([]error, len(caps))
+	var wg sync.WaitGroup
+	for i, c := range caps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = a.Run(context.Background(), c)
+		}()
+	}
+	wg.Wait()
+	for i := range caps {
+		if errs[i] != nil {
+			t.Fatalf("capture %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("capture %d: concurrent profile differs from its solo Run", i)
+		}
+	}
+	var shared trace.Snapshot
+	addCounts(&shared, m.Snapshot())
+	if !reflect.DeepEqual(shared, sum) {
+		t.Errorf("shared observer counted\n%+v\nwant the solo runs' sum\n%+v", shared, sum)
+	}
+}
+
+// addCounts adds the event counts of s to sum: every field but the depth
+// sum, whose float additions depend on order, and the stage timings.
+func addCounts(sum *trace.Snapshot, s trace.Snapshot) {
+	sum.DipCandidates += s.DipCandidates
+	sum.StallsAccepted += s.StallsAccepted
+	sum.RefreshStalls += s.RefreshStalls
+	for i, n := range s.DepthHist {
+		sum.DepthHist[i] += n
+	}
+	if sum.Rejected == nil {
+		sum.Rejected = map[trace.RejectReason]uint64{}
+		sum.Resyncs = map[trace.ResyncCause]uint64{}
+		sum.FlaggedSamples = map[string]uint64{}
+	}
+	for k, n := range s.Rejected {
+		sum.Rejected[k] += n
+	}
+	for k, n := range s.Resyncs {
+		sum.Resyncs[k] += n
+	}
+	for k, n := range s.FlaggedSamples {
+		sum.FlaggedSamples[k] += n
+	}
+}
+
 // TestObserverGoldenEquivalence is the golden satellite test: attaching
 // any observer (JSONL, ring, metrics, or all three) leaves the Profile
-// bit-identical to the nil-observer run on the batch, streaming and
-// parallel paths.
+// bit-identical to the nil-observer run, through Run and through a
+// stream pushed in split blocks.
 func TestObserverGoldenEquivalence(t *testing.T) {
 	c := apiTestCapture(t)
 	cfg := DefaultConfig()
@@ -109,7 +197,6 @@ func TestObserverGoldenEquivalence(t *testing.T) {
 		run  func(Observer) (*Profile, error)
 	}{
 		{"batch", func(o Observer) (*Profile, error) { return runAnalyzer(c, cfg, WithObserver(o)) }},
-		{"parallel", func(o Observer) (*Profile, error) { return runAnalyzer(c, cfg, WithObserver(o), WithWorkers(4)) }},
 		{"stream", func(o Observer) (*Profile, error) { return streamAnalyzer(c, cfg, streamSplits, WithObserver(o)) }},
 	}
 	sinks := []struct {
@@ -202,20 +289,18 @@ func TestNewAnalyzerBadConfig(t *testing.T) {
 
 func TestRunHonoursContext(t *testing.T) {
 	c := apiTestCapture(t)
-	for _, opts := range [][]Option{nil, {WithWorkers(4)}} {
-		a, err := NewAnalyzer(DefaultConfig(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := a.Run(ctx, c); !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled ctx: got %v, want context.Canceled", err)
-		}
-		// A nil context means Background.
-		if _, err := a.Run(nil, c); err != nil {
-			t.Errorf("nil ctx: %v", err)
-		}
+	a, err := NewAnalyzer(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := a.Run(ctx, c); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx: got %v, want context.Canceled", err)
+	}
+	// A nil context means Background.
+	if _, err := a.Run(nil, c); err != nil {
+		t.Errorf("nil ctx: %v", err)
 	}
 }
 

@@ -351,55 +351,6 @@ func BenchmarkAblationOoOWindow(b *testing.B) {
 	}
 }
 
-// parallelBenchCapture synthesizes a long capture (≥10M samples) with a
-// realistic dip density directly, skipping the cycle-level simulator —
-// simulating this many cycles would dominate the benchmark setup.
-func parallelBenchCapture(n int) *emprof.Capture {
-	rng := sim.NewRNG(42)
-	s := make([]float64, n)
-	busy := true
-	left := 400
-	for i := range s {
-		if left == 0 {
-			busy = !busy
-			if busy {
-				left = 200 + int(rng.Uint64()%600)
-			} else {
-				left = 4 + int(rng.Uint64()%14)
-			}
-		}
-		left--
-		v := 1.0
-		if !busy {
-			v = 0.12
-		}
-		s[i] = v + 0.03*rng.NormFloat64()
-	}
-	return &emprof.Capture{Samples: s, SampleRate: 50e6, ClockHz: 1e9}
-}
-
-// BenchmarkAnalyzeParallel compares sequential analysis against the
-// two-stage pipeline (WithWorkers(2)) on a long capture. The pipeline
-// runs the monitor and smoother on one goroutine and min/max and decide
-// on the caller's, so with two cores its wall time approaches the larger
-// of the two halves; every WithWorkers value other than 1 runs the same
-// code.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	cap := parallelBenchCapture(12 << 20)
-	cfg := emprof.DefaultConfig()
-	bench := func(opts ...emprof.Option) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * len(cap.Samples)))
-			for i := 0; i < b.N; i++ {
-				analyze(b, cap, cfg, opts...)
-			}
-		}
-	}
-	b.Run("sequential", bench())
-	b.Run("workers-2", bench(emprof.WithWorkers(2)))
-}
-
 // BenchmarkSweep runs a device × seed grid through the sweep runner,
 // serial vs parallel workers.
 func BenchmarkSweep(b *testing.B) {

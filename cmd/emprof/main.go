@@ -5,7 +5,6 @@
 //	emprof -i run.cap
 //	emprof -i run.cap -hist -rate
 //	emprof -i run.cap -enter 0.3 -min-stall 120e-9
-//	emprof -i long.cap -workers 2      # two-stage pipeline, same results
 //	emprof -i run.cap -trace out.jsonl # record every analyzer decision
 //
 // The `top` subcommand watches a live emprofd daemon (or fleet router)
@@ -43,7 +42,6 @@ func main() {
 		hist     = flag.Bool("hist", false, "print the stall-latency histogram")
 		rate     = flag.Bool("rate", false, "print the miss rate over time")
 		events   = flag.Int("events", 0, "print the first N detected stalls")
-		workers  = flag.Int("workers", 1, "analysis path: 1 = sequential, any other value = the two-stage pipeline (monitor and smoother on one goroutine, normalise and detect on another); results are identical either way")
 		traceOut = flag.String("trace", "", "write the analyzer's decision trace (dip candidates, accepts, rejects, resyncs, stage timings) to this JSONL file")
 		showVer  = flag.Bool("version", false, "print version and exit")
 	)
@@ -74,7 +72,7 @@ func main() {
 		cfg.NormWindowS = *window
 	}
 
-	opts := []emprof.Option{emprof.WithWorkers(*workers)}
+	var opts []emprof.Option
 	var rec *emprof.TraceJSONL
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -213,49 +213,8 @@ func TestSliceRegionCoversGroundTruthStalls(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelMatchesAnalyze checks the public parallel path
-// (NewAnalyzer with WithWorkers) against the batch path end to end: identical profiles on a clean simulated capture and
-// on a fault-impaired one, for several worker counts.
-func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
-	w, err := Microbenchmark(128, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := Simulate(DeviceOlimex(), w, CaptureOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	impaired, _, err := InjectFaults(run.Capture, FaultSpec{
-		DropoutRate: 0.001, GainStepsPerS: 100, NaNRate: 1e-4, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	for name, c := range map[string]*Capture{"clean": run.Capture, "faulted": impaired} {
-		want, err := runAnalyzer(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2, 4} {
-			got, err := runAnalyzer(c, cfg, WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Misses != want.Misses || got.StallCycles != want.StallCycles ||
-				got.Quality != want.Quality || len(got.Stalls) != len(want.Stalls) {
-				t.Fatalf("%s capture, %d workers: parallel %d misses/%v quality, sequential %d/%v",
-					name, workers, got.Misses, got.Quality, want.Misses, want.Quality)
-			}
-			for i := range want.Stalls {
-				if got.Stalls[i] != want.Stalls[i] {
-					t.Fatalf("%s capture, %d workers: stall %d diverged", name, workers, i)
-				}
-			}
-		}
-	}
-}
-
+// TestAnalyzeParallelValidatesConfig checks that WithWorkers, a
+// deprecated no-op, does not bypass configuration validation.
 func TestAnalyzeParallelValidatesConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ExitThreshold = -1

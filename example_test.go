@@ -67,10 +67,9 @@ func ExampleAnalyzer_Stream() {
 	// Output: stream matches batch: true
 }
 
-// ExampleNewAnalyzer shows the options-based analyzer API: one
-// constructor covers the sequential and parallel execution paths (both
-// bit-identical), and an observer can be attached to trace every
-// detection decision the profiler makes.
+// ExampleNewAnalyzer shows the options-based analyzer API: an observer
+// attached at construction traces every detection decision the profiler
+// makes.
 func ExampleNewAnalyzer() {
 	w, err := emprof.Microbenchmark(64, 8)
 	if err != nil {
@@ -81,13 +80,9 @@ func ExampleNewAnalyzer() {
 		log.Fatal(err)
 	}
 
-	// A metrics observer aggregates the analyzer's decisions as it runs;
-	// WithWorkers(0) analyses the capture on all cores.
+	// A metrics observer aggregates the analyzer's decisions as it runs.
 	m := emprof.NewTraceMetrics()
-	an, err := emprof.NewAnalyzer(emprof.DefaultConfig(),
-		emprof.WithWorkers(0),
-		emprof.WithObserver(m),
-	)
+	an, err := emprof.NewAnalyzer(emprof.DefaultConfig(), emprof.WithObserver(m))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
-
-	"emprof/internal/core"
 )
 
 // fuzzConfigs are the profiler configurations the fuzzer cycles through:
@@ -35,13 +33,12 @@ func fuzzConfigs() []Config {
 }
 
 // FuzzAnalyze feeds arbitrary sample data and config permutations through
-// the default analyzer, a stream pushed in split blocks and the parallel
-// analyzer — optionally routing the capture through the probe drift+bump
-// fault injector first, so the position-adaptive resync path sees
-// adversarial inputs too. None may
-// ever panic — including on NaN/Inf garbage — and all three must agree
-// exactly at every capture length, shorter than a normalisation window
-// included.
+// the default analyzer and a stream pushed in split blocks — optionally
+// routing the capture through the probe drift+bump fault injector first,
+// so the position-adaptive resync path sees adversarial inputs too.
+// Neither may ever panic — including on NaN/Inf garbage — and both must
+// agree exactly at every capture length, shorter than a normalisation
+// window included.
 func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{}, uint8(0), false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, uint8(1), false)
@@ -123,17 +120,11 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			t.Fatalf("streaming: %v", err)
 		}
-		pp := core.MustNewAnalyzer(cfg).ProfileParallel(c)
-		for _, other := range []struct {
-			name string
-			p    *Profile
-		}{{"stream", ps}, {"parallel", pp}} {
-			if !sameProfile(pb, other.p) {
-				t.Fatalf("batch/%s diverged (n=%d cfg=%d):\nbatch: %d/%d %v %+v\n%s: %d/%d %v %+v",
-					other.name, n, int(sel)%len(cfgs),
-					pb.Misses, pb.RefreshStalls, pb.Quality, pb.Stalls,
-					other.name, other.p.Misses, other.p.RefreshStalls, other.p.Quality, other.p.Stalls)
-			}
+		if !sameProfile(pb, ps) {
+			t.Fatalf("batch/stream diverged (n=%d cfg=%d):\nbatch: %d/%d %v %+v\nstream: %d/%d %v %+v",
+				n, int(sel)%len(cfgs),
+				pb.Misses, pb.RefreshStalls, pb.Quality, pb.Stalls,
+				ps.Misses, ps.RefreshStalls, ps.Quality, ps.Stalls)
 		}
 	})
 }

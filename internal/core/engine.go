@@ -35,18 +35,17 @@ import (
 // the positions; the rest are mostly flagged.
 //
 // The pipeline has no feedback between its stages, so each kernel runs
-// over a whole span before the next starts. They are composed three ways:
+// over a whole span before the next starts. They are composed two ways:
 //
-//   - Streaming: StreamAnalyzer.pushChunk runs all four over bounded
-//     chunks. PushBlock splits its input into chunks. The due positions are decided in place, straight
-//     out of the fronts of the pending value and flag rings and then the
+//   - Streaming: StreamAnalyzer.PushBlock runs all four over bounded
+//     chunks. The due positions are decided in place, straight out of
+//     the fronts of the pending value and flag rings and then the
 //     chunk's own values; only the last half window's values are queued.
 //   - Batch: Analyzer.Profile is the streaming composition over a whole
 //     capture, so its scratch memory is bounded by the chunk size.
-//   - Parallel: ProfileParallel is the streaming composition cut at
-//     feedBlock: a producer goroutine runs scan (monitor and smooth) and
-//     hands each chunk's values, settled flags and resyncs to the caller,
-//     which runs feedBlock and drain on a second engine (parallel.go).
+//
+// One engine runs on one goroutine. Cores are used one capture (or one
+// daemon session) per goroutine, each with its own engine.
 //
 // Position i is decided against the stats after position i+half was folded
 // in, or against the final stats when the capture ends first. The
@@ -73,8 +72,8 @@ type blockScratch struct {
 
 // lanes returns the scratch lanes, allocating them on first use (the
 // float lanes and the smoother tail share one allocation) together with
-// queue capacity for a full pipeline plus one chunk, so nothing grows
-// afterwards.
+// queue capacity for the engine's latency (lead + half positions) plus
+// one chunk, so nothing grows afterwards.
 func (s *StreamAnalyzer) lanes() *blockScratch {
 	sc := &s.scratch
 	if sc.fl == nil {
@@ -94,17 +93,15 @@ func (s *StreamAnalyzer) lanes() *blockScratch {
 
 // PushBlock feeds a batch of magnitude samples. Any split of a stream
 // into blocks produces the same profile. The block is processed in
-// bounded chunks; xs is not retained.
+// chunks of at most pushBlockN samples, all four stages per chunk; xs is
+// not retained.
 func (s *StreamAnalyzer) PushBlock(xs []float64) {
 	for len(xs) > 0 {
 		n := min(len(xs), pushBlockN)
-		s.pushChunk(xs[:n])
+		s.feedBlock(s.scan(xs[:n]))
 		xs = xs[n:]
 	}
 }
-
-// pushChunk runs all four stages over one chunk.
-func (s *StreamAnalyzer) pushChunk(chunk []float64) { s.feedBlock(s.scan(chunk)) }
 
 // scan runs the monitor and smoother kernels over one chunk. It queues
 // the chunk's flags and resync positions and returns the values of the
@@ -229,21 +226,16 @@ func (s *StreamAnalyzer) decideSpan(xs, los, his []float64) {
 	s.emitted += int64(len(xs))
 }
 
-// finish drains the pipeline once the stream has ended.
+// finish drains the pipeline once the stream has ended: the final lead
+// positions take their own trailing smoother outputs, then drain decides
+// what is still pending.
 func (s *StreamAnalyzer) finish() *Profile {
 	s.clock.start()
-	s.feedBlock(s.tail())
-	return s.drain()
-}
-
-// tail returns the values of the final lead positions, which take their
-// own trailing smoother outputs, once the stream has ended.
-func (s *StreamAnalyzer) tail() []float64 {
-	if s.smoother == nil {
-		return nil
+	if s.smoother != nil {
+		k := min(s.lead, int(s.n))
+		s.feedBlock(s.smTail[max(len(s.smTail)-k, 0):])
 	}
-	k := min(s.lead, int(s.n))
-	return s.smTail[max(len(s.smTail)-k, 0):]
+	return s.drain()
 }
 
 // drain decides the positions still inside the last half-window against

@@ -15,7 +15,7 @@ import (
 )
 
 // Cross-version golden digests. The path-agreement tests (batch vs
-// streaming vs parallel vs windows vs the oracle) cannot see a change
+// streaming vs windows vs the oracle) cannot see a change
 // that moves every path at once; these pin the encoding/json bytes of the
 // profiles of three seeded simulations, and the finalized profile of a
 // committed mid-stream hand-off state, to what earlier builds produced.

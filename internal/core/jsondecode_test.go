@@ -125,6 +125,9 @@ func FuzzWindowDecode(f *testing.F) {
 	w := randomWindow(rng)
 	w.Regions = []WindowRegion{{Region: 3, Name: "hot_loop", Misses: 2, StallCycles: 250}}
 	addMarshalSeed(f, w)
+	// Names encoding/json escapes, and non-ASCII ones.
+	w.Regions = []WindowRegion{{Region: 1, Name: "inner<loop>&co", Misses: 1}, {Region: 2, Name: "boucle intérieure ✓ 𝄞"}}
+	addMarshalSeed(f, w)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fast ProfileWindow
 		var mirror rawWindow

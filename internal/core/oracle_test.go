@@ -8,6 +8,7 @@ import (
 
 	"emprof/internal/dsp"
 	"emprof/internal/em"
+	"emprof/internal/faults"
 	"emprof/internal/sim"
 	"emprof/internal/trace"
 )
@@ -17,9 +18,8 @@ import (
 // quality monitor scans the capture, one pass smooths and normalises the
 // whole array against moving min/max windows read half a window ahead,
 // and one loop runs the dip detector over the result. Every production
-// composition of the engine — batch, streaming at any split, the
-// two-stage pipeline, and rolling windows merged back — must reproduce it
-// bit for bit.
+// composition of the engine — batch, streaming at any split, and rolling
+// windows merged back — must reproduce it bit for bit.
 
 // ---- The per-sample monitor ----
 //
@@ -498,29 +498,61 @@ func oracleConfigs() map[string]Config {
 	even := DefaultConfig()
 	even.SmoothSamples = 2
 	configs["even-smooth"] = even
+	// Half a window longer than one chunk (the default's half is 4,000
+	// samples at 40 MS/s, just under pushBlockN).
+	long := DefaultConfig()
+	long.NormWindowS = 250e-6
+	configs["long-window"] = long
 	return configs
 }
 
-// oracleCapture is one input the compositions are checked on.
+// oracleCapture is one input the compositions are checked on. A quiet
+// input is too short or too featureless to hold a stall.
 type oracleCapture struct {
-	name string
-	c    *em.Capture
+	name  string
+	c     *em.Capture
+	quiet bool
 }
 
-// oracleCaptures returns clean, impaired, probe-shift, shorter-than-a-
-// window and final-half-window captures for a configuration.
+// oracleCaptures returns, for a configuration: clean, impaired,
+// injected-fault and probe-shift captures; degenerate ones (empty, one
+// sample, constant, all NaN); prefixes of the impaired capture whose
+// lengths sit on the engine's boundaries (one sample, lead+1, half, one
+// chunk ± 1, two chunks plus half); a capture shorter than a window; and
+// one with dips in the final half window.
 func oracleCaptures(cfg Config) []oracleCapture {
 	const rate = 40e6
 	w := normWindow(cfg, rate)
 	half := w / 2
+	lead := (cfg.SmoothSamples - 1) / 2
 	clean := synthCapture(30000, map[int]int{3000: 12, 11000: 40, 19000: 9, 26000: 110}, 0.1, 1, 0.02, 3)
 	impaired := &em.Capture{Samples: blockSeries(30000, 21), SampleRate: rate, ClockHz: 1e9}
 	short := synthCapture(max(w/2, 40), map[int]int{max(w/4, 20): 12}, 0.1, 1, 0.02, 5)
+	filled := func(n int, v float64) *em.Capture {
+		c := &em.Capture{Samples: make([]float64, n), SampleRate: rate, ClockHz: 1e9}
+		for i := range c.Samples {
+			c.Samples[i] = v
+		}
+		return c
+	}
 	caps := []oracleCapture{
-		{"clean", clean},
-		{"impaired", impaired},
-		{"probe-shift", shiftCapture(23)},
-		{"short", short},
+		{"clean", clean, false},
+		{"impaired", impaired, false},
+		{"injected-faults", faultCapture(), false},
+		{"probe-shift", shiftCapture(23), false},
+		{"short", short, true},
+		{"empty", filled(0, 0), true},
+		{"one", filled(1, 1), true},
+		{"const", filled(20000, 0), true},
+		{"nan", filled(20000, math.NaN()), true},
+	}
+	seen := map[int]bool{}
+	for _, n := range []int{1, lead + 1, half, pushBlockN - 1, pushBlockN, pushBlockN + 1, 2*pushBlockN + half} {
+		if !seen[n] {
+			seen[n] = true
+			pc := &em.Capture{Samples: impaired.Samples[:n], SampleRate: rate, ClockHz: 1e9}
+			caps = append(caps, oracleCapture{fmt.Sprintf("prefix-%d", n), pc, true})
+		}
 	}
 	if half < 64 {
 		return caps // no room for dips in the final half window
@@ -535,7 +567,26 @@ func oracleCaptures(cfg Config) []oracleCapture {
 	for i := deep; i < deep+12; i++ {
 		last.Samples[i] = 0.01
 	}
-	return append(caps, oracleCapture{"final-half-window", last})
+	return append(caps, oracleCapture{"final-half-window", last, false})
+}
+
+// faultCapture runs a clean capture through the fault injector with
+// every impairment class on at once: dropouts, clipping, gain steps, RF
+// bursts and NaN corruption.
+func faultCapture() *em.Capture {
+	clean := synthCapture(30000, map[int]int{2000: 12, 9000: 40, 17000: 12, 24000: 12}, 0.1, 1, 0.02, 13)
+	c, _, err := faults.Apply(clean, faults.Spec{
+		DropoutRate:   0.002,
+		ClipLevel:     1.6,
+		GainStepsPerS: 8000,
+		BurstRate:     0.0005,
+		NaNRate:       0.0002,
+		Seed:          2,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // TestMonitorBlockKernelMatchesOracle pins the monitor kernel to the
@@ -626,9 +677,9 @@ func monitorStateDiff(m *monitor, ref *oracleMonitor) string {
 
 // TestCompositionsMatchOracle is the single equivalence gate: batch,
 // streaming at several split patterns (one sample per push included),
-// the two-stage pipeline, and rolling windows
-// merged back must each reproduce the oracle's profile exactly —
-// stalls, confidences and the quality record — on every capture kind.
+// and rolling windows merged back must each reproduce the oracle's
+// profile exactly — stalls, confidences and the quality record — on
+// every capture kind.
 func TestCompositionsMatchOracle(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		a := MustNewAnalyzer(cfg)
@@ -637,8 +688,11 @@ func TestCompositionsMatchOracle(t *testing.T) {
 			c := oc.c
 			ctx := name + "/" + oc.name
 			want := oracleProfile(cfg, c, true)
-			if oc.name != "short" && len(want.Stalls) == 0 {
+			if !oc.quiet && len(want.Stalls) == 0 {
 				t.Fatalf("%s: oracle found no stalls; the check is vacuous", ctx)
+			}
+			if oc.name == "injected-faults" && want.Quality.Resyncs == 0 {
+				t.Fatalf("%s: the faults caused no resync; the gain-step path is untested", ctx)
 			}
 
 			if got := a.Profile(c); !reflect.DeepEqual(got, want) {
@@ -659,11 +713,6 @@ func TestCompositionsMatchOracle(t *testing.T) {
 			}
 			if got, err := ProfileStream(c, cfg); err != nil || !reflect.DeepEqual(got, &plain) {
 				t.Fatalf("%s per-sample: profile differs from the oracle", ctx)
-			}
-
-			if got := a.ProfileParallel(c); !reflect.DeepEqual(got, want) {
-				assertProfilesIdentical(t, want, got, ctx+" parallel")
-				t.Fatalf("%s parallel: profile differs from the oracle", ctx)
 			}
 
 			merged := windowsMerged(t, cfg, c, 1.3e-4)
@@ -753,8 +802,69 @@ func TestShortCaptureWindowRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := a.ProfileParallel(c)
-	for _, got := range []*Profile{stream, parallel} {
-		assertProfilesIdentical(t, p, got, "short capture")
+	assertProfilesIdentical(t, p, stream, "short capture")
+}
+
+// TestRetroFlagAtChunkEdge pins the monitor's retroactive patches at a
+// chunk edge. A receiver gain step flags the half−1 positions before the
+// sample that confirms it, and the patch goes through the flag queue, so
+// it must reach positions still undecided in earlier chunks: the deepest
+// one is decided only once the confirming sample's successor is folded
+// in. A stall dip exits on that deepest position: flagged, the dip is
+// aborted; a lost patch reports it. The step is confirmed once at the
+// first sample of a pushBlockN chunk (the patch crosses the edge) and once
+// at its last (the patch stays in the chunk); Profile must match the
+// oracle both times.
+func TestRetroFlagAtChunkEdge(t *testing.T) {
+	cfg := DefaultConfig()
+	half := normWindow(cfg, 40e6) / 2
+	// build returns a capture whose gain falls to a quarter at step, with
+	// a 12-sample dip ending just before dipEnd.
+	build := func(step, dipEnd int) *em.Capture {
+		c := synthCapture(5*pushBlockN, map[int]int{dipEnd - 12: 12}, 0.1, 1, 0.02, 7)
+		for i := step; i < len(c.Samples); i++ {
+			c.Samples[i] *= 0.25
+		}
+		return c
+	}
+	// confirmAt returns the position of the sample that confirmed the
+	// step: the one whose flag reaches half−1 positions back.
+	confirmAt := func(c *em.Capture) int {
+		a := MustNewAnalyzer(cfg)
+		ring := trace.NewRing(1 << 16)
+		a.Observer = ring
+		a.Profile(c)
+		for _, r := range ring.Records() {
+			if r.Type == trace.TypeQualityFlag && r.Retro == half-1 {
+				return int(r.Pos)
+			}
+		}
+		t.Fatal("no gain step confirmed")
+		return 0
+	}
+	const trial = 7000
+	delay := confirmAt(build(trial, 1000)) - trial
+
+	a := MustNewAnalyzer(cfg)
+	a.KeepNormalized = true
+	for _, confirm := range []int{2 * pushBlockN, 3*pushBlockN - 1} {
+		deepest := confirm - (half - 1)
+		c := build(confirm-delay, deepest)
+		if got := confirmAt(c); got != confirm {
+			t.Fatalf("step confirmed at %d, want %d", got, confirm)
+		}
+		want := oracleProfile(cfg, c, true)
+		if want.Quality.AbortedDips == 0 {
+			t.Fatalf("confirm=%d: the dip was not aborted; the check is vacuous", confirm)
+		}
+		for _, s := range want.Stalls {
+			if s.EndSample == deepest {
+				t.Fatalf("confirm=%d: the dip was reported; the check is vacuous", confirm)
+			}
+		}
+		if got := a.Profile(c); !reflect.DeepEqual(got, want) {
+			assertProfilesIdentical(t, want, got, "batch")
+			t.Fatalf("confirm=%d: profile differs from the oracle", confirm)
+		}
 	}
 }

@@ -111,7 +111,7 @@ func TestProbeShiftBoundsPhantomStalls(t *testing.T) {
 	}
 }
 
-// TestProbeShiftBatchStreamParallelEquivalent extends the three-way
+// TestProbeShiftBatchStreamParallelEquivalent extends the batch/stream
 // equivalence discipline to the armed detector on a bumped capture.
 func TestProbeShiftBatchStreamParallelEquivalent(t *testing.T) {
 	cfg := shiftConfig()
@@ -121,23 +121,7 @@ func TestProbeShiftBatchStreamParallelEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := MustNewAnalyzer(cfg).ProfileParallel(c)
-	for _, tc := range []struct {
-		name string
-		p    *Profile
-	}{{"stream", ps}, {"parallel", pp}} {
-		if pb.Quality != tc.p.Quality {
-			t.Fatalf("%s quality diverged:\nbatch: %v\nother: %v", tc.name, pb.Quality, tc.p.Quality)
-		}
-		if len(pb.Stalls) != len(tc.p.Stalls) {
-			t.Fatalf("%s stall count diverged: %d vs %d", tc.name, len(pb.Stalls), len(tc.p.Stalls))
-		}
-		for i := range pb.Stalls {
-			if pb.Stalls[i] != tc.p.Stalls[i] {
-				t.Fatalf("%s stall %d diverged:\nbatch: %+v\nother: %+v", tc.name, i, pb.Stalls[i], tc.p.Stalls[i])
-			}
-		}
-	}
+	assertProfilesIdentical(t, pb, ps, "stream")
 }
 
 // TestProbeShiftConfigValidation pins the knob's contract.

@@ -254,9 +254,9 @@ type Analyzer struct {
 	// quality flags, stage timings). Leaving it nil keeps the pipeline on
 	// its original path: output is bit-identical and the per-sample hot
 	// path allocation-free, and no clock is ever read. Observers never
-	// influence the produced Profile. With ProfileParallel the observer
-	// is invoked from two goroutines and must be safe for concurrent use
-	// (all sinks in internal/trace are).
+	// influence the produced Profile. Profiles run concurrently with one
+	// shared observer invoke it from several goroutines, so it must then
+	// be safe for concurrent use (all sinks in internal/trace are).
 	Observer trace.Observer
 }
 
@@ -294,9 +294,9 @@ func (a *Analyzer) Config() Config { return a.cfg }
 // clean capture the output is bit-identical to the unhardened pipeline.
 // The series is the one Profile keeps with KeepNormalized.
 func (a *Analyzer) Normalize(c *em.Capture) []float64 {
-	s := a.engine(c, true)
-	s.PushBlock(c.Samples)
-	return s.finish().Normalized
+	b := *a
+	b.KeepNormalized, b.Observer = true, nil
+	return b.Profile(c).Normalized
 }
 
 // Profile runs the full EMPROF pipeline on a capture: quality monitoring,
@@ -304,35 +304,12 @@ func (a *Analyzer) Normalize(c *em.Capture) []float64 {
 // the whole capture (engine.go), so its scratch memory is bounded however
 // long the capture is.
 func (a *Analyzer) Profile(c *em.Capture) *Profile {
-	s := a.engine(c, a.KeepNormalized)
-	s.SetObserver(a.Observer)
-	s.PushBlock(c.Samples)
-	return s.Finalize()
-}
-
-// reportStages emits the scan (monitor plus smoother), normalize and
-// detect stage timings of a traced run over n samples, summed over the
-// stage clocks of the engines that ran it. Every traced run reports
-// through it: Finalize for one engine, ProfileParallel for its two.
-func reportStages(obs trace.Observer, n int64, clocks ...*stageClock) {
-	var ns [numStages]int64
-	for _, c := range clocks {
-		for i, d := range c.ns {
-			ns[i] += d
-		}
-	}
-	obs.StageTiming(trace.StageTiming{Stage: trace.StageScan, DurationNs: ns[stageMonitor] + ns[stageSmooth], Samples: n})
-	obs.StageTiming(trace.StageTiming{Stage: trace.StageNormalize, DurationNs: ns[stageNormalize], Samples: n})
-	obs.StageTiming(trace.StageTiming{Stage: trace.StageDetect, DurationNs: ns[stageDetect], Samples: n})
-}
-
-// engine returns a fresh engine for the capture; keep retains the
-// normalised series on its profile.
-func (a *Analyzer) engine(c *em.Capture, keep bool) *StreamAnalyzer {
 	s := newStreamAnalyzer(a.cfg, c.SampleRate, c.ClockHz)
-	if n := len(c.Samples); keep && n > 0 {
+	if n := len(c.Samples); a.KeepNormalized && n > 0 {
 		s.det.keep = true
 		s.prof.Normalized = make([]float64, 0, n)
 	}
-	return s
+	s.SetObserver(a.Observer)
+	s.PushBlock(c.Samples)
+	return s.Finalize()
 }

@@ -32,6 +32,71 @@ func synthCapture(n int, dips map[int]int, dipLevel float64, gain float64, noise
 	return &em.Capture{Samples: s, SampleRate: 40e6, ClockHz: 1e9}
 }
 
+// syntheticCapture builds a busy-level trace with periodic stall dips and
+// optional acquisition nastiness (dropouts, NaN corruption) so equivalence
+// is exercised on impaired signals, not just clean ones.
+func syntheticCapture(n int, seed uint64, nasty bool) *em.Capture {
+	rng := sim.NewRNG(seed)
+	s := make([]float64, n)
+	for i := range s {
+		v := 1.0 + 0.1*rng.NormFloat64()
+		switch {
+		case i%4973 < 10:
+			v = 0.05 + 0.01*rng.NormFloat64() // LLC-miss dip
+		case i%50021 < 90 && i%50021 >= 60:
+			v = 0.06 + 0.01*rng.NormFloat64() // refresh-length dip
+		}
+		if nasty {
+			if i%40009 == 77 {
+				v = 0 // digitizer dropout
+			}
+			if i%30011 == 5 {
+				v = math.NaN()
+			}
+			if i%25013 == 11 {
+				v = 40 // RF burst
+			}
+		}
+		s[i] = math.Abs(v)
+	}
+	return &em.Capture{Samples: s, SampleRate: 50e6, ClockHz: 1e9}
+}
+
+// assertProfilesIdentical fails unless the two profiles are bit-identical
+// in every reported field (Normalized is compared only when both kept it).
+func assertProfilesIdentical(t *testing.T, want, got *Profile, ctx string) {
+	t.Helper()
+	if got.Misses != want.Misses || got.RefreshStalls != want.RefreshStalls {
+		t.Fatalf("%s: misses/refresh %d/%d, want %d/%d", ctx,
+			got.Misses, got.RefreshStalls, want.Misses, want.RefreshStalls)
+	}
+	if got.StallCycles != want.StallCycles || got.ExecCycles != want.ExecCycles {
+		t.Fatalf("%s: cycles %v/%v, want %v/%v", ctx,
+			got.StallCycles, got.ExecCycles, want.StallCycles, want.ExecCycles)
+	}
+	if got.Quality != want.Quality {
+		t.Fatalf("%s: quality\n got %+v\nwant %+v", ctx, got.Quality, want.Quality)
+	}
+	if len(got.Stalls) != len(want.Stalls) {
+		t.Fatalf("%s: %d stalls, want %d", ctx, len(got.Stalls), len(want.Stalls))
+	}
+	for i := range want.Stalls {
+		if got.Stalls[i] != want.Stalls[i] {
+			t.Fatalf("%s: stall %d\n got %+v\nwant %+v", ctx, i, got.Stalls[i], want.Stalls[i])
+		}
+	}
+	if want.Normalized != nil && got.Normalized != nil {
+		if len(got.Normalized) != len(want.Normalized) {
+			t.Fatalf("%s: normalized length %d, want %d", ctx, len(got.Normalized), len(want.Normalized))
+		}
+		for i := range want.Normalized {
+			if got.Normalized[i] != want.Normalized[i] {
+				t.Fatalf("%s: normalized[%d] = %v, want %v", ctx, i, got.Normalized[i], want.Normalized[i])
+			}
+		}
+	}
+}
+
 func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)

@@ -75,20 +75,41 @@ type StreamAnalyzer struct {
 // NewStreamAnalyzer returns a streaming analyzer for a signal with the
 // given acquisition metadata.
 func NewStreamAnalyzer(cfg Config, sampleRate, clockHz float64) (*StreamAnalyzer, error) {
-	if err := cfg.Validate(); err != nil {
+	if _, err := WindowSamples(cfg, sampleRate); err != nil {
 		return nil, err
-	}
-	if w := cfg.NormWindowS * sampleRate; !(w <= maxWindowSamples) || cfg.SmoothSamples > maxWindowSamples {
-		return nil, fmt.Errorf("core: window of %v samples or smoother of %d exceeds %d", w, cfg.SmoothSamples, maxWindowSamples)
 	}
 	return newStreamAnalyzer(cfg, sampleRate, clockHz), nil
 }
 
-// maxWindowSamples bounds the normalisation window and the smoother
-// width, whose buffers a stream allocates up front: a session (or a
-// hand-off state) asking for more is refused rather than allowed to
-// exhaust memory. It is 2,000× the default window at 40 MS/s.
-const maxWindowSamples = 1 << 24
+// MaxWindowSamples bounds the normalisation window plus the smoother
+// width, whose buffers a stream allocates up front (about 32 bytes per
+// window sample): a session (or a hand-off state) asking for more is
+// refused rather than allowed to exhaust memory. It is 2,000× the
+// default window at 40 MS/s.
+const MaxWindowSamples = 1 << 24
+
+// WindowSamples returns how many samples of window buffers a stream with
+// this configuration allocates up front, the normalisation window plus
+// the smoother, without allocating them. It refuses what
+// NewStreamAnalyzer refuses: an invalid configuration, or more than
+// MaxWindowSamples in all.
+func WindowSamples(cfg Config, sampleRate float64) (int, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	n := 0
+	if w := cfg.NormWindowS * sampleRate; w <= MaxWindowSamples && cfg.SmoothSamples <= MaxWindowSamples {
+		n = normWindow(cfg, sampleRate)
+		if cfg.SmoothSamples > 1 {
+			n += cfg.SmoothSamples
+		}
+	}
+	if n == 0 || n > MaxWindowSamples {
+		return 0, fmt.Errorf("core: window of %v s at %v samples/s and smoother of %d exceed %d samples",
+			cfg.NormWindowS, sampleRate, cfg.SmoothSamples, MaxWindowSamples)
+	}
+	return n, nil
+}
 
 // newStreamAnalyzer builds the engine for an already-validated
 // configuration.
@@ -133,12 +154,16 @@ func (s *StreamAnalyzer) SetObserver(o trace.Observer) {
 	}
 }
 
-// Finalize drains the pipeline and returns the profile. The analyzer must
-// not be pushed to afterwards.
+// Finalize drains the pipeline and returns the profile; a traced run
+// then reports its scan (monitor plus smoother), normalize and detect
+// stage timings. The analyzer must not be pushed to afterwards.
 func (s *StreamAnalyzer) Finalize() *Profile {
 	p := s.finish()
-	if s.obs != nil {
-		reportStages(s.obs, s.n-s.clock.from, s.clock)
+	if c := s.clock; s.obs != nil {
+		n := s.n - c.from
+		s.obs.StageTiming(trace.StageTiming{Stage: trace.StageScan, DurationNs: c.ns[stageMonitor] + c.ns[stageSmooth], Samples: n})
+		s.obs.StageTiming(trace.StageTiming{Stage: trace.StageNormalize, DurationNs: c.ns[stageNormalize], Samples: n})
+		s.obs.StageTiming(trace.StageTiming{Stage: trace.StageDetect, DurationNs: c.ns[stageDetect], Samples: n})
 	}
 	return p
 }

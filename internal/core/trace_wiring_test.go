@@ -111,8 +111,8 @@ func TestObserverResyncCauses(t *testing.T) {
 }
 
 // TestObserverEquivalenceAllPaths is the core half of the golden test:
-// attaching observers leaves all three analyze paths bit-identical to the
-// nil-observer run.
+// attaching observers leaves the batch run and a stream pushed one sample
+// at a time bit-identical to the nil-observer run.
 func TestObserverEquivalenceAllPaths(t *testing.T) {
 	for _, nasty := range []bool{false, true} {
 		c := syntheticCapture(1<<17, 3, nasty)
@@ -122,9 +122,6 @@ func TestObserverEquivalenceAllPaths(t *testing.T) {
 		traced := MustNewAnalyzer(DefaultConfig())
 		traced.Observer = trace.Multi(trace.NewMetrics(), trace.NewRing(4096))
 		assertProfilesIdentical(t, want, traced.Profile(c), "batch+observer")
-		assertProfilesIdentical(t, want,
-			traced.ProfileParallel(c),
-			"parallel+observer")
 
 		s, err := NewStreamAnalyzer(DefaultConfig(), c.SampleRate, c.ClockHz)
 		if err != nil {
@@ -135,60 +132,6 @@ func TestObserverEquivalenceAllPaths(t *testing.T) {
 			s.PushBlock(c.Samples[i : i+1])
 		}
 		assertProfilesIdentical(t, want, s.Finalize(), "stream+observer")
-	}
-}
-
-// TestObserverParallelChunks checks the pipeline's events against the
-// batch run's: exactly the scan, normalize and detect stage timings, the
-// monitor's events (resync, quality flag) in the batch order, and the
-// detector's events (dip candidate, accept, reject) in the batch order.
-// Only the interleaving of the two groups, emitted from two goroutines,
-// may differ.
-func TestObserverParallelChunks(t *testing.T) {
-	c := syntheticCapture(1<<18, 5, true)
-	events := func(profile func(*Analyzer, *em.Capture) *Profile) (mon, det, stages []trace.Record) {
-		t.Helper()
-		a := MustNewAnalyzer(DefaultConfig())
-		ring := trace.NewRing(1 << 17)
-		a.Observer = ring
-		profile(a, c)
-		if ring.Dropped() != 0 {
-			t.Fatalf("ring dropped %d events", ring.Dropped())
-		}
-		for _, r := range ring.Records() {
-			switch r.Type {
-			case trace.TypeResync, trace.TypeQualityFlag:
-				mon = append(mon, r)
-			case trace.TypeDipCandidate, trace.TypeStallAccepted, trace.TypeStallRejected:
-				det = append(det, r)
-			case trace.TypeStageTiming:
-				stages = append(stages, r)
-			default:
-				t.Fatalf("unexpected event %+v", r)
-			}
-		}
-		return mon, det, stages
-	}
-	wantMon, wantDet, _ := events((*Analyzer).Profile)
-	mon, det, stages := events((*Analyzer).ProfileParallel)
-	if len(wantMon) == 0 || len(wantDet) == 0 {
-		t.Fatal("batch run emitted no monitor or detector events; the check is vacuous")
-	}
-	if !reflect.DeepEqual(mon, wantMon) {
-		t.Errorf("monitor events differ from the batch run's: %d events, want %d", len(mon), len(wantMon))
-	}
-	if !reflect.DeepEqual(det, wantDet) {
-		t.Errorf("detector events differ from the batch run's: %d events, want %d", len(det), len(wantDet))
-	}
-	var got []trace.Stage
-	for _, r := range stages {
-		got = append(got, trace.Stage(r.Stage))
-		if r.Samples != int64(len(c.Samples)) {
-			t.Errorf("stage %s covers %d samples, want %d", r.Stage, r.Samples, len(c.Samples))
-		}
-	}
-	if want := []trace.Stage{trace.StageScan, trace.StageNormalize, trace.StageDetect}; !reflect.DeepEqual(got, want) {
-		t.Errorf("stage timings %v, want %v", got, want)
 	}
 }
 

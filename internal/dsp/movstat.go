@@ -29,9 +29,8 @@ import (
 // included), warm-up (count < w) and Reset included; the tests hold a
 // reference deque for that reason. The output at a position therefore
 // depends only on the samples in its window, never on where the blocks
-// fall, which lets the parallel analyzer restart a shard one window
-// early and still match the batch analyzer. A NaN never wins a
-// comparison, so it is skipped; the monitor feeds none.
+// fall. A NaN never wins a comparison, so it is skipped; the monitor
+// feeds none.
 //
 // The comparisons are plain compare-and-select branches rather than the
 // builtin min and max. Their outcome changes only when a new prefix or

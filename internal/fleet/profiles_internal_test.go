@@ -430,6 +430,10 @@ func FuzzProfilesSplit(f *testing.F) {
 	f.Add([]byte(`{"id":"a","state":"active","windows":[{"index":1}],"latest_index":1,"more":true}`))
 	f.Add([]byte(`{"id":"a","state":"x","windows":[],"latest_index":99999999999999999999}`))
 	f.Add([]byte(` {"latest_index":3,"windows":[] } `))
+	// Names encoding/json escapes, and non-ASCII ones.
+	named := w1
+	named.Regions = []core.WindowRegion{{Region: 1, Name: "inner<loop>&co", Misses: 1}, {Region: 2, Name: "boucle intérieure ✓"}}
+	f.Add(page(service.ProfilesResponse{ID: "émigré", State: "active", LatestIndex: 1}, w0, named))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		env, wins, err := splitProfiles(body)
 		var want service.ProfilesResponse

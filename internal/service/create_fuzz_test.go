@@ -16,8 +16,8 @@ import (
 
 // createFuzzWindowCap bounds the normalisation window and smoother a
 // fuzzed config may ask for, in samples. The engine refuses more than
-// 2^24 and allocates what it accepts up front; inputs between the two
-// would only spend the fuzz workers' memory, not reach new code.
+// 2^24 in all and allocates what it accepts up front; inputs between the
+// two would only spend the fuzz workers' memory, not reach new code.
 const createFuzzWindowCap = 1 << 16
 
 // FuzzCreateSession sends create bodies, profiler config and attribution

@@ -130,8 +130,9 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 // analyzer was pushed, so an offset-tagged push continues the stream, and
 // the windower has sealed every window the analyzer's frontier has
 // passed. ErrConflict if the ID already exists here, ErrFull under the
-// session cap.
-func (r *Registry) Import(st *SessionState) error {
+// session cap or the window total (checked before the analyzer is
+// rebuilt).
+func (r *Registry) Import(st *SessionState) (err error) {
 	if st == nil || st.Stream == nil {
 		return fmt.Errorf("service: import without stream state")
 	}
@@ -148,13 +149,18 @@ func (r *Registry) Import(st *SessionState) error {
 	if st.Bytes < 0 || st.Bytes > r.cfg.MaxSessionBytes {
 		return fmt.Errorf("service: import byte count %d outside this shard's budget [0, %d]", st.Bytes, r.cfg.MaxSessionBytes)
 	}
+	share, err := r.reserve(st.Stream.Config, st.Stream.SampleRate)
+	if err != nil {
+		return err
+	}
+	defer r.releaseOnError(share, &err)
 	an, err := core.ResumeStreamAnalyzer(st.Stream)
 	if err != nil {
 		return err
 	}
 	s := &session{
 		id: st.ID, device: st.Device, sampleRate: st.SampleRate, clockHz: st.ClockHz,
-		created: st.Created, an: an, bytes: st.Bytes,
+		created: st.Created, an: an, bytes: st.Bytes, window: share,
 	}
 	// Resume the window sequence where the exporter stopped; an exporter
 	// that ran without windowing leaves this shard's windowing off for
@@ -191,9 +197,10 @@ func (r *Registry) Forget(id string) error {
 	if r.closed {
 		return ErrClosed
 	}
-	if _, ok := r.sessions[id]; !ok {
+	s, ok := r.sessions[id]
+	if !ok {
 		return ErrNotFound
 	}
-	delete(r.sessions, id)
+	r.drop(s)
 	return nil
 }

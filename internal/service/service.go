@@ -123,8 +123,10 @@ func (c Config) withDefaults() Config {
 
 // Typed registry errors; the HTTP layer maps them to status codes.
 var (
-	// ErrFull is returned when the registry holds MaxSessions sessions
-	// (HTTP 429: back off and retry).
+	// ErrFull is returned when the registry holds MaxSessions sessions,
+	// or when a new session's window buffers would push the live
+	// sessions' total past core.MaxWindowSamples, which takes at least
+	// sixteen sessions (HTTP 429: back off and retry).
 	ErrFull = errors.New("service: session registry full")
 	// ErrBudget is returned when an ingest would exceed the session byte
 	// budget before any of it is consumed (HTTP 429).
@@ -192,6 +194,8 @@ type session struct {
 	// sick store logs one line per session, not one per window. Guarded
 	// by mu.
 	dropLogged bool
+	// window is the session's share of the registry's window total.
+	window int
 }
 
 // SessionInfo is the list-endpoint view of one session.
@@ -221,6 +225,10 @@ type Registry struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	closed   bool
+	// windowSamples sums the window shares of the live sessions and of
+	// those being built; it stays within core.MaxWindowSamples (about
+	// 0.5 GB of moving min/max buffers in all).
+	windowSamples int
 }
 
 // NewRegistry builds a registry with the given limits.
@@ -284,15 +292,20 @@ type CreateOpts struct {
 
 // CreateSession opens a new session wrapping a streaming analyzer for a
 // signal with the given acquisition metadata.
-func (r *Registry) CreateSession(o CreateOpts) (string, error) {
+func (r *Registry) CreateSession(o CreateOpts) (id string, err error) {
 	if err := checkSession(o.ID, o.SampleRate, o.ClockHz); err != nil {
 		return "", err
 	}
+	share, err := r.reserve(o.Config, o.SampleRate)
+	if err != nil {
+		return "", err
+	}
+	defer r.releaseOnError(share, &err)
 	an, err := core.NewStreamAnalyzer(o.Config, o.SampleRate, o.ClockHz)
 	if err != nil {
 		return "", err
 	}
-	s := &session{id: o.ID, device: o.Device, sampleRate: o.SampleRate, clockHz: o.ClockHz, an: an}
+	s := &session{id: o.ID, device: o.Device, sampleRate: o.SampleRate, clockHz: o.ClockHz, an: an, window: share}
 	if r.cfg.WindowS > 0 {
 		if s.win, err = core.NewWindower(r.cfg.WindowS, r.cfg.WindowStrideS, o.SampleRate, o.ClockHz); err != nil {
 			return "", err
@@ -330,6 +343,52 @@ func checkSession(id string, rate, clock float64) error {
 		return fmt.Errorf("service: invalid acquisition metadata rate=%v clock=%v", rate, clock)
 	}
 	return nil
+}
+
+// maxSessionWindow caps one session's share of the window total (about
+// 32 MB of buffers, 131× the default window at 40 MS/s), so that no one
+// create or import takes the whole total: sixteen maximal sessions fill
+// it, as MaxSessions default ones would not.
+const maxSessionWindow = core.MaxWindowSamples / 16
+
+// reserve claims the window share of a session about to be built with
+// this configuration, before any of its buffers are allocated. A share
+// above maxSessionWindow is refused as a bad configuration, since no
+// amount of backing off would admit it; one that would push the
+// registry's total past core.MaxWindowSamples answers ErrFull.
+func (r *Registry) reserve(cfg core.Config, sampleRate float64) (int, error) {
+	share, err := core.WindowSamples(cfg, sampleRate)
+	if err != nil {
+		return 0, err
+	}
+	if share > maxSessionWindow {
+		return 0, fmt.Errorf("service: window buffers of %d samples exceed the per-session cap of %d", share, maxSessionWindow)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.windowSamples+share > core.MaxWindowSamples {
+		r.metrics.SessionsRejected.Add(1)
+		return 0, ErrFull
+	}
+	r.windowSamples += share
+	return share, nil
+}
+
+// releaseOnError returns a reserved share if the session it was reserved
+// for failed to build or to be admitted.
+func (r *Registry) releaseOnError(share int, err *error) {
+	if *err != nil {
+		r.mu.Lock()
+		r.windowSamples -= share
+		r.mu.Unlock()
+	}
+}
+
+// drop removes a session from the registry and returns its window share;
+// r.mu must be held.
+func (r *Registry) drop(s *session) {
+	delete(r.sessions, s.id)
+	r.windowSamples -= s.window
 }
 
 // admit is the one way into the registry. It wires a built session's
@@ -647,7 +706,7 @@ func (r *Registry) Finalize(id string) (*core.Profile, error) {
 		r.mu.Unlock()
 		return nil, ErrPinned
 	}
-	delete(r.sessions, id)
+	r.drop(s)
 	r.mu.Unlock()
 	defer s.mu.Unlock()
 	s.finalizeLocked()
@@ -731,7 +790,7 @@ func (r *Registry) Sweep(now time.Time) int {
 	cutoff := now.Add(-r.cfg.IdleTTL)
 	r.mu.Lock()
 	var idle []*session
-	for id, s := range r.sessions {
+	for _, s := range r.sessions {
 		// Pinned sessions are swept too: a pin's lastActive is frozen, so
 		// one still idle a full TTL later is an orphan of a hand-off that
 		// never completed (router crash mid-move), not a live move.
@@ -740,7 +799,7 @@ func (r *Registry) Sweep(now time.Time) int {
 		s.mu.Unlock()
 		if stale {
 			idle = append(idle, s)
-			delete(r.sessions, id)
+			r.drop(s)
 		}
 	}
 	r.mu.Unlock()
@@ -758,9 +817,9 @@ func (r *Registry) Close() {
 	}
 	r.closed = true
 	var open []*session
-	for id, s := range r.sessions {
+	for _, s := range r.sessions {
 		open = append(open, s)
-		delete(r.sessions, id)
+		r.drop(s)
 	}
 	r.mu.Unlock()
 	r.retire(open, &r.metrics.SessionsFinalized)

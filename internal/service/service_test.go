@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -224,6 +225,125 @@ func TestSessionLimit429(t *testing.T) {
 	}
 	if _, code := tryCreateSession(t, ts, 40e6, 1e9); code != http.StatusCreated {
 		t.Fatalf("create after finalize: HTTP %d", code)
+	}
+}
+
+// TestWindowTotalBoundsSessions checks the registry-wide bound on window
+// buffers: a share above the per-session cap is refused as a bad
+// configuration, one maximal session leaves room for the rest, a create
+// or import whose share would push the live sessions' total past
+// core.MaxWindowSamples answers ErrFull, neither refusal allocates the
+// buffers, and a share freed by Finalize or Forget admits the next
+// session.
+func TestWindowTotalBoundsSessions(t *testing.T) {
+	const rate, clock = 40e6, 1e9
+	cfg := core.DefaultConfig()
+	share, err := core.WindowSamples(cfg, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(Config{}, nil)
+	create := func(c core.Config) (string, error) {
+		return r.CreateSession(CreateOpts{SampleRate: rate, ClockHz: clock, Config: c})
+	}
+	// refused creates c, wants the refusal want accepts, and checks that it
+	// grew the heap by less than 1 MB.
+	refused := func(c core.Config, want func(error) bool) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := create(c)
+		runtime.ReadMemStats(&after)
+		if !want(err) {
+			t.Fatalf("create with a window of %v s: %v", c.NormWindowS, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("refused create allocated %d bytes", grew)
+		}
+	}
+	a, err := create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A window one stream may have, but over the per-session cap: built,
+	// its moving min/max buffers would take about 0.5 GB.
+	over := cfg
+	over.NormWindowS = float64(core.MaxWindowSamples-share/2) / rate
+	if _, err := core.WindowSamples(over, rate); err != nil {
+		t.Fatalf("the over-cap window does not fit one stream: %v", err)
+	}
+	refused(over, func(err error) bool { return err != nil && !errors.Is(err, ErrFull) })
+
+	// One maximal session does not lock the registry: a default one
+	// still fits beside it.
+	maximal := cfg
+	maximal.NormWindowS = float64(maxSessionWindow-cfg.SmoothSamples) / rate
+	if n, err := core.WindowSamples(maximal, rate); err != nil || n > maxSessionWindow || n < maxSessionWindow-8 {
+		t.Fatalf("maximal window: %d samples, %v; want about %d", n, err, maxSessionWindow)
+	}
+	m, err := create(maximal)
+	if err != nil {
+		t.Fatalf("create with a maximal window: %v", err)
+	}
+	d, err := create(cfg)
+	if err != nil {
+		t.Fatalf("create beside a maximal session: %v", err)
+	}
+	for _, id := range []string{m, d} {
+		if _, err := r.Finalize(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Stand in for other live sessions holding the rest of the total;
+	// building them for real would allocate about 0.5 GB.
+	r.mu.Lock()
+	others := core.MaxWindowSamples - r.windowSamples
+	r.windowSamples += others
+	r.mu.Unlock()
+	refused(maximal, func(err error) bool { return errors.Is(err, ErrFull) })
+	if _, err := create(cfg); !errors.Is(err, ErrFull) {
+		t.Fatalf("create into a full total: %v, want ErrFull", err)
+	}
+	// Finalize frees a's share, which admits the next session.
+	if _, err := r.Finalize(a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := create(cfg)
+	if err != nil {
+		t.Fatalf("create after finalize: %v", err)
+	}
+	// Forget frees b's share; c takes it, so b's import is refused until
+	// c is finalized.
+	if err := r.Pin(b); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Export(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Forget(b); err != nil {
+		t.Fatal(err)
+	}
+	c, err := create(cfg)
+	if err != nil {
+		t.Fatalf("create after forget: %v", err)
+	}
+	if err := r.Import(st); !errors.Is(err, ErrFull) {
+		t.Fatalf("import into a full total: %v, want ErrFull", err)
+	}
+	if _, err := r.Finalize(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Import(st); err != nil {
+		t.Fatalf("import after finalize: %v", err)
+	}
+	// Close drops every real session; the refusals reserved nothing.
+	r.Close()
+	if r.windowSamples != others {
+		t.Fatalf("window total %d after close, want the %d held by the stand-ins", r.windowSamples, others)
 	}
 }
 

@@ -152,6 +152,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	// Names encoding/json escapes, and non-ASCII ones.
+	named := randomSnapshot(rng)
+	named.ID, named.Device = "inner<loop>&co", "capteur-été ✓"
+	blob, err := json.Marshal(named)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fast Snapshot
 		var mirror rawSnapshot

@@ -24,12 +24,11 @@
 //     wall time) rendered in Prometheus text format alongside the
 //     service registry.
 //
-// Sinks may be combined with Multi. All sinks in this package are safe
-// for concurrent use; that matters because core.ProfileParallel emits
-// monitor events from its scan goroutine concurrently with detection
-// events from the caller's goroutine. A custom Observer used with the
-// parallel analyzer must be equally safe (plain batch and streaming
-// analyzers emit from a single goroutine).
+// Sinks may be combined with Multi. One analysis emits from a single
+// goroutine, but one sink is often shared: by concurrent runs of one
+// analyzer, or by every session of a daemon (its trace metrics). All
+// sinks in this package are safe for concurrent use, and a custom
+// Observer shared that way must be equally safe.
 package trace
 
 import "encoding/json"
@@ -203,9 +202,10 @@ type StageTiming struct {
 
 // Observer receives analyzer decision events. Events are delivered
 // synchronously from the analysis path, so implementations should be
-// cheap; all sinks in this package are. Implementations used with
-// core.ProfileParallel must be safe for concurrent use. Embed Nop to
-// implement only the events of interest.
+// cheap; all sinks in this package are. Implementations shared across
+// concurrent analyses (runs of one analyzer, daemon sessions) must be
+// safe for concurrent use. Embed Nop to implement only the events of
+// interest.
 type Observer interface {
 	DipCandidate(DipCandidate)
 	StallAccepted(StallAccepted)

@@ -216,7 +216,8 @@ func TestMulti(t *testing.T) {
 }
 
 // TestSinksConcurrent exercises every sink from parallel goroutines under
-// -race: ProfileParallel emits monitor and detector events concurrently.
+// -race: concurrent runs of one analyzer, and a daemon's sessions, share
+// their sinks.
 func TestSinksConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	sinks := Multi(NewJSONL(&buf), NewRing(64), NewMetrics())

@@ -7,33 +7,35 @@ import (
 	"emprof/internal/core"
 )
 
-// runBlockSamples is the push granularity of Analyzer.Run's sequential
-// path; cancellation is checked between blocks.
+// runBlockSamples is the push granularity of Analyzer.Run; cancellation
+// is checked between blocks.
 const runBlockSamples = 1 << 16
 
 // Analyzer is the configured profiling pipeline behind the package's
 // analysis API: construct one with NewAnalyzer, then Run it over
 // captures. The zero value is not usable.
 //
-// One Analyzer may Run any number of captures, sequentially or from
-// multiple goroutines (each Run builds its own pipeline state); an
-// attached Observer must be safe for concurrent use in the latter case,
-// or whenever WithWorkers enables the parallel path.
+// Each Run analyses its capture on one goroutine. One Analyzer may Run
+// any number of captures, sequentially or from multiple goroutines (each
+// Run builds its own pipeline state), which is how to use more than one
+// core; an attached Observer must be safe for concurrent use in the
+// latter case.
 type Analyzer struct {
-	core     *core.Analyzer
-	parallel bool
-	obs      Observer
+	core *core.Analyzer
+	obs  Observer
 }
 
 // Option configures an Analyzer at construction time.
 type Option func(*Analyzer)
 
-// WithWorkers selects the analysis path: n == 1 is the sequential
-// default, and any other value selects the two-stage pipeline, which runs
-// the quality monitor and smoother on one goroutine and normalisation and
-// detection on the caller's, bit-identically to the sequential result.
-func WithWorkers(n int) Option {
-	return func(a *Analyzer) { a.parallel = n != 1 }
+// WithWorkers does nothing: Run analyses a capture on one goroutine.
+// Run several captures concurrently (or use RunSweep) to use more cores.
+//
+// Deprecated: Run has one path; drop the option. Its only caller is
+// the benchmark module (bench/layers.go:205); it is deleted together
+// with WithStreaming once that caller moves off it.
+func WithWorkers(int) Option {
+	return func(*Analyzer) {}
 }
 
 // WithObserver attaches a decision-trace observer (see the trace types:
@@ -55,12 +57,9 @@ func WithStreaming() Option {
 }
 
 // NewAnalyzer validates the configuration and builds an analyzer.
-// Without options it runs the sequential path; WithWorkers selects the
-// parallel path (both are bit-identical in output) and WithObserver
-// attaches observability:
+// WithObserver attaches observability:
 //
 //	a, err := emprof.NewAnalyzer(cfg,
-//	        emprof.WithWorkers(2),
 //	        emprof.WithObserver(emprof.NewTraceMetrics()))
 //	prof, err := a.Run(ctx, capture)
 //
@@ -81,14 +80,12 @@ func NewAnalyzer(cfg Config, opts ...Option) (*Analyzer, error) {
 // Config returns the analyzer's configuration.
 func (a *Analyzer) Config() Config { return a.core.Config() }
 
-// Run profiles one capture on the path the options selected. It reports
-// ErrBadCapture for captures that cannot be analysed, and ErrBadConfig
-// when the configuration's windows are too large for the capture's
-// sample rate. It honours ctx: a nil ctx means context.Background(), and
-// cancellation is checked up front on both paths. The sequential path
-// pushes the capture through the engine (Stream) in blocks and checks
-// ctx between them; the parallel path runs a capture already in flight
-// to completion.
+// Run profiles one capture. It reports ErrBadCapture for captures that
+// cannot be analysed, and ErrBadConfig when the configuration's windows
+// are too large for the capture's sample rate. It pushes the capture
+// through the engine (Stream) in blocks and honours ctx between them: a
+// nil ctx means context.Background(), and cancellation is also checked
+// up front.
 func (a *Analyzer) Run(ctx context.Context, c *Capture) (*Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -98,9 +95,6 @@ func (a *Analyzer) Run(ctx context.Context, c *Capture) (*Profile, error) {
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if a.parallel {
-		return a.core.ProfileParallel(c), nil
 	}
 	s, err := a.Stream(c.SampleRate, c.ClockHz)
 	if err != nil {

@@ -15,8 +15,9 @@ import (
 // original allocation-free path.
 
 // Observer receives analyzer decision events; see the trace package for
-// the event taxonomy. Implementations used with WithWorkers (the
-// parallel path) must be safe for concurrent use — every sink below is.
+// the event taxonomy. An implementation shared across concurrent Runs
+// (or daemon sessions) must be safe for concurrent use — every sink
+// below is.
 // Embed NopObserver to implement only the events of interest.
 type Observer = trace.Observer
 
