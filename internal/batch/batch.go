@@ -1,6 +1,6 @@
 // Package batch is the sweep runner behind emprof.RunSweep: it executes
-// grids of independent simulate→inject→analyze jobs (device × workload ×
-// seed × bandwidth) on a bounded worker pool. The concurrency machinery
+// independent simulate→inject→analyze jobs (the cells of an
+// emprof.SweepGrid) on a bounded worker pool. The concurrency machinery
 // lives here, decoupled from what a job actually does, so commands and
 // tests can drive arbitrary pipelines through it.
 //
@@ -95,80 +95,6 @@ func runOne[J, T any](ctx context.Context, i int, job J, fn func(context.Context
 		}
 	}()
 	return fn(ctx, i, job)
-}
-
-// Point is one cell of a sweep grid.
-type Point struct {
-	// Index is the cell's position in Grid.Points() order.
-	Index int
-	// Device and Workload name the target and the instruction stream.
-	Device, Workload string
-	// Seed is the cell's simulation seed (taken verbatim from Grid.Seeds,
-	// so runs with the same seed stay comparable across devices).
-	Seed uint64
-	// BandwidthHz is the measurement bandwidth; 0 keeps the device default.
-	BandwidthHz float64
-}
-
-// Grid enumerates a device × workload × seed × bandwidth cross product.
-// Empty dimensions contribute a single zero-valued entry, so e.g. a grid
-// with only Devices and Workloads set still expands.
-type Grid struct {
-	Devices      []string
-	Workloads    []string
-	Seeds        []uint64
-	BandwidthsHz []float64
-}
-
-// Size returns the number of cells the grid expands to.
-func (g Grid) Size() int {
-	return dim(len(g.Devices)) * dim(len(g.Workloads)) * dim(len(g.Seeds)) * dim(len(g.BandwidthsHz))
-}
-
-// Points expands the grid in deterministic order: devices outermost, then
-// workloads, seeds, and bandwidths.
-func (g Grid) Points() []Point {
-	devs := orDefault(g.Devices, "")
-	wls := orDefault(g.Workloads, "")
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{0}
-	}
-	bws := g.BandwidthsHz
-	if len(bws) == 0 {
-		bws = []float64{0}
-	}
-	pts := make([]Point, 0, g.Size())
-	for _, d := range devs {
-		for _, w := range wls {
-			for _, s := range seeds {
-				for _, b := range bws {
-					pts = append(pts, Point{
-						Index:       len(pts),
-						Device:      d,
-						Workload:    w,
-						Seed:        s,
-						BandwidthHz: b,
-					})
-				}
-			}
-		}
-	}
-	return pts
-}
-
-func dim(n int) int {
-	if n == 0 {
-		return 1
-	}
-	return n
-}
-
-func orDefault(s []string, def string) []string {
-	if len(s) == 0 {
-		return []string{def}
-	}
-	return s
 }
 
 // MixSeed folds the parts into one well-scrambled 64-bit seed using

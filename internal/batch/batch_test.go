@@ -3,7 +3,6 @@ package batch
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,40 +126,6 @@ func TestRunEmptyAndDegenerate(t *testing.T) {
 	})
 	if err != nil || n.Load() != 2 || res[1].Value != 1 {
 		t.Fatalf("tiny run: err=%v ran=%d res=%+v", err, n.Load(), res)
-	}
-}
-
-func TestGridExpansion(t *testing.T) {
-	g := Grid{
-		Devices:      []string{"olimex", "samsung"},
-		Workloads:    []string{"micro:64:8", "spec:mcf", "boot"},
-		Seeds:        []uint64{1, 2},
-		BandwidthsHz: []float64{0, 80e6},
-	}
-	pts := g.Points()
-	if len(pts) != g.Size() || len(pts) != 2*3*2*2 {
-		t.Fatalf("expanded %d points, want %d", len(pts), 2*3*2*2)
-	}
-	seen := map[string]bool{}
-	for i, p := range pts {
-		if p.Index != i {
-			t.Fatalf("point %d has index %d", i, p.Index)
-		}
-		key := fmt.Sprintf("%s/%s/%d/%v", p.Device, p.Workload, p.Seed, p.BandwidthHz)
-		if seen[key] {
-			t.Fatalf("duplicate point %s", key)
-		}
-		seen[key] = true
-	}
-	// Device-major deterministic order.
-	if pts[0].Device != "olimex" || pts[len(pts)-1].Device != "samsung" {
-		t.Fatal("expansion order changed")
-	}
-
-	// Empty dimensions collapse to one entry each.
-	one := Grid{Workloads: []string{"boot"}}
-	if got := one.Points(); len(got) != 1 || got[0].Device != "" || got[0].Seed != 0 {
-		t.Fatalf("default expansion = %+v", got)
 	}
 }
 

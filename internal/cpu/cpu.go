@@ -304,11 +304,12 @@ const noWake = ^uint64(0)
 // attribution is applied over the cycle range in closed form, and the
 // (constant — no miss completes strictly inside the gap, so even the
 // outstanding-miss count is frozen) idle power is emitted for every
-// skipped cycle through the same batch boundaries push would produce.
+// skipped cycle through the same batch boundaries one append per cycle
+// would produce.
 func (c *Core) Run(stream sim.Stream) (*Result, error) {
 	cfg := &c.cfg
 	pw := &c.cfg.Power
-	// stallPower is what Weights.Cycle returns for a fully-stalled cycle:
+	// stallPower is what Weights.CycleRef returns for a fully-stalled cycle:
 	// only Base and MissWait contribute, and the zero activity terms are
 	// exact floating-point no-ops, so hoisting the sum out of the loop is
 	// bit-identical.
@@ -573,8 +574,9 @@ func (c *Core) Run(stream sim.Stream) (*Result, error) {
 			}
 			cyclePower = pw.CycleRef(&r.act)
 		}
-		// Inlined c.push: the method call (it carries a flush call) costs
-		// more than the append on this, the hottest line in the loop.
+		// The append is inline: a method call (it would carry the flush
+		// call) costs more than the append on this, the hottest line in
+		// the loop.
 		c.batch = append(c.batch, cyclePower)
 		if len(c.batch) == cap(c.batch) {
 			c.flushBatch()
@@ -1023,18 +1025,10 @@ func (r *runState) issueOoO() {
 	}
 }
 
-// push buffers one cycle's power; full batches fan out to the sinks as a
-// block. The buffer is sized in Run, so a full batch is cap(c.batch).
-func (c *Core) push(p float64) {
-	c.batch = append(c.batch, p)
-	if len(c.batch) == cap(c.batch) {
-		c.flushBatch()
-	}
-}
-
-// pushN buffers n consecutive cycles of the same power value, flushing at
-// exactly the batch boundaries n calls to push would hit, so sinks see
-// identical PushBlock call sequences either way.
+// pushN buffers n consecutive cycles of the same power value; every full
+// batch fans out to the sinks as one block. The buffer is sized in Run, so
+// a full batch is cap(c.batch), and the block boundaries fall on multiples
+// of it however the cycles arrive.
 func (c *Core) pushN(p float64, n uint64) {
 	for n > 0 {
 		room := uint64(cap(c.batch) - len(c.batch))

@@ -45,12 +45,3 @@ func FilterStalls(stalls []StallInterval, lo, hi uint64) []StallInterval {
 	}
 	return out
 }
-
-// TotalStallCycles sums the intervals' fully-stalled cycles.
-func TotalStallCycles(stalls []StallInterval) uint64 {
-	var n uint64
-	for _, s := range stalls {
-		n += s.StalledCycles()
-	}
-	return n
-}

@@ -113,10 +113,3 @@ func TestFilterStalls(t *testing.T) {
 		t.Fatalf("filtered %+v", out)
 	}
 }
-
-func TestTotalStallCycles(t *testing.T) {
-	in := []StallInterval{iv(0, 10, 1), iv(50, 65, 1)}
-	if got := TotalStallCycles(in); got != 25 {
-		t.Fatalf("total %d, want 25", got)
-	}
-}

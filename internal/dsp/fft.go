@@ -55,18 +55,6 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// Magnitudes writes |x[i]| into out (allocated if nil) and returns it.
-func Magnitudes(x []complex128, out []float64) []float64 {
-	if out == nil || len(out) < len(x) {
-		out = make([]float64, len(x))
-	}
-	out = out[:len(x)]
-	for i, v := range x {
-		out[i] = math.Hypot(real(v), imag(v))
-	}
-	return out
-}
-
 // PowerSpectrum returns |X[k]|^2 / N for the first N/2+1 bins of the FFT of
 // the windowed real signal x zero-padded to a power of two. It is the
 // workhorse behind the spectrogram used for code attribution. Hot loops

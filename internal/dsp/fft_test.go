@@ -122,14 +122,3 @@ func TestPowerSpectrumDCAndTone(t *testing.T) {
 		t.Fatalf("DC power %v below tone power %v", spec[0], spec[8])
 	}
 }
-
-func TestMagnitudes(t *testing.T) {
-	x := []complex128{3 + 4i, 0, -1}
-	m := Magnitudes(x, nil)
-	want := []float64{5, 0, 1}
-	for i := range want {
-		if !almostEqual(m[i], want[i], 1e-12) {
-			t.Errorf("magnitude %d = %v, want %v", i, m[i], want[i])
-		}
-	}
-}

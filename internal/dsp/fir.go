@@ -132,7 +132,6 @@ func LowpassFIR(cutoff float64, taps int) *FIR {
 		return newFIRShared(v.([]float64))
 	}
 	h := make([]float64, taps)
-	w := Hamming(taps)
 	mid := float64(taps-1) / 2
 	sum := 0.0
 	for i := range h {
@@ -143,7 +142,8 @@ func LowpassFIR(cutoff float64, taps int) *FIR {
 		} else {
 			v = math.Sin(2*math.Pi*cutoff*t) / (math.Pi * t)
 		}
-		h[i] = v * w[i]
+		w := 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(taps-1)) // Hamming
+		h[i] = v * w
 		sum += h[i]
 	}
 	// Normalise to unity DC gain so the filter preserves signal level.

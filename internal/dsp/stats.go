@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds basic descriptive statistics of a sample.
 type Summary struct {
@@ -46,30 +43,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It sorts a copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(c) {
-		return c[len(c)-1]
-	}
-	return c[lo]*(1-frac) + c[lo+1]*frac
-}
-
 // Histogram is a fixed-width-bin histogram over [Lo, Hi); values outside
 // the range are clamped into the first/last bin so no event is lost (tail
 // latencies matter in the paper's Fig. 11).
@@ -108,19 +81,6 @@ func (h *Histogram) Total() int { return h.total }
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fractions returns counts normalised by the total (zeros if empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	inv := 1 / float64(h.total)
-	for i, c := range h.Counts {
-		out[i] = float64(c) * inv
-	}
-	return out
 }
 
 // TailFraction returns the fraction of observations at or above x.

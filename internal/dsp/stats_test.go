@@ -26,27 +26,6 @@ func TestSummarizeEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {-5, 1}, {120, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("percentile of empty input should be NaN")
-	}
-	// Percentile must not reorder the caller's slice.
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 50)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Errorf("percentile mutated input: %v", orig)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, x := range []float64{0, 1.9, 2, 9.9, 10, 11, -1} {
@@ -69,12 +48,6 @@ func TestHistogramFractionsAndTail(t *testing.T) {
 	h := NewHistogram(0, 100, 10)
 	for i := 0; i < 10; i++ {
 		h.Add(float64(i * 10))
-	}
-	fr := h.Fractions()
-	for i, f := range fr {
-		if !almostEqual(f, 0.1, 1e-12) {
-			t.Fatalf("fraction %d = %v, want 0.1", i, f)
-		}
 	}
 	if got := h.TailFraction(50); !almostEqual(got, 0.5, 1e-12) {
 		t.Fatalf("tail(50) = %v, want 0.5", got)

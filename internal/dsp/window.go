@@ -7,7 +7,15 @@ import (
 
 // Hann returns an n-point Hann window.
 func Hann(n int) []float64 {
-	return cosineWindow(n, []float64{0.5, -0.5})
+	w := make([]float64, n)
+	if n == 1 {
+		w[0] = 1
+		return w
+	}
+	for i := range w {
+		w[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(n-1))
+	}
+	return w
 }
 
 // hannCache memoises Hann windows by length for callers that rebuild the
@@ -23,27 +31,5 @@ func HannCached(n int) []float64 {
 	}
 	w := Hann(n)
 	hannCache.Store(n, w)
-	return w
-}
-
-// Hamming returns an n-point Hamming window.
-func Hamming(n int) []float64 {
-	return cosineWindow(n, []float64{0.54, -0.46})
-}
-
-func cosineWindow(n int, coeffs []float64) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := 0; i < n; i++ {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		v := 0.0
-		for k, c := range coeffs {
-			v += c * math.Cos(float64(k)*x)
-		}
-		w[i] = v
-	}
 	return w
 }

@@ -1,10 +1,12 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -26,8 +28,17 @@ func TestFleetProfilesFanIn(t *testing.T) {
 	want := analyze(t, capture, emprof.DefaultConfig())
 	// ~8 windows across the capture, so both halves seal several.
 	windowS := float64(len(capture.Samples)) / capture.SampleRate / 8
+	shardCfg := service.Config{WindowS: windowS}
 
-	f, err := fleet.StartLocal(1, service.Config{WindowS: windowS}, fleet.Config{Seed: 7})
+	// The joining shard starts first, so its URL (a random port) is known
+	// before the session ID is picked; it closes after the fleet.
+	joinSrv := service.New(shardCfg)
+	join := httptest.NewServer(joinSrv.Handler())
+	t.Cleanup(func() {
+		join.Close()
+		joinSrv.Close()
+	})
+	f, err := fleet.StartLocal(1, shardCfg, fleet.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +48,34 @@ func TestFleetProfilesFanIn(t *testing.T) {
 	client.RetryBaseDelay = 1
 	ctx := context.Background()
 
-	id, err := client.CreateSession(ctx, emprof.SessionSpec{
-		SampleRate: capture.SampleRate, ClockHz: capture.ClockHz, Device: "olimex",
+	// Pick an ID the join moves from the origin shard to the new one.
+	origin := f.ShardURLs[0]
+	grown, err := f.Router.Ring().With(join.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ""
+	for i := 0; i < 1000 && id == ""; i++ {
+		if c := fmt.Sprintf("fanin-%d", i); f.Router.Ring().Owner(c) == origin && grown.Owner(c) == join.URL {
+			id = c
+		}
+	}
+	if id == "" {
+		t.Fatal("no ID moves to the joining shard")
+	}
+	body, err := json.Marshal(service.CreateRequest{
+		ID: id, SampleRate: capture.SampleRate, ClockHz: capture.ClockHz, Device: "olimex",
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	cresp, err := http.Post(f.RouterURL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusCreated {
+		t.Fatalf("create %s: HTTP %d", id, cresp.StatusCode)
 	}
 	cut := len(capture.Samples) / 2
 	head := &emprof.Capture{Samples: capture.Samples[:cut], SampleRate: capture.SampleRate, ClockHz: capture.ClockHz}
@@ -50,18 +84,12 @@ func TestFleetProfilesFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Scale out until the rebalance moves the session off shard 0 — the
-	// ID is random, so how many joins that takes varies.
-	origin := f.Router.Ring().Owner(id)
-	moved := false
-	for i := 0; i < 8 && !moved; i++ {
-		if _, err := f.AddShard(); err != nil {
-			t.Fatalf("add shard: %v", err)
-		}
-		moved = f.Router.Ring().Owner(id) != origin
+	// Scale out: the rebalance moves the session to the joining shard.
+	if err := f.Router.AddShard(join.URL); err != nil {
+		t.Fatalf("add shard: %v", err)
 	}
-	if !moved {
-		t.Skip("session never rebalanced off its origin shard (unlucky ring placement)")
+	if owner := f.Router.Ring().Owner(id); owner != join.URL {
+		t.Fatalf("session owned by %s after the join, want %s", owner, join.URL)
 	}
 
 	if err := client.StreamCapture(ctx, id, tail); err != nil {
@@ -107,7 +135,7 @@ func TestFleetProfilesFanIn(t *testing.T) {
 	// The sequence really is scattered: every shard alone serves a proper
 	// fragment (or none), never the whole.
 	scattered := 0
-	for _, su := range f.ShardURLs {
+	for _, su := range []string{origin, join.URL} {
 		sresp, err := http.Get(su + "/v1/sessions/" + id + "/profiles")
 		if err != nil {
 			t.Fatal(err)

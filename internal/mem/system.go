@@ -475,6 +475,3 @@ func (s *System) WarmLine(addr uint64, alsoL1 bool) {
 		s.dtlb.Insert(addr >> s.pageShift)
 	}
 }
-
-// DTLB exposes the data TLB (nil when disabled).
-func (s *System) DTLB() *TLB { return s.dtlb }

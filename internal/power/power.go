@@ -65,14 +65,10 @@ type Activity struct {
 	MissesOut   float64
 }
 
-// Cycle returns the instantaneous power for one cycle of activity.
-func (w Weights) Cycle(a Activity) float64 {
-	return w.CycleRef(&a)
-}
-
-// CycleRef is Cycle without the receiver and argument copies — the form
-// the simulator's per-cycle loop calls (Weights is 9 float64s and
-// Activity 8 fields; copying both per simulated cycle was measurable).
+// CycleRef returns the instantaneous power for one cycle of activity. It
+// takes both operands by reference because the simulator's per-cycle loop
+// calls it (Weights is 9 float64s and Activity 8 fields; copying both per
+// simulated cycle was measurable).
 func (w *Weights) CycleRef(a *Activity) float64 {
 	p := w.Base
 	if a.FetchActive {

@@ -8,20 +8,20 @@ import (
 
 func TestCyclePowerMonotone(t *testing.T) {
 	w := DefaultWeights()
-	idle := w.Cycle(Activity{})
+	idle := w.CycleRef(&Activity{})
 	if idle != w.Base {
 		t.Fatalf("idle power %v, want base %v", idle, w.Base)
 	}
-	stalled := w.Cycle(Activity{MissesOut: 2})
+	stalled := w.CycleRef(&Activity{MissesOut: 2})
 	if stalled <= idle {
 		t.Fatal("miss-wait must add a little power")
 	}
-	busy := w.Cycle(Activity{FetchActive: true, Issued: 2, IntALU: 2})
+	busy := w.CycleRef(&Activity{FetchActive: true, Issued: 2, IntALU: 2})
 	if busy <= 2*stalled {
 		t.Fatalf("busy power %v not well above stalled %v", busy, stalled)
 	}
-	fp := w.Cycle(Activity{FetchActive: true, Issued: 2, FPMulDiv: 2})
-	intOnly := w.Cycle(Activity{FetchActive: true, Issued: 2, IntALU: 2})
+	fp := w.CycleRef(&Activity{FetchActive: true, Issued: 2, FPMulDiv: 2})
+	intOnly := w.CycleRef(&Activity{FetchActive: true, Issued: 2, IntALU: 2})
 	if fp <= intOnly {
 		t.Fatal("FP units must draw more than integer ALUs")
 	}
@@ -31,8 +31,8 @@ func TestCyclePowerAdditive(t *testing.T) {
 	w := DefaultWeights()
 	a := Activity{Issued: 1, IntALU: 1}
 	b := Activity{Issued: 1, MemAccesses: 1}
-	pa, pb := w.Cycle(a), w.Cycle(b)
-	combined := w.Cycle(Activity{Issued: 2, IntALU: 1, MemAccesses: 1})
+	pa, pb := w.CycleRef(&a), w.CycleRef(&b)
+	combined := w.CycleRef(&Activity{Issued: 2, IntALU: 1, MemAccesses: 1})
 	if math.Abs((pa+pb-w.Base)-combined) > 1e-12 {
 		t.Fatalf("power not additive: %v + %v vs %v", pa, pb, combined)
 	}

@@ -14,17 +14,20 @@ import (
 	"emprof/internal/sim"
 )
 
-// createFuzzWindowCap bounds the normalisation window and smoother a
-// fuzzed config may ask for, in samples. The engine refuses more than
-// 2^24 in all and allocates what it accepts up front; inputs between the
-// two would only spend the fuzz workers' memory, not reach new code.
+// createFuzzWindowCap is the window share, in samples, a fuzzed create
+// finds left of the registry's total. The engine allocates the window it
+// accepts up front; the charge keeps those buffers small and sends every
+// larger share to the registry's total bound.
 const createFuzzWindowCap = 1 << 16
 
 // FuzzCreateSession sends create bodies, profiler config and attribution
-// model included, through the create handler of a windowed server. The
-// create must answer 201 or 400. A created session must then take three
-// pushes of a dip signal (200 each) and finalize (200): no create body
-// may leave a session whose analysis or attribution stage fails.
+// model included, through the create handler of a windowed server whose
+// window total is charged down to createFuzzWindowCap. The create must
+// answer 201, 400, or 429 for a share past the total, and a refused
+// create must return its reserved share. A created session must then take
+// three pushes of a dip signal (200 each) and finalize (200), which
+// returns its share: no create body may leave a session whose analysis or
+// attribution stage fails.
 func FuzzCreateSession(f *testing.F) {
 	const rate, clock = 40e6, 1e9
 	add := func(req CreateRequest) {
@@ -49,21 +52,34 @@ func FuzzCreateSession(f *testing.F) {
 	huge.FrameLen = 1 << 30
 	add(CreateRequest{SampleRate: rate, ClockHz: clock, Attribution: huge})
 	f.Add([]byte(`{"sample_rate":4e7,"clock_hz":1e9,"config":{"NormWindowS":-1}}`))
+	wide := core.DefaultConfig()
+	wide.NormWindowS = 2.5e-3 // 100,000 samples: past the charged total
+	add(CreateRequest{SampleRate: rate, ClockHz: clock, Config: &wide})
 
 	samples := rawBytes(testSignal(6000).Samples)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		// The share the handler will reserve, or 0 if it refuses the body
+		// before reserving.
+		share := 0
 		var req CreateRequest
-		if json.Unmarshal(body, &req) == nil {
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
 			c := core.DefaultConfig()
 			if req.Config != nil {
 				c = *req.Config
 			}
-			if !(c.NormWindowS*req.SampleRate <= createFuzzWindowCap) || c.SmoothSamples > createFuzzWindowCap {
-				return
-			}
+			share, _ = core.WindowSamples(c, req.SampleRate)
 		}
 		srv := New(Config{WindowS: 2e-5})
 		defer srv.Close()
+		const charged = core.MaxWindowSamples - createFuzzWindowCap
+		windowSamples := func() int {
+			srv.reg.mu.Lock()
+			defer srv.reg.mu.Unlock()
+			return srv.reg.windowSamples
+		}
+		srv.reg.mu.Lock()
+		srv.reg.windowSamples = charged
+		srv.reg.mu.Unlock()
 		h := srv.Handler()
 		do := func(method, path string, body []byte) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
@@ -72,11 +88,26 @@ func FuzzCreateSession(f *testing.F) {
 		}
 		rec := do(http.MethodPost, "/v1/sessions", body)
 		switch rec.Code {
-		case http.StatusBadRequest:
-			return
+		case http.StatusTooManyRequests:
+			if share <= createFuzzWindowCap {
+				t.Fatalf("create of a %d-sample share answered 429: %s", share, rec.Body)
+			}
 		case http.StatusCreated:
+			if share > createFuzzWindowCap {
+				t.Fatalf("create of a %d-sample share admitted past the total", share)
+			}
+		case http.StatusBadRequest:
 		default:
 			t.Fatalf("create answered %d: %s", rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusCreated {
+			if got := windowSamples(); got != charged {
+				t.Fatalf("refused create left the window total at %d, want %d", got, charged)
+			}
+			return
+		}
+		if got := windowSamples(); got != charged+share {
+			t.Fatalf("create of a %d-sample share left the window total at %d, want %d", share, got, charged+share)
 		}
 		var cr CreateResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
@@ -92,6 +123,9 @@ func FuzzCreateSession(f *testing.F) {
 		}
 		if rec := do(http.MethodDelete, SessionPath(cr.ID, ""), nil); rec.Code != http.StatusOK {
 			t.Fatalf("finalize answered %d: %s", rec.Code, rec.Body)
+		}
+		if got := windowSamples(); got != charged {
+			t.Fatalf("finalize left the window total at %d, want %d", got, charged)
 		}
 	})
 }

@@ -709,41 +709,32 @@ func (r *Registry) Finalize(id string) (*core.Profile, error) {
 	r.drop(s)
 	r.mu.Unlock()
 	defer s.mu.Unlock()
-	s.finalizeLocked()
-	r.metrics.SessionsFinalized.Add(1)
+	retire(s, &r.metrics.SessionsFinalized)
 	if s.final == nil {
 		return nil, s.poisoned()
 	}
 	return s.final, nil
 }
 
-// finalizeLocked runs the analyzer's finalize and seals the trailing
-// window (its OnWindow hook stores it with the stream's final quality,
-// completing the mergeable sequence), under the session's panic guard: a
-// panic leaves final nil and poisons the session.
-func (s *session) finalizeLocked() {
-	if s.finalized {
-		return
+// retire is the one way out of the registry, for Finalize, Sweep and
+// Close alike: it takes a session already dropped from the registry, with
+// s.mu held, finalizes it and counts it in retired. Finalizing runs the
+// analyzer's finalize and seals the trailing window (its OnWindow hook
+// stores it with the stream's final quality, completing the mergeable
+// sequence), under the session's panic guard: a panic leaves final nil
+// and poisons the session.
+func retire(s *session, retired *atomic.Int64) {
+	if !s.finalized {
+		s.finalized = true
+		s.guard(func() {
+			final := s.an.Finalize()
+			if s.win != nil {
+				s.win.Flush(s.an.Pushed())
+			}
+			s.final = final
+		})
 	}
-	s.finalized = true
-	s.guard(func() {
-		final := s.an.Finalize()
-		if s.win != nil {
-			s.win.Flush(s.an.Pushed())
-		}
-		s.final = final
-	})
-}
-
-// retire is the one way out of the registry for sessions already removed
-// from it: each is finalized under its lock and counted in retired.
-func (r *Registry) retire(ss []*session, retired *atomic.Int64) {
-	for _, s := range ss {
-		s.mu.Lock()
-		s.finalizeLocked()
-		s.mu.Unlock()
-		retired.Add(1)
-	}
+	retired.Add(1)
 }
 
 // List returns every live session, oldest first.
@@ -803,7 +794,11 @@ func (r *Registry) Sweep(now time.Time) int {
 		}
 	}
 	r.mu.Unlock()
-	r.retire(idle, &r.metrics.SessionsGC)
+	for _, s := range idle {
+		s.mu.Lock()
+		retire(s, &r.metrics.SessionsGC)
+		s.mu.Unlock()
+	}
 	return len(idle)
 }
 
@@ -822,7 +817,11 @@ func (r *Registry) Close() {
 		r.drop(s)
 	}
 	r.mu.Unlock()
-	r.retire(open, &r.metrics.SessionsFinalized)
+	for _, s := range open {
+		s.mu.Lock()
+		retire(s, &r.metrics.SessionsFinalized)
+		s.mu.Unlock()
+	}
 	// retire above flushed every session's trailing window into the
 	// store; only the internal memory store is ours to close.
 	if r.ownStore {

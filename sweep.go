@@ -56,46 +56,46 @@ type SweepGrid struct {
 }
 
 // Jobs expands the grid in deterministic order (devices outermost, then
-// workloads, seeds, bandwidths). Empty dimensions are filled with the
-// obvious defaults: all three physical devices, the paper microbenchmark,
-// seed 1, and the device-default bandwidth.
+// workloads, seeds, bandwidths and probe offsets). Empty dimensions are
+// filled with the obvious defaults: all three physical devices, the paper
+// microbenchmark, seed 1, the device-default bandwidth and the reference
+// probe placement.
 func (g SweepGrid) Jobs() []SweepJob {
-	bg := batch.Grid{
-		Devices:      g.Devices,
-		Workloads:    g.Workloads,
-		Seeds:        g.Seeds,
-		BandwidthsHz: g.BandwidthsHz,
-	}
-	if len(bg.Devices) == 0 {
-		bg.Devices = []string{"alcatel", "samsung", "olimex"}
-	}
-	if len(bg.Workloads) == 0 {
-		bg.Workloads = []string{"micro:256:8"}
-	}
-	if len(bg.Seeds) == 0 {
-		bg.Seeds = []uint64{1}
-	}
-	offsets := g.ProbeOffsetsMM
-	if len(offsets) == 0 {
-		offsets = []float64{0}
-	}
-	pts := bg.Points()
-	jobs := make([]SweepJob, 0, len(pts)*len(offsets))
-	for _, p := range pts {
-		for _, off := range offsets {
-			jobs = append(jobs, SweepJob{
-				Device:      p.Device,
-				Workload:    p.Workload,
-				ScaleM:      g.ScaleM,
-				Seed:        p.Seed,
-				BandwidthHz: p.BandwidthHz,
-				NoiseFree:   g.NoiseFree,
-				Probe:       ProbePosition{XMM: off},
-				Faults:      g.Faults,
-			})
+	devices := orDefault(g.Devices, "alcatel", "samsung", "olimex")
+	workloads := orDefault(g.Workloads, "micro:256:8")
+	seeds := orDefault(g.Seeds, 1)
+	bandwidths := orDefault(g.BandwidthsHz, 0)
+	offsets := orDefault(g.ProbeOffsetsMM, 0)
+	jobs := make([]SweepJob, 0, len(devices)*len(workloads)*len(seeds)*len(bandwidths)*len(offsets))
+	for _, d := range devices {
+		for _, w := range workloads {
+			for _, s := range seeds {
+				for _, b := range bandwidths {
+					for _, off := range offsets {
+						jobs = append(jobs, SweepJob{
+							Device:      d,
+							Workload:    w,
+							ScaleM:      g.ScaleM,
+							Seed:        s,
+							BandwidthHz: b,
+							NoiseFree:   g.NoiseFree,
+							Probe:       ProbePosition{XMM: off},
+							Faults:      g.Faults,
+						})
+					}
+				}
+			}
 		}
 	}
 	return jobs
+}
+
+// orDefault returns dim, or def when dim is empty.
+func orDefault[T any](dim []T, def ...T) []T {
+	if len(dim) == 0 {
+		return def
+	}
+	return dim
 }
 
 // SweepResult is one sweep job's outcome. Err carries the job's own
