@@ -306,11 +306,14 @@ func TestRunHonoursContext(t *testing.T) {
 
 // cancelOnDip cancels a context at the first dip candidate it observes.
 type cancelOnDip struct {
-	NopObserver
 	cancel context.CancelFunc
 }
 
-func (o cancelOnDip) DipCandidate(DipCandidateEvent) { o.cancel() }
+func (o cancelOnDip) Observe(r TraceRecord) {
+	if r.Type == trace.TypeDipCandidate {
+		o.cancel()
+	}
+}
 
 // TestRunStopsMidCapture checks that the default path honours a
 // cancellation that arrives while the capture is being analysed: an

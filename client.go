@@ -77,26 +77,15 @@ type Client struct {
 	UserAgent string
 }
 
-// ClientOption configures a Client at construction; see WithHTTPClient,
-// WithRetryPolicy and WithUserAgent. The Client's exported fields remain
-// settable directly — options are the same knobs in composable form.
+// ClientOption configures a Client at construction; see WithHTTPClient
+// and WithUserAgent. The retry policy is set through the Client's
+// exported fields (MaxRetries, RetryBaseDelay).
 type ClientOption func(*Client)
 
 // WithHTTPClient makes the client issue requests through hc instead of
 // the package's shared pooled transport.
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.HTTPClient = hc }
-}
-
-// WithRetryPolicy bounds retries at maxRetries attempts with full-jitter
-// exponential backoff from baseDelay (attempt n sleeps uniform in
-// [0, baseDelay<<n]). Non-positive values keep the defaults (4 retries,
-// 100ms base).
-func WithRetryPolicy(maxRetries int, baseDelay time.Duration) ClientOption {
-	return func(c *Client) {
-		c.MaxRetries = maxRetries
-		c.RetryBaseDelay = baseDelay
-	}
 }
 
 // WithUserAgent sets the User-Agent header sent with every request.
@@ -436,7 +425,7 @@ func (c *Client) Finalize(ctx context.Context, id string) (*Profile, error) {
 type SessionTrace = service.TraceResponse
 
 // Trace fetches a session's retained decision-trace events — the ring of
-// recent DipCandidate/StallAccepted/StallRejected/Resync/QualityFlag
+// recent dip_candidate/stall_accepted/stall_rejected/resync/quality_flag
 // records the daemon keeps per session — without disturbing the stream.
 // Against a daemon too old to serve /v1/sessions/{id}/trace the error
 // matches ErrUnsupportedEndpoint (and not ErrSessionNotFound); other

@@ -36,13 +36,13 @@
 //	GET    /debug/pprof/              daemon self-profiling
 //
 // Continuous profiling: -window W slices every session's stall stream
-// into rolling profile windows of W seconds (stride -window-stride,
-// default tumbling), persisted in a window store and served with
-// time-range queries at /v1/sessions/{id}/profiles. With -store-dir the
-// store is on disk — append-only segments, crash-safe reopen — so
-// profile history survives daemon restarts; -store-max-bytes and
-// -store-max-age bound retention. `emprof top -url ...` renders the
-// fleet's live sessions and window tails from this endpoint:
+// into tumbling profile windows of W seconds, persisted in a window
+// store and served with time-range queries at
+// /v1/sessions/{id}/profiles. With -store-dir the store is on disk —
+// append-only segments, crash-safe reopen — so profile history survives
+// daemon restarts; -store-max-bytes and -store-max-age bound retention.
+// `emprof top -url ...` renders the fleet's live sessions and window
+// tails from this endpoint:
 //
 //	emprofd -addr :7979 -window 0.5 -store-dir /var/lib/emprofd
 //	curl -s 'localhost:7979/v1/sessions/ID/profiles?from=1.5&to=3.0'
@@ -74,12 +74,10 @@ func main() {
 		maxBytes    = flag.Float64("max-session-bytes", service.DefaultMaxSessionBytes, "per-session ingest byte budget (excess uploads get 429)")
 		idleTTL     = flag.Duration("idle-ttl", service.DefaultIdleTTL, "idle time after which a session is finalized and collected")
 		readTimeout = flag.Duration("read-timeout", service.DefaultReadTimeout, "per-request body read deadline")
-		gcInterval  = flag.Duration("gc-interval", 0, "idle-session sweep interval (0 = idle-ttl/4)")
 		traceRing   = flag.Int("trace-ring", service.DefaultTraceRing, "per-session decision-trace ring capacity served at /v1/sessions/{id}/trace (negative disables tracing)")
 		showVersion = flag.Bool("version", false, "print version and exit")
 
 		windowS       = flag.Float64("window", 0, "continuous profiling: rolling profile window width in stream seconds (0 disables windowing)")
-		windowStrideS = flag.Float64("window-stride", 0, "window stride in stream seconds (0 = tumbling, stride = width)")
 		storeDir      = flag.String("store-dir", "", "window store directory; empty keeps windows in memory only (lost on restart)")
 		storeMaxBytes = flag.Float64("store-max-bytes", 0, "window store retention cap in bytes; oldest segments evict past it (0 = default 256 MiB, negative = unbounded)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "window store age cap; segments older than this evict (0 = no age eviction)")
@@ -121,13 +119,12 @@ func main() {
 		ReadTimeout:     *readTimeout,
 		TraceRing:       *traceRing,
 		WindowS:         *windowS,
-		WindowStrideS:   *windowStrideS,
 		Store:           store,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "emprofd: "+format+"\n", args...)
 		},
 	})
-	stopGC := srv.StartGC(*gcInterval)
+	stopGC := srv.StartGC()
 	defer stopGC()
 
 	hs := &http.Server{

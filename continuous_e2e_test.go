@@ -185,7 +185,8 @@ func TestProfilesNotRetained(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	client := emprof.NewClient(ts.URL, emprof.WithRetryPolicy(2, time.Millisecond))
+	client := emprof.NewClient(ts.URL)
+	client.MaxRetries, client.RetryBaseDelay = 2, time.Millisecond
 	ctx := context.Background()
 	id, err := client.CreateSession(ctx, emprof.SessionSpec{SampleRate: capture.SampleRate, ClockHz: capture.ClockHz})
 	if err != nil {
@@ -218,7 +219,7 @@ func TestProfilesNotRetained(t *testing.T) {
 }
 
 // TestClientOptions exercises the functional construction surface:
-// WithHTTPClient, WithUserAgent and WithRetryPolicy must shape the
+// WithHTTPClient and WithUserAgent, plus the retry fields, must shape the
 // requests the client sends.
 func TestClientOptions(t *testing.T) {
 	var gotUA string
@@ -238,8 +239,8 @@ func TestClientOptions(t *testing.T) {
 	client := emprof.NewClient(probe.URL,
 		emprof.WithHTTPClient(hc),
 		emprof.WithUserAgent("emprof-test/1.0"),
-		emprof.WithRetryPolicy(2, time.Millisecond),
 	)
+	client.MaxRetries, client.RetryBaseDelay = 2, time.Millisecond
 	_, err := client.ListSessions(context.Background())
 	if !errors.Is(err, emprof.ErrRetriesExhausted) {
 		t.Fatalf("error = %v, want ErrRetriesExhausted", err)
@@ -251,7 +252,7 @@ func TestClientOptions(t *testing.T) {
 		t.Fatalf("User-Agent %q, want emprof-test/1.0", gotUA)
 	}
 	if hits != 3 {
-		t.Fatalf("%d attempts with WithRetryPolicy(2, ...), want 3", hits)
+		t.Fatalf("%d attempts with MaxRetries 2, want 3", hits)
 	}
 }
 

@@ -51,7 +51,7 @@ func FuzzDetectorRunMatchesStep(f *testing.F) {
 			d      *detector
 			p      *Profile
 			q      *Quality
-			events detectorEvents
+			events eventLog
 		}
 		newPass := func() *pass {
 			ps := &pass{p: &Profile{}, q: &Quality{}}
@@ -172,15 +172,10 @@ func decideFuzzPositions(cfg Config, data []byte) (xs []float64, fl []qflag, lo,
 	return xs, fl, lo, hi
 }
 
-// detectorEvents records the detector's observer events in order.
-type detectorEvents struct {
-	trace.Nop
-	events []any
-}
+// eventLog records observer events in order.
+type eventLog struct{ events []trace.Record }
 
-func (e *detectorEvents) DipCandidate(c trace.DipCandidate)   { e.events = append(e.events, c) }
-func (e *detectorEvents) StallAccepted(a trace.StallAccepted) { e.events = append(e.events, a) }
-func (e *detectorEvents) StallRejected(r trace.StallRejected) { e.events = append(e.events, r) }
+func (e *eventLog) Observe(r trace.Record) { e.events = append(e.events, r) }
 
 // detectorSnapshot is the detector's dip state, depth sentinel included.
 func detectorSnapshot(d *detector) detectorState {

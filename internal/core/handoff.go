@@ -78,10 +78,12 @@ type StreamState struct {
 	Decided int64 `json:"decided"`
 	Fed     int64 `json:"fed"`
 
-	FlagBuf  []trace.Flag `json:"flag_buf,omitempty"`
-	ResyncAt []int64      `json:"resync_at,omitempty"`
-	SmTail   []float64    `json:"sm_tail,omitempty"`
-	Pending  []float64    `json:"pending,omitempty"`
+	// FlagBuf holds the trace.Flag set of each undecided position as a
+	// byte, so JSON carries it as base64 rather than as flag names.
+	FlagBuf  []byte    `json:"flag_buf,omitempty"`
+	ResyncAt []int64   `json:"resync_at,omitempty"`
+	SmTail   []float64 `json:"sm_tail,omitempty"`
+	Pending  []float64 `json:"pending,omitempty"`
 
 	LastMin   float64 `json:"last_min"`
 	LastMax   float64 `json:"last_max"`
@@ -114,7 +116,7 @@ func (s *StreamAnalyzer) ExportState() *StreamState {
 		Pushed:     s.n,
 		Decided:    s.emitted,
 		Fed:        s.fed,
-		FlagBuf:    s.flagBuf.items(),
+		FlagBuf:    convertFlags[byte](s.flagBuf.items()),
 		ResyncAt:   append([]int64(nil), s.resyncAt...),
 		SmTail:     append([]float64(nil), s.smTail...),
 		Pending:    s.pending.items(),
@@ -227,7 +229,7 @@ func ResumeStreamAnalyzer(st *StreamState) (*StreamAnalyzer, error) {
 	s.n = st.Pushed
 	s.emitted = st.Decided
 	s.fed = st.Fed
-	s.flagBuf.load(st.FlagBuf)
+	s.flagBuf.load(convertFlags[qflag](st.FlagBuf))
 	s.resyncAt = append(s.resyncAt[:0], st.ResyncAt...)
 	s.smTail = append(s.smTail[:0], st.SmTail...)
 	s.pending.load(st.Pending)
@@ -288,4 +290,17 @@ func ResumeStreamAnalyzer(st *StreamState) (*StreamAnalyzer, error) {
 		s.prof.StallCycles += stall.Cycles
 	}
 	return s, nil
+}
+
+// convertFlags copies a flag queue between its in-memory and wire
+// element types.
+func convertFlags[D, S ~uint8](xs []S) []D {
+	if xs == nil {
+		return nil
+	}
+	out := make([]D, len(xs))
+	for i, x := range xs {
+		out[i] = D(x)
+	}
+	return out
 }

@@ -22,7 +22,7 @@ func bitEqual(a, b reflect.Value) bool {
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case reflect.Int, reflect.Int64:
 		return a.Int() == b.Int()
-	case reflect.Uint16:
+	case reflect.Uint8, reflect.Uint16:
 		return a.Uint() == b.Uint()
 	case reflect.Bool:
 		return a.Bool() == b.Bool()

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"emprof/internal/sim"
-	"emprof/internal/trace"
 )
 
 // FuzzMonitorMatchesOracle drives the monitor block kernel and the
@@ -44,12 +43,12 @@ func FuzzMonitorMatchesOracle(f *testing.F) {
 		}
 
 		ref := newOracleMonitor(cfg, rate)
-		var wantEvents monitorEvents
+		var wantEvents eventLog
 		ref.obs = &wantEvents
 		wantSan, wantMask, wantResyncs := ref.scan(xs)
 
 		m := newMonitor(cfg, rate)
-		var events monitorEvents
+		var events eventLog
 		m.obs = &events
 		rng := sim.NewRNG(uint64(len(data)))
 		san, flags, resyncs := monitorBlocks(m, xs, func() int { return 1 + rng.Intn(maxBlock) })
@@ -66,15 +65,6 @@ func FuzzMonitorMatchesOracle(f *testing.F) {
 		}
 	})
 }
-
-// monitorEvents records the monitor's observer events in order.
-type monitorEvents struct {
-	trace.Nop
-	events []any
-}
-
-func (e *monitorEvents) Resync(r trace.Resync)           { e.events = append(e.events, r) }
-func (e *monitorEvents) QualityFlag(q trace.QualityFlag) { e.events = append(e.events, q) }
 
 // monitorFuzzSignal decodes fuzz bytes into at most 1<<14 samples, three
 // bytes per segment: a kind, a length n and a parameter p. The signal

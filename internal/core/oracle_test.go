@@ -98,10 +98,10 @@ func (m *oracleMonitor) process(x float64) (y float64, fl qflag, retro int, resy
 	if m.obs != nil {
 		pos := m.q.Samples - 1
 		if resync {
-			m.obs.Resync(trace.Resync{Pos: pos, Cause: m.resyncCause})
+			m.obs.Observe(trace.Record{Type: trace.TypeResync, Pos: pos, Cause: m.resyncCause})
 		}
 		if fl != 0 {
-			m.obs.QualityFlag(trace.QualityFlag{Pos: pos, Flags: fl, Retro: retro})
+			m.obs.Observe(trace.Record{Type: trace.TypeQualityFlag, Pos: pos, Flags: fl, Retro: retro})
 		}
 	}
 	return y, fl, retro, resync

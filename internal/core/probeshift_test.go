@@ -102,7 +102,7 @@ func TestProbeShiftBoundsPhantomStalls(t *testing.T) {
 	// The resync must be attributed to the probe shift in the trace.
 	sawShift := false
 	for _, r := range ring.Records() {
-		if r.Type == trace.TypeResync && r.Cause == string(trace.ResyncProbeShift) {
+		if r.Type == trace.TypeResync && r.Cause == trace.ResyncProbeShift {
 			sawShift = true
 		}
 	}

@@ -266,8 +266,8 @@ type detector struct {
 	// is handed to; it is read at emit time, so the owner may set the
 	// callback after construction.
 	onStall *func(Stall)
-	// obs, when non-nil, receives DipCandidate / StallAccepted /
-	// StallRejected events at the corresponding decision points. All
+	// obs, when non-nil, receives dip_candidate, stall_accepted and
+	// stall_rejected records at the corresponding decision points. All
 	// emissions sit on branches the detector takes rarely, so the
 	// per-sample fast path is untouched when tracing is off.
 	obs trace.Observer
@@ -415,7 +415,8 @@ func (d *detector) decide(i int64, v float64, fl qflag, lo, hi float64) {
 			// abort rather than report a dip that spans the impairment.
 			if d.inDip {
 				if d.obs != nil {
-					d.obs.StallRejected(trace.StallRejected{
+					d.obs.Observe(trace.Record{
+						Type:  trace.TypeStallRejected,
 						Start: d.start, End: i,
 						DurationS: float64(i-d.start) / d.sampleRate,
 						Depth:     d.depth,
@@ -436,7 +437,7 @@ func (d *detector) decide(i int64, v float64, fl qflag, lo, hi float64) {
 			d.depth = v
 			d.entryLo, d.entryHi = lo, hi
 			if d.obs != nil {
-				d.obs.DipCandidate(trace.DipCandidate{Pos: i, Value: v, Lo: lo, Hi: hi})
+				d.obs.Observe(trace.Record{Type: trace.TypeDipCandidate, Pos: i, Value: v, Lo: lo, Hi: hi})
 			}
 		}
 		return
@@ -466,9 +467,9 @@ func (d *detector) flush(end int64) {
 	durS := float64(durSamples) / d.sampleRate
 	if float64(durSamples) < d.minSamples {
 		if d.obs != nil {
-			d.obs.StallRejected(trace.StallRejected{
-				Start: d.start, End: end, DurationS: durS,
-				Depth: d.depth, Reason: trace.RejectTooShort,
+			d.obs.Observe(trace.Record{
+				Type: trace.TypeStallRejected, Start: d.start, End: end,
+				DurationS: durS, Depth: d.depth, Reason: trace.RejectTooShort,
 			})
 		}
 		return
@@ -479,9 +480,9 @@ func (d *detector) flush(end int64) {
 	}
 	if d.depth > maxDepth {
 		if d.obs != nil {
-			d.obs.StallRejected(trace.StallRejected{
-				Start: d.start, End: end, DurationS: durS,
-				Depth: d.depth, Reason: trace.RejectTooShallow,
+			d.obs.Observe(trace.Record{
+				Type: trace.TypeStallRejected, Start: d.start, End: end,
+				DurationS: durS, Depth: d.depth, Reason: trace.RejectTooShallow,
 			})
 		}
 		return
@@ -504,8 +505,8 @@ func (d *detector) flush(end int64) {
 	}
 	d.prof.StallCycles += st.Cycles
 	if d.obs != nil {
-		d.obs.StallAccepted(trace.StallAccepted{
-			Start: d.start, End: end, StartS: st.StartS,
+		d.obs.Observe(trace.Record{
+			Type: trace.TypeStallAccepted, Start: d.start, End: end, StartS: st.StartS,
 			DurationS: st.DurationS, Cycles: st.Cycles, Depth: st.Depth,
 			Confidence: st.Confidence, Refresh: st.Refresh,
 		})

@@ -422,10 +422,10 @@ func (m *monitor) generalRun(xs, san []float64, flags []qflag, i0 int, patchOlde
 		if obs != nil {
 			pos := samples - 1
 			if resync {
-				obs.Resync(trace.Resync{Pos: pos, Cause: resyncCause})
+				obs.Observe(trace.Record{Type: trace.TypeResync, Pos: pos, Cause: resyncCause})
 			}
 			if fl != 0 {
-				obs.QualityFlag(trace.QualityFlag{Pos: pos, Flags: fl, Retro: retro})
+				obs.Observe(trace.Record{Type: trace.TypeQualityFlag, Pos: pos, Flags: fl, Retro: retro})
 			}
 		}
 

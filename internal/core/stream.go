@@ -161,9 +161,9 @@ func (s *StreamAnalyzer) Finalize() *Profile {
 	p := s.finish()
 	if c := s.clock; s.obs != nil {
 		n := s.n - c.from
-		s.obs.StageTiming(trace.StageTiming{Stage: trace.StageScan, DurationNs: c.ns[stageMonitor] + c.ns[stageSmooth], Samples: n})
-		s.obs.StageTiming(trace.StageTiming{Stage: trace.StageNormalize, DurationNs: c.ns[stageNormalize], Samples: n})
-		s.obs.StageTiming(trace.StageTiming{Stage: trace.StageDetect, DurationNs: c.ns[stageDetect], Samples: n})
+		s.obs.Observe(trace.Record{Type: trace.TypeStageTiming, Stage: trace.StageScan, DurationNs: c.ns[stageMonitor] + c.ns[stageSmooth], Samples: n})
+		s.obs.Observe(trace.Record{Type: trace.TypeStageTiming, Stage: trace.StageNormalize, DurationNs: c.ns[stageNormalize], Samples: n})
+		s.obs.Observe(trace.Record{Type: trace.TypeStageTiming, Stage: trace.StageDetect, DurationNs: c.ns[stageDetect], Samples: n})
 	}
 	return p
 }

@@ -8,9 +8,8 @@ import (
 // This file implements rolling profile windows — the continuous-profiling
 // face of the streaming analyzer. A long-running session does not only
 // accumulate one ever-growing profile: a Windower slices the decided
-// stream into fixed-width windows (tumbling by default, overlapping when
-// the stride is shorter than the width) and emits each one as soon as no
-// future decision can add a stall to it. Tumbling windows concatenate
+// stream into fixed-width tumbling windows and emits each one as soon as
+// no future decision can add a stall to it. The windows concatenate
 // exactly: MergeWindows over a session's full window sequence reproduces
 // the Finalize profile of the same stream bit for bit.
 
@@ -44,8 +43,8 @@ type WindowRegion struct {
 // stream: the stalls whose onset falls in [StartSample, EndSample), with
 // the same aggregate counters a Profile carries, scoped to the window.
 type ProfileWindow struct {
-	// Index numbers windows from 0 in stride steps; window i spans
-	// [i*stride, i*stride+width) except the final partial one.
+	// Index numbers windows from 0; window i spans
+	// [i*width, (i+1)*width) except the final partial one.
 	Index       int64 `json:"index"`
 	StartSample int64 `json:"start_sample"`
 	EndSample   int64 `json:"end_sample"`
@@ -77,9 +76,9 @@ type ProfileWindow struct {
 // each push, and Flush it at finalize. It is not internally synchronised:
 // serialise it with the analyzer it observes.
 type Windower struct {
-	width, stride int64
-	sampleRate    float64
-	clockHz       float64
+	width      int64
+	sampleRate float64
+	clockHz    float64
 
 	next    int64 // start of the next unsealed window
 	idx     int64
@@ -90,42 +89,24 @@ type Windower struct {
 	OnWindow func(*ProfileWindow)
 }
 
-// NewWindower builds a windower with the given width and stride in
-// stream seconds. strideS <= 0 means tumbling (stride = width); a stride
-// shorter than the width yields overlapping windows (which no longer
-// merge — MergeWindows requires tumbling geometry).
+// NewWindower builds a windower of tumbling windows widthS stream
+// seconds wide. strideS must be 0 or widthS: windows do not overlap.
 func NewWindower(widthS, strideS, sampleRate, clockHz float64) (*Windower, error) {
 	if !(widthS > 0) {
 		return nil, fmt.Errorf("core: window width %v s must be positive", widthS)
 	}
+	if strideS != 0 && strideS != widthS {
+		return nil, fmt.Errorf("core: window stride %v s is not the width %v s (windows tumble)", strideS, widthS)
+	}
 	if !(sampleRate > 0) || !(clockHz > 0) {
 		return nil, fmt.Errorf("core: windower needs acquisition metadata (rate=%v clock=%v)", sampleRate, clockHz)
 	}
-	if strideS <= 0 {
-		strideS = widthS
-	}
-	if strideS > widthS {
-		return nil, fmt.Errorf("core: window stride %v s exceeds width %v s (gaps would drop stalls)", strideS, widthS)
-	}
-	width := int64(widthS * sampleRate)
-	if width < 1 {
-		width = 1
-	}
-	stride := int64(strideS * sampleRate)
-	if stride < 1 {
-		stride = 1
-	}
-	if stride > width {
-		stride = width
-	}
-	return &Windower{width: width, stride: stride, sampleRate: sampleRate, clockHz: clockHz}, nil
+	width := max(int64(widthS*sampleRate), 1)
+	return &Windower{width: width, sampleRate: sampleRate, clockHz: clockHz}, nil
 }
 
 // WidthSamples returns the window width in samples.
 func (w *Windower) WidthSamples() int64 { return w.width }
-
-// StrideSamples returns the window stride in samples.
-func (w *Windower) StrideSamples() int64 { return w.stride }
 
 // NextStart returns the stream position where the next unsealed window
 // begins — nothing below it can appear in a future window, which is what
@@ -197,10 +178,9 @@ func (w *Windower) seal(lo, hi int64, final bool) {
 		pw.MeanConfidence = confSum / float64(n)
 	}
 	w.idx++
-	w.next += w.stride
-	// Drop stalls no future window can contain (onset below the new
-	// watermark); with overlapping strides later windows still need the
-	// rest.
+	w.next = hi
+	// Keep only the stalls a future window can contain (onset at or
+	// above the new watermark).
 	keep := w.pending[:0]
 	for _, st := range w.pending {
 		if int64(st.StartSample) >= w.next {
@@ -216,21 +196,19 @@ func (w *Windower) seal(lo, hi int64, final bool) {
 // WindowerState is the hand-off form of a windower: enough to resume
 // window emission seamlessly on another shard.
 type WindowerState struct {
-	WidthSamples  int64   `json:"width_samples"`
-	StrideSamples int64   `json:"stride_samples"`
-	Next          int64   `json:"next"`
-	Index         int64   `json:"index"`
-	Pending       []Stall `json:"pending,omitempty"`
+	WidthSamples int64   `json:"width_samples"`
+	Next         int64   `json:"next"`
+	Index        int64   `json:"index"`
+	Pending      []Stall `json:"pending,omitempty"`
 }
 
 // ExportState snapshots the windower for hand-off.
 func (w *Windower) ExportState() *WindowerState {
 	return &WindowerState{
-		WidthSamples:  w.width,
-		StrideSamples: w.stride,
-		Next:          w.next,
-		Index:         w.idx,
-		Pending:       append([]Stall(nil), w.pending...),
+		WidthSamples: w.width,
+		Next:         w.next,
+		Index:        w.idx,
+		Pending:      append([]Stall(nil), w.pending...),
 	}
 }
 
@@ -239,8 +217,8 @@ func ResumeWindower(st *WindowerState, sampleRate, clockHz float64) (*Windower, 
 	if st == nil {
 		return nil, fmt.Errorf("core: nil windower state")
 	}
-	if st.WidthSamples < 1 || st.StrideSamples < 1 || st.StrideSamples > st.WidthSamples {
-		return nil, fmt.Errorf("core: windower state geometry %d/%d invalid", st.WidthSamples, st.StrideSamples)
+	if st.WidthSamples < 1 {
+		return nil, fmt.Errorf("core: windower state width %d invalid", st.WidthSamples)
 	}
 	if !(sampleRate > 0) || !(clockHz > 0) {
 		return nil, fmt.Errorf("core: windower needs acquisition metadata (rate=%v clock=%v)", sampleRate, clockHz)
@@ -250,7 +228,6 @@ func ResumeWindower(st *WindowerState, sampleRate, clockHz float64) (*Windower, 
 	}
 	return &Windower{
 		width:      st.WidthSamples,
-		stride:     st.StrideSamples,
 		sampleRate: sampleRate,
 		clockHz:    clockHz,
 		next:       st.Next,
@@ -260,7 +237,7 @@ func ResumeWindower(st *WindowerState, sampleRate, clockHz float64) (*Windower, 
 }
 
 // MergeWindows reassembles a full-stream profile from a session's
-// complete tumbling window sequence — the query-side inverse of the
+// complete window sequence — the query-side inverse of the
 // windower. The windows must tile the stream (each starts where the
 // previous ended); the result is bit-identical to Finalize on the same
 // stream: stalls concatenate in onset order, the counters sum, and
@@ -286,7 +263,7 @@ func MergeWindows(ws []ProfileWindow, sampleRate, clockHz float64) (*Profile, er
 				return nil, fmt.Errorf("core: window sequence gap between index %d and %d", prev.Index, win.Index)
 			}
 			if win.StartSample != prev.EndSample {
-				return nil, fmt.Errorf("core: windows %d and %d do not tile (overlapping strides cannot be merged)", prev.Index, win.Index)
+				return nil, fmt.Errorf("core: windows %d and %d do not tile", prev.Index, win.Index)
 			}
 		}
 		p.Stalls = append(p.Stalls, win.Stalls...)

@@ -11,13 +11,13 @@ import (
 // windowedRun streams a capture through an analyzer with a windower
 // attached (the continuous-profiling wiring the service uses) and
 // returns the emitted window sequence plus the finalize profile.
-func windowedRun(t *testing.T, c *em.Capture, widthS, strideS float64, chunk int) ([]ProfileWindow, *Profile) {
+func windowedRun(t *testing.T, c *em.Capture, widthS float64, chunk int) ([]ProfileWindow, *Profile) {
 	t.Helper()
 	an, err := NewStreamAnalyzer(DefaultConfig(), c.SampleRate, c.ClockHz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWindower(widthS, strideS, c.SampleRate, c.ClockHz)
+	w, err := NewWindower(widthS, 0, c.SampleRate, c.ClockHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestWindowMergeMatchesFinalize(t *testing.T) {
 	c := synthCapture(42000, dips, 0.1, 1.2, 0.02, 7)
 
 	for _, widthS := range []float64{2e-4, 3.7e-4, 1.05e-3, 2e-3} {
-		wins, want := windowedRun(t, c, widthS, 0, 4096)
+		wins, want := windowedRun(t, c, widthS, 4096)
 		merged, err := MergeWindows(wins, c.SampleRate, c.ClockHz)
 		if err != nil {
 			t.Fatalf("width %v: merge: %v", widthS, err)
@@ -82,7 +82,7 @@ func TestWindowMergeMatchesFinalizeRandomChunks(t *testing.T) {
 	}
 	for trial := 0; trial < 5; trial++ {
 		chunk := 1 + rng.Intn(9000)
-		wins, prof := windowedRun(t, c, 5e-4, 0, chunk)
+		wins, prof := windowedRun(t, c, 5e-4, chunk)
 		if !reflect.DeepEqual(prof, want) {
 			t.Fatalf("chunk %d: windowed analyzer diverged from plain stream", chunk)
 		}
@@ -122,27 +122,9 @@ func TestFrontierMonotonicCausal(t *testing.T) {
 	an.Finalize()
 }
 
-func TestOverlappingWindows(t *testing.T) {
-	c := synthCapture(24000, map[int]int{4000: 12, 10000: 12, 16000: 12}, 0.1, 1, 0, 9)
-	// stride = width/2: each stall should land in (up to) two windows.
-	wins, prof := windowedRun(t, c, 4e-4, 2e-4, 3000)
-	total := 0
-	for _, w := range wins {
-		total += len(w.Stalls)
-	}
-	if want := 2 * len(prof.Stalls); total != want && total != want-1 {
-		// The very first stall can fall in window 0 only if its onset is
-		// within the first stride.
-		t.Fatalf("overlapping windows hold %d stall entries, want about %d (2x%d)", total, want, len(prof.Stalls))
-	}
-	if _, err := MergeWindows(wins, c.SampleRate, c.ClockHz); err == nil {
-		t.Fatal("merging overlapping windows should fail")
-	}
-}
-
 func TestWindowerResume(t *testing.T) {
 	c := synthCapture(32000, map[int]int{3000: 12, 8000: 14, 14000: 11, 20000: 300, 27000: 12}, 0.1, 1, 0.02, 5)
-	wantWins, wantProf := windowedRun(t, c, 3e-4, 0, 2048)
+	wantWins, wantProf := windowedRun(t, c, 3e-4, 2048)
 
 	// Split the stream mid-way: run, export analyzer + windower, resume
 	// both, continue — the window sequence must be seamless.
@@ -199,8 +181,13 @@ func TestWindowerValidation(t *testing.T) {
 	if _, err := NewWindower(0, 0, 40e6, 1e9); err == nil {
 		t.Fatal("zero width accepted")
 	}
-	if _, err := NewWindower(1e-3, 2e-3, 40e6, 1e9); err == nil {
-		t.Fatal("stride > width accepted")
+	for _, stride := range []float64{-1e-3, 5e-4, 2e-3} {
+		if _, err := NewWindower(1e-3, stride, 40e6, 1e9); err == nil {
+			t.Fatalf("stride %g s on a 1 ms width accepted", stride)
+		}
+	}
+	if _, err := NewWindower(1e-3, 1e-3, 40e6, 1e9); err != nil {
+		t.Fatalf("stride equal to the width refused: %v", err)
 	}
 	if _, err := NewWindower(1e-3, 0, 0, 1e9); err == nil {
 		t.Fatal("zero sample rate accepted")
@@ -208,7 +195,7 @@ func TestWindowerValidation(t *testing.T) {
 	if _, err := ResumeWindower(nil, 40e6, 1e9); err == nil {
 		t.Fatal("nil state accepted")
 	}
-	if _, err := ResumeWindower(&WindowerState{WidthSamples: 4, StrideSamples: 8}, 40e6, 1e9); err == nil {
-		t.Fatal("bad geometry accepted")
+	if _, err := ResumeWindower(&WindowerState{WidthSamples: 0}, 40e6, 1e9); err == nil {
+		t.Fatal("zero width state accepted")
 	}
 }

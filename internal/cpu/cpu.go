@@ -211,15 +211,6 @@ func New(cfg Config, ms *mem.System) (*Core, error) {
 	return &Core{cfg: cfg, ms: ms}, nil
 }
 
-// MustNew is New but panics on configuration errors.
-func MustNew(cfg Config, ms *mem.System) *Core {
-	c, err := New(cfg, ms)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Config returns the core configuration.
 func (c *Core) Config() Config { return c.cfg }
 
@@ -509,8 +500,7 @@ func (c *Core) Run(stream sim.Stream) (*Result, error) {
 					qn--
 					continue
 				}
-				ok, _ := r.tryIssue(in)
-				if !ok {
+				if !r.tryIssue(in) {
 					break
 				}
 				if r.fq.n > 0 {
@@ -862,24 +852,23 @@ func (r *runState) attributeStall(from, to uint64) {
 	}
 }
 
-// tryIssue attempts to issue one instruction. It returns (true, _)
-// when issued, or (false, structural) where structural is true when a
-// structural resource (queue, divider) blocked it rather than an
-// operand. Every comparison against a future timestamp notes it as a
+// tryIssue attempts to issue one instruction and reports whether it
+// issued; an operand or a structural resource (queue, divider) can block
+// it. Every comparison against a future timestamp notes it as a
 // wake event for skip-ahead. The in-order loop in Run inlines the
 // operand checks and the default branch; this full version serves
 // out-of-order issue and the side-effecting op classes.
-func (r *runState) tryIssue(in *sim.Inst) (bool, bool) {
+func (r *runState) tryIssue(in *sim.Inst) bool {
 	now := r.now
 	if t := r.regReady[in.Src1&scoreboardMask]; in.Src1 >= 0 && t > now {
 		r.blockedByMiss = r.blockedByMiss || r.missReg[in.Src1&scoreboardMask]
 		r.noteWake(t)
-		return false, false
+		return false
 	}
 	if t := r.regReady[in.Src2&scoreboardMask]; in.Src2 >= 0 && t > now {
 		r.blockedByMiss = r.blockedByMiss || r.missReg[in.Src2&scoreboardMask]
 		r.noteWake(t)
-		return false, false
+		return false
 	}
 	switch in.Op {
 	case sim.OpTouch:
@@ -892,7 +881,7 @@ func (r *runState) tryIssue(in *sim.Inst) (bool, bool) {
 		if len(r.loadDone) >= r.loadQ {
 			r.blockedByMiss = r.blockedByMiss || r.ms.OutstandingMisses(now) > 0
 			r.noteWake(r.loadDone[0])
-			return false, true
+			return false
 		}
 		rr := r.ms.Access(now, in.PC, in.Addr, mem.KindLoad)
 		if !rr.L1Hit {
@@ -911,7 +900,7 @@ func (r *runState) tryIssue(in *sim.Inst) (bool, bool) {
 		if len(r.storeDone) >= r.storeQ {
 			r.blockedByMiss = r.blockedByMiss || r.ms.OutstandingMisses(now) > 0
 			r.noteWake(r.storeDone[0])
-			return false, true
+			return false
 		}
 		rr := r.ms.Access(now, in.PC, in.Addr, mem.KindStore)
 		if !rr.L1Hit {
@@ -923,7 +912,7 @@ func (r *runState) tryIssue(in *sim.Inst) (bool, bool) {
 		// Unpipelined divider.
 		if r.divFreeAt > now {
 			r.noteWake(r.divFreeAt)
-			return false, true
+			return false
 		}
 		lat := r.latIntDiv
 		if in.Op == sim.OpFPDiv {
@@ -958,7 +947,7 @@ func (r *runState) tryIssue(in *sim.Inst) (bool, bool) {
 	}
 	r.issued++
 	r.instructions++
-	return true, false
+	return true
 }
 
 // issueOoO performs scoreboard out-of-order issue within the configured
@@ -1016,8 +1005,7 @@ func (r *runState) issueOoO() {
 		if oldest && in.Region != r.curRegion {
 			r.enterRegion(in)
 		}
-		ok, _ := r.tryIssue(in)
-		if ok {
+		if r.tryIssue(in) {
 			r.fq.markDone(slot)
 		} else if in.Op.IsMem() {
 			memBlocked = true

@@ -227,7 +227,7 @@ func TestPushBlockEdges(t *testing.T) {
 			cfg := base
 			cfg.BandwidthHz = bw
 			r, ref := MustNewReceiver(cfg), newRefReceiver(cfg)
-			d := r.DecimationFactor()
+			d := r.decim
 			pos, midFlush := 0, false
 			for size := 0; size <= 2*d+1; size++ {
 				blk := cycles[pos : pos+size]

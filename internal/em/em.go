@@ -232,9 +232,6 @@ func MustNewReceiver(cfg ReceiverConfig) *Receiver {
 // SampleRate returns the actual output rate in Hz.
 func (r *Receiver) SampleRate() float64 { return r.sampleRate }
 
-// DecimationFactor returns cycles per output sample.
-func (r *Receiver) DecimationFactor() int { return r.decim }
-
 // PushCycle pushes the power of one clock cycle as a block of one. The
 // processor model only calls PushBlock; PushCycle stays for callers that
 // wrap a Receiver in a sink of their own (the benchmark module's timed

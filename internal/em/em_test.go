@@ -47,8 +47,8 @@ func fill(n int, v float64) []float64 {
 
 func TestReceiverDecimation(t *testing.T) {
 	r := MustNewReceiver(cleanConfig())
-	if r.DecimationFactor() != 20 {
-		t.Fatalf("decimation %d, want 20", r.DecimationFactor())
+	if r.decim != 20 {
+		t.Fatalf("decimation %d, want 20", r.decim)
 	}
 	if r.SampleRate() != 50e6 {
 		t.Fatalf("sample rate %v, want 50 MHz", r.SampleRate())

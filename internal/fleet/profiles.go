@@ -88,7 +88,7 @@ func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		// state and acquisition metadata; store-only shards say "detached".
 		if stateRank(env.State) > stateRank(merged.State) {
 			merged.State = env.State
-			merged.WindowS, merged.StrideS = env.WindowS, env.StrideS
+			merged.WindowS = env.WindowS
 			merged.SampleRate, merged.ClockHz = env.SampleRate, env.ClockHz
 		}
 	}
@@ -223,8 +223,8 @@ func splitProfilesFast(data []byte) (env service.ProfilesResponse, wins []rawWin
 		key string
 		dst *float64
 	}{
-		{`,"window_s":`, &env.WindowS}, {`,"stride_s":`, &env.StrideS},
-		{`,"sample_rate":`, &env.SampleRate}, {`,"clock_hz":`, &env.ClockHz},
+		{`,"window_s":`, &env.WindowS}, {`,"sample_rate":`, &env.SampleRate},
+		{`,"clock_hz":`, &env.ClockHz},
 	} {
 		if j, present := jsonfast.Eat(data, i, f.key); present {
 			if *f.dst, i, ok = jsonfast.Float(data, j); !ok {

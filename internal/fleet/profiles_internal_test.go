@@ -182,7 +182,7 @@ func oracleFanIn(t *testing.T, shards []string, target string) (int, []byte) {
 		}
 		if stateRank(sp.resp.State) > stateRank(merged.State) {
 			merged.State = sp.resp.State
-			merged.WindowS, merged.StrideS = sp.resp.WindowS, sp.resp.StrideS
+			merged.WindowS = sp.resp.WindowS
 			merged.SampleRate, merged.ClockHz = sp.resp.SampleRate, sp.resp.ClockHz
 		}
 	}
@@ -422,7 +422,7 @@ func FuzzProfilesSplit(f *testing.F) {
 		Misses: 1, StallCycles: 302.4, MeanConfidence: 0.93, Quality: core.Quality{Samples: 8000, Resyncs: 1},
 		Regions: []core.WindowRegion{{Region: 1, Name: "fa", Misses: 1, StallCycles: 302.4}, {Region: 2}},
 	}
-	live := service.ProfilesResponse{ID: "abc", State: "active", WindowS: 1e-4, StrideS: 1e-4, SampleRate: 40e6, ClockHz: 1e9, LatestIndex: 1}
+	live := service.ProfilesResponse{ID: "abc", State: "active", WindowS: 1e-4, SampleRate: 40e6, ClockHz: 1e9, LatestIndex: 1}
 	f.Add(page(live, w0, w1))
 	f.Add(page(service.ProfilesResponse{ID: "abc", State: "detached", Truncated: true, More: true, NextAfter: 7, LatestIndex: 9}, w1))
 	f.Add(page(service.ProfilesResponse{ID: "dev<7>", State: "detached", LatestIndex: -1}))

@@ -43,8 +43,6 @@ type Config struct {
 	// from the ring — hand-off needs the source alive, so membership
 	// changes are always explicit.
 	FailThreshold int
-	// ProbeTimeout bounds one health probe; <= 0 means 1 second.
-	ProbeTimeout time.Duration
 	// MoveTimeout bounds each shard call a rebalance makes (the source
 	// listing and each session's pin/export/import/forget) and the
 	// proxied delivery of a create; <= 0 means 30 seconds. Rebalancing
@@ -126,9 +124,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
 	if cfg.MoveTimeout <= 0 {
 		cfg.MoveTimeout = 30 * time.Second
 	}
@@ -183,12 +178,15 @@ func (rt *Router) Start() (stop func()) {
 	return func() { close(done) }
 }
 
+// probeTimeout bounds one health probe.
+const probeTimeout = time.Second
+
 // ProbeShards runs one health-check round: GET /v1/sessions on every
-// member; FailThreshold consecutive failures mark a shard down, one
-// success marks it up.
+// member, each bounded by probeTimeout; FailThreshold consecutive
+// failures mark a shard down, one success marks it up.
 func (rt *Router) ProbeShards() {
 	for _, s := range rt.Ring().Shards() {
-		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		code, _, _ := rt.call(ctx, http.MethodGet, s, "/v1/sessions", nil)
 		cancel()
 		rt.noteProbe(s, code > 0 && code < 500)

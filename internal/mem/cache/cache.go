@@ -128,16 +128,6 @@ func New(cfg Config, rng *sim.RNG) (*Cache, error) {
 	}, nil
 }
 
-// MustNew is New but panics on configuration errors; intended for the
-// static device tables, which are validated by tests.
-func MustNew(cfg Config, rng *sim.RNG) *Cache {
-	c, err := New(cfg, rng)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 

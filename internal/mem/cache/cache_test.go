@@ -222,12 +222,3 @@ func TestPolicyString(t *testing.T) {
 		t.Fatal("unknown policy name wrong")
 	}
 }
-
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew with bad config must panic")
-		}
-	}()
-	MustNew(testConfig(1000, 64, 2, LRU), sim.NewRNG(1))
-}

@@ -145,15 +145,6 @@ func New(cfg Config, recordBursts bool) (*DRAM, error) {
 	}, nil
 }
 
-// MustNew is New but panics on configuration errors.
-func MustNew(cfg Config, recordBursts bool) *DRAM {
-	d, err := New(cfg, recordBursts)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Config returns the DRAM configuration.
 func (d *DRAM) Config() Config { return d.cfg }
 

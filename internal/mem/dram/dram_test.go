@@ -10,6 +10,16 @@ func testConfig() Config {
 	}
 }
 
+// mustNew builds a DRAM, failing the test on a configuration error.
+func mustNew(t *testing.T, cfg Config, recordBursts bool) *DRAM {
+	t.Helper()
+	d, err := New(cfg, recordBursts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := testConfig()
 	if err := good.Validate(); err != nil {
@@ -33,7 +43,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRowHitVsMiss(t *testing.T) {
-	d := MustNew(testConfig(), false)
+	d := mustNew(t, testConfig(), false)
 	// First access opens the row: row-miss latency.
 	done, _ := d.Access(10000, 0x1000, BurstRead)
 	if done != 10000+200 {
@@ -51,7 +61,7 @@ func TestRowHitVsMiss(t *testing.T) {
 }
 
 func TestBankConflictSerializes(t *testing.T) {
-	d := MustNew(testConfig(), false)
+	d := mustNew(t, testConfig(), false)
 	// Two same-bank requests issued in the same cycle: the second must
 	// start after the first's bus occupancy.
 	d1, _ := d.Access(10000, 0x0, BurstRead)
@@ -65,7 +75,7 @@ func TestBankConflictSerializes(t *testing.T) {
 }
 
 func TestDifferentBanksOverlap(t *testing.T) {
-	d := MustNew(testConfig(), false)
+	d := mustNew(t, testConfig(), false)
 	// Rows map to banks via addr/RowBytes % Banks.
 	d1, _ := d.Access(10000, 0, BurstRead)
 	d2, _ := d.Access(10000, 2048, BurstRead) // next bank
@@ -75,7 +85,7 @@ func TestDifferentBanksOverlap(t *testing.T) {
 }
 
 func TestRefreshDelaysColliding(t *testing.T) {
-	d := MustNew(testConfig(), false)
+	d := mustNew(t, testConfig(), false)
 	// Request inside the refresh window starting at 70000.
 	done, hit := d.Access(70100, 0x0, BurstRead)
 	if !hit {
@@ -91,7 +101,7 @@ func TestRefreshDelaysColliding(t *testing.T) {
 }
 
 func TestRefreshOutsideWindowUnaffected(t *testing.T) {
-	d := MustNew(testConfig(), false)
+	d := mustNew(t, testConfig(), false)
 	done, hit := d.Access(75000, 0x0, BurstRead)
 	if hit || done != 75200 {
 		t.Fatalf("non-colliding request delayed: done=%d hit=%v", done, hit)
@@ -105,7 +115,7 @@ func TestInRefresh(t *testing.T) {
 		s, e, ok := d.refreshWindow(cycle)
 		return ok && cycle >= s && cycle < e
 	}
-	d := MustNew(testConfig(), false)
+	d := mustNew(t, testConfig(), false)
 	if inRefresh(d, 75000) {
 		t.Fatal("75000 is outside the refresh window")
 	}
@@ -116,14 +126,14 @@ func TestInRefresh(t *testing.T) {
 	cfg := testConfig()
 	cfg.RefreshInterval = 0
 	cfg.RefreshDuration = 0
-	d2 := MustNew(cfg, false)
+	d2 := mustNew(t, cfg, false)
 	if inRefresh(d2, 0) {
 		t.Fatal("refresh disabled but the device reports a refresh")
 	}
 }
 
 func TestBurstRecording(t *testing.T) {
-	d := MustNew(testConfig(), true)
+	d := mustNew(t, testConfig(), true)
 	d.Access(100, 0, BurstRead)
 	d.Access(400, 4096, BurstWrite)
 	d.Access(800, 8192, BurstPrefetch)
@@ -141,7 +151,7 @@ func TestBurstRecording(t *testing.T) {
 }
 
 func TestBurstRecordingDisabled(t *testing.T) {
-	d := MustNew(testConfig(), false)
+	d := mustNew(t, testConfig(), false)
 	d.Access(100, 0, BurstRead)
 	if d.Bursts() != nil {
 		t.Fatal("bursts recorded while disabled")
@@ -149,7 +159,7 @@ func TestBurstRecordingDisabled(t *testing.T) {
 }
 
 func TestRefreshSpanRecorded(t *testing.T) {
-	d := MustNew(testConfig(), true)
+	d := mustNew(t, testConfig(), true)
 	d.Access(70100, 0, BurstRead)
 	found := false
 	for _, b := range d.Bursts() {

@@ -241,15 +241,6 @@ func NewSystem(cfg Config, rng *sim.RNG, recordBursts bool) (*System, error) {
 	return s, nil
 }
 
-// MustNewSystem is NewSystem but panics on configuration errors.
-func MustNewSystem(cfg Config, rng *sim.RNG, recordBursts bool) *System {
-	s, err := NewSystem(cfg, rng, recordBursts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Misses returns the ground-truth miss records. The slice is owned by the
 // system; the processor model writes stall attribution into it.
 func (s *System) Misses() []MissRecord { return s.misses }

@@ -26,7 +26,14 @@ func testConfig(prefetch bool) Config {
 
 func newSystem(t *testing.T, prefetch bool) *System {
 	t.Helper()
-	s, err := NewSystem(testConfig(prefetch), sim.NewRNG(1), false)
+	return buildSystem(t, testConfig(prefetch))
+}
+
+// buildSystem builds a system from cfg, failing the test on a
+// configuration error.
+func buildSystem(t *testing.T, cfg Config) *System {
+	t.Helper()
+	s, err := NewSystem(cfg, sim.NewRNG(1), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"testing"
-
-	"emprof/internal/sim"
-)
+import "testing"
 
 func TestTLBHitMiss(t *testing.T) {
 	tlb := NewTLB(4)
@@ -55,7 +51,7 @@ func TestSystemTLBPenalty(t *testing.T) {
 	cfg := testConfig(false)
 	cfg.TLBEntries = 4
 	cfg.TLBPenalty = 30
-	s := MustNewSystem(cfg, newRNG(), false)
+	s := buildSystem(t, cfg)
 
 	// First access to a page: TLB miss adds the page-walk penalty.
 	r1 := s.Access(1000, 0x100, 0x8000, KindLoad)
@@ -77,7 +73,7 @@ func TestSystemTLBWarmLineInstalls(t *testing.T) {
 	cfg := testConfig(false)
 	cfg.TLBEntries = 4
 	cfg.TLBPenalty = 30
-	s := MustNewSystem(cfg, newRNG(), false)
+	s := buildSystem(t, cfg)
 	s.WarmLine(0x8000, false)
 	s.Access(1000, 0x100, 0x8040, KindLoad) // same page
 	if s.Stats().TLBMisses != 0 {
@@ -89,12 +85,9 @@ func TestSystemInstFetchSkipsTLB(t *testing.T) {
 	cfg := testConfig(false)
 	cfg.TLBEntries = 2
 	cfg.TLBPenalty = 30
-	s := MustNewSystem(cfg, newRNG(), false)
+	s := buildSystem(t, cfg)
 	s.Access(1000, 0x4000, 0x4000, KindInst)
 	if s.Stats().TLBMisses != 0 {
 		t.Fatal("instruction fetches use the (unmodelled) ITLB, not the DTLB")
 	}
 }
-
-// newRNG is a tiny helper for TLB tests.
-func newRNG() *sim.RNG { return sim.NewRNG(1) }

@@ -88,14 +88,6 @@ type RunReport struct {
 	DurationS float64
 }
 
-// Overcount returns Reported / TrueMisses.
-func (r RunReport) Overcount() float64 {
-	if r.TrueMisses == 0 {
-		return 0
-	}
-	return float64(r.Reported) / float64(r.TrueMisses)
-}
-
 // Sampler simulates perf-style overflow sampling.
 type Sampler struct {
 	cfg Config

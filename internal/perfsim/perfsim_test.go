@@ -47,9 +47,6 @@ func TestPerfOvercountsWithVariance(t *testing.T) {
 		if r.DurationS <= 8e-3 {
 			t.Fatal("profiling must dilate execution")
 		}
-		if r.Overcount() < 1 {
-			t.Fatal("overcount below 1")
-		}
 	}
 }
 

@@ -55,15 +55,11 @@ func (s *Server) Registry() *Registry { return s.reg }
 // finalized and later requests are answered with 503.
 func (s *Server) Close() { s.reg.Close() }
 
-// StartGC launches the idle-session sweeper at the given interval and
-// returns a function that stops it.
-func (s *Server) StartGC(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = s.reg.cfg.IdleTTL / 4
-		if interval < time.Second {
-			interval = time.Second
-		}
-	}
+// StartGC launches the idle-session sweeper, which runs every quarter
+// of the idle TTL (at least once a second), and returns a function that
+// stops it.
+func (s *Server) StartGC() (stop func()) {
+	interval := max(s.reg.cfg.IdleTTL/4, time.Second)
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(interval)

@@ -21,10 +21,9 @@ import (
 type ProfilesResponse struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// WindowS/StrideS echo the windowing geometry in stream seconds (live
-	// sessions only; 0 on detached ones).
+	// WindowS echoes the window width in stream seconds (live sessions
+	// only; 0 on detached ones).
 	WindowS float64 `json:"window_s,omitempty"`
-	StrideS float64 `json:"stride_s,omitempty"`
 	// SampleRate/ClockHz echo the acquisition metadata (live sessions
 	// only) — what core.MergeWindows needs to reassemble a full profile.
 	SampleRate float64 `json:"sample_rate,omitempty"`
@@ -71,7 +70,6 @@ func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, []
 		resp.SampleRate, resp.ClockHz = s.sampleRate, s.clockHz
 		if s.win != nil {
 			resp.WindowS = float64(s.win.WidthSamples()) / s.sampleRate
-			resp.StrideS = float64(s.win.StrideSamples()) / s.sampleRate
 		}
 		s.mu.Unlock()
 	}

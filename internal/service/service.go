@@ -66,18 +66,9 @@ type Config struct {
 	// disables windowing (sessions still profile; only the window surface
 	// is absent).
 	WindowS float64
-	// WindowStrideS is the window stride in stream seconds; 0 means
-	// tumbling (stride = width). Overlapping windows do not merge — see
-	// core.MergeWindows.
-	WindowStrideS float64
 	// Store is the window sink; nil with WindowS > 0 means an internal
 	// memory-only store (windows then do not survive a restart).
 	Store *profstore.Store
-	// Attrib optionally carries a trained attribution model applied to
-	// every session: sealed windows then carry live stall→code-region
-	// attribution (ProfileWindow.Regions). Per-session models via
-	// CreateRequest.Attribution override it.
-	Attrib *attrib.Model
 	// Logf, when set, receives operational log lines the metrics alone
 	// would bury (window-store append failures and the like); nil
 	// discards them. It may run with a session's lock held, so it must
@@ -285,8 +276,9 @@ type CreateOpts struct {
 	// zero value — callers that want defaults must set it explicitly,
 	// since the zero core.Config is not valid).
 	Config core.Config
-	// Attribution optionally attaches a trained model to this session,
-	// overriding Config.Attrib; windows then carry Regions.
+	// Attribution optionally attaches a trained model to this session;
+	// its windows then carry live stall→code-region attribution
+	// (ProfileWindow.Regions).
 	Attribution *attrib.Model
 }
 
@@ -307,16 +299,12 @@ func (r *Registry) CreateSession(o CreateOpts) (id string, err error) {
 	}
 	s := &session{id: o.ID, device: o.Device, sampleRate: o.SampleRate, clockHz: o.ClockHz, an: an, window: share}
 	if r.cfg.WindowS > 0 {
-		if s.win, err = core.NewWindower(r.cfg.WindowS, r.cfg.WindowStrideS, o.SampleRate, o.ClockHz); err != nil {
+		if s.win, err = core.NewWindower(r.cfg.WindowS, 0, o.SampleRate, o.ClockHz); err != nil {
 			return "", err
 		}
 	}
-	model := o.Attribution
-	if model == nil {
-		model = r.cfg.Attrib
-	}
-	if model != nil && s.win != nil {
-		if s.attr, err = attrib.NewStreamAttributor(model); err != nil {
+	if o.Attribution != nil && s.win != nil {
+		if s.attr, err = attrib.NewStreamAttributor(o.Attribution); err != nil {
 			return "", err
 		}
 	}

@@ -461,8 +461,8 @@ func TestWindowsCarryRegions(t *testing.T) {
 		samples[18000+j] = 0.05
 	}
 
-	reg := NewRegistry(Config{WindowS: 1e-4, Attrib: model}, nil)
-	id, err := reg.CreateSession(CreateOpts{Device: "dev", SampleRate: fs, ClockHz: clock, Config: core.DefaultConfig()})
+	reg := NewRegistry(Config{WindowS: 1e-4}, nil)
+	id, err := reg.CreateSession(CreateOpts{Device: "dev", SampleRate: fs, ClockHz: clock, Config: core.DefaultConfig(), Attribution: model})
 	if err != nil {
 		t.Fatal(err)
 	}

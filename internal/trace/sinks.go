@@ -44,20 +44,14 @@ func (j *JSONL) Err() error {
 	return j.err
 }
 
-func (j *JSONL) emit(r Record) {
+// Observe writes the record as one JSON line.
+func (j *JSONL) Observe(r Record) {
 	j.mu.Lock()
 	if j.err == nil {
 		j.err = j.enc.Encode(r)
 	}
 	j.mu.Unlock()
 }
-
-func (j *JSONL) DipCandidate(e DipCandidate)   { j.emit(e.Record()) }
-func (j *JSONL) StallAccepted(e StallAccepted) { j.emit(e.Record()) }
-func (j *JSONL) StallRejected(e StallRejected) { j.emit(e.Record()) }
-func (j *JSONL) Resync(e Resync)               { j.emit(e.Record()) }
-func (j *JSONL) QualityFlag(e QualityFlag)     { j.emit(e.Record()) }
-func (j *JSONL) StageTiming(e StageTiming)     { j.emit(e.Record()) }
 
 // Ring keeps the most recent events in a fixed-capacity circular buffer
 // — the per-session sink behind emprofd's GET /v1/sessions/{id}/trace.
@@ -104,7 +98,8 @@ func (r *Ring) Dropped() uint64 {
 	return r.total - uint64(len(r.buf))
 }
 
-func (r *Ring) emit(rec Record) {
+// Observe retains the record, overwriting the oldest when full.
+func (r *Ring) Observe(rec Record) {
 	r.mu.Lock()
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, rec)
@@ -115,13 +110,6 @@ func (r *Ring) emit(rec Record) {
 	r.total++
 	r.mu.Unlock()
 }
-
-func (r *Ring) DipCandidate(e DipCandidate)   { r.emit(e.Record()) }
-func (r *Ring) StallAccepted(e StallAccepted) { r.emit(e.Record()) }
-func (r *Ring) StallRejected(e StallRejected) { r.emit(e.Record()) }
-func (r *Ring) Resync(e Resync)               { r.emit(e.Record()) }
-func (r *Ring) QualityFlag(e QualityFlag)     { r.emit(e.Record()) }
-func (r *Ring) StageTiming(e StageTiming)     { r.emit(e.Record()) }
 
 // DepthBuckets is the number of dip-depth histogram buckets in Metrics,
 // evenly dividing the normalised depth range [0, 1).
@@ -160,65 +148,49 @@ func NewMetrics() *Metrics {
 	}
 }
 
-func (m *Metrics) DipCandidate(DipCandidate) {
+// Observe folds the record into the aggregates.
+func (m *Metrics) Observe(r Record) {
 	m.mu.Lock()
-	m.candidates++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) StallAccepted(e StallAccepted) {
-	m.mu.Lock()
-	m.accepted++
-	if e.Refresh {
-		m.refresh++
-	}
-	b := int(e.Depth * DepthBuckets)
-	if b < 0 {
-		b = 0
-	}
-	if b >= DepthBuckets {
-		b = DepthBuckets - 1
-	}
-	m.depthHist[b]++
-	m.depthSum += e.Depth
-	m.mu.Unlock()
-}
-
-func (m *Metrics) StallRejected(e StallRejected) {
-	m.mu.Lock()
-	m.rejected[e.Reason]++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) Resync(e Resync) {
-	m.mu.Lock()
-	m.resyncs[e.Cause]++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) QualityFlag(e QualityFlag) {
-	m.mu.Lock()
-	// Count the flagged sample and any retroactively flagged neighbours
-	// under each class the event carries.
-	n := uint64(1 + e.Retro)
-	for bit := 0; bit < len(m.flagged); bit++ {
-		if e.Flags&(1<<bit) != 0 {
-			m.flagged[bit] += n
+	switch r.Type {
+	case TypeDipCandidate:
+		m.candidates++
+	case TypeStallAccepted:
+		m.accepted++
+		if r.Refresh {
+			m.refresh++
 		}
+		b := int(r.Depth * DepthBuckets)
+		if b < 0 {
+			b = 0
+		}
+		if b >= DepthBuckets {
+			b = DepthBuckets - 1
+		}
+		m.depthHist[b]++
+		m.depthSum += r.Depth
+	case TypeStallRejected:
+		m.rejected[r.Reason]++
+	case TypeResync:
+		m.resyncs[r.Cause]++
+	case TypeQualityFlag:
+		// Count the flagged sample and any retroactively flagged
+		// neighbours under each class the record carries.
+		n := uint64(1 + r.Retro)
+		for bit := 0; bit < len(m.flagged); bit++ {
+			if r.Flags&(1<<bit) != 0 {
+				m.flagged[bit] += n
+			}
+		}
+	case TypeStageTiming:
+		s := m.stages[r.Stage]
+		if s == nil {
+			s = &stageStat{}
+			m.stages[r.Stage] = s
+		}
+		s.ns += r.DurationNs
+		s.samples += r.Samples
+		s.count++
 	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) StageTiming(e StageTiming) {
-	m.mu.Lock()
-	s := m.stages[e.Stage]
-	if s == nil {
-		s = &stageStat{}
-		m.stages[e.Stage] = s
-	}
-	s.ns += e.DurationNs
-	s.samples += e.Samples
-	s.count++
 	m.mu.Unlock()
 }
 

@@ -5,8 +5,9 @@
 // assigned — and this package makes that chain observable without
 // perturbing it.
 //
-// An Observer receives one typed, by-value event per decision point. The
-// analyzers in internal/core emit events only when an observer is
+// An Observer receives one by-value Record per decision point; the
+// record's Type says which decision it is and which of its fields apply.
+// The analyzers in internal/core emit records only when an observer is
 // attached: with a nil observer the pipeline takes its original path,
 // bit-identical in output and allocation-free on the per-sample hot path
 // (asserted by tests and the CI benchmark guard). Attaching any observer
@@ -31,7 +32,11 @@
 // Observer shared that way must be equally safe.
 package trace
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+	"strings"
+)
 
 // Flag marks the impairment classes a sample belongs to, as detected by
 // the analyzers' signal-quality monitor. The bit layout is shared with
@@ -53,20 +58,22 @@ const (
 	FlagStep
 )
 
+// flagNames names each flag bit, in rendering order.
+var flagNames = [...]struct {
+	bit  Flag
+	name string
+}{
+	{FlagNaN, "nan"}, {FlagGap, "gap"}, {FlagClip, "clip"},
+	{FlagBurst, "burst"}, {FlagStep, "step"},
+}
+
 // String renders the flag set as a "|"-joined list, e.g. "gap|step".
 func (f Flag) String() string {
 	if f == 0 {
 		return "none"
 	}
-	names := [...]struct {
-		bit  Flag
-		name string
-	}{
-		{FlagNaN, "nan"}, {FlagGap, "gap"}, {FlagClip, "clip"},
-		{FlagBurst, "burst"}, {FlagStep, "step"},
-	}
 	out := ""
-	for _, n := range names {
+	for _, n := range flagNames {
 		if f&n.bit != 0 {
 			if out != "" {
 				out += "|"
@@ -75,6 +82,32 @@ func (f Flag) String() string {
 		}
 	}
 	return out
+}
+
+// MarshalText renders the flag set as String does, so JSON carries
+// "gap|step" rather than a bit mask.
+func (f Flag) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText parses the String form; an unknown class name is an
+// error.
+func (f *Flag) UnmarshalText(text []byte) error {
+	*f = 0
+	if string(text) == "none" {
+		return nil
+	}
+	for _, name := range strings.Split(string(text), "|") {
+		bit := Flag(0)
+		for _, n := range flagNames {
+			if n.name == name {
+				bit = n.bit
+			}
+		}
+		if bit == 0 {
+			return fmt.Errorf("trace: unknown flag %q", name)
+		}
+		*f |= bit
+	}
+	return nil
 }
 
 // RejectReason says why a candidate dip was not reported as a stall.
@@ -109,7 +142,7 @@ const (
 	ResyncProbeShift ResyncCause = "probe_shift"
 )
 
-// Stage labels one pipeline stage in a StageTiming event.
+// Stage labels one pipeline stage in a stage_timing record.
 type Stage string
 
 const (
@@ -121,110 +154,20 @@ const (
 	StageDetect Stage = "detect"
 )
 
-// DipCandidate is emitted when the normalised signal falls below the
-// entry threshold and a dip opens. Every candidate is later resolved by
-// exactly one StallAccepted or StallRejected event.
-type DipCandidate struct {
-	// Pos is the sample position at which the dip opened.
-	Pos int64
-	// Value is the normalised magnitude that crossed the entry threshold.
-	Value float64
-	// Lo and Hi are the moving min/max normalisation stats in force at
-	// entry (the local contrast the confidence score uses).
-	Lo, Hi float64
-}
-
-// StallAccepted is emitted when a dip passes the duration and depth
-// criteria and is reported as a stall. Its fields mirror core.Stall.
-type StallAccepted struct {
-	// Start and End delimit the dip in samples (half-open).
-	Start, End int64
-	// StartS is the onset in seconds from capture start.
-	StartS float64
-	// DurationS is the dip duration in seconds.
-	DurationS float64
-	// Cycles is the stall cost in processor cycles.
-	Cycles float64
-	// Depth is the minimum normalised magnitude inside the dip.
-	Depth float64
-	// Confidence is the detection confidence in [0, 1].
-	Confidence float64
-	// Refresh is true for refresh-coincident stalls.
-	Refresh bool
-}
-
-// StallRejected is emitted when a candidate dip is discarded.
-type StallRejected struct {
-	// Start and End delimit the candidate in samples (half-open; End is
-	// the position at which it was discarded).
-	Start, End int64
-	// DurationS is the candidate duration in seconds.
-	DurationS float64
-	// Depth is the minimum normalised magnitude the candidate reached.
-	Depth float64
-	// Reason says which criterion killed it.
-	Reason RejectReason
-}
-
-// Resync is emitted when the quality monitor re-seeds the normalisation
-// min/max state.
-type Resync struct {
-	// Pos is the sample position before which the state is reset.
-	Pos int64
-	// Cause is what triggered the re-seed.
-	Cause ResyncCause
-}
-
-// QualityFlag is emitted for every sample the quality monitor flags as
-// impaired. Retro counts immediately preceding samples that retroactively
-// received the same flags (clip runs and gain-step half-windows); no
-// separate events are emitted for those.
-type QualityFlag struct {
-	// Pos is the flagged sample position.
-	Pos int64
-	// Flags is the impairment class set.
-	Flags Flag
-	// Retro is how many preceding samples were retroactively flagged.
-	Retro int
-}
-
-// StageTiming reports the wall time of one pipeline stage. Timings are
-// only measured when an observer is attached, so the nil-observer path
-// never reads the clock.
-type StageTiming struct {
-	// Stage labels the pipeline stage.
-	Stage Stage
-	// DurationNs is the stage wall time in nanoseconds.
-	DurationNs int64
-	// Samples is the number of capture samples the stage covered.
-	Samples int64
-}
-
-// Observer receives analyzer decision events. Events are delivered
-// synchronously from the analysis path, so implementations should be
-// cheap; all sinks in this package are. Implementations shared across
-// concurrent analyses (runs of one analyzer, daemon sessions) must be
-// safe for concurrent use. Embed Nop to implement only the events of
-// interest.
+// Observer receives analyzer decision events, one Record per decision.
+// Records are delivered by value and synchronously from the analysis
+// path, so implementations should be cheap; all sinks in this package
+// are. Implementations shared across concurrent analyses (runs of one
+// analyzer, daemon sessions) must be safe for concurrent use.
 type Observer interface {
-	DipCandidate(DipCandidate)
-	StallAccepted(StallAccepted)
-	StallRejected(StallRejected)
-	Resync(Resync)
-	QualityFlag(QualityFlag)
-	StageTiming(StageTiming)
+	Observe(Record)
 }
 
-// Nop is an Observer that ignores every event. Embed it to implement
-// Observer partially; it is also the baseline for overhead benchmarks.
+// Nop is an Observer that ignores every event — the baseline for
+// observer-overhead benchmarks.
 type Nop struct{}
 
-func (Nop) DipCandidate(DipCandidate)   {}
-func (Nop) StallAccepted(StallAccepted) {}
-func (Nop) StallRejected(StallRejected) {}
-func (Nop) Resync(Resync)               {}
-func (Nop) QualityFlag(QualityFlag)     {}
-func (Nop) StageTiming(StageTiming)     {}
+func (Nop) Observe(Record) {}
 
 // multi fans events out to several observers in order.
 type multi []Observer
@@ -248,80 +191,83 @@ func Multi(obs ...Observer) Observer {
 	return live
 }
 
-func (m multi) DipCandidate(e DipCandidate) {
+func (m multi) Observe(r Record) {
 	for _, o := range m {
-		o.DipCandidate(e)
+		o.Observe(r)
 	}
 }
 
-func (m multi) StallAccepted(e StallAccepted) {
-	for _, o := range m {
-		o.StallAccepted(e)
-	}
-}
-
-func (m multi) StallRejected(e StallRejected) {
-	for _, o := range m {
-		o.StallRejected(e)
-	}
-}
-
-func (m multi) Resync(e Resync) {
-	for _, o := range m {
-		o.Resync(e)
-	}
-}
-
-func (m multi) QualityFlag(e QualityFlag) {
-	for _, o := range m {
-		o.QualityFlag(e)
-	}
-}
-
-func (m multi) StageTiming(e StageTiming) {
-	for _, o := range m {
-		o.StageTiming(e)
-	}
-}
-
-// Event type labels used in Records (the serialised event form).
+// Event types, the Type of a Record.
 const (
-	TypeDipCandidate  = "dip_candidate"
+	// TypeDipCandidate: the normalised signal fell below the entry
+	// threshold and a dip opened at Pos with normalised magnitude Value;
+	// Lo and Hi are the moving min/max stats in force at entry. Every
+	// candidate is later resolved by exactly one stall_accepted or
+	// stall_rejected record.
+	TypeDipCandidate = "dip_candidate"
+	// TypeStallAccepted: a dip passed the duration and depth criteria
+	// and was reported as a stall; its fields mirror core.Stall.
 	TypeStallAccepted = "stall_accepted"
+	// TypeStallRejected: a candidate dip was discarded for Reason; End
+	// is the position at which it was discarded.
 	TypeStallRejected = "stall_rejected"
-	TypeResync        = "resync"
-	TypeQualityFlag   = "quality_flag"
-	TypeStageTiming   = "stage_timing"
+	// TypeResync: the quality monitor re-seeded the normalisation
+	// min/max state before Pos, for Cause.
+	TypeResync = "resync"
+	// TypeQualityFlag: the quality monitor flagged the sample at Pos
+	// with Flags. Retro counts immediately preceding samples that
+	// retroactively received the same flags (clip runs and gain-step
+	// half-windows); no separate records are emitted for those.
+	TypeQualityFlag = "quality_flag"
+	// TypeStageTiming: the wall time of one pipeline stage over a traced
+	// run. Timings are only measured when an observer is attached, so the
+	// nil-observer path never reads the clock.
+	TypeStageTiming = "stage_timing"
 )
 
-// Record is the flat, serialisable form of any event — the unit stored
-// by Ring and written by JSONL. Type is always set; the remaining fields
-// are populated per event type. MarshalJSON emits exactly the fields
-// that apply to the record's type, so each line carries only the fields
-// that mean something for its type — but carries all of those, zero
-// values included.
+// Record is one analyzer decision event — the value every Observer
+// receives, Ring stores and JSONL writes. Type is always set; the
+// remaining fields are populated per event type (see the Type constants
+// and MarshalJSON, which lists each type's fields).
 type Record struct {
 	Type string `json:"type"`
 
-	Pos        int64   `json:"pos,omitempty"`
-	Start      int64   `json:"start,omitempty"`
-	End        int64   `json:"end,omitempty"`
-	Value      float64 `json:"value,omitempty"`
-	Lo         float64 `json:"lo,omitempty"`
-	Hi         float64 `json:"hi,omitempty"`
-	StartS     float64 `json:"start_s,omitempty"`
-	DurationS  float64 `json:"duration_s,omitempty"`
-	Cycles     float64 `json:"cycles,omitempty"`
-	Depth      float64 `json:"depth,omitempty"`
+	// Pos is a sample position (dip entry, resync, flagged sample).
+	Pos int64 `json:"pos,omitempty"`
+	// Start and End delimit a dip in samples (half-open).
+	Start int64 `json:"start,omitempty"`
+	End   int64 `json:"end,omitempty"`
+	// Value is the normalised magnitude that crossed the entry threshold.
+	Value float64 `json:"value,omitempty"`
+	// Lo and Hi are the normalisation min/max stats at dip entry.
+	Lo float64 `json:"lo,omitempty"`
+	Hi float64 `json:"hi,omitempty"`
+	// StartS is a stall's onset in seconds from capture start.
+	StartS float64 `json:"start_s,omitempty"`
+	// DurationS is a dip's duration in seconds.
+	DurationS float64 `json:"duration_s,omitempty"`
+	// Cycles is a stall's cost in processor cycles.
+	Cycles float64 `json:"cycles,omitempty"`
+	// Depth is the minimum normalised magnitude inside a dip.
+	Depth float64 `json:"depth,omitempty"`
+	// Confidence is a stall's detection confidence in [0, 1].
 	Confidence float64 `json:"confidence,omitempty"`
-	Refresh    bool    `json:"refresh,omitempty"`
-	Reason     string  `json:"reason,omitempty"`
-	Cause      string  `json:"cause,omitempty"`
-	Flags      string  `json:"flags,omitempty"`
-	Retro      int     `json:"retro,omitempty"`
-	Stage      string  `json:"stage,omitempty"`
-	DurationNs int64   `json:"duration_ns,omitempty"`
-	Samples    int64   `json:"samples,omitempty"`
+	// Refresh is true for refresh-coincident stalls.
+	Refresh bool `json:"refresh,omitempty"`
+	// Reason says which criterion rejected a dip.
+	Reason RejectReason `json:"reason,omitempty"`
+	// Cause is what triggered a resync.
+	Cause ResyncCause `json:"cause,omitempty"`
+	// Flags is a flagged sample's impairment class set.
+	Flags Flag `json:"flags,omitempty"`
+	// Retro is how many preceding samples were retroactively flagged.
+	Retro int `json:"retro,omitempty"`
+	// Stage labels a timed pipeline stage.
+	Stage Stage `json:"stage,omitempty"`
+	// DurationNs is a stage's wall time in nanoseconds.
+	DurationNs int64 `json:"duration_ns,omitempty"`
+	// Samples is the number of capture samples a stage covered.
+	Samples int64 `json:"samples,omitempty"`
 }
 
 // MarshalJSON serialises the record with exactly the field set of its
@@ -355,71 +301,34 @@ func (r Record) MarshalJSON() ([]byte, error) {
 		}{r.Type, r.Start, r.End, r.StartS, r.DurationS, r.Cycles, r.Depth, r.Confidence, r.Refresh})
 	case TypeStallRejected:
 		return json.Marshal(struct {
-			Type      string  `json:"type"`
-			Start     int64   `json:"start"`
-			End       int64   `json:"end"`
-			DurationS float64 `json:"duration_s"`
-			Depth     float64 `json:"depth"`
-			Reason    string  `json:"reason"`
+			Type      string       `json:"type"`
+			Start     int64        `json:"start"`
+			End       int64        `json:"end"`
+			DurationS float64      `json:"duration_s"`
+			Depth     float64      `json:"depth"`
+			Reason    RejectReason `json:"reason"`
 		}{r.Type, r.Start, r.End, r.DurationS, r.Depth, r.Reason})
 	case TypeResync:
 		return json.Marshal(struct {
-			Type  string `json:"type"`
-			Pos   int64  `json:"pos"`
-			Cause string `json:"cause"`
+			Type  string      `json:"type"`
+			Pos   int64       `json:"pos"`
+			Cause ResyncCause `json:"cause"`
 		}{r.Type, r.Pos, r.Cause})
 	case TypeQualityFlag:
 		return json.Marshal(struct {
 			Type  string `json:"type"`
 			Pos   int64  `json:"pos"`
-			Flags string `json:"flags"`
+			Flags Flag   `json:"flags"`
 			Retro int    `json:"retro"`
 		}{r.Type, r.Pos, r.Flags, r.Retro})
 	case TypeStageTiming:
 		return json.Marshal(struct {
 			Type       string `json:"type"`
-			Stage      string `json:"stage"`
+			Stage      Stage  `json:"stage"`
 			DurationNs int64  `json:"duration_ns"`
 			Samples    int64  `json:"samples"`
 		}{r.Type, r.Stage, r.DurationNs, r.Samples})
 	}
 	type plain Record
 	return json.Marshal(plain(r))
-}
-
-// Record converts the event to its serialisable form.
-func (e DipCandidate) Record() Record {
-	return Record{Type: TypeDipCandidate, Pos: e.Pos, Value: e.Value, Lo: e.Lo, Hi: e.Hi}
-}
-
-// Record converts the event to its serialisable form.
-func (e StallAccepted) Record() Record {
-	return Record{
-		Type: TypeStallAccepted, Start: e.Start, End: e.End, StartS: e.StartS,
-		DurationS: e.DurationS, Cycles: e.Cycles, Depth: e.Depth,
-		Confidence: e.Confidence, Refresh: e.Refresh,
-	}
-}
-
-// Record converts the event to its serialisable form.
-func (e StallRejected) Record() Record {
-	return Record{
-		Type: TypeStallRejected, Start: e.Start, End: e.End,
-		DurationS: e.DurationS, Depth: e.Depth, Reason: string(e.Reason),
-	}
-}
-
-// Record converts the event to its serialisable form.
-func (e Resync) Record() Record {
-	return Record{Type: TypeResync, Pos: e.Pos, Cause: string(e.Cause)}
-}
-
-// Record converts the event to its serialisable form.
-func (e QualityFlag) Record() Record {
-	return Record{Type: TypeQualityFlag, Pos: e.Pos, Flags: e.Flags.String(), Retro: e.Retro}
-}
-
-// Record converts the event to its serialisable form.
-func (e StageTiming) Record() Record {
-	return Record{Type: TypeStageTiming, Stage: string(e.Stage), DurationNs: e.DurationNs, Samples: e.Samples}
 }

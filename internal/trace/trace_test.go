@@ -4,19 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// emitOneOfEach drives every Observer method once with distinctive values.
+// oneOfEach holds one record of every event type with distinctive values.
+var oneOfEach = []Record{
+	{Type: TypeDipCandidate, Pos: 10, Value: 0.2, Lo: 1, Hi: 5},
+	{Type: TypeStallAccepted, Start: 10, End: 30, StartS: 1e-6, DurationS: 5e-7, Cycles: 500, Depth: 0.15, Confidence: 0.8},
+	{Type: TypeStallRejected, Start: 40, End: 42, DurationS: 5e-8, Depth: 0.3, Reason: RejectTooShort},
+	{Type: TypeResync, Pos: 100, Cause: ResyncGap},
+	{Type: TypeQualityFlag, Pos: 99, Flags: FlagGap | FlagStep, Retro: 3},
+	{Type: TypeStageTiming, Stage: StageScan, DurationNs: 1234, Samples: 4096},
+}
+
+// emitOneOfEach delivers every record of oneOfEach to o.
 func emitOneOfEach(o Observer) {
-	o.DipCandidate(DipCandidate{Pos: 10, Value: 0.2, Lo: 1, Hi: 5})
-	o.StallAccepted(StallAccepted{Start: 10, End: 30, StartS: 1e-6, DurationS: 5e-7, Cycles: 500, Depth: 0.15, Confidence: 0.8})
-	o.StallRejected(StallRejected{Start: 40, End: 42, DurationS: 5e-8, Depth: 0.3, Reason: RejectTooShort})
-	o.Resync(Resync{Pos: 100, Cause: ResyncGap})
-	o.QualityFlag(QualityFlag{Pos: 99, Flags: FlagGap | FlagStep, Retro: 3})
-	o.StageTiming(StageTiming{Stage: StageScan, DurationNs: 1234, Samples: 4096})
+	for _, r := range oneOfEach {
+		o.Observe(r)
+	}
 }
 
 func TestFlagString(t *testing.T) {
@@ -65,12 +73,59 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[2]), &rej); err != nil {
 		t.Fatal(err)
 	}
-	if rej.Reason != string(RejectTooShort) || rej.Start != 40 || rej.End != 42 {
+	if rej.Reason != RejectTooShort || rej.Start != 40 || rej.End != 42 {
 		t.Errorf("reject record = %+v", rej)
 	}
 	// Omitted fields must not appear on unrelated lines.
 	if strings.Contains(lines[0], "reason") || strings.Contains(lines[3], "depth") {
 		t.Errorf("records carry fields of other event types: %q / %q", lines[0], lines[3])
+	}
+}
+
+// TestRecordJSONFieldSets checks that every event type marshals to
+// exactly its field set, zero values included, and decodes back to the
+// same record; flag sets travel as their String form.
+func TestRecordJSONFieldSets(t *testing.T) {
+	fields := map[string]string{
+		TypeDipCandidate:  "hi,lo,pos,type,value",
+		TypeStallAccepted: "confidence,cycles,depth,duration_s,end,refresh,start,start_s,type",
+		TypeStallRejected: "depth,duration_s,end,reason,start,type",
+		TypeResync:        "cause,pos,type",
+		TypeQualityFlag:   "flags,pos,retro,type",
+		TypeStageTiming:   "duration_ns,samples,stage,type",
+	}
+	recs := append([]Record{{Type: TypeQualityFlag, Flags: FlagNaN | FlagClip | FlagBurst}}, oneOfEach...)
+	for typ := range fields {
+		recs = append(recs, Record{Type: typ})
+	}
+	for _, rec := range recs {
+		blob, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("%+v: %v", rec, err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatalf("%s: %v", blob, err)
+		}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, ","); got != fields[rec.Type] {
+			t.Errorf("%s: fields %s, want %s", blob, got, fields[rec.Type])
+		}
+		if rec.Type == TypeQualityFlag && m["flags"] != rec.Flags.String() {
+			t.Errorf("%s: flags %v, want %q", blob, m["flags"], rec.Flags)
+		}
+		var back Record
+		if err := json.Unmarshal(blob, &back); err != nil || back != rec {
+			t.Errorf("%s decodes to %+v (err %v), want %+v", blob, back, err, rec)
+		}
+	}
+	var r Record
+	if err := json.Unmarshal([]byte(`{"type":"quality_flag","flags":"gap|wobble"}`), &r); err == nil {
+		t.Error("unknown flag name decoded without error")
 	}
 }
 
@@ -95,7 +150,7 @@ func TestJSONLStickyError(t *testing.T) {
 	j := &JSONL{}
 	*j = *NewJSONL(&failWriter{n: 0})
 	for i := 0; i < 100; i++ {
-		j.Resync(Resync{Pos: int64(i), Cause: ResyncGap})
+		j.Observe(Record{Type: TypeResync, Pos: int64(i), Cause: ResyncGap})
 	}
 	if err := j.Flush(); err == nil {
 		t.Fatal("want sticky error after failed writes")
@@ -108,7 +163,7 @@ func TestJSONLStickyError(t *testing.T) {
 func TestRingWrapAround(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 5; i++ {
-		r.Resync(Resync{Pos: int64(i), Cause: ResyncGap})
+		r.Observe(Record{Type: TypeResync, Pos: int64(i), Cause: ResyncGap})
 	}
 	recs := r.Records()
 	if len(recs) != 3 {
@@ -137,8 +192,8 @@ func TestRingPartial(t *testing.T) {
 
 func TestRingMinCapacity(t *testing.T) {
 	r := NewRing(0)
-	r.Resync(Resync{Pos: 1, Cause: ResyncGap})
-	r.Resync(Resync{Pos: 2, Cause: ResyncGainStep})
+	r.Observe(Record{Type: TypeResync, Pos: 1, Cause: ResyncGap})
+	r.Observe(Record{Type: TypeResync, Pos: 2, Cause: ResyncGainStep})
 	recs := r.Records()
 	if len(recs) != 1 || recs[0].Pos != 2 {
 		t.Fatalf("records = %+v, want just pos=2", recs)
@@ -148,9 +203,9 @@ func TestRingMinCapacity(t *testing.T) {
 func TestMetricsAggregation(t *testing.T) {
 	m := NewMetrics()
 	emitOneOfEach(m)
-	m.StallRejected(StallRejected{Reason: RejectTooShallow, Depth: 0.4})
-	m.StallAccepted(StallAccepted{Depth: 0.95, Refresh: true})
-	m.StallAccepted(StallAccepted{Depth: 2.5}) // out-of-range clamps to top bucket
+	m.Observe(Record{Type: TypeStallRejected, Reason: RejectTooShallow, Depth: 0.4})
+	m.Observe(Record{Type: TypeStallAccepted, Depth: 0.95, Refresh: true})
+	m.Observe(Record{Type: TypeStallAccepted, Depth: 2.5}) // out-of-range clamps to top bucket
 	s := m.Snapshot()
 	if s.DipCandidates != 1 || s.StallsAccepted != 3 || s.RefreshStalls != 1 {
 		t.Errorf("candidates=%d accepted=%d refresh=%d", s.DipCandidates, s.StallsAccepted, s.RefreshStalls)
@@ -161,7 +216,7 @@ func TestMetricsAggregation(t *testing.T) {
 	if s.Resyncs[ResyncGap] != 1 {
 		t.Errorf("resyncs = %v", s.Resyncs)
 	}
-	// QualityFlag carried gap|step with Retro=3 → 4 samples per class.
+	// The quality_flag record carried gap|step with Retro=3 → 4 samples per class.
 	if s.FlaggedSamples["gap"] != 4 || s.FlaggedSamples["step"] != 4 {
 		t.Errorf("flagged = %v", s.FlaggedSamples)
 	}

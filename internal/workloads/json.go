@@ -49,8 +49,3 @@ func LoadProgram(path string) (*Program, error) {
 	}
 	return ProgramFromJSON(data)
 }
-
-// ToJSON encodes a program for editing or archival.
-func (p *Program) ToJSON() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}

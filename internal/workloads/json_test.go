@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -58,7 +59,7 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := orig.ToJSON()
+	data, err := json.MarshalIndent(orig, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

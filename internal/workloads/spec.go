@@ -110,15 +110,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// TotalInsts returns the program's dynamic instruction budget.
-func (p *Program) TotalInsts() int64 {
-	var n int64
-	for _, ph := range p.Phases {
-		n += ph.Insts
-	}
-	return n
-}
-
 // Stream returns a fresh generator stream over the program. Each call
 // restarts from the seed, so repeated runs are identical.
 func (p *Program) Stream() sim.Stream {

@@ -168,16 +168,3 @@ func hashName(s string) uint64 {
 	}
 	return h
 }
-
-// AllSPECPrograms returns all ten benchmarks at the given scale.
-func AllSPECPrograms(scale float64) ([]*Program, error) {
-	out := make([]*Program, 0, len(SPECNames))
-	for _, n := range SPECNames {
-		p, err := SPECProgram(n, scale)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
