@@ -255,10 +255,10 @@ func BenchmarkAblationMinDuration(b *testing.B) {
 	}
 }
 
-// BenchmarkMovingMinMaxBlock vs BenchmarkMovingMinMaxNaive: the
-// van Herk/Gil-Werman block kernel (a fused minimum and maximum over
-// 4,096-sample blocks, as the analyzer runs it) against the O(w) rescan
-// baseline of one extremum. Both report ns per sample.
+// BenchmarkMovingMinMaxBlock runs the van Herk/Gil-Werman block kernel
+// (a fused minimum and maximum over 4,096-sample blocks, as the analyzer
+// runs it), in ns per sample; internal/dsp's BenchmarkMovingMinMaxNaive
+// is the O(w) rescan baseline of one extremum at the same window.
 func BenchmarkMovingMinMaxBlock(b *testing.B) {
 	const w, block = 8192, 4096
 	mn, mx := dsp.NewMovingMin(w), dsp.NewMovingMax(w)
@@ -272,20 +272,6 @@ func BenchmarkMovingMinMaxBlock(b *testing.B) {
 	for i := 0; i < b.N; i += block {
 		off := i % len(xs)
 		dsp.ProcessBlockMinMax(mn, mx, xs[off:off+block], lo, hi)
-	}
-}
-
-func BenchmarkMovingMinMaxNaive(b *testing.B) {
-	const w = 8192
-	m := dsp.NewNaiveMovingMin(w)
-	rng := sim.NewRNG(1)
-	xs := make([]float64, 1<<16)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Process(xs[i%len(xs)])
 	}
 }
 

@@ -80,9 +80,9 @@ func FuzzDetectorRunMatchesStep(f *testing.F) {
 		for i := 0; i < len(xs); {
 			i += direct.d.fastRun(xs[i:], fl[i:], lo[i:], hi[i:])
 			if i < len(xs) {
-				was := direct.d.inDip
+				was := direct.d.InDip
 				direct.d.step(int64(i), xs[i], fl[i], lo[i], hi[i])
-				if fl[i] == 0 && direct.d.inDip == was {
+				if fl[i] == 0 && direct.d.InDip == was {
 					t.Fatalf("fast run declined uneventful position %d: x=%g lo=%g hi=%g v=%g inDip=%v",
 						i, xs[i], lo[i], hi[i], normValue(xs[i], lo[i], hi[i], cfg.MinRangeFrac), was)
 				}
@@ -103,7 +103,7 @@ func FuzzDetectorRunMatchesStep(f *testing.F) {
 				{"stalls", got.p.Stalls, want.p.Stalls},
 				{"normalized", got.p.Normalized, want.p.Normalized},
 				{"aborted dips", got.q.AbortedDips, want.q.AbortedDips},
-				{"detector state", detectorSnapshot(got.d), detectorSnapshot(want.d)},
+				{"detector state", got.d.detectorState, want.d.detectorState},
 				{"observer events", got.events.events, want.events.events},
 			} {
 				if !bitEqual(reflect.ValueOf(c.got), reflect.ValueOf(c.want)) {
@@ -176,11 +176,3 @@ func decideFuzzPositions(cfg Config, data []byte) (xs []float64, fl []qflag, lo,
 type eventLog struct{ events []trace.Record }
 
 func (e *eventLog) Observe(r trace.Record) { e.events = append(e.events, r) }
-
-// detectorSnapshot is the detector's dip state, depth sentinel included.
-func detectorSnapshot(d *detector) detectorState {
-	return detectorState{
-		InDip: d.inDip, Start: d.start, Depth: d.depth,
-		EntryLo: d.entryLo, EntryHi: d.entryHi, LastImpaired: d.lastImpaired,
-	}
-}

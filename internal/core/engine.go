@@ -55,8 +55,8 @@ import (
 // pushBlockN bounds how many samples one staged pass processes; blocks
 // larger than this are split. 4096 samples keeps the four scratch lanes
 // (sanitised, smoothed, min, max) around 128 KiB — resident in L2 —
-// while still amortising the per-stage state hoisting over thousands of
-// samples.
+// while still amortising each stage call's setup (the fast runs' register
+// hoists included) over thousands of samples.
 const pushBlockN = 4096
 
 // blockScratch backs the staged processing. It belongs to one
@@ -259,7 +259,7 @@ func (s *StreamAnalyzer) drain() *Profile {
 	if s.sampleRate > 0 {
 		s.prof.ExecCycles = float64(s.n) * (s.clockHz / s.sampleRate)
 	}
-	s.prof.Quality = s.mon.q
+	s.prof.Quality = s.mon.Quality
 	return s.prof
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -174,6 +175,8 @@ func TestDecideFastRunCoverage(t *testing.T) {
 // the rest of its capture and requires the finalized profile to match the
 // pinned batch digest: the hand-off wire format stays readable, and a
 // state exported by an earlier build finishes the stream bit-identically.
+// The resumed analyzer must also export the file's exact bytes, so the
+// encoder side of the wire stays fixed too.
 func TestGoldenHandoffResume(t *testing.T) {
 	goldenArch(t)
 	g := goldenCases[goldenHandoffCase]
@@ -207,6 +210,13 @@ func TestGoldenHandoffResume(t *testing.T) {
 	b, err := core.ResumeStreamAnalyzer(&st)
 	if err != nil {
 		t.Fatal(err)
+	}
+	again, err := json.Marshal(b.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatalf("resumed state re-exports to different bytes than %s", path)
 	}
 	b.PushBlock(c.Samples[goldenHandoffAt:])
 	got := profileDigest(t, b.Finalize())

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"emprof/internal/dsp"
-	"emprof/internal/trace"
 )
 
 // This file implements replay-free streaming hand-off: a StreamAnalyzer
@@ -23,47 +21,9 @@ import (
 // a different configuration is rejected instead of silently corrupting
 // the pipeline. All retained floats are finite (the monitor sanitises
 // the stream before anything is buffered), so the state survives a JSON
-// round trip exactly: Go marshals float64 at full round-trip precision,
-// and the only non-finite internal value (the detector's +Inf dip-depth
-// sentinel) is re-derived from InDip on restore.
-
-// monitorState is the serializable mid-stream state of the quality
-// monitor (quality.go); derived thresholds are omitted.
-type monitorState struct {
-	SMax              dsp.MovingExtremumState `json:"smax"`
-	Ref               float64                 `json:"ref"`
-	RefReady          bool                    `json:"ref_ready"`
-	Warm              int                     `json:"warm"`
-	LastGood          float64                 `json:"last_good"`
-	ZeroRun           int                     `json:"zero_run"`
-	RunVal            float64                 `json:"run_val"`
-	RunLen            int                     `json:"run_len"`
-	ClipActive        bool                    `json:"clip_active"`
-	StepDir           int                     `json:"step_dir"`
-	StepLen           int                     `json:"step_len"`
-	StepResyncPending bool                    `json:"step_resync_pending"`
-	SinceHigh         int                     `json:"since_high"`
-	ShiftDir          int                     `json:"shift_dir"`
-	ShiftLen          int                     `json:"shift_len"`
-	SinceShiftHigh    int                     `json:"since_shift_high"`
-	PendingCause      trace.ResyncCause       `json:"pending_cause,omitempty"`
-	Distinct          float64                 `json:"distinct"`
-	PrevX             float64                 `json:"prev_x"`
-	HavePrev          bool                    `json:"have_prev"`
-	Quality           Quality                 `json:"quality"`
-}
-
-// detectorState is the serializable mid-stream state of the dip state
-// machine. Depth is meaningful only while InDip (outside a dip the
-// detector holds a +Inf sentinel that JSON cannot carry).
-type detectorState struct {
-	InDip        bool    `json:"in_dip"`
-	Start        int64   `json:"start"`
-	Depth        float64 `json:"depth"`
-	EntryLo      float64 `json:"entry_lo"`
-	EntryHi      float64 `json:"entry_hi"`
-	LastImpaired int64   `json:"last_impaired"`
-}
+// round trip exactly: Go marshals float64 at full round-trip precision.
+// The monitor's and the detector's mutable state are declared once, in
+// monitorState and detectorState (quality.go), and travel as they are.
 
 // StreamState is a complete, serializable snapshot of a StreamAnalyzer
 // mid-stream. It is produced by ExportState and consumed by
@@ -95,7 +55,12 @@ type StreamState struct {
 	MMin     dsp.MovingExtremumState `json:"mmin"`
 	MMax     dsp.MovingExtremumState `json:"mmax"`
 
-	Monitor  monitorState  `json:"monitor"`
+	// Monitor carries the busy tracker's state first, where the wire
+	// form has always had it, then the rest of the monitor's.
+	Monitor struct {
+		SMax dsp.MovingExtremumState `json:"smax"`
+		monitorState
+	} `json:"monitor"`
 	Detector detectorState `json:"detector"`
 
 	// Profile is the profile accumulated so far (stalls whose end was
@@ -130,41 +95,9 @@ func (s *StreamAnalyzer) ExportState() *StreamState {
 		sm := s.smoother.State()
 		st.Smoother = &sm
 	}
-	m := s.mon
-	st.Monitor = monitorState{
-		SMax:              m.smax.State(),
-		Ref:               m.ref,
-		RefReady:          m.refReady,
-		Warm:              m.warm,
-		LastGood:          m.lastGood,
-		ZeroRun:           m.zeroRun,
-		RunVal:            m.runVal,
-		RunLen:            m.runLen,
-		ClipActive:        m.clipActive,
-		StepDir:           m.stepDir,
-		StepLen:           m.stepLen,
-		StepResyncPending: m.stepResyncPending,
-		SinceHigh:         m.sinceHigh,
-		ShiftDir:          m.shiftDir,
-		ShiftLen:          m.shiftLen,
-		SinceShiftHigh:    m.sinceShiftHigh,
-		PendingCause:      m.pendingCause,
-		Distinct:          m.distinct,
-		PrevX:             m.prevX,
-		HavePrev:          m.havePrev,
-		Quality:           m.q,
-	}
-	d := s.det
-	st.Detector = detectorState{
-		InDip:        d.inDip,
-		Start:        d.start,
-		EntryLo:      d.entryLo,
-		EntryHi:      d.entryHi,
-		LastImpaired: d.lastImpaired,
-	}
-	if d.inDip {
-		st.Detector.Depth = d.depth
-	}
+	st.Monitor.SMax = s.mon.smax.State()
+	st.Monitor.monitorState = s.mon.monitorState
+	st.Detector = s.det.detectorState
 	prof := *s.prof
 	prof.Stalls = append([]Stall(nil), s.prof.Stalls...)
 	st.Profile = &prof
@@ -187,6 +120,23 @@ func ResumeStreamAnalyzer(st *StreamState) (*StreamAnalyzer, error) {
 	if st.Pushed < 0 || st.Decided < 0 || st.Fed < 0 || st.Decided > st.Pushed || st.Fed > st.Pushed {
 		return nil, fmt.Errorf("core: inconsistent stream state counters pushed=%d fed=%d decided=%d",
 			st.Pushed, st.Fed, st.Decided)
+	}
+	// Every pushed sample passes through the monitor, and its busy
+	// tracker, exactly once.
+	q := st.Monitor.Quality
+	if q.Samples != st.Pushed || st.Monitor.SMax.Count != st.Pushed {
+		return nil, fmt.Errorf("core: monitor saw %d samples and its busy tracker %d, pushed %d",
+			q.Samples, st.Monitor.SMax.Count, st.Pushed)
+	}
+	if q.NaNSamples < 0 || q.DroppedSamples < 0 || q.ClippedSamples < 0 ||
+		q.BurstSamples < 0 || q.StepSamples < 0 || q.Resyncs < 0 || q.AbortedDips < 0 {
+		return nil, fmt.Errorf("core: negative quality counter in %+v", q)
+	}
+	// A dip in progress was opened at a decided position, and its depth
+	// is a normalised value.
+	if d := st.Detector; d.InDip && (d.Start < 0 || d.Start >= st.Decided || !(d.Depth >= 0 && d.Depth <= 1)) {
+		return nil, fmt.Errorf("core: dip of depth %g opened at %d, outside the %d decided positions or [0, 1]",
+			d.Depth, d.Start, st.Decided)
 	}
 	if len(st.SmTail) > s.lead+1 {
 		return nil, fmt.Errorf("core: smoother tail %d exceeds group delay %d", len(st.SmTail), s.lead)
@@ -235,44 +185,16 @@ func ResumeStreamAnalyzer(st *StreamState) (*StreamAnalyzer, error) {
 	s.pending.load(st.Pending)
 	s.lastMin, s.lastMax, s.haveStats = st.LastMin, st.LastMax, st.HaveStats
 
-	m := s.mon
-	ms := st.Monitor
-	if err := m.smax.Restore(ms.SMax); err != nil {
+	if err := s.mon.smax.Restore(st.Monitor.SMax); err != nil {
 		return nil, err
 	}
-	m.ref = ms.Ref
-	m.refReady = ms.RefReady
-	m.warm = ms.Warm
-	m.lastGood = ms.LastGood
-	m.zeroRun = ms.ZeroRun
-	m.runVal = ms.RunVal
-	m.runLen = ms.RunLen
-	m.clipActive = ms.ClipActive
-	m.stepDir, m.stepLen = ms.StepDir, ms.StepLen
-	m.stepResyncPending = ms.StepResyncPending
-	m.sinceHigh = ms.SinceHigh
-	m.shiftDir, m.shiftLen = ms.ShiftDir, ms.ShiftLen
-	m.sinceShiftHigh = ms.SinceShiftHigh
-	m.pendingCause = ms.PendingCause
-	m.distinct = ms.Distinct
-	m.prevX, m.havePrev = ms.PrevX, ms.HavePrev
-	m.q = ms.Quality
-
-	d := s.det
-	ds := st.Detector
-	d.inDip = ds.InDip
-	d.start = ds.Start
-	d.depth = math.Inf(1)
-	if ds.InDip {
-		d.depth = ds.Depth
-	}
-	d.entryLo, d.entryHi = ds.EntryLo, ds.EntryHi
-	d.lastImpaired = ds.LastImpaired
+	s.mon.monitorState = st.Monitor.monitorState
+	s.det.detectorState = st.Detector
 
 	if st.Profile == nil {
 		return nil, fmt.Errorf("core: stream state carries no profile")
 	}
-	// The detector and monitor keep their pointers into s.prof / s.mon.q;
+	// The detector keeps its pointers into s.prof and s.mon.Quality;
 	// overwrite the pointees rather than the pointers.
 	prof := *st.Profile
 	prof.Stalls = append([]Stall(nil), st.Profile.Stalls...)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -32,8 +33,10 @@ func handoffCapture(faults bool) *em.Capture {
 
 // splitProfile pushes the first k samples into one analyzer, exports its
 // state through a JSON round trip (the hand-off wire encoding), resumes
-// a second analyzer from it, pushes the rest, and finalizes.
-func splitProfile(t *testing.T, c *em.Capture, cfg Config, k int) *Profile {
+// a second analyzer from it, pushes the rest, and finalizes. The resumed
+// analyzer must export the same bytes the first one did. inDip reports
+// whether the export caught the detector inside a dip.
+func splitProfile(t *testing.T, c *em.Capture, cfg Config, k int) (p *Profile, inDip bool) {
 	t.Helper()
 	a, err := NewStreamAnalyzer(cfg, c.SampleRate, c.ClockHz)
 	if err != nil {
@@ -55,10 +58,17 @@ func splitProfile(t *testing.T, c *em.Capture, cfg Config, k int) *Profile {
 	if err != nil {
 		t.Fatalf("resume at k=%d: %v", k, err)
 	}
+	again, err := json.Marshal(b.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatalf("resumed at k=%d, the analyzer exports\n%s\nwant\n%s", k, again, blob)
+	}
 	for i := k; i < len(c.Samples); i++ {
 		b.PushBlock(c.Samples[i : i+1])
 	}
-	return b.Finalize()
+	return b.Finalize(), a.det.InDip
 }
 
 // TestHandoffBitIdentical is the property behind fleet rebalance: export
@@ -84,13 +94,22 @@ func TestHandoffBitIdentical(t *testing.T) {
 			}
 			n := len(c.Samples)
 			// Split points cover: virgin analyzer, warm-up, mid-gap,
-			// mid-burst, post-step, and the degenerate full-stream export.
-			for _, k := range []int{0, 1, 7, 4005, 8300, 14001, 20500, n / 2, 26000, n - 1, n} {
-				got := splitProfile(t, c, cfg, k)
+			// mid-burst, post-step, the detector inside the long stall's
+			// dip (decided half a window after the stall), and the
+			// degenerate full-stream export.
+			dips := 0
+			for _, k := range []int{0, 1, 7, 4005, 8300, 14001, 20500, n / 2, 26000, 36050, n - 1, n} {
+				got, inDip := splitProfile(t, c, cfg, k)
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("%s faults=%v: profile diverged after hand-off at %d/%d:\nwant %+v\ngot  %+v",
 						name, faults, k, n, want, got)
 				}
+				if inDip {
+					dips++
+				}
+			}
+			if dips == 0 {
+				t.Errorf("%s faults=%v: no split point exported a detector inside a dip", name, faults)
 			}
 		}
 	}
@@ -156,6 +175,49 @@ func TestHandoffRejectsMismatchedState(t *testing.T) {
 	st.Decided = st.Pushed + 1
 	if _, err := ResumeStreamAnalyzer(st); err == nil {
 		t.Fatal("state with decided > pushed accepted")
+	}
+
+	// Monitor counts out of step with the samples pushed: every pushed
+	// sample passes through the monitor and its busy tracker once.
+	st = a.ExportState()
+	st.Monitor.Quality.Samples = 0
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state whose monitor saw no samples accepted")
+	}
+	st = a.ExportState()
+	st.Monitor.Quality.Samples++
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state whose monitor saw more samples than pushed accepted")
+	}
+	st = a.ExportState()
+	st.Monitor.Quality.Resyncs = -1
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with a negative resync count accepted")
+	}
+	st = a.ExportState()
+	st.Monitor.Quality.DroppedSamples = -1
+	if _, err := ResumeStreamAnalyzer(st); err == nil {
+		t.Fatal("state with a negative dropped-sample count accepted")
+	}
+
+	// A dip in progress must have opened at a decided position, at a
+	// normalised depth: one opened long before the stream would flush as
+	// a stall of hours.
+	far, err := NewStreamAnalyzer(DefaultConfig(), c.SampleRate, c.ClockHz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far.PushBlock(c.Samples[:15000])
+	for _, d := range []detectorState{
+		{InDip: true, Start: -1 << 40, Depth: 0.01},
+		{InDip: true, Start: far.Decided(), Depth: 0.01},
+		{InDip: true, Start: far.Decided() - 100, Depth: -5},
+	} {
+		st = far.ExportState()
+		st.Detector = d
+		if _, err := ResumeStreamAnalyzer(st); err == nil {
+			t.Fatalf("state with detector %+v accepted", d)
+		}
 	}
 
 	// Missing profile.

@@ -29,10 +29,12 @@ import (
 // oracle stays independent of the code it checks.
 
 // oracleMonitor is the monitor's state driven by the per-sample methods;
-// smax shadows the embedded monitor's extremum kernel, which stays nil.
+// smax shadows the embedded monitor's extremum kernel, which stays nil,
+// and resyncCause remembers what armed the resync being reported.
 type oracleMonitor struct {
 	*monitor
-	smax *refDeque
+	smax        *refDeque
+	resyncCause trace.ResyncCause
 }
 
 func newOracleMonitor(cfg Config, sampleRate float64) *oracleMonitor {
@@ -96,7 +98,7 @@ func (d *refDeque) State() dsp.MovingExtremumState {
 func (m *oracleMonitor) process(x float64) (y float64, fl qflag, retro int, resync bool) {
 	y, fl, retro, resync = m.processInner(x)
 	if m.obs != nil {
-		pos := m.q.Samples - 1
+		pos := m.Quality.Samples - 1
 		if resync {
 			m.obs.Observe(trace.Record{Type: trace.TypeResync, Pos: pos, Cause: m.resyncCause})
 		}
@@ -108,73 +110,73 @@ func (m *oracleMonitor) process(x float64) (y float64, fl qflag, retro int, resy
 }
 
 func (m *oracleMonitor) processInner(x float64) (y float64, fl qflag, retro int, resync bool) {
-	m.q.Samples++
-	if m.stepResyncPending {
+	m.Quality.Samples++
+	if m.StepResyncPending {
 		resync = true
-		m.stepResyncPending = false
-		m.resyncCause = m.pendingCause
+		m.StepResyncPending = false
+		m.resyncCause = m.PendingCause
 	}
 
 	// Non-finite corruption: hold the last good value so a single NaN can
 	// no longer poison a full min/max window.
 	if math.IsNaN(x) || math.IsInf(x, 0) {
-		m.q.NaNSamples++
-		m.runLen, m.zeroRun = 0, 0
-		m.clipActive = false
-		y = m.lastGood
+		m.Quality.NaNSamples++
+		m.RunLen, m.ZeroRun = 0, 0
+		m.ClipActive = false
+		y = m.LastGood
 		m.track(y)
 		return y, qNaN, 0, resync
 	}
 
 	// Exact-zero samples: dropped by the digitizer (gaps are zero-filled).
 	if x == 0 {
-		m.zeroRun++
-		m.q.DroppedSamples++
-		m.runLen = 0
-		m.clipActive = false
-		y = m.lastGood
+		m.ZeroRun++
+		m.Quality.DroppedSamples++
+		m.RunLen = 0
+		m.ClipActive = false
+		y = m.LastGood
 		m.track(y)
 		return y, qGap, 0, resync
 	}
-	if m.zeroRun >= m.resyncGap {
+	if m.ZeroRun >= m.resyncGap {
 		// A long gap just ended: the coupling or gain may have moved while
 		// we were blind, so re-seed the normalisation windows here.
 		resync = true
 		m.resyncCause = trace.ResyncGap
-		m.q.Resyncs++
+		m.Quality.Resyncs++
 	}
-	m.zeroRun = 0
+	m.ZeroRun = 0
 
 	// Distinctness arm for the flat-line detector.
-	if m.havePrev {
+	if m.HavePrev {
 		d := 0.0
-		if x != m.prevX {
+		if x != m.PrevX {
 			d = 1
 		}
-		m.distinct += m.distinctAlpha * (d - m.distinct)
+		m.Distinct += m.distinctAlpha * (d - m.Distinct)
 	}
-	m.prevX, m.havePrev = x, true
+	m.PrevX, m.HavePrev = x, true
 
 	// Flat-line run at the top of the range: ADC saturation. Runs near the
 	// signal floor are left alone — a noise-free stall legitimately sits
 	// at a constant level.
-	if x == m.runVal {
-		m.runLen++
+	if x == m.RunVal {
+		m.RunLen++
 	} else {
-		m.runVal, m.runLen = x, 1
-		m.clipActive = false
+		m.RunVal, m.RunLen = x, 1
+		m.ClipActive = false
 	}
-	if m.refReady && m.distinct > 0.9 && m.runLen >= m.clipRun && x >= m.clipMinFrac*m.ref {
+	if m.RefReady && m.Distinct > 0.9 && m.RunLen >= m.clipRun && x >= m.clipMinFrac*m.Ref {
 		fl |= qClip
-		if !m.clipActive {
-			retro = m.runLen - 1
+		if !m.ClipActive {
+			retro = m.RunLen - 1
 			if retro > m.half-1 {
 				retro = m.half - 1
 			}
-			m.q.ClippedSamples += int64(retro) + 1
-			m.clipActive = true
+			m.Quality.ClippedSamples += int64(retro) + 1
+			m.ClipActive = true
 		} else {
-			m.q.ClippedSamples++
+			m.Quality.ClippedSamples++
 		}
 	}
 
@@ -185,12 +187,12 @@ func (m *oracleMonitor) processInner(x float64) (y float64, fl qflag, retro int,
 	// transient excursion can never confirm a step (track's raw-high
 	// recency gate), while a sustained one re-references within a persist
 	// window and then passes normally against the new reference.
-	if m.refReady && x > m.burstK*m.ref && fl == 0 {
-		m.q.BurstSamples++
-		y = m.lastGood
+	if m.RefReady && x > m.burstK*m.Ref && fl == 0 {
+		m.Quality.BurstSamples++
+		y = m.LastGood
 		fl = qBurst
 		if stepped, stepRetro := m.track(x); stepped {
-			m.stepResyncPending = true
+			m.StepResyncPending = true
 			fl |= qStep
 			retro = stepRetro
 		}
@@ -198,12 +200,12 @@ func (m *oracleMonitor) processInner(x float64) (y float64, fl qflag, retro int,
 	}
 
 	y = x
-	m.lastGood = y
+	m.LastGood = y
 	if stepped, stepRetro := m.track(y); stepped {
 		// The resync itself is deferred to the next position (see
 		// stepResyncPending); this position and the trailing half-window
 		// carry the step flag now.
-		m.stepResyncPending = true
+		m.StepResyncPending = true
 		fl |= qStep
 		retro = stepRetro
 	}
@@ -216,24 +218,24 @@ func (m *oracleMonitor) processInner(x float64) (y float64, fl qflag, retro int,
 // (dips never move the max; the reference EMA absorbs slow drift).
 func (m *oracleMonitor) track(y float64) (resync bool, retro int) {
 	sm := m.smax.Process(y)
-	if !m.refReady {
-		m.warm++
-		if m.warm >= m.persist {
-			m.ref = sm
-			m.refReady = true
+	if !m.RefReady {
+		m.Warm++
+		if m.Warm >= m.persist {
+			m.Ref = sm
+			m.RefReady = true
 		}
 		return false, 0
 	}
-	if m.ref <= 0 {
-		m.ref = sm
+	if m.Ref <= 0 {
+		m.Ref = sm
 		return false, 0
 	}
-	if y > m.stepRatio*m.ref {
-		m.sinceHigh = 0
-	} else if m.sinceHigh < 1<<30 {
-		m.sinceHigh++
+	if y > m.stepRatio*m.Ref {
+		m.SinceHigh = 0
+	} else if m.SinceHigh < 1<<30 {
+		m.SinceHigh++
 	}
-	ratio := sm / m.ref
+	ratio := sm / m.Ref
 	dir := 0
 	if ratio > m.stepRatio {
 		dir = 1
@@ -242,10 +244,10 @@ func (m *oracleMonitor) track(y float64) (resync bool, retro int) {
 	}
 	sdir := 0
 	if m.shiftRatio > 0 {
-		if y > m.shiftRatio*m.ref {
-			m.sinceShiftHigh = 0
-		} else if m.sinceShiftHigh < 1<<30 {
-			m.sinceShiftHigh++
+		if y > m.shiftRatio*m.Ref {
+			m.SinceShiftHigh = 0
+		} else if m.SinceShiftHigh < 1<<30 {
+			m.SinceShiftHigh++
 		}
 		if ratio > m.shiftRatio {
 			sdir = 1
@@ -258,8 +260,8 @@ func (m *oracleMonitor) track(y float64) (resync bool, retro int) {
 	// burst tail), not a gain step: drop it and leave the reference
 	// untouched. A genuine step re-asserts raw highs at least once per
 	// stall, and stalls are bounded by 0.4 persist (RefreshMinS).
-	if dir == 1 && m.sinceHigh > m.persist/2 {
-		m.stepDir, m.stepLen = 0, 0
+	if dir == 1 && m.SinceHigh > m.persist/2 {
+		m.StepDir, m.StepLen = 0, 0
 		if m.shiftRatio > 0 {
 			return m.trackShift(sdir, sm)
 		}
@@ -267,20 +269,20 @@ func (m *oracleMonitor) track(y float64) (resync bool, retro int) {
 	}
 	switch {
 	case dir == 0:
-		m.stepDir, m.stepLen = 0, 0
+		m.StepDir, m.StepLen = 0, 0
 		// A live shift candidacy freezes the reference: with refWin ≥
 		// 2×persist the EMA would otherwise absorb a moderate shift
 		// before it can persist long enough to confirm.
 		if sdir == 0 {
-			m.ref += m.refAlpha * (sm - m.ref)
+			m.Ref += m.refAlpha * (sm - m.Ref)
 		}
-	case dir == m.stepDir:
-		m.stepLen++
+	case dir == m.StepDir:
+		m.StepLen++
 	default:
-		m.stepDir, m.stepLen = dir, 1
+		m.StepDir, m.StepLen = dir, 1
 	}
-	if m.stepLen >= m.persist {
-		m.q.Resyncs++
+	if m.StepLen >= m.persist {
+		m.Quality.Resyncs++
 		// Flag the whole trailing half-window, not just the transition:
 		// every position decided against stats that straddle the
 		// discontinuity is unreliable. An up-step in particular inflates
@@ -290,11 +292,11 @@ func (m *oracleMonitor) track(y float64) (resync bool, retro int) {
 		if retro < 0 {
 			retro = 0
 		}
-		m.q.StepSamples += int64(retro) + 1
-		m.ref = sm
-		m.stepDir, m.stepLen = 0, 0
-		m.shiftDir, m.shiftLen = 0, 0
-		m.pendingCause = trace.ResyncGainStep
+		m.Quality.StepSamples += int64(retro) + 1
+		m.Ref = sm
+		m.StepDir, m.StepLen = 0, 0
+		m.ShiftDir, m.ShiftLen = 0, 0
+		m.PendingCause = trace.ResyncGainStep
 		return true, retro
 	}
 	if m.shiftRatio > 0 {
@@ -311,20 +313,20 @@ func (m *oracleMonitor) trackShift(sdir int, sm float64) (resync bool, retro int
 	// Same dead-excursion gate as the step detector, at the shift band
 	// edge: an up-shift whose raw highs stopped re-asserting is a held
 	// burst tail, not the probe moving back toward the sweet spot.
-	if sdir == 1 && m.sinceShiftHigh > m.persist/2 {
-		m.shiftDir, m.shiftLen = 0, 0
+	if sdir == 1 && m.SinceShiftHigh > m.persist/2 {
+		m.ShiftDir, m.ShiftLen = 0, 0
 		return false, 0
 	}
 	switch {
 	case sdir == 0:
-		m.shiftDir, m.shiftLen = 0, 0
-	case sdir == m.shiftDir:
-		m.shiftLen++
+		m.ShiftDir, m.ShiftLen = 0, 0
+	case sdir == m.ShiftDir:
+		m.ShiftLen++
 	default:
-		m.shiftDir, m.shiftLen = sdir, 1
+		m.ShiftDir, m.ShiftLen = sdir, 1
 	}
-	if m.shiftLen >= m.persist {
-		m.q.Resyncs++
+	if m.ShiftLen >= m.persist {
+		m.Quality.Resyncs++
 		// Same retroactive half-window discipline as a confirmed step:
 		// every decision straddling the shift is unreliable, and the
 		// flags bound the phantom stalls a bump can cause.
@@ -332,11 +334,11 @@ func (m *oracleMonitor) trackShift(sdir int, sm float64) (resync bool, retro int
 		if retro < 0 {
 			retro = 0
 		}
-		m.q.StepSamples += int64(retro) + 1
-		m.ref = sm
-		m.shiftDir, m.shiftLen = 0, 0
-		m.stepDir, m.stepLen = 0, 0
-		m.pendingCause = trace.ResyncProbeShift
+		m.Quality.StepSamples += int64(retro) + 1
+		m.Ref = sm
+		m.ShiftDir, m.ShiftLen = 0, 0
+		m.StepDir, m.StepLen = 0, 0
+		m.PendingCause = trace.ResyncProbeShift
 		return true, retro
 	}
 	return false, 0
@@ -458,7 +460,7 @@ func oracleProfile(cfg Config, c *em.Capture, keep bool) *Profile {
 	if keep {
 		p.Normalized = norm
 	}
-	d := newDetector(cfg, c.SampleRate, c.ClockHz, half, p, &mon.q, nil)
+	d := newDetector(cfg, c.SampleRate, c.ClockHz, half, p, &mon.Quality, nil)
 	for i, v := range norm {
 		var fl qflag
 		if mask != nil {
@@ -468,7 +470,7 @@ func oracleProfile(cfg Config, c *em.Capture, keep bool) *Profile {
 		d.decide(int64(i), v, fl, mins[j], maxs[j])
 	}
 	d.finish(int64(n))
-	p.Quality = mon.q
+	p.Quality = mon.Quality
 	return p
 }
 

@@ -151,55 +151,60 @@ type monitor struct {
 	refAlpha      float64 // busy-reference EMA coefficient
 	distinctAlpha float64 // EMA coefficient of the sample-distinctness arm
 
-	smax     *dsp.MovingExtremum // busy-level tracker (moving max, persist wide)
-	ref      float64             // busy-level reference
-	refReady bool
-	warm     int
+	smax *dsp.MovingExtremum // busy-level tracker (moving max, persist wide)
+	monitorState
 
-	lastGood float64
-	zeroRun  int
-	runVal   float64
-	runLen   int
-	// clipActive is set once the current flat-line run has been flagged,
+	// obs, when non-nil, receives a Resync event for every normalisation
+	// re-seed and a QualityFlag event for every flagged sample. Nil keeps
+	// the monitor on its original, emission-free path.
+	obs trace.Observer
+}
+
+// monitorState is the monitor's mutable state. It is also the hand-off
+// wire form (StreamState.Monitor, with the busy tracker's state beside
+// it), so each field is declared once, here, with its JSON name.
+type monitorState struct {
+	Ref      float64 `json:"ref"` // busy-level reference
+	RefReady bool    `json:"ref_ready"`
+	Warm     int     `json:"warm"`
+
+	LastGood float64 `json:"last_good"`
+	ZeroRun  int     `json:"zero_run"`
+	RunVal   float64 `json:"run_val"`
+	RunLen   int     `json:"run_len"`
+	// ClipActive is set once the current flat-line run has been flagged,
 	// so the run's tail increments counters one sample at a time.
-	clipActive bool
-	stepDir    int
-	stepLen    int
-	// stepResyncPending delays a confirmed step's resync to the next
+	ClipActive bool `json:"clip_active"`
+	StepDir    int  `json:"step_dir"`
+	StepLen    int  `json:"step_len"`
+	// StepResyncPending delays a confirmed step's resync to the next
 	// position: the first post-reset normalisation stat is then read by
 	// the first retro-flagged decision, so a phantom dip induced by
 	// straddling stats is aborted rather than flushed one position early.
-	stepResyncPending bool
-	// sinceHigh counts samples since the raw input last exceeded the
+	StepResyncPending bool `json:"step_resync_pending"`
+	// SinceHigh counts samples since the raw input last exceeded the
 	// step band. The moving max holds an excursion for a full persist
 	// window after it ends; this distinguishes a live step (raw highs
 	// keep re-asserting) from a dead burst tail.
-	sinceHigh int
-	// shiftDir/shiftLen/sinceShiftHigh mirror the step-candidacy state at
+	SinceHigh int `json:"since_high"`
+	// ShiftDir/ShiftLen/SinceShiftHigh mirror the step-candidacy state at
 	// the shift band edge; maintained only when shiftRatio > 0.
-	shiftDir       int
-	shiftLen       int
-	sinceShiftHigh int
-	// pendingCause is the resync cause reported when stepResyncPending
+	ShiftDir       int `json:"shift_dir"`
+	ShiftLen       int `json:"shift_len"`
+	SinceShiftHigh int `json:"since_shift_high"`
+	// PendingCause is the resync cause reported when StepResyncPending
 	// fires (gain-step or probe-shift).
-	pendingCause trace.ResyncCause
-	// distinct is an EMA of "this sample differs from the previous one".
+	PendingCause trace.ResyncCause `json:"pending_cause,omitempty"`
+	// Distinct is an EMA of "this sample differs from the previous one".
 	// Noise-free captures (the SESC power proxy) legitimately flat-line
 	// on busy plateaus; the clip detector is armed only while the signal
 	// is demonstrably noisy, where consecutive equality cannot happen by
 	// chance.
-	distinct float64
-	prevX    float64
-	havePrev bool
+	Distinct float64 `json:"distinct"`
+	PrevX    float64 `json:"prev_x"`
+	HavePrev bool    `json:"have_prev"`
 
-	// obs, when non-nil, receives a Resync event for every normalisation
-	// re-seed and a QualityFlag event for every flagged sample;
-	// resyncCause remembers what armed the pending resync. Nil keeps the
-	// monitor on its original, emission-free path.
-	obs         trace.Observer
-	resyncCause trace.ResyncCause
-
-	q Quality
+	Quality Quality `json:"quality"`
 }
 
 // newMonitor derives the quality-monitor parameters from the profiler
@@ -235,7 +240,7 @@ func newMonitor(cfg Config, sampleRate float64) *monitor {
 		refAlpha:      1.0 / float64(refWin),
 		distinctAlpha: 1.0 / 256,
 		smax:          dsp.NewMovingMax(p),
-		distinct:      1,
+		monitorState:  monitorState{Distinct: 1},
 	}
 }
 
@@ -251,11 +256,7 @@ type detector struct {
 	minSamples float64
 	half       int
 
-	inDip            bool
-	start            int64
-	depth            float64
-	entryLo, entryHi float64
-	lastImpaired     int64
+	detectorState
 
 	// keep appends every normalised value to prof.Normalized.
 	keep bool
@@ -273,20 +274,31 @@ type detector struct {
 	obs trace.Observer
 }
 
+// detectorState is the dip state machine's mutable state and its
+// hand-off wire form (StreamState.Detector). Depth is read only inside a
+// dip and is 0 outside one.
+type detectorState struct {
+	InDip        bool    `json:"in_dip"`
+	Start        int64   `json:"start"`
+	Depth        float64 `json:"depth"`
+	EntryLo      float64 `json:"entry_lo"`
+	EntryHi      float64 `json:"entry_hi"`
+	LastImpaired int64   `json:"last_impaired"`
+}
+
 // newDetector builds the shared dip detector; half is the normalisation
 // half-window in samples (used only for confidence distance scaling).
 func newDetector(cfg Config, sampleRate, clockHz float64, half int, prof *Profile, q *Quality, onStall *func(Stall)) *detector {
 	return &detector{
-		cfg:          cfg,
-		sampleRate:   sampleRate,
-		clockHz:      clockHz,
-		minSamples:   cfg.MinStallS * sampleRate,
-		half:         half,
-		depth:        math.Inf(1),
-		lastImpaired: math.MinInt64 / 2,
-		prof:         prof,
-		q:            q,
-		onStall:      onStall,
+		cfg:           cfg,
+		sampleRate:    sampleRate,
+		clockHz:       clockHz,
+		minSamples:    cfg.MinStallS * sampleRate,
+		half:          half,
+		detectorState: detectorState{LastImpaired: math.MinInt64 / 2},
+		prof:          prof,
+		q:             q,
+		onStall:       onStall,
 	}
 }
 
@@ -366,7 +378,7 @@ func (d *detector) fastRun(xs []float64, fl []qflag, lo, hi []float64) int {
 	keep := d.keep
 	norm := d.prof.Normalized
 	j := 0
-	if !d.inDip {
+	if !d.InDip {
 		enter := d.cfg.EnterThreshold
 		for ; j < len(xs); j++ {
 			if fl[j] != 0 {
@@ -381,7 +393,7 @@ func (d *detector) fastRun(xs []float64, fl []qflag, lo, hi []float64) int {
 			}
 		}
 	} else {
-		exit, depth := d.cfg.ExitThreshold, d.depth
+		exit, depth := d.cfg.ExitThreshold, d.Depth
 		for ; j < len(xs); j++ {
 			if fl[j] != 0 {
 				break
@@ -397,7 +409,7 @@ func (d *detector) fastRun(xs []float64, fl []qflag, lo, hi []float64) int {
 				norm = append(norm, v)
 			}
 		}
-		d.depth = depth
+		d.Depth = depth
 	}
 	if keep {
 		d.prof.Normalized = norm
@@ -409,67 +421,65 @@ func (d *detector) fastRun(xs []float64, fl []qflag, lo, hi []float64) int {
 // flags fl and the (lo, hi) normalisation stats used for it.
 func (d *detector) decide(i int64, v float64, fl qflag, lo, hi float64) {
 	if fl != 0 {
-		d.lastImpaired = i
+		d.LastImpaired = i
 		if fl&qStructural != 0 {
 			// The sample carries no dip evidence: suppress entry, and
 			// abort rather than report a dip that spans the impairment.
-			if d.inDip {
+			if d.InDip {
 				if d.obs != nil {
 					d.obs.Observe(trace.Record{
 						Type:  trace.TypeStallRejected,
-						Start: d.start, End: i,
-						DurationS: float64(i-d.start) / d.sampleRate,
-						Depth:     d.depth,
+						Start: d.Start, End: i,
+						DurationS: float64(i-d.Start) / d.sampleRate,
+						Depth:     d.Depth,
 						Reason:    trace.RejectImpaired,
 					})
 				}
-				d.inDip = false
-				d.depth = math.Inf(1)
+				d.InDip, d.Depth = false, 0
 				d.q.AbortedDips++
 			}
 			return
 		}
 	}
-	if !d.inDip {
+	if !d.InDip {
 		if v < d.cfg.EnterThreshold {
-			d.inDip = true
-			d.start = i
-			d.depth = v
-			d.entryLo, d.entryHi = lo, hi
+			d.InDip = true
+			d.Start = i
+			d.Depth = v
+			d.EntryLo, d.EntryHi = lo, hi
 			if d.obs != nil {
 				d.obs.Observe(trace.Record{Type: trace.TypeDipCandidate, Pos: i, Value: v, Lo: lo, Hi: hi})
 			}
 		}
 		return
 	}
-	if v < d.depth {
-		d.depth = v
+	if v < d.Depth {
+		d.Depth = v
 	}
 	if v > d.cfg.ExitThreshold {
 		d.flush(i)
-		d.inDip = false
-		d.depth = math.Inf(1)
+		d.InDip, d.Depth = false, 0
 	}
 }
 
 // finish closes any dip still open at end-of-signal position end.
 func (d *detector) finish(end int64) {
-	if d.inDip {
+	if d.InDip {
 		d.flush(end)
-		d.inDip = false
+		d.InDip, d.Depth = false, 0
 	}
 }
 
 // flush closes the current dip ending (exclusive) at position end and
 // reports it if it passes the duration and depth criteria.
 func (d *detector) flush(end int64) {
-	durSamples := end - d.start
+	durSamples := end - d.Start
 	durS := float64(durSamples) / d.sampleRate
 	if float64(durSamples) < d.minSamples {
 		if d.obs != nil {
 			d.obs.Observe(trace.Record{
-				Type: trace.TypeStallRejected, Start: d.start, End: end,
-				DurationS: durS, Depth: d.depth, Reason: trace.RejectTooShort,
+				Type: trace.TypeStallRejected, Start: d.Start, End: end,
+				DurationS: durS, Depth: d.Depth, Reason: trace.RejectTooShort,
 			})
 		}
 		return
@@ -478,22 +488,22 @@ func (d *detector) flush(end int64) {
 	if durS >= d.cfg.LongStallS {
 		maxDepth = d.cfg.MaxDipDepthLong
 	}
-	if d.depth > maxDepth {
+	if d.Depth > maxDepth {
 		if d.obs != nil {
 			d.obs.Observe(trace.Record{
-				Type: trace.TypeStallRejected, Start: d.start, End: end,
-				DurationS: durS, Depth: d.depth, Reason: trace.RejectTooShallow,
+				Type: trace.TypeStallRejected, Start: d.Start, End: end,
+				DurationS: durS, Depth: d.Depth, Reason: trace.RejectTooShallow,
 			})
 		}
 		return
 	}
 	st := Stall{
-		StartSample: int(d.start),
+		StartSample: int(d.Start),
 		EndSample:   int(end),
-		StartS:      float64(d.start) / d.sampleRate,
+		StartS:      float64(d.Start) / d.sampleRate,
 		DurationS:   durS,
 		Cycles:      durS * d.clockHz,
-		Depth:       d.depth,
+		Depth:       d.Depth,
 		Refresh:     durS >= d.cfg.RefreshMinS,
 		Confidence:  d.confidence(maxDepth),
 	}
@@ -506,7 +516,7 @@ func (d *detector) flush(end int64) {
 	d.prof.StallCycles += st.Cycles
 	if d.obs != nil {
 		d.obs.Observe(trace.Record{
-			Type: trace.TypeStallAccepted, Start: d.start, End: end, StartS: st.StartS,
+			Type: trace.TypeStallAccepted, Start: d.Start, End: end, StartS: st.StartS,
 			DurationS: st.DurationS, Cycles: st.Cycles, Depth: st.Depth,
 			Confidence: st.Confidence, Refresh: st.Refresh,
 		})
@@ -521,15 +531,15 @@ func (d *detector) flush(end int64) {
 // normalisation contrast (a local-SNR proxy) the surrounding window had,
 // and how far the dip sits from the nearest detected impairment.
 func (d *detector) confidence(maxDepth float64) float64 {
-	depthTerm := clamp01((maxDepth - d.depth) / maxDepth)
+	depthTerm := clamp01((maxDepth - d.Depth) / maxDepth)
 	contrast := 0.0
-	if d.entryHi > 0 {
-		rangeFrac := (d.entryHi - d.entryLo) / d.entryHi
+	if d.EntryHi > 0 {
+		rangeFrac := (d.EntryHi - d.EntryLo) / d.EntryHi
 		contrast = clamp01((rangeFrac - d.cfg.MinRangeFrac) / (1 - d.cfg.MinRangeFrac))
 	}
 	cleanTerm := 1.0
 	if d.half > 0 {
-		dist := d.start - d.lastImpaired
+		dist := d.Start - d.LastImpaired
 		if dist < 0 {
 			dist = 0
 		}

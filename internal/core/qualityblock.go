@@ -44,8 +44,8 @@ func (m *monitor) processBlock(xs, san []float64, flags []qflag, patchOlder func
 // resync is pending, the busy reference is live and positive, no
 // dropout run is open (so the next sample cannot end a long gap), and a
 // previous sample anchors the distinctness arm.
-func settled(stepPending, refReady bool, ref float64, zeroRun int, havePrev bool) bool {
-	return !stepPending && refReady && ref > 0 && zeroRun == 0 && havePrev
+func (s *monitorState) settled() bool {
+	return !s.StepResyncPending && s.RefReady && s.Ref > 0 && s.ZeroRun == 0 && s.HavePrev
 }
 
 // settledRun is the monitor's fast run. It commits samples from the front
@@ -73,11 +73,11 @@ func settled(stepPending, refReady bool, ref float64, zeroRun int, havePrev bool
 // tracker's block end, so the suffix refill (EndBlock) stays in the
 // general step. A monitor that is not settled commits nothing.
 //
-// The loop carries about a dozen values, few enough to stay in
-// registers, where the general step carries three times as many and
-// spills most of them to the stack.
+// The loop carries about a dozen values in registers and writes them
+// back to m once per run; the general step, which takes the few samples
+// left, reads and writes its state through m instead.
 func (m *monitor) settledRun(xs, san []float64, flags []qflag) int {
-	if !settled(m.stepResyncPending, m.refReady, m.ref, m.zeroRun, m.havePrev) {
+	if !m.settled() {
 		return 0
 	}
 	sb := m.smax.Block()
@@ -100,10 +100,10 @@ func (m *monitor) settledRun(xs, san []float64, flags []qflag) int {
 		bandHi, bandLo = min(bandHi, sr), max(bandLo, 1/sr)
 	}
 
-	ref := m.ref
-	distinct, prevX := m.distinct, m.prevX
-	runVal, runLen, clipActive := m.runVal, m.runLen, m.clipActive
-	sinceHigh, sinceShiftHigh := m.sinceHigh, m.sinceShiftHigh
+	ref := m.Ref
+	distinct, prevX := m.Distinct, m.PrevX
+	runVal, runLen, clipActive := m.RunVal, m.RunLen, m.ClipActive
+	sinceHigh, sinceShiftHigh := m.SinceHigh, m.SinceShiftHigh
 	i := 0
 	for ; i < len(xs); i++ {
 		x := xs[i]
@@ -155,38 +155,28 @@ func (m *monitor) settledRun(xs, san []float64, flags []qflag) int {
 	}
 
 	m.smax.SetBlock(sb.Pos+i, pre, i)
-	m.q.Samples += int64(i)
-	m.ref = ref
-	m.distinct, m.prevX, m.lastGood = distinct, prevX, prevX
-	m.runVal, m.runLen, m.clipActive = runVal, runLen, clipActive
-	m.sinceHigh, m.sinceShiftHigh = sinceHigh, sinceShiftHigh
-	m.stepDir, m.stepLen = 0, 0
+	m.Quality.Samples += int64(i)
+	m.Ref = ref
+	m.Distinct, m.PrevX, m.LastGood = distinct, prevX, prevX
+	m.RunVal, m.RunLen, m.ClipActive = runVal, runLen, clipActive
+	m.SinceHigh, m.SinceShiftHigh = sinceHigh, sinceShiftHigh
+	m.StepDir, m.StepLen = 0, 0
 	if m.shiftRatio > 0 {
-		m.shiftDir, m.shiftLen = 0, 0
+		m.ShiftDir, m.ShiftLen = 0, 0
 	}
 	return i
 }
 
-// generalRun is the general step: the whole per-sample monitor, with its
-// hot state hoisted into locals for the run. It processes xs[i0] and the
-// samples after it until the monitor is settled again (or the block
-// ends), and returns the index of the next unprocessed sample. The
-// nil-observer path pays one predictable branch per sample.
+// generalRun is the general step: the whole per-sample monitor, reading
+// and writing its state through m. It processes xs[i0] and the samples
+// after it until the monitor is settled again (or the block ends), and
+// returns the index of the next unprocessed sample. It takes 1–2 % of a
+// capture's samples, so it keeps only the busy tracker's block cursor in
+// locals. The nil-observer path pays one predictable branch per sample.
 func (m *monitor) generalRun(xs, san []float64, flags []qflag, i0 int, patchOlder func(back int, f qflag) bool, onResync func(i int)) int {
-	// Structural parameters (never written).
-	persist := m.persist
-	resyncGap := m.resyncGap
-	clipRun := m.clipRun
-	half := m.half
-	stepRatio := m.stepRatio
-	shiftRatio := m.shiftRatio
-	invStep := 1 / stepRatio   // loop-invariant band edges
-	invShift := 1 / shiftRatio // +Inf while the shift band is disarmed; unread then
-	burstK := m.burstK
-	clipMinFrac := m.clipMinFrac
-	refAlpha := m.refAlpha
-	distinctAlpha := m.distinctAlpha
-	obs := m.obs
+	q := &m.Quality
+	invStep := 1 / m.stepRatio   // loop-invariant band edges
+	invShift := 1 / m.shiftRatio // +Inf while the shift band is disarmed; unread then
 
 	// The busy tracker's moving max, inlined: the per-sample step of the
 	// dsp.MovingExtremum block kernel (max polarity), with the suffix
@@ -196,105 +186,80 @@ func (m *monitor) generalRun(xs, san []float64, flags []qflag, i0 int, patchOlde
 	sPos, sPre := sb.Pos, sb.Pre
 	sW := len(sCur)
 
-	// Hot mutable state, written back after the run.
-	samples := m.q.Samples
-	stepPending := m.stepResyncPending
-	pendingCause := m.pendingCause
-	resyncCause := m.resyncCause
-	lastGood := m.lastGood
-	zeroRun := m.zeroRun
-	runVal := m.runVal
-	runLen := m.runLen
-	clipActive := m.clipActive
-	distinct := m.distinct
-	prevX := m.prevX
-	havePrev := m.havePrev
-	ref := m.ref
-	refReady := m.refReady
-	warm := m.warm
-	sinceHigh := m.sinceHigh
-	stepDir := m.stepDir
-	stepLen := m.stepLen
-	sinceShiftHigh := m.sinceShiftHigh
-	shiftDir := m.shiftDir
-	shiftLen := m.shiftLen
-
 	ii := i0
 	for ii < len(xs) {
 		x := xs[ii]
-		samples++
+		q.Samples++
 		var fl qflag
 		var retro int
+		var resyncCause trace.ResyncCause
 		resync := false
-		if stepPending {
+		if m.StepResyncPending {
 			resync = true
-			stepPending = false
-			resyncCause = pendingCause
+			m.StepResyncPending = false
+			resyncCause = m.PendingCause
 		}
 
 		var y float64
 		trackRaw := false // burst: the busy tracker sees the raw excursion
 		discard := false  // NaN/gap: the tracker runs but its verdict is dropped
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			m.q.NaNSamples++
-			runLen, zeroRun = 0, 0
-			clipActive = false
-			y = lastGood
+			q.NaNSamples++
+			m.RunLen, m.ZeroRun = 0, 0
+			m.ClipActive = false
+			y = m.LastGood
 			fl = qNaN
 			discard = true
 		} else if x == 0 {
-			zeroRun++
-			m.q.DroppedSamples++
-			runLen = 0
-			clipActive = false
-			y = lastGood
+			m.ZeroRun++
+			q.DroppedSamples++
+			m.RunLen = 0
+			m.ClipActive = false
+			y = m.LastGood
 			fl = qGap
 			discard = true
 		} else {
-			if zeroRun >= resyncGap {
+			if m.ZeroRun >= m.resyncGap {
 				resync = true
 				resyncCause = trace.ResyncGap
-				m.q.Resyncs++
+				q.Resyncs++
 			}
-			zeroRun = 0
+			m.ZeroRun = 0
 
-			if havePrev {
+			if m.HavePrev {
 				d := 0.0
-				if x != prevX {
+				if x != m.PrevX {
 					d = 1
 				}
-				distinct += distinctAlpha * (d - distinct)
+				m.Distinct += m.distinctAlpha * (d - m.Distinct)
 			}
-			prevX, havePrev = x, true
+			m.PrevX, m.HavePrev = x, true
 
-			if x == runVal {
-				runLen++
+			if x == m.RunVal {
+				m.RunLen++
 			} else {
-				runVal, runLen = x, 1
-				clipActive = false
+				m.RunVal, m.RunLen = x, 1
+				m.ClipActive = false
 			}
-			if refReady && distinct > 0.9 && runLen >= clipRun && x >= clipMinFrac*ref {
+			if m.RefReady && m.Distinct > 0.9 && m.RunLen >= m.clipRun && x >= m.clipMinFrac*m.Ref {
 				fl |= qClip
-				if !clipActive {
-					retro = runLen - 1
-					if retro > half-1 {
-						retro = half - 1
-					}
-					m.q.ClippedSamples += int64(retro) + 1
-					clipActive = true
+				if !m.ClipActive {
+					retro = min(m.RunLen-1, m.half-1)
+					q.ClippedSamples += int64(retro) + 1
+					m.ClipActive = true
 				} else {
-					m.q.ClippedSamples++
+					q.ClippedSamples++
 				}
 			}
 
-			if refReady && x > burstK*ref && fl == 0 {
-				m.q.BurstSamples++
-				y = lastGood
+			if m.RefReady && x > m.burstK*m.Ref && fl == 0 {
+				q.BurstSamples++
+				y = m.LastGood
 				fl = qBurst
 				trackRaw = true
 			} else {
 				y = x
-				lastGood = y
+				m.LastGood = y
 			}
 		}
 
@@ -320,112 +285,106 @@ func (m *monitor) generalRun(xs, san []float64, flags []qflag, i0 int, patchOlde
 		}
 		stepped := false
 		stepRetro := 0
-		if !refReady {
-			warm++
-			if warm >= persist {
-				ref = sm
-				refReady = true
+		if !m.RefReady {
+			m.Warm++
+			if m.Warm >= m.persist {
+				m.Ref = sm
+				m.RefReady = true
 			}
-		} else if ref <= 0 {
-			ref = sm
+		} else if m.Ref <= 0 {
+			m.Ref = sm
 		} else {
-			if tx > stepRatio*ref {
-				sinceHigh = 0
-			} else if sinceHigh < 1<<30 {
-				sinceHigh++
+			if tx > m.stepRatio*m.Ref {
+				m.SinceHigh = 0
+			} else if m.SinceHigh < 1<<30 {
+				m.SinceHigh++
 			}
-			ratio := sm / ref
+			ratio := sm / m.Ref
 			dir := 0
-			if ratio > stepRatio {
+			if ratio > m.stepRatio {
 				dir = 1
 			} else if ratio < invStep {
 				dir = -1
 			}
 			sdir := 0
-			if shiftRatio > 0 {
-				if tx > shiftRatio*ref {
-					sinceShiftHigh = 0
-				} else if sinceShiftHigh < 1<<30 {
-					sinceShiftHigh++
+			if m.shiftRatio > 0 {
+				if tx > m.shiftRatio*m.Ref {
+					m.SinceShiftHigh = 0
+				} else if m.SinceShiftHigh < 1<<30 {
+					m.SinceShiftHigh++
 				}
-				if ratio > shiftRatio {
+				if ratio > m.shiftRatio {
 					sdir = 1
 				} else if ratio < invShift {
 					sdir = -1
 				}
 			}
-			if dir == 1 && sinceHigh > persist/2 {
+			if dir == 1 && m.SinceHigh > m.persist/2 {
 				// Dead excursion the moving max is still holding.
-				stepDir, stepLen = 0, 0
+				m.StepDir, m.StepLen = 0, 0
 			} else {
 				switch {
 				case dir == 0:
-					stepDir, stepLen = 0, 0
+					m.StepDir, m.StepLen = 0, 0
 					if sdir == 0 {
-						ref += refAlpha * (sm - ref)
+						m.Ref += m.refAlpha * (sm - m.Ref)
 					}
-				case dir == stepDir:
-					stepLen++
+				case dir == m.StepDir:
+					m.StepLen++
 				default:
-					stepDir, stepLen = dir, 1
+					m.StepDir, m.StepLen = dir, 1
 				}
-				if stepLen >= persist {
-					m.q.Resyncs++
-					stepRetro = half - 1
-					if stepRetro < 0 {
-						stepRetro = 0
-					}
-					m.q.StepSamples += int64(stepRetro) + 1
-					ref = sm
-					stepDir, stepLen = 0, 0
-					shiftDir, shiftLen = 0, 0
-					pendingCause = trace.ResyncGainStep
+				if m.StepLen >= m.persist {
+					q.Resyncs++
+					stepRetro = max(m.half-1, 0)
+					q.StepSamples += int64(stepRetro) + 1
+					m.Ref = sm
+					m.StepDir, m.StepLen = 0, 0
+					m.ShiftDir, m.ShiftLen = 0, 0
+					m.PendingCause = trace.ResyncGainStep
 					stepped = true
 				}
 			}
-			if !stepped && shiftRatio > 0 {
+			if !stepped && m.shiftRatio > 0 {
 				// Probe-shift candidacy: the shift-band twin of the step
 				// detector, which keeps priority.
-				if sdir == 1 && sinceShiftHigh > persist/2 {
-					shiftDir, shiftLen = 0, 0
+				if sdir == 1 && m.SinceShiftHigh > m.persist/2 {
+					m.ShiftDir, m.ShiftLen = 0, 0
 				} else {
 					switch {
 					case sdir == 0:
-						shiftDir, shiftLen = 0, 0
-					case sdir == shiftDir:
-						shiftLen++
+						m.ShiftDir, m.ShiftLen = 0, 0
+					case sdir == m.ShiftDir:
+						m.ShiftLen++
 					default:
-						shiftDir, shiftLen = sdir, 1
+						m.ShiftDir, m.ShiftLen = sdir, 1
 					}
-					if shiftLen >= persist {
-						m.q.Resyncs++
-						stepRetro = half - 1
-						if stepRetro < 0 {
-							stepRetro = 0
-						}
-						m.q.StepSamples += int64(stepRetro) + 1
-						ref = sm
-						shiftDir, shiftLen = 0, 0
-						stepDir, stepLen = 0, 0
-						pendingCause = trace.ResyncProbeShift
+					if m.ShiftLen >= m.persist {
+						q.Resyncs++
+						stepRetro = max(m.half-1, 0)
+						q.StepSamples += int64(stepRetro) + 1
+						m.Ref = sm
+						m.ShiftDir, m.ShiftLen = 0, 0
+						m.StepDir, m.StepLen = 0, 0
+						m.PendingCause = trace.ResyncProbeShift
 						stepped = true
 					}
 				}
 			}
 		}
 		if stepped && !discard {
-			stepPending = true
+			m.StepResyncPending = true
 			fl |= qStep
 			retro = stepRetro
 		}
 
-		if obs != nil {
-			pos := samples - 1
+		if m.obs != nil {
+			pos := q.Samples - 1
 			if resync {
-				obs.Observe(trace.Record{Type: trace.TypeResync, Pos: pos, Cause: resyncCause})
+				m.obs.Observe(trace.Record{Type: trace.TypeResync, Pos: pos, Cause: resyncCause})
 			}
 			if fl != 0 {
-				obs.Observe(trace.Record{Type: trace.TypeQualityFlag, Pos: pos, Flags: fl, Retro: retro})
+				m.obs.Observe(trace.Record{Type: trace.TypeQualityFlag, Pos: pos, Flags: fl, Retro: retro})
 			}
 		}
 
@@ -444,32 +403,11 @@ func (m *monitor) generalRun(xs, san []float64, flags []qflag, i0 int, patchOlde
 			onResync(ii)
 		}
 		ii++
-		if settled(stepPending, refReady, ref, zeroRun, havePrev) {
+		if m.settled() {
 			break
 		}
 	}
 
 	m.smax.SetBlock(sPos, sPre, ii-i0)
-	m.q.Samples = samples
-	m.stepResyncPending = stepPending
-	m.pendingCause = pendingCause
-	m.resyncCause = resyncCause
-	m.lastGood = lastGood
-	m.zeroRun = zeroRun
-	m.runVal = runVal
-	m.runLen = runLen
-	m.clipActive = clipActive
-	m.distinct = distinct
-	m.prevX = prevX
-	m.havePrev = havePrev
-	m.ref = ref
-	m.refReady = refReady
-	m.warm = warm
-	m.sinceHigh = sinceHigh
-	m.stepDir = stepDir
-	m.stepLen = stepLen
-	m.sinceShiftHigh = sinceShiftHigh
-	m.shiftDir = shiftDir
-	m.shiftLen = shiftLen
 	return ii
 }

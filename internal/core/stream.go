@@ -132,7 +132,7 @@ func newStreamAnalyzer(cfg Config, sampleRate, clockHz float64) *StreamAnalyzer 
 		s.smoother = dsp.NewMovingAverage(cfg.SmoothSamples)
 		s.lead = (cfg.SmoothSamples - 1) / 2
 	}
-	s.det = newDetector(cfg, sampleRate, clockHz, s.half, s.prof, &s.mon.q, &s.OnStall)
+	s.det = newDetector(cfg, sampleRate, clockHz, s.half, s.prof, &s.mon.Quality, &s.OnStall)
 	return s
 }
 
@@ -170,7 +170,7 @@ func (s *StreamAnalyzer) Finalize() *Profile {
 
 // Quality returns a snapshot of the signal-quality record accumulated so
 // far; it is also available on the profile after Finalize.
-func (s *StreamAnalyzer) Quality() Quality { return s.mon.q }
+func (s *StreamAnalyzer) Quality() Quality { return s.mon.Quality }
 
 // Pushed returns the number of raw samples pushed so far.
 func (s *StreamAnalyzer) Pushed() int64 { return s.n }
@@ -201,7 +201,7 @@ func (s *StreamAnalyzer) Snapshot() *Profile {
 	if s.sampleRate > 0 {
 		p.ExecCycles = float64(s.n) * (s.clockHz / s.sampleRate)
 	}
-	p.Quality = s.mon.q
+	p.Quality = s.mon.Quality
 	return &p
 }
 
@@ -217,6 +217,6 @@ func (s *StreamAnalyzer) SnapshotView() Profile {
 	if s.sampleRate > 0 {
 		p.ExecCycles = float64(s.n) * (s.clockHz / s.sampleRate)
 	}
-	p.Quality = s.mon.q
+	p.Quality = s.mon.Quality
 	return p
 }

@@ -21,8 +21,8 @@ import (
 // it is the decided count. Stalls are emitted in onset order, which is
 // what makes the frontier a single watermark rather than a set.
 func (s *StreamAnalyzer) Frontier() int64 {
-	if s.det.inDip {
-		return s.det.start
+	if s.det.InDip {
+		return s.det.Start
 	}
 	return s.emitted
 }

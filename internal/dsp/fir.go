@@ -15,16 +15,6 @@ type FIR struct {
 	hist []float64
 }
 
-// NewFIR returns a streaming filter with the given tap weights.
-func NewFIR(taps []float64) *FIR {
-	if len(taps) == 0 {
-		panic("dsp: FIR with no taps")
-	}
-	t := make([]float64, len(taps))
-	copy(t, taps)
-	return newFIRShared(t)
-}
-
 // Taps returns a copy of the filter coefficients.
 func (f *FIR) Taps() []float64 {
 	t := make([]float64, len(f.taps))

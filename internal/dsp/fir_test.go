@@ -184,3 +184,14 @@ func TestMovingAverageReset(t *testing.T) {
 		t.Fatalf("after reset got %v, want 8", y)
 	}
 }
+
+// NewFIR returns a streaming filter with a copy of the given tap
+// weights; the tests build filters from arbitrary taps with it.
+func NewFIR(taps []float64) *FIR {
+	if len(taps) == 0 {
+		panic("dsp: FIR with no taps")
+	}
+	t := make([]float64, len(taps))
+	copy(t, taps)
+	return newFIRShared(t)
+}

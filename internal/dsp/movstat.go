@@ -361,53 +361,3 @@ func (m *MovingExtremum) Restore(st MovingExtremumState) error {
 	}
 	return nil
 }
-
-// NaiveMovingExtremum recomputes the window extremum by rescanning the full
-// window on every sample. It exists solely as the baseline for the
-// moving-min/max ablation benchmark; the profiler never uses it.
-type NaiveMovingExtremum struct {
-	w     int
-	isMin bool
-	buf   []float64
-	pos   int
-	n     int
-}
-
-// NewNaiveMovingMin returns the O(w)-per-sample baseline minimum.
-func NewNaiveMovingMin(w int) *NaiveMovingExtremum {
-	return &NaiveMovingExtremum{w: w, isMin: true, buf: make([]float64, w)}
-}
-
-// NewNaiveMovingMax returns the O(w)-per-sample baseline maximum.
-func NewNaiveMovingMax(w int) *NaiveMovingExtremum {
-	return &NaiveMovingExtremum{w: w, isMin: false, buf: make([]float64, w)}
-}
-
-// Process pushes x and rescans the whole window.
-func (m *NaiveMovingExtremum) Process(x float64) float64 {
-	m.buf[m.pos] = x
-	m.pos++
-	if m.pos == m.w {
-		m.pos = 0
-	}
-	if m.n < m.w {
-		m.n++
-	}
-	// Scan the n valid entries.
-	best := x
-	seen := 0
-	for i := 0; i < m.w && seen < m.n; i++ {
-		v := m.buf[i]
-		if i >= m.n && m.n < m.w {
-			break
-		}
-		seen++
-		if m.isMin && v < best {
-			best = v
-		}
-		if !m.isMin && v > best {
-			best = v
-		}
-	}
-	return best
-}

@@ -347,3 +347,70 @@ func TestMovingExtremumRestoreRejects(t *testing.T) {
 		}
 	}
 }
+
+// NaiveMovingExtremum recomputes the window extremum by rescanning the full
+// window on every sample: the O(w) baseline of BenchmarkMovingMinMaxNaive
+// and a reference for the block kernel.
+type NaiveMovingExtremum struct {
+	w     int
+	isMin bool
+	buf   []float64
+	pos   int
+	n     int
+}
+
+// NewNaiveMovingMin returns the O(w)-per-sample baseline minimum.
+func NewNaiveMovingMin(w int) *NaiveMovingExtremum {
+	return &NaiveMovingExtremum{w: w, isMin: true, buf: make([]float64, w)}
+}
+
+// NewNaiveMovingMax returns the O(w)-per-sample baseline maximum.
+func NewNaiveMovingMax(w int) *NaiveMovingExtremum {
+	return &NaiveMovingExtremum{w: w, isMin: false, buf: make([]float64, w)}
+}
+
+// Process pushes x and rescans the whole window.
+func (m *NaiveMovingExtremum) Process(x float64) float64 {
+	m.buf[m.pos] = x
+	m.pos++
+	if m.pos == m.w {
+		m.pos = 0
+	}
+	if m.n < m.w {
+		m.n++
+	}
+	// Scan the n valid entries.
+	best := x
+	seen := 0
+	for i := 0; i < m.w && seen < m.n; i++ {
+		v := m.buf[i]
+		if i >= m.n && m.n < m.w {
+			break
+		}
+		seen++
+		if m.isMin && v < best {
+			best = v
+		}
+		if !m.isMin && v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+// BenchmarkMovingMinMaxNaive is the O(w) rescan baseline of one extremum,
+// in ns per sample; the root package's BenchmarkMovingMinMaxBlock runs
+// the block kernel as the analyzer does, at the same window.
+func BenchmarkMovingMinMaxNaive(b *testing.B) {
+	const w = 8192
+	m := NewNaiveMovingMin(w)
+	rng := sim.NewRNG(1)
+	xs := make([]float64, 1<<16)
+	for i := range xs {
+		xs[i] = rng.Float64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Process(xs[i%len(xs)])
+	}
+}
