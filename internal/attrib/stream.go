@@ -54,32 +54,41 @@ func checkGeometry(frameLen, hop int) error {
 	return nil
 }
 
-// NewStreamAttributor wraps a trained model for continuous matching. It
-// checks the model as it would arrive from an untrusted peer: bounded
-// frame geometry, and every signature a spectrum of the frame's bin count
-// holding finite, non-negative powers.
+// NewStreamAttributor wraps a trained model for continuous matching,
+// refusing one CheckStreamModel refuses.
 func NewStreamAttributor(m *Model) (*StreamAttributor, error) {
-	if m == nil || len(m.Signatures) == 0 {
-		return nil, fmt.Errorf("attrib: empty model")
-	}
-	if err := checkGeometry(m.FrameLen, m.Hop); err != nil {
+	if err := CheckStreamModel(m); err != nil {
 		return nil, err
 	}
+	return &StreamAttributor{m: m, sp: newSpectrum(m.FrameLen)}, nil
+}
+
+// CheckStreamModel checks a model as it would arrive from an untrusted
+// peer, without allocating a matcher: bounded frame geometry, and every
+// signature a spectrum of the frame's bin count holding finite,
+// non-negative powers.
+func CheckStreamModel(m *Model) error {
+	if m == nil || len(m.Signatures) == 0 {
+		return fmt.Errorf("attrib: empty model")
+	}
+	if err := checkGeometry(m.FrameLen, m.Hop); err != nil {
+		return err
+	}
 	if len(m.Signatures) > math.MaxInt16 {
-		return nil, fmt.Errorf("attrib: %d signatures exceed the stream matcher's bound", len(m.Signatures))
+		return fmt.Errorf("attrib: %d signatures exceed the stream matcher's bound", len(m.Signatures))
 	}
 	bins := dsp.NextPow2(m.FrameLen)/2 + 1
 	for _, sig := range m.Signatures {
 		if len(sig.Spectrum) != bins {
-			return nil, fmt.Errorf("attrib: region %d signature has %d bins, want %d", sig.Region, len(sig.Spectrum), bins)
+			return fmt.Errorf("attrib: region %d signature has %d bins, want %d", sig.Region, len(sig.Spectrum), bins)
 		}
 		for _, v := range sig.Spectrum {
 			if !(v >= 0) || math.IsInf(v, 1) {
-				return nil, fmt.Errorf("attrib: region %d signature holds power %v", sig.Region, v)
+				return fmt.Errorf("attrib: region %d signature holds power %v", sig.Region, v)
 			}
 		}
 	}
-	return &StreamAttributor{m: m, sp: newSpectrum(m.FrameLen)}, nil
+	return nil
 }
 
 // Push feeds raw magnitude samples, deciding every frame they complete.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"emprof/internal/jsonfast"
 	"emprof/internal/sim"
 )
 
@@ -79,7 +80,8 @@ func TestProfileUnmarshalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The stdlib's compact shape must take the fast path outright.
-		if _, end, ok := ParseProfileJSON(blob, 0); !ok || end != len(blob) {
+		r := jsonfast.NewReader(blob)
+		if ReadProfile(&r); !r.Done() {
 			t.Fatalf("profile %d: fast path rejected encoding/json's output: %s", i, blob)
 		}
 		var back Profile

@@ -196,12 +196,8 @@ func (s *StreamAnalyzer) Decided() int64 { return s.emitted }
 // serialise them (the profiling service's session lock does exactly
 // this).
 func (s *StreamAnalyzer) Snapshot() *Profile {
-	p := *s.prof
-	p.Stalls = append([]Stall(nil), s.prof.Stalls...)
-	if s.sampleRate > 0 {
-		p.ExecCycles = float64(s.n) * (s.clockHz / s.sampleRate)
-	}
-	p.Quality = s.mon.Quality
+	p := s.SnapshotView()
+	p.Stalls = append([]Stall(nil), p.Stalls...)
 	return &p
 }
 
@@ -210,8 +206,8 @@ func (s *StreamAnalyzer) Snapshot() *Profile {
 // that hold the analyzer's external serialisation lock across both the
 // call and every read of the result (the profiling service encodes the
 // snapshot to JSON under its session lock); the view must not be
-// retained or read after that lock is released. All scalar fields match
-// Snapshot exactly.
+// retained or read after that lock is released. Snapshot is this view
+// with the stall list copied.
 func (s *StreamAnalyzer) SnapshotView() Profile {
 	p := *s.prof
 	if s.sampleRate > 0 {

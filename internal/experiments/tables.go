@@ -114,19 +114,6 @@ func RunTable3(o Options) (*Table3, error) {
 	dev := device.SESC()
 	t := &Table3{}
 
-	score := func(run *emprof.Run, prof *core.Profile, lo, hi uint64) Table3Row {
-		truth := mergedTruthBetween(run, lo, hi)
-		v := prof.ValidateAgainst(truth)
-		return Table3Row{
-			MissPct:        v.MissCount.Percent,
-			StallPct:       v.StallCycles.Percent,
-			Detected:       int(v.MissCount.Detected),
-			TrueEvents:     int(v.MissCount.Actual),
-			DetectedCycles: v.StallCycles.Detected,
-			TrueCycles:     v.StallCycles.Actual,
-		}
-	}
-
 	for _, mp := range o.microGrid() {
 		run, slice, err := simulateMicro(dev, mp, emprof.CaptureOptions{
 			Seed: o.Seed, NoiseFree: true, BandwidthHz: 50e6,
@@ -153,16 +140,17 @@ func RunTable3(o Options) (*Table3, error) {
 			return nil, err
 		}
 		prof := analyze(run.Capture)
-		row := score(run, prof, 0, run.Truth.Cycles)
+		row := scoreRegion(prof, run, 0, run.Truth.Cycles)
 		row.Name = name
 		t.SPEC = append(t.SPEC, row)
 	}
 	return t, nil
 }
 
-// scoreRegion validates a region-sliced profile: the profile's sample
-// positions are region-relative, so the ground-truth intervals are
-// shifted to the region origin before matching.
+// scoreRegion validates a profile against the ground truth of cycles
+// [lo, hi): the profile's sample positions are relative to lo, so the
+// ground-truth intervals are shifted to it before matching. A whole run
+// is the region from 0.
 func scoreRegion(prof *core.Profile, run *emprof.Run, lo, hi uint64) Table3Row {
 	truth := mergedTruthBetween(run, lo, hi)
 	rel := truth[:0:0]

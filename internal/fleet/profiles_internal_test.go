@@ -223,6 +223,31 @@ func oracleFanIn(t *testing.T, shards []string, target string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
+// stateRank is the oracle's own ranking of session states for the
+// merge: the live owner (active/pinned/finalized) beats store-only
+// shards.
+func stateRank(state string) int {
+	switch state {
+	case "active":
+		return 4
+	case "pinned":
+		return 3
+	case "finalized":
+		return 2
+	case "detached":
+		return 1
+	}
+	return 0
+}
+
+// splitProfilesFast reads a shard's profiles body with the fast reader
+// alone, reporting whether it took the whole body.
+func splitProfilesFast(data []byte) (service.ProfilesResponse, []service.RawWindow, bool) {
+	r := jsonfast.NewReader(data)
+	env, wins := service.ReadProfiles(&r)
+	return env, wins, r.Done()
+}
+
 // fanInFixture is two real shards whose stores split sessions the way
 // hand-offs and retention leave them, behind a router.
 type fanInFixture struct {
@@ -399,10 +424,11 @@ func TestFanInSetsContentLength(t *testing.T) {
 	}
 }
 
-// FuzzProfilesSplit checks the fan-in's shard-body splitter against
-// encoding/json: it must err exactly when json.Unmarshal into
-// service.ProfilesResponse errs, and otherwise yield the same envelope and
-// windows that decode — and so re-encode — to the stdlib's.
+// FuzzProfilesSplit checks the splitter the fan-in reads shard bodies
+// with (service.SplitProfiles) against encoding/json: it must err exactly
+// when json.Unmarshal into service.ProfilesResponse errs, and otherwise
+// yield the same envelope and windows that decode — and so re-encode — to
+// the stdlib's.
 func FuzzProfilesSplit(f *testing.F) {
 	page := func(env service.ProfilesResponse, ws ...core.ProfileWindow) []byte {
 		var buf bytes.Buffer
@@ -435,7 +461,7 @@ func FuzzProfilesSplit(f *testing.F) {
 	named.Regions = []core.WindowRegion{{Region: 1, Name: "inner<loop>&co", Misses: 1}, {Region: 2, Name: "boucle intérieure ✓"}}
 	f.Add(page(service.ProfilesResponse{ID: "émigré", State: "active", LatestIndex: 1}, w0, named))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		env, wins, err := splitProfiles(body)
+		env, wins, err := service.SplitProfiles(body)
 		var want service.ProfilesResponse
 		werr := json.Unmarshal(body, &want)
 		if (err != nil) != (werr != nil) {
@@ -449,11 +475,11 @@ func FuzzProfilesSplit(f *testing.F) {
 		}
 		for i, rw := range wins {
 			var got core.ProfileWindow
-			if err := json.Unmarshal(rw.raw, &got); err != nil {
+			if err := json.Unmarshal(rw.JSON, &got); err != nil {
 				t.Fatalf("window %d does not decode: %v", i, err)
 			}
-			if rw.index != want.Windows[i].Index || got.Index != rw.index {
-				t.Fatalf("window %d keyed %d, decodes to %d, stdlib %d", i, rw.index, got.Index, want.Windows[i].Index)
+			if rw.Index != want.Windows[i].Index || got.Index != rw.Index {
+				t.Fatalf("window %d keyed %d, decodes to %d, stdlib %d", i, rw.Index, got.Index, want.Windows[i].Index)
 			}
 			a, _ := json.Marshal(&got)
 			b, _ := json.Marshal(&want.Windows[i])

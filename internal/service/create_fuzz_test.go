@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"emprof/internal/attrib"
@@ -27,7 +28,8 @@ const createFuzzWindowCap = 1 << 16
 // create must return its reserved share. A created session must then take
 // three pushes of a dip signal (200 each) and finalize (200), which
 // returns its share: no create body may leave a session whose analysis or
-// attribution stage fails.
+// attribution stage fails. A server that does not window must refuse
+// every model the windowed one refuses.
 func FuzzCreateSession(f *testing.F) {
 	const rate, clock = 40e6, 1e9
 	add := func(req CreateRequest) {
@@ -87,6 +89,16 @@ func FuzzCreateSession(f *testing.F) {
 			return rec
 		}
 		rec := do(http.MethodPost, "/v1/sessions", body)
+		// A server that does not window checks the attribution model
+		// too: a model the windowed server refuses, it refuses.
+		bare := New(Config{})
+		defer bare.Close()
+		brec := httptest.NewRecorder()
+		bare.Handler().ServeHTTP(brec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+		var refusal apiError
+		if json.Unmarshal(rec.Body.Bytes(), &refusal) == nil && strings.HasPrefix(refusal.Error, "attrib: ") && brec.Code != http.StatusBadRequest {
+			t.Fatalf("windowed create refused the model (%s), windowless create answered %d", refusal.Error, brec.Code)
+		}
 		switch rec.Code {
 		case http.StatusTooManyRequests:
 			if share <= createFuzzWindowCap {

@@ -208,8 +208,9 @@ type CreateRequest struct {
 	// alone; ordinary clients leave it empty (server-assigned).
 	ID string `json:"id,omitempty"`
 	// Attribution optionally attaches a trained attribution model to the
-	// session (overriding any daemon-wide model): rolling windows then
-	// carry live stall→code-region attribution.
+	// session: its rolling windows then carry live stall→code-region
+	// attribution. Every daemon checks the model; one that does not
+	// window ignores it.
 	Attribution *attrib.Model `json:"attribution,omitempty"`
 }
 

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 
 	"emprof/internal/core"
+	"emprof/internal/jsonfast"
 	"emprof/internal/profstore"
 )
 
@@ -62,7 +64,7 @@ func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, []
 	if closed {
 		return nil, nil, ErrClosed
 	}
-	resp := &ProfilesResponse{ID: id, Windows: []core.ProfileWindow{}, LatestIndex: -1}
+	resp := newProfilesResponse(id)
 	if s != nil {
 		s.mu.Lock()
 		s.lastActive = r.cfg.Now()
@@ -97,6 +99,11 @@ func (r *Registry) Profiles(id string, q profstore.Query) (*ProfilesResponse, []
 	resp.NextAfter = res.NextAfter
 	resp.LatestIndex = res.LatestIndex
 	return resp, res.Windows, nil
+}
+
+// newProfilesResponse is the envelope of a page with no windows yet.
+func newProfilesResponse(id string) *ProfilesResponse {
+	return &ProfilesResponse{ID: id, Windows: []core.ProfileWindow{}, LatestIndex: -1}
 }
 
 // windowsSlot is the empty windows array in an encoded envelope.
@@ -139,6 +146,188 @@ func EncodeProfiles(buf *bytes.Buffer, env *ProfilesResponse, windows [][]byte) 
 	}
 	buf.Write(tail)
 	return nil
+}
+
+// RawWindow is one window of a profiles body: its index and its JSON as
+// encoding/json wrote it.
+type RawWindow struct {
+	Index int64
+	JSON  []byte
+}
+
+// ReadProfiles reads a profiles body in the compact shape EncodeProfiles
+// writes: the envelope, with Windows empty, and each window as the bytes
+// it spans, checked by core.ReadWindow without being built.
+func ReadProfiles(r *jsonfast.Reader) (env ProfilesResponse, wins []RawWindow) {
+	env.Windows = []core.ProfileWindow{}
+	r.Object("")
+	env.ID = r.String("id")
+	env.State = r.String("state")
+	if r.Has("window_s") {
+		env.WindowS = r.Float("")
+	}
+	if r.Has("sample_rate") {
+		env.SampleRate = r.Float("")
+	}
+	if r.Has("clock_hz") {
+		env.ClockHz = r.Float("")
+	}
+	if r.Array("windows") {
+		for r.Next() {
+			at := r.Pos()
+			w := core.ReadWindow(r, false)
+			wins = append(wins, RawWindow{Index: w.Index, JSON: r.Since(at)})
+		}
+	}
+	if r.Has("truncated") {
+		env.Truncated = r.Bool("")
+	}
+	if r.Has("more") {
+		env.More = r.Bool("")
+	}
+	if r.Has("next_after") {
+		env.NextAfter = r.Int("")
+	}
+	env.LatestIndex = r.Int("latest_index")
+	r.End()
+	return env, wins
+}
+
+// SplitProfiles splits a profiles body into its envelope, with Windows
+// empty, and its windows as byte slices of body. A body ReadProfiles
+// does not take (an ID or region name with escapes, whitespace, another
+// field order) goes through encoding/json, and its decoded windows are
+// re-encoded. Either way the split errs exactly when json.Unmarshal into
+// ProfilesResponse errs, and the windows decode to what it decodes
+// (FuzzProfilesSplit).
+func SplitProfiles(body []byte) (ProfilesResponse, []RawWindow, error) {
+	r := jsonfast.NewReader(body)
+	if env, wins := ReadProfiles(&r); r.Done() {
+		return env, wins, nil
+	}
+	var resp ProfilesResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return ProfilesResponse{}, nil, err
+	}
+	wins := make([]RawWindow, len(resp.Windows))
+	for i := range resp.Windows {
+		raw, err := json.Marshal(&resp.Windows[i])
+		if err != nil {
+			return ProfilesResponse{}, nil, err
+		}
+		wins[i] = RawWindow{Index: resp.Windows[i].Index, JSON: raw}
+	}
+	resp.Windows = []core.ProfileWindow{}
+	return resp, wins, nil
+}
+
+// ProfilesMerge joins several servers' pages for one profiles query into
+// one page: the fleet router fans the query out to every shard, since a
+// session that moved has its windows spread over the shards it passed
+// through. Windows merge deduplicated by index and sorted, so
+// core.MergeWindows on the merged page works exactly as on one server's.
+// The windows are relayed as the bytes the servers sent.
+type ProfilesMerge struct {
+	env  ProfilesResponse
+	wins []RawWindow
+}
+
+// NewProfilesMerge starts a merge of pages for session id.
+func NewProfilesMerge(id string) *ProfilesMerge {
+	return &ProfilesMerge{env: *newProfilesResponse(id)}
+}
+
+// Add merges one server's 200 body; it errs when the body is no profiles
+// page.
+func (m *ProfilesMerge) Add(body []byte) error {
+	env, wins, err := SplitProfiles(body)
+	if err != nil {
+		return err
+	}
+	m.wins = append(m.wins, wins...)
+	m.env.Truncated = m.env.Truncated || env.Truncated
+	m.env.More = m.env.More || env.More
+	m.env.LatestIndex = max(m.env.LatestIndex, env.LatestIndex)
+	// The server still holding the live session is authoritative for
+	// state and acquisition metadata; store-only servers say "detached".
+	if stateRank(env.State) > stateRank(m.env.State) {
+		m.env.State, m.env.WindowS = env.State, env.WindowS
+		m.env.SampleRate, m.env.ClockHz = env.SampleRate, env.ClockHz
+	}
+	return nil
+}
+
+// Len returns the number of windows merged, duplicates included.
+func (m *ProfilesMerge) Len() int { return len(m.wins) }
+
+// Encode appends the merged page to buf, as EncodeProfiles does; gone
+// marks it truncated, for a server that answered 410 on part of the
+// range. Each server enforced limit= and last= on its own fragment, so
+// the union can overshoot: Encode trims it to those bounds and recomputes
+// More and NextAfter against the merged sequence, keeping the cursor loop
+// ("pass next_after as after=") valid.
+func (m *ProfilesMerge) Encode(buf *bytes.Buffer, gone bool, limit, last int) error {
+	// Sort by index and keep the first server's copy of a duplicate index.
+	wins := m.wins
+	sort.SliceStable(wins, func(i, j int) bool { return wins[i].Index < wins[j].Index })
+	uniq := wins[:0]
+	for _, w := range wins {
+		if n := len(uniq); n == 0 || uniq[n-1].Index != w.Index {
+			uniq = append(uniq, w)
+		}
+	}
+	wins = uniq
+	env := m.env
+	env.Truncated = env.Truncated || gone
+	// A server that capped its fragment (at limit=, or at the store's
+	// default page size when the caller named none) still holds windows
+	// past its last served index, while another may have served higher
+	// indexes already. Serving the sorted union across that jump would
+	// point NextAfter past the capped server's remainder and strand those
+	// windows behind the cursor forever. Cut the page at the first index
+	// discontinuity instead: the next "pass next_after as after="
+	// iteration re-fetches from the gap and walks the full sequence.
+	// Tail (last=) queries keep the newest windows by design and are not
+	// cursor-walked, so they are served uncut.
+	if env.More && last == 0 {
+		for i := 1; i < len(wins); i++ {
+			if wins[i].Index != wins[i-1].Index+1 {
+				wins = wins[:i]
+				break
+			}
+		}
+	}
+	if last > 0 && len(wins) > last {
+		wins = wins[len(wins)-last:]
+	}
+	if limit > 0 && len(wins) > limit {
+		wins = wins[:limit]
+		env.More = true
+	}
+	if env.More && len(wins) > 0 {
+		env.NextAfter = wins[len(wins)-1].Index
+	}
+	raws := make([][]byte, len(wins))
+	for i := range wins {
+		raws[i] = wins[i].JSON
+	}
+	return EncodeProfiles(buf, &env, raws)
+}
+
+// stateRank orders session states by authority for a merge: the live
+// owner (active/pinned/finalized) beats store-only servers.
+func stateRank(state string) int {
+	switch state {
+	case "active":
+		return 4
+	case "pinned":
+		return 3
+	case "finalized":
+		return 2
+	case "detached":
+		return 1
+	}
+	return 0
 }
 
 // parseProfilesQuery maps the profiles route's query string onto a store

@@ -278,7 +278,8 @@ type CreateOpts struct {
 	Config core.Config
 	// Attribution optionally attaches a trained model to this session;
 	// its windows then carry live stall→code-region attribution
-	// (ProfileWindow.Regions).
+	// (ProfileWindow.Regions). Every registry checks the model; one that
+	// does not window ignores it.
 	Attribution *attrib.Model
 }
 
@@ -287,6 +288,11 @@ type CreateOpts struct {
 func (r *Registry) CreateSession(o CreateOpts) (id string, err error) {
 	if err := checkSession(o.ID, o.SampleRate, o.ClockHz); err != nil {
 		return "", err
+	}
+	if o.Attribution != nil {
+		if err := attrib.CheckStreamModel(o.Attribution); err != nil {
+			return "", err
+		}
 	}
 	share, err := r.reserve(o.Config, o.SampleRate)
 	if err != nil {

@@ -7,14 +7,15 @@ import (
 	"emprof/internal/jsonfast"
 )
 
-// UnmarshalJSON decodes a snapshot: the fast path accepts exactly the
-// compact shape encoding/json emits, everything else falls back to the
-// reflection decoder, so it accepts and rejects exactly what the plain
-// struct does (FuzzSnapshotDecode). The client decodes every live
-// profile poll through it.
+// UnmarshalJSON decodes a snapshot: its fields in wire order over a
+// jsonfast.Reader, which takes exactly the compact shape encoding/json
+// emits; everything else falls back to the reflection decoder, so it
+// accepts and rejects exactly what the plain struct does
+// (FuzzSnapshotDecode). The client decodes every live profile poll
+// through it.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
-	data = jsonfast.TrimSpace(data)
-	if out, ok := parseSnapshotFast(data); ok {
+	r := jsonfast.NewReader(data)
+	if out := readSnapshot(&r); r.Done() {
 		*s = out
 		return nil
 	}
@@ -30,81 +31,30 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-func parseSnapshotFast(data []byte) (Snapshot, bool) {
-	var s Snapshot
-	var ok bool
-	i := 0
-	if i, ok = jsonfast.Eat(data, i, `{"id":`); !ok {
-		return s, false
+func readSnapshot(r *jsonfast.Reader) (s Snapshot) {
+	r.Object("")
+	s.ID = r.String("id")
+	if r.Has("device") {
+		s.Device = r.String("")
 	}
-	if s.ID, i, ok = jsonfast.String(data, i); !ok {
-		return s, false
+	s.State = r.String("state")
+	s.SamplesIngested = r.Int("samples_ingested")
+	s.SamplesDecided = r.Int("samples_decided")
+	s.BytesIngested = r.Int("bytes_ingested")
+	if !r.Null("profile") {
+		p := core.ReadProfile(r)
+		s.Profile = &p
 	}
-	if j, present := jsonfast.Eat(data, i, `,"device":`); present {
-		if s.Device, i, ok = jsonfast.String(data, j); !ok {
-			return s, false
-		}
-	}
-	if i, ok = jsonfast.Eat(data, i, `,"state":`); !ok {
-		return s, false
-	}
-	if s.State, i, ok = jsonfast.String(data, i); !ok {
-		return s, false
-	}
-	if i, ok = jsonfast.Eat(data, i, `,"samples_ingested":`); !ok {
-		return s, false
-	}
-	if s.SamplesIngested, i, ok = jsonfast.Int(data, i); !ok {
-		return s, false
-	}
-	if i, ok = jsonfast.Eat(data, i, `,"samples_decided":`); !ok {
-		return s, false
-	}
-	if s.SamplesDecided, i, ok = jsonfast.Int(data, i); !ok {
-		return s, false
-	}
-	if i, ok = jsonfast.Eat(data, i, `,"bytes_ingested":`); !ok {
-		return s, false
-	}
-	if s.BytesIngested, i, ok = jsonfast.Int(data, i); !ok {
-		return s, false
-	}
-	if i, ok = jsonfast.Eat(data, i, `,"profile":`); !ok {
-		return s, false
-	}
-	if j, isNull := jsonfast.Eat(data, i, "null"); isNull {
-		i = j
-	} else {
-		prof, j, ok := core.ParseProfileJSON(data, i)
-		if !ok {
-			return s, false
-		}
-		s.Profile = &prof
-		i = j
-	}
-	if i, ok = jsonfast.Eat(data, i, `,"mean_confidence":`); !ok {
-		return s, false
-	}
-	if s.MeanConfidence, i, ok = jsonfast.Float(data, i); !ok {
-		return s, false
-	}
-	if i, ok = jsonfast.Eat(data, i, `,"confidence_hist":[`); !ok {
-		return s, false
-	}
-	for k := range s.ConfidenceHist {
-		if k > 0 {
-			if i, ok = jsonfast.Eat(data, i, ","); !ok {
-				return s, false
+	s.MeanConfidence = r.Float("mean_confidence")
+	if r.Array("confidence_hist") {
+		// Like encoding/json, elements past the array's length are
+		// dropped and missing ones read as zero.
+		for k := 0; r.Next(); k++ {
+			if n := r.Int(""); k < len(s.ConfidenceHist) {
+				s.ConfidenceHist[k] = int(n)
 			}
 		}
-		var n int64
-		if n, i, ok = jsonfast.Int(data, i); !ok {
-			return s, false
-		}
-		s.ConfidenceHist[k] = int(n)
 	}
-	if i, ok = jsonfast.Eat(data, i, "]}"); !ok || i != len(data) {
-		return s, false
-	}
-	return s, true
+	r.End()
+	return s
 }
