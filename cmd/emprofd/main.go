@@ -82,13 +82,9 @@ func main() {
 		storeMaxBytes = flag.Float64("store-max-bytes", 0, "window store retention cap in bytes; oldest segments evict past it (0 = default 256 MiB, negative = unbounded)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "window store age cap; segments older than this evict (0 = no age eviction)")
 
-		router         = flag.Bool("router", false, "run as a fleet router in front of -shards instead of serving sessions directly")
-		shards         = flag.String("shards", "", "with -router: comma-separated shard base URLs, e.g. http://10.0.0.1:7979,http://10.0.0.2:7979")
-		ringSeed       = flag.Uint64("ring-seed", 0, "with -router: consistent-hash ring seed (every router replica in front of one fleet must agree)")
-		vnodes         = flag.Int("vnodes", 0, "with -router: virtual nodes per shard on the ring (0 = default)")
-		healthInterval = flag.Duration("health-interval", 0, "with -router: shard health-probe spacing (0 = default 2s)")
-		failThreshold  = flag.Int("fail-threshold", 0, "with -router: consecutive probe failures before a shard is marked down (0 = default 3)")
-		moveTimeout    = flag.Duration("move-timeout", 0, "with -router: per-shard-call deadline during rebalance hand-off (0 = default 30s)")
+		router   = flag.Bool("router", false, "run as a fleet router in front of -shards instead of serving sessions directly")
+		shards   = flag.String("shards", "", "with -router: comma-separated shard base URLs, e.g. http://10.0.0.1:7979,http://10.0.0.2:7979")
+		ringSeed = flag.Uint64("ring-seed", 0, "with -router: consistent-hash ring seed (every router replica in front of one fleet must agree)")
 	)
 	flag.Parse()
 	if *showVersion {
@@ -96,7 +92,7 @@ func main() {
 		return
 	}
 	if *router {
-		runRouter(*addr, *shards, *ringSeed, *vnodes, *healthInterval, *failThreshold, *moveTimeout)
+		runRouter(*addr, *shards, *ringSeed)
 		return
 	}
 
@@ -165,21 +161,14 @@ func main() {
 // runRouter serves the fleet front: session routing over a consistent
 // hash ring, fleet-wide list/metrics aggregation, health-checked shard
 // membership with live hand-off on /v1/fleet/shards changes.
-func runRouter(addr, shardList string, seed uint64, vnodes int, healthInterval time.Duration, failThreshold int, moveTimeout time.Duration) {
+func runRouter(addr, shardList string, seed uint64) {
 	var urls []string
 	for _, s := range strings.Split(shardList, ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			urls = append(urls, s)
 		}
 	}
-	rt, err := fleet.NewRouter(fleet.Config{
-		Shards:         urls,
-		Seed:           seed,
-		VirtualNodes:   vnodes,
-		HealthInterval: healthInterval,
-		FailThreshold:  failThreshold,
-		MoveTimeout:    moveTimeout,
-	})
+	rt, err := fleet.NewRouter(fleet.Config{Shards: urls, Seed: seed})
 	if err != nil {
 		fatal(err)
 	}

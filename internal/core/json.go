@@ -38,10 +38,10 @@ func (sl *StallList) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// UnmarshalJSON decodes a profile. The fallback decodes into the current
-// value, keeping the stdlib's merge semantics for partial objects; the
-// plainProfile shadow cannot recurse, and its StallList field keeps its
-// own codec.
+// UnmarshalJSON decodes a profile. Both paths replace the receiver: the
+// fallback decodes into a zero value too, so a field the input lacks
+// reads as zero whichever path took it. The plainProfile shadow cannot
+// recurse, and its StallList field keeps its own codec.
 func (p *Profile) UnmarshalJSON(data []byte) error {
 	r := jsonfast.NewReader(data)
 	if out := ReadProfile(&r); r.Done() {
@@ -49,7 +49,7 @@ func (p *Profile) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	type plainProfile Profile
-	out := plainProfile(*p)
+	var out plainProfile
 	if err := json.Unmarshal(data, &out); err != nil {
 		return err
 	}
@@ -65,7 +65,7 @@ func (w *ProfileWindow) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	type plainWindow ProfileWindow
-	out := plainWindow(*w)
+	var out plainWindow
 	if err := json.Unmarshal(data, &out); err != nil {
 		return err
 	}

@@ -20,17 +20,14 @@ type LocalFleet struct {
 	RouterURL string
 	ShardURLs []string
 
-	shards     []*service.Server
-	servers    []*http.Server
-	stopHealth func()
-	nextShard  int
-	shardCfg   service.Config
+	shards   []*service.Server
+	servers  []*http.Server
+	shardCfg service.Config
 }
 
 // StartLocal boots a fleet of n shards behind a router. shardCfg
 // configures every shard's registry; routerCfg.Shards is filled in by
-// StartLocal (set the rest — seed, vnodes, health cadence — as needed).
-// Health probing starts only when routerCfg.HealthInterval > 0.
+// StartLocal (set the rest as needed). The router runs no health probes.
 func StartLocal(n int, shardCfg service.Config, routerCfg Config) (*LocalFleet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fleet: need at least one shard")
@@ -55,9 +52,6 @@ func StartLocal(n int, shardCfg service.Config, routerCfg Config) (*LocalFleet, 
 		return nil, err
 	}
 	f.RouterURL = url
-	if routerCfg.HealthInterval > 0 {
-		f.stopHealth = rt.Start()
-	}
 	return f, nil
 }
 
@@ -70,7 +64,6 @@ func (f *LocalFleet) startShard() (string, error) {
 	}
 	f.shards = append(f.shards, srv)
 	f.ShardURLs = append(f.ShardURLs, url)
-	f.nextShard++
 	return url, nil
 }
 
@@ -106,9 +99,6 @@ func (f *LocalFleet) Shards() []*service.Server { return f.shards }
 // Close shuts the fleet down: router first (no new traffic), then every
 // shard, finalizing their in-flight sessions.
 func (f *LocalFleet) Close() {
-	if f.stopHealth != nil {
-		f.stopHealth()
-	}
 	if f.Router != nil {
 		// The router's pool can hold a shard connection it dialed but
 		// never used; the shard's Shutdown would wait 5 s for it to turn

@@ -10,15 +10,15 @@ import (
 )
 
 // Membership changes move live sessions with the shard-side hand-off
-// protocol (internal/service/handoff.go): pin on the old owner — its
-// ingest answers 503, which clients retry, so no sample can land twice
-// — then export, import on the new owner, swap the ring, and finally
-// forget on the old owner. The ring swaps only after every mover is
-// imported, so a push racing the rebalance either reaches the old owner
-// (pinned: 503, retried) or, after the swap, the new owner (which has
-// the session). A session whose move fails is unpinned where it is and
-// recorded in the override table so it keeps routing to its old shard
-// until it finalizes.
+// protocol (internal/service/handoff.go): export from the old owner,
+// which pins the session there — its ingest answers 503, which clients
+// retry, so no sample can land twice — then import on the new owner,
+// swap the ring, and finally forget on the old owner. The ring swaps
+// only after every mover is imported, so a push racing the rebalance
+// either reaches the old owner (pinned: 503, retried) or, after the
+// swap, the new owner (which has the session). A session whose move
+// fails is unpinned where it is and recorded in the override table so
+// it keeps routing to its old shard until it finalizes.
 
 // AddShard grows the fleet by one shard and hands it the sessions the
 // new ring assigns to it.
@@ -60,7 +60,7 @@ type mover struct {
 // rebalance migrates every session on the source shards whose owner
 // changes from the current to the next ring, then installs next.
 //
-// Every shard call is individually bounded by cfg.MoveTimeout: the
+// Every shard call is individually bounded by moveTimeout: the
 // whole run happens under rebalanceMu, so an unbounded call to a
 // wedged shard would block membership changes (and creates, which
 // read-lock the same mutex) forever. A timed-out listing fails the
@@ -70,7 +70,7 @@ func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
 	defer rt.rebalances.Add(1)
 	var movers []mover
 	for _, shard := range sources {
-		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), rt.moveTimeout)
 		infos, err := sessionList(rt.call(ctx, http.MethodGet, shard, "/v1/sessions", nil))
 		cancel()
 		if err != nil {
@@ -116,7 +116,7 @@ func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
 		case oks[i]:
 			moved = append(moved, m)
 		}
-		// Neither: the session finalized between listing and pinning —
+		// Neither: the session finalized between listing and export —
 		// nothing moved, nothing to forget.
 	}
 
@@ -148,7 +148,7 @@ func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
 	// benign: the session stays pinned there, untouchable, until the
 	// shard's idle-TTL sweeper collects it.
 	for _, m := range moved {
-		fctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
+		fctx, cancel := context.WithTimeout(context.Background(), rt.moveTimeout)
 		rt.call(fctx, http.MethodPost, m.from, service.SessionPath(m.id, "/forget"), nil)
 		cancel()
 		rt.sessionsMoved.Add(1)
@@ -160,46 +160,41 @@ func (rt *Router) rebalance(cur, next *Ring, sources []string) error {
 	return nil
 }
 
-// moveSession runs pin → export → import for one session; moved
-// reports whether the session actually changed shards. On any failure
-// after the pin, the pin is lifted and the session keeps serving where
-// it was. The whole pin→export→import chain shares one MoveTimeout
-// deadline; the unpin rollback gets a fresh one, because the move's
-// deadline may be the very thing that just expired.
+// moveSession runs export → import for one session; moved reports
+// whether the session actually changed shards. The export pins the
+// session on its old owner; if the import fails, the pin is lifted and
+// the session keeps serving where it was. Export and import share one
+// moveTimeout deadline; the unpin rollback gets a fresh one, because
+// the move's deadline may be the very thing that just expired.
 func (rt *Router) moveSession(m mover) (moved bool, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rt.moveTimeout)
 	defer cancel()
-	code, _, err := rt.call(ctx, http.MethodPost, m.from, service.SessionPath(m.id, "/pin"), nil)
-	if err != nil {
-		return false, fmt.Errorf("pinning %s on %s: %w", m.id, m.from, err)
-	}
-	if code == http.StatusNotFound {
+	code, blob, err := rt.call(ctx, http.MethodPost, m.from, service.SessionPath(m.id, "/export"), nil)
+	if err == nil && code == http.StatusNotFound {
 		return false, nil // finalized while we were listing; nothing to move
 	}
-	if code != http.StatusOK {
-		return false, fmt.Errorf("pinning %s on %s: HTTP %d", m.id, m.from, code)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("HTTP %d", code)
 	}
-	unpin := func() {
-		uctx, ucancel := context.WithTimeout(context.Background(), rt.cfg.MoveTimeout)
-		defer ucancel()
-		rt.call(uctx, http.MethodPost, m.from, service.SessionPath(m.id, "/unpin"), nil)
-	}
-
-	code, blob, err := rt.call(ctx, http.MethodPost, m.from, service.SessionPath(m.id, "/export"), nil)
-	if err != nil || code != http.StatusOK {
-		unpin()
-		if err == nil {
-			err = fmt.Errorf("HTTP %d", code)
-		}
+	if err != nil {
+		// An export that failed in transit may have pinned the session.
+		rt.unpin(m)
 		return false, fmt.Errorf("exporting %s from %s: %w", m.id, m.from, err)
 	}
 	code, _, err = rt.call(ctx, http.MethodPost, m.to, "/v1/sessions/import", blob)
-	if err != nil || code != http.StatusCreated {
-		unpin()
-		if err == nil {
-			err = fmt.Errorf("HTTP %d", code)
-		}
+	if err == nil && code != http.StatusCreated {
+		err = fmt.Errorf("HTTP %d", code)
+	}
+	if err != nil {
+		rt.unpin(m)
 		return false, fmt.Errorf("importing %s into %s: %w", m.id, m.to, err)
 	}
 	return true, nil
+}
+
+// unpin rolls a failed move back on the session's old owner.
+func (rt *Router) unpin(m mover) {
+	ctx, cancel := context.WithTimeout(context.Background(), rt.moveTimeout)
+	defer cancel()
+	rt.call(ctx, http.MethodPost, m.from, service.SessionPath(m.id, "/unpin"), nil)
 }

@@ -20,9 +20,9 @@ import (
 // on every membership change.
 const DefaultVirtualNodes = 128
 
-// Ring is a consistent hash ring: every shard owns VirtualNodes points
-// on a 64-bit circle and a session ID belongs to the shard whose point
-// follows the ID's hash. Adding or removing one shard therefore moves
+// Ring is a consistent hash ring: every shard owns DefaultVirtualNodes
+// points on a 64-bit circle and a session ID belongs to the shard whose
+// point follows the ID's hash. Adding or removing one shard therefore moves
 // only the sessions adjacent to that shard's points — about K/N of them
 // — instead of rehashing the world. Hashing is deterministic (splitmix64
 // over FNV-1a coordinates, seed-remixed like internal/batch seeds), so
@@ -30,7 +30,6 @@ const DefaultVirtualNodes = 128
 // ownership without coordination.
 type Ring struct {
 	seed   uint64
-	vnodes int
 	shards []string // sorted, deduplicated
 	points []point  // sorted by hash
 }
@@ -40,13 +39,10 @@ type point struct {
 	shard string
 }
 
-// NewRing builds a ring over the given shard names (URLs). vnodes <= 0
-// means DefaultVirtualNodes. Shard order does not matter; duplicates
-// collapse. An empty shard set is valid (Owner returns "").
-func NewRing(shards []string, vnodes int, seed uint64) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring over the given shard names (URLs). Shard order
+// does not matter; duplicates collapse. An empty shard set is valid
+// (Owner returns "").
+func NewRing(shards []string, seed uint64) *Ring {
 	uniq := make([]string, 0, len(shards))
 	seen := make(map[string]bool, len(shards))
 	for _, s := range shards {
@@ -56,11 +52,11 @@ func NewRing(shards []string, vnodes int, seed uint64) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{seed: seed, vnodes: vnodes, shards: uniq}
-	r.points = make([]point, 0, len(uniq)*vnodes)
+	r := &Ring{seed: seed, shards: uniq}
+	r.points = make([]point, 0, len(uniq)*DefaultVirtualNodes)
 	for _, s := range uniq {
 		sh := batch.MixSeedString(s)
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, point{batch.MixSeed(seed, sh, uint64(v)), s})
 		}
 	}
@@ -101,9 +97,9 @@ func (r *Ring) Has(shard string) bool {
 	return i < len(r.shards) && r.shards[i] == shard
 }
 
-// With returns a new ring with one shard added (same seed and vnode
-// count); adding an existing member errors rather than silently no-op,
-// so membership bugs surface.
+// With returns a new ring with one shard added (same seed); adding an
+// existing member errors rather than silently no-op, so membership bugs
+// surface.
 func (r *Ring) With(shard string) (*Ring, error) {
 	if shard == "" {
 		return nil, fmt.Errorf("fleet: empty shard name")
@@ -111,7 +107,7 @@ func (r *Ring) With(shard string) (*Ring, error) {
 	if r.Has(shard) {
 		return nil, fmt.Errorf("fleet: shard %q already in ring", shard)
 	}
-	return NewRing(append(r.Shards(), shard), r.vnodes, r.seed), nil
+	return NewRing(append(r.Shards(), shard), r.seed), nil
 }
 
 // Without returns a new ring with one shard removed.
@@ -125,5 +121,5 @@ func (r *Ring) Without(shard string) (*Ring, error) {
 			rest = append(rest, s)
 		}
 	}
-	return NewRing(rest, r.vnodes, r.seed), nil
+	return NewRing(rest, r.seed), nil
 }

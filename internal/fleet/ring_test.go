@@ -28,7 +28,7 @@ func shardNames(n int) []string {
 func TestRingBalance(t *testing.T) {
 	ids := ringIDs(10000)
 	for n := 1; n <= 64; n++ {
-		ring := NewRing(shardNames(n), 0, 42)
+		ring := NewRing(shardNames(n), 42)
 		load := map[string]int{}
 		for _, id := range ids {
 			load[ring.Owner(id)]++
@@ -53,7 +53,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 	ids := ringIDs(10000)
 	for _, n := range []int{1, 2, 3, 7, 16, 63} {
 		shards := shardNames(n + 1)
-		small := NewRing(shards[:n], 0, 42)
+		small := NewRing(shards[:n], 42)
 		grown, err := small.With(shards[n])
 		if err != nil {
 			t.Fatal(err)
@@ -89,17 +89,17 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-// TestRingDeterminism: ownership depends only on (shard set, vnodes,
-// seed) — not on insertion order or which replica computes it.
+// TestRingDeterminism: ownership depends only on (shard set, seed) —
+// not on insertion order or which replica computes it.
 func TestRingDeterminism(t *testing.T) {
 	shards := shardNames(5)
 	reversed := make([]string, len(shards))
 	for i, s := range shards {
 		reversed[len(shards)-1-i] = s
 	}
-	a := NewRing(shards, 64, 99)
-	b := NewRing(reversed, 64, 99)
-	other := NewRing(shards, 64, 100)
+	a := NewRing(shards, 99)
+	b := NewRing(reversed, 99)
+	other := NewRing(shards, 100)
 	diff := 0
 	for _, id := range ringIDs(2000) {
 		if a.Owner(id) != b.Owner(id) {
@@ -116,11 +116,11 @@ func TestRingDeterminism(t *testing.T) {
 
 // TestRingEdges covers the degenerate and error paths.
 func TestRingEdges(t *testing.T) {
-	empty := NewRing(nil, 0, 1)
+	empty := NewRing(nil, 1)
 	if got := empty.Owner("x"); got != "" {
 		t.Fatalf("empty ring owner = %q", got)
 	}
-	one := NewRing([]string{"a", "a", "a"}, 0, 1)
+	one := NewRing([]string{"a", "a", "a"}, 1)
 	if got := one.Shards(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("duplicates not collapsed: %v", got)
 	}

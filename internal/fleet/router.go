@@ -25,33 +25,32 @@ type Config struct {
 	// AddShard/RemoveShard (or the /v1/fleet/shards admin routes), which
 	// trigger live session hand-off.
 	Shards []string
-	// VirtualNodes is the per-shard ring point count; <= 0 means
-	// DefaultVirtualNodes.
-	VirtualNodes int
 	// Seed remixes the ring's hash space. Every router replica in front
 	// of the same fleet must use the same seed.
 	Seed uint64
 	// HTTPClient issues shard requests; nil means a shared client whose
 	// transport moves a full relayed chunk per write (defaultRelayClient).
 	HTTPClient *http.Client
-	// HealthInterval spaces the shard health probes started by Start;
-	// <= 0 means 2 seconds.
-	HealthInterval time.Duration
-	// FailThreshold is how many consecutive probe failures mark a shard
-	// down; <= 0 means 3. A down shard answers 502 for its sessions
-	// (clients retry) until a probe succeeds again; it is NOT removed
-	// from the ring — hand-off needs the source alive, so membership
-	// changes are always explicit.
-	FailThreshold int
-	// MoveTimeout bounds each shard call a rebalance makes (the source
-	// listing and each session's pin/export/import/forget) and the
-	// proxied delivery of a create; <= 0 means 30 seconds. Rebalancing
-	// holds the membership lock, so without a bound one wedged shard —
-	// an accepted connection that never answers — would block the admin
-	// routes and all future membership changes forever. A timed-out move
-	// fails into the normal unpin + override recovery path.
-	MoveTimeout time.Duration
 }
+
+const (
+	// healthInterval spaces the shard health probes started by Start.
+	healthInterval = 2 * time.Second
+	// failThreshold is how many consecutive probe failures mark a shard
+	// down. A down shard answers 502 for its sessions (clients retry)
+	// until a probe succeeds again; it is NOT removed from the ring —
+	// hand-off needs the source alive, so membership changes are always
+	// explicit.
+	failThreshold = 3
+	// moveTimeout bounds each shard call a rebalance makes (the source
+	// listing and each session's export/import/unpin/forget) and the
+	// proxied delivery of a create. Rebalancing holds the membership
+	// lock, so without a bound one wedged shard — an accepted connection
+	// that never answers — would block the admin routes and all future
+	// membership changes forever. A timed-out move fails into the normal
+	// unpin + override recovery path.
+	moveTimeout = 30 * time.Second
+)
 
 // Router is the stateless front of an emprofd fleet. All per-session
 // state lives on the shards; the router only holds the ring, the health
@@ -59,8 +58,10 @@ type Config struct {
 // hand-off. Kill a router and start another with the same shard list
 // and seed: every session routes identically.
 type Router struct {
-	cfg    Config
 	client *http.Client
+	// moveTimeout is the constant of that name, a field only so a test
+	// can shorten it.
+	moveTimeout time.Duration
 
 	mu        sync.RWMutex
 	ring      *Ring
@@ -80,11 +81,10 @@ type Router struct {
 	// it was in flight.
 	rebalances atomic.Int64
 
-	sessionsMoved  atomic.Int64
-	movesFailed    atomic.Int64
-	proxiedTotal   atomic.Int64
-	proxyErrors    atomic.Int64
-	sessionsRouted atomic.Int64
+	sessionsMoved atomic.Int64
+	movesFailed   atomic.Int64
+	proxiedTotal  atomic.Int64
+	proxyErrors   atomic.Int64
 }
 
 type shardHealth struct {
@@ -118,21 +118,12 @@ func NewRouter(cfg Config) (*Router, error) {
 			return nil, err
 		}
 	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = 2 * time.Second
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.MoveTimeout <= 0 {
-		cfg.MoveTimeout = 30 * time.Second
-	}
 	rt := &Router{
-		cfg:       cfg,
-		client:    cfg.HTTPClient,
-		ring:      NewRing(cfg.Shards, cfg.VirtualNodes, cfg.Seed),
-		health:    make(map[string]*shardHealth),
-		overrides: make(map[string]string),
+		client:      cfg.HTTPClient,
+		moveTimeout: moveTimeout,
+		ring:        NewRing(cfg.Shards, cfg.Seed),
+		health:      make(map[string]*shardHealth),
+		overrides:   make(map[string]string),
 	}
 	if rt.client == nil {
 		rt.client = defaultRelayClient
@@ -164,7 +155,7 @@ func (rt *Router) Ring() *Ring {
 func (rt *Router) Start() (stop func()) {
 	done := make(chan struct{})
 	go func() {
-		t := time.NewTicker(rt.cfg.HealthInterval)
+		t := time.NewTicker(healthInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -182,7 +173,7 @@ func (rt *Router) Start() (stop func()) {
 const probeTimeout = time.Second
 
 // ProbeShards runs one health-check round: GET /v1/sessions on every
-// member, each bounded by probeTimeout; FailThreshold consecutive
+// member, each bounded by probeTimeout; failThreshold consecutive
 // failures mark a shard down, one success marks it up.
 func (rt *Router) ProbeShards() {
 	for _, s := range rt.Ring().Shards() {
@@ -206,7 +197,7 @@ func (rt *Router) noteProbe(shard string, ok bool) {
 		return
 	}
 	h.fails++
-	if h.fails >= rt.cfg.FailThreshold {
+	if h.fails >= failThreshold {
 		h.down = true
 	}
 }
@@ -356,13 +347,9 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string) in
 	return code
 }
 
-// relayBufPool recycles the response-copy buffers relay uses; the copy
-// is synchronous, so a buffer is always safe to return when it ends.
-var relayBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 32*1024); return &b },
-}
-
 // relay copies a shard response — status, headers, body — to the client.
+// The copy goes through the server's response writer's ReadFrom, which
+// brings its own buffer.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
@@ -371,9 +358,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	bp := relayBufPool.Get().(*[]byte)
-	io.CopyBuffer(w, resp.Body, *bp)
-	relayBufPool.Put(bp)
+	io.Copy(w, resp.Body)
 }
 
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -402,12 +387,11 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	rt.rebalanceMu.RLock()
 	defer rt.rebalanceMu.RUnlock()
 	owner := rt.Ring().Owner(req.ID)
-	rt.sessionsRouted.Add(1)
 	// Bound the delivery so a wedged shard (or a client that never
 	// cancels) cannot hold the read lock forever and wedge membership
 	// changes with it. A timed-out create answers 504; the client
 	// retries creates freely.
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.MoveTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), rt.moveTimeout)
 	defer cancel()
 	r2 := r.Clone(ctx)
 	r2.Body = io.NopCloser(bytes.NewReader(body))

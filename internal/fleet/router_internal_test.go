@@ -127,7 +127,7 @@ func TestFinalizeOverrideLifecycle(t *testing.T) {
 }
 
 // TestRebalanceTimeoutOnWedgedShard drives a membership change against
-// a shard that accepts connections but never answers. MoveTimeout must
+// a shard that accepts connections but never answers. moveTimeout must
 // fail the rebalance promptly — it runs under the membership lock, so
 // without the bound one wedged shard would block the admin routes (and
 // creates, which share the lock) forever.
@@ -141,19 +141,17 @@ func TestRebalanceTimeoutOnWedgedShard(t *testing.T) {
 	}))
 	defer healthy.Close()
 
-	rt, err := NewRouter(Config{
-		Shards:      []string{wedged.URL, healthy.URL},
-		MoveTimeout: 50 * time.Millisecond,
-	})
+	rt, err := NewRouter(Config{Shards: []string{wedged.URL, healthy.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.moveTimeout = 50 * time.Millisecond
 	start := time.Now()
 	if err := rt.RemoveShard(wedged.URL); err == nil {
 		t.Fatal("rebalance off a wedged shard reported success")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("rebalance blocked %v despite MoveTimeout", elapsed)
+		t.Fatalf("rebalance blocked %v despite moveTimeout", elapsed)
 	}
 	// The listing failed before anything moved: membership is unchanged
 	// and the next attempt is free to try again.

@@ -137,6 +137,107 @@ func TestFleetEndToEndHandoff(t *testing.T) {
 	}
 }
 
+// TestFleetFailedMoveRollsBack joins a shard whose import answers 500.
+// Every move onto it fails after its export pinned the session, so the
+// rollback must unpin: AddShard reports the failure, the router counts
+// it, and each session it tried to move takes an offset-tagged push
+// through the router at once and finalizes bit-identical to the batch
+// analysis of its capture.
+func TestFleetFailedMoveRollsBack(t *testing.T) {
+	capture := fleetCapture(t, 11)
+	want := analyze(t, capture, emprof.DefaultConfig())
+	f := startFleet(t, 2)
+
+	bad := service.New(service.Config{})
+	t.Cleanup(bad.Close)
+	badHandler := bad.Handler()
+	badSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/sessions/import" {
+			http.Error(w, "import refused", http.StatusInternalServerError)
+			return
+		}
+		badHandler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(badSrv.Close)
+
+	// Sessions the grown ring places on the bad shard.
+	next, err := f.Router.Ring().With(badSrv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; len(ids) < 3; i++ {
+		if id := fmt.Sprintf("m%d", i); next.Owner(id) == badSrv.URL {
+			ids = append(ids, id)
+		}
+	}
+	client := emprof.NewClient(f.RouterURL)
+	client.RetryBaseDelay = 1
+	ctx := context.Background()
+	cut := len(capture.Samples) / 2
+	head := &emprof.Capture{Samples: capture.Samples[:cut], SampleRate: capture.SampleRate, ClockHz: capture.ClockHz}
+	for _, id := range ids {
+		if code, body := postJSON(t, f.RouterURL+"/v1/sessions", service.CreateRequest{
+			ID: id, SampleRate: capture.SampleRate, ClockHz: capture.ClockHz,
+		}); code != http.StatusCreated {
+			t.Fatalf("create %s: HTTP %d: %s", id, code, body)
+		}
+		if err := client.StreamCapture(ctx, id, head); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := f.Router.AddShard(badSrv.URL); err == nil {
+		t.Fatal("AddShard onto a shard that refuses imports reported success")
+	}
+	resp, err := http.Get(f.RouterURL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if v := metricValue(t, buf.String(), "emprofd_fleet_moves_failed_total"); v < 1 {
+		t.Fatalf("emprofd_fleet_moves_failed_total = %d, want at least 1", v)
+	}
+
+	// One push straight through the router, offset-tagged and without
+	// retries: a session left pinned would answer 503.
+	step := (len(capture.Samples) - cut) / 2
+	chunk := make([]byte, 8*step)
+	for i, v := range capture.Samples[cut : cut+step] {
+		binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
+	}
+	rest := &emprof.Capture{Samples: capture.Samples[cut+step:], SampleRate: capture.SampleRate, ClockHz: capture.ClockHz}
+	for _, id := range ids {
+		req, err := http.NewRequest(http.MethodPost, f.RouterURL+service.SessionPath(id, "/samples"), bytes.NewReader(chunk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", service.ContentTypeRaw)
+		req.Header.Set(service.HeaderOffset, strconv.Itoa(cut))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("push to %s after the failed move: HTTP %d: %s", id, resp.StatusCode, body)
+		}
+		if err := client.StreamCapture(ctx, id, rest); err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.Finalize(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("profile of %s differs from batch analysis after the failed move", id)
+		}
+	}
+}
+
 // TestFleetRebalanceUnderLoad streams many sessions concurrently while
 // the fleet grows by one shard mid-flight. Zero sessions may be lost,
 // zero samples double-ingested: every finalized profile must be
@@ -465,8 +566,8 @@ func TestFleetEscapedSessionID(t *testing.T) {
 }
 
 // TestShardHealthProbes drives ProbeShards against a shard that can be
-// switched to answer 503. One failed probe leaves it up and
-// FailThreshold consecutive ones mark it down; while it is down the
+// switched to answer 503. Two failed probes leave it up and three
+// consecutive ones mark it down; while it is down the
 // session list, the metrics and a profiles query answer from the other
 // shard; one good probe marks it up again.
 func TestShardHealthProbes(t *testing.T) {
@@ -487,7 +588,7 @@ func TestShardHealthProbes(t *testing.T) {
 		flakyHandler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(flakySrv.Close)
-	rt, err := fleet.NewRouter(fleet.Config{Shards: []string{goodSrv.URL, flakySrv.URL}, Seed: 7, FailThreshold: 2})
+	rt, err := fleet.NewRouter(fleet.Config{Shards: []string{goodSrv.URL, flakySrv.URL}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,13 +641,15 @@ func TestShardHealthProbes(t *testing.T) {
 	}
 
 	failing.Store(true)
-	rt.ProbeShards()
-	if flakyDown() {
-		t.Fatal("one failed probe marked the shard down, want FailThreshold 2")
+	for i := 1; i <= 2; i++ {
+		rt.ProbeShards()
+		if flakyDown() {
+			t.Fatalf("%d failed probes marked the shard down, want 3", i)
+		}
 	}
 	rt.ProbeShards()
 	if !flakyDown() {
-		t.Fatal("two failed probes left the shard up")
+		t.Fatal("three failed probes left the shard up")
 	}
 	list, err := client.ListSessions(ctx)
 	if err != nil || len(list) != 1 || list[0].ID != id {

@@ -11,17 +11,21 @@ import (
 // This file implements the shard side of fleet session hand-off. The
 // protocol, driven by the router (internal/fleet), is:
 //
-//	1. Pin(id) on the current owner — ingest/snapshot/finalize start
-//	   answering 503 (ErrPinned), which clients retry; no sample can
-//	   land while the state is in flight.
-//	2. Export(id) on the owner — the complete session state (analyzer,
-//	   wire decoder, metadata) as one JSON document.
-//	3. Import(state) on the new owner — the session resumes replay-free;
+//	1. Export(id) on the current owner — pins the session and returns
+//	   its complete state (analyzer, wire decoder, metadata) as one
+//	   JSON document, in one step under the session lock. From then on
+//	   ingest/snapshot/finalize answer 503 (ErrPinned), which clients
+//	   retry; no sample can land while the state is in flight.
+//	2. Import(state) on the new owner — the session resumes replay-free;
 //	   pushing the remaining samples yields a profile bit-identical to
 //	   one shard having seen the whole stream.
+//	3. The router swaps its ring to the new owner.
 //	4. Forget(id) on the old owner — the moved session is dropped
-//	   without finalizing. On any failure the router calls Unpin(id)
-//	   instead and the session keeps serving where it was.
+//	   without finalizing. On any failure before the swap the router
+//	   calls Unpin(id) instead and the session keeps serving where it
+//	   was.
+//
+// The routes are fleet-internal: routers and shards upgrade together.
 //
 // Per-session decision-trace rings deliberately do not travel: they are
 // debugging state, unbounded-ish, and the new owner starts a fresh ring.
@@ -51,22 +55,6 @@ type SessionState struct {
 	Windows *core.WindowerState `json:"windows,omitempty"`
 }
 
-// Pin freezes a session for hand-off: until Unpin (or Forget), ingest,
-// snapshot and finalize answer ErrPinned. Pinning is idempotent.
-func (r *Registry) Pin(id string) error {
-	s, err := r.get(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.finalized {
-		return ErrNotFound
-	}
-	s.pinned = true
-	return nil
-}
-
 // Unpin lifts a hand-off pin after a failed move; the session resumes
 // serving on this shard.
 func (r *Registry) Unpin(id string) error {
@@ -80,9 +68,10 @@ func (r *Registry) Unpin(id string) error {
 	return nil
 }
 
-// Export snapshots a pinned session's complete state. The session must
-// be pinned first — exporting a live session would race its ingest — and
-// stays in the registry (still pinned) until Forget or Unpin.
+// Export pins a session for hand-off and snapshots its complete state.
+// Until Unpin (or Forget), ingest, snapshot and finalize answer
+// ErrPinned; the session stays in the registry. Exporting a pinned
+// session again returns the same state.
 func (r *Registry) Export(id string) (*SessionState, error) {
 	s, err := r.get(id)
 	if err != nil {
@@ -90,19 +79,18 @@ func (r *Registry) Export(id string) (*SessionState, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.pinned {
-		return nil, fmt.Errorf("%w: session %q not pinned", ErrConflict, id)
-	}
 	if s.finalized {
 		return nil, ErrNotFound
 	}
 	if s.poison != nil {
 		return nil, s.poisoned()
 	}
-	// Pinning froze ingest, and the session lock keeps the exported
-	// analyzer and windower a consistent pair. Every window sealed here is
-	// already in this shard's store, where fleet fan-in queries expect it
-	// once the importer owns the session.
+	// The session lock keeps the exported analyzer and windower a
+	// consistent pair, and the pin keeps them current: no ingest lands
+	// after this cut. Every window sealed here is already in this shard's
+	// store, where fleet fan-in queries expect it once the importer owns
+	// the session.
+	s.pinned = true
 	ds := s.dec.State()
 	st := &SessionState{
 		ID:         s.id,

@@ -16,8 +16,9 @@ import (
 
 // TestHandoffAcrossRegistries drives the full hand-off protocol over
 // HTTP between two independent shards: stream half a capture into shard
-// A, pin → export → import into shard B → forget, stream the rest into
-// B, and require B's final profile bit-identical to batch analysis.
+// A, export (which pins it) → import into shard B → forget, stream the
+// rest into B, and require B's final profile bit-identical to batch
+// analysis.
 func TestHandoffAcrossRegistries(t *testing.T) {
 	capture := testSignal(30000)
 	want := core.MustNewAnalyzer(core.DefaultConfig()).Profile(capture)
@@ -46,10 +47,11 @@ func TestHandoffAcrossRegistries(t *testing.T) {
 		return resp.StatusCode, buf.Bytes()
 	}
 
-	if code, msg := post(tsA.URL, "/v1/sessions/"+id+"/pin", nil); code != http.StatusOK {
-		t.Fatalf("pin: HTTP %d: %s", code, msg)
+	code, blob := post(tsA.URL, "/v1/sessions/"+id+"/export", nil)
+	if code != http.StatusOK {
+		t.Fatalf("export: HTTP %d: %s", code, blob)
 	}
-	// Pinned: ingest and profile answer 503.
+	// Exported, so pinned: ingest and profile answer 503.
 	if code, _ := postSamples(t, tsA, id, enc[half:half+8], ContentTypeRaw); code != http.StatusServiceUnavailable {
 		t.Fatalf("ingest while pinned: HTTP %d, want 503", code)
 	}
@@ -62,10 +64,6 @@ func TestHandoffAcrossRegistries(t *testing.T) {
 		t.Fatalf("profile while pinned: HTTP %d, want 503", resp.StatusCode)
 	}
 
-	code, blob := post(tsA.URL, "/v1/sessions/"+id+"/export", nil)
-	if code != http.StatusOK {
-		t.Fatalf("export: HTTP %d: %s", code, blob)
-	}
 	if code, msg := post(tsB.URL, "/v1/sessions/import", blob); code != http.StatusCreated {
 		t.Fatalf("import: HTTP %d: %s", code, msg)
 	}
@@ -106,23 +104,18 @@ func TestHandoffGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Export without pin is a conflict.
-	if _, err := reg.Export(id); !errors.Is(err, ErrConflict) {
-		t.Fatalf("export unpinned: %v, want ErrConflict", err)
-	}
-	if err := reg.Pin(id); err != nil {
-		t.Fatal(err)
-	}
-	// Pin is idempotent; finalize on pinned is ErrPinned and keeps it.
-	if err := reg.Pin(id); err != nil {
+	// Export pins; finalize on pinned is ErrPinned and keeps it.
+	st, err := reg.Export(id)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Finalize(id); !errors.Is(err, ErrPinned) {
 		t.Fatalf("finalize pinned: %v, want ErrPinned", err)
 	}
-	st, err := reg.Export(id)
-	if err != nil {
-		t.Fatal(err)
+	// Exporting again is idempotent: the same state, still pinned.
+	again, err := reg.Export(id)
+	if err != nil || !reflect.DeepEqual(again, st) {
+		t.Fatalf("second export: %v, state equal %v", err, reflect.DeepEqual(again, st))
 	}
 	// Import back into the same registry collides with the live session.
 	if err := reg.Import(st); !errors.Is(err, ErrConflict) {
@@ -256,7 +249,7 @@ func oneChunk(body []byte) func() ([]byte, error) {
 
 // exportedState streams the first half of a capture into a fresh
 // registry, cut midWord three bytes into the next sample or at a sample
-// boundary, then pins and exports it: a genuine hand-off state.
+// boundary, then exports (and so pins) it: a genuine hand-off state.
 // windowS > 0 exports the windower too.
 func exportedState(tb testing.TB, windowS float64, midWord bool) *SessionState {
 	tb.Helper()
@@ -277,9 +270,6 @@ func exportedState(tb testing.TB, windowS float64, midWord bool) *SessionState {
 		tb.Fatal(err)
 	}
 	if _, err := reg.ingest(s, -1, -1, oneChunk(body[:cut])); err != nil {
-		tb.Fatal(err)
-	}
-	if err := reg.Pin(id); err != nil {
 		tb.Fatal(err)
 	}
 	st, err := reg.Export(id)

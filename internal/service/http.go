@@ -102,7 +102,6 @@ func (s *Server) Handler() http.Handler {
 		{"GET /v1/metrics", "metrics", s.handleMetrics},
 		// Hand-off protocol (fleet-internal; see handoff.go for the state
 		// machine the router drives).
-		{"POST /v1/sessions/{id}/pin", "pin", ack(s.reg.Pin)},
 		{"POST /v1/sessions/{id}/unpin", "unpin", ack(s.reg.Unpin)},
 		{"POST /v1/sessions/{id}/export", "export", reply(s.reg.Export)},
 		{"POST /v1/sessions/{id}/forget", "forget", ack(s.reg.Forget)},

@@ -317,9 +317,6 @@ func TestWindowTotalBoundsSessions(t *testing.T) {
 	}
 	// Forget frees b's share; c takes it, so b's import is refused until
 	// c is finalized.
-	if err := r.Pin(b); err != nil {
-		t.Fatal(err)
-	}
 	st, err := r.Export(b)
 	if err != nil {
 		t.Fatal(err)

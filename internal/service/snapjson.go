@@ -11,8 +11,8 @@ import (
 // jsonfast.Reader, which takes exactly the compact shape encoding/json
 // emits; everything else falls back to the reflection decoder, so it
 // accepts and rejects exactly what the plain struct does
-// (FuzzSnapshotDecode). The client decodes every live profile poll
-// through it.
+// (FuzzSnapshotDecode). Both paths replace the receiver, as Profile's
+// do. The client decodes every live profile poll through it.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	r := jsonfast.NewReader(data)
 	if out := readSnapshot(&r); r.Done() {
@@ -20,10 +20,9 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	// plainSnapshot shadows Snapshot without its methods so the fallback
-	// cannot recurse; decoding starts from the current value to keep the
-	// stdlib's merge semantics for partial objects.
+	// cannot recurse.
 	type plainSnapshot Snapshot
-	out := plainSnapshot(*s)
+	var out plainSnapshot
 	if err := json.Unmarshal(data, &out); err != nil {
 		return err
 	}

@@ -96,8 +96,8 @@ type rawSnapshot struct {
 
 // TestSnapshotUnmarshalRoundTrip pins decode correctness over both
 // paths: the compact wire shape round-trips exactly (with and without
-// the response framing newline), and whitespace or reordered fields
-// fall back to the stdlib decoder.
+// the response framing newline), whitespace or reordered fields fall
+// back to the stdlib decoder, and both paths replace the receiver.
 func TestSnapshotUnmarshalRoundTrip(t *testing.T) {
 	rng := sim.NewRNG(77)
 	for i := 0; i < 300; i++ {
@@ -127,6 +127,28 @@ func TestSnapshotUnmarshalRoundTrip(t *testing.T) {
 		ConfidenceHist: [10]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fallback: got %+v want %+v", got, want)
+	}
+
+	// Both paths replace the receiver: a body without "device", compact
+	// (fast path) or indented (fallback), decodes to the same value over
+	// a pre-filled one.
+	compact, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	fast, slow := Snapshot{Device: "x"}, Snapshot{Device: "x"}
+	if err := fast.UnmarshalJSON(compact); err != nil {
+		t.Fatal(err)
+	}
+	if err := slow.UnmarshalJSON(indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fast, slow) {
+		t.Fatalf("decoding over a pre-filled value: compact gives %+v, indented %+v", fast, slow)
 	}
 }
 

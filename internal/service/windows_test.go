@@ -380,9 +380,6 @@ func TestHandoffWindowContinuity(t *testing.T) {
 	split := (len(enc) / 2 / 8) * 8
 	ingestBody(t, regA, sessA, enc[:split])
 
-	if err := regA.Pin(id); err != nil {
-		t.Fatal(err)
-	}
 	st, err := regA.Export(id)
 	if err != nil {
 		t.Fatal(err)

@@ -119,7 +119,6 @@ const DepthBuckets = 10
 type stageStat struct {
 	ns      int64
 	samples int64
-	count   uint64
 }
 
 // Metrics aggregates decision events into counters and histograms
@@ -189,7 +188,6 @@ func (m *Metrics) Observe(r Record) {
 		}
 		s.ns += r.DurationNs
 		s.samples += r.Samples
-		s.count++
 	}
 	m.mu.Unlock()
 }
