@@ -208,13 +208,13 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, hdr h
 				derr = rerr
 			case out == nil:
 			default:
-				// Types with a fast decoder (SessionSnapshot, Profile)
-				// decode directly: they parse the compact shape
-				// encoding/json writes and fall back to the stdlib for
-				// anything else, erring exactly when it would (fuzzed),
-				// so skipping encoding/json's validation pre-scan is
-				// safe. Both decoders copy everything they keep, so the
-				// read buffer can be recycled immediately.
+				// Types with a fast decoder (SessionSnapshot, Profile,
+				// ProfilesResponse) decode directly: they parse the
+				// compact shape encoding/json writes and fall back to
+				// the stdlib for anything else, erring exactly when it
+				// would (fuzzed), so skipping encoding/json's validation
+				// pre-scan is safe. The decoders copy everything they
+				// keep, so the read buffer can be recycled immediately.
 				if u, ok := out.(json.Unmarshaler); ok {
 					derr = u.UnmarshalJSON(data)
 				} else {

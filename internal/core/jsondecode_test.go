@@ -239,57 +239,3 @@ func BenchmarkProfileDecode(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkWindowsDecode times an 8-window profiles page — the benchmark
-// profile cut into eight windows — decoded as the client decodes it
-// (encoding/json over the page, ProfileWindow.UnmarshalJSON per window)
-// against encoding/json alone into the method-free mirror.
-func BenchmarkWindowsDecode(b *testing.B) {
-	p := benchProfile()
-	var page struct {
-		Windows []ProfileWindow `json:"windows"`
-	}
-	per := (len(p.Stalls) + 7) / 8
-	for k := 0; k < 8; k++ {
-		w := ProfileWindow{
-			Index: int64(k), StartSample: int64(k) * 30000, EndSample: int64(k+1) * 30000,
-			StartS: float64(k) * 30000 / p.SampleRate, EndS: float64(k+1) * 30000 / p.SampleRate,
-			Final: k == 7, Quality: p.Quality,
-		}
-		w.Stalls = p.Stalls[k*per : min((k+1)*per, len(p.Stalls))]
-		for _, s := range w.Stalls {
-			w.Misses++
-			w.StallCycles += s.Cycles
-			w.MeanConfidence += s.Confidence / float64(len(w.Stalls))
-		}
-		page.Windows = append(page.Windows, w)
-	}
-	blob, err := json.Marshal(&page)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("fast", func(b *testing.B) {
-		b.SetBytes(int64(len(blob)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out struct {
-				Windows []ProfileWindow `json:"windows"`
-			}
-			if err := json.Unmarshal(blob, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stdlib", func(b *testing.B) {
-		b.SetBytes(int64(len(blob)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out struct {
-				Windows []rawWindow `json:"windows"`
-			}
-			if err := json.Unmarshal(blob, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

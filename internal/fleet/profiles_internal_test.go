@@ -244,7 +244,7 @@ func stateRank(state string) int {
 // alone, reporting whether it took the whole body.
 func splitProfilesFast(data []byte) (service.ProfilesResponse, []service.RawWindow, bool) {
 	r := jsonfast.NewReader(data)
-	env, wins := service.ReadProfiles(&r)
+	env, wins := service.ReadProfiles(&r, false)
 	return env, wins, r.Done()
 }
 

@@ -21,10 +21,15 @@ import (
 // it keeps routing to its old shard until it finalizes.
 
 // AddShard grows the fleet by one shard and hands it the sessions the
-// new ring assigns to it.
+// new ring assigns to it. A shard that fails one health probe is
+// refused before the ring changes: it would take its share of new
+// sessions and fail every create sent to it.
 func (rt *Router) AddShard(url string) error {
 	if err := checkShardURL(url); err != nil {
 		return err
+	}
+	if !rt.probe(url) {
+		return fmt.Errorf("fleet: shard %s failed its health probe (GET /v1/sessions)", url)
 	}
 	rt.rebalanceMu.Lock()
 	defer rt.rebalanceMu.Unlock()

@@ -177,11 +177,17 @@ const probeTimeout = time.Second
 // failures mark a shard down, one success marks it up.
 func (rt *Router) ProbeShards() {
 	for _, s := range rt.Ring().Shards() {
-		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-		code, _, _ := rt.call(ctx, http.MethodGet, s, "/v1/sessions", nil)
-		cancel()
-		rt.noteProbe(s, code > 0 && code < 500)
+		rt.noteProbe(s, rt.probe(s))
 	}
+}
+
+// probe reports whether shard answers GET /v1/sessions within
+// probeTimeout, with a status below 500.
+func (rt *Router) probe(shard string) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	defer cancel()
+	code, _, _ := rt.call(ctx, http.MethodGet, shard, "/v1/sessions", nil)
+	return code > 0 && code < 500
 }
 
 func (rt *Router) noteProbe(shard string, ok bool) {

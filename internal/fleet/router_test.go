@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -134,6 +135,39 @@ func TestFleetEndToEndHandoff(t *testing.T) {
 	}
 	if len(st.Shards) != 1 {
 		t.Fatalf("ring still has %d shards, want 1", len(st.Shards))
+	}
+}
+
+// TestAddShardRefusesUnreachable joins the URL of a closed listener.
+// The join must fail and leave the ring as it was, so a session the
+// grown ring would have placed there is still created.
+func TestAddShardRefusesUnreachable(t *testing.T) {
+	f := startFleet(t, 2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+	before := f.Router.Ring().Shards()
+	if err := f.Router.AddShard(dead); err == nil {
+		t.Fatal("AddShard of a shard nobody answers at reported success")
+	}
+	if got := f.Router.Ring().Shards(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("ring is %v after the refused join, was %v", got, before)
+	}
+	next, err := f.Router.Ring().With(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ""
+	for i := 0; id == ""; i++ {
+		if c := fmt.Sprintf("u%d", i); next.Owner(c) == dead {
+			id = c
+		}
+	}
+	if code, body := postJSON(t, f.RouterURL+"/v1/sessions", service.CreateRequest{ID: id, SampleRate: 40e6, ClockHz: 1e9}); code != http.StatusCreated {
+		t.Fatalf("create %s after the refused join: HTTP %d: %s", id, code, body)
 	}
 }
 

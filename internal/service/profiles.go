@@ -155,11 +155,35 @@ type RawWindow struct {
 	JSON  []byte
 }
 
+// UnmarshalJSON decodes a profiles page: ReadProfiles over the compact
+// shape EncodeProfiles writes, each window built by core.ReadWindow in the
+// same pass. Anything else (escapes, non-ASCII, whitespace, reordered or
+// unknown keys) falls back to encoding/json over a method-free copy, so it
+// accepts and rejects exactly what the plain struct does
+// (FuzzProfilesDecode). Both paths replace the receiver, as Snapshot's do.
+// The client decodes every profiles query through it.
+func (p *ProfilesResponse) UnmarshalJSON(data []byte) error {
+	r := jsonfast.NewReader(data)
+	if env, _ := ReadProfiles(&r, true); r.Done() {
+		*p = env
+		return nil
+	}
+	type plain ProfilesResponse
+	var out plain
+	if err := json.Unmarshal(data, &out); err != nil {
+		return err
+	}
+	*p = ProfilesResponse(out)
+	return nil
+}
+
 // ReadProfiles reads a profiles body in the compact shape EncodeProfiles
-// writes: the envelope, with Windows empty, and each window as the bytes
-// it spans, checked by core.ReadWindow without being built.
-func ReadProfiles(r *jsonfast.Reader) (env ProfilesResponse, wins []RawWindow) {
-	env.Windows = []core.ProfileWindow{}
+// writes. With keep set it builds env.Windows, as the client decodes a
+// page; "windows":null leaves it nil, as encoding/json does. With keep
+// unset env.Windows stays nil and each window comes back as the bytes it
+// spans, checked by core.ReadWindow without being built, as the router
+// splits a shard's page.
+func ReadProfiles(r *jsonfast.Reader, keep bool) (env ProfilesResponse, wins []RawWindow) {
 	r.Object("")
 	env.ID = r.String("id")
 	env.State = r.String("state")
@@ -173,10 +197,17 @@ func ReadProfiles(r *jsonfast.Reader) (env ProfilesResponse, wins []RawWindow) {
 		env.ClockHz = r.Float("")
 	}
 	if r.Array("windows") {
+		if keep {
+			env.Windows = []core.ProfileWindow{}
+		}
 		for r.Next() {
 			at := r.Pos()
-			w := core.ReadWindow(r, false)
-			wins = append(wins, RawWindow{Index: w.Index, JSON: r.Since(at)})
+			w := core.ReadWindow(r, keep)
+			if keep {
+				env.Windows = append(env.Windows, w)
+			} else {
+				wins = append(wins, RawWindow{Index: w.Index, JSON: r.Since(at)})
+			}
 		}
 	}
 	if r.Has("truncated") {
@@ -202,7 +233,7 @@ func ReadProfiles(r *jsonfast.Reader) (env ProfilesResponse, wins []RawWindow) {
 // (FuzzProfilesSplit).
 func SplitProfiles(body []byte) (ProfilesResponse, []RawWindow, error) {
 	r := jsonfast.NewReader(body)
-	if env, wins := ReadProfiles(&r); r.Done() {
+	if env, wins := ReadProfiles(&r, false); r.Done() {
 		return env, wins, nil
 	}
 	var resp ProfilesResponse
@@ -217,7 +248,7 @@ func SplitProfiles(body []byte) (ProfilesResponse, []RawWindow, error) {
 		}
 		wins[i] = RawWindow{Index: resp.Windows[i].Index, JSON: raw}
 	}
-	resp.Windows = []core.ProfileWindow{}
+	resp.Windows = nil
 	return resp, wins, nil
 }
 
