@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 
 	"emprof/internal/jsonfast"
@@ -128,19 +129,27 @@ func readStalls(r *jsonfast.Reader, key string, keep bool) StallList {
 		return nil
 	}
 	out := StallList{}
-	for r.Next() {
-		// Size the list from the bytes left: compact stalls run about
-		// 170 bytes each, so the estimate spares a large decode the
-		// garbage of doubling growth.
-		if keep && cap(out) == 0 {
-			out = make(StallList, 0, r.Len()/170+4)
+	if keep {
+		// Size the list to its own stalls, sparing a large decode the
+		// garbage of doubling growth. A stall holds no array, so the
+		// list's stalls are the braces before its first closing
+		// bracket; no stall is shorter than minStallJSON, so a forged
+		// list of bare braces reserves no more than its own size.
+		rest := r.Rest()
+		if end := bytes.IndexByte(rest, ']'); end > 0 {
+			out = make(StallList, 0, min(bytes.Count(rest[:end], []byte("{")), end/minStallJSON+1))
 		}
+	}
+	for r.Next() {
 		if s := readStall(r); keep {
 			out = append(out, s)
 		}
 	}
 	return out
 }
+
+// minStallJSON is the length of the shortest stall encoding/json writes.
+const minStallJSON = len(`{"StartSample":0,"EndSample":0,"StartS":0,"DurationS":0,"Cycles":0,"Depth":0,"Refresh":true,"Confidence":0}`)
 
 func readStall(r *jsonfast.Reader) (s Stall) {
 	r.Object("")

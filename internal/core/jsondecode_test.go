@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"emprof/internal/jsonfast"
 	"emprof/internal/sim"
 )
 
@@ -177,6 +179,33 @@ func TestWindowRegionRange(t *testing.T) {
 			`"NaNSamples":0,"DroppedSamples":0,"ClippedSamples":0,"BurstSamples":0,"StepSamples":0,` +
 			`"Resyncs":0,"AbortedDips":0},"regions":[{"region":` + region + `,"misses":1,"stall_cycles":2}]}`)
 		checkDecodeParity(t, in, new(ProfileWindow), new(rawWindow))
+	}
+}
+
+// TestStallListSizing checks the look-ahead that sizes a kept stall list:
+// a list reserves room for its own stalls exactly, and a forged list of
+// bare braces, which no decoder takes, no more than its bytes allow.
+func TestStallListSizing(t *testing.T) {
+	p := benchProfile()
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Profile
+	if err := got.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Stalls) != len(p.Stalls) || cap(got.Stalls) != len(got.Stalls) {
+		t.Fatalf("%d stalls in room for %d, encoded %d", len(got.Stalls), cap(got.Stalls), len(p.Stalls))
+	}
+	forged := []byte("[" + strings.Repeat("{", 10000) + "]")
+	r := jsonfast.NewReader(forged)
+	out := readStalls(&r, "", true)
+	if r.Done() {
+		t.Fatal("bare braces read as a stall list")
+	}
+	if c := cap(out); c > len(forged)/minStallJSON+1 {
+		t.Fatalf("%d bytes of bare braces reserved room for %d stalls", len(forged), c)
 	}
 }
 

@@ -124,7 +124,7 @@ func oracleFanIn(t *testing.T, shards []string, target string) (int, []byte) {
 	r := httptest.NewRequest(http.MethodGet, target, nil)
 	type answer struct {
 		status int
-		resp   service.ProfilesResponse
+		resp   plainProfiles
 		body   []byte
 	}
 	var out []answer
@@ -424,11 +424,15 @@ func TestFanInSetsContentLength(t *testing.T) {
 	}
 }
 
+// plainProfiles is service.ProfilesResponse without its decoder, so the
+// references below decode a page through encoding/json alone.
+type plainProfiles service.ProfilesResponse
+
 // FuzzProfilesSplit checks the splitter the fan-in reads shard bodies
 // with (service.SplitProfiles) against encoding/json: it must err exactly
-// when json.Unmarshal into service.ProfilesResponse errs, and otherwise
-// yield the same envelope and windows that decode — and so re-encode — to
-// the stdlib's.
+// when json.Unmarshal into plainProfiles errs, and otherwise yield the
+// same envelope and windows that decode — and so re-encode — to the
+// stdlib's.
 func FuzzProfilesSplit(f *testing.F) {
 	page := func(env service.ProfilesResponse, ws ...core.ProfileWindow) []byte {
 		var buf bytes.Buffer
@@ -462,7 +466,7 @@ func FuzzProfilesSplit(f *testing.F) {
 	f.Add(page(service.ProfilesResponse{ID: "émigré", State: "active", LatestIndex: 1}, w0, named))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		env, wins, err := service.SplitProfiles(body)
-		var want service.ProfilesResponse
+		var want plainProfiles
 		werr := json.Unmarshal(body, &want)
 		if (err != nil) != (werr != nil) {
 			t.Fatalf("split err %v, stdlib err %v on %q", err, werr, body)
@@ -491,7 +495,7 @@ func FuzzProfilesSplit(f *testing.F) {
 			t.Fatalf("envelope carries %d windows", len(env.Windows))
 		}
 		env.Windows, want.Windows = nil, nil
-		if !reflect.DeepEqual(env, want) {
+		if !reflect.DeepEqual(env, service.ProfilesResponse(want)) {
 			t.Fatalf("envelope %+v, stdlib %+v", env, want)
 		}
 	})

@@ -25,9 +25,6 @@ type Reader struct {
 	data []byte
 	i    int
 	bad  bool
-	// sep is the byte before the next key: the object's opening brace
-	// right after Object, a comma once one of its fields is read.
-	sep byte
 }
 
 // NewReader returns a Reader over data less its leading and trailing
@@ -54,8 +51,9 @@ func isSpace(c byte) bool {
 // Done reports whether every read fitted and the value ended the input.
 func (r *Reader) Done() bool { return !r.bad && r.i == len(r.data) }
 
-// Len returns the number of bytes left to read.
-func (r *Reader) Len() int { return len(r.data) - r.i }
+// Rest returns the input not yet read, capped as Since's is, for a
+// decoder that looks ahead before a read: to size a list, say.
+func (r *Reader) Rest() []byte { return r.data[r.i:len(r.data):len(r.data)] }
 
 // Pos returns the read position, for Since.
 func (r *Reader) Pos() int { return r.i }
@@ -82,56 +80,67 @@ func (r *Reader) lit(s string) bool {
 	return true
 }
 
-// Has reads the key of the next field if it is key, and reports whether
-// it was: the separator sep, the quoted key and the colon. The empty key
-// reads none and reports whether the Reader is still good. A mismatch
-// fails nothing, so an optional field's key is read with Has and its
-// value with the empty key; every other read fails the Reader on one.
-// Has is kept small enough to be inlined into each read.
-func (r *Reader) Has(key string) bool {
-	if key == "" {
+// field reads the key of the next field: the separator (a comma, or
+// none right after the object's opening brace), the quoted key and the
+// colon. The empty key reads none.
+func (r *Reader) field(key string) bool {
+	if r.bad || key == "" {
 		return !r.bad
 	}
-	t := r.data[r.i:]
-	n := len(key) + 4
-	if r.bad || len(t) < n || t[0] != r.sep || t[1] != '"' || string(t[n-2:n]) != `":` || string(t[2:n-2]) != key {
+	d, i := r.data, r.i
+	if i < len(d) && d[i] == ',' {
+		i++
+	} else if i == 0 || d[i-1] != '{' {
+		r.bad = true
 		return false
 	}
-	r.i += n
-	r.sep = ','
+	end := i + len(key) + 3
+	if end > len(d) || d[i] != '"' || d[end-2] != '"' || d[end-1] != ':' || string(d[i+1:end-2]) != key {
+		r.bad = true
+		return false
+	}
+	r.i = end
 	return true
+}
+
+// Has reads the key of an optional field and reports whether it is the
+// next field; the field's value is then read with the empty key. An
+// absent field fails nothing.
+func (r *Reader) Has(key string) bool {
+	if r.bad {
+		return false
+	}
+	if r.field(key) {
+		return true
+	}
+	r.bad = false
+	return false
 }
 
 // Null reads key and reports whether its value is null, consuming it if
 // so. Otherwise the value is left to a read with the empty key. A failed
 // Reader reports true: there is no value to read.
 func (r *Reader) Null(key string) bool {
-	if !r.Has(key) {
-		r.bad = true
+	if !r.field(key) {
 		return true
 	}
 	return r.lit("null")
 }
 
-// Object reads key; the object value's opening brace is read as the
-// separator of its first field. Its fields follow; End closes it.
+// Object reads key and the opening brace of an object value. Its fields
+// follow; End closes it.
 func (r *Reader) Object(key string) {
-	if !r.Has(key) {
-		r.bad = true
-		return
+	if r.field(key) {
+		r.eat('{')
 	}
-	r.sep = '{'
+	// A comma right after the brace is never a separator.
+	if !r.bad && r.i < len(r.data) && r.data[r.i] == ',' {
+		r.bad = true
+	}
 }
 
-// End reads the closing brace of the object being read, and its opening
-// brace first if none of its fields was read.
-func (r *Reader) End() {
-	if r.sep == '{' {
-		r.eat('{')
-		r.sep = ','
-	}
-	r.eat('}')
-}
+// End reads the closing brace of the object being read.
+func (r *Reader) End() { r.eat('}') }
 
 // Array reads key and an array value's opening bracket, reporting whether
 // there is one: null, like a failed read, reports false. The elements
@@ -170,8 +179,7 @@ func (r *Reader) Next() bool {
 // without the string conversion strconv.ParseInt needs; longer ones take
 // the strconv path, which rejects overflow.
 func (r *Reader) Int(key string) int64 {
-	if !r.Has(key) {
-		r.bad = true
+	if !r.field(key) {
 		return 0
 	}
 	j, integer, ok := numEnd(r.data, r.i)
@@ -206,8 +214,7 @@ func (r *Reader) Int(key string) int64 {
 // Uint16 reads an integer in [0, 65535]. encoding/json refuses any sign
 // on an unsigned field, even "-0".
 func (r *Reader) Uint16(key string) uint16 {
-	if !r.Has(key) {
-		r.bad = true
+	if !r.field(key) {
 		return 0
 	}
 	if r.i < len(r.data) && r.data[r.i] == '-' {
@@ -224,8 +231,7 @@ func (r *Reader) Uint16(key string) uint16 {
 
 // Float reads a number.
 func (r *Reader) Float(key string) float64 {
-	if !r.Has(key) {
-		r.bad = true
+	if !r.field(key) {
 		return 0
 	}
 	j, _, ok := numEnd(r.data, r.i)
@@ -259,8 +265,7 @@ func (r *Reader) Floats(key string) []float64 {
 
 // Bool reads true or false.
 func (r *Reader) Bool(key string) bool {
-	if !r.Has(key) {
-		r.bad = true
+	if !r.field(key) {
 		return false
 	}
 	if r.lit("true") {
@@ -275,8 +280,7 @@ func (r *Reader) Bool(key string) bool {
 // String reads a string. Only escape-free printable ASCII fits; any
 // escape or byte outside it fails the Reader.
 func (r *Reader) String(key string) string {
-	if !r.Has(key) {
-		r.bad = true
+	if !r.field(key) {
 		return ""
 	}
 	if r.i < len(r.data) && r.data[r.i] == '"' {

@@ -168,14 +168,17 @@ func (p *ProfilesResponse) UnmarshalJSON(data []byte) error {
 		*p = env
 		return nil
 	}
-	type plain ProfilesResponse
-	var out plain
+	var out plainProfiles
 	if err := json.Unmarshal(data, &out); err != nil {
 		return err
 	}
 	*p = ProfilesResponse(out)
 	return nil
 }
+
+// plainProfiles is ProfilesResponse without its decoder, for the stdlib
+// fallbacks: encoding/json decodes it field by field.
+type plainProfiles ProfilesResponse
 
 // ReadProfiles reads a profiles body in the compact shape EncodeProfiles
 // writes. With keep set it builds env.Windows, as the client decodes a
@@ -229,14 +232,14 @@ func ReadProfiles(r *jsonfast.Reader, keep bool) (env ProfilesResponse, wins []R
 // does not take (an ID or region name with escapes, whitespace, another
 // field order) goes through encoding/json, and its decoded windows are
 // re-encoded. Either way the split errs exactly when json.Unmarshal into
-// ProfilesResponse errs, and the windows decode to what it decodes
-// (FuzzProfilesSplit).
+// a method-free copy of ProfilesResponse errs, and the windows decode to
+// what it decodes (FuzzProfilesSplit).
 func SplitProfiles(body []byte) (ProfilesResponse, []RawWindow, error) {
 	r := jsonfast.NewReader(body)
 	if env, wins := ReadProfiles(&r, false); r.Done() {
 		return env, wins, nil
 	}
-	var resp ProfilesResponse
+	var resp plainProfiles
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return ProfilesResponse{}, nil, err
 	}
@@ -249,7 +252,7 @@ func SplitProfiles(body []byte) (ProfilesResponse, []RawWindow, error) {
 		wins[i] = RawWindow{Index: resp.Windows[i].Index, JSON: raw}
 	}
 	resp.Windows = nil
-	return resp, wins, nil
+	return ProfilesResponse(resp), wins, nil
 }
 
 // ProfilesMerge joins several servers' pages for one profiles query into

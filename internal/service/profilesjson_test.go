@@ -11,11 +11,6 @@ import (
 	"emprof/internal/sim"
 )
 
-// plainProfiles mirrors ProfilesResponse without its method, so
-// encoding/json's reflection path decodes the envelope. Its windows keep
-// ProfileWindow's own codec, which FuzzWindowDecode pins.
-type plainProfiles ProfilesResponse
-
 // encodePage is the body the daemon serves for env and ws.
 func encodePage(tb testing.TB, env ProfilesResponse, ws ...core.ProfileWindow) []byte {
 	tb.Helper()
@@ -72,7 +67,9 @@ func benchWindows() []core.ProfileWindow {
 }
 
 // FuzzProfilesDecode pins ProfilesResponse.UnmarshalJSON, called directly
-// as the client calls it, to encoding/json over the method-free mirror:
+// as the client calls it, to encoding/json over the method-free mirror
+// plainProfiles, whose windows keep ProfileWindow's own codec
+// (FuzzWindowDecode pins that):
 // both fail, or both succeed with values reflect.DeepEqual tells apart by
 // nothing, nil against empty Windows included. The fast decoder runs over
 // a filled-in receiver, which it must replace.
@@ -185,6 +182,31 @@ func TestReadProfilesKeep(t *testing.T) {
 		b, _ := json.Marshal(&ws[i])
 		if rw.Index != ws[i].Index || !bytes.Equal(rw.JSON, b) {
 			t.Fatalf("split: window %d keyed %d, bytes %s", i, rw.Index, rw.JSON)
+		}
+	}
+}
+
+// TestProfilesDecodeSizesStalls checks that a page's windows each reserve
+// room for their own stalls only, not for the stalls of the windows after
+// them, so a page's decode allocates in proportion to its length.
+func TestProfilesDecodeSizesStalls(t *testing.T) {
+	var ws []core.ProfileWindow
+	for k := 0; k < 16; k++ {
+		for _, w := range benchWindows() {
+			w.Index = int64(len(ws))
+			ws = append(ws, w)
+		}
+	}
+	var p ProfilesResponse
+	if err := p.UnmarshalJSON(encodePage(t, ProfilesResponse{ID: "s1", State: "active", LatestIndex: int64(len(ws) - 1)}, ws...)); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Windows) != len(ws) {
+		t.Fatalf("decoded %d windows of %d", len(p.Windows), len(ws))
+	}
+	for i, w := range p.Windows {
+		if len(w.Stalls) != len(ws[i].Stalls) || cap(w.Stalls) != len(w.Stalls) {
+			t.Fatalf("window %d: %d stalls in room for %d, encoded %d", i, len(w.Stalls), cap(w.Stalls), len(ws[i].Stalls))
 		}
 	}
 }
